@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ForgeryImpossible, ModeMismatch, UselessMultiplier
+from .errors import ConfigInvalid, ForgeryImpossible, ModeMismatch, UselessMultiplier
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial, eval_integer, lagrange_weights
 from .vss import Share
@@ -37,7 +37,7 @@ class ForgeryStrategy:
 
     def __post_init__(self):
         if self.multiplier < 1:
-            raise ValueError("forgery multiplier must be at least 1")
+            raise ConfigInvalid("forgery multiplier must be at least 1")
 
 
 def forge_share(

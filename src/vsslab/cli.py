@@ -138,7 +138,7 @@ def _cmd_demo(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         raw = Path(args.transcript).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 1
     problems = audit_transcript(raw)
@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         return 1
-    print("transcript verified: all entries recompute and regeneration matches",
+    print("transcript verified: regenerating its config reproduces it byte for byte",
           file=sys.stderr)
     return 0
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import (
+    ConfigInvalid,
     GenerationFailed,
     InvalidGroupParams,
     ModulusTooSmall,
@@ -122,6 +124,7 @@ FACTOR_GUARD_BITS = 96
 _TRIAL_LIMIT = 10_000
 
 
+@lru_cache(maxsize=1)
 def _trial_primes() -> tuple[int, ...]:
     sieve = bytearray([1]) * _TRIAL_LIMIT
     sieve[0] = sieve[1] = 0
@@ -129,9 +132,6 @@ def _trial_primes() -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return tuple(i for i, flag in enumerate(sieve) if flag)
-
-
-_TRIAL_PRIME_CACHE: tuple[int, ...] | None = None
 
 
 def _brent_attempt(n: int, c: int) -> int:
@@ -180,11 +180,8 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError(f"can only factor positive integers, got {n}")
     if n.bit_length() > FACTOR_GUARD_BITS:
         raise TooLarge(f"refusing to factor {n.bit_length()}-bit input (limit {FACTOR_GUARD_BITS} bits)")
-    global _TRIAL_PRIME_CACHE
-    if _TRIAL_PRIME_CACHE is None:
-        _TRIAL_PRIME_CACHE = _trial_primes()
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIME_CACHE:
+    for p in _trial_primes():
         if p * p > n:
             break
         while n % p == 0:
@@ -308,10 +305,11 @@ def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
     Vulnerable mode picks a random prime p and the smallest primitive
     root, so d = p - 1. Hardened mode searches for a safe prime
     p = 2q + 1 and squares a random h into the order-q subgroup.
-    Raises GenerationFailed if the documented retry bounds run out.
+    Raises ConfigInvalid for a size outside [MIN_PARAM_BITS, MAX_PARAM_BITS]
+    and GenerationFailed if the documented retry bounds run out.
     """
     if not MIN_PARAM_BITS <= bit_length <= MAX_PARAM_BITS:
-        raise ValueError(
+        raise ConfigInvalid(
             f"bit_length must be in [{MIN_PARAM_BITS}, {MAX_PARAM_BITS}], got {bit_length}"
         )
     if mode is Mode.VULNERABLE:

@@ -109,8 +109,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"threshold must satisfy 2 <= t <= n, got t={self.t}, n={self.n}")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigInvalid("seed must fit in 64 bits")
-        parties = set(range(1, self.n + 1))
-        if set(self.behaviors) != parties:
+        # counted, not materialized: n comes from untrusted transcripts
+        if len(self.behaviors) != self.n or not all(1 <= pid <= self.n for pid in self.behaviors):
             raise ConfigInvalid("behaviors must cover exactly the parties 1..n")
         # party ids are evaluation points, so they must be nonzero
         # elements of the interpolation field
@@ -119,7 +119,7 @@ class ScenarioConfig:
                 f"n = {self.n} does not fit the interpolation field Z_{params.field_modulus}"
             )
         for pid, behavior in self.behaviors.items():
-            bad = set(behavior.targets) - parties
+            bad = {k for k in behavior.targets if not 1 <= k <= self.n}
             if bad:
                 raise ConfigInvalid(f"party {pid} targets unknown parties {sorted(bad)}")
             if pid in behavior.targets:

@@ -9,25 +9,22 @@ bytes, which is what makes the tamper check meaningful.
 
 from __future__ import annotations
 
+import itertools
 import json
+import reprlib
 
 from .attack import ForgeryStrategy, StrategyKind
-from .errors import VsslabError
-from .numtheory import GroupParams, Mode
+from .errors import ConfigInvalid, VsslabError
+from .numtheory import Mode
 from .protocol import (
     Behavior,
     BehaviorKind,
-    DealingRound,
     GenSpec,
     ScenarioConfig,
     ScenarioReport,
-    assemble_group_key,
-    resolve_params,
-    run_reconstruction_round,
     run_scenario,
-    run_verification_round,
 )
-from .vss import CommitmentVector, Share, aggregate_public_key
+from .vss import Share
 
 SCHEMA_VERSION = "1"
 
@@ -140,56 +137,84 @@ def render_report(report: ScenarioReport) -> str:
 # decoding
 # ---------------------------------------------------------------------------
 
-
-def _strategy_from_dict(doc: dict) -> ForgeryStrategy:
-    return ForgeryStrategy(kind=StrategyKind(doc["kind"]), multiplier=int(doc["multiplier"]))
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
 
 
-def _behavior_from_dict(doc: dict) -> Behavior:
-    kind = BehaviorKind(doc["kind"])
-    if kind is BehaviorKind.FALSE_SHARE_DEALER:
-        return Behavior(
-            kind=kind,
-            strategy=_strategy_from_dict(doc["strategy"]),
-            targets=tuple(doc["targets"]),
-        )
-    return Behavior(kind=kind)
+# repr for untrusted JSON values, bounded in length and nesting depth
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = _SHORT.maxlong = 60
+_brief = _SHORT.repr
+
+
+def _typed(value, kind: type, where: str):
+    """value if it is exactly of type `kind`, so a bool never passes as an int."""
+    if type(value) is not kind:
+        raise ConfigInvalid(f"{where} must be {_JSON_TYPE_NAMES[kind]}, got {_brief(value)}")
+    return value
+
+
+def _decimal(value, where: str) -> int:
+    text = _typed(value, str, where)
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigInvalid(f"{where} must be a decimal integer, got {_brief(text)}") from None
+
+
+def _enum(cls, value, where: str):
+    text = _typed(value, str, where)
+    try:
+        return cls(text)
+    except ValueError:
+        raise ConfigInvalid(f"{where} has unknown value {_brief(text)}") from None
+
+
+def _strategy_from_dict(doc: dict, where: str) -> ForgeryStrategy:
+    return ForgeryStrategy(
+        kind=_enum(StrategyKind, doc.get("kind"), f"{where}.kind"),
+        multiplier=_decimal(doc.get("multiplier"), f"{where}.multiplier"),
+    )
+
+
+def _behavior_from_dict(doc: dict, where: str) -> Behavior:
+    kind = _enum(BehaviorKind, doc.get("kind"), f"{where}.kind")
+    if kind is not BehaviorKind.FALSE_SHARE_DEALER:
+        return Behavior(kind=kind)
+    targets = tuple(_typed(pid, int, f"{where}.targets[]")
+                    for pid in _typed(doc.get("targets"), list, f"{where}.targets"))
+    strategy = _typed(doc.get("strategy"), dict, f"{where}.strategy")
+    return Behavior(kind=kind, strategy=_strategy_from_dict(strategy, f"{where}.strategy"),
+                    targets=targets)
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    ref_doc = doc["params_ref"]
-    ref = ref_doc["name"] if "name" in ref_doc else GenSpec(
-        bits=ref_doc["bits"], mode=Mode(ref_doc["mode"])
-    )
+    """Decode a transcript's config section, checking every field's type first.
+
+    Raises ConfigInvalid on any malformed field; ranges and cross-field
+    constraints are left to ScenarioConfig.validate.
+    """
+    _typed(doc, dict, "config")
+    ref_doc = _typed(doc.get("params_ref"), dict, "config.params_ref")
+    if "name" in ref_doc:
+        ref = _typed(ref_doc["name"], str, "config.params_ref.name")
+    else:
+        ref = GenSpec(
+            bits=_typed(ref_doc.get("bits"), int, "config.params_ref.bits"),
+            mode=_enum(Mode, ref_doc.get("mode"), "config.params_ref.mode"),
+        )
+    behaviors = {}
+    for pid, behavior in _typed(doc.get("behaviors"), dict, "config.behaviors").items():
+        where = f"config.behaviors.{pid}"
+        behaviors[_decimal(pid, f"party id of {where}")] = _behavior_from_dict(
+            _typed(behavior, dict, where), where
+        )
     return ScenarioConfig(
-        scenario=doc["scenario"],
-        n=doc["n"],
-        t=doc["t"],
+        scenario=_typed(doc.get("scenario"), str, "config.scenario"),
+        n=_typed(doc.get("n"), int, "config.n"),
+        t=_typed(doc.get("t"), int, "config.t"),
         params_ref=ref,
-        behaviors={int(pid): _behavior_from_dict(b) for pid, b in doc["behaviors"].items()},
-        seed=int(doc["seed"]),
-    )
-
-
-def _params_from_dict(doc: dict) -> GroupParams:
-    return GroupParams(
-        p=int(doc["p"]),
-        g=int(doc["g"]),
-        d=int(doc["d"]),
-        mode=Mode(doc["mode"]),
-        q=int(doc["q"]) if doc["q"] is not None else None,
-    )
-
-
-def _share_from_dict(doc: dict) -> Share:
-    provenance = None
-    if doc["provenance"]["kind"] == "forged":
-        provenance = _strategy_from_dict(doc["provenance"]["strategy"])
-    return Share(
-        dealer=doc["dealer"],
-        recipient=doc["recipient"],
-        value=int(doc["value"]),
-        provenance=provenance,
+        behaviors=behaviors,
+        seed=_decimal(doc.get("seed"), "config.seed"),
     )
 
 
@@ -197,100 +222,54 @@ def _share_from_dict(doc: dict) -> Share:
 # audit
 # ---------------------------------------------------------------------------
 
+MAX_REPORTED_PATHS = 8
+
+
+def _differences(path: str, got, want):
+    """One message per JSON path where the transcript and regeneration differ."""
+    if type(got) is dict and type(want) is dict:
+        for key in sorted(got.keys() | want.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in got:
+                yield f"{sub}: missing from transcript, regeneration has {_brief(want[key])}"
+            elif key not in want:
+                yield f"{sub}: transcript has {_brief(got[key])}, regeneration has no such key"
+            else:
+                yield from _differences(sub, got[key], want[key])
+    elif type(got) is list and type(want) is list:
+        for i, (a, b) in enumerate(zip(got, want)):
+            yield from _differences(f"{path}[{i}]", a, b)
+        if len(got) != len(want):
+            yield f"{path}: transcript has {len(got)} entries, regeneration has {len(want)}"
+    elif type(got) is not type(want) or got != want:
+        yield f"{path}: transcript has {_brief(got)}, regeneration has {_brief(want)}"
+
 
 def audit_transcript(raw_text: str) -> list[str]:
     """Every way the transcript disagrees with the library; empty means clean.
 
-    Two layers. Structural: params are revalidated, each verification
-    matrix entry, reconstruction attempt, pool, recovered value, group
-    key, and verdict is recomputed from the transcript's own shares and
-    commitments and compared. Regeneration: the config is re-run from
-    its seed and the resulting canonical bytes must equal the input,
-    which also catches tampering in fields the structural pass cannot
-    cross-check (say, a share held only by a withholding party).
+    The config is the only input that matters: it is decoded, run once,
+    and the canonical rendering of that run must equal the input byte for
+    byte. On a mismatch the first MAX_REPORTED_PATHS differing JSON paths
+    are reported (say, `shares[0].value` or `verdict`); when the trees
+    agree and only the bytes differ, the transcript is not in canonical
+    form.
     """
-    problems: list[str] = []
     try:
         doc = json.loads(raw_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         return [f"not valid JSON: {exc}"]
-
+    if type(doc) is not dict:
+        return [f"transcript is not a JSON object, got {type(doc).__name__}"]
     if doc.get("version") != SCHEMA_VERSION:
-        problems.append(f"unsupported schema version {doc.get('version')!r}")
-        return problems
+        return [f"unsupported schema version {_brief(doc.get('version'))}"]
 
     try:
-        config = config_from_dict(doc["config"])
-        params = _params_from_dict(doc["params"])
-        params.validate()
-        config.validate(params)
-        commitments = tuple(
-            CommitmentVector(dealer=int(d), c=tuple(int(x) for x in cs))
-            for d, cs in sorted(doc["commitments"].items(), key=lambda kv: int(kv[0]))
-        )
-        shares = tuple(_share_from_dict(s) for s in doc["shares"])
-    except (VsslabError, KeyError, TypeError, ValueError) as exc:
-        problems.append(f"transcript structure does not parse cleanly: {exc!r}")
-        return problems
-
-    try:
-        resolved = resolve_params(config)
-        if resolved != params:
-            problems.append("params echo does not match the params_ref resolution")
-
-        matrix = run_verification_round(shares, commitments, params)
-        claimed_matrix = tuple(tuple(row) for row in doc["verification_matrix"])
-        if matrix != claimed_matrix:
-            problems.append("verification matrix entries do not recompute")
-
-        aggregate = aggregate_public_key(commitments, params)
-        if str(aggregate) != doc["aggregate_public_key"]:
-            problems.append("aggregate public key does not recompute")
-
-        dealing = DealingRound(
-            polynomials=(), commitments=commitments, shares=shares, forgery_attempts=()
-        )
-        recomputed = run_reconstruction_round(dealing, matrix, config, params)
-        claimed = doc["reconstructions"]
-        for rec in recomputed:
-            entry = claimed.get(str(rec.dealer))
-            if entry is None:
-                problems.append(f"dealer {rec.dealer} reconstruction missing")
-                continue
-            if list(rec.pool) != entry["pool"]:
-                problems.append(f"dealer {rec.dealer} share pool does not recompute")
-            want_attempts = [
-                {
-                    "subset": list(a.subset),
-                    "value": str(a.value),
-                    "commitment_check": a.commitment_check,
-                }
-                for a in rec.attempts
-            ]
-            if want_attempts != entry["attempts"]:
-                problems.append(f"dealer {rec.dealer} reconstruction attempts do not recompute")
-            want_recovered = str(rec.recovered) if rec.recovered is not None else None
-            if want_recovered != entry["recovered"]:
-                problems.append(f"dealer {rec.dealer} recovered secret does not recompute")
-
-        assembly = assemble_group_key(recomputed, commitments, params, matrix)
-        want_key = str(assembly.group_key) if assembly.group_key is not None else None
-        if want_key != doc["group_key"]:
-            problems.append("group key does not recompute")
-        if assembly.confirmed != doc["group_key_confirmed"]:
-            problems.append("group key confirmation flag does not recompute")
-        if assembly.verdict.value != doc["verdict"]:
-            problems.append(
-                f"verdict does not recompute (library says {assembly.verdict.value})"
-            )
-    except (VsslabError, KeyError, TypeError, ValueError, IndexError) as exc:
-        problems.append(f"recomputation failed on tampered structure: {exc!r}")
-
-    try:
-        regenerated = render_report(run_scenario(config))
+        regenerated = report_to_dict(run_scenario(config_from_dict(doc.get("config"))))
     except VsslabError as exc:
-        problems.append(f"config does not re-run: {exc!r}")
-        return problems
-    if regenerated != raw_text:
-        problems.append("transcript differs from deterministic regeneration of its config")
-    return problems
+        return [f"config does not re-run: {exc}"]
+    if canonical_json(regenerated) == raw_text:
+        return []
+    problems = list(itertools.islice(_differences("", doc, regenerated), MAX_REPORTED_PATHS))
+    return problems or ["transcript is not in canonical form: its JSON tree matches the "
+                        "regeneration but its bytes do not"]

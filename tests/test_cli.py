@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from vsslab.cli import main
 
 
@@ -57,6 +59,26 @@ def test_verify_rejects_value_tamper(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: [],
+    lambda doc: {**doc, "config": {**doc["config"], "behaviors": []}},
+    lambda doc: {**doc, "config": {**doc["config"], "params_ref": {"name": 3}}},
+], ids=["top-level-list", "behaviors-list", "numeric-name"])
+def test_verify_malformed_transcript_fails_cleanly(tmp_path, capsys, edit):
+    out = tmp_path / "t.json"
+    run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out))
+    out.write_text(json.dumps(edit(json.loads(out.read_text())), sort_keys=True, indent=2))
+    assert run_cli("verify", str(out)) == 1
+    assert "FAIL" in capsys.readouterr().err
+
+
+def test_verify_undecodable_file_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    out.write_bytes(b"\xff\xfe{}")
+    assert run_cli("verify", str(out)) == 1
+    assert "cannot read transcript" in capsys.readouterr().err
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert run_cli("verify", "/nonexistent/path.json") == 1
 
@@ -93,6 +115,11 @@ def test_run_rejects_params_and_bits_together(capsys):
 
 def test_run_rejects_bad_threshold(capsys):
     assert run_cli("run", "--scenario", "honest", "--seed", "1", "--t", "9") == 1
+
+
+def test_run_rejects_out_of_range_bits(capsys):
+    assert run_cli("run", "--scenario", "honest", "--seed", "1", "--bits", "200") == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_with_generated_params(tmp_path):

@@ -1,10 +1,14 @@
-"""Transcript rendering and the recompute-everything audit."""
+"""Transcript rendering and the audit by regeneration: re-run the config,
+report the first differing JSON paths, then compare bytes."""
 
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vsslab.protocol import build_scenario, run_scenario
+from vsslab.protocol import SCENARIO_NAMES, build_scenario, run_scenario
 from vsslab.transcript import (
     SCHEMA_VERSION,
     audit_transcript,
@@ -86,7 +90,8 @@ class TestAudit:
             doc["shares"][0]["value"] = str(int(doc["shares"][0]["value"]) + 1)
 
         problems = audit_transcript(retamper(false_share_text, bump_share))
-        assert problems  # at minimum the verification matrix stops matching
+        assert problems
+        assert any(p.startswith("shares[0].value") for p in problems)
 
     def test_verdict_tamper_detected(self, false_share_text):
         def flip_verdict(doc):
@@ -110,6 +115,7 @@ class TestAudit:
 
         problems = audit_transcript(retamper(false_share_text, change_generator))
         assert problems
+        assert any(p.startswith("params.g") for p in problems)
 
     def test_wrong_version_reported(self, false_share_text):
         def wrong_version(doc):
@@ -117,6 +123,12 @@ class TestAudit:
 
         problems = audit_transcript(retamper(false_share_text, wrong_version))
         assert any("version" in p for p in problems)
+
+    def test_reflowed_transcript_is_not_canonical(self, false_share_text):
+        reflowed = json.dumps(json.loads(false_share_text), sort_keys=True) + "\n"
+        problems = audit_transcript(reflowed)
+        assert len(problems) == 1
+        assert "not in canonical form" in problems[0]
 
     def test_broken_json_reported_not_raised(self, false_share_text):
         problems = audit_transcript(false_share_text[:-5])
@@ -139,4 +151,76 @@ class TestAudit:
             doc["shares"][0]["recipient"] = 99
 
         problems = audit_transcript(retamper(false_share_text, corrupt_recipient))
+        assert problems
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [],
+        lambda doc: {**doc, "config": {**doc["config"], "behaviors": []}},
+        lambda doc: {**doc, "config": {**doc["config"], "params_ref": {"name": 3}}},
+        lambda doc: {**doc, "config": {**doc["config"],
+                                       "params_ref": {"bits": 200, "mode": "vulnerable"}}},
+        lambda doc: {**doc, "config": {**doc["config"], "n": 10**12}},
+    ], ids=["top-level-list", "behaviors-list", "numeric-name", "bits-200", "huge-n"])
+    def test_malformed_config_is_a_problem_not_a_crash(self, false_share_text, edit):
+        problems = audit_transcript(canonical_json(edit(json.loads(false_share_text))))
+        assert problems
+
+
+# ---------------------------------------------------------------------------
+# mutated transcripts
+# ---------------------------------------------------------------------------
+#
+# One structured mutation per example: replace a leaf, drop a key, or
+# append to a list. The strategy is not narrowed around hostile sizes. A
+# single mutation could still ask for unbounded work (say, a config
+# rewritten to v64 with n=40 t=20, or fresh 96-bit parameters with a slow
+# factorization); bounding that is the reconstruction work budget on the
+# roadmap, not this audit, and the values drawn here make it improbable.
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.integers(-2, 12) | st.integers(-2, 12).map(str),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@lru_cache(maxsize=None)
+def _clean_transcript(name):
+    return render_report(run_scenario(build_scenario(name, seed=5)))
+
+
+def _nodes(node):
+    """(parent, key, child) for every node below the root."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield node, key, child
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(SCENARIO_NAMES), data=st.data())
+def test_mutated_transcript_is_never_accepted_and_never_raises(name, data):
+    original = _clean_transcript(name)
+    doc = json.loads(original)
+    nodes = list(_nodes(doc))
+    action = data.draw(st.sampled_from(("replace", "drop", "append")))
+    if action == "replace":
+        parent, key = data.draw(st.sampled_from(
+            [(parent, key) for parent, key, child in nodes if not isinstance(child, (dict, list))]
+        ))
+        parent[key] = data.draw(_JSON_VALUES)
+    elif action == "drop":
+        parent, key = data.draw(st.sampled_from(
+            [(parent, key) for parent, key, _ in nodes if isinstance(parent, dict)]
+        ))
+        del parent[key]
+    else:
+        target = data.draw(st.sampled_from([child for _, _, child in nodes
+                                            if isinstance(child, list)]))
+        target.append(data.draw(_JSON_VALUES))
+    text = canonical_json(doc)
+    problems = audit_transcript(text)
+    assert isinstance(problems, list)
+    if text != original:
         assert problems
