@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DuplicateAbscissa, ModulusTooSmall, ZeroAbscissa
@@ -86,13 +88,7 @@ def eval_mod(poly: SecretPolynomial, k: int, m: int) -> int:
     return acc
 
 
-def lagrange_weights(xs, m: int) -> tuple[int, ...]:
-    """Lagrange weights at zero for the abscissas xs, mod m.
-
-    weight_j = prod_{l != j} x_l * (x_l - x_j)^-1. For any polynomial of
-    degree below len(xs), sum_j y_j * weight_j recovers its constant term;
-    in particular the weights themselves always sum to 1 mod m.
-    """
+def _checked_abscissas(xs, m: int) -> tuple[int, ...]:
     xs = tuple(xs)
     if not xs:
         raise ValueError("need at least one abscissa")
@@ -105,6 +101,17 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
         if x in seen:
             raise DuplicateAbscissa(f"abscissa {x} appears twice")
         seen.add(x)
+    return xs
+
+
+def lagrange_weights(xs, m: int) -> tuple[int, ...]:
+    """Lagrange weights at zero for the abscissas xs, mod m.
+
+    weight_j = prod_{l != j} x_l * (x_l - x_j)^-1. For any polynomial of
+    degree below len(xs), sum_j y_j * weight_j recovers its constant term;
+    in particular the weights themselves always sum to 1 mod m.
+    """
+    xs = _checked_abscissas(xs, m)
     weights = []
     for j, xj in enumerate(xs):
         num = 1
@@ -133,3 +140,47 @@ def lagrange_zero(points, m: int) -> int:
             raise ValueError(f"ordinate {y} outside [0, {m})")
     weights = lagrange_weights((x for x, _ in points), m)
     return sum(y * w for (_, y), w in zip(points, weights)) % m
+
+
+def subset_zeros(points, t: int, m: int):
+    """lagrange_zero of every t-subset of points, in itertools.combinations order.
+
+    Interpolation is linear in the ordinates, so no subset is
+    interpolated on its own. Let Q be the polynomial through the first t
+    points and e_k = y_k - Q(x_k) the residual of point k (zero for
+    those first t). A t-subset S then lands on
+
+        Q(0) + sum of e_j * w_j(S) over the j in S with e_j != 0,
+
+    where w_j(S) is the product, over the other l in S, of
+    ratio[j][l] = x_l * (x_l - x_j)^-1, its Lagrange weight in S. That
+    table is built once, for the off-Q rows only, so no subset pays an
+    inverse, and a pool that lies on one polynomial (every e_k zero)
+    yields Q(0) for every subset without any field arithmetic.
+    """
+    points = tuple(points)
+    if not 1 <= t <= len(points):
+        raise ValueError(f"need 1 <= t <= {len(points)} points, got t={t}")
+    xs = _checked_abscissas((x for x, _ in points), m)
+    for _, y in points:
+        if not 0 <= y < m:
+            raise ValueError(f"ordinate {y} outside [0, {m})")
+    base = points[:t]
+    q0 = lagrange_zero(base, m)
+    # Q(x_k) is the value at zero of Q shifted by x_k
+    residuals = [0] * t + [
+        (yk - lagrange_zero((((x - xk) % m, y) for x, y in base), m)) % m
+        for xk, yk in points[t:]
+    ]
+    # ratio[j][j] = 1 lets the weight run over the whole subset
+    ratio = {
+        j: [xl * mod_inv(xl - xj, m) % m if l != j else 1 for l, xl in enumerate(xs)]
+        for j, xj in enumerate(xs) if residuals[j]
+    }
+    for subset in itertools.combinations(range(len(points)), t):
+        value = q0
+        for j in subset:
+            if residuals[j]:
+                row = ratio[j]
+                value += residuals[j] * math.prod(row[l] for l in subset)
+        yield value % m

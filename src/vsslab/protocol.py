@@ -28,7 +28,14 @@ from typing import Mapping
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, DealerMismatch, ForgeryImpossible, InsufficientShares
 from .numtheory import GroupParams, Mode, gen_params, mod_exp
-from .poly import SecretPolynomial, eval_integer, eval_mod, lagrange_zero, sample_polynomial
+from .poly import (
+    SecretPolynomial,
+    eval_integer,
+    eval_mod,
+    lagrange_zero,
+    sample_polynomial,
+    subset_zeros,
+)
 from .registry import get_params
 from .rng import substream
 from .vss import (
@@ -50,6 +57,14 @@ _SCENARIO_DEFAULT_PARAMS = {
     "withhold": "small11",
     "hardened-attack": "p23q11",
 }
+
+
+# Every dealer's pool can hold all n shares, and every t-subset of it is
+# reconstructed and recorded, so a run costs up to n * C(n, t) attempts.
+# The budget admits v64 n=16 t=8 (205,920 attempts, about 50 MB of
+# transcript) and refuses sizes that would never finish, such as n=40
+# t=20 (about 5.5e12).
+MAX_RECONSTRUCTION_ATTEMPTS = 250_000
 
 
 class BehaviorKind(str, Enum):
@@ -112,6 +127,18 @@ class ScenarioConfig:
         # counted, not materialized: n comes from untrusted transcripts
         if len(self.behaviors) != self.n or not all(1 <= pid <= self.n for pid in self.behaviors):
             raise ConfigInvalid("behaviors must cover exactly the parties 1..n")
+        # n * C(n, i) grows with i up to min(t, n - t), so the running
+        # product can stop as soon as it passes the budget, long before
+        # an untrusted n makes it huge
+        attempts, i = self.n, 0
+        while attempts <= MAX_RECONSTRUCTION_ATTEMPTS and i < min(self.t, self.n - self.t):
+            attempts = attempts * (self.n - i) // (i + 1)
+            i += 1
+        if attempts > MAX_RECONSTRUCTION_ATTEMPTS:
+            raise ConfigInvalid(
+                f"n = {self.n}, t = {self.t} needs n * C(n, t) > "
+                f"{MAX_RECONSTRUCTION_ATTEMPTS:,} reconstruction attempts"
+            )
         # party ids are evaluation points, so they must be nonzero
         # elements of the interpolation field
         if self.n >= params.field_modulus:
@@ -301,14 +328,23 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
 
     The pool for dealer i holds i's shares kept by parties that are not
     withholding at assembly and that accepted the share at verification
-    time. Every t-subset is tried in lexicographic recipient order; the
-    first subset whose result matches the dealer's own constant-term
+    time. Every t-subset is reported, in lexicographic recipient order;
+    the first subset whose result matches the dealer's own constant-term
     commitment counts as the recovered secret.
+
+    Each value equals reconstruct_dealer_secret on its subset, but the
+    pool is interpolated only once: poly.subset_zeros adds each subset's
+    share of the per-point residuals to the pool's base interpolation.
+    That is the linearity predict_corruption states for forged shares.
+    The commitment check runs once per distinct value, so a pool on a
+    single polynomial (honest, withheld, or forged throughout) costs one
+    exponentiation.
     """
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly
     }
     by_dealer = {cv.dealer: cv for cv in dealing.commitments}
+    m = params.field_modulus
     results = []
     for dealer in range(1, config.n + 1):
         pool = [
@@ -317,15 +353,19 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
             and s.recipient not in withholders
             and matrix[dealer - 1][s.recipient - 1]
         ]
+        recipients = tuple(s.recipient for s in pool)
         attempts = []
         recovered = None
         if len(pool) >= config.t:
-            for combo in itertools.combinations(pool, config.t):
-                value, ok = reconstruct_dealer_secret(
-                    dealer, combo, by_dealer[dealer], params, config.t
-                )
+            target = by_dealer[dealer].c[0]
+            checks: dict[int, bool] = {}
+            values = subset_zeros(((s.recipient, s.value % m) for s in pool), config.t, m)
+            for subset, value in zip(itertools.combinations(recipients, config.t), values):
+                ok = checks.get(value)
+                if ok is None:
+                    ok = checks[value] = mod_exp(params.g, value, params.p) == target
                 attempts.append(ReconstructionAttempt(
-                    subset=tuple(s.recipient for s in combo),
+                    subset=subset,
                     value=value,
                     commitment_check=ok,
                 ))
@@ -333,7 +373,7 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
                     recovered = value
         results.append(DealerReconstruction(
             dealer=dealer,
-            pool=tuple(s.recipient for s in pool),
+            pool=recipients,
             attempts=tuple(attempts),
             recovered=recovered,
         ))

@@ -1,14 +1,19 @@
 """End-to-end scenario runs: dealing, verification, reconstruction, verdicts."""
 
 import itertools
+import random
+import time
+from math import comb
 
 import pytest
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
+from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, InsufficientShares
 from vsslab.numtheory import Mode
 from vsslab.poly import eval_integer, sample_polynomial
 from vsslab.protocol import (
+    MAX_RECONSTRUCTION_ATTEMPTS,
     SCENARIO_NAMES,
     Behavior,
     BehaviorKind,
@@ -92,6 +97,29 @@ class TestConfigValidation:
     def test_false_share_dealer_requires_strategy_and_targets(self):
         with pytest.raises(ConfigInvalid):
             Behavior(BehaviorKind.FALSE_SHARE_DEALER)
+
+    def test_attempt_budget_admits_the_largest_baseline_size(self):
+        assert 16 * comb(16, 8) <= MAX_RECONSTRUCTION_ATTEMPTS
+        honest_config(n=16, t=8, params_ref="v64").validate(get_params("v64"))
+        # C(n, t) = C(n, n - t): t near n is cheap, and the running
+        # product must not pass the budget on its way to it
+        for t in (38, 39, 40):
+            honest_config(n=40, t=t, params_ref="v64").validate(get_params("v64"))
+
+    @pytest.mark.parametrize("n,t", [(17, 8), (40, 20), (30, 25)])
+    def test_attempt_budget_refuses_combinatorial_sizes(self, n, t):
+        assert n * comb(n, t) > MAX_RECONSTRUCTION_ATTEMPTS
+        with pytest.raises(ConfigInvalid, match="reconstruction attempts"):
+            honest_config(n=n, t=t, params_ref="v64").validate(get_params("v64"))
+
+    def test_cli_refuses_an_unbounded_run_quickly(self, capsys):
+        started = time.monotonic()
+        code = cli_main(["run", "--scenario", "honest", "--params", "v64",
+                         "--n", "40", "--t", "20", "--seed", "1"])
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "reconstruction attempts" in err
 
     def test_generated_params_path(self):
         cfg = build_scenario("honest", seed=3, params_ref=GenSpec(bits=16, mode=Mode.VULNERABLE))
@@ -311,6 +339,53 @@ class TestPoolMechanics:
         rec = report.reconstructions[0]
         subsets = [att.subset for att in rec.attempts]
         assert subsets == sorted(set(subsets))
-        assert len(subsets) >= 1
-        # attempts stop early once a subset passes, so the count is bounded
-        assert len(subsets) <= len(list(itertools.combinations(range(1, 5), 2)))
+        # the report is exhaustive: every subset is listed, even after
+        # one has already passed the commitment check
+        assert len(subsets) == comb(4, 2)
+
+
+class TestReconstructionMatchesOracle:
+    """Every recorded attempt equals reconstruct_dealer_secret on its subset."""
+
+    @staticmethod
+    def configs(params_ref, n, t, rng):
+        for name in ("honest", "withhold"):
+            yield build_scenario(name, seed=rng.randrange(1 << 64), n=n, t=t,
+                                 params_ref=params_ref)
+        # false-share dealers with random targets give mixed pools
+        for _ in range(3):
+            behaviors = {pid: Behavior() for pid in range(1, n + 1)}
+            for dealer in rng.sample(range(1, n + 1), rng.randint(1, 2)):
+                others = [k for k in range(1, n + 1) if k != dealer]
+                behaviors[dealer] = Behavior(
+                    BehaviorKind.FALSE_SHARE_DEALER,
+                    strategy=ForgeryStrategy(rng.choice(list(StrategyKind)), rng.randint(1, 3)),
+                    targets=tuple(rng.sample(others, rng.randint(1, len(others)))),
+                )
+            yield ScenarioConfig("false-share", n, t, params_ref, behaviors,
+                                 rng.randrange(1 << 64))
+
+    @pytest.mark.parametrize("params_ref", ["small11", "p23order11", "v32"])
+    def test_every_attempt_matches_the_per_subset_oracle(self, params_ref):
+        rng = random.Random(params_ref)
+        mixed_pools = 0
+        for n in range(2, 8):
+            for t in range(2, n + 1):
+                for cfg in self.configs(params_ref, n, t, rng):
+                    report = run_scenario(cfg)
+                    by_key = {(s.dealer, s.recipient): s for s in report.shares}
+                    for rec, commits in zip(report.reconstructions, report.commitments):
+                        if len(rec.pool) < t:
+                            assert rec.attempts == ()
+                            continue
+                        expected_subsets = list(itertools.combinations(rec.pool, t))
+                        assert [a.subset for a in rec.attempts] == expected_subsets
+                        for att in rec.attempts:
+                            shares = [by_key[rec.dealer, k] for k in att.subset]
+                            assert (att.value, att.commitment_check) == reconstruct_dealer_secret(
+                                rec.dealer, shares, commits, report.params, t
+                            ), (cfg, rec.dealer, att.subset)
+                        passing = [a.value for a in rec.attempts if a.commitment_check]
+                        assert rec.recovered == (passing[0] if passing else None)
+                        mixed_pools += len({a.value for a in rec.attempts}) > 1
+        assert mixed_pools > 0

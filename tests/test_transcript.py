@@ -165,17 +165,31 @@ class TestAudit:
         problems = audit_transcript(canonical_json(edit(json.loads(false_share_text))))
         assert problems
 
+    def test_config_over_the_attempt_budget_is_a_problem(self, false_share_text):
+        # a well-formed config for v64 with n=40 t=20 would take about
+        # 5.5e12 reconstruction attempts; the audit refuses it up front
+        doc = json.loads(false_share_text)
+        doc["config"].update(
+            params_ref={"name": "v64"}, n=40, t=20,
+            behaviors={str(pid): {"kind": "honest"} for pid in range(1, 41)},
+        )
+        problems = audit_transcript(canonical_json(doc))
+        assert len(problems) == 1
+        assert problems[0].startswith("config does not re-run")
+        assert "reconstruction attempts" in problems[0]
+
 
 # ---------------------------------------------------------------------------
 # mutated transcripts
 # ---------------------------------------------------------------------------
 #
 # One structured mutation per example: replace a leaf, drop a key, or
-# append to a list. The strategy is not narrowed around hostile sizes. A
-# single mutation could still ask for unbounded work (say, a config
-# rewritten to v64 with n=40 t=20, or fresh 96-bit parameters with a slow
-# factorization); bounding that is the reconstruction work budget on the
-# roadmap, not this audit, and the values drawn here make it improbable.
+# append to a list. The strategy is not narrowed around hostile sizes.
+# A config asking for too many reconstruction attempts (say, v64 with
+# n=40 t=20) is refused by the attempt budget in ScenarioConfig.validate.
+# A single mutation could still ask for slow parameter generation (fresh
+# 96-bit parameters with a slow factorization); nothing bounds that yet,
+# and the values drawn here make it improbable.
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text()
