@@ -15,7 +15,6 @@ from .numtheory import (
     factorize,
     gen_params,
     is_prime,
-    mod_exp,
     mod_inv,
     multiplicative_order,
 )

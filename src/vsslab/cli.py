@@ -5,8 +5,8 @@
     vsslab verify transcript.json
 
 Exit codes: 0 when the run assembled the key (or the subcommand simply
-succeeded), 2 when the key was blocked or a forgery was flagged, 1 for
-usage, config, or verification errors.
+succeeded), 2 when the key was blocked, 1 for usage, config, or
+verification errors.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    if args.params and args.bits:
+    if args.params is not None and args.bits is not None:
         raise _UsageError("--params and --bits are mutually exclusive")
     params_ref = args.params
     if args.bits is not None:

@@ -39,13 +39,6 @@ class Mode(str, Enum):
     HARDENED = "hardened"
 
 
-def mod_exp(base: int, exp: int, m: int) -> int:
-    """base**exp mod m via square-and-multiply (CPython's 3-arg pow)."""
-    if m < 2:
-        raise ModulusTooSmall(f"modulus must be at least 2, got {m}")
-    return pow(base, exp, m)
-
-
 def mod_inv(a: int, m: int) -> int:
     """Inverse of a modulo m, or NotInvertible when gcd(a, m) != 1."""
     if m < 2:

@@ -107,10 +107,13 @@ def test_run_requires_seed(capsys):
 
 
 def test_run_rejects_params_and_bits_together(capsys):
-    code = run_cli(
-        "run", "--scenario", "honest", "--seed", "1", "--params", "small11", "--bits", "16"
-    )
-    assert code == 1
+    # presence counts, not truthiness: an empty name or zero bits still clash
+    for params, bits in [("small11", "16"), ("", "16"), ("v64", "0")]:
+        code = run_cli(
+            "run", "--scenario", "honest", "--seed", "1", "--params", params, "--bits", bits
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_run_rejects_bad_threshold(capsys):

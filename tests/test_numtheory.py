@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vsslab.errors import (
     GenerationFailed,
     InvalidGroupParams,
-    ModulusTooSmall,
     NotAUnit,
     NotInvertible,
     TooLarge,
@@ -20,47 +19,12 @@ from vsslab.numtheory import (
     factorize,
     gen_params,
     is_prime,
-    mod_exp,
     mod_inv,
     multiplicative_order,
 )
 from vsslab.rng import SplitMix64
 
 from conftest import brute_order
-
-
-def slow_mod_exp(base, exp, m):
-    acc = 1 % m
-    for _ in range(exp):
-        acc = acc * base % m
-    return acc
-
-
-class TestModExp:
-    def test_matches_repeated_multiplication_exhaustively(self):
-        for m in range(2, 12):
-            for base in range(0, m):
-                for exp in range(0, 25):
-                    assert mod_exp(base, exp, m) == slow_mod_exp(base, exp, m)
-
-    @given(
-        st.integers(min_value=0, max_value=1 << 64),
-        st.integers(min_value=0, max_value=1 << 16),
-        st.integers(min_value=2, max_value=1 << 64),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_builtin_pow(self, base, exp, m):
-        assert mod_exp(base, exp, m) == pow(base, exp, m)
-
-    def test_zero_exponent_is_one(self):
-        assert mod_exp(0, 0, 7) == 1
-        assert mod_exp(5, 0, 7) == 1
-
-    def test_modulus_below_two_rejected(self):
-        with pytest.raises(ModulusTooSmall):
-            mod_exp(3, 4, 1)
-        with pytest.raises(ModulusTooSmall):
-            mod_exp(3, 4, 0)
 
 
 class TestModInv:

@@ -1,5 +1,6 @@
 """End-to-end scenario runs: dealing, verification, reconstruction, verdicts."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -13,6 +14,7 @@ from vsslab.errors import ConfigInvalid, InsufficientShares
 from vsslab.numtheory import Mode
 from vsslab.poly import eval_integer, sample_polynomial
 from vsslab.protocol import (
+    MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
     SCENARIO_NAMES,
     Behavior,
@@ -20,6 +22,7 @@ from vsslab.protocol import (
     GenSpec,
     ScenarioConfig,
     Verdict,
+    assemble_group_key,
     build_scenario,
     reconstruct_dealer_secret,
     resolve_params,
@@ -32,6 +35,16 @@ from vsslab.vss import Share, commit
 
 def honest_config(seed=7, n=5, t=3, params_ref="small11"):
     return build_scenario("honest", seed=seed, n=n, t=t, params_ref=params_ref)
+
+
+def assert_cli_refuses_quickly(capsys, n, t, reason):
+    started = time.monotonic()
+    code = cli_main(["run", "--scenario", "honest", "--params", "v64",
+                     "--n", n, "--t", t, "--seed", "1"])
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
 
 
 class TestConfigValidation:
@@ -112,14 +125,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="reconstruction attempts"):
             honest_config(n=n, t=t, params_ref="v64").validate(get_params("v64"))
 
+    def test_party_cap_admits_the_cap(self):
+        assert MAX_PARTIES == 64
+        honest_config(n=64, t=64, params_ref="v64").validate(get_params("v64"))
+
+    @pytest.mark.parametrize("n,t", [(65, 65), (1000, 1000)])
+    def test_party_cap_refuses_larger_n(self, n, t):
+        # n * C(n, n) = n is within the attempt budget; only the cap refuses
+        assert n <= MAX_RECONSTRUCTION_ATTEMPTS
+        with pytest.raises(ConfigInvalid, match="parties"):
+            honest_config(n=n, t=t, params_ref="v64").validate(get_params("v64"))
+
     def test_cli_refuses_an_unbounded_run_quickly(self, capsys):
-        started = time.monotonic()
-        code = cli_main(["run", "--scenario", "honest", "--params", "v64",
-                         "--n", "40", "--t", "20", "--seed", "1"])
-        assert time.monotonic() - started < 1.0
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "reconstruction attempts" in err
+        assert_cli_refuses_quickly(capsys, "40", "20", "reconstruction attempts")
+
+    def test_cli_refuses_too_many_parties_quickly(self, capsys):
+        assert_cli_refuses_quickly(capsys, "1000", "1000", "parties")
 
     def test_generated_params_path(self):
         cfg = build_scenario("honest", seed=3, params_ref=GenSpec(bits=16, mode=Mode.VULNERABLE))
@@ -272,6 +293,24 @@ class TestScenarioVerdicts:
         assert all(not s.forged for s in report.shares)
         assert all(all(row) for row in report.verification_matrix)
         assert report.group_key_confirmed
+
+    def test_built_in_scenarios_reach_every_verdict(self):
+        verdicts = {
+            run_scenario(build_scenario(name, seed=seed)).verdict
+            for name in SCENARIO_NAMES
+            for seed in range(4)
+        }
+        assert verdicts == set(Verdict)
+
+    def test_assembly_raises_when_the_key_misses_the_aggregate(self):
+        # unreachable from any scenario: every recovered value passed its
+        # commitment check, so g**key always matches the aggregate key
+        report = run_scenario(build_scenario("honest", seed=7))
+        first, *rest = report.reconstructions
+        shifted = dataclasses.replace(first, recovered=first.recovered + 1)
+        with pytest.raises(RuntimeError, match="aggregate public key"):
+            assemble_group_key((shifted, *rest), report.commitments, report.params,
+                               report.verification_matrix)
 
     def test_hardened_key_reduces_mod_q(self):
         report = run_scenario(build_scenario("hardened-attack", seed=7))

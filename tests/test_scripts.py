@@ -1,0 +1,31 @@
+"""The README's quick-start scripts run end to end as a user would run them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from vsslab.protocol import SCENARIO_NAMES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_worked_example_runs():
+    result = run_script("worked_example.py")
+    assert result.returncode == 0, result.stderr
+    assert "verification: True  <- passes" in result.stdout
+    assert "<- corrupted" in result.stdout
+
+
+def test_run_all_scenarios_tabulates_every_scenario_with_a_clean_matrix():
+    result = run_script("run_all_scenarios.py")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(SCENARIO_NAMES)
+    assert all(row[3] == "all-true" for row in rows)

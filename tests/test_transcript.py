@@ -1,6 +1,7 @@
 """Transcript rendering and the audit by regeneration: re-run the config,
 report the first differing JSON paths, then compare bytes."""
 
+import copy
 import json
 from functools import lru_cache
 
@@ -22,6 +23,19 @@ from vsslab.transcript import (
 @pytest.fixture(scope="module")
 def false_share_text():
     return render_report(run_scenario(build_scenario("false-share", seed=7)))
+
+
+def set_config_field(path, value):
+    """An edit that returns a copy of the doc with config[path...] = value."""
+    def edit(doc):
+        doc = copy.deepcopy(doc)
+        *parents, leaf = path
+        node = doc["config"]
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        return doc
+    return edit
 
 
 def retamper(text, mutate):
@@ -160,7 +174,12 @@ class TestAudit:
         lambda doc: {**doc, "config": {**doc["config"],
                                        "params_ref": {"bits": 200, "mode": "vulnerable"}}},
         lambda doc: {**doc, "config": {**doc["config"], "n": 10**12}},
-    ], ids=["top-level-list", "behaviors-list", "numeric-name", "bits-200", "huge-n"])
+        set_config_field(("seed",), "seven"),
+        set_config_field(("behaviors", "1", "kind"), "saboteur"),
+        set_config_field(("params_ref",), {"bits": 16, "mode": "sideways"}),
+        set_config_field(("behaviors", "1", "strategy", "multiplier"), "1.5"),
+    ], ids=["top-level-list", "behaviors-list", "numeric-name", "bits-200", "huge-n",
+            "word-seed", "unknown-behavior", "unknown-mode", "fractional-multiplier"])
     def test_malformed_config_is_a_problem_not_a_crash(self, false_share_text, edit):
         problems = audit_transcript(canonical_json(edit(json.loads(false_share_text))))
         assert problems
@@ -177,6 +196,19 @@ class TestAudit:
         assert len(problems) == 1
         assert problems[0].startswith("config does not re-run")
         assert "reconstruction attempts" in problems[0]
+
+    def test_config_over_the_party_cap_is_a_problem(self, false_share_text):
+        # n = t = 1000 is within the attempt budget, but dealing and
+        # verification alone would cost about n**3 big-int operations
+        doc = json.loads(false_share_text)
+        doc["config"].update(
+            params_ref={"name": "v64"}, n=1000, t=1000,
+            behaviors={str(pid): {"kind": "honest"} for pid in range(1, 1001)},
+        )
+        problems = audit_transcript(canonical_json(doc))
+        assert len(problems) == 1
+        assert problems[0].startswith("config does not re-run")
+        assert "parties" in problems[0]
 
 
 # ---------------------------------------------------------------------------
