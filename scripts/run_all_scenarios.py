@@ -25,7 +25,7 @@ def main() -> None:
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    print(f"{'scenario':<17} {'params':<12} {'verdict':<22} {'matrix':<9} attempts")
+    print(f"{'scenario':<17} {'params':<12} {'verdict':<22} {'matrix':<9} forgeries")
     for name in SCENARIO_NAMES:
         report = run_scenario(build_scenario(name, seed=args.seed))
         matrix_clean = all(all(row) for row in report.verification_matrix)

@@ -14,8 +14,9 @@ known as soon as commitments are broadcast. At assembly time each
 dealer's secret is rebuilt by interpolating the shares still on the
 table; a dealer that withholds keeps everything it holds back, and a
 false-share dealer withholds too, since denial is what the forgery is
-for. A dealer whose secret no subset can rebuild consistently with its
-own commitment blocks the key.
+for. Each pool's t-subsets are tried in lexicographic order until one
+rebuilds a secret consistent with the dealer's own commitment; a dealer
+with no such subset blocks the key.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from typing import Mapping
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, DealerMismatch, ForgeryImpossible, InsufficientShares
 from .numtheory import GroupParams, Mode, gen_params
-from .poly import (
-    SecretPolynomial,
-    eval_integer,
-    eval_mod,
-    lagrange_zero,
-    sample_polynomial,
-    subset_zeros,
-)
+from .poly import SecretPolynomial, eval_integer, eval_mod, lagrange_zero, sample_polynomial
 from .registry import get_params
 from .rng import substream
 from .vss import (
@@ -59,11 +53,10 @@ _SCENARIO_DEFAULT_PARAMS = {
 }
 
 
-# Every dealer's pool can hold all n shares, and every t-subset of it is
-# reconstructed and recorded, so a run costs up to n * C(n, t) attempts.
-# The budget admits v64 n=16 t=8 (205,920 attempts, about 50 MB of
-# transcript) and refuses sizes that would never finish, such as n=40
-# t=20 (about 5.5e12).
+# Every dealer's pool can hold all n shares, and a pool with no passing
+# subset records every one of its t-subsets, so a run can cost up to
+# n * C(n, t) attempts. The budget admits v64 n=16 t=8 (205,920) and
+# refuses sizes that would never finish, such as n=40 t=20 (about 5.5e12).
 MAX_RECONSTRUCTION_ATTEMPTS = 250_000
 
 # Dealing and verification cost about n**3 big-int operations whatever t
@@ -113,6 +106,13 @@ class GenSpec:
     mode: Mode
 
 
+def _check_party_count(n: int) -> None:
+    if n < 2:
+        raise ConfigInvalid(f"need at least 2 parties, got n={n}")
+    if n > MAX_PARTIES:
+        raise ConfigInvalid(f"at most {MAX_PARTIES} parties are supported, got n={n}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -123,10 +123,7 @@ class ScenarioConfig:
     seed: int
 
     def validate(self, params: GroupParams) -> None:
-        if self.n < 2:
-            raise ConfigInvalid(f"need at least 2 parties, got n={self.n}")
-        if self.n > MAX_PARTIES:
-            raise ConfigInvalid(f"at most {MAX_PARTIES} parties are supported, got n={self.n}")
+        _check_party_count(self.n)
         if not 2 <= self.t <= self.n:
             raise ConfigInvalid(f"threshold must satisfy 2 <= t <= n, got t={self.t}, n={self.n}")
         if not 0 <= self.seed < 1 << 64:
@@ -325,27 +322,20 @@ def reconstruct_dealer_secret(dealer: int, shares, commits: CommitmentVector,
 
 def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConfig,
                              params: GroupParams):
-    """Exhaustive per-dealer reconstruction attempts over the share pool.
+    """Per-dealer reconstruction attempts over the share pool.
 
     The pool for dealer i holds i's shares kept by parties that are not
     withholding at assembly and that accepted the share at verification
-    time. Every t-subset is reported, in lexicographic recipient order;
-    the first subset whose result matches the dealer's own constant-term
-    commitment counts as the recovered secret.
-
-    Each value equals reconstruct_dealer_secret on its subset, but the
-    pool is interpolated only once: poly.subset_zeros adds each subset's
-    share of the per-point residuals to the pool's base interpolation.
-    That is the linearity predict_corruption states for forged shares.
-    The commitment check runs once per distinct value, so a pool on a
-    single polynomial (honest, withheld, or forged throughout) costs one
-    exponentiation.
+    time. Its t-subsets are tried in lexicographic recipient order with
+    reconstruct_dealer_secret, and the first whose result matches the
+    dealer's own constant-term commitment is the recovered secret. The
+    report lists the attempts made: up to and including the first pass,
+    or all C(len(pool), t) of them when none passes.
     """
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly
     }
     by_dealer = {cv.dealer: cv for cv in dealing.commitments}
-    m = params.field_modulus
     results = []
     for dealer in range(1, config.n + 1):
         pool = [
@@ -354,27 +344,22 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
             and s.recipient not in withholders
             and matrix[dealer - 1][s.recipient - 1]
         ]
-        recipients = tuple(s.recipient for s in pool)
         attempts = []
         recovered = None
-        if len(pool) >= config.t:
-            target = by_dealer[dealer].c[0]
-            checks: dict[int, bool] = {}
-            values = subset_zeros(((s.recipient, s.value % m) for s in pool), config.t, m)
-            for subset, value in zip(itertools.combinations(recipients, config.t), values):
-                ok = checks.get(value)
-                if ok is None:
-                    ok = checks[value] = pow(params.g, value, params.p) == target
-                attempts.append(ReconstructionAttempt(
-                    subset=subset,
-                    value=value,
-                    commitment_check=ok,
-                ))
-                if ok and recovered is None:
-                    recovered = value
+        for subset in itertools.combinations(pool, config.t):
+            value, ok = reconstruct_dealer_secret(dealer, subset, by_dealer[dealer],
+                                                  params, config.t)
+            attempts.append(ReconstructionAttempt(
+                subset=tuple(s.recipient for s in subset),
+                value=value,
+                commitment_check=ok,
+            ))
+            if ok:
+                recovered = value
+                break
         results.append(DealerReconstruction(
             dealer=dealer,
-            pool=recipients,
+            pool=tuple(s.recipient for s in pool),
             attempts=tuple(attempts),
             recovered=recovered,
         ))
@@ -446,6 +431,8 @@ def build_scenario(name: str, seed: int, n: int = 5, t: int = 3,
         raise ConfigInvalid(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     if params_ref is None:
         params_ref = _SCENARIO_DEFAULT_PARAMS[name]
+    # before n Behaviors are built: n can be anything a user typed
+    _check_party_count(n)
     behaviors: dict[int, Behavior] = {i: Behavior() for i in range(1, n + 1)}
     others = tuple(range(2, n + 1))
     if name in ("false-share", "hardened-attack"):

@@ -1,10 +1,12 @@
 """Canonical JSON transcripts of scenario runs, and their audit.
 
-Schema version "1". Keys are sorted, there are no timestamps, every
+Schema version "2". Keys are sorted, there are no timestamps, every
 field-sized integer is a decimal string (seeds and share values can
 exceed what JSON numbers hold), and small structural integers (party
 ids, n, t) stay as JSON numbers. Equal reports serialize to identical
-bytes, which is what makes the tamper check meaningful.
+bytes, which is what makes the tamper check meaningful. Each dealer's
+reconstruction lists the subsets tried, up to the first that passed its
+commitment check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .protocol import (
 )
 from .vss import Share
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def canonical_json(doc: dict) -> str:
@@ -124,7 +126,6 @@ def report_to_dict(report: ScenarioReport) -> dict:
             for r in report.reconstructions
         },
         "group_key": str(report.group_key) if report.group_key is not None else None,
-        "group_key_confirmed": report.group_key_confirmed,
         "verdict": report.verdict.value,
     }
 

@@ -14,7 +14,6 @@ from vsslab.poly import (
     lagrange_weights,
     lagrange_zero,
     sample_polynomial,
-    subset_zeros,
 )
 from vsslab.rng import SplitMix64
 
@@ -103,45 +102,6 @@ class TestLagrangeZero:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             lagrange_zero([], 11)
-
-
-class TestSubsetZeros:
-    def test_worked_example(self):
-        # P(x) = 3 + 4x with (2, 10) the forged point of the p=11 example,
-        # off by -1: a subset holding it lands on 3 minus the weight of x=2
-        # in it (10 in {1, 2}, 3 in {2, 3}), the honest subset on 3
-        assert list(subset_zeros([(1, 7), (2, 10), (3, 4)], 2, 11)) == [4, 3, 0]
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            list(subset_zeros([(1, 7)], 2, 11))
-        with pytest.raises(ValueError):
-            list(subset_zeros([(1, 7), (2, 11)], 2, 11))
-        with pytest.raises(DuplicateAbscissa):
-            list(subset_zeros([(1, 7), (2, 3), (2, 4)], 2, 11))
-        with pytest.raises(ZeroAbscissa):
-            list(subset_zeros([(1, 7), (3, 3), (0, 4)], 2, 11))
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_subset_zeros_matches_per_subset_interpolation(data):
-    # points of one polynomial with residuals added at random positions;
-    # when a residual sits among the first t points, the base polynomial
-    # Q runs through a forged point and the honest ones become off-Q
-    m = data.draw(st.sampled_from([11, 23, 97, 2**61 - 1]))
-    n = data.draw(st.integers(min_value=1, max_value=min(8, m - 1)))
-    t = data.draw(st.integers(min_value=1, max_value=n))
-    xs = data.draw(st.lists(st.integers(min_value=1, max_value=m - 1),
-                            min_size=n, max_size=n, unique=True))
-    p = sample_polynomial(t, m, 1, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
-    forged = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
-    points = [
-        (x, (eval_mod(p, x, m) + (data.draw(st.integers(1, m - 1)) if i in forged else 0)) % m)
-        for i, x in enumerate(xs)
-    ]
-    expected = [lagrange_zero(s, m) for s in itertools.combinations(points, t)]
-    assert list(subset_zeros(points, t, m)) == expected
 
 
 @given(st.data())

@@ -20,6 +20,7 @@ from vsslab.protocol import (
     Behavior,
     BehaviorKind,
     GenSpec,
+    ReconstructionAttempt,
     ScenarioConfig,
     Verdict,
     assemble_group_key,
@@ -37,9 +38,9 @@ def honest_config(seed=7, n=5, t=3, params_ref="small11"):
     return build_scenario("honest", seed=seed, n=n, t=t, params_ref=params_ref)
 
 
-def assert_cli_refuses_quickly(capsys, n, t, reason):
+def assert_cli_refuses_quickly(capsys, n, t, reason, scenario="honest"):
     started = time.monotonic()
-    code = cli_main(["run", "--scenario", "honest", "--params", "v64",
+    code = cli_main(["run", "--scenario", scenario, "--params", "v64",
                      "--n", n, "--t", t, "--seed", "1"])
     assert time.monotonic() - started < 1.0
     assert code == 1
@@ -141,6 +142,16 @@ class TestConfigValidation:
 
     def test_cli_refuses_too_many_parties_quickly(self, capsys):
         assert_cli_refuses_quickly(capsys, "1000", "1000", "parties")
+
+    def test_cli_checks_the_party_cap_before_building_behaviors(self, capsys):
+        # a forging scenario builds n Behaviors and a target tuple of n - 1
+        # ids; the cap must refuse first
+        assert_cli_refuses_quickly(capsys, "1000000", "3", "parties", scenario="false-share")
+
+    @pytest.mark.parametrize("name", ["false-share", "order-shift", "hardened-attack"])
+    def test_one_party_forging_scenario_reports_the_party_count(self, name):
+        with pytest.raises(ConfigInvalid, match="need at least 2 parties"):
+            build_scenario(name, seed=1, n=1, t=2)
 
     def test_generated_params_path(self):
         cfg = build_scenario("honest", seed=3, params_ref=GenSpec(bits=16, mode=Mode.VULNERABLE))
@@ -373,18 +384,19 @@ class TestPoolMechanics:
             poly = sample_polynomial(3, params.field_modulus, rec.dealer, substream(7, rec.dealer))
             assert rec.recovered == poly.secret
 
-    def test_every_t_subset_appears_once_in_attempts(self):
-        report = run_scenario(honest_config(n=4, t=2))
-        rec = report.reconstructions[0]
-        subsets = [att.subset for att in rec.attempts]
-        assert subsets == sorted(set(subsets))
-        # the report is exhaustive: every subset is listed, even after
-        # one has already passed the commitment check
-        assert len(subsets) == comb(4, 2)
+    def test_attempts_stop_at_the_first_passing_subset(self):
+        honest = run_scenario(honest_config(n=4, t=2)).reconstructions[0]
+        assert [(a.subset, a.commitment_check) for a in honest.attempts] == [((1, 2), True)]
+        # an all-forged pool has no passing subset, so every one is listed
+        forged = run_scenario(build_scenario("false-share", seed=7)).reconstructions[0]
+        assert len(forged.attempts) == comb(len(forged.pool), 3)
+        assert [a.subset for a in forged.attempts] == list(itertools.combinations(forged.pool, 3))
+        assert not any(a.commitment_check for a in forged.attempts)
 
 
 class TestReconstructionMatchesOracle:
-    """Every recorded attempt equals reconstruct_dealer_secret on its subset."""
+    """The recorded attempts are reconstruct_dealer_secret over every
+    t-subset of the pool, cut after the first that passes."""
 
     @staticmethod
     def configs(params_ref, n, t, rng):
@@ -407,24 +419,26 @@ class TestReconstructionMatchesOracle:
     @pytest.mark.parametrize("params_ref", ["small11", "p23order11", "v32"])
     def test_every_attempt_matches_the_per_subset_oracle(self, params_ref):
         rng = random.Random(params_ref)
-        mixed_pools = 0
+        mixed_pools = stopped_early = exhausted = 0
         for n in range(2, 8):
             for t in range(2, n + 1):
                 for cfg in self.configs(params_ref, n, t, rng):
                     report = run_scenario(cfg)
                     by_key = {(s.dealer, s.recipient): s for s in report.shares}
                     for rec, commits in zip(report.reconstructions, report.commitments):
-                        if len(rec.pool) < t:
-                            assert rec.attempts == ()
-                            continue
-                        expected_subsets = list(itertools.combinations(rec.pool, t))
-                        assert [a.subset for a in rec.attempts] == expected_subsets
-                        for att in rec.attempts:
-                            shares = [by_key[rec.dealer, k] for k in att.subset]
-                            assert (att.value, att.commitment_check) == reconstruct_dealer_secret(
-                                rec.dealer, shares, commits, report.params, t
-                            ), (cfg, rec.dealer, att.subset)
-                        passing = [a.value for a in rec.attempts if a.commitment_check]
-                        assert rec.recovered == (passing[0] if passing else None)
-                        mixed_pools += len({a.value for a in rec.attempts}) > 1
+                        oracle = [
+                            ReconstructionAttempt(subset, *reconstruct_dealer_secret(
+                                rec.dealer, [by_key[rec.dealer, k] for k in subset],
+                                commits, report.params, t))
+                            for subset in itertools.combinations(rec.pool, t)
+                        ]
+                        first = next((i for i, a in enumerate(oracle) if a.commitment_check),
+                                     None)
+                        expected = oracle if first is None else oracle[:first + 1]
+                        assert list(rec.attempts) == expected, (cfg, rec.dealer)
+                        assert rec.recovered == (None if first is None else oracle[first].value)
+                        mixed_pools += len({a.value for a in oracle}) > 1
+                        stopped_early += len(rec.attempts) < len(oracle)
+                        exhausted += bool(oracle) and first is None
         assert mixed_pools > 0
+        assert stopped_early > 0 and exhausted > 0

@@ -46,7 +46,15 @@ def retamper(text, mutate):
 
 
 def test_version_field_is_current(false_share_text):
-    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION
+    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "2"
+
+
+def test_top_level_keys_are_the_schema_2_set(false_share_text):
+    assert set(json.loads(false_share_text)) == {
+        "version", "config", "params", "commitments", "shares", "forgery_attempts",
+        "verification_matrix", "aggregate_public_key", "reconstructions", "group_key",
+        "verdict",
+    }
 
 
 def test_rendering_is_deterministic():
@@ -132,11 +140,13 @@ class TestAudit:
         assert any(p.startswith("params.g") for p in problems)
 
     def test_wrong_version_reported(self, false_share_text):
-        def wrong_version(doc):
-            doc["version"] = "999"
+        # "1" listed every t-subset; such a file is regenerated, not read
+        for version in ("999", "1"):
+            def wrong_version(doc):
+                doc["version"] = version
 
-        problems = audit_transcript(retamper(false_share_text, wrong_version))
-        assert any("version" in p for p in problems)
+            problems = audit_transcript(retamper(false_share_text, wrong_version))
+            assert problems == [f"unsupported schema version '{version}'"]
 
     def test_reflowed_transcript_is_not_canonical(self, false_share_text):
         reflowed = json.dumps(json.loads(false_share_text), sort_keys=True) + "\n"
