@@ -71,3 +71,7 @@ class ConfigInvalid(VsslabError, ValueError):
 
 class UnknownParamSet(VsslabError, KeyError):
     """Requested name is not in the parameter registry."""
+
+    def __str__(self):
+        # KeyError's str() would quote the message
+        return Exception.__str__(self)

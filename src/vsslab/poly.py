@@ -118,12 +118,15 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def lagrange_zero(points, m: int) -> int:
+def lagrange_zero(points, m: int, weights=None) -> int:
     """Interpolate (x, y) points and return the value at x = 0, mod m.
 
     With at least threshold-many honest points of a secret polynomial
     this is the secret; with any forged point it is whatever the forgery
-    arithmetic says it is.
+    arithmetic says it is. weights, when given, must be
+    lagrange_weights of the points' abscissas, in the same order; a
+    caller that interpolates many times at one abscissa set computes
+    them once.
     """
     points = tuple(points)
     if not points:
@@ -131,6 +134,9 @@ def lagrange_zero(points, m: int) -> int:
     for _, y in points:
         if not 0 <= y < m:
             raise ValueError(f"ordinate {y} outside [0, {m})")
-    weights = lagrange_weights((x for x, _ in points), m)
+    if weights is None:
+        weights = lagrange_weights((x for x, _ in points), m)
+    elif len(weights) != len(points):
+        raise ValueError(f"{len(weights)} weights for {len(points)} points")
     return sum(y * w for (_, y), w in zip(points, weights)) % m
 

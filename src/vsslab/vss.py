@@ -5,12 +5,17 @@ claimed to be P(k), verification accepts exactly when
 
     g**v == prod_j c_j ** (k**j)  (mod p)
 
-Both sides live in the cyclic group generated by g, whose order d divides
-p - 1. Exponents therefore only matter mod d, which is why verification
-reduces them (sound, and keeps huge honest integer shares cheap) and why
-a value that is congruent to P(k) mod d passes even though it is a
-different field element. That gap is the whole vulnerability; the
-hardened mode closes it by forcing every value below a prime order q.
+g generates a cyclic group whose order d divides p - 1, so the share
+exponent only matters mod d. Verification reduces it (sound, and keeps
+huge honest integer shares cheap), which is why a value congruent to
+P(k) mod d passes even though it is a different field element. That gap
+is the whole vulnerability; the hardened mode closes it by forcing every
+value below a prime order q.
+
+The right side is evaluated by Horner's rule in the exponent,
+((c_{t-1}**k * c_{t-2})**k ... )**k * c_0, so every exponent is a party
+id and k**j is never formed. That is an identity in any commutative
+group: it is the true product for every vector, in the subgroup or not.
 """
 
 from __future__ import annotations
@@ -87,9 +92,11 @@ def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
 def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -> bool:
     """Check g**value against the commitment product at the share's point.
 
-    Exponents are reduced mod d = ord(g) before exponentiating; every
-    base involved lies in the subgroup generated by g, so the reduction
-    never changes the outcome. Acceptance is therefore exactly the
+    Only the left exponent is reduced, mod d = ord(g), which never
+    changes g**value. The right side prod_j c_j**(k**j) is evaluated by
+    Horner's rule in the exponent, with k as the only exponent, and is
+    exact for any entries mod p, inside the subgroup of g or not. For
+    commitments to a polynomial P, acceptance is therefore exactly the
     congruence value == P(k) (mod d).
     """
     if share.dealer != commits.dealer:
@@ -101,10 +108,8 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
         raise ValueError(f"evaluation point {k} outside (0, p)")
     left = pow(params.g, share.value % params.d, params.p)
     right = 1
-    k_power = 1 % params.d  # k**j mod d, starting at j = 0
-    for c_j in commits.c:
-        right = right * pow(c_j, k_power, params.p) % params.p
-        k_power = k_power * k % params.d
+    for c_j in reversed(commits.c):
+        right = pow(right, k, params.p) * c_j % params.p
     return left == right
 
 

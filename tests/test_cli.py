@@ -116,6 +116,13 @@ def test_run_rejects_params_and_bits_together(capsys):
         assert capsys.readouterr().err.startswith("usage error:")
 
 
+def test_run_reports_an_unknown_params_name_unquoted(tmp_path, capsys):
+    code = run_cli("run", "--scenario", "honest", "--params", "nope", "--seed", "1",
+                   "--out", str(tmp_path / "x.json"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: no parameter set named 'nope'")
+
+
 def test_run_rejects_bad_threshold(capsys):
     assert run_cli("run", "--scenario", "honest", "--seed", "1", "--t", "9") == 1
 

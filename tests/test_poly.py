@@ -95,6 +95,14 @@ class TestLagrangeZero:
         with pytest.raises(DuplicateAbscissa):
             lagrange_zero([(1, 5), (1, 6)], 11)
 
+    def test_precomputed_weights_give_the_same_value(self):
+        weights = lagrange_weights((1, 2), 11)
+        assert lagrange_zero([(1, 7), (2, 10)], 11, weights) == 4
+
+    def test_weights_must_match_the_points(self):
+        with pytest.raises(ValueError):
+            lagrange_zero([(1, 7), (2, 10)], 11, lagrange_weights((1, 2, 3), 11))
+
     def test_ordinates_must_be_reduced(self):
         with pytest.raises(ValueError):
             lagrange_zero([(1, 11)], 11)

@@ -12,7 +12,7 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, InsufficientShares
 from vsslab.numtheory import Mode
-from vsslab.poly import eval_integer, sample_polynomial
+from vsslab.poly import eval_integer, lagrange_weights, sample_polynomial
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -350,6 +350,22 @@ class TestVerificationRound:
         ]
         assert run_verification_round(shares, commits, p23q11) == ((True, False), (True, True))
 
+    def test_hardened_vector_outside_the_subgroup_rejects_the_whole_row(self, p23q11):
+        from vsslab.protocol import run_dealing_round, run_verification_round
+        from vsslab.vss import CommitmentVector
+
+        cfg = honest_config(n=4, t=2, params_ref="p23q11")
+        dealing = run_dealing_round(cfg, p23q11)
+        honest = run_verification_round(dealing.shares, dealing.commitments, p23q11)
+        assert all(all(row) for row in honest)
+        # multiplying by 22 = -1 mod 23 moves one entry out of the order-11
+        # subgroup while every share stays as dealt
+        c = dealing.commitments[0].c
+        bad = CommitmentVector(dealer=1, c=(c[0], c[1] * 22 % 23))
+        matrix = run_verification_round(dealing.shares, (bad,) + dealing.commitments[1:], p23q11)
+        assert matrix[0] == (False,) * 4
+        assert matrix[1:] == honest[1:]
+
     def test_forged_shares_carry_their_strategy_as_provenance(self):
         report = run_scenario(build_scenario("false-share", seed=7))
         tagged = [s for s in report.shares if s.forged]
@@ -392,6 +408,52 @@ class TestPoolMechanics:
         assert len(forged.attempts) == comb(len(forged.pool), 3)
         assert [a.subset for a in forged.attempts] == list(itertools.combinations(forged.pool, 3))
         assert not any(a.commitment_check for a in forged.attempts)
+
+
+@pytest.fixture
+def weight_calls(monkeypatch):
+    """Abscissas of every weight table the reconstruction round computes."""
+    import vsslab.protocol as protocol
+
+    calls = []
+
+    def counting(xs, m):
+        calls.append(tuple(xs))
+        return lagrange_weights(xs, m)
+
+    monkeypatch.setattr(protocol, "lagrange_weights", counting)
+    return calls
+
+
+class TestWeightMemo:
+    @pytest.mark.parametrize("name", ["honest", "withhold", "hardened-attack"])
+    def test_pools_with_one_first_subset_share_one_table(self, weight_calls, name):
+        report = run_scenario(build_scenario(name, seed=7))
+        assert len(weight_calls) == 1
+        assert all(rec.attempts[0].subset == weight_calls[0] for rec in report.reconstructions)
+
+    def test_pools_with_different_first_subsets_get_their_own_weights(self, weight_calls):
+        from vsslab.protocol import run_dealing_round, run_reconstruction_round
+
+        cfg = honest_config(n=5, t=3)
+        params = resolve_params(cfg)
+        dealing = run_dealing_round(cfg, params)
+        # each dealer's share to the party with its own id is rejected, so
+        # the first subsets are (2,3,4), (1,3,4), (1,2,4), (1,2,3), (1,2,3)
+        matrix = tuple(tuple(k != d for k in range(1, 6)) for d in range(1, 6))
+        for rec in run_reconstruction_round(dealing, matrix, cfg, params):
+            poly = sample_polynomial(3, params.field_modulus, rec.dealer,
+                                     substream(7, rec.dealer))
+            assert [a.commitment_check for a in rec.attempts] == [True]
+            assert rec.recovered == poly.secret
+        assert sorted(weight_calls) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+    def test_only_first_subsets_are_memoised(self, weight_calls):
+        # the forged pool tries all C(4, 3) subsets, but only its first
+        # enters the memo, and every honest pool shares that one
+        report = run_scenario(build_scenario("false-share", seed=7))
+        assert len(report.reconstructions[0].attempts) == comb(4, 3)
+        assert weight_calls == [(2, 3, 4)]
 
 
 class TestReconstructionMatchesOracle:

@@ -52,6 +52,12 @@ def test_unknown_name_raises():
         get_params("no-such-group")
 
 
+def test_unknown_name_is_a_key_error_with_an_unquoted_message():
+    with pytest.raises(KeyError) as excinfo:
+        get_params("no-such-group")
+    assert str(excinfo.value).startswith("no parameter set named 'no-such-group'; available: ")
+
+
 def test_hardened_entries_use_safe_primes():
     for name in ("p23q11", "h32", "h64"):
         params = get_params(name)

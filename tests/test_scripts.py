@@ -9,6 +9,12 @@ from vsslab.protocol import SCENARIO_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# scripts/transcript_digest.py over the five scenarios x seeds 0-19 at
+# default params, transcript schema "2". A change that is meant to keep
+# transcripts byte-identical must leave it alone; one that changes them
+# on purpose records the new value here.
+TRANSCRIPT_DIGEST = "7998de378b85db4b064ab5dd3ab6d2ea997d32f7716f0f10921416bbf404bc27"
+
 
 def run_script(name):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -29,3 +35,9 @@ def test_run_all_scenarios_tabulates_every_scenario_with_a_clean_matrix():
     rows = [line.split() for line in result.stdout.splitlines()[1:]]
     assert [row[0] for row in rows] == list(SCENARIO_NAMES)
     assert all(row[3] == "all-true" for row in rows)
+
+
+def test_transcript_digest_is_pinned():
+    result = run_script("transcript_digest.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == TRANSCRIPT_DIGEST + "\n"

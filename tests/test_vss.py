@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from vsslab.errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import SecretPolynomial, eval_integer, eval_mod, sample_polynomial
+from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
@@ -120,6 +121,16 @@ class TestVerifyShare:
         got = verify_share(Share(dealer=1, recipient=k, value=candidate), commits, params)
         assert got == (candidate % params.d == honest % params.d)
 
+    def test_entry_outside_the_subgroup_is_not_reduced(self, p23order11):
+        # 22 = -1 mod 23 lies outside the order-11 subgroup of g = 2. At
+        # k = 11 the true product is 22**11 = 22, which no g**v reaches;
+        # reducing the exponent 11 mod d would give 22**0 = 1 = g**0
+        commits = CommitmentVector(dealer=1, c=(1, 22))
+        assert direct_product(commits, 11, 23) == 22
+        assert mod_d_product(commits, 11, p23order11) == 1
+        for v in range(22):
+            assert not verify_share(Share(dealer=1, recipient=11, value=v), commits, p23order11)
+
     def test_honest_shares_always_verify_randomized(self):
         for seed in range(120):
             params = gen_params(20, Mode.VULNERABLE, SplitMix64(seed))
@@ -128,6 +139,48 @@ class TestVerifyShare:
             for k in range(1, 6):
                 share = Share(dealer=1, recipient=k, value=eval_integer(poly, k))
                 assert verify_share(share, commits, params)
+
+
+def direct_product(commits, k, p):
+    """prod_j c_j ** (k**j) mod p with the exponents k**j left unreduced."""
+    out = 1
+    for j, c_j in enumerate(commits.c):
+        out = out * pow(c_j, k**j, p) % p
+    return out
+
+
+def mod_d_product(commits, k, params):
+    """The same product with each exponent k**j reduced mod d = ord(g),
+    which equals it only for entries inside the subgroup of g."""
+    out = 1
+    for j, c_j in enumerate(commits.c):
+        out = out * pow(c_j, pow(k, j, params.d), params.p) % params.p
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_verification_matches_the_direct_product(data):
+    # the check equals g**(v mod d) == prod_j c_j**(k**j) for any entries
+    # mod p, including 0 and elements outside the subgroup of g
+    name = data.draw(st.sampled_from(["small11", "p23order11", "p23q11"]), label="params")
+    params = get_params(name)
+    p, g, d = params.p, params.g, params.d
+    in_group = data.draw(st.booleans(), label="in_group")
+    size = data.draw(st.integers(min_value=1, max_value=6), label="size")
+    if in_group:
+        exponents = data.draw(st.lists(st.integers(0, d - 1), min_size=size, max_size=size))
+        entries = [pow(g, a, p) for a in exponents]
+    else:
+        entries = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    commits = CommitmentVector(dealer=1, c=tuple(entries))
+    k = data.draw(st.integers(min_value=1, max_value=p - 1), label="k")
+    expected = direct_product(commits, k, p)
+    if in_group:
+        assert expected == mod_d_product(commits, k, params)
+    for v in range(2 * d):
+        got = verify_share(Share(dealer=1, recipient=k, value=v), commits, params)
+        assert got == (pow(g, v, p) == expected), (entries, k, v)
 
 
 class TestHardened:
