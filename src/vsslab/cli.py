@@ -19,7 +19,7 @@ from .errors import VsslabError
 from .numtheory import Mode, is_prime
 from .poly import SecretPolynomial
 from .protocol import SCENARIO_NAMES, GenSpec, Verdict, build_scenario, run_scenario
-from .transcript import audit_transcript, render_report
+from .transcript import audit_transcript, canonical_json, render_report
 from .vss import INTEGER_COMMITMENT_GUARD_BITS, commit_integer
 
 _DEMO_MAX_BITS = 20
@@ -112,7 +112,6 @@ def _cmd_demo(args) -> int:
     print("no storage holds it, so the unreduced-commitment fix stays theoretical.")
 
     if args.out:
-        import json
         doc = {
             "version": "1",
             "g": str(report.g),
@@ -127,7 +126,7 @@ def _cmd_demo(args) -> int:
             },
         }
         try:
-            Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            Path(args.out).write_text(canonical_json(doc))
         except OSError as exc:
             print(f"cannot write size report: {exc}", file=sys.stderr)
             return 1

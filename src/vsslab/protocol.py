@@ -22,9 +22,10 @@ with no such subset blocks the key.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, DealerMismatch, ForgeryImpossible, InsufficientShares
@@ -138,14 +139,7 @@ class ScenarioConfig:
         # counted, not materialized: n comes from untrusted transcripts
         if len(self.behaviors) != self.n or not all(1 <= pid <= self.n for pid in self.behaviors):
             raise ConfigInvalid("behaviors must cover exactly the parties 1..n")
-        # n * C(n, i) grows with i up to min(t, n - t), so the running
-        # product can stop as soon as it passes the budget, long before
-        # an untrusted n makes it huge
-        attempts, i = self.n, 0
-        while attempts <= MAX_RECONSTRUCTION_ATTEMPTS and i < min(self.t, self.n - self.t):
-            attempts = attempts * (self.n - i) // (i + 1)
-            i += 1
-        if attempts > MAX_RECONSTRUCTION_ATTEMPTS:
+        if self.n * math.comb(self.n, self.t) > MAX_RECONSTRUCTION_ATTEMPTS:
             raise ConfigInvalid(
                 f"n = {self.n}, t = {self.t} needs n * C(n, t) > "
                 f"{MAX_RECONSTRUCTION_ATTEMPTS:,} reconstruction attempts"

@@ -1,45 +1,59 @@
 """Named, pinned group parameter sets shipped with the package.
 
-The registry file (data/params.txt) is a plain INI document mapping set
-names to decimal strings for p, g, mode, and (hardened only) q. The
-generator order d is never stored; it is recomputed from scratch on
-load and every entry is revalidated, so a corrupted file cannot smuggle
+Each entry is a literal GroupParams: p, g, the exact order d of g, the
+mode, and (hardened only) the subgroup order q. Every entry is
+revalidated on first load; validate() proves d is the exact order of
+g, so a mistyped value raises InvalidGroupParams instead of smuggling
 in a wrong order.
+
+The v32/v64/h32/h64 entries were produced once by gen_params with a
+SplitMix64 stream at the seed noted beside each entry, then pinned here
+so every run of the laboratory sees identical groups.
 """
 
 from __future__ import annotations
 
-from configparser import ConfigParser
 from functools import lru_cache
-from importlib import resources
 
-from .errors import InvalidGroupParams, UnknownParamSet
-from .numtheory import GroupParams, Mode, multiplicative_order
+from .errors import UnknownParamSet
+from .numtheory import GroupParams, Mode
 
-_DATA_PACKAGE = "vsslab.data"
-_REGISTRY_FILE = "params.txt"
-
-
-def _parse_entry(name: str, section) -> GroupParams:
-    try:
-        p = int(section["p"])
-        g = int(section["g"])
-        mode = Mode(section["mode"])
-        q = int(section["q"]) if "q" in section else None
-    except (KeyError, ValueError) as exc:
-        raise InvalidGroupParams(f"registry entry {name!r} is malformed: {exc}") from exc
-    params = GroupParams(p=p, g=g, d=multiplicative_order(g, p), mode=mode, q=q)
-    params.validate()
-    return params
+_ENTRIES = {
+    # tiny worked-example group: g = 2 is a primitive root mod 11, d = 10
+    "small11": GroupParams(p=11, g=2, d=10, mode=Mode.VULNERABLE),
+    # g = 2 has order 11 < 22 mod 23: acceptance is congruence mod ord(g),
+    # not mod p - 1, which is what the order-shift scenario demonstrates
+    "p23order11": GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE),
+    # hardened twin: safe prime 23 = 2 * 11 + 1, g = 2 generates the
+    # order-11 subgroup of squares, secrets live in Z_11
+    "p23q11": GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED, q=11),
+    # gen_params(32, vulnerable), seed 0x763332
+    "v32": GroupParams(p=3160101617, g=3, d=3160101616, mode=Mode.VULNERABLE),
+    # gen_params(64, vulnerable), seed 0x763634
+    "v64": GroupParams(
+        p=15670206069997242653, g=2, d=15670206069997242652, mode=Mode.VULNERABLE
+    ),
+    # gen_params(32, hardened), seed 0x683332
+    "h32": GroupParams(
+        p=2488578623, g=2247443640, d=1244289311, mode=Mode.HARDENED, q=1244289311
+    ),
+    # gen_params(64, hardened), seed 0x683634
+    "h64": GroupParams(
+        p=11285435023865367059,
+        g=6853325888714086531,
+        d=5642717511932683529,
+        mode=Mode.HARDENED,
+        q=5642717511932683529,
+    ),
+}
 
 
 @lru_cache(maxsize=1)
 def load_registry() -> dict[str, GroupParams]:
     """All registry entries, validated; cached after the first load."""
-    text = resources.files(_DATA_PACKAGE).joinpath(_REGISTRY_FILE).read_text()
-    parser = ConfigParser()
-    parser.read_string(text)
-    return {name: _parse_entry(name, parser[name]) for name in parser.sections()}
+    for params in _ENTRIES.values():
+        params.validate()
+    return dict(_ENTRIES)
 
 
 def registry_names() -> tuple[str, ...]:

@@ -22,15 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial
-
-if TYPE_CHECKING:  # metadata only; verification never looks at it
-    from .attack import ForgeryStrategy
 
 
 @dataclass(frozen=True)
@@ -51,9 +46,10 @@ class Share:
     """One dealt share.
 
     value is unbounded in vulnerable mode (the dealer sends the exact
-    integer P(k)) and lies below q in hardened mode. provenance records
-    how the simulation built the share; it is bookkeeping for reports
-    and tests, and no verification path reads it.
+    integer P(k)) and lies below q in hardened mode. provenance (an
+    attack.ForgeryStrategy, not imported here since attack imports this
+    module) records how the simulation built the share; it is
+    bookkeeping for reports and tests, and no verification path reads it.
     """
 
     dealer: int
@@ -185,12 +181,14 @@ class SizeReport:
 def projected_bit_length(g: int, a: int) -> int:
     """floor(a * log2(g)) + 1, the bit length g**a would have.
 
-    Computed with exact Fraction arithmetic on the float log, so for g a
-    power of two (log2 exact) the result is exact: bitlen(2**a) == a + 1.
+    The float log is taken as its exact ratio num/den and the floor is
+    the integer division num * a // den, so for g a power of two (log2
+    exact) the result is exact: bitlen(2**a) == a + 1.
     """
     if g < 2 or a < 0:
         raise ValueError("need g >= 2 and a >= 0")
-    return int(Fraction(math.log2(g)) * a) + 1
+    num, den = math.log2(g).as_integer_ratio()
+    return num * a // den + 1
 
 
 def commit_integer(poly: SecretPolynomial, g: int):

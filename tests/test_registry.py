@@ -1,10 +1,14 @@
 """Named parameter registry: pinned values, validation on load."""
 
+from dataclasses import replace
+
 import pytest
 
-from vsslab.errors import UnknownParamSet
-from vsslab.numtheory import Mode, multiplicative_order
-from vsslab.registry import get_params, registry_names
+from vsslab import registry
+from vsslab.errors import InvalidGroupParams, UnknownParamSet
+from vsslab.numtheory import Mode, gen_params, multiplicative_order
+from vsslab.registry import get_params, load_registry, registry_names
+from vsslab.rng import SplitMix64
 
 
 def test_registry_lists_all_pinned_sets():
@@ -40,6 +44,19 @@ def test_generated_entries_have_the_advertised_size(name, bits):
     assert params.p.bit_length() == bits
 
 
+@pytest.mark.parametrize(
+    "name,bits,mode,seed",
+    [
+        ("v32", 32, Mode.VULNERABLE, 0x763332),
+        ("v64", 64, Mode.VULNERABLE, 0x763634),
+        ("h32", 32, Mode.HARDENED, 0x683332),
+        ("h64", 64, Mode.HARDENED, 0x683634),
+    ],
+)
+def test_generated_entries_match_their_noted_seed(name, bits, mode, seed):
+    assert gen_params(bits, mode, SplitMix64(seed)) == get_params(name)
+
+
 @pytest.mark.parametrize("name", ["small11", "p23order11", "p23q11", "v32", "v64", "h32", "h64"])
 def test_every_entry_validates_and_has_true_order(name):
     params = get_params(name)
@@ -62,3 +79,19 @@ def test_hardened_entries_use_safe_primes():
     for name in ("p23q11", "h32", "h64"):
         params = get_params(name)
         assert params.p == 2 * params.q + 1
+
+
+@pytest.mark.parametrize("name", ["v64", "h64"])
+def test_a_wrong_pinned_order_is_rejected_on_load(name, monkeypatch):
+    params = get_params(name)
+    # half the true order for v64, twice it (p - 1) for h64; both divide p - 1
+    wrong = params.d // 2 if params.mode is Mode.VULNERABLE else params.p - 1
+    monkeypatch.setitem(registry._ENTRIES, name, replace(params, d=wrong))
+    load_registry.cache_clear()
+    try:
+        with pytest.raises(InvalidGroupParams):
+            load_registry()
+    finally:
+        monkeypatch.undo()
+        load_registry.cache_clear()
+    assert get_params(name) == params
