@@ -22,6 +22,7 @@ from .poly import (
     SecretPolynomial,
     eval_integer,
     eval_mod,
+    lagrange_basis,
     lagrange_weights,
     lagrange_zero,
     sample_polynomial,
@@ -53,6 +54,7 @@ from .vss import (
     commit_integer,
     commitment_in_group,
     range_check,
+    verify_row,
     verify_share,
 )
 

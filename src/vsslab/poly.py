@@ -1,4 +1,5 @@
-"""Secret polynomials, exact and modular evaluation, interpolation at zero."""
+"""Secret polynomials, exact and modular evaluation, interpolation at zero
+and in coefficient form."""
 
 from __future__ import annotations
 
@@ -86,13 +87,8 @@ def eval_mod(poly: SecretPolynomial, k: int, m: int) -> int:
     return acc
 
 
-def lagrange_weights(xs, m: int) -> tuple[int, ...]:
-    """Lagrange weights at zero for the abscissas xs, mod m.
-
-    weight_j = prod_{l != j} x_l * (x_l - x_j)^-1. For any polynomial of
-    degree below len(xs), sum_j y_j * weight_j recovers its constant term;
-    in particular the weights themselves always sum to 1 mod m.
-    """
+def _checked_abscissas(xs, m: int) -> tuple[int, ...]:
+    """xs as a tuple, after checking they are distinct nonzero elements of Z_m."""
     xs = tuple(xs)
     if not xs:
         raise ValueError("need at least one abscissa")
@@ -105,6 +101,17 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
         if x in seen:
             raise DuplicateAbscissa(f"abscissa {x} appears twice")
         seen.add(x)
+    return xs
+
+
+def lagrange_weights(xs, m: int) -> tuple[int, ...]:
+    """Lagrange weights at zero for the abscissas xs, mod m.
+
+    weight_j = prod_{l != j} x_l * (x_l - x_j)^-1. For any polynomial of
+    degree below len(xs), sum_j y_j * weight_j recovers its constant term;
+    in particular the weights themselves always sum to 1 mod m.
+    """
+    xs = _checked_abscissas(xs, m)
     weights = []
     for j, xj in enumerate(xs):
         num = 1
@@ -140,3 +147,35 @@ def lagrange_zero(points, m: int, weights=None) -> int:
         raise ValueError(f"{len(weights)} weights for {len(points)} points")
     return sum(y * w for (_, y), w in zip(points, weights)) % m
 
+
+def lagrange_basis(xs, m: int) -> tuple[tuple[int, ...], ...]:
+    """Coefficient form of interpolation through the abscissas xs, mod m.
+
+    Row j holds the weights of coefficient j: the polynomial of degree
+    below len(xs) through the points (x_i, y_i) has coefficient j equal
+    to sum_i y_i * basis[j][i] mod m. Column i is the Lagrange basis
+    polynomial L_i, with L_i(x_i) = 1 and L_i(x_l) = 0 for l != i, and
+    row 0 is lagrange_weights(xs, m). Each L_i is prod_l (x - x_l)
+    divided by (x - x_i) and scaled to 1 at x_i: O(len(xs)**2) work
+    and one inverse per abscissa.
+    """
+    xs = _checked_abscissas(xs, m)
+    # prod_l (x - x_l), constant term first
+    master = [1]
+    for x in xs:
+        # times (x - x_l): coefficient j becomes master[j-1] - x_l * master[j]
+        master = [(prev - x * c) % m for prev, c in zip([0] + master, master + [0])]
+    columns = []
+    for xi in xs:
+        # synthetic division of master by (x - xi), highest coefficient first
+        quotient = [1]
+        for c in reversed(master[1:-1]):
+            quotient.append((c + xi * quotient[-1]) % m)
+        quotient.reverse()
+        scale = 1
+        for xl in xs:
+            if xl != xi:
+                scale = scale * (xi - xl) % m
+        scale = mod_inv(scale, m)
+        columns.append([c * scale % m for c in quotient])
+    return tuple(zip(*columns))

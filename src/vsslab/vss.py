@@ -16,16 +16,25 @@ The right side is evaluated by Horner's rule in the exponent,
 ((c_{t-1}**k * c_{t-2})**k ... )**k * c_0, so every exponent is a party
 id and k**j is never formed. That is an identity in any commutative
 group: it is the true product for every vector, in the subgroup or not.
+
+verify_row decides a whole dealer's row with one row check: it
+interpolates coefficients b_j from the first t shares and tests
+g**b_j == c_j for each j. When all hold, a share passes exactly when
+value == Q(k) (mod d) for Q = sum_j b_j x**j, and every c_j is in the
+subgroup. Rows that fail the row check, a forger's among them, fall
+back to verify_share one share at a time, so every verdict is the
+per-share verdict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial
+from .poly import SecretPolynomial, lagrange_basis
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,63 @@ def range_check(share: Share, params: GroupParams) -> bool:
 def commitment_in_group(commits: CommitmentVector, params: GroupParams) -> bool:
     """True when every entry lies in the order-d subgroup (c**d == 1 mod p)."""
     return all(pow(c_j, params.d, params.p) == 1 for c_j in commits.c)
+
+
+def verify_row(shares, commits: CommitmentVector, params: GroupParams,
+               bases=None) -> tuple[bool, ...]:
+    """Acceptance of each of one dealer's shares, in order.
+
+    Every entry equals the per-share verdict: commitment_in_group, then
+    range_check, then verify_share in hardened mode; verify_share alone
+    in vulnerable mode. With t = len(commits.c), the row check
+    interpolates b_0..b_{t-1} over the field from the first t shares and
+    tests g**b_j == c_j for every j: t full-size modexps per row instead
+    of about one per share. When all t hold, prod_j c_j**(k**j) is
+    g**Q(k) for Q = sum_j b_j x**j, so a share passes verify_share
+    exactly when value == Q(k) (mod d), and commitment_in_group holds
+    because every c_j is a power of g. The interpolation only proposes
+    the b_j; the t commitment checks decide. A row with fewer than t
+    shares, a repeated abscissa or one outside (0, field_modulus), or a
+    b_j that misses its commitment (a forger's row) is checked share by
+    share instead.
+
+    bases, when given, is a dict from abscissa tuples to their
+    lagrange_basis that this call reads and extends, so a caller that
+    checks many rows at one abscissa set computes the basis once.
+    """
+    shares = tuple(shares)
+    for s in shares:
+        if s.dealer != commits.dealer:
+            raise DealerMismatch(
+                f"share from dealer {s.dealer} checked against commitments of {commits.dealer}"
+            )
+    hardened = params.mode is Mode.HARDENED
+    t = len(commits.c)
+    m = params.field_modulus
+    xs = tuple(s.recipient for s in shares)
+    if len(xs) >= t and len(set(xs)) == len(xs) and all(0 < k < m for k in xs):
+        if bases is None:
+            bases = {}
+        basis = bases.get(xs[:t])
+        if basis is None:
+            basis = bases[xs[:t]] = lagrange_basis(xs[:t], m)
+        ys = [s.value % m for s in shares[:t]]
+        b = [sum(map(mul, ys, row)) % m for row in basis]
+        if all(pow(params.g, b_j, params.p) == c_j for b_j, c_j in zip(b, commits.c)):
+            verdicts = []
+            for s in shares:
+                # Q(k) exactly, by Horner's rule, reduced once
+                q_k = 0
+                for b_j in reversed(b):
+                    q_k = q_k * s.recipient + b_j
+                verdicts.append((not hardened or range_check(s, params))
+                                and (s.value - q_k) % params.d == 0)
+            return tuple(verdicts)
+    in_group = not hardened or commitment_in_group(commits, params)
+    return tuple(
+        in_group and (not hardened or range_check(s, params)) and verify_share(s, commits, params)
+        for s in shares
+    )
 
 
 def aggregate_public_key(all_commits, params: GroupParams) -> int:

@@ -38,6 +38,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"criterion {num}: {results[num]}  ({label})")
 
 
+@pytest.fixture
+def share_checks(monkeypatch):
+    """(dealer, recipient) of every per-share verify_share call verify_row makes."""
+    import vsslab.vss as vss
+
+    calls = []
+    original = vss.verify_share
+
+    def counting(share, commits, params):
+        calls.append((share.dealer, share.recipient))
+        return original(share, commits, params)
+
+    monkeypatch.setattr(vss, "verify_share", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small11():
     # p=11, g=2 primitive root, d=10

@@ -1,4 +1,4 @@
-"""Polynomial sampling, evaluation, and Lagrange recovery at zero."""
+"""Polynomial sampling, evaluation, Lagrange recovery at zero and in coefficient form."""
 
 import itertools
 
@@ -11,6 +11,7 @@ from vsslab.poly import (
     SecretPolynomial,
     eval_integer,
     eval_mod,
+    lagrange_basis,
     lagrange_weights,
     lagrange_zero,
     sample_polynomial,
@@ -144,3 +145,31 @@ def test_interpolation_is_linear_in_the_ordinates(data):
     lhs = lagrange_zero(merged, m)
     rhs = (lagrange_zero(list(zip(xs, ys1)), m) + lagrange_zero(list(zip(xs, ys2)), m)) % m
     assert lhs == rhs
+
+
+class TestLagrangeBasis:
+    def test_pinned_for_two_points(self):
+        # through (1, y1) and (2, y2) mod 11: b0 = 2*y1 - y2, b1 = y2 - y1
+        assert lagrange_basis((1, 2), 11) == ((2, 10), (10, 1))
+
+    def test_rejects_the_abscissas_lagrange_weights_rejects(self):
+        with pytest.raises(ZeroAbscissa):
+            lagrange_basis((0, 1), 11)
+        with pytest.raises(DuplicateAbscissa):
+            lagrange_basis((1, 1), 11)
+        with pytest.raises(ValueError):
+            lagrange_basis((1, 11), 11)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_basis_recovers_every_coefficient(data):
+    m = data.draw(st.sampled_from([11, 23, 97, 65537, 2**61 - 1]))
+    t = data.draw(st.integers(min_value=1, max_value=6))
+    xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 200)),
+                            min_size=t, max_size=t, unique=True))
+    p = sample_polynomial(t, m, 1, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+    basis = lagrange_basis(xs, m)
+    ys = [eval_mod(p, x, m) for x in xs]
+    assert tuple(sum(y * w for y, w in zip(ys, row)) % m for row in basis) == p.coeffs
+    assert basis[0] == lagrange_weights(xs, m)

@@ -7,12 +7,14 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, InsufficientShares
 from vsslab.numtheory import Mode
-from vsslab.poly import eval_integer, lagrange_weights, sample_polynomial
+from vsslab.poly import eval_integer, eval_mod, lagrange_weights, sample_polynomial
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -28,10 +30,18 @@ from vsslab.protocol import (
     reconstruct_dealer_secret,
     resolve_params,
     run_scenario,
+    run_verification_round,
 )
 from vsslab.registry import get_params
 from vsslab.rng import substream
-from vsslab.vss import Share, commit
+from vsslab.vss import (
+    CommitmentVector,
+    Share,
+    commit,
+    commitment_in_group,
+    range_check,
+    verify_share,
+)
 
 
 def honest_config(seed=7, n=5, t=3, params_ref="small11"):
@@ -375,6 +385,76 @@ class TestVerificationRound:
             s.provenance.kind is StrategyKind.ADD_P_MINUS_ONE and s.provenance.multiplier == 1
             for s in tagged
         )
+
+
+def per_share_matrix(shares, commitments, params):
+    """The verification matrix as the per-share checks give it: in
+    hardened mode commitment_in_group, then range_check, then
+    verify_share; in vulnerable mode verify_share alone."""
+    n = len(commitments)
+    by_dealer = {cv.dealer: cv for cv in commitments}
+    matrix = [[False] * n for _ in range(n)]
+    for share in shares:
+        commits = by_dealer[share.dealer]
+        ok = True
+        if params.mode is Mode.HARDENED:
+            ok = commitment_in_group(commits, params) and range_check(share, params)
+        matrix[share.dealer - 1][share.recipient - 1] = ok and verify_share(share, commits, params)
+    return tuple(tuple(row) for row in matrix)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_verification_round_matches_the_per_share_oracle(data):
+    params = get_params(data.draw(st.sampled_from(
+        ["small11", "p23order11", "p23q11", "v32", "h32"])))
+    hardened = params.mode is Mode.HARDENED
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    t = data.draw(st.integers(min_value=2, max_value=n))
+    seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+    polys = [sample_polynomial(t, params.field_modulus, dealer, substream(seed, dealer))
+             for dealer in range(1, n + 1)]
+    # honest, the two forgeries, +1 tampering, a value at or above the
+    # field modulus, or (None) no share at all, which shortens the row
+    shifts = [0, 0, 0, params.p - 1, params.d, 1, params.field_modulus, None]
+    shares = []
+    for poly in polys:
+        for k in range(1, n + 1):
+            honest = eval_mod(poly, k, params.q) if hardened else eval_integer(poly, k)
+            shift = data.draw(st.sampled_from(shifts))
+            if shift is not None:
+                shares.append(Share(dealer=poly.dealer, recipient=k, value=honest + shift))
+    dealt = [commit(poly, params) for poly in polys]
+    commitments = []
+    for i, cv in enumerate(dealt):
+        c = list(cv.c)
+        j = data.draw(st.integers(min_value=0, max_value=t - 1))
+        tamper = data.draw(st.sampled_from([None, None, "outside", "other"]))
+        if tamper == "outside":
+            # times -1: outside the subgroup whenever ord(g) is odd
+            c[j] = c[j] * (params.p - 1) % params.p
+        elif tamper == "other":
+            c[j] = dealt[(i + 1) % n].c[j]
+        commitments.append(CommitmentVector(dealer=cv.dealer, c=tuple(c)))
+    shares = data.draw(st.permutations(shares))
+    assert run_verification_round(shares, commitments, params) == per_share_matrix(
+        shares, commitments, params)
+
+
+class TestRowCheck:
+    """Both paths of verify_row stay live: the row check decides every
+    honest row, and only a forger's row falls back to verify_share."""
+
+    @pytest.mark.parametrize("params_ref", ["v64", "h64"])
+    def test_honest_rows_need_no_per_share_check(self, share_checks, params_ref):
+        report = run_scenario(honest_config(n=12, t=6, params_ref=params_ref))
+        assert all(all(row) for row in report.verification_matrix)
+        assert share_checks == []
+
+    def test_only_the_forged_row_falls_back(self, share_checks):
+        report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
+        assert all(all(row) for row in report.verification_matrix)
+        assert share_checks == [(1, k) for k in range(1, 13)]
 
 
 class TestPoolMechanics:

@@ -2,6 +2,7 @@
 report the first differing JSON paths, then compare bytes."""
 
 import copy
+import hashlib
 import json
 from functools import lru_cache
 
@@ -61,6 +62,31 @@ def test_rendering_is_deterministic():
     a = render_report(run_scenario(build_scenario("honest", seed=3)))
     b = render_report(run_scenario(build_scenario("honest", seed=3)))
     assert a == b
+
+
+# Wider configs than scripts/transcript_digest.py covers, where each
+# dealer's row is verified by the row check and the false-share and
+# order-shift rows fall back to per-share checks: (scenario, params, n, t),
+# each at seeds 0-2, hashed in that order. Recorded before the row check
+# existed; a change meant to keep transcripts byte-identical leaves it alone.
+WIDE_CONFIGS = (
+    ("honest", "v64", 12, 6),
+    ("false-share", "v64", 12, 6),
+    ("withhold", "v64", 12, 6),
+    ("honest", "h64", 16, 16),
+    ("hardened-attack", "h64", 16, 15),
+    ("order-shift", "v32", 16, 8),
+)
+WIDE_DIGEST = "4fbfb40995e716baec3b7910a9796320d1628325c65701ea4949906850facb1b"
+
+
+def test_wide_config_transcripts_are_pinned():
+    digest = hashlib.sha256()
+    for name, params_ref, n, t in WIDE_CONFIGS:
+        for seed in range(3):
+            report = run_scenario(build_scenario(name, seed=seed, n=n, t=t, params_ref=params_ref))
+            digest.update(render_report(report).encode())
+    assert digest.hexdigest() == WIDE_DIGEST
 
 
 def test_big_integers_serialize_as_decimal_strings():

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from vsslab.errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
 from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import SecretPolynomial, eval_integer, eval_mod, sample_polynomial
+from vsslab.poly import (
+    SecretPolynomial,
+    eval_integer,
+    eval_mod,
+    lagrange_basis,
+    sample_polynomial,
+)
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import (
@@ -23,6 +29,7 @@ from vsslab.vss import (
     commit_integer,
     commitment_in_group,
     range_check,
+    verify_row,
     verify_share,
 )
 
@@ -221,6 +228,87 @@ class TestHardened:
         # 5 generates the full group mod 23, so it is not in the order-11 subgroup
         bad = CommitmentVector(dealer=1, c=(pow(2, 3, 23), 5))
         assert not commitment_in_group(bad, p23q11)
+
+
+def per_share(shares, commits, params):
+    """The row verdicts as the per-share checks give them."""
+    hardened = params.mode is Mode.HARDENED
+    return tuple(
+        (not hardened or (commitment_in_group(commits, params) and range_check(s, params)))
+        and verify_share(s, commits, params)
+        for s in shares
+    )
+
+
+class TestVerifyRow:
+    def test_honest_row_needs_no_per_share_check(self, share_checks, small11):
+        commits = commit(mkpoly([3, 4, 5], 11), small11)
+        # P(k) for k = 1..3; P(4) + 1 fails, P(5) + 2 * (p - 1) passes
+        shares = [Share(1, 1, 12), Share(1, 2, 31), Share(1, 3, 60),
+                  Share(1, 4, 99 + 1), Share(1, 5, 148 + 20)]
+        assert verify_row(shares, commits, small11) == (True, True, True, False, True)
+        assert share_checks == []
+
+    def test_a_forged_share_among_the_first_t_sends_the_row_to_verify_share(
+            self, share_checks, small11):
+        commits = commit(mkpoly([3, 4, 5], 11), small11)
+        shares = [Share(1, 1, 12), Share(1, 2, 31 + 10), Share(1, 3, 60), Share(1, 4, 99 + 1)]
+        assert verify_row(shares, commits, small11) == (True, True, True, False)
+        assert share_checks == [(1, 1), (1, 2), (1, 3), (1, 4)]
+
+    @pytest.mark.parametrize("recipients", [(1, 2), (1, 2, 1, 3)])
+    def test_short_rows_and_repeated_abscissas_use_verify_share(
+            self, share_checks, small11, recipients):
+        poly = mkpoly([3, 4, 5], 11)
+        shares = [Share(1, k, eval_integer(poly, k)) for k in recipients]
+        assert verify_row(shares, commit(poly, small11), small11) == (True,) * len(recipients)
+        assert len(share_checks) == len(recipients)
+
+    def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
+        poly = mkpoly([3, 4], 11)
+        shares = [Share(1, k, eval_mod(poly, k, 11)) for k in (1, 2, 3)]
+        shares.append(Share(1, 4, eval_mod(poly, 4, 11) + 11))
+        commits = commit(poly, p23q11)
+        assert verify_row(shares, commits, p23q11) == (True, True, True, False)
+        assert share_checks == []
+        # an entry outside the subgroup misses g**b_j, and the fallback
+        # rejects the whole row
+        bad = CommitmentVector(dealer=1, c=(commits.c[0], commits.c[1] * 22 % 23))
+        assert verify_row(shares, bad, p23q11) == (False,) * 4
+
+    def test_bases_are_read_and_filled(self, small11):
+        poly = mkpoly([3, 4], 11)
+        commits = commit(poly, small11)
+        shares = [Share(1, k, eval_integer(poly, k)) for k in (2, 5, 7)]
+        bases = {}
+        assert verify_row(shares, commits, small11, bases) == (True,) * 3
+        assert bases == {(2, 5): lagrange_basis((2, 5), 11)}
+        # a stored basis is used as given: a wrong one proposes wrong
+        # coefficients, and the row falls back to the exact verdicts
+        bases[(2, 5)] = ((0, 0), (0, 0))
+        assert verify_row(shares, commits, small11, bases) == (True,) * 3
+
+    def test_dealer_mismatch_raises(self, small11):
+        commits = commit(mkpoly([3, 4], 11), small11)
+        with pytest.raises(DealerMismatch):
+            verify_row([Share(1, 1, 7), Share(2, 2, 11)], commits, small11)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_row_matches_the_per_share_checks(data):
+    params = get_params(data.draw(st.sampled_from(["small11", "p23order11", "p23q11", "h32"])))
+    t = data.draw(st.integers(min_value=1, max_value=4))
+    poly = sample_polynomial(t, params.field_modulus, 1,
+                             SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+    recipients = data.draw(st.lists(st.integers(1, 10), max_size=7))
+    shares = []
+    for k in recipients:
+        honest = eval_mod(poly, k, params.q) if params.q else eval_integer(poly, k)
+        shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
+        shares.append(Share(1, k, honest + shift))
+    assert verify_row(shares, commit(poly, params), params) == per_share(
+        shares, commit(poly, params), params)
 
 
 class TestAggregatePublicKey:
