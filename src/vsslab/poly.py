@@ -1,9 +1,11 @@
 """Secret polynomials, exact and modular evaluation, interpolation at zero
-and in coefficient form."""
+and in coefficient form. Interpolation tables are cached here, bounded
+(see the note above lagrange_weights), as tuples no caller can change."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DuplicateAbscissa, ModulusTooSmall, ZeroAbscissa
 from .numtheory import is_prime, mod_inv
@@ -87,9 +89,8 @@ def eval_mod(poly: SecretPolynomial, k: int, m: int) -> int:
     return acc
 
 
-def _checked_abscissas(xs, m: int) -> tuple[int, ...]:
-    """xs as a tuple, after checking they are distinct nonzero elements of Z_m."""
-    xs = tuple(xs)
+def _check_abscissas(xs: tuple[int, ...], m: int) -> None:
+    """Raise unless xs are distinct nonzero elements of Z_m."""
     if not xs:
         raise ValueError("need at least one abscissa")
     seen = set()
@@ -101,7 +102,15 @@ def _checked_abscissas(xs, m: int) -> tuple[int, ...]:
         if x in seen:
             raise DuplicateAbscissa(f"abscissa {x} appears twice")
         seen.add(x)
-    return xs
+
+
+# A table is a pure function of (abscissas, modulus), so caching one never
+# changes a result. The caches are sized from a run's traffic: every row
+# is verified at the same first t parties (one basis), reconstruction asks
+# for at most n first-subset weight tables, and the subsets a failing pool
+# enumerates never recur and pass through. Worst case at t = n =
+# MAX_PARTIES = 64 over a 96-bit field: 64 weight tables of 3.5 KB plus
+# 4 bases of 0.2 MB, about 1 MB in all.
 
 
 def lagrange_weights(xs, m: int) -> tuple[int, ...]:
@@ -111,7 +120,12 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
     degree below len(xs), sum_j y_j * weight_j recovers its constant term;
     in particular the weights themselves always sum to 1 mod m.
     """
-    xs = _checked_abscissas(xs, m)
+    return _lagrange_weights(tuple(xs), m)
+
+
+@lru_cache(maxsize=64)
+def _lagrange_weights(xs: tuple[int, ...], m: int) -> tuple[int, ...]:
+    _check_abscissas(xs, m)
     weights = []
     for j, xj in enumerate(xs):
         num = 1
@@ -125,15 +139,12 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def lagrange_zero(points, m: int, weights=None) -> int:
+def lagrange_zero(points, m: int) -> int:
     """Interpolate (x, y) points and return the value at x = 0, mod m.
 
     With at least threshold-many honest points of a secret polynomial
     this is the secret; with any forged point it is whatever the forgery
-    arithmetic says it is. weights, when given, must be
-    lagrange_weights of the points' abscissas, in the same order; a
-    caller that interpolates many times at one abscissa set computes
-    them once.
+    arithmetic says it is.
     """
     points = tuple(points)
     if not points:
@@ -141,10 +152,7 @@ def lagrange_zero(points, m: int, weights=None) -> int:
     for _, y in points:
         if not 0 <= y < m:
             raise ValueError(f"ordinate {y} outside [0, {m})")
-    if weights is None:
-        weights = lagrange_weights((x for x, _ in points), m)
-    elif len(weights) != len(points):
-        raise ValueError(f"{len(weights)} weights for {len(points)} points")
+    weights = lagrange_weights((x for x, _ in points), m)
     return sum(y * w for (_, y), w in zip(points, weights)) % m
 
 
@@ -159,7 +167,12 @@ def lagrange_basis(xs, m: int) -> tuple[tuple[int, ...], ...]:
     divided by (x - x_i) and scaled to 1 at x_i: O(len(xs)**2) work
     and one inverse per abscissa.
     """
-    xs = _checked_abscissas(xs, m)
+    return _lagrange_basis(tuple(xs), m)
+
+
+@lru_cache(maxsize=4)
+def _lagrange_basis(xs: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    _check_abscissas(xs, m)
     # prod_l (x - x_l), constant term first
     master = [1]
     for x in xs:

@@ -34,7 +34,6 @@ from .poly import (
     SecretPolynomial,
     eval_integer,
     eval_mod,
-    lagrange_weights,
     lagrange_zero,
     sample_polynomial,
 )
@@ -148,6 +147,10 @@ class ScenarioConfig:
                 raise ConfigInvalid(f"party {pid} targets unknown parties {sorted(bad)}")
             if pid in behavior.targets:
                 raise ConfigInvalid(f"party {pid} cannot target itself")
+            # m and m mod p corrupt the same field element; a larger m
+            # only inflates the forged share
+            if behavior.strategy is not None and behavior.strategy.multiplier >= params.p:
+                raise ConfigInvalid(f"party {pid} needs a forgery multiplier below p = {params.p}")
 
 
 class Verdict(str, Enum):
@@ -276,9 +279,9 @@ def run_verification_round(shares, commitments, params: GroupParams):
     g**b_j == c_j for every j, a share passes exactly when
     value == Q(k) (mod d), and subgroup membership is implied. Any other
     row, a forger's among them, falls back to the per-share checks, so
-    every entry equals the per-share verdict. Rows that start with the
-    same t recipients share one Lagrange basis, memoised per abscissa
-    set in this call: at most n entries, one per dealer.
+    every entry equals the per-share verdict. Every row starts with the
+    same t recipients, so the rows share one Lagrange basis, kept by the
+    bounded cache in poly.
     """
     commitments = tuple(commitments)
     n = len(commitments)
@@ -286,16 +289,15 @@ def run_verification_round(shares, commitments, params: GroupParams):
     rows: dict[int, list[Share]] = {dealer: [] for dealer in by_dealer}
     for share in shares:
         rows[share.dealer].append(share)
-    bases: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     matrix = [[False] * n for _ in range(n)]
     for dealer, row in rows.items():
-        for share, ok in zip(row, verify_row(row, by_dealer[dealer], params, bases)):
+        for share, ok in zip(row, verify_row(row, by_dealer[dealer], params)):
             matrix[dealer - 1][share.recipient - 1] = ok
     return tuple(tuple(row) for row in matrix)
 
 
 def reconstruct_dealer_secret(dealer: int, shares, commits: CommitmentVector,
-                              params: GroupParams, t: int, weights=None):
+                              params: GroupParams, t: int):
     """Interpolate one dealer's secret from t or more shares.
 
     Returns (value, commitment_check): value is lagrange_zero over
@@ -303,8 +305,6 @@ def reconstruct_dealer_secret(dealer: int, shares, commits: CommitmentVector,
     commitment_check says whether g**value matches the dealer's
     constant-term commitment. Honest shares always pass; forged ones
     corrupt value and (outside a measure-1/p wraparound corner) fail.
-    weights, when given, are lagrange_weights of the shares' recipients
-    in the interpolation field, passed on to lagrange_zero.
     """
     shares = tuple(shares)
     if len(shares) < t:
@@ -315,7 +315,7 @@ def reconstruct_dealer_secret(dealer: int, shares, commits: CommitmentVector,
     if commits.dealer != dealer:
         raise DealerMismatch(f"commitments of dealer {commits.dealer} used for dealer {dealer}")
     m = params.field_modulus
-    value = lagrange_zero(((s.recipient, s.value % m) for s in shares), m, weights)
+    value = lagrange_zero(((s.recipient, s.value % m) for s in shares), m)
     check = pow(params.g, value, params.p) == commits.c[0]
     return value, check
 
@@ -332,12 +332,11 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     report lists the attempts made: up to and including the first pass,
     or all C(len(pool), t) of them when none passes.
 
-    When verification accepted every share, all pools share their first
-    subset (the first t cooperating parties), so the Lagrange weights of
-    each pool's first subset are computed once per abscissa set in this
-    call: at most n entries, one per dealer. Later subsets are tried only by pools whose
-    first subset failed; memoising them would grow with the attempt
-    budget, not with n, so they are not kept.
+    When verification accepted every share, all pools start with the
+    same subset (the first t cooperating parties), and the bounded cache
+    in poly computes its Lagrange weights once. The subsets a failing
+    pool enumerates pass through that cache and may evict it, so the
+    next pool can compute it once more.
     """
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly
@@ -347,23 +346,15 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     for s in dealing.shares:
         if s.recipient not in withholders and matrix[s.dealer - 1][s.recipient - 1]:
             pools[s.dealer].append(s)
-    first_weights: dict[tuple[int, ...], tuple[int, ...]] = {}
     results = []
     for dealer, pool in pools.items():
         attempts = []
         recovered = None
         for subset in itertools.combinations(pool, config.t):
-            subset_ids = tuple(s.recipient for s in subset)
-            weights = None
-            if not attempts:
-                weights = first_weights.get(subset_ids)
-                if weights is None:
-                    weights = lagrange_weights(subset_ids, params.field_modulus)
-                    first_weights[subset_ids] = weights
             value, ok = reconstruct_dealer_secret(dealer, subset, by_dealer[dealer],
-                                                  params, config.t, weights)
+                                                  params, config.t)
             attempts.append(ReconstructionAttempt(
-                subset=subset_ids,
+                subset=tuple(s.recipient for s in subset),
                 value=value,
                 commitment_check=ok,
             ))

@@ -134,8 +134,7 @@ def commitment_in_group(commits: CommitmentVector, params: GroupParams) -> bool:
     return all(pow(c_j, params.d, params.p) == 1 for c_j in commits.c)
 
 
-def verify_row(shares, commits: CommitmentVector, params: GroupParams,
-               bases=None) -> tuple[bool, ...]:
+def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[bool, ...]:
     """Acceptance of each of one dealer's shares, in order.
 
     Every entry equals the per-share verdict: commitment_in_group, then
@@ -150,11 +149,8 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams,
     the b_j; the t commitment checks decide. A row with fewer than t
     shares, a repeated abscissa or one outside (0, field_modulus), or a
     b_j that misses its commitment (a forger's row) is checked share by
-    share instead.
-
-    bases, when given, is a dict from abscissa tuples to their
-    lagrange_basis that this call reads and extends, so a caller that
-    checks many rows at one abscissa set computes the basis once.
+    share instead. The basis comes from lagrange_basis, whose bounded
+    cache in poly lets rows at one abscissa set share it.
     """
     shares = tuple(shares)
     for s in shares:
@@ -167,13 +163,8 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams,
     m = params.field_modulus
     xs = tuple(s.recipient for s in shares)
     if len(xs) >= t and len(set(xs)) == len(xs) and all(0 < k < m for k in xs):
-        if bases is None:
-            bases = {}
-        basis = bases.get(xs[:t])
-        if basis is None:
-            basis = bases[xs[:t]] = lagrange_basis(xs[:t], m)
         ys = [s.value % m for s in shares[:t]]
-        b = [sum(map(mul, ys, row)) % m for row in basis]
+        b = [sum(map(mul, ys, row)) % m for row in lagrange_basis(xs[:t], m)]
         if all(pow(params.g, b_j, params.p) == c_j for b_j, c_j in zip(b, commits.c)):
             verdicts = []
             for s in shares:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from vsslab.errors import DuplicateAbscissa, ZeroAbscissa
 from vsslab.poly import (
     SecretPolynomial,
+    _lagrange_basis,
+    _lagrange_weights,
     eval_integer,
     eval_mod,
     lagrange_basis,
@@ -96,14 +98,6 @@ class TestLagrangeZero:
         with pytest.raises(DuplicateAbscissa):
             lagrange_zero([(1, 5), (1, 6)], 11)
 
-    def test_precomputed_weights_give_the_same_value(self):
-        weights = lagrange_weights((1, 2), 11)
-        assert lagrange_zero([(1, 7), (2, 10)], 11, weights) == 4
-
-    def test_weights_must_match_the_points(self):
-        with pytest.raises(ValueError):
-            lagrange_zero([(1, 7), (2, 10)], 11, lagrange_weights((1, 2, 3), 11))
-
     def test_ordinates_must_be_reduced(self):
         with pytest.raises(ValueError):
             lagrange_zero([(1, 11)], 11)
@@ -173,3 +167,42 @@ def test_basis_recovers_every_coefficient(data):
     ys = [eval_mod(p, x, m) for x in xs]
     assert tuple(sum(y * w for y, w in zip(ys, row)) % m for row in basis) == p.coeffs
     assert basis[0] == lagrange_weights(xs, m)
+
+
+# lagrange_weights and lagrange_basis cache their tables; a cached table
+# must be the one a fresh computation gives, whatever iterable the
+# abscissas came in, and a refused abscissa set is refused every time
+_AS_ITERABLE = st.sampled_from([list, tuple, iter])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_cached_tables_equal_a_fresh_computation(data):
+    m = data.draw(st.sampled_from([11, 97, 2**61 - 1]))
+    xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 40)),
+                            min_size=1, max_size=6, unique=True))
+    weights_fresh = _lagrange_weights.__wrapped__(tuple(xs), m)
+    basis_fresh = _lagrange_basis.__wrapped__(tuple(xs), m)
+    for _ in range(2):
+        weights = lagrange_weights(data.draw(_AS_ITERABLE)(xs), m)
+        basis = lagrange_basis(data.draw(_AS_ITERABLE)(xs), m)
+        assert weights == weights_fresh and basis == basis_fresh
+        assert type(weights) is tuple and all(type(w) is int for w in weights)
+        assert type(basis) is tuple and all(type(row) is tuple for row in basis)
+        assert all(type(w) is int for row in basis for w in row)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_refused_abscissas_raise_on_every_call(data):
+    m = 97
+    xs = data.draw(st.lists(st.integers(min_value=1, max_value=m - 1),
+                            min_size=1, max_size=5, unique=True))
+    bad, error = data.draw(st.sampled_from([
+        (0, ZeroAbscissa), (xs[0], DuplicateAbscissa), (m, ValueError), (m + 5, ValueError),
+    ]))
+    xs.insert(data.draw(st.integers(0, len(xs))), bad)
+    for public in (lagrange_weights, lagrange_basis):
+        for _ in range(3):
+            with pytest.raises(error):
+                public(data.draw(_AS_ITERABLE)(xs), m)

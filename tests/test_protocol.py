@@ -14,7 +14,13 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, InsufficientShares
 from vsslab.numtheory import Mode
-from vsslab.poly import eval_integer, eval_mod, lagrange_weights, sample_polynomial
+from vsslab.poly import (
+    _lagrange_basis,
+    _lagrange_weights,
+    eval_integer,
+    eval_mod,
+    sample_polynomial,
+)
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -117,6 +123,22 @@ class TestConfigValidation:
                 BehaviorKind.HONEST,
                 strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
             )
+
+    @pytest.mark.parametrize("name", ["small11", "p23order11"])
+    def test_forgery_multiplier_must_be_below_p(self, name):
+        # m and m mod p corrupt the same field element, so p - 1 is the
+        # largest multiplier worth running
+        params = get_params(name)
+        cfg = build_scenario("false-share", seed=1, params_ref=name)
+        for kind in StrategyKind:
+            for m, ok in ((params.p - 1, True), (params.p, False)):
+                forger = dataclasses.replace(cfg.behaviors[1], strategy=ForgeryStrategy(kind, m))
+                config = dataclasses.replace(cfg, behaviors={**cfg.behaviors, 1: forger})
+                if ok:
+                    config.validate(params)
+                else:
+                    with pytest.raises(ConfigInvalid, match="multiplier below p"):
+                        config.validate(params)
 
     def test_false_share_dealer_requires_strategy_and_targets(self):
         with pytest.raises(ConfigInvalid):
@@ -491,28 +513,31 @@ class TestPoolMechanics:
 
 
 @pytest.fixture
-def weight_calls(monkeypatch):
-    """Abscissas of every weight table the reconstruction round computes."""
-    import vsslab.protocol as protocol
-
-    calls = []
-
-    def counting(xs, m):
-        calls.append(tuple(xs))
-        return lagrange_weights(xs, m)
-
-    monkeypatch.setattr(protocol, "lagrange_weights", counting)
-    return calls
+def tables_computed():
+    """(weight tables, bases) computed since the fixture emptied poly's caches."""
+    _lagrange_weights.cache_clear()
+    _lagrange_basis.cache_clear()
+    return lambda: (_lagrange_weights.cache_info().misses, _lagrange_basis.cache_info().misses)
 
 
 class TestWeightMemo:
-    @pytest.mark.parametrize("name", ["honest", "withhold", "hardened-attack"])
-    def test_pools_with_one_first_subset_share_one_table(self, weight_calls, name):
-        report = run_scenario(build_scenario(name, seed=7))
-        assert len(weight_calls) == 1
-        assert all(rec.attempts[0].subset == weight_calls[0] for rec in report.reconstructions)
+    """poly memoises weight tables and bases; a run computes each once."""
 
-    def test_pools_with_different_first_subsets_get_their_own_weights(self, weight_calls):
+    @pytest.mark.parametrize("name", ["honest", "withhold", "hardened-attack"])
+    def test_pools_with_one_first_subset_share_one_table(self, tables_computed, name):
+        report = run_scenario(build_scenario(name, seed=7))
+        assert len({rec.attempts[0].subset for rec in report.reconstructions}) == 1
+        # every row is verified at parties (1, 2, 3): one basis
+        assert tables_computed() == (1, 1)
+
+    def test_a_forged_pool_enumerates_through_the_memo(self, tables_computed):
+        # the forged pool tries all C(4, 3) subsets; the honest pools start
+        # with its first subset and find it memoised
+        report = run_scenario(build_scenario("false-share", seed=7))
+        assert len(report.reconstructions[0].attempts) == comb(4, 3)
+        assert tables_computed() == (comb(4, 3), 1)
+
+    def test_pools_with_different_first_subsets_get_their_own_weights(self, tables_computed):
         from vsslab.protocol import run_dealing_round, run_reconstruction_round
 
         cfg = honest_config(n=5, t=3)
@@ -526,14 +551,7 @@ class TestWeightMemo:
                                      substream(7, rec.dealer))
             assert [a.commitment_check for a in rec.attempts] == [True]
             assert rec.recovered == poly.secret
-        assert sorted(weight_calls) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-
-    def test_only_first_subsets_are_memoised(self, weight_calls):
-        # the forged pool tries all C(4, 3) subsets, but only its first
-        # enters the memo, and every honest pool shares that one
-        report = run_scenario(build_scenario("false-share", seed=7))
-        assert len(report.reconstructions[0].attempts) == comb(4, 3)
-        assert weight_calls == [(2, 3, 4)]
+        assert tables_computed() == (4, 0)
 
 
 class TestReconstructionMatchesOracle:

@@ -214,8 +214,12 @@ class TestAudit:
         set_config_field(("behaviors", "1", "kind"), "saboteur"),
         set_config_field(("params_ref",), {"bits": 16, "mode": "sideways"}),
         set_config_field(("behaviors", "1", "strategy", "multiplier"), "1.5"),
+        # parses (4300 digits is the int/str limit), but a forged share
+        # built from it would have too many digits to print
+        set_config_field(("behaviors", "1", "strategy", "multiplier"), "8" + "9" * 4299),
     ], ids=["top-level-list", "behaviors-list", "numeric-name", "bits-200", "huge-n",
-            "word-seed", "unknown-behavior", "unknown-mode", "fractional-multiplier"])
+            "word-seed", "unknown-behavior", "unknown-mode", "fractional-multiplier",
+            "4300-digit-multiplier"])
     def test_malformed_config_is_a_problem_not_a_crash(self, false_share_text, edit):
         problems = audit_transcript(canonical_json(edit(json.loads(false_share_text))))
         assert problems

@@ -15,7 +15,6 @@ from vsslab.poly import (
     SecretPolynomial,
     eval_integer,
     eval_mod,
-    lagrange_basis,
     sample_polynomial,
 )
 from vsslab.registry import get_params
@@ -275,18 +274,6 @@ class TestVerifyRow:
         # rejects the whole row
         bad = CommitmentVector(dealer=1, c=(commits.c[0], commits.c[1] * 22 % 23))
         assert verify_row(shares, bad, p23q11) == (False,) * 4
-
-    def test_bases_are_read_and_filled(self, small11):
-        poly = mkpoly([3, 4], 11)
-        commits = commit(poly, small11)
-        shares = [Share(1, k, eval_integer(poly, k)) for k in (2, 5, 7)]
-        bases = {}
-        assert verify_row(shares, commits, small11, bases) == (True,) * 3
-        assert bases == {(2, 5): lagrange_basis((2, 5), 11)}
-        # a stored basis is used as given: a wrong one proposes wrong
-        # coefficients, and the row falls back to the exact verdicts
-        bases[(2, 5)] = ((0, 0), (0, 0))
-        assert verify_row(shares, commits, small11, bases) == (True,) * 3
 
     def test_dealer_mismatch_raises(self, small11):
         commits = commit(mkpoly([3, 4], 11), small11)
