@@ -21,7 +21,6 @@ from .numtheory import (
 from .poly import (
     SecretPolynomial,
     eval_integer,
-    eval_mod,
     lagrange_basis,
     lagrange_weights,
     lagrange_zero,
@@ -48,7 +47,6 @@ from .transcript import audit_transcript, canonical_json, render_report, report_
 from .vss import (
     CommitmentVector,
     Share,
-    SizeReport,
     aggregate_public_key,
     commit,
     commit_integer,

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import VsslabError
-from .numtheory import Mode, is_prime
-from .poly import SecretPolynomial
+from .numtheory import Mode
 from .protocol import SCENARIO_NAMES, GenSpec, Verdict, build_scenario, run_scenario
 from .transcript import audit_transcript, canonical_json, render_report
-from .vss import INTEGER_COMMITMENT_GUARD_BITS, commit_integer
+from .vss import (
+    INTEGER_COMMITMENT_GUARD_BITS,
+    PROJECTION_EXPONENT_LOG2,
+    commit_integer,
+    projected_bit_length,
+)
 
 _DEMO_MAX_BITS = 20
 
@@ -75,7 +78,8 @@ def _cmd_run(args) -> int:
     text = render_report(report)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             print(f"cannot write transcript: {exc}", file=sys.stderr)
             return 1
@@ -91,42 +95,42 @@ def _cmd_demo(args) -> int:
         raise _UsageError(f"--bits must be in 1..{_DEMO_MAX_BITS} for executed rows")
     # exponents: 0, then the smallest value of each bit size up to the cap
     exponents = [0] + [1 << (b - 1) for b in range(1, args.bits + 1)]
-    modulus = max(exponents) + 1
-    while not is_prime(modulus):  # smallest field that admits every exponent
-        modulus += 1
-    poly = SecretPolynomial(dealer=1, coeffs=tuple(exponents), field_modulus=modulus)
-    values, report = commit_integer(poly, 2)
+    g = 2
+    bit_lengths = [v.bit_length() for v in commit_integer(exponents, g)]
+    # a 1024-bit field's exponents, sized by formula, never materialized
+    projected = projected_bit_length(g, 1 << PROJECTION_EXPONENT_LOG2)
+    infeasible = projected > INTEGER_COMMITMENT_GUARD_BITS
 
     print(f"unreduced commitments 2**a (guard: {INTEGER_COMMITMENT_GUARD_BITS} bits per value)")
     print(f"{'exponent a':>14}  {'bits of 2**a':>14}  note")
-    for entry in report.entries:
-        print(f"{entry.exponent:>14}  {entry.bit_length:>14}  executed, bits = a + 1")
-    proj = report.projected
-    approx = f"about 10**{(len(str(proj.bit_length)) - 1)}"
-    flag = "INFEASIBLE to store" if proj.infeasible else "storable"
-    print(f"{'~2**' + str(proj.exponent_log2):>14}  {approx:>14}  projected only, {flag}")
+    for a, bits in zip(exponents, bit_lengths):
+        print(f"{a:>14}  {bits:>14}  executed, bits = a + 1")
+    approx = f"about 10**{(len(str(projected)) - 1)}"
+    flag = "INFEASIBLE to store" if infeasible else "storable"
+    print(f"{'~2**' + str(PROJECTION_EXPONENT_LOG2):>14}  {approx:>14}  projected only, {flag}")
     print()
     print("a commitment to a coefficient of a 1024-bit prime field would need")
-    print(f"floor(a * log2(g)) + 1 = {str(proj.bit_length)[:20]}... bits "
-          f"({len(str(proj.bit_length))} decimal digits just to write the bit count);")
+    print(f"floor(a * log2(g)) + 1 = {str(projected)[:20]}... bits "
+          f"({len(str(projected))} decimal digits just to write the bit count);")
     print("no storage holds it, so the unreduced-commitment fix stays theoretical.")
 
     if args.out:
         doc = {
             "version": "1",
-            "g": str(report.g),
+            "g": str(g),
             "entries": [
-                {"exponent": str(e.exponent), "bit_length": str(e.bit_length)}
-                for e in report.entries
+                {"exponent": str(a), "bit_length": str(bits)}
+                for a, bits in zip(exponents, bit_lengths)
             ],
             "projected": {
-                "exponent_log2": proj.exponent_log2,
-                "bit_length": str(proj.bit_length),
-                "infeasible": proj.infeasible,
+                "exponent_log2": PROJECTION_EXPONENT_LOG2,
+                "bit_length": str(projected),
+                "infeasible": infeasible,
             },
         }
         try:
-            Path(args.out).write_text(canonical_json(doc))
+            with open(args.out, "w") as f:
+                f.write(canonical_json(doc))
         except OSError as exc:
             print(f"cannot write size report: {exc}", file=sys.stderr)
             return 1
@@ -136,7 +140,8 @@ def _cmd_demo(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        raw = Path(args.transcript).read_text()
+        with open(args.transcript) as f:
+            raw = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 1

@@ -60,7 +60,8 @@ _SMALL_PRIMES = (
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
-# Sufficient deterministic witness set for n < 3.3e24 > 2**64 (Sorenson/Webster).
+# The first 12 primes are a proven witness set for n < 3.18e23 > 2**64
+# (Sorenson/Webster psi_12); 3.3e24 is psi_13 and also needs base 41.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_BOUND = 1 << 64
 
@@ -221,20 +222,24 @@ def multiplicative_order(g: int, p: int) -> int:
 class GroupParams:
     """A working group: prime p, generator g of exact order d, and mode.
 
-    Hardened parameters additionally carry the subgroup order q (a prime
-    with p = 2q + 1) and promise d == q.
+    Hardened parameters promise a prime d; g then generates the order-q
+    subgroup with q = d, the field where secrets live.
     """
 
     p: int
     g: int
     d: int
     mode: Mode
-    q: int | None = None
+
+    @property
+    def q(self) -> int | None:
+        """The prime subgroup order when hardened (it is d), else None."""
+        return self.d if self.mode is Mode.HARDENED else None
 
     @property
     def field_modulus(self) -> int:
         """Where coefficients and interpolation live: Z_p, or Z_q when hardened."""
-        return self.q if self.mode is Mode.HARDENED else self.p
+        return self.d if self.mode is Mode.HARDENED else self.p
 
     def validate(self) -> None:
         """Recheck every structural invariant from scratch.
@@ -253,17 +258,8 @@ class GroupParams:
         for r in factorize(self.d):
             if pow(self.g, self.d // r, self.p) == 1:
                 raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
-        if self.mode is Mode.HARDENED:
-            if self.q is None:
-                raise InvalidGroupParams("hardened parameters need q")
-            if not is_prime(self.q):
-                raise InvalidGroupParams(f"q = {self.q} is not prime")
-            if (self.p - 1) % self.q != 0:
-                raise InvalidGroupParams("q does not divide p - 1")
-            if self.d != self.q:
-                raise InvalidGroupParams(f"hardened order must equal q, got d={self.d}, q={self.q}")
-        elif self.q is not None:
-            raise InvalidGroupParams("vulnerable parameters must not carry q")
+        if self.mode is Mode.HARDENED and not is_prime(self.d):
+            raise InvalidGroupParams(f"hardened order d = {self.d} is not prime")
 
 
 _PRIME_ATTEMPTS = 4096
@@ -320,6 +316,6 @@ def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
             )
         p = 2 * q + 1
         h = rng.randrange(2, p - 1)  # h != 1 and h != p - 1, so h*h != 1
-        params = GroupParams(p=p, g=h * h % p, d=q, mode=mode, q=q)
+        params = GroupParams(p=p, g=h * h % p, d=q, mode=mode)
     params.validate()
     return params

@@ -1,4 +1,4 @@
-"""Secret polynomials, exact and modular evaluation, interpolation at zero
+"""Secret polynomials, exact evaluation, interpolation at zero
 and in coefficient form. Interpolation tables are cached here, bounded
 (see the note above lagrange_weights), as tuples no caller can change."""
 
@@ -74,18 +74,6 @@ def eval_integer(poly: SecretPolynomial, k: int) -> int:
     acc = 0
     for c in reversed(poly.coeffs):
         acc = acc * k + c
-    return acc
-
-
-def eval_mod(poly: SecretPolynomial, k: int, m: int) -> int:
-    """Polynomial value at k reduced mod m (equals eval_integer(poly, k) % m)."""
-    if m < 2:
-        raise ModulusTooSmall(f"modulus must be at least 2, got {m}")
-    if k < 1:
-        raise ValueError(f"evaluation point must be positive, got {k}")
-    acc = 0
-    for c in reversed(poly.coeffs):
-        acc = (acc * k + c) % m
     return acc
 
 

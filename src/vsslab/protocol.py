@@ -30,13 +30,7 @@ from enum import Enum
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, DealerMismatch, ForgeryImpossible, InsufficientShares
 from .numtheory import GroupParams, Mode, gen_params
-from .poly import (
-    SecretPolynomial,
-    eval_integer,
-    eval_mod,
-    lagrange_zero,
-    sample_polynomial,
-)
+from .poly import SecretPolynomial, eval_integer, lagrange_zero, sample_polynomial
 from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, Share, aggregate_public_key, commit, verify_row
@@ -185,7 +179,17 @@ class DealerReconstruction:
     dealer: int
     pool: tuple[int, ...]  # recipients whose shares are on the table
     attempts: tuple[ReconstructionAttempt, ...]
-    recovered: int | None
+
+    @property
+    def recovered(self) -> int | None:
+        """The secret rebuilt by the first passing subset, or None.
+
+        Attempts stop at the first pass, so only the last one can have
+        passed.
+        """
+        if self.attempts and self.attempts[-1].commitment_check:
+            return self.attempts[-1].value
+        return None
 
 
 @dataclass(frozen=True)
@@ -225,9 +229,8 @@ def resolve_params(config: ScenarioConfig) -> GroupParams:
 def _honest_value(poly: SecretPolynomial, recipient: int, params: GroupParams) -> int:
     # vulnerable dealers transmit the exact integer evaluation; hardened
     # dealers reduce into Z_q, where the share must live
-    if params.mode is Mode.HARDENED:
-        return eval_mod(poly, recipient, params.q)
-    return eval_integer(poly, recipient)
+    value = eval_integer(poly, recipient)
+    return value % params.q if params.mode is Mode.HARDENED else value
 
 
 def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRound:
@@ -296,24 +299,25 @@ def run_verification_round(shares, commitments, params: GroupParams):
     return tuple(tuple(row) for row in matrix)
 
 
-def reconstruct_dealer_secret(dealer: int, shares, commits: CommitmentVector,
-                              params: GroupParams, t: int):
-    """Interpolate one dealer's secret from t or more shares.
+def reconstruct_dealer_secret(shares, commits: CommitmentVector, params: GroupParams):
+    """Interpolate the secret of dealer commits.dealer from t or more shares.
 
-    Returns (value, commitment_check): value is lagrange_zero over
-    (recipient, share value reduced into the interpolation field), and
+    t is len(commits.c), the number of committed coefficients. Returns
+    (value, commitment_check): value is lagrange_zero over (recipient,
+    share value reduced into the interpolation field), and
     commitment_check says whether g**value matches the dealer's
     constant-term commitment. Honest shares always pass; forged ones
     corrupt value and (outside a measure-1/p wraparound corner) fail.
     """
     shares = tuple(shares)
+    t = len(commits.c)
     if len(shares) < t:
         raise InsufficientShares(f"need {t} shares, got {len(shares)}")
     for s in shares:
-        if s.dealer != dealer:
-            raise DealerMismatch(f"share from dealer {s.dealer} in a pool for dealer {dealer}")
-    if commits.dealer != dealer:
-        raise DealerMismatch(f"commitments of dealer {commits.dealer} used for dealer {dealer}")
+        if s.dealer != commits.dealer:
+            raise DealerMismatch(
+                f"share from dealer {s.dealer} in a pool for dealer {commits.dealer}"
+            )
     m = params.field_modulus
     value = lagrange_zero(((s.recipient, s.value % m) for s in shares), m)
     check = pow(params.g, value, params.p) == commits.c[0]
@@ -330,7 +334,8 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     reconstruct_dealer_secret, and the first whose result matches the
     dealer's own constant-term commitment is the recovered secret. The
     report lists the attempts made: up to and including the first pass,
-    or all C(len(pool), t) of them when none passes.
+    or all C(len(pool), t) of them when none passes, so the recovered
+    secret is read off the last attempt.
 
     When verification accepted every share, all pools start with the
     same subset (the first t cooperating parties), and the bounded cache
@@ -349,23 +354,19 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     results = []
     for dealer, pool in pools.items():
         attempts = []
-        recovered = None
         for subset in itertools.combinations(pool, config.t):
-            value, ok = reconstruct_dealer_secret(dealer, subset, by_dealer[dealer],
-                                                  params, config.t)
+            value, ok = reconstruct_dealer_secret(subset, by_dealer[dealer], params)
             attempts.append(ReconstructionAttempt(
                 subset=tuple(s.recipient for s in subset),
                 value=value,
                 commitment_check=ok,
             ))
             if ok:
-                recovered = value
                 break
         results.append(DealerReconstruction(
             dealer=dealer,
             pool=tuple(s.recipient for s in pool),
             attempts=tuple(attempts),
-            recovered=recovered,
         ))
     return tuple(results)
 

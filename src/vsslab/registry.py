@@ -1,10 +1,10 @@
 """Named, pinned group parameter sets shipped with the package.
 
-Each entry is a literal GroupParams: p, g, the exact order d of g, the
-mode, and (hardened only) the subgroup order q. Every entry is
-revalidated on first load; validate() proves d is the exact order of
-g, so a mistyped value raises InvalidGroupParams instead of smuggling
-in a wrong order.
+Each entry is a literal GroupParams: p, g, the exact order d of g, and
+the mode; a hardened entry's d is its prime subgroup order q. Every
+entry is revalidated on first load; validate() proves d is the exact
+order of g, so a mistyped value raises InvalidGroupParams instead of
+smuggling in a wrong order.
 
 The v32/v64/h32/h64 entries were produced once by gen_params with a
 SplitMix64 stream at the seed noted beside each entry, then pinned here
@@ -26,7 +26,7 @@ _ENTRIES = {
     "p23order11": GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE),
     # hardened twin: safe prime 23 = 2 * 11 + 1, g = 2 generates the
     # order-11 subgroup of squares, secrets live in Z_11
-    "p23q11": GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED, q=11),
+    "p23q11": GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED),
     # gen_params(32, vulnerable), seed 0x763332
     "v32": GroupParams(p=3160101617, g=3, d=3160101616, mode=Mode.VULNERABLE),
     # gen_params(64, vulnerable), seed 0x763634
@@ -34,16 +34,13 @@ _ENTRIES = {
         p=15670206069997242653, g=2, d=15670206069997242652, mode=Mode.VULNERABLE
     ),
     # gen_params(32, hardened), seed 0x683332
-    "h32": GroupParams(
-        p=2488578623, g=2247443640, d=1244289311, mode=Mode.HARDENED, q=1244289311
-    ),
+    "h32": GroupParams(p=2488578623, g=2247443640, d=1244289311, mode=Mode.HARDENED),
     # gen_params(64, hardened), seed 0x683634
     "h64": GroupParams(
         p=11285435023865367059,
         g=6853325888714086531,
         d=5642717511932683529,
         mode=Mode.HARDENED,
-        q=5642717511932683529,
     ),
 }
 

@@ -211,30 +211,6 @@ INTEGER_COMMITMENT_GUARD_BITS = 1 << 20
 PROJECTION_EXPONENT_LOG2 = 1024
 
 
-@dataclass(frozen=True)
-class SizeEntry:
-    """One executed row: exponent a and the measured bits of g**a."""
-
-    exponent: int
-    bit_length: int
-
-
-@dataclass(frozen=True)
-class ProjectedSize:
-    """Formula-only row; the underlying integer is never materialized."""
-
-    exponent_log2: int
-    bit_length: int
-    infeasible: bool
-
-
-@dataclass(frozen=True)
-class SizeReport:
-    g: int
-    entries: tuple[SizeEntry, ...]
-    projected: ProjectedSize
-
-
 def projected_bit_length(g: int, a: int) -> int:
     """floor(a * log2(g)) + 1, the bit length g**a would have.
 
@@ -248,32 +224,25 @@ def projected_bit_length(g: int, a: int) -> int:
     return num * a // den + 1
 
 
-def commit_integer(poly: SecretPolynomial, g: int):
-    """Commitments g**a as exact unbounded integers, plus a size report.
+def commit_integer(exponents, g: int) -> tuple[int, ...]:
+    """Commitments g**a as exact unbounded integers, one per exponent.
 
-    Refuses (TooLarge) any coefficient where a * bitlen(g) exceeds the
-    2**20-bit guard; the report always carries a projected row for a
-    1024-bit-scale exponent, computed by formula and flagged infeasible
-    whenever it breaks the same guard, which at that scale it always does.
+    Refuses negative exponents, and (TooLarge) any exponent where
+    a * bitlen(g) exceeds the 2**20-bit guard. An exponent of the
+    2**PROJECTION_EXPONENT_LOG2 scale of a 1024-bit prime field always
+    breaks the guard, so its size is only ever given by
+    projected_bit_length.
     """
     if g < 2:
         raise ValueError(f"generator must be at least 2, got {g}")
+    exponents = tuple(exponents)
     g_bits = g.bit_length()
-    for a in poly.coeffs:
+    for a in exponents:
+        if a < 0:
+            raise ValueError(f"exponent {a} is negative")
         if a * g_bits > INTEGER_COMMITMENT_GUARD_BITS:
             raise TooLarge(
                 f"unreduced commitment for exponent {a} would need about "
                 f"{a * (g_bits - 1)} bits, over the {INTEGER_COMMITMENT_GUARD_BITS}-bit guard"
             )
-    values = tuple(g ** a for a in poly.coeffs)
-    entries = tuple(
-        SizeEntry(exponent=a, bit_length=v.bit_length())
-        for a, v in zip(poly.coeffs, values)
-    )
-    projected_bits = projected_bit_length(g, 1 << PROJECTION_EXPONENT_LOG2)
-    projected = ProjectedSize(
-        exponent_log2=PROJECTION_EXPONENT_LOG2,
-        bit_length=projected_bits,
-        infeasible=projected_bits > INTEGER_COMMITMENT_GUARD_BITS,
-    )
-    return values, SizeReport(g=g, entries=entries, projected=projected)
+    return tuple(g ** a for a in exponents)

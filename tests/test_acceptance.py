@@ -13,19 +13,26 @@ import pytest
 
 from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
 from vsslab.cli import main as cli_main
-from vsslab.errors import ForgeryImpossible
+from vsslab.errors import ForgeryImpossible, TooLarge
 from vsslab.numtheory import Mode
 from vsslab.poly import (
     SecretPolynomial,
     eval_integer,
-    eval_mod,
     lagrange_zero,
     sample_polynomial,
 )
 from vsslab.protocol import GenSpec, Verdict, build_scenario, run_scenario
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64, substream
-from vsslab.vss import Share, commit, commit_integer, verify_share
+from vsslab.vss import (
+    INTEGER_COMMITMENT_GUARD_BITS,
+    PROJECTION_EXPONENT_LOG2,
+    Share,
+    commit,
+    commit_integer,
+    projected_bit_length,
+    verify_share,
+)
 
 
 def test_criterion_1_pinned_worked_example():
@@ -134,7 +141,7 @@ def test_criterion_5_hardened_impossibility():
 
     # exhaustive scan: the only accepted value below q is the honest one
     for k in range(1, 6):
-        honest = eval_mod(poly, k, 11)
+        honest = eval_integer(poly, k) % 11
         accepted = [
             v
             for v in range(0, 11)
@@ -151,27 +158,25 @@ def test_criterion_5_hardened_impossibility():
 
 def test_criterion_6_integer_commitment_growth():
     # every executed row through a = 2**16 obeys bitlen(2**a) = a + 1
-    modulus = 65537  # prime, so exponents 0..65536 are valid coefficients
     chunk = 2048
     checked = 0
     for start in range(0, 65537, chunk):
         exps = tuple(range(start, min(start + chunk, 65537)))
-        poly = SecretPolynomial(dealer=1, coeffs=exps, field_modulus=modulus)
-        values, report = commit_integer(poly, g=2)
-        for a, value, entry in zip(exps, values, report.entries):
+        values = commit_integer(exps, g=2)
+        for a, value in zip(exps, values):
             assert value == 1 << a
-            assert entry.bit_length == a + 1
+            assert value.bit_length() == a + 1
             checked += 1
     assert checked == 65537
 
     # the 1024-bit row is never executed, only projected, and is infeasible
-    _, report = commit_integer(
-        SecretPolynomial(dealer=1, coeffs=(1,), field_modulus=11), g=2
-    )
-    assert report.projected.exponent_log2 == 1024
-    assert report.projected.infeasible
-    assert report.projected.bit_length == 2**1024 + 1
-    assert report.projected.bit_length > 10**308
+    assert PROJECTION_EXPONENT_LOG2 == 1024
+    projected = projected_bit_length(2, 1 << PROJECTION_EXPONENT_LOG2)
+    assert projected > INTEGER_COMMITMENT_GUARD_BITS
+    with pytest.raises(TooLarge):
+        commit_integer((1 << PROJECTION_EXPONENT_LOG2,), g=2)
+    assert projected == 2**1024 + 1
+    assert projected > 10**308
 
 
 def test_criterion_7_transcript_determinism(tmp_path):

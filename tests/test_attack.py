@@ -21,7 +21,6 @@ from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
     eval_integer,
-    eval_mod,
     lagrange_weights,
     lagrange_zero,
     sample_polynomial,
@@ -130,7 +129,7 @@ class TestReconstructionCorruption:
         poly = sample_polynomial(3, 11, 1, SplitMix64(77))
         m = 2
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-        honest = {k: eval_mod(poly, k, 11) for k in range(1, 8)}
+        honest = {k: eval_integer(poly, k) % 11 for k in range(1, 8)}
         forged = {k: forge_share(poly, k, small11, strat).value % 11 for k in range(1, 8)}
         for subset in itertools.combinations(range(1, 8), 3):
             for flags in itertools.product([False, True], repeat=3):
@@ -149,7 +148,7 @@ class TestReconstructionCorruption:
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
         xs = (1, 4)
         weights = lagrange_weights(xs, 11)
-        honest = [eval_mod(poly, k, 11) for k in xs]
+        honest = [eval_integer(poly, k) % 11 for k in xs]
         pts = [(xs[0], honest[0]), (xs[1], forge_share(poly, xs[1], small11, strat).value % 11)]
         got = lagrange_zero(pts, 11)
         assert got == (poly.secret - weights[1]) % 11

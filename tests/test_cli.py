@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, transcript files, the size demo."""
 
+import hashlib
 import json
 
 import pytest
@@ -179,6 +180,18 @@ class TestSizeDemo:
         assert all(int(e["bit_length"]) == int(e["exponent"]) + 1 for e in entries)
         assert doc["projected"]["infeasible"] is True
         assert int(doc["projected"]["exponent_log2"]) == 1024
+
+    @pytest.mark.parametrize("bits, json_sha256, stdout_sha256", [
+        (8, "5f1454a4061f2b6c257737ff5033ab50ee35fc655d949a4b35e9839688bb3511",
+         "d625ae22cf807a7b521c04bbaaebf398b1fb9771be2aa28d56585f4d51ec1ecb"),
+        (20, "cccfe3aab445168bba79564c1126551fc158d669c858927d6c916b4eb48cd5fb",
+         "50367dff0a2fd4118213470002957ee7449fbe430b20d8ce63ac64ecd257d7ef"),
+    ])
+    def test_output_is_byte_stable(self, tmp_path, capsys, bits, json_sha256, stdout_sha256):
+        out = tmp_path / "sizes.json"
+        assert run_cli("demo-integer-commitments", "--bits", str(bits), "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha256
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha256
 
     def test_bits_bounds_enforced(self):
         assert run_cli("demo-integer-commitments", "--bits", "0") == 1

@@ -29,7 +29,7 @@ def test_every_absolute_import_is_standard_library():
     assert outside == set()
 
 
-SINGLE_USE = ("configparser", "importlib.resources", "fractions", "typing")
+SINGLE_USE = ("configparser", "importlib.resources", "fractions", "typing", "pathlib")
 
 
 def test_loading_the_registry_pulls_in_no_single_use_module():
@@ -42,7 +42,7 @@ def test_loading_the_registry_pulls_in_no_single_use_module():
         "import sys\n"
         f"for name in {needed!r}: __import__(name)\n"
         "before = set(sys.modules)\n"
-        "import vsslab; vsslab.load_registry()\n"
+        "import vsslab, vsslab.cli; vsslab.load_registry()\n"
         f"print(sorted(set({SINGLE_USE!r}) & (set(sys.modules) - before)))\n"
     )
     result = subprocess.run(

@@ -167,21 +167,17 @@ class TestGroupParams:
             GroupParams(p=11, g=2, d=5, mode=Mode.VULNERABLE).validate()
 
     def test_hardened_requires_prime_q_matching_d(self):
-        GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED, q=11).validate()
-        with pytest.raises(InvalidGroupParams):
-            GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED, q=7).validate()
-        with pytest.raises(InvalidGroupParams):
-            GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED).validate()
-
-    def test_vulnerable_must_not_carry_q(self):
-        with pytest.raises(InvalidGroupParams):
-            GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE, q=11).validate()
+        GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED).validate()
+        # 5 generates all of Z_23*: its exact order 22 is not prime
+        GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate()
+        with pytest.raises(InvalidGroupParams, match="not prime"):
+            GroupParams(p=23, g=5, d=22, mode=Mode.HARDENED).validate()
 
     def test_field_modulus_property(self):
         vuln = GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE)
-        hard = GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED, q=11)
-        assert vuln.field_modulus == 23
-        assert hard.field_modulus == 11
+        hard = GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED)
+        assert (vuln.field_modulus, vuln.q) == (23, None)
+        assert (hard.field_modulus, hard.q) == (11, 11)
 
     def test_composite_p_rejected(self):
         with pytest.raises(InvalidGroupParams):

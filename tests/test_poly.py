@@ -12,7 +12,6 @@ from vsslab.poly import (
     _lagrange_basis,
     _lagrange_weights,
     eval_integer,
-    eval_mod,
     lagrange_basis,
     lagrange_weights,
     lagrange_zero,
@@ -29,12 +28,6 @@ def test_eval_integer_worked_example():
     # P(x) = 3 + 4x over Z_11, evaluated without reduction
     assert eval_integer(poly([3, 4]), 2) == 11
     assert eval_integer(poly([3, 4]), 1) == 7
-
-
-def test_eval_mod_reduces_eval_integer():
-    p = poly([3, 4])
-    for k in range(1, 9):
-        assert eval_mod(p, k, 11) == eval_integer(p, k) % 11
 
 
 def test_eval_rejects_nonpositive_point():
@@ -115,7 +108,7 @@ def test_every_t_subset_recovers_the_secret(data):
     n = data.draw(st.integers(min_value=t, max_value=7))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
     p = sample_polynomial(t, m, 1, SplitMix64(seed))
-    points = [(k, eval_mod(p, k, m)) for k in range(1, n + 1)]
+    points = [(k, eval_integer(p, k) % m) for k in range(1, n + 1)]
     for subset in itertools.combinations(points, t):
         assert lagrange_zero(list(subset), m) == p.secret
 
@@ -164,7 +157,7 @@ def test_basis_recovers_every_coefficient(data):
                             min_size=t, max_size=t, unique=True))
     p = sample_polynomial(t, m, 1, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
     basis = lagrange_basis(xs, m)
-    ys = [eval_mod(p, x, m) for x in xs]
+    ys = [eval_integer(p, x) % m for x in xs]
     assert tuple(sum(y * w for y, w in zip(ys, row)) % m for row in basis) == p.coeffs
     assert basis[0] == lagrange_weights(xs, m)
 

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
-from vsslab.errors import ConfigInvalid, InsufficientShares
+from vsslab.errors import ConfigInvalid, DealerMismatch, InsufficientShares
 from vsslab.numtheory import Mode
 from vsslab.poly import (
     _lagrange_basis,
     _lagrange_weights,
     eval_integer,
-    eval_mod,
     sample_polynomial,
 )
 from vsslab.protocol import (
@@ -232,7 +231,7 @@ class TestReconstructDealerSecret:
         poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
         commits = commit(poly, small11)
         shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=1, recipient=2, value=11)]
-        value, check = reconstruct_dealer_secret(1, shares, commits, small11, t=2)
+        value, check = reconstruct_dealer_secret(shares, commits, small11)
         assert (value, check) == (3, True)
 
     def test_worked_example_corrupted(self, small11):
@@ -241,7 +240,7 @@ class TestReconstructDealerSecret:
         poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
         commits = commit(poly, small11)
         shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=1, recipient=2, value=21)]
-        value, check = reconstruct_dealer_secret(1, shares, commits, small11, t=2)
+        value, check = reconstruct_dealer_secret(shares, commits, small11)
         assert (value, check) == (4, False)
 
     def test_insufficient_shares_raise(self, small11):
@@ -250,9 +249,15 @@ class TestReconstructDealerSecret:
         poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
         commits = commit(poly, small11)
         with pytest.raises(InsufficientShares):
-            reconstruct_dealer_secret(
-                1, [Share(dealer=1, recipient=1, value=7)], commits, small11, t=2
-            )
+            reconstruct_dealer_secret([Share(dealer=1, recipient=1, value=7)], commits, small11)
+
+    def test_a_share_from_another_dealer_raises(self, small11):
+        from vsslab.poly import SecretPolynomial
+
+        commits = commit(SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11), small11)
+        shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=2, recipient=2, value=11)]
+        with pytest.raises(DealerMismatch):
+            reconstruct_dealer_secret(shares, commits, small11)
 
 
 class TestScenarioVerdicts:
@@ -350,7 +355,10 @@ class TestScenarioVerdicts:
         # commitment check, so g**key always matches the aggregate key
         report = run_scenario(build_scenario("honest", seed=7))
         first, *rest = report.reconstructions
-        shifted = dataclasses.replace(first, recovered=first.recovered + 1)
+        *tried, passed = first.attempts
+        shifted = dataclasses.replace(
+            first, attempts=(*tried, dataclasses.replace(passed, value=passed.value + 1)))
+        assert shifted.recovered == first.recovered + 1
         with pytest.raises(RuntimeError, match="aggregate public key"):
             assemble_group_key((shifted, *rest), report.commitments, report.params,
                                report.verification_matrix)
@@ -367,18 +375,18 @@ class TestScenarioVerdicts:
 
 class TestVerificationRound:
     def test_hardened_out_of_range_share_gets_a_false_entry(self, p23q11):
-        from vsslab.poly import SecretPolynomial, eval_mod
+        from vsslab.poly import SecretPolynomial
         from vsslab.protocol import run_verification_round
 
         p1 = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
         p2 = SecretPolynomial(dealer=2, coeffs=(5, 1), field_modulus=11)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
         shares = [
-            Share(dealer=1, recipient=1, value=eval_mod(p1, 1, 11)),
+            Share(dealer=1, recipient=1, value=eval_integer(p1, 1) % 11),
             # same exponent class but numerically above q: range check trips
-            Share(dealer=1, recipient=2, value=eval_mod(p1, 2, 11) + 11),
-            Share(dealer=2, recipient=1, value=eval_mod(p2, 1, 11)),
-            Share(dealer=2, recipient=2, value=eval_mod(p2, 2, 11)),
+            Share(dealer=1, recipient=2, value=eval_integer(p1, 2) % 11 + 11),
+            Share(dealer=2, recipient=1, value=eval_integer(p2, 1) % 11),
+            Share(dealer=2, recipient=2, value=eval_integer(p2, 2) % 11),
         ]
         assert run_verification_round(shares, commits, p23q11) == ((True, False), (True, True))
 
@@ -442,7 +450,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
     shares = []
     for poly in polys:
         for k in range(1, n + 1):
-            honest = eval_mod(poly, k, params.q) if hardened else eval_integer(poly, k)
+            honest = eval_integer(poly, k) % params.q if hardened else eval_integer(poly, k)
             shift = data.draw(st.sampled_from(shifts))
             if shift is not None:
                 shares.append(Share(dealer=poly.dealer, recipient=k, value=honest + shift))
@@ -588,8 +596,8 @@ class TestReconstructionMatchesOracle:
                     for rec, commits in zip(report.reconstructions, report.commitments):
                         oracle = [
                             ReconstructionAttempt(subset, *reconstruct_dealer_secret(
-                                rec.dealer, [by_key[rec.dealer, k] for k in subset],
-                                commits, report.params, t))
+                                [by_key[rec.dealer, k] for k in subset],
+                                commits, report.params))
                             for subset in itertools.combinations(rec.pool, t)
                         ]
                         first = next((i for i, a in enumerate(oracle) if a.commitment_check),

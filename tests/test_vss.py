@@ -14,19 +14,20 @@ from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
     eval_integer,
-    eval_mod,
     sample_polynomial,
 )
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
+    PROJECTION_EXPONENT_LOG2,
     CommitmentVector,
     Share,
     aggregate_public_key,
     commit,
     commit_integer,
     commitment_in_group,
+    projected_bit_length,
     range_check,
     verify_row,
     verify_share,
@@ -194,7 +195,7 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            share = Share(dealer=1, recipient=k, value=eval_mod(poly, k, 11))
+            share = Share(dealer=1, recipient=k, value=eval_integer(poly, k) % 11)
             assert range_check(share, p23q11)
             assert verify_share(share, commits, p23q11)
 
@@ -204,7 +205,7 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            honest = eval_mod(poly, k, 11)
+            honest = eval_integer(poly, k) % 11
             accepted = [
                 v
                 for v in range(0, 11)
@@ -265,8 +266,8 @@ class TestVerifyRow:
 
     def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
         poly = mkpoly([3, 4], 11)
-        shares = [Share(1, k, eval_mod(poly, k, 11)) for k in (1, 2, 3)]
-        shares.append(Share(1, 4, eval_mod(poly, 4, 11) + 11))
+        shares = [Share(1, k, eval_integer(poly, k) % 11) for k in (1, 2, 3)]
+        shares.append(Share(1, 4, eval_integer(poly, 4) % 11 + 11))
         commits = commit(poly, p23q11)
         assert verify_row(shares, commits, p23q11) == (True, True, True, False)
         assert share_checks == []
@@ -291,7 +292,7 @@ def test_verify_row_matches_the_per_share_checks(data):
     recipients = data.draw(st.lists(st.integers(1, 10), max_size=7))
     shares = []
     for k in recipients:
-        honest = eval_mod(poly, k, params.q) if params.q else eval_integer(poly, k)
+        honest = eval_integer(poly, k) % params.q if params.q else eval_integer(poly, k)
         shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
         shares.append(Share(1, k, honest + shift))
     assert verify_row(shares, commit(poly, params), params) == per_share(
@@ -318,42 +319,40 @@ class TestAggregatePublicKey:
 
 class TestIntegerCommitments:
     def test_small_exponents_execute_exactly(self):
-        poly = SecretPolynomial(dealer=1, coeffs=(0, 1, 2, 16), field_modulus=17)
-        values, report = commit_integer(poly, g=2)
+        values = commit_integer((0, 1, 2, 16), g=2)
         assert values == (1, 2, 4, 65536)
-        assert [e.bit_length for e in report.entries] == [1, 2, 3, 17]
-        assert report.projected.infeasible
+        assert [v.bit_length() for v in values] == [1, 2, 3, 17]
+        assert projected_bit_length(2, 1 << PROJECTION_EXPONENT_LOG2) > (
+            INTEGER_COMMITMENT_GUARD_BITS)
 
     def test_bit_length_law_for_powers_of_two(self):
         # bitlen(2^a) = a + 1, checked on a spread of exponents
         exps = [0, 1, 2, 3, 10, 100, 1000, 4096]
-        poly = SecretPolynomial(dealer=1, coeffs=tuple(exps), field_modulus=2**13)
-        values, report = commit_integer(poly, g=2)
-        for a, v, entry in zip(exps, values, report.entries):
+        values = commit_integer(exps, g=2)
+        for a, v in zip(exps, values):
             assert v == 2**a
-            assert entry.bit_length == a + 1
+            assert v.bit_length() == a + 1
 
     def test_guard_rejects_infeasible_exponent(self):
         # g = 2 and a just beyond the guard: 2**a would exceed the bit budget
-        poly = SecretPolynomial(
-            dealer=1,
-            coeffs=(INTEGER_COMMITMENT_GUARD_BITS + 1,),
-            field_modulus=2**21,
-        )
         with pytest.raises(TooLarge):
-            commit_integer(poly, g=2)
+            commit_integer((INTEGER_COMMITMENT_GUARD_BITS + 1,), g=2)
+
+    def test_negative_exponents_and_small_generators_are_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            commit_integer((3, -1), g=2)
+        with pytest.raises(ValueError, match="at least 2"):
+            commit_integer((3,), g=1)
 
     def test_projection_row_describes_a_1024_bit_field(self):
-        poly = SecretPolynomial(dealer=1, coeffs=(3,), field_modulus=11)
-        _, report = commit_integer(poly, g=2)
-        assert report.projected.exponent_log2 == 1024
+        assert PROJECTION_EXPONENT_LOG2 == 1024
+        projected = projected_bit_length(2, 1 << PROJECTION_EXPONENT_LOG2)
         # bitlen(2^(2^1024)) = 2^1024 + 1
-        assert report.projected.bit_length == 2**1024 + 1
-        assert report.projected.infeasible
+        assert projected == 2**1024 + 1
+        assert projected > INTEGER_COMMITMENT_GUARD_BITS
 
     def test_projection_uses_exact_log_for_general_g(self):
-        poly = SecretPolynomial(dealer=1, coeffs=(0,), field_modulus=11)
-        _, report = commit_integer(poly, g=3)
+        projected = projected_bit_length(3, 1 << PROJECTION_EXPONENT_LOG2)
         # sanity: 3^(2^1024) has about 1.585 * 2^1024 bits
-        assert report.projected.bit_length > 2**1024
-        assert report.projected.bit_length < 2**1025
+        assert projected > 2**1024
+        assert projected < 2**1025
