@@ -16,7 +16,6 @@ from .numtheory import (
     gen_params,
     is_prime,
     mod_inv,
-    multiplicative_order,
 )
 from .poly import (
     SecretPolynomial,
@@ -41,7 +40,7 @@ from .protocol import (
     run_scenario,
     run_verification_round,
 )
-from .registry import get_params, load_registry, registry_names
+from .registry import get_params, load_registry
 from .rng import SplitMix64, substream
 from .transcript import audit_transcript, canonical_json, render_report, report_to_dict
 from .vss import (

@@ -14,12 +14,12 @@ exactly one member, the honest share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigInvalid, ForgeryImpossible, ModeMismatch, UselessMultiplier
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial, eval_integer, lagrange_weights
+from .record import record
 from .vss import Share
 
 
@@ -30,7 +30,7 @@ class StrategyKind(str, Enum):
     ORDER_SHIFT = "order_shift"
 
 
-@dataclass(frozen=True)
+@record
 class ForgeryStrategy:
     kind: StrategyKind
     multiplier: int = 1

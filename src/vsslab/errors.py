@@ -13,10 +13,6 @@ class NotInvertible(VsslabError, ValueError):
     """Inverse requested for an element that shares a factor with the modulus."""
 
 
-class NotAUnit(VsslabError, ValueError):
-    """Multiplicative order requested for 0, which is not a unit."""
-
-
 class TooLarge(VsslabError, ValueError):
     """Input exceeds a documented guard on this desk-scale implementation."""
 

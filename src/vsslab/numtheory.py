@@ -10,7 +10,6 @@ is all this desk-scale laboratory ever needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -19,10 +18,10 @@ from .errors import (
     GenerationFailed,
     InvalidGroupParams,
     ModulusTooSmall,
-    NotAUnit,
     NotInvertible,
     TooLarge,
 )
+from .record import record
 from .rng import MASK64, SplitMix64
 
 
@@ -194,31 +193,12 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def multiplicative_order(g: int, p: int) -> int:
-    """Exact order of g in Z_p* for prime p.
-
-    Starts from p - 1 and divides out prime factors while the power
-    still lands on 1; never trusts a smaller claimed order.
-    """
-    if g == 0:
-        raise NotAUnit("0 has no multiplicative order")
-    if not 1 <= g < p:
-        raise ValueError(f"need 1 <= g < p, got g={g}, p={p}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    d = p - 1
-    for r in factorize(p - 1):
-        while d % r == 0 and pow(g, d // r, p) == 1:
-            d //= r
-    return d
-
-
 # ---------------------------------------------------------------------------
 # group parameters
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GroupParams:
     """A working group: prime p, generator g of exact order d, and mode.
 

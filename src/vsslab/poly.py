@@ -4,15 +4,15 @@ and in coefficient form. Interpolation tables are cached here, bounded
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DuplicateAbscissa, ModulusTooSmall, ZeroAbscissa
 from .numtheory import is_prime, mod_inv
+from .record import record
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
+@record
 class SecretPolynomial:
     """Dealer's polynomial; coeffs[0] is the secret being shared.
 
@@ -39,11 +39,6 @@ class SecretPolynomial:
     @property
     def secret(self) -> int:
         return self.coeffs[0]
-
-    @property
-    def threshold(self) -> int:
-        """Number of evaluations needed to pin the polynomial down."""
-        return len(self.coeffs)
 
 
 def sample_polynomial(t: int, field_modulus: int, dealer: int, rng: SplitMix64) -> SecretPolynomial:

@@ -24,13 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, DealerMismatch, ForgeryImpossible, InsufficientShares
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import SecretPolynomial, eval_integer, lagrange_zero, sample_polynomial
+from .record import record
 from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, Share, aggregate_public_key, commit, verify_row
@@ -64,7 +64,7 @@ class BehaviorKind(str, Enum):
     WITHHOLDING_DEALER = "withholding_dealer"
 
 
-@dataclass(frozen=True)
+@record
 class Behavior:
     """What one party does.
 
@@ -91,7 +91,7 @@ class Behavior:
         return self.kind is not BehaviorKind.HONEST
 
 
-@dataclass(frozen=True)
+@record
 class GenSpec:
     """Generate parameters on the fly instead of using a registry entry."""
 
@@ -106,7 +106,7 @@ def _check_party_count(n: int) -> None:
         raise ConfigInvalid(f"at most {MAX_PARTIES} parties are supported, got n={n}")
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     scenario: str
     n: int
@@ -145,6 +145,18 @@ class ScenarioConfig:
             # only inflates the forged share
             if behavior.strategy is not None and behavior.strategy.multiplier >= params.p:
                 raise ConfigInvalid(f"party {pid} needs a forgery multiplier below p = {params.p}")
+        # the label is part of the transcript, so it must not misname the
+        # behaviors; false-share and hardened-attack build the same ones
+        # and differ only in default params, so those two labels swap
+        if self.scenario in SCENARIO_NAMES:
+            if self.behaviors != _built_in_behaviors(self.scenario, self.n):
+                raise ConfigInvalid(
+                    f"scenario {self.scenario!r} needs the behaviors build_scenario gives it")
+        else:
+            for name in SCENARIO_NAMES:
+                if self.behaviors == _built_in_behaviors(name, self.n):
+                    raise ConfigInvalid(
+                        f"scenario {self.scenario!r} has the behaviors of built-in {name!r}")
 
 
 class Verdict(str, Enum):
@@ -152,7 +164,7 @@ class Verdict(str, Enum):
     KEY_BLOCKED = "key_blocked"
 
 
-@dataclass(frozen=True)
+@record
 class ForgeryAttempt:
     dealer: int
     recipient: int
@@ -160,21 +172,21 @@ class ForgeryAttempt:
     outcome: str  # "forged" | "forgery_impossible"
 
 
-@dataclass(frozen=True)
+@record
 class DealingRound:
     commitments: tuple[CommitmentVector, ...]
     shares: tuple[Share, ...]  # canonical (dealer, recipient) order
     forgery_attempts: tuple[ForgeryAttempt, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ReconstructionAttempt:
     subset: tuple[int, ...]
     value: int
     commitment_check: bool
 
 
-@dataclass(frozen=True)
+@record
 class DealerReconstruction:
     dealer: int
     pool: tuple[int, ...]  # recipients whose shares are on the table
@@ -192,14 +204,14 @@ class DealerReconstruction:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class Assembly:
     verdict: Verdict
     group_key: int | None
     confirmed: bool | None
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioReport:
     config: ScenarioConfig
     params: GroupParams
@@ -418,6 +430,26 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     )
 
 
+def _built_in_behaviors(name: str, n: int) -> dict[int, Behavior]:
+    behaviors: dict[int, Behavior] = {i: Behavior() for i in range(1, n + 1)}
+    others = tuple(range(2, n + 1))
+    if name in ("false-share", "hardened-attack"):
+        behaviors[1] = Behavior(
+            kind=BehaviorKind.FALSE_SHARE_DEALER,
+            strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
+            targets=others,
+        )
+    elif name == "order-shift":
+        behaviors[1] = Behavior(
+            kind=BehaviorKind.FALSE_SHARE_DEALER,
+            strategy=ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1),
+            targets=others,
+        )
+    elif name == "withhold":
+        behaviors[1] = Behavior(kind=BehaviorKind.WITHHOLDING_DEALER)
+    return behaviors
+
+
 def build_scenario(name: str, seed: int, n: int = 5, t: int = 3,
                    params_ref: "str | GenSpec | None" = None) -> ScenarioConfig:
     """Config for one of the five built-in scenarios.
@@ -438,21 +470,5 @@ def build_scenario(name: str, seed: int, n: int = 5, t: int = 3,
         params_ref = _SCENARIO_DEFAULT_PARAMS[name]
     # before n Behaviors are built: n can be anything a user typed
     _check_party_count(n)
-    behaviors: dict[int, Behavior] = {i: Behavior() for i in range(1, n + 1)}
-    others = tuple(range(2, n + 1))
-    if name in ("false-share", "hardened-attack"):
-        behaviors[1] = Behavior(
-            kind=BehaviorKind.FALSE_SHARE_DEALER,
-            strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
-            targets=others,
-        )
-    elif name == "order-shift":
-        behaviors[1] = Behavior(
-            kind=BehaviorKind.FALSE_SHARE_DEALER,
-            strategy=ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1),
-            targets=others,
-        )
-    elif name == "withhold":
-        behaviors[1] = Behavior(kind=BehaviorKind.WITHHOLDING_DEALER)
     return ScenarioConfig(scenario=name, n=n, t=t, params_ref=params_ref,
-                          behaviors=behaviors, seed=seed)
+                          behaviors=_built_in_behaviors(name, n), seed=seed)

@@ -1,10 +1,11 @@
 """Named, pinned group parameter sets shipped with the package.
 
 Each entry is a literal GroupParams: p, g, the exact order d of g, and
-the mode; a hardened entry's d is its prime subgroup order q. Every
-entry is revalidated on first load; validate() proves d is the exact
-order of g, so a mistyped value raises InvalidGroupParams instead of
-smuggling in a wrong order.
+the mode; a hardened entry's d is its prime subgroup order q. Each
+entry is revalidated the first time it is looked up, so a run pays only
+for the entry it uses; validate() proves d is the exact order of g, so
+a mistyped value raises InvalidGroupParams instead of smuggling in a
+wrong order.
 
 The v32/v64/h32/h64 entries were produced once by gen_params with a
 SplitMix64 stream at the seed noted beside each entry, then pinned here
@@ -45,23 +46,19 @@ _ENTRIES = {
 }
 
 
-@lru_cache(maxsize=1)
-def load_registry() -> dict[str, GroupParams]:
-    """All registry entries, validated; cached after the first load."""
-    for params in _ENTRIES.values():
-        params.validate()
-    return dict(_ENTRIES)
-
-
-def registry_names() -> tuple[str, ...]:
-    return tuple(load_registry())
-
-
+@lru_cache(maxsize=len(_ENTRIES))
 def get_params(name: str) -> GroupParams:
-    """Look a parameter set up by name; raises UnknownParamSet if absent."""
-    registry = load_registry()
-    if name not in registry:
+    """The entry called name, validated on its first lookup; raises
+    UnknownParamSet if absent (a lookup that raises is not cached)."""
+    if name not in _ENTRIES:
         raise UnknownParamSet(
-            f"no parameter set named {name!r}; available: {', '.join(sorted(registry))}"
+            f"no parameter set named {name!r}; available: {', '.join(sorted(_ENTRIES))}"
         )
-    return registry[name]
+    params = _ENTRIES[name]
+    params.validate()
+    return params
+
+
+def load_registry() -> dict[str, GroupParams]:
+    """All registry entries, each validated."""
+    return {name: get_params(name) for name in _ENTRIES}

@@ -29,15 +29,15 @@ per-share verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial, lagrange_basis
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CommitmentVector:
     """Public commitments c_j = g**a_j mod p, one per coefficient."""
 
@@ -50,7 +50,7 @@ class CommitmentVector:
             raise ValueError("commitment vector cannot be empty")
 
 
-@dataclass(frozen=True)
+@record
 class Share:
     """One dealt share.
 

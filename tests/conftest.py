@@ -3,6 +3,7 @@
 import re
 
 import pytest
+import sympy
 
 from vsslab.registry import get_params
 
@@ -80,3 +81,13 @@ def brute_order(g: int, p: int) -> int:
             return k
         acc = acc * g % p
     raise AssertionError(f"{g} is not a unit mod {p}")
+
+
+def multiplicative_order(g: int, p: int) -> int:
+    """Exact order of g mod the prime p: start from p - 1 and divide out
+    each prime factor (sympy's factorization) while g**d stays 1."""
+    d = p - 1
+    for r in sympy.factorint(p - 1):
+        while d % r == 0 and pow(g, d // r, p) == 1:
+            d //= r
+    return d

@@ -73,6 +73,20 @@ def test_verify_malformed_transcript_fails_cleanly(tmp_path, capsys, edit):
     assert "FAIL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario,label", [("false-share", "honest"), ("honest", "")])
+def test_verify_rejects_a_relabelled_transcript(tmp_path, capsys, scenario, label):
+    out = tmp_path / "t.json"
+    run_cli("run", "--scenario", scenario, "--seed", "5", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["config"]["scenario"] = label
+    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAIL: config does not re-run: scenario {label!r}")
+    assert "Traceback" not in err
+
+
 def test_verify_undecodable_file_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "t.json"
     out.write_bytes(b"\xff\xfe{}")

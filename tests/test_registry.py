@@ -1,18 +1,18 @@
 """Named parameter registry: pinned values, validation on load."""
 
-from dataclasses import replace
-
 import pytest
 
 from vsslab import registry
 from vsslab.errors import InvalidGroupParams, UnknownParamSet
-from vsslab.numtheory import Mode, gen_params, multiplicative_order
-from vsslab.registry import get_params, load_registry, registry_names
+from vsslab.numtheory import GroupParams, Mode, gen_params
+from vsslab.registry import get_params, load_registry
 from vsslab.rng import SplitMix64
+
+from conftest import multiplicative_order
 
 
 def test_registry_lists_all_pinned_sets():
-    names = registry_names()
+    names = tuple(load_registry())
     for expected in ("small11", "p23order11", "p23q11", "v32", "v64", "h32", "h64"):
         assert expected in names
 
@@ -86,12 +86,35 @@ def test_a_wrong_pinned_order_is_rejected_on_load(name, monkeypatch):
     params = get_params(name)
     # half the true order for v64, twice it (p - 1) for h64; both divide p - 1
     wrong = params.d // 2 if params.mode is Mode.VULNERABLE else params.p - 1
-    monkeypatch.setitem(registry._ENTRIES, name, replace(params, d=wrong))
-    load_registry.cache_clear()
+    monkeypatch.setitem(registry._ENTRIES, name,
+                        GroupParams(p=params.p, g=params.g, d=wrong, mode=params.mode))
+    get_params.cache_clear()
     try:
         with pytest.raises(InvalidGroupParams):
             load_registry()
+        with pytest.raises(InvalidGroupParams):
+            get_params(name)
     finally:
         monkeypatch.undo()
-        load_registry.cache_clear()
+        get_params.cache_clear()
     assert get_params(name) == params
+
+
+def test_a_lookup_validates_only_its_entry_and_only_once(monkeypatch):
+    validated = []
+    original = GroupParams.validate
+
+    def counting(self):
+        validated.append(self)
+        original(self)
+
+    monkeypatch.setattr(GroupParams, "validate", counting)
+    get_params.cache_clear()
+    try:
+        assert get_params("v64") is get_params("v64")
+        assert validated == [registry._ENTRIES["v64"]]
+        load_registry()
+        # the full load validates each other entry once, and v64 not again
+        assert len(validated) == len(set(validated)) == len(registry._ENTRIES)
+    finally:
+        get_params.cache_clear()

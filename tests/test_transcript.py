@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.protocol import SCENARIO_NAMES, build_scenario, run_scenario
+from vsslab.attack import ForgeryStrategy, StrategyKind
+from vsslab.protocol import (
+    SCENARIO_NAMES,
+    Behavior,
+    BehaviorKind,
+    ScenarioConfig,
+    build_scenario,
+    run_scenario,
+)
 from vsslab.transcript import (
     SCHEMA_VERSION,
     audit_transcript,
@@ -223,6 +231,33 @@ class TestAudit:
     def test_malformed_config_is_a_problem_not_a_crash(self, false_share_text, edit):
         problems = audit_transcript(canonical_json(edit(json.loads(false_share_text))))
         assert problems
+
+    @pytest.mark.parametrize("built,label", [("false-share", "honest"), ("honest", "")])
+    def test_a_relabelled_transcript_is_a_problem(self, built, label):
+        # the verdict and every share still match a run of the config;
+        # only the label misnames what the parties did
+        text = render_report(run_scenario(build_scenario(built, seed=5)))
+        relabelled = set_config_field(("scenario",), label)(json.loads(text))
+        problems = audit_transcript(canonical_json(relabelled))
+        assert len(problems) == 1
+        assert problems[0].startswith(f"config does not re-run: scenario {label!r}")
+
+    def test_false_share_and_hardened_attack_labels_swap(self):
+        # documented exception: both labels build the same behaviors, and
+        # the params a run used are in its config either way
+        text = render_report(run_scenario(build_scenario("false-share", seed=5)))
+        swapped = set_config_field(("scenario",), "hardened-attack")(json.loads(text))
+        assert audit_transcript(canonical_json(swapped)) == []
+
+    def test_a_custom_config_under_a_custom_label_is_clean(self):
+        # party 1 forges to four of twelve, as the benchmark's
+        # partial-forgery ceremony does
+        behaviors = {pid: Behavior() for pid in range(1, 13)}
+        behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
+                                strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
+                                targets=(2, 5, 8, 11))
+        config = ScenarioConfig("partial-forgery", 12, 6, "v64", behaviors, 5)
+        assert audit_transcript(render_report(run_scenario(config))) == []
 
     def test_config_over_the_attempt_budget_is_a_problem(self, false_share_text):
         # a well-formed config for v64 with n=40 t=20 would take about
