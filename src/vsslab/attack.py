@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import ConfigInvalid, ForgeryImpossible, ModeMismatch, UselessMultiplier
+from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial, eval_integer, lagrange_weights
 from .record import record
@@ -52,7 +52,7 @@ def forge_share(
 
     Raises ForgeryImpossible on hardened parameters: with values forced
     below q and acceptance meaning congruence mod q, the only accepted
-    value is the honest one. Raises UselessMultiplier when the chosen
+    value is the honest one. Raises VsslabError when the chosen
     multiplier is a multiple of p, which would leave the share honest
     mod p and corrupt nothing.
     """
@@ -62,16 +62,16 @@ def forge_share(
             "share; larger values fail the range check, so no forgery verifies"
         )
     if poly.field_modulus != params.p:
-        raise ModeMismatch(
+        raise VsslabError(
             f"polynomial over Z_{poly.field_modulus} does not belong to p = {params.p}"
         )
     if strategy.multiplier % params.p == 0:
-        raise UselessMultiplier(
+        raise VsslabError(
             f"multiplier {strategy.multiplier} is 0 mod p; the forged share would "
             f"equal the honest one in the reconstruction field"
         )
     if not 0 < k < params.p:
-        raise ValueError(f"evaluation point {k} outside (0, p)")
+        raise VsslabError(f"evaluation point {k} outside (0, p)")
     offset = (params.p - 1) if strategy.kind is StrategyKind.ADD_P_MINUS_ONE else params.d
     return Share(
         dealer=poly.dealer,
@@ -97,7 +97,7 @@ def predict_corruption(points, m_uniform: int, p: int) -> int:
     """
     points = tuple(points)
     if m_uniform < 0:
-        raise ValueError("multiplier must be non-negative")
+        raise VsslabError("multiplier must be non-negative")
     weights = lagrange_weights((k for k, _, _ in points), p)
     honest_at_zero = sum(y * w for (_, y, _), w in zip(points, weights)) % p
     forged_weight = sum(w for (_, _, f), w in zip(points, weights) if f) % p

@@ -1,19 +1,19 @@
-"""Exception types shared across the package."""
+"""The library's one error rule.
+
+Every failure raised on purpose is a VsslabError, itself a ValueError, so
+`except ValueError` callers keep working and the CLI prints any of them as
+an `error:` line with exit 1. Most sites raise VsslabError itself; a
+subclass exists only where a caller or the README tells it apart, or where
+it must also be another builtin type. The few other raises in the package
+are invariants (RuntimeError) and the record and CLI plumbing.
+"""
 
 
-class VsslabError(Exception):
-    """Base class for every error this library raises on purpose."""
+class VsslabError(ValueError):
+    """Every error this library raises on purpose."""
 
 
-class ModulusTooSmall(VsslabError, ValueError):
-    """Modular arithmetic asked for with a modulus below 2."""
-
-
-class NotInvertible(VsslabError, ValueError):
-    """Inverse requested for an element that shares a factor with the modulus."""
-
-
-class TooLarge(VsslabError, ValueError):
+class TooLarge(VsslabError):
     """Input exceeds a documented guard on this desk-scale implementation."""
 
 
@@ -21,47 +21,15 @@ class GenerationFailed(VsslabError, RuntimeError):
     """Parameter generation exhausted its retry bound."""
 
 
-class InvalidGroupParams(VsslabError, ValueError):
+class InvalidGroupParams(VsslabError):
     """A GroupParams value violates one of its structural invariants."""
 
 
-class ModeMismatch(VsslabError, ValueError):
-    """Polynomial field does not match the group parameter mode."""
-
-
-class DealerMismatch(VsslabError, ValueError):
-    """Share and commitment vector come from different dealers."""
-
-
-class WrongMode(VsslabError, ValueError):
-    """Operation only defined for the other parameter mode."""
-
-
-class EmptyInput(VsslabError, ValueError):
-    """A non-empty collection was required."""
-
-
-class DuplicateAbscissa(VsslabError, ValueError):
-    """Two interpolation points share an x coordinate."""
-
-
-class ZeroAbscissa(VsslabError, ValueError):
-    """An interpolation point sits at x = 0, which would leak the secret slot."""
-
-
-class ForgeryImpossible(VsslabError, ValueError):
+class ForgeryImpossible(VsslabError):
     """No forged share can pass verification under these parameters."""
 
 
-class UselessMultiplier(VsslabError, ValueError):
-    """The forgery multiplier is a multiple of p and would not corrupt anything."""
-
-
-class InsufficientShares(VsslabError, ValueError):
-    """Fewer shares supplied than the reconstruction threshold."""
-
-
-class ConfigInvalid(VsslabError, ValueError):
+class ConfigInvalid(VsslabError):
     """Scenario configuration violates a structural constraint."""
 
 

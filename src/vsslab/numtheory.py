@@ -13,14 +13,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .errors import (
-    ConfigInvalid,
-    GenerationFailed,
-    InvalidGroupParams,
-    ModulusTooSmall,
-    NotInvertible,
-    TooLarge,
-)
+from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, TooLarge, VsslabError
 from .record import record
 from .rng import MASK64, SplitMix64
 
@@ -39,13 +32,13 @@ class Mode(str, Enum):
 
 
 def mod_inv(a: int, m: int) -> int:
-    """Inverse of a modulo m, or NotInvertible when gcd(a, m) != 1."""
+    """Inverse of a modulo m; VsslabError when m < 2 or gcd(a, m) != 1."""
     if m < 2:
-        raise ModulusTooSmall(f"modulus must be at least 2, got {m}")
+        raise VsslabError(f"modulus must be at least 2, got {m}")
     try:
         return pow(a, -1, m)
     except ValueError:
-        raise NotInvertible(
+        raise VsslabError(
             f"{a} is not invertible mod {m} (gcd = {math.gcd(a, m)})"
         ) from None
 
@@ -170,7 +163,7 @@ def factorize(n: int) -> dict[int, int]:
     session; everything the laboratory generates stays far below that.
     """
     if n < 1:
-        raise ValueError(f"can only factor positive integers, got {n}")
+        raise VsslabError(f"can only factor positive integers, got {n}")
     if n.bit_length() > FACTOR_GUARD_BITS:
         raise TooLarge(f"refusing to factor {n.bit_length()}-bit input (limit {FACTOR_GUARD_BITS} bits)")
     out: dict[int, int] = {}
@@ -235,11 +228,14 @@ class GroupParams:
             raise InvalidGroupParams(f"order {self.d} does not divide p - 1 = {self.p - 1}")
         if pow(self.g, self.d, self.p) != 1:
             raise InvalidGroupParams(f"g**d != 1 mod p for d = {self.d}")
+        if self.mode is Mode.HARDENED:
+            # g != 1, so a prime d is exact: no factoring needed
+            if not is_prime(self.d):
+                raise InvalidGroupParams(f"hardened order d = {self.d} is not prime")
+            return
         for r in factorize(self.d):
             if pow(self.g, self.d // r, self.p) == 1:
                 raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
-        if self.mode is Mode.HARDENED and not is_prime(self.d):
-            raise InvalidGroupParams(f"hardened order d = {self.d} is not prime")
 
 
 _PRIME_ATTEMPTS = 4096

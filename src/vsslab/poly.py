@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DuplicateAbscissa, ModulusTooSmall, ZeroAbscissa
-from .numtheory import is_prime, mod_inv
+from .errors import VsslabError
+from .numtheory import mod_inv
 from .record import record
 from .rng import SplitMix64
 
@@ -27,14 +27,14 @@ class SecretPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if self.dealer < 0:
-            raise ValueError("dealer id must be non-negative")
+            raise VsslabError("dealer id must be non-negative")
         if self.field_modulus < 2:
-            raise ModulusTooSmall(f"field modulus must be at least 2, got {self.field_modulus}")
+            raise VsslabError(f"field modulus must be at least 2, got {self.field_modulus}")
         if len(self.coeffs) < 1:
-            raise ValueError("polynomial needs at least one coefficient")
+            raise VsslabError("polynomial needs at least one coefficient")
         for c in self.coeffs:
             if not 0 <= c < self.field_modulus:
-                raise ValueError(f"coefficient {c} outside [0, {self.field_modulus})")
+                raise VsslabError(f"coefficient {c} outside [0, {self.field_modulus})")
 
     @property
     def secret(self) -> int:
@@ -48,9 +48,7 @@ def sample_polynomial(t: int, field_modulus: int, dealer: int, rng: SplitMix64) 
     is exactly uniform on [0, field_modulus).
     """
     if t < 1:
-        raise ValueError(f"need at least one coefficient, got t={t}")
-    if not is_prime(field_modulus):
-        raise ValueError(f"field modulus {field_modulus} must be prime")
+        raise VsslabError(f"need at least one coefficient, got t={t}")
     return SecretPolynomial(
         dealer=dealer,
         coeffs=tuple(rng.randbelow(field_modulus) for _ in range(t)),
@@ -65,7 +63,7 @@ def eval_integer(poly: SecretPolynomial, k: int) -> int:
     dealer actually transmits: the true value, not a residue.
     """
     if k < 1:
-        raise ValueError(f"evaluation point must be positive, got {k}")
+        raise VsslabError(f"evaluation point must be positive, got {k}")
     acc = 0
     for c in reversed(poly.coeffs):
         acc = acc * k + c
@@ -75,15 +73,15 @@ def eval_integer(poly: SecretPolynomial, k: int) -> int:
 def _check_abscissas(xs: tuple[int, ...], m: int) -> None:
     """Raise unless xs are distinct nonzero elements of Z_m."""
     if not xs:
-        raise ValueError("need at least one abscissa")
+        raise VsslabError("need at least one abscissa")
     seen = set()
     for x in xs:
         if x == 0:
-            raise ZeroAbscissa("abscissa 0 would address the secret itself")
+            raise VsslabError("abscissa 0 would address the secret itself")
         if not 0 < x < m:
-            raise ValueError(f"abscissa {x} outside (0, {m})")
+            raise VsslabError(f"abscissa {x} outside (0, {m})")
         if x in seen:
-            raise DuplicateAbscissa(f"abscissa {x} appears twice")
+            raise VsslabError(f"abscissa {x} appears twice")
         seen.add(x)
 
 
@@ -131,10 +129,10 @@ def lagrange_zero(points, m: int) -> int:
     """
     points = tuple(points)
     if not points:
-        raise ValueError("need at least one point")
+        raise VsslabError("need at least one point")
     for _, y in points:
         if not 0 <= y < m:
-            raise ValueError(f"ordinate {y} outside [0, {m})")
+            raise VsslabError(f"ordinate {y} outside [0, {m})")
     weights = lagrange_weights((x for x, _ in points), m)
     return sum(y * w for (_, y), w in zip(points, weights)) % m
 

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from enum import Enum
 
 from .attack import ForgeryStrategy, StrategyKind, forge_share
-from .errors import ConfigInvalid, DealerMismatch, ForgeryImpossible, InsufficientShares
+from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import SecretPolynomial, eval_integer, lagrange_zero, sample_polynomial
 from .record import record
@@ -324,10 +324,10 @@ def reconstruct_dealer_secret(shares, commits: CommitmentVector, params: GroupPa
     shares = tuple(shares)
     t = len(commits.c)
     if len(shares) < t:
-        raise InsufficientShares(f"need {t} shares, got {len(shares)}")
+        raise VsslabError(f"need {t} shares, got {len(shares)}")
     for s in shares:
         if s.dealer != commits.dealer:
-            raise DealerMismatch(
+            raise VsslabError(
                 f"share from dealer {s.dealer} in a pool for dealer {commits.dealer}"
             )
     m = params.field_modulus

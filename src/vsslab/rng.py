@@ -13,6 +13,8 @@ finalizer, so draw order in one stream never perturbs another.
 
 from __future__ import annotations
 
+from .errors import VsslabError
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -30,7 +32,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         if seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise VsslabError("seed must be non-negative")
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
@@ -40,7 +42,7 @@ class SplitMix64:
     def randbits(self, k: int) -> int:
         """Uniform integer in [0, 2**k)."""
         if k < 0:
-            raise ValueError("bit count must be non-negative")
+            raise VsslabError("bit count must be non-negative")
         out = 0
         filled = 0
         while filled < k:
@@ -51,7 +53,7 @@ class SplitMix64:
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection on n.bit_length() bits."""
         if n < 1:
-            raise ValueError("bound must be positive")
+            raise VsslabError("bound must be positive")
         k = n.bit_length()
         while True:
             candidate = self.randbits(k)
@@ -61,7 +63,7 @@ class SplitMix64:
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi)."""
         if hi <= lo:
-            raise ValueError("empty range")
+            raise VsslabError("empty range")
         return lo + self.randbelow(hi - lo)
 
 
@@ -75,6 +77,6 @@ def substream(seed: int, *path: int) -> SplitMix64:
     s = seed & MASK64
     for index in path:
         if index < 0:
-            raise ValueError("substream indices must be non-negative")
+            raise VsslabError("substream indices must be non-negative")
         s = _mix((s + (index + 1) * _GOLDEN) & MASK64)
     return SplitMix64(s)

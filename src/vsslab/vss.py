@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
+from .errors import TooLarge, VsslabError
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial, lagrange_basis
 from .record import record
@@ -47,7 +47,7 @@ class CommitmentVector:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(self.c))
         if len(self.c) < 1:
-            raise ValueError("commitment vector cannot be empty")
+            raise VsslabError("commitment vector cannot be empty")
 
 
 @record
@@ -68,9 +68,9 @@ class Share:
 
     def __post_init__(self):
         if self.recipient < 1:
-            raise ValueError("recipient ids start at 1")
+            raise VsslabError("recipient ids start at 1")
         if self.value < 0:
-            raise ValueError("share values are non-negative")
+            raise VsslabError("share values are non-negative")
 
     @property
     def forged(self) -> bool:
@@ -80,11 +80,11 @@ class Share:
 def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
     """Commit to every coefficient of poly under params.
 
-    Raises ModeMismatch when the polynomial's field does not match the
+    Raises VsslabError when the polynomial's field does not match the
     mode (coefficients must be in Z_p for vulnerable, Z_q for hardened).
     """
     if poly.field_modulus != params.field_modulus:
-        raise ModeMismatch(
+        raise VsslabError(
             f"polynomial over Z_{poly.field_modulus} does not fit "
             f"{params.mode.value} parameters (expected Z_{params.field_modulus})"
         )
@@ -105,12 +105,12 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
     congruence value == P(k) (mod d).
     """
     if share.dealer != commits.dealer:
-        raise DealerMismatch(
+        raise VsslabError(
             f"share from dealer {share.dealer} checked against commitments of {commits.dealer}"
         )
     k = share.recipient
     if not 0 < k < params.p:
-        raise ValueError(f"evaluation point {k} outside (0, p)")
+        raise VsslabError(f"evaluation point {k} outside (0, p)")
     left = pow(params.g, share.value % params.d, params.p)
     right = 1
     for c_j in reversed(commits.c):
@@ -121,11 +121,11 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
 def range_check(share: Share, params: GroupParams) -> bool:
     """Hardened-mode acceptance of the share's numeric range (value < q).
 
-    Raises WrongMode on vulnerable parameters: exact integer shares are
+    Raises VsslabError on vulnerable parameters: exact integer shares are
     unbounded there, so no range test exists.
     """
     if params.mode is not Mode.HARDENED:
-        raise WrongMode("range check only exists in hardened mode")
+        raise VsslabError("range check only exists in hardened mode")
     return share.value < params.q
 
 
@@ -155,7 +155,7 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     shares = tuple(shares)
     for s in shares:
         if s.dealer != commits.dealer:
-            raise DealerMismatch(
+            raise VsslabError(
                 f"share from dealer {s.dealer} checked against commitments of {commits.dealer}"
             )
     hardened = params.mode is Mode.HARDENED
@@ -190,7 +190,7 @@ def aggregate_public_key(all_commits, params: GroupParams) -> int:
     """
     all_commits = tuple(all_commits)
     if not all_commits:
-        raise EmptyInput("no commitment vectors supplied")
+        raise VsslabError("no commitment vectors supplied")
     out = 1
     for cv in all_commits:
         out = out * cv.c[0] % params.p
@@ -219,7 +219,7 @@ def projected_bit_length(g: int, a: int) -> int:
     exact) the result is exact: bitlen(2**a) == a + 1.
     """
     if g < 2 or a < 0:
-        raise ValueError("need g >= 2 and a >= 0")
+        raise VsslabError("need g >= 2 and a >= 0")
     num, den = math.log2(g).as_integer_ratio()
     return num * a // den + 1
 
@@ -234,12 +234,12 @@ def commit_integer(exponents, g: int) -> tuple[int, ...]:
     projected_bit_length.
     """
     if g < 2:
-        raise ValueError(f"generator must be at least 2, got {g}")
+        raise VsslabError(f"generator must be at least 2, got {g}")
     exponents = tuple(exponents)
     g_bits = g.bit_length()
     for a in exponents:
         if a < 0:
-            raise ValueError(f"exponent {a} is negative")
+            raise VsslabError(f"exponent {a} is negative")
         if a * g_bits > INTEGER_COMMITMENT_GUARD_BITS:
             raise TooLarge(
                 f"unreduced commitment for exponent {a} would need about "

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share, predict_corruption
-from vsslab.errors import ForgeryImpossible, ModeMismatch, UselessMultiplier
+from vsslab.errors import ForgeryImpossible, VsslabError
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
@@ -65,17 +65,22 @@ class TestForgeShare:
             forge_share(poly, 2, p23q11, ADD1)
 
     def test_field_mismatch_rejected(self, p23order11):
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(VsslabError, match="polynomial over Z_11 does not belong to p = 23"):
             forge_share(mkpoly([3, 4], 11), 2, p23order11, ADD1)
 
     def test_multiplier_that_vanishes_in_the_field_rejected(self, small11):
         poly = mkpoly([3, 4], 11)
-        with pytest.raises(UselessMultiplier):
+        with pytest.raises(VsslabError, match="multiplier 11 is 0 mod p"):
             forge_share(poly, 2, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 11))
         # m = 22 also vanishes mod 11; m = 12 does not
-        with pytest.raises(UselessMultiplier):
+        with pytest.raises(VsslabError, match="multiplier 22 is 0 mod p"):
             forge_share(poly, 2, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 22))
         forge_share(poly, 2, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 12))
+
+    def test_point_outside_the_field_rejected(self, small11):
+        for k in (0, 11):
+            with pytest.raises(VsslabError, match=f"evaluation point {k} outside"):
+                forge_share(mkpoly([3, 4], 11), k, small11, ADD1)
 
     def test_forged_shares_always_pass_verification_randomized(self):
         for seed in range(100):
@@ -152,6 +157,10 @@ class TestReconstructionCorruption:
         pts = [(xs[0], honest[0]), (xs[1], forge_share(poly, xs[1], small11, strat).value % 11)]
         got = lagrange_zero(pts, 11)
         assert got == (poly.secret - weights[1]) % 11
+
+    def test_prediction_refuses_a_negative_multiplier(self):
+        with pytest.raises(VsslabError, match="multiplier must be non-negative"):
+            predict_corruption([(1, 3, True)], -1, 11)
 
 
 class TestDetectionLaw:

@@ -87,6 +87,23 @@ def test_verify_rejects_a_relabelled_transcript(tmp_path, capsys, scenario, labe
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", str(1 << 64), "seed must fit in 64 bits"),
+    ("targets", [2, 3, 4, 5, 6], "party 1 targets unknown parties [6]"),
+    ("targets", [0, 2], "party 1 targets unknown parties [0]"),
+], ids=["seed-2**64", "target-above-n", "target-zero"])
+def test_verify_refuses_a_config_value_out_of_range(tmp_path, capsys, key, value, message):
+    out = tmp_path / "t.json"
+    run_cli("run", "--scenario", "false-share", "--seed", "7", "--out", str(out))
+    doc = json.loads(out.read_text())
+    node = doc["config"] if key == "seed" else doc["config"]["behaviors"]["1"]
+    node[key] = value
+    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 1
+    assert capsys.readouterr().err == f"FAIL: config does not re-run: {message}\n"
+
+
 def test_verify_undecodable_file_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "t.json"
     out.write_bytes(b"\xff\xfe{}")
@@ -136,6 +153,12 @@ def test_run_reports_an_unknown_params_name_unquoted(tmp_path, capsys):
                    "--out", str(tmp_path / "x.json"))
     assert code == 1
     assert capsys.readouterr().err.startswith("error: no parameter set named 'nope'")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_run_refuses_a_seed_outside_64_bits(capsys, seed):
+    assert run_cli("run", "--scenario", "honest", "--seed", seed) == 1
+    assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
 
 
 def test_run_rejects_bad_threshold(capsys):

@@ -5,12 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.errors import (
-    GenerationFailed,
-    InvalidGroupParams,
-    NotInvertible,
-    TooLarge,
-)
+from vsslab.errors import GenerationFailed, InvalidGroupParams, TooLarge, VsslabError
 from vsslab.numtheory import (
     FACTOR_GUARD_BITS,
     GroupParams,
@@ -30,10 +25,16 @@ class TestModInv:
         assert mod_inv(4, 11) == 3  # 4*3 = 12 = 1 mod 11
 
     def test_non_invertible_rejected(self):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(VsslabError, match="^6 is not invertible mod 9 "):
             mod_inv(6, 9)
-        with pytest.raises(NotInvertible):
+        with pytest.raises(VsslabError, match="^0 is not invertible mod 7 "):
             mod_inv(0, 7)
+
+    def test_modulus_below_two_rejected(self):
+        # pow(a, -1, 1) would return 0 rather than refuse
+        for m in (1, 0, -5):
+            with pytest.raises(VsslabError, match=f"modulus must be at least 2, got {m}"):
+                mod_inv(3, m)
 
     @given(st.integers(min_value=1, max_value=10**18), st.integers(min_value=2, max_value=10**18))
     @settings(max_examples=300, deadline=None)
@@ -41,7 +42,7 @@ class TestModInv:
         import math
 
         if math.gcd(a, m) != 1:
-            with pytest.raises(NotInvertible):
+            with pytest.raises(VsslabError, match=f"^{a} is not invertible mod {m} "):
                 mod_inv(a, m)
         else:
             inv = mod_inv(a, m)
@@ -96,6 +97,13 @@ class TestFactorize:
         p, q = 1000003, 1000033
         assert factorize(p * q) == {p: 1, q: 1}
 
+    def test_brent_backtracks_when_the_batched_gcd_overshoots(self):
+        # both factors exceed the trial bound, and for 10007 * 10099 the
+        # batched product's gcd jumps straight to n, so Brent's pass steps
+        # back one iterate at a time to split it
+        assert factorize(10007 * 10099) == {10007: 1, 10099: 1}
+        assert factorize(10007**2) == {10007: 2}
+
     def test_large_semiprime(self):
         p = int(sympy.nextprime(2**40))
         q = int(sympy.nextprime(2**41))
@@ -117,7 +125,7 @@ class TestFactorize:
             factorize(1 << FACTOR_GUARD_BITS)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VsslabError, match="can only factor positive integers, got 0"):
             factorize(0)
 
 
@@ -155,6 +163,17 @@ class TestGroupParams:
     def test_wrong_order_rejected(self):
         with pytest.raises(InvalidGroupParams):
             GroupParams(p=11, g=2, d=5, mode=Mode.VULNERABLE).validate()
+        # a multiple of the true order 11 passes g**d == 1 but is not exact
+        with pytest.raises(InvalidGroupParams,
+                           match=r"claimed order 22 is not exact \(g\*\*\(d/2\) == 1\)"):
+            GroupParams(p=23, g=2, d=22, mode=Mode.VULNERABLE).validate()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_order_must_divide_p_minus_one(self, mode):
+        for d in (3, 0):
+            with pytest.raises(InvalidGroupParams,
+                               match=f"order {d} does not divide p - 1 = 10"):
+                GroupParams(p=11, g=2, d=d, mode=mode).validate()
 
     def test_hardened_requires_prime_q_matching_d(self):
         GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED).validate()
@@ -162,6 +181,18 @@ class TestGroupParams:
         GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate()
         with pytest.raises(InvalidGroupParams, match="not prime"):
             GroupParams(p=23, g=5, d=22, mode=Mode.HARDENED).validate()
+
+    def test_hardened_validation_proves_d_prime_without_factoring_it(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr("vsslab.numtheory.factorize", refuse)
+        for p, g, d in ((23, 2, 11), (2488578623, 2247443640, 1244289311)):
+            GroupParams(p=p, g=g, d=d, mode=Mode.HARDENED).validate()
+        with pytest.raises(InvalidGroupParams, match="hardened order d = 22 is not prime"):
+            GroupParams(p=23, g=5, d=22, mode=Mode.HARDENED).validate()
+        with pytest.raises(AssertionError, match="factorize"):
+            GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate()
 
     def test_field_modulus_property(self):
         vuln = GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE)

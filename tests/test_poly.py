@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.errors import DuplicateAbscissa, ZeroAbscissa
+from vsslab.errors import VsslabError
 from vsslab.poly import (
     SecretPolynomial,
     _lagrange_basis,
@@ -53,6 +53,21 @@ def test_coefficients_must_be_reduced():
         poly([])
 
 
+def test_dealer_and_modulus_are_checked():
+    with pytest.raises(VsslabError, match="dealer id must be non-negative"):
+        SecretPolynomial(dealer=-1, coeffs=(1,), field_modulus=11)
+    with pytest.raises(VsslabError, match="field modulus must be at least 2, got 1"):
+        SecretPolynomial(dealer=1, coeffs=(0,), field_modulus=1)
+
+
+def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
+    with pytest.raises(VsslabError, match="need at least one coefficient, got t=0"):
+        sample_polynomial(0, 11, 1, SplitMix64(0))
+    # like SecretPolynomial, sampling takes any modulus >= 2; the group's
+    # field is proven prime once, by GroupParams.validate
+    assert all(c < 12 for c in sample_polynomial(4, 12, 1, SplitMix64(0)).coeffs)
+
+
 def test_sample_polynomial_is_deterministic_per_stream():
     a = sample_polynomial(3, 101, 1, SplitMix64(9))
     b = sample_polynomial(3, 101, 1, SplitMix64(9))
@@ -83,13 +98,13 @@ class TestLagrangeZero:
         assert lagrange_weights((1, 2), 11) == (2, 10)
 
     def test_weights_reject_zero_abscissa(self):
-        with pytest.raises(ZeroAbscissa):
+        with pytest.raises(VsslabError, match="abscissa 0 would address the secret itself"):
             lagrange_weights((0, 1), 11)
 
     def test_weights_reject_duplicates(self):
-        with pytest.raises(DuplicateAbscissa):
+        with pytest.raises(VsslabError, match="abscissa 3 appears twice"):
             lagrange_weights((3, 3), 11)
-        with pytest.raises(DuplicateAbscissa):
+        with pytest.raises(VsslabError, match="abscissa 1 appears twice"):
             lagrange_zero([(1, 5), (1, 6)], 11)
 
     def test_ordinates_must_be_reduced(self):
@@ -99,6 +114,9 @@ class TestLagrangeZero:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             lagrange_zero([], 11)
+        for public in (lagrange_weights, lagrange_basis):
+            with pytest.raises(VsslabError, match="need at least one abscissa"):
+                public((), 11)
 
 
 @given(st.data())
@@ -141,9 +159,9 @@ class TestLagrangeBasis:
         assert lagrange_basis((1, 2), 11) == ((2, 10), (10, 1))
 
     def test_rejects_the_abscissas_lagrange_weights_rejects(self):
-        with pytest.raises(ZeroAbscissa):
+        with pytest.raises(VsslabError, match="abscissa 0 would address the secret itself"):
             lagrange_basis((0, 1), 11)
-        with pytest.raises(DuplicateAbscissa):
+        with pytest.raises(VsslabError, match="abscissa 1 appears twice"):
             lagrange_basis((1, 1), 11)
         with pytest.raises(ValueError):
             lagrange_basis((1, 11), 11)
@@ -192,11 +210,11 @@ def test_refused_abscissas_raise_on_every_call(data):
     m = 97
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=m - 1),
                             min_size=1, max_size=5, unique=True))
-    bad, error = data.draw(st.sampled_from([
-        (0, ZeroAbscissa), (xs[0], DuplicateAbscissa), (m, ValueError), (m + 5, ValueError),
+    bad, message = data.draw(st.sampled_from([
+        (0, "abscissa 0 would address"), (xs[0], "appears twice"), (m, "outside"), (m + 5, "outside"),
     ]))
     xs.insert(data.draw(st.integers(0, len(xs))), bad)
     for public in (lagrange_weights, lagrange_basis):
         for _ in range(3):
-            with pytest.raises(error):
+            with pytest.raises(VsslabError, match=message):
                 public(data.draw(_AS_ITERABLE)(xs), m)

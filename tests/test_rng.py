@@ -1,8 +1,10 @@
 """Deterministic PRNG behaviour: stream stability, bounds, substream independence."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vsslab.errors import VsslabError
 from vsslab.rng import MASK64, SplitMix64, substream
 
 # First five outputs of the reference stream for seed 0.  The underlying
@@ -91,3 +93,15 @@ def test_substream_differs_from_parent_stream():
     parent = SplitMix64(7)
     child = substream(7, 0)
     assert [parent.next_u64() for _ in range(4)] != [child.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SplitMix64(-1), "seed must be non-negative"),
+    (lambda: SplitMix64(0).randbits(-1), "bit count must be non-negative"),
+    (lambda: SplitMix64(0).randbelow(0), "bound must be positive"),
+    (lambda: SplitMix64(0).randrange(5, 5), "empty range"),
+    (lambda: substream(0, 1, -1), "substream indices must be non-negative"),
+], ids=["seed", "randbits", "randbelow", "randrange", "substream"])
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(VsslabError, match=message):
+        call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.errors import DealerMismatch, EmptyInput, ModeMismatch, TooLarge, WrongMode
+from vsslab.errors import TooLarge, VsslabError
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
@@ -60,7 +60,7 @@ class TestCommit:
         assert commit(mkpoly([5, 7], 23), p23order11).c == (9, 13)
 
     def test_field_mismatch_rejected(self, small11):
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(VsslabError, match="polynomial over Z_23 does not fit vulnerable"):
             commit(mkpoly([3, 4], 23), small11)
 
     def test_hardened_commitments_come_from_exponents_below_q(self, p23q11):
@@ -85,7 +85,7 @@ class TestVerifyShare:
 
     def test_dealer_mismatch_raises(self, small11):
         commits = commit(mkpoly([3, 4], 11), small11)
-        with pytest.raises(DealerMismatch):
+        with pytest.raises(VsslabError, match="share from dealer 2 checked against commitments of 1"):
             verify_share(Share(dealer=2, recipient=2, value=11), commits, small11)
 
     def test_recipient_outside_field_rejected(self, small11):
@@ -219,7 +219,7 @@ class TestHardened:
         assert range_check(Share(dealer=1, recipient=2, value=10), p23q11)
 
     def test_range_check_is_hardened_only(self, small11):
-        with pytest.raises(WrongMode):
+        with pytest.raises(VsslabError, match="range check only exists in hardened mode"):
             range_check(Share(dealer=1, recipient=2, value=3), small11)
 
     def test_commitment_in_group_flags_outside_elements(self, p23q11):
@@ -278,7 +278,7 @@ class TestVerifyRow:
 
     def test_dealer_mismatch_raises(self, small11):
         commits = commit(mkpoly([3, 4], 11), small11)
-        with pytest.raises(DealerMismatch):
+        with pytest.raises(VsslabError, match="share from dealer 2 checked against commitments of 1"):
             verify_row([Share(1, 1, 7), Share(2, 2, 11)], commits, small11)
 
 
@@ -313,7 +313,7 @@ class TestAggregatePublicKey:
         assert aggregate_public_key(vecs, small11) == pow(2, x, 11)
 
     def test_empty_input_rejected(self, small11):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(VsslabError, match="no commitment vectors supplied"):
             aggregate_public_key([], small11)
 
 
@@ -343,6 +343,9 @@ class TestIntegerCommitments:
             commit_integer((3, -1), g=2)
         with pytest.raises(ValueError, match="at least 2"):
             commit_integer((3,), g=1)
+        for g, a in ((1, 3), (2, -1)):
+            with pytest.raises(VsslabError, match="need g >= 2 and a >= 0"):
+                projected_bit_length(g, a)
 
     def test_projection_row_describes_a_1024_bit_field(self):
         assert PROJECTION_EXPONENT_LOG2 == 1024
