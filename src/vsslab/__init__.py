@@ -35,7 +35,7 @@ from .protocol import (
     Verdict,
     assemble_group_key,
     build_scenario,
-    reconstruct_dealer_secret,
+    reconstruct_pool,
     run_dealing_round,
     run_scenario,
     run_verification_round,

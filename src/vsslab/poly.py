@@ -47,8 +47,6 @@ def sample_polynomial(t: int, field_modulus: int, dealer: int, rng: SplitMix64) 
     Each coefficient is drawn by rejection sampling, so the distribution
     is exactly uniform on [0, field_modulus).
     """
-    if t < 1:
-        raise VsslabError(f"need at least one coefficient, got t={t}")
     return SecretPolynomial(
         dealer=dealer,
         coeffs=tuple(rng.randbelow(field_modulus) for _ in range(t)),
@@ -128,8 +126,6 @@ def lagrange_zero(points, m: int) -> int:
     arithmetic says it is.
     """
     points = tuple(points)
-    if not points:
-        raise VsslabError("need at least one point")
     for _, y in points:
         if not 0 <= y < m:
             raise VsslabError(f"ordinate {y} outside [0, {m})")

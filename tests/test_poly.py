@@ -61,7 +61,7 @@ def test_dealer_and_modulus_are_checked():
 
 
 def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
-    with pytest.raises(VsslabError, match="need at least one coefficient, got t=0"):
+    with pytest.raises(VsslabError, match="polynomial needs at least one coefficient"):
         sample_polynomial(0, 11, 1, SplitMix64(0))
     # like SecretPolynomial, sampling takes any modulus >= 2; the group's
     # field is proven prime once, by GroupParams.validate
@@ -112,7 +112,7 @@ class TestLagrangeZero:
             lagrange_zero([(1, 11)], 11)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VsslabError, match="need at least one abscissa"):
             lagrange_zero([], 11)
         for public in (lagrange_weights, lagrange_basis):
             with pytest.raises(VsslabError, match="need at least one abscissa"):

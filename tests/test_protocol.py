@@ -14,9 +14,11 @@ from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
 from vsslab.numtheory import Mode
 from vsslab.poly import (
+    SecretPolynomial,
     _lagrange_basis,
     _lagrange_weights,
     eval_integer,
+    lagrange_zero,
     sample_polynomial,
 )
 from vsslab.protocol import (
@@ -32,7 +34,7 @@ from vsslab.protocol import (
     Verdict,
     assemble_group_key,
     build_scenario,
-    reconstruct_dealer_secret,
+    reconstruct_pool,
     resolve_params,
     run_scenario,
     run_verification_round,
@@ -246,40 +248,41 @@ class TestDealingShape:
         assert a.shares != b.shares
 
 
-class TestReconstructDealerSecret:
-    def test_worked_example_honest(self, small11):
-        from vsslab.poly import SecretPolynomial
+class TestReconstructPool:
+    @staticmethod
+    def worked_commits(small11):
+        return commit(SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11), small11)
 
-        poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
-        commits = commit(poly, small11)
-        shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=1, recipient=2, value=11)]
-        value, check = reconstruct_dealer_secret(shares, commits, small11)
-        assert (value, check) == (3, True)
+    @staticmethod
+    def pool(*values):
+        return [Share(dealer=1, recipient=k, value=v) for k, v in enumerate(values, 1)]
+
+    def test_worked_example_honest(self, small11):
+        attempts = reconstruct_pool(self.pool(7, 11), self.worked_commits(small11), small11)
+        assert attempts == (ReconstructionAttempt((1, 2), 3, True),)
 
     def test_worked_example_corrupted(self, small11):
-        from vsslab.poly import SecretPolynomial
+        attempts = reconstruct_pool(self.pool(7, 21), self.worked_commits(small11), small11)
+        assert attempts == (ReconstructionAttempt((1, 2), 4, False),)
 
-        poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
-        commits = commit(poly, small11)
-        shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=1, recipient=2, value=21)]
-        value, check = reconstruct_dealer_secret(shares, commits, small11)
-        assert (value, check) == (4, False)
-
-    def test_insufficient_shares_raise(self, small11):
-        from vsslab.poly import SecretPolynomial
-
-        poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
-        commits = commit(poly, small11)
-        with pytest.raises(VsslabError, match="need 2 shares, got 1"):
-            reconstruct_dealer_secret([Share(dealer=1, recipient=1, value=7)], commits, small11)
+    def test_a_pool_shorter_than_t_gives_no_attempts(self, small11):
+        assert reconstruct_pool(self.pool(7), self.worked_commits(small11), small11) == ()
 
     def test_a_share_from_another_dealer_raises(self, small11):
-        from vsslab.poly import SecretPolynomial
-
-        commits = commit(SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11), small11)
         shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=2, recipient=2, value=11)]
         with pytest.raises(VsslabError, match="share from dealer 2 in a pool for dealer 1"):
-            reconstruct_dealer_secret(shares, commits, small11)
+            reconstruct_pool(shares, self.worked_commits(small11), small11)
+
+    def test_one_forged_share_stops_at_the_first_passing_subset(self, small11):
+        # P = 3 + 4x; P(3) = 15 forged to 25 (shifted by p - 1 = 10):
+        # (1, 2) lands on 3 at once, so the forged share is never tried
+        attempts = reconstruct_pool(self.pool(7, 11, 25), self.worked_commits(small11), small11)
+        assert attempts == (ReconstructionAttempt((1, 2), 3, True),)
+        # with P(1) = 7 forged to 17 instead, its two subsets fail first
+        attempts = reconstruct_pool(self.pool(17, 11, 15), self.worked_commits(small11), small11)
+        assert [(a.subset, a.commitment_check) for a in attempts] == [
+            ((1, 2), False), ((1, 3), False), ((2, 3), True)]
+        assert attempts[-1].value == 3
 
 
 class TestScenarioVerdicts:
@@ -585,8 +588,8 @@ class TestWeightMemo:
 
 
 class TestReconstructionMatchesOracle:
-    """The recorded attempts are reconstruct_dealer_secret over every
-    t-subset of the pool, cut after the first that passes."""
+    """The recorded attempts are lagrange_zero and the c_0 check over
+    every t-subset of the pool, cut after the first that passes."""
 
     @staticmethod
     def configs(params_ref, n, t, rng):
@@ -606,7 +609,7 @@ class TestReconstructionMatchesOracle:
             yield ScenarioConfig(label_for(behaviors), n, t, params_ref, behaviors,
                                  rng.randrange(1 << 64))
 
-    @pytest.mark.parametrize("params_ref", ["small11", "p23order11", "v32"])
+    @pytest.mark.parametrize("params_ref", ["small11", "p23order11", "v32", "p23q11"])
     def test_every_attempt_matches_the_per_subset_oracle(self, params_ref):
         rng = random.Random(params_ref)
         mixed_pools = stopped_early = exhausted = 0
@@ -614,14 +617,16 @@ class TestReconstructionMatchesOracle:
             for t in range(2, n + 1):
                 for cfg in self.configs(params_ref, n, t, rng):
                     report = run_scenario(cfg)
-                    by_key = {(s.dealer, s.recipient): s for s in report.shares}
+                    params = report.params
+                    m = params.field_modulus
+                    values = {(s.dealer, s.recipient): s.value % m for s in report.shares}
                     for rec, commits in zip(report.reconstructions, report.commitments):
-                        oracle = [
-                            ReconstructionAttempt(subset, *reconstruct_dealer_secret(
-                                [by_key[rec.dealer, k] for k in subset],
-                                commits, report.params))
-                            for subset in itertools.combinations(rec.pool, t)
-                        ]
+                        oracle = []
+                        for subset in itertools.combinations(rec.pool, t):
+                            value = lagrange_zero(
+                                [(k, values[rec.dealer, k]) for k in subset], m)
+                            ok = pow(params.g, value, params.p) == commits.c[0]
+                            oracle.append(ReconstructionAttempt(subset, value, ok))
                         first = next((i for i, a in enumerate(oracle) if a.commitment_check),
                                      None)
                         expected = oracle if first is None else oracle[:first + 1]
@@ -630,5 +635,7 @@ class TestReconstructionMatchesOracle:
                         mixed_pools += len({a.value for a in oracle}) > 1
                         stopped_early += len(rec.attempts) < len(oracle)
                         exhausted += bool(oracle) and first is None
-        assert mixed_pools > 0
-        assert stopped_early > 0 and exhausted > 0
+        assert stopped_early > 0
+        # a hardened forger deals honestly, so only vulnerable sets mix
+        if get_params(params_ref).mode is Mode.VULNERABLE:
+            assert mixed_pools > 0 and exhausted > 0

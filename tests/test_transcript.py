@@ -193,6 +193,21 @@ class TestAudit:
         assert problems
         assert any("JSON" in p for p in problems)
 
+    @pytest.mark.parametrize("dealer, edit, problem", [
+        ("1", lambda attempts: attempts.pop(),
+         "reconstructions.1.attempts: transcript has 3 entries, regeneration has 4"),
+        ("1", lambda attempts: attempts.insert(0, attempts.pop(1)),
+         "reconstructions.1.attempts[0].subset[2]: transcript has 5, regeneration has 4"),
+        ("2", lambda attempts: attempts.append(copy.deepcopy(attempts[0])),
+         "reconstructions.2.attempts: transcript has 2 entries, regeneration has 1"),
+    ], ids=["drop-last", "swap-first-two", "append"])
+    def test_an_edited_attempt_list_is_reported(self, false_share_text, dealer, edit, problem):
+        # dealer 1's forged pool lists all four subsets; dealer 2's honest
+        # pool passes at its first
+        problems = audit_transcript(retamper(
+            false_share_text, lambda doc: edit(doc["reconstructions"][dealer]["attempts"])))
+        assert problems[0] == problem
+
     def test_single_byte_flip_never_passes(self, false_share_text):
         # canonical text reflows under re-rendering, so attack any byte of
         # the raw file and demand the audit notices every single time
