@@ -214,6 +214,24 @@ class GroupParams:
         """Where coefficients and interpolation live: Z_p, or Z_q when hardened."""
         return self.d if self.mode is Mode.HARDENED else self.p
 
+    def g_pow(self, e: int) -> int:
+        """pow(g, e, p), one table entry per 6-bit digit of e.
+
+        Digit i of e picks g**(digit * 64**i) from the group's table, so a
+        power costs one multiplication per digit and no squarings. An
+        exponent that is negative or too wide for the table goes to the
+        builtin pow.
+        """
+        table = _g_table(self.g, self.p)
+        if e < 0 or e >> (_WINDOW_BITS * len(table)):
+            return pow(self.g, e, self.p)
+        p = self.p
+        out = 1
+        for row in table:
+            out = out * row[e & _DIGIT_MASK] % p
+            e >>= _WINDOW_BITS
+        return out
+
     def validate(self) -> None:
         """Recheck every structural invariant from scratch.
 
@@ -236,6 +254,30 @@ class GroupParams:
         for r in factorize(self.d):
             if pow(self.g, self.d // r, self.p) == 1:
                 raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
+
+
+# Fixed-base powers of g (Brickell-Gordon-McCurley-Wilson 1992; Lim-Lee
+# 1994). Row i of a table holds g**(v * 64**i) mod p for v in 0..63, over
+# ceil(bits(p) / 6) rows, enough for every exponent below p. A table is a
+# pure function of (g, p), so caching one never changes a result; a run
+# and its audit use one group, and the cache keeps four. At
+# MAX_PARAM_BITS = 96 a table is 16 rows of 64 entries, about 50 KB, so
+# four full tables take about 0.2 MB.
+_WINDOW_BITS = 6
+_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
+
+
+@lru_cache(maxsize=4)
+def _g_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
+    rows = []
+    base = g % p
+    for _ in range(-(-p.bit_length() // _WINDOW_BITS)):
+        row = [1]
+        for _ in range(_DIGIT_MASK):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
 
 
 _PRIME_ATTEMPTS = 4096

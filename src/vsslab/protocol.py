@@ -56,8 +56,8 @@ MAX_RECONSTRUCTION_ATTEMPTS = 250_000
 
 # Dealing and verification cost about n**3 big-int operations whatever t
 # is, and with t = n the attempt budget alone would admit any n. Honest
-# v64 n=t=64 `vsslab run` takes about 0.37 s on a 2-vCPU Xeon (median of
-# seven runs, range 0.36-0.39 s).
+# v64 n=t=64 `vsslab run` takes about 0.42 s on a shared 2-vCPU Xeon
+# (median of twelve runs, range 0.34-0.48 s).
 MAX_PARTIES = 64
 
 
@@ -340,7 +340,7 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     attempts = []
     for subset, values in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
         value = sum(map(mul, values, lagrange_weights(subset, m))) % m
-        ok = pow(params.g, value, params.p) == commits.c[0]
+        ok = params.g_pow(value) == commits.c[0]
         attempts.append(ReconstructionAttempt(subset=subset, value=value, commitment_check=ok))
         if ok:
             break
@@ -397,7 +397,7 @@ def assemble_group_key(reconstructions, commitments, params: GroupParams, matrix
         return Assembly(verdict=Verdict.KEY_BLOCKED, group_key=None, confirmed=None)
     period = params.q if params.mode is Mode.HARDENED else params.p - 1
     key = sum(r.recovered for r in reconstructions) % period
-    if pow(params.g, key, params.p) != aggregate_public_key(commitments, params):
+    if params.g_pow(key) != aggregate_public_key(commitments, params):
         raise RuntimeError("g**key differs from the aggregate public key of the commitments")
     return Assembly(verdict=Verdict.KEY_ASSEMBLED, group_key=key, confirmed=True)
 

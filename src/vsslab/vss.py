@@ -19,7 +19,8 @@ group: it is the true product for every vector, in the subgroup or not.
 
 verify_row decides a whole dealer's row with one row check: it
 interpolates coefficients b_j from the first t shares and tests
-g**b_j == c_j for each j. When all hold, a share passes exactly when
+g**b_j == c_j for each j, t powers of g from the group's table
+(GroupParams.g_pow). When all hold, a share passes exactly when
 value == Q(k) (mod d) for Q = sum_j b_j x**j, and every c_j is in the
 subgroup. Rows that fail the row check, a forger's among them, fall
 back to verify_share one share at a time, so every verdict is the
@@ -90,7 +91,7 @@ def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
         )
     return CommitmentVector(
         dealer=poly.dealer,
-        c=tuple(pow(params.g, a, params.p) for a in poly.coeffs),
+        c=tuple(params.g_pow(a) for a in poly.coeffs),
     )
 
 
@@ -111,7 +112,7 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
     k = share.recipient
     if not 0 < k < params.p:
         raise VsslabError(f"evaluation point {k} outside (0, p)")
-    left = pow(params.g, share.value % params.d, params.p)
+    left = params.g_pow(share.value % params.d)
     right = 1
     for c_j in reversed(commits.c):
         right = pow(right, k, params.p) * c_j % params.p
@@ -141,16 +142,17 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     range_check, then verify_share in hardened mode; verify_share alone
     in vulnerable mode. With t = len(commits.c), the row check
     interpolates b_0..b_{t-1} over the field from the first t shares and
-    tests g**b_j == c_j for every j: t full-size modexps per row instead
-    of about one per share. When all t hold, prod_j c_j**(k**j) is
-    g**Q(k) for Q = sum_j b_j x**j, so a share passes verify_share
-    exactly when value == Q(k) (mod d), and commitment_in_group holds
-    because every c_j is a power of g. The interpolation only proposes
-    the b_j; the t commitment checks decide. A row with fewer than t
-    shares, a repeated abscissa or one outside (0, field_modulus), or a
-    b_j that misses its commitment (a forger's row) is checked share by
-    share instead. The basis comes from lagrange_basis, whose bounded
-    cache in poly lets rows at one abscissa set share it.
+    tests g**b_j == c_j for every j: t powers of g from the group's
+    table (GroupParams.g_pow) per row instead of about one full power
+    per share. When all t hold, prod_j c_j**(k**j) is g**Q(k) for
+    Q = sum_j b_j x**j, so a share passes verify_share exactly when
+    value == Q(k) (mod d), and commitment_in_group holds because every
+    c_j is a power of g. The interpolation only proposes the b_j; the t
+    commitment checks decide. A row with fewer than t shares, a repeated
+    abscissa or one outside (0, field_modulus), or a b_j that misses its
+    commitment (a forger's row) is checked share by share instead. The
+    basis comes from lagrange_basis, whose bounded cache in poly lets
+    rows at one abscissa set share it.
     """
     shares = tuple(shares)
     for s in shares:
@@ -165,7 +167,7 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     if len(xs) >= t and len(set(xs)) == len(xs) and all(0 < k < m for k in xs):
         ys = [s.value % m for s in shares[:t]]
         b = [sum(map(mul, ys, row)) % m for row in lagrange_basis(xs[:t], m)]
-        if all(pow(params.g, b_j, params.p) == c_j for b_j, c_j in zip(b, commits.c)):
+        if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
             verdicts = []
             for s in shares:
                 # Q(k) exactly, by Horner's rule, reduced once

@@ -1,5 +1,7 @@
 """Number theory layer, each routine checked against an independent oracle."""
 
+from functools import lru_cache
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,11 +12,13 @@ from vsslab.numtheory import (
     FACTOR_GUARD_BITS,
     GroupParams,
     Mode,
+    _g_table,
     factorize,
     gen_params,
     is_prime,
     mod_inv,
 )
+from vsslab.registry import load_registry
 from vsslab.rng import SplitMix64
 
 from conftest import brute_order, multiplicative_order
@@ -256,3 +260,71 @@ class TestGenParams:
             gen_params(4, Mode.VULNERABLE, AllOnes())
         with pytest.raises(GenerationFailed):
             gen_params(4, Mode.HARDENED, AllOnes())
+
+
+@lru_cache(maxsize=1)
+def table_groups() -> tuple[GroupParams, ...]:
+    """Every registry entry, then fresh groups at 32, 64 and 96 bits in both modes."""
+    generated = tuple(gen_params(bits, mode, SplitMix64(0))
+                      for bits in (32, 64, 96) for mode in Mode)
+    return tuple(load_registry().values()) + generated
+
+
+def table_edges(params: GroupParams) -> tuple[int, ...]:
+    """The exponents where g_pow could slip: zero, the order, p, the
+    widest exponent the table covers and the first one past it, and -1."""
+    top = 1 << 6 * len(_g_table(params.g, params.p))
+    return (0, 1, params.d - 1, params.d, params.p - 1, params.p, top - 1, top, -1)
+
+
+class TestGPow:
+    """g_pow against the builtin pow, the oracle it must equal exactly."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_builtin_pow(self, data):
+        params = data.draw(st.sampled_from(table_groups()))
+        bits = params.p.bit_length()
+        e = data.draw(st.integers(0, (1 << bits + 16) - 1)
+                      | st.sampled_from(table_edges(params)))
+        assert params.g_pow(e) == pow(params.g, e, params.p)
+
+    def test_table_rows_cover_every_exponent_below_p(self):
+        for params in table_groups():
+            table = _g_table(params.g, params.p)
+            assert len(table) == -(-params.p.bit_length() // 6)
+            assert all(len(row) == 64 for row in table)
+            assert 1 << 6 * len(table) > params.p
+
+    def test_edges_take_the_documented_path(self, monkeypatch):
+        # only a negative exponent or one past the table reaches the builtin
+        import vsslab.numtheory as numtheory
+
+        builtin_calls = []
+
+        def counting_pow(*args):
+            builtin_calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(numtheory, "pow", counting_pow, raising=False)
+        for params in table_groups():
+            top = 1 << 6 * len(_g_table(params.g, params.p))
+            for e in table_edges(params):
+                builtin_calls.clear()
+                assert params.g_pow(e) == pow(params.g, e, params.p)
+                assert len(builtin_calls) == (1 if e < 0 or e >= top else 0)
+
+    def test_the_cache_keeps_four_tables_and_rebuilds_evicted_ones(self):
+        groups = table_groups()
+        # p23order11 and p23q11 share g and p, and so their table
+        keys = {(params.g, params.p) for params in groups}
+        assert len(keys) > 4
+        _g_table.cache_clear()
+        for _ in range(2):
+            for params in groups:
+                for e in table_edges(params):
+                    assert params.g_pow(e) == pow(params.g, e, params.p)
+        info = _g_table.cache_info()
+        # round robin over more tables than slots: every first lookup of
+        # a table misses, on both passes
+        assert (info.misses, info.currsize, info.maxsize) == (2 * len(keys), 4, 4)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
-from vsslab.numtheory import Mode
+from vsslab.numtheory import Mode, _g_table
 from vsslab.poly import (
     SecretPolynomial,
     _lagrange_basis,
@@ -41,6 +41,7 @@ from vsslab.protocol import (
 )
 from vsslab.registry import get_params
 from vsslab.rng import substream
+from vsslab.transcript import audit_transcript, render_report
 from vsslab.vss import (
     CommitmentVector,
     Share,
@@ -510,6 +511,44 @@ class TestRowCheck:
         report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
         assert all(all(row) for row in report.verification_matrix)
         assert share_checks == [(1, k) for k in range(1, 13)]
+
+
+class TestPowersOfG:
+    """Every power of g on the ceremony path comes from the group's table."""
+
+    @pytest.fixture
+    def builtin_pows(self, monkeypatch):
+        """(base, exponent, modulus) of every builtin pow call in vss and protocol."""
+        import vsslab.protocol as protocol
+        import vsslab.vss as vss
+
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return pow(*args)
+
+        for module in (vss, protocol):
+            monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_no_builtin_pow_has_base_g(self, builtin_pows, name):
+        # 64-bit groups: in an 11-element group a Horner base of
+        # verify_share or a commitment equals g by chance
+        params_ref = "h64" if name == "hardened-attack" else "v64"
+        _g_table.cache_clear()
+        report = run_scenario(build_scenario(name, seed=7, params_ref=params_ref))
+        assert audit_transcript(render_report(report)) == []
+        assert not [args for args in builtin_pows if args[0] == report.params.g]
+        # one table for the group, which the audit's regeneration reuses
+        assert _g_table.cache_info().misses == 1
+
+    def test_the_counting_pow_sees_the_per_share_fallback(self, builtin_pows):
+        # the forger's row falls back to verify_share, whose Horner steps
+        # keep the builtin pow: the patch above is live
+        run_scenario(build_scenario("false-share", seed=7, params_ref="v64"))
+        assert builtin_pows
 
 
 class TestPoolMechanics:
