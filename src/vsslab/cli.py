@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    vsslab run --scenario false-share --seed 7 --out transcript.json
+    vsslab run --scenario NAME --seed 7 --out transcript.json
     vsslab demo-integer-commitments --bits 12
     vsslab verify transcript.json
 
@@ -15,8 +15,7 @@ import argparse
 import sys
 
 from .errors import VsslabError
-from .numtheory import Mode
-from .protocol import SCENARIO_NAMES, GenSpec, Verdict, build_scenario, run_scenario
+from .protocol import SCENARIO_NAMES, GenSpec, Verdict, build_scenario, default_mode, run_scenario
 from .transcript import audit_transcript, canonical_json, render_report
 from .vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
@@ -70,8 +69,7 @@ def _cmd_run(args) -> int:
         raise _UsageError("--params and --bits are mutually exclusive")
     params_ref = args.params
     if args.bits is not None:
-        mode = Mode.HARDENED if args.scenario == "hardened-attack" else Mode.VULNERABLE
-        params_ref = GenSpec(bits=args.bits, mode=mode)
+        params_ref = GenSpec(bits=args.bits, mode=default_mode(args.scenario))
     config = build_scenario(args.scenario, seed=args.seed, n=args.n, t=args.t,
                             params_ref=params_ref)
     report = run_scenario(config)

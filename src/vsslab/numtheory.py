@@ -215,19 +215,18 @@ class GroupParams:
         return self.d if self.mode is Mode.HARDENED else self.p
 
     def g_pow(self, e: int) -> int:
-        """pow(g, e, p), one table entry per 6-bit digit of e.
+        """pow(g, e, p) for every integer e, one table entry per 6-bit digit.
 
-        Digit i of e picks g**(digit * 64**i) from the group's table, so a
-        power costs one multiplication per digit and no squarings. An
-        exponent that is negative or too wide for the table goes to the
-        builtin pow.
+        The exponent is first reduced mod d: validate proves g**d == 1,
+        so g**(e mod d) == g**e for negative and wide e alike, and
+        e mod d < p fits the group's table. Digit i of e picks
+        g**(digit * 64**i) from it, so a power costs one multiplication
+        per digit and no squarings.
         """
-        table = _g_table(self.g, self.p)
-        if e < 0 or e >> (_WINDOW_BITS * len(table)):
-            return pow(self.g, e, self.p)
+        e %= self.d
         p = self.p
         out = 1
-        for row in table:
+        for row in _g_table(self.g, p):
             out = out * row[e & _DIGIT_MASK] % p
             e >>= _WINDOW_BITS
         return out
@@ -251,24 +250,30 @@ class GroupParams:
             if not is_prime(self.d):
                 raise InvalidGroupParams(f"hardened order d = {self.d} is not prime")
             return
-        for r in factorize(self.d):
-            if pow(self.g, self.d // r, self.p) == 1:
-                raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
+        r = _order_drop(self.g, self.d, self.p, factorize(self.d))
+        if r is not None:
+            raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
+
+
+def _order_drop(g: int, d: int, p: int, primes) -> int | None:
+    """The first r of primes, d's prime factors, with g**(d/r) == 1 mod p, or
+    None; given g**d == 1, None means d is the exact order of g."""
+    return next((r for r in primes if pow(g, d // r, p) == 1), None)
 
 
 # Fixed-base powers of g (Brickell-Gordon-McCurley-Wilson 1992; Lim-Lee
-# 1994). Row i of a table holds g**(v * 64**i) mod p for v in 0..63, over
-# ceil(bits(p) / 6) rows, enough for every exponent below p. A table is a
-# pure function of (g, p), so caching one never changes a result; a run
-# and its audit use one group, and the cache keeps four. At
-# MAX_PARAM_BITS = 96 a table is 16 rows of 64 entries, about 50 KB, so
-# four full tables take about 0.2 MB.
+# 1994). A table is a pure function of (g, p), so caching one never
+# changes a result; a run and its audit use one group, and the cache
+# keeps four. At MAX_PARAM_BITS = 96 a table is 16 rows of 64 entries,
+# about 50 KB, so four full tables take about 0.2 MB.
 _WINDOW_BITS = 6
 _DIGIT_MASK = (1 << _WINDOW_BITS) - 1
 
 
 @lru_cache(maxsize=4)
 def _g_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds g**(v * 64**i) mod p for v in 0..63, over ceil(bits(p) / 6)
+    rows: every exponent below p, so every e mod d that g_pow looks up."""
     rows = []
     base = g % p
     for _ in range(-(-p.bit_length() // _WINDOW_BITS)):
@@ -299,13 +304,6 @@ def _random_prime(bits: int, rng: SplitMix64) -> int:
     raise GenerationFailed(f"no {bits}-bit prime found in {_PRIME_ATTEMPTS} attempts")
 
 
-def _smallest_primitive_root(p: int, prime_factors: dict[int, int]) -> int:
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors):
-            return g
-    raise GenerationFailed(f"no primitive root below {p}")  # unreachable for prime p
-
-
 def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
     """Generate fresh group parameters of the requested size.
 
@@ -321,7 +319,9 @@ def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
         )
     if mode is Mode.VULNERABLE:
         p = _random_prime(bit_length, rng)
-        g = _smallest_primitive_root(p, factorize(p - 1))
+        primes = factorize(p - 1)
+        # a prime p has a primitive root, so the search ends below p
+        g = next(g for g in range(2, p) if _order_drop(g, p - 1, p, primes) is None)
         params = GroupParams(p=p, g=g, d=p - 1, mode=mode)
     else:
         for _ in range(_SAFE_PRIME_ATTEMPTS):

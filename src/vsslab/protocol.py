@@ -37,17 +37,6 @@ from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, Share, aggregate_public_key, commit, verify_row
 
-SCENARIO_NAMES = ("honest", "false-share", "order-shift", "withhold", "hardened-attack")
-
-_SCENARIO_DEFAULT_PARAMS = {
-    "honest": "small11",
-    "false-share": "small11",
-    "order-shift": "p23order11",
-    "withhold": "small11",
-    "hardened-attack": "p23q11",
-}
-
-
 # Every dealer's pool can hold all n shares, and a pool with no passing
 # subset records every one of its t-subsets, so a run can cost up to
 # n * C(n, t) attempts. The budget admits v64 n=16 t=8 (205,920) and
@@ -92,6 +81,29 @@ class Behavior:
     @property
     def withholds_at_assembly(self) -> bool:
         return self.kind is not BehaviorKind.HONEST
+
+
+# The built-in scenarios. A row is the default registry set, then party
+# 1's behavior and its forgery strategy, if any; every other party is
+# honest, and a forger targets all of them with multiplier 1. The default
+# set's mode is also the mode `vsslab run --bits` generates (default_mode).
+#   honest          every party honest; the key assembles.
+#   false-share     party 1 sends shares shifted by p - 1 to everyone else
+#                   and withholds; verification stays green, the key blocks.
+#   order-shift     same, but shifted by ord(g) on a group where
+#                   ord(g) < p - 1, the exact acceptance boundary.
+#   withhold        party 1 deals honestly, then withholds; the others
+#                   rebuild its secret from their shares and assemble anyway.
+#   hardened-attack party 1 tries to forge on hardened parameters; every
+#                   attempt is impossible, honest shares go out instead.
+_SCENARIOS = {
+    "honest": ("small11", BehaviorKind.HONEST, None),
+    "false-share": ("small11", BehaviorKind.FALSE_SHARE_DEALER, StrategyKind.ADD_P_MINUS_ONE),
+    "order-shift": ("p23order11", BehaviorKind.FALSE_SHARE_DEALER, StrategyKind.ORDER_SHIFT),
+    "withhold": ("small11", BehaviorKind.WITHHOLDING_DEALER, None),
+    "hardened-attack": ("p23q11", BehaviorKind.FALSE_SHARE_DEALER, StrategyKind.ADD_P_MINUS_ONE),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 @record
@@ -151,12 +163,12 @@ class ScenarioConfig:
         # the label is part of the transcript, so it must not misname the
         # behaviors; false-share and hardened-attack build the same ones
         # and differ only in default params, so those two labels swap
-        if self.scenario in SCENARIO_NAMES:
+        if self.scenario in _SCENARIOS:
             if self.behaviors != _built_in_behaviors(self.scenario, self.n):
                 raise ConfigInvalid(
                     f"scenario {self.scenario!r} needs the behaviors build_scenario gives it")
         else:
-            for name in SCENARIO_NAMES:
+            for name in _SCENARIOS:
                 if self.behaviors == _built_in_behaviors(name, self.n):
                     raise ConfigInvalid(
                         f"scenario {self.scenario!r} has the behaviors of built-in {name!r}")
@@ -426,43 +438,27 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _built_in_behaviors(name: str, n: int) -> dict[int, Behavior]:
-    behaviors: dict[int, Behavior] = {i: Behavior() for i in range(1, n + 1)}
-    others = tuple(range(2, n + 1))
-    if name in ("false-share", "hardened-attack"):
-        behaviors[1] = Behavior(
-            kind=BehaviorKind.FALSE_SHARE_DEALER,
-            strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
-            targets=others,
-        )
-    elif name == "order-shift":
-        behaviors[1] = Behavior(
-            kind=BehaviorKind.FALSE_SHARE_DEALER,
-            strategy=ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1),
-            targets=others,
-        )
-    elif name == "withhold":
-        behaviors[1] = Behavior(kind=BehaviorKind.WITHHOLDING_DEALER)
-    return behaviors
+    _, kind, strategy = _SCENARIOS[name]
+    if strategy is None:
+        first = Behavior(kind=kind)
+    else:
+        first = Behavior(kind=kind, strategy=ForgeryStrategy(strategy, 1),
+                         targets=range(2, n + 1))
+    return {pid: first if pid == 1 else Behavior() for pid in range(1, n + 1)}
+
+
+def default_mode(name: str) -> Mode:
+    """The mode of scenario name's default group, which `vsslab run --bits` generates."""
+    return get_params(_SCENARIOS[name][0]).mode
 
 
 def build_scenario(name: str, seed: int, n: int = 5, t: int = 3,
                    params_ref: "str | GenSpec | None" = None) -> ScenarioConfig:
-    """Config for one of the five built-in scenarios.
-
-    honest          every party honest; the key assembles.
-    false-share     party 1 sends shares shifted by p - 1 to everyone else
-                    and withholds; verification stays green, the key blocks.
-    order-shift     same, but shifted by ord(g) on a group where
-                    ord(g) < p - 1, the exact acceptance boundary.
-    withhold        party 1 deals honestly, then withholds; the others
-                    rebuild its secret from their shares and assemble anyway.
-    hardened-attack party 1 tries to forge on hardened parameters; every
-                    attempt is impossible, honest shares go out instead.
-    """
-    if name not in SCENARIO_NAMES:
+    """Config for one of the five built-in scenarios (see _SCENARIOS)."""
+    if name not in _SCENARIOS:
         raise ConfigInvalid(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
     if params_ref is None:
-        params_ref = _SCENARIO_DEFAULT_PARAMS[name]
+        params_ref = _SCENARIOS[name][0]
     # before n Behaviors are built: n can be anything a user typed
     _check_party_count(n)
     return ScenarioConfig(scenario=name, n=n, t=t, params_ref=params_ref,

@@ -67,16 +67,13 @@ class SplitMix64:
         return lo + self.randbelow(hi - lo)
 
 
-def substream(seed: int, *path: int) -> SplitMix64:
-    """Child generator for (seed, path).
+def substream(seed: int, index: int) -> SplitMix64:
+    """Child generator number index of seed.
 
-    The child seed is mix(parent + (index + 1) * golden) applied once per
-    path element, so substream(s, 1) and substream(s, 2) never collide
-    with each other or with the parent stream.
+    The child seed is mix(seed + (index + 1) * golden), so
+    substream(s, 1) and substream(s, 2) never collide with each other or
+    with the parent stream.
     """
-    s = seed & MASK64
-    for index in path:
-        if index < 0:
-            raise VsslabError("substream indices must be non-negative")
-        s = _mix((s + (index + 1) * _GOLDEN) & MASK64)
-    return SplitMix64(s)
+    if index < 0:
+        raise VsslabError("substream indices must be non-negative")
+    return SplitMix64(_mix((seed + (index + 1) * _GOLDEN) & MASK64))

@@ -98,12 +98,12 @@ def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
 def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -> bool:
     """Check g**value against the commitment product at the share's point.
 
-    Only the left exponent is reduced, mod d = ord(g), which never
-    changes g**value. The right side prod_j c_j**(k**j) is evaluated by
-    Horner's rule in the exponent, with k as the only exponent, and is
-    exact for any entries mod p, inside the subgroup of g or not. For
-    commitments to a polynomial P, acceptance is therefore exactly the
-    congruence value == P(k) (mod d).
+    The left side is GroupParams.g_pow, which reduces the exponent mod
+    d = ord(g) and so never changes g**value. The right side
+    prod_j c_j**(k**j) is evaluated by Horner's rule in the exponent,
+    with k as the only exponent, and is exact for any entries mod p,
+    inside the subgroup of g or not. For commitments to a polynomial P,
+    acceptance is therefore exactly the congruence value == P(k) (mod d).
     """
     if share.dealer != commits.dealer:
         raise VsslabError(
@@ -112,7 +112,7 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
     k = share.recipient
     if not 0 < k < params.p:
         raise VsslabError(f"evaluation point {k} outside (0, p)")
-    left = params.g_pow(share.value % params.d)
+    left = params.g_pow(share.value)
     right = 1
     for c_j in reversed(commits.c):
         right = pow(right, k, params.p) * c_j % params.p

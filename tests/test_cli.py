@@ -6,6 +6,8 @@ import json
 import pytest
 
 from vsslab.cli import main
+from vsslab.protocol import SCENARIO_NAMES, build_scenario
+from vsslab.registry import get_params
 
 
 def run_cli(*argv):
@@ -188,15 +190,21 @@ def test_run_with_registry_params(tmp_path):
     assert code == 0
 
 
-def test_hardened_scenario_uses_hardened_generation(tmp_path):
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_hardened_scenario_uses_hardened_generation(tmp_path, scenario):
+    # --bits generates in the mode of the scenario's default group, which
+    # is hardened for hardened-attack alone
     out = tmp_path / "t.json"
     code = run_cli(
-        "run", "--scenario", "hardened-attack", "--seed", "5", "--bits", "16", "--out", str(out)
+        "run", "--scenario", scenario, "--seed", "5", "--bits", "16", "--out", str(out)
     )
-    assert code == 0
+    assert code == (2 if scenario in ("false-share", "order-shift") else 0)
     doc = json.loads(out.read_text())
-    assert doc["params"]["mode"] == "hardened"
-    assert int(doc["params"]["p"]) == 2 * int(doc["params"]["q"]) + 1
+    default = get_params(build_scenario(scenario, seed=5).params_ref)
+    assert doc["params"]["mode"] == default.mode.value
+    assert (doc["params"]["mode"] == "hardened") == (scenario == "hardened-attack")
+    if scenario == "hardened-attack":
+        assert int(doc["params"]["p"]) == 2 * int(doc["params"]["q"]) + 1
 
 
 class TestSizeDemo:
