@@ -93,7 +93,8 @@ def predict_corruption(points, m_uniform: int, p: int) -> int:
 
     and in particular on a_0 - m when every point is forged (the weights
     sum to 1). No reconstruction is run here; this is the closed form
-    the actual one is tested against.
+    the actual one is tested against. No ceremony calls it; it stays
+    public because the law it states is what tests/test_attack.py checks.
     """
     points = tuple(points)
     if m_uniform < 0:

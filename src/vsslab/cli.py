@@ -47,9 +47,10 @@ def _build_parser() -> _Parser:
     run.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
     run.add_argument("--n", type=int, default=5, help="number of parties (default 5)")
     run.add_argument("--t", type=int, default=3, help="reconstruction threshold (default 3)")
-    run.add_argument("--params", help="registry parameter set name (default per scenario)")
-    run.add_argument("--bits", type=int,
-                     help="generate fresh parameters of this size instead of --params")
+    group = run.add_mutually_exclusive_group()
+    group.add_argument("--params", help="registry parameter set name (default per scenario)")
+    group.add_argument("--bits", type=int,
+                       help="generate fresh parameters of this size instead of --params")
     run.add_argument("--seed", required=True, type=int, help="64-bit run seed")
     run.add_argument("--out", help="write the transcript here instead of stdout")
 
@@ -65,8 +66,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    if args.params is not None and args.bits is not None:
-        raise _UsageError("--params and --bits are mutually exclusive")
     params_ref = args.params
     if args.bits is not None:
         params_ref = GenSpec(bits=args.bits, mode=default_mode(args.scenario))

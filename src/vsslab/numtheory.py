@@ -3,8 +3,10 @@
 Everything here works on non-negative arbitrary-precision ints and is a
 pure function of its arguments. Primality testing is exact below 2**64
 (fixed Miller-Rabin witness set) and probabilistic with error below
-2**-128 above; factorization is guarded to inputs under 96 bits, which
-is all this desk-scale laboratory ever needs.
+2**-128 above. Both share one table, the 25 primes below 100: is_prime
+divides by them first, and factorize strips them before Brent's rho
+splits the rest. Factorization is guarded to inputs under 96 bits,
+which is all this desk-scale laboratory ever needs.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ _SMALL_PRIMES = (
 
 # The first 12 primes are a proven witness set for n < 3.18e23 > 2**64
 # (Sorenson/Webster psi_12); 3.3e24 is psi_13 and also needs base 41.
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_DETERMINISTIC_WITNESSES = _SMALL_PRIMES[:12]
 _DETERMINISTIC_BOUND = 1 << 64
 
 # Above 2**64: fixed number of seeded rounds; error probability < 4**-64 = 2**-128.
@@ -107,17 +109,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 FACTOR_GUARD_BITS = 96
-_TRIAL_LIMIT = 10_000
-
-
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _TRIAL_LIMIT
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(_TRIAL_LIMIT ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
 def _brent_attempt(n: int, c: int) -> int:
@@ -159,6 +150,11 @@ def _nontrivial_factor(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n as {prime: exponent}; factorize(1) == {}.
 
+    Trial division by _SMALL_PRIMES, the 25 primes below 100 that
+    is_prime also divides by, strips every factor below 100; Brent's rho
+    (Brent 1980) splits the cofactor, whose prime factors all exceed
+    100, and is_prime decides each piece.
+
     Guarded to n below 2**96 so a stalled rho loop can never eat the
     session; everything the laboratory generates stays far below that.
     """
@@ -167,7 +163,7 @@ def factorize(n: int) -> dict[int, int]:
     if n.bit_length() > FACTOR_GUARD_BITS:
         raise TooLarge(f"refusing to factor {n.bit_length()}-bit input (limit {FACTOR_GUARD_BITS} bits)")
     out: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:

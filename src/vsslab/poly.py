@@ -123,7 +123,9 @@ def lagrange_zero(points, m: int) -> int:
 
     With at least threshold-many honest points of a secret polynomial
     this is the secret; with any forged point it is whatever the forgery
-    arithmetic says it is.
+    arithmetic says it is. No ceremony calls it (reconstruct_pool sums
+    the weights itself); it stays public as the interpolation of
+    acceptance criterion 1 and of scripts/worked_example.py.
     """
     points = tuple(points)
     for _, y in points:

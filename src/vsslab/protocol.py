@@ -29,7 +29,7 @@ from enum import Enum
 from operator import mul
 
 from .attack import ForgeryStrategy, StrategyKind, forge_share
-from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
+from .errors import ConfigInvalid, ForgeryImpossible
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import SecretPolynomial, eval_integer, lagrange_weights, sample_polynomial
 from .record import record
@@ -309,9 +309,8 @@ def run_verification_round(shares, commitments, params: GroupParams):
     g**b_j == c_j for every j, a share passes exactly when
     value == Q(k) (mod d), and subgroup membership is implied. Any other
     row, a forger's among them, falls back to the per-share checks, so
-    every entry equals the per-share verdict. Every row starts with the
-    same t recipients, so the rows share one Lagrange basis, kept by the
-    bounded cache in poly.
+    every entry equals the per-share verdict. The basis comes from
+    poly's bounded cache (see the note above poly.lagrange_weights).
     """
     commitments = tuple(commitments)
     n = len(commitments)
@@ -339,12 +338,7 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     passing subset lists all C(len(pool), t) of them and a pool of fewer
     than t shares lists none.
     """
-    pool = tuple(pool)
-    for s in pool:
-        if s.dealer != commits.dealer:
-            raise VsslabError(
-                f"share from dealer {s.dealer} in a pool for dealer {commits.dealer}"
-            )
+    pool = commits.check_dealer(pool)
     t = len(commits.c)
     m = params.field_modulus
     xs = [s.recipient for s in pool]
@@ -367,13 +361,9 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     withholding at assembly and that accepted the share at verification
     time, and reconstruct_pool decides it: the attempts up to and
     including the first passing subset, or all of them when none passes,
-    so the recovered secret is read off the last attempt.
-
-    When verification accepted every share, all pools start with the
-    same subset (the first t cooperating parties), and the bounded cache
-    in poly computes its Lagrange weights once. The subsets a failing
-    pool enumerates pass through that cache and may evict it, so the
-    next pool can compute it once more.
+    so the recovered secret is read off the last attempt. The weight
+    tables come from poly's bounded cache (see the note above
+    poly.lagrange_weights).
     """
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly

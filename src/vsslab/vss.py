@@ -40,7 +40,9 @@ from .record import record
 
 @record
 class CommitmentVector:
-    """Public commitments c_j = g**a_j mod p, one per coefficient."""
+    """Public commitments c_j = g**a_j mod p, one per coefficient. The dealer
+    rule: a share is checked only against its own dealer's commitments, and
+    check_dealer enforces it for every check that reads a share."""
 
     dealer: int
     c: tuple[int, ...]
@@ -49,6 +51,16 @@ class CommitmentVector:
         object.__setattr__(self, "c", tuple(self.c))
         if len(self.c) < 1:
             raise VsslabError("commitment vector cannot be empty")
+
+    def check_dealer(self, shares) -> tuple[Share, ...]:
+        """shares as a tuple; VsslabError if another dealer dealt one of them."""
+        shares = tuple(shares)
+        for s in shares:
+            if s.dealer != self.dealer:
+                raise VsslabError(
+                    f"share from dealer {s.dealer} checked against commitments of {self.dealer}"
+                )
+        return shares
 
 
 @record
@@ -105,10 +117,7 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
     inside the subgroup of g or not. For commitments to a polynomial P,
     acceptance is therefore exactly the congruence value == P(k) (mod d).
     """
-    if share.dealer != commits.dealer:
-        raise VsslabError(
-            f"share from dealer {share.dealer} checked against commitments of {commits.dealer}"
-        )
+    commits.check_dealer((share,))
     k = share.recipient
     if not 0 < k < params.p:
         raise VsslabError(f"evaluation point {k} outside (0, p)")
@@ -154,12 +163,7 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     basis comes from lagrange_basis, whose bounded cache in poly lets
     rows at one abscissa set share it.
     """
-    shares = tuple(shares)
-    for s in shares:
-        if s.dealer != commits.dealer:
-            raise VsslabError(
-                f"share from dealer {s.dealer} checked against commitments of {commits.dealer}"
-            )
+    shares = commits.check_dealer(shares)
     hardened = params.mode is Mode.HARDENED
     t = len(commits.c)
     m = params.field_modulus

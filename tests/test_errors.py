@@ -17,7 +17,6 @@ EXEMPT = {
     ("record.py", "__init__", "TypeError"),
     ("record.py", "_frozen", "AttributeError"),
     ("cli.py", "error", "_UsageError"),
-    ("cli.py", "_cmd_run", "_UsageError"),
     ("cli.py", "_cmd_demo", "_UsageError"),
     ("protocol.py", "assemble_group_key", "RuntimeError"),
     ("numtheory.py", "_nontrivial_factor", "RuntimeError"),

@@ -1,5 +1,6 @@
 """Number theory layer, each routine checked against an independent oracle."""
 
+import math
 from functools import lru_cache
 
 import pytest
@@ -22,6 +23,10 @@ from vsslab.registry import load_registry
 from vsslab.rng import SplitMix64
 
 from conftest import brute_order, multiplicative_order
+
+# primes in [101, 10**4): above the 25 primes factorize trial-divides by,
+# so rho alone must split any product of them
+PRIMES_101_TO_10K = tuple(sympy.primerange(101, 10**4))
 
 
 class TestModInv:
@@ -97,16 +102,29 @@ class TestFactorize:
         assert factorize(2**10) == {2: 10}
 
     def test_semiprime_beyond_trial_division(self):
-        # both factors exceed the trial division bound, exercising the rho path
+        # both factors exceed 100, past the 25 trial primes, exercising the rho path
         p, q = 1000003, 1000033
         assert factorize(p * q) == {p: 1, q: 1}
 
     def test_brent_backtracks_when_the_batched_gcd_overshoots(self):
-        # both factors exceed the trial bound, and for 10007 * 10099 the
+        # both factors exceed the 25 trial primes, and for 10007 * 10099 the
         # batched product's gcd jumps straight to n, so Brent's pass steps
         # back one iterate at a time to split it
         assert factorize(10007 * 10099) == {10007: 1, 10099: 1}
         assert factorize(10007**2) == {10007: 2}
+
+    def test_squares_and_cubes_of_primes_above_the_trial_primes(self):
+        # rho, not trial division, splits every prime power of these primes
+        for p in PRIMES_101_TO_10K:
+            for e in (2, 3):
+                assert factorize(p**e) == sympy.factorint(p**e) == {p: e}
+
+    @given(st.lists(st.sampled_from(PRIMES_101_TO_10K), min_size=1, max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_products_of_primes_above_the_trial_primes_match_sympy(self, primes):
+        # seven primes below 10**4 stay below 10**28 < 2**96, the guard
+        n = math.prod(primes)
+        assert factorize(n) == sympy.factorint(n)
 
     def test_large_semiprime(self):
         p = int(sympy.nextprime(2**40))

@@ -271,7 +271,7 @@ class TestReconstructPool:
 
     def test_a_share_from_another_dealer_raises(self, small11):
         shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=2, recipient=2, value=11)]
-        with pytest.raises(VsslabError, match="share from dealer 2 in a pool for dealer 1"):
+        with pytest.raises(VsslabError, match="share from dealer 2 checked against commitments of 1"):
             reconstruct_pool(shares, self.worked_commits(small11), small11)
 
     def test_one_forged_share_stops_at_the_first_passing_subset(self, small11):
