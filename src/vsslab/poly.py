@@ -4,6 +4,7 @@ and in coefficient form. Interpolation tables are cached here, bounded
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import VsslabError
@@ -86,10 +87,12 @@ def _check_abscissas(xs: tuple[int, ...], m: int) -> None:
 # A table is a pure function of (abscissas, modulus), so caching one never
 # changes a result. The caches are sized from a run's traffic: every row
 # is verified at the same first t parties (one basis), reconstruction asks
-# for at most n first-subset weight tables, and the subsets a failing pool
-# enumerates never recur and pass through. Worst case at t = n =
-# MAX_PARTIES = 64 over a 96-bit field: 64 weight tables of 3.5 KB plus
-# 4 bases of 0.2 MB, about 1 MB in all.
+# for at most n first-subset weight tables, a pool whose first subset
+# fails asks for one more basis at that subset to test whether the pool
+# lies on one polynomial, and the subsets an inconsistent pool enumerates
+# never recur and pass through. Worst case at t = n = MAX_PARTIES = 64
+# over a 96-bit field: 64 weight tables of 3.5 KB plus 4 bases of 0.2 MB,
+# about 1 MB in all.
 
 
 def lagrange_weights(xs, m: int) -> tuple[int, ...]:
@@ -105,16 +108,27 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def _lagrange_weights(xs: tuple[int, ...], m: int) -> tuple[int, ...]:
     _check_abscissas(xs, m)
-    weights = []
-    for j, xj in enumerate(xs):
-        num = 1
+    # weight_j = (total / x_j) / dens[j], with total the product of all x_l
+    # and dens[j] = prod_{l != j} (x_l - x_j), both exact integers first.
+    # Montgomery's batch inversion inverts all of dens with one mod_inv:
+    # with prefix[j] = dens[0] * ... * dens[j-1], the walk back keeps
+    # inv = 1 / (dens[0] * ... * dens[j]).
+    total = math.prod(xs)
+    dens = []
+    for xj in xs:
         den = 1
-        for l, xl in enumerate(xs):
-            if l == j:
-                continue
-            num = num * xl % m
-            den = den * (xl - xj) % m
-        weights.append(num * mod_inv(den, m) % m)
+        for xl in xs:
+            if xl != xj:
+                den *= xl - xj
+        dens.append(den % m)
+    prefix = [1]
+    for den in dens:
+        prefix.append(prefix[-1] * den % m)
+    inv = mod_inv(prefix[-1], m)
+    weights = [0] * len(xs)
+    for j in reversed(range(len(xs))):
+        weights[j] = total // xs[j] * inv * prefix[j] % m
+        inv = inv * dens[j] % m
     return tuple(weights)
 
 

@@ -17,7 +17,10 @@ false-share dealer withholds too, since denial is what the forgery is
 for. reconstruct_pool decides each pool, as verify_row decides each
 row: its t-subsets are tried in lexicographic order until one rebuilds
 a secret consistent with the dealer's own commitment; a dealer with no
-such subset blocks the key.
+such subset blocks the key. A pool whose shares all lie on one field
+polynomial (every honest pool, and every pool of a forger whose shares
+carry its one shift) is decided by its first subset, so only a pool
+that mixes forged and honest shares is enumerated.
 """
 
 from __future__ import annotations
@@ -31,16 +34,24 @@ from operator import mul
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, ForgeryImpossible
 from .numtheory import GroupParams, Mode, gen_params
-from .poly import SecretPolynomial, eval_integer, lagrange_weights, sample_polynomial
+from .poly import (
+    SecretPolynomial,
+    eval_integer,
+    lagrange_basis,
+    lagrange_weights,
+    sample_polynomial,
+)
 from .record import record
 from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, Share, aggregate_public_key, commit, verify_row
 
-# Every dealer's pool can hold all n shares, and a pool with no passing
-# subset records every one of its t-subsets, so a run can cost up to
-# n * C(n, t) attempts. The budget admits v64 n=16 t=8 (205,920) and
-# refuses sizes that would never finish, such as n=40 t=20 (about 5.5e12).
+# Every dealer's pool can hold all n shares, and an inconsistent pool (its
+# shares do not lie on one polynomial) with no passing subset records
+# every one of its t-subsets, so such a run can cost up to n * C(n, t)
+# attempts. ScenarioConfig.validate applies the budget to the configs
+# that can make one; it admits v64 n=16 t=8 (205,920) and refuses sizes
+# that would never finish, such as n=40 t=20 (about 5.5e12).
 MAX_RECONSTRUCTION_ATTEMPTS = 250_000
 
 # Dealing and verification cost about n**3 big-int operations whatever t
@@ -139,9 +150,17 @@ class ScenarioConfig:
         # counted, not materialized: n comes from untrusted transcripts
         if len(self.behaviors) != self.n or not all(1 <= pid <= self.n for pid in self.behaviors):
             raise ConfigInvalid("behaviors must cover exactly the parties 1..n")
-        if self.n * math.comb(self.n, self.t) > MAX_RECONSTRUCTION_ATTEMPTS:
+        # A pool can be inconsistent only when its dealer forges to some,
+        # but not all, of the parties that put shares on the table: every
+        # forged share carries the dealer's one shift, and reconstruct_pool
+        # decides a consistent pool with one attempt.
+        cooperating = {pid for pid, b in self.behaviors.items() if not b.withholds_at_assembly}
+        splitters = sorted(pid for pid, b in self.behaviors.items()
+                           if 0 < len(cooperating.intersection(b.targets)) < len(cooperating))
+        if splitters and self.n * math.comb(self.n, self.t) > MAX_RECONSTRUCTION_ATTEMPTS:
             raise ConfigInvalid(
-                f"n = {self.n}, t = {self.t} needs n * C(n, t) > "
+                f"party {splitters[0]} forges to some but not all cooperating parties, so "
+                f"n = {self.n}, t = {self.t} needs up to n * C(n, t) > "
                 f"{MAX_RECONSTRUCTION_ATTEMPTS:,} reconstruction attempts"
             )
         # party ids are evaluation points, so they must be nonzero
@@ -334,15 +353,27 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     the Lagrange weights of its recipients, and it passes when g**value
     matches the dealer's constant-term commitment. Honest shares always
     pass; forged ones corrupt value and (outside a measure-1/p wraparound
-    corner) fail. The attempts stop at the first pass, so a pool with no
-    passing subset lists all C(len(pool), t) of them and a pool of fewer
-    than t shares lists none.
+    corner) fail. The attempts stop at the first pass, and a pool of
+    fewer than t shares lists none.
+
+    When the first subset fails (and the recipients are distinct
+    elements of the field), the coefficients through its t shares
+    (lagrange_basis) are evaluated at the pool's other recipients. If
+    every other share agrees mod the field, the pool lies on one
+    polynomial, every t-subset rebuilds the same value and none can
+    pass, so the pool lists that one attempt. Otherwise (a forger's
+    pool that mixes forged and honest shares) the subsets are
+    enumerated, and a pool with no passing subset lists all
+    C(len(pool), t) of them.
     """
     pool = commits.check_dealer(pool)
     t = len(commits.c)
     m = params.field_modulus
     xs = [s.recipient for s in pool]
     ys = [s.value % m for s in pool]
+    # the test needs distinct abscissas in the field; any other pool is
+    # enumerated, and lagrange_weights rejects it at the first bad subset
+    testable = len(xs) > t and len(set(xs)) == len(xs) and max(xs) < m
     attempts = []
     for subset, values in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
         value = sum(map(mul, values, lagrange_weights(subset, m))) % m
@@ -350,6 +381,11 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
         attempts.append(ReconstructionAttempt(subset=subset, value=value, commitment_check=ok))
         if ok:
             break
+        if len(attempts) == 1 and testable:
+            coeffs = tuple(sum(map(mul, values, row)) % m for row in lagrange_basis(subset, m))
+            first = SecretPolynomial(commits.dealer, coeffs, m)
+            if all(eval_integer(first, x) % m == y for x, y in zip(xs[t:], ys[t:])):
+                break
     return tuple(attempts)
 
 
@@ -360,10 +396,11 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     The pool for dealer i holds i's shares kept by parties that are not
     withholding at assembly and that accepted the share at verification
     time, and reconstruct_pool decides it: the attempts up to and
-    including the first passing subset, or all of them when none passes,
-    so the recovered secret is read off the last attempt. The weight
-    tables come from poly's bounded cache (see the note above
-    poly.lagrange_weights).
+    including the first passing subset, one attempt for a failing pool
+    on one polynomial, or every subset of an inconsistent pool when none
+    passes, so the recovered secret is read off the last attempt. The
+    weight tables and bases come from poly's bounded cache (see the note
+    above poly.lagrange_weights).
     """
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly

@@ -1,12 +1,17 @@
 """Canonical JSON transcripts of scenario runs, and their audit.
 
-Schema version "2". Keys are sorted, there are no timestamps, every
+Schema version "3". Keys are sorted, separators are compact (no
+whitespace, one newline at the end), there are no timestamps, every
 field-sized integer is a decimal string (seeds and share values can
 exceed what JSON numbers hold), and small structural integers (party
 ids, n, t) stay as JSON numbers. Equal reports serialize to identical
 bytes, which is what makes the tamper check meaningful. Each dealer's
 reconstruction lists the subsets tried, up to the first that passed its
-commitment check.
+commitment check; a failing pool whose shares lie on one polynomial
+lists only its first subset, since every other would fail the same way
+(see protocol.reconstruct_pool). Schema "2", the same fields indented,
+listed every subset of such a pool; the audit refuses it, as it refuses
+any other version.
 """
 
 from __future__ import annotations
@@ -28,12 +33,15 @@ from .protocol import (
 )
 from .vss import Share
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def canonical_json(doc: dict) -> str:
-    """The one serialization everything uses: sorted keys, 2-space indent."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The one serialization everything uses: sorted keys, compact separators.
+
+    Without indent, json.dumps runs the C encoder.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from vsslab.poly import (
 from vsslab.protocol import GenSpec, Verdict, build_scenario, run_scenario
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64, substream
+from vsslab.transcript import canonical_json
 from vsslab.vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
     PROJECTION_EXPONENT_LOG2,
@@ -186,8 +187,13 @@ def test_criterion_7_transcript_determinism(tmp_path):
     assert cli_main(argv + ["--out", str(b)]) == 2
     assert a.read_bytes() == b.read_bytes()
 
-    # the verifier accepts the untouched transcript
+    # the verifier accepts the untouched transcript, and so the same
+    # text re-rendered by the canonical_json every rewrite below uses
     assert cli_main(["verify", str(a)]) == 0
+    c = tmp_path / "c.json"
+    c.write_text(canonical_json(json.loads(a.read_text())))
+    assert c.read_bytes() == a.read_bytes()
+    assert cli_main(["verify", str(c)]) == 0
 
     # and rejects a single-byte edit of any recorded value
     doc = json.loads(a.read_text())
@@ -211,8 +217,7 @@ def test_criterion_7_transcript_determinism(tmp_path):
         else:
             rec = broken["reconstructions"][where]
             rec["recovered"] = str((int(rec["recovered"]) + 1) % 11)
-        c = tmp_path / "c.json"
-        c.write_text(json.dumps(broken, sort_keys=True, indent=2) + "\n")
+        c.write_text(canonical_json(broken))
         assert cli_main(["verify", str(c)]) == 1, (section, where)
         tampered_fields += 1
     assert tampered_fields >= 25  # all shares, all vectors, recovered values

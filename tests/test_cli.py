@@ -8,6 +8,7 @@ import pytest
 from vsslab.cli import main
 from vsslab.protocol import SCENARIO_NAMES, build_scenario
 from vsslab.registry import get_params
+from vsslab.transcript import canonical_json
 
 
 def run_cli(*argv):
@@ -52,14 +53,42 @@ def test_verify_accepts_fresh_transcript(tmp_path, capsys):
     assert "verified" in capsys.readouterr().err
 
 
+def test_verify_accepts_an_unedited_round_trip(tmp_path, capsys):
+    # the control for the rewrites below: parsing and re-rendering a
+    # transcript with canonical_json leaves it verifiable, so each of
+    # them fails for its edit alone
+    out = tmp_path / "t.json"
+    run_cli("run", "--scenario", "false-share", "--seed", "7", "--out", str(out))
+    text = out.read_text()
+    out.write_text(canonical_json(json.loads(text)))
+    assert out.read_text() == text
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 0
+    assert "verified" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_schema_2_transcript(tmp_path, capsys):
+    # honest pools list the same attempts under both schemas, so this is
+    # the file schema "2" wrote: the same fields, indented
+    out = tmp_path / "t.json"
+    run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["version"] = "2"
+    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 1
+    assert capsys.readouterr().err == "FAIL: unsupported schema version '2'\n"
+
+
 def test_verify_rejects_value_tamper(tmp_path, capsys):
     out = tmp_path / "t.json"
     run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out))
     doc = json.loads(out.read_text())
     doc["shares"][3]["value"] = str(int(doc["shares"][3]["value"]) + 1)
-    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out.write_text(canonical_json(doc))
+    capsys.readouterr()
     assert run_cli("verify", str(out)) == 1
-    assert "FAIL" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("FAIL: shares[3].value: transcript has")
 
 
 @pytest.mark.parametrize("edit", [
@@ -70,7 +99,7 @@ def test_verify_rejects_value_tamper(tmp_path, capsys):
 def test_verify_malformed_transcript_fails_cleanly(tmp_path, capsys, edit):
     out = tmp_path / "t.json"
     run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out))
-    out.write_text(json.dumps(edit(json.loads(out.read_text())), sort_keys=True, indent=2))
+    out.write_text(canonical_json(edit(json.loads(out.read_text()))))
     assert run_cli("verify", str(out)) == 1
     assert "FAIL" in capsys.readouterr().err
 
@@ -81,7 +110,7 @@ def test_verify_rejects_a_relabelled_transcript(tmp_path, capsys, scenario, labe
     run_cli("run", "--scenario", scenario, "--seed", "5", "--out", str(out))
     doc = json.loads(out.read_text())
     doc["config"]["scenario"] = label
-    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out.write_text(canonical_json(doc))
     capsys.readouterr()
     assert run_cli("verify", str(out)) == 1
     err = capsys.readouterr().err
@@ -100,7 +129,7 @@ def test_verify_refuses_a_config_value_out_of_range(tmp_path, capsys, key, value
     doc = json.loads(out.read_text())
     node = doc["config"] if key == "seed" else doc["config"]["behaviors"]["1"]
     node[key] = value
-    out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out.write_text(canonical_json(doc))
     capsys.readouterr()
     assert run_cli("verify", str(out)) == 1
     assert capsys.readouterr().err == f"FAIL: config does not re-run: {message}\n"
@@ -227,11 +256,11 @@ class TestSizeDemo:
         assert int(doc["projected"]["exponent_log2"]) == 1024
 
     @pytest.mark.parametrize("bits, json_sha256, stdout_sha256", [
-        (8, "5f1454a4061f2b6c257737ff5033ab50ee35fc655d949a4b35e9839688bb3511",
+        (8, "0f52da9942716170c5273e3750a1586c55cecf90d987602eea785025803e3b29",
          "d625ae22cf807a7b521c04bbaaebf398b1fb9771be2aa28d56585f4d51ec1ecb"),
-        (20, "cccfe3aab445168bba79564c1126551fc158d669c858927d6c916b4eb48cd5fb",
+        (20, "7c30b35d1b5b03e495ac37febaf3555c91057aa9d38c1e3a72f5fc4e41510217",
          "50367dff0a2fd4118213470002957ee7449fbe430b20d8ce63ac64ecd257d7ef"),
-    ])
+    ], ids=["8", "20"])
     def test_output_is_byte_stable(self, tmp_path, capsys, bits, json_sha256, stdout_sha256):
         out = tmp_path / "sizes.json"
         assert run_cli("demo-integer-commitments", "--bits", str(bits), "--out", str(out)) == 0

@@ -1,6 +1,7 @@
 """End-to-end scenario runs: dealing, verification, reconstruction, verdicts."""
 
 import itertools
+import json
 import random
 import time
 from math import comb
@@ -41,7 +42,7 @@ from vsslab.protocol import (
 )
 from vsslab.registry import get_params
 from vsslab.rng import substream
-from vsslab.transcript import audit_transcript, render_report
+from vsslab.transcript import audit_transcript, canonical_json, render_report
 from vsslab.vss import (
     CommitmentVector,
     Share,
@@ -62,6 +63,18 @@ def label_for(behaviors):
     n = len(behaviors)
     return next((name for name in SCENARIO_NAMES
                  if build_scenario(name, seed=0, n=n).behaviors == behaviors), "custom")
+
+
+def splitting_config(n, t, targets, params_ref="v64", withholders=(), seed=1):
+    """Party 1 forges to targets, the parties in withholders withhold, the
+    rest are honest: the shape of the benchmark's partial-forgery ceremony."""
+    behaviors = {pid: Behavior() for pid in range(1, n + 1)}
+    for pid in withholders:
+        behaviors[pid] = Behavior(BehaviorKind.WITHHOLDING_DEALER)
+    behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
+                            strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
+                            targets=targets)
+    return ScenarioConfig(label_for(behaviors), n, t, params_ref, behaviors, seed)
 
 
 def assert_cli_refuses_quickly(capsys, n, t, reason, scenario="honest"):
@@ -170,17 +183,45 @@ class TestConfigValidation:
 
     def test_attempt_budget_admits_the_largest_baseline_size(self):
         assert 16 * comb(16, 8) <= MAX_RECONSTRUCTION_ATTEMPTS
-        honest_config(n=16, t=8, params_ref="v64").validate(get_params("v64"))
+        splitting_config(16, 8, (2, 5, 8, 11)).validate(get_params("v64"))
         # C(n, t) = C(n, n - t): t near n is cheap, and the running
         # product must not pass the budget on its way to it
         for t in (38, 39, 40):
-            honest_config(n=40, t=t, params_ref="v64").validate(get_params("v64"))
+            splitting_config(40, t, (2, 5, 8, 11)).validate(get_params("v64"))
 
     @pytest.mark.parametrize("n,t", [(17, 8), (40, 20), (30, 25)])
     def test_attempt_budget_refuses_combinatorial_sizes(self, n, t):
+        # party 1 forges to some of the cooperating parties, so its pool
+        # mixes forged and honest shares and may be enumerated
         assert n * comb(n, t) > MAX_RECONSTRUCTION_ATTEMPTS
         with pytest.raises(ConfigInvalid, match="reconstruction attempts"):
-            honest_config(n=n, t=t, params_ref="v64").validate(get_params("v64"))
+            splitting_config(n, t, (2, 5, 8, 11)).validate(get_params("v64"))
+
+    def test_attempt_budget_admits_every_built_in_scenario_up_to_the_party_cap(self):
+        # their pools all lie on one polynomial, one attempt each
+        for name in SCENARIO_NAMES:
+            params_ref = "h64" if name == "hardened-attack" else "v64"
+            for t in range(2, MAX_PARTIES + 1):
+                cfg = build_scenario(name, seed=1, n=MAX_PARTIES, t=t, params_ref=params_ref)
+                cfg.validate(get_params(params_ref))
+
+    @pytest.mark.parametrize("targets,withholders,refused", [
+        ((2, 3), (), True),
+        ((2, 3), (3,), True),            # still splits the cooperating 2, 4, ..., 40
+        (tuple(range(2, 41)), (3,), False),
+        (tuple(range(2, 41)), (), False),   # false-share's forger
+        ((3,), (3,), False),             # forges only to a withholder: an honest pool
+        ((3, 4), (3, 4), False),
+    ], ids=["some", "some-with-a-withholder", "all-with-a-withholder", "all",
+            "only-a-withholder", "only-withholders"])
+    def test_attempt_budget_applies_exactly_when_targets_split_the_cooperating_parties(
+            self, targets, withholders, refused):
+        cfg = splitting_config(40, 20, targets, withholders=withholders)
+        if refused:
+            with pytest.raises(ConfigInvalid, match="party 1 forges to some but not all"):
+                cfg.validate(get_params("v64"))
+        else:
+            cfg.validate(get_params("v64"))
 
     def test_party_cap_admits_the_cap(self):
         assert MAX_PARTIES == 64
@@ -193,8 +234,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="parties"):
             honest_config(n=n, t=t, params_ref="v64").validate(get_params("v64"))
 
-    def test_cli_refuses_an_unbounded_run_quickly(self, capsys):
-        assert_cli_refuses_quickly(capsys, "40", "20", "reconstruction attempts")
+    def test_cli_refuses_an_unbounded_run_quickly(self, tmp_path, capsys):
+        # `vsslab run` builds only built-in scenarios, which the budget
+        # admits; `vsslab verify` re-runs whatever config a transcript holds
+        doc = json.loads(render_report(run_scenario(splitting_config(12, 6, (2, 5, 8, 11)))))
+        doc["config"].update(n=40, t=20, behaviors={
+            str(pid): doc["config"]["behaviors"].get(str(pid), {"kind": "honest"})
+            for pid in range(1, 41)})
+        path = tmp_path / "t.json"
+        path.write_text(canonical_json(doc))
+        started = time.monotonic()
+        assert cli_main(["verify", str(path)]) == 1
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL: config does not re-run: party 1 forges")
+        assert "reconstruction attempts" in err
 
     def test_cli_refuses_too_many_parties_quickly(self, capsys):
         assert_cli_refuses_quickly(capsys, "1000", "1000", "parties")
@@ -284,6 +338,22 @@ class TestReconstructPool:
         assert [(a.subset, a.commitment_check) for a in attempts] == [
             ((1, 2), False), ((1, 3), False), ((2, 3), True)]
         assert attempts[-1].value == 3
+
+    def test_a_pool_on_one_polynomial_is_decided_by_its_first_subset(self, small11):
+        # every share shifted by p - 1 = 10 lies on 2 + 4x mod 11, so each
+        # subset rebuilds 2 and fails; only the first is listed
+        attempts = reconstruct_pool(self.pool(17, 21, 25), self.worked_commits(small11), small11)
+        assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
+
+    @pytest.mark.parametrize("recipient, message", [
+        (2, "abscissa 2 appears twice"), (14, r"abscissa 14 outside \(0, 11\)")])
+    def test_a_malformed_pool_on_one_polynomial_still_raises(self, small11, recipient, message):
+        # the third share agrees with the line through the first two, so
+        # only the abscissa checks of its subsets can refuse the pool
+        third = Share(dealer=1, recipient=recipient, value=21 + 4 * (recipient - 2))
+        shares = self.pool(17, 21) + [third]
+        with pytest.raises(VsslabError, match=message):
+            reconstruct_pool(shares, self.worked_commits(small11), small11)
 
 
 class TestScenarioVerdicts:
@@ -577,11 +647,20 @@ class TestPoolMechanics:
     def test_attempts_stop_at_the_first_passing_subset(self):
         honest = run_scenario(honest_config(n=4, t=2)).reconstructions[0]
         assert [(a.subset, a.commitment_check) for a in honest.attempts] == [((1, 2), True)]
-        # an all-forged pool has no passing subset, so every one is listed
+        # a pool mixing forged and honest shares with no passing subset
+        # lists every one
+        mixed = run_scenario(splitting_config(5, 3, (2, 4), "small11", seed=7)).reconstructions[0]
+        assert mixed.pool == (2, 3, 4, 5)
+        assert [a.subset for a in mixed.attempts] == list(itertools.combinations(mixed.pool, 3))
+        assert not any(a.commitment_check for a in mixed.attempts)
+
+    def test_an_all_forged_pool_lists_one_attempt(self):
+        # every forged share carries the one shift, so the pool lies on
+        # one polynomial: its first subset fails, and so would every other
         forged = run_scenario(build_scenario("false-share", seed=7)).reconstructions[0]
-        assert len(forged.attempts) == comb(len(forged.pool), 3)
-        assert [a.subset for a in forged.attempts] == list(itertools.combinations(forged.pool, 3))
-        assert not any(a.commitment_check for a in forged.attempts)
+        assert forged.pool == (2, 3, 4, 5)
+        assert [(a.subset, a.commitment_check) for a in forged.attempts] == [((2, 3, 4), False)]
+        assert 1 == len(forged.attempts) < comb(len(forged.pool), 3)
 
 
 @pytest.fixture
@@ -603,11 +682,20 @@ class TestWeightMemo:
         assert tables_computed() == (1, 1)
 
     def test_a_forged_pool_enumerates_through_the_memo(self, tables_computed):
-        # the forged pool tries all C(4, 3) subsets; the honest pools start
-        # with its first subset and find it memoised
-        report = run_scenario(build_scenario("false-share", seed=7))
+        # the mixed pool tries all C(4, 3) subsets; the honest pools start
+        # with its first subset and find it memoised. Bases: the rows'
+        # (1, 2, 3), and (2, 3, 4) for the mixed pool's consistency test
+        report = run_scenario(splitting_config(5, 3, (2, 4), "small11", seed=7))
         assert len(report.reconstructions[0].attempts) == comb(4, 3)
-        assert tables_computed() == (comb(4, 3), 1)
+        assert tables_computed() == (comb(4, 3), 2)
+
+    def test_a_consistent_forged_pool_asks_for_one_basis(self, tables_computed):
+        # false-share's forged pool fails at (2, 3, 4) and lies on one
+        # polynomial: one weight table shared with the honest pools, and
+        # one basis beside the rows'
+        report = run_scenario(build_scenario("false-share", seed=7))
+        assert len(report.reconstructions[0].attempts) == 1
+        assert tables_computed() == (1, 2)
 
     def test_pools_with_different_first_subsets_get_their_own_weights(self, tables_computed):
         from vsslab.protocol import run_dealing_round, run_reconstruction_round
@@ -626,9 +714,40 @@ class TestWeightMemo:
         assert tables_computed() == (4, 0)
 
 
+def enumerate_pool(points, t, commits, params):
+    """Every t-subset's attempt in lexicographic order, by lagrange_zero
+    and the builtin pow; points are (recipient, value mod the field)."""
+    m = params.field_modulus
+    oracle = []
+    for subset in itertools.combinations(points, t):
+        value = lagrange_zero(subset, m)
+        oracle.append(ReconstructionAttempt(tuple(k for k, _ in subset), value,
+                                            pow(params.g, value, params.p) == commits.c[0]))
+    return oracle
+
+
+def on_one_polynomial(points, t, m):
+    """Whether every point lies on the polynomial through the first t:
+    its value at k is lagrange_zero of the first t moved left by k."""
+    first = points[:t]
+    return all(lagrange_zero([((x - k) % m, y) for x, y in first], m) == v
+               for k, v in points[t:])
+
+
+def expected_attempts(oracle, points, t, m):
+    """What reconstruct_pool must list: up to the first passing subset;
+    when none passes, the first alone for a pool on one polynomial and
+    every subset otherwise."""
+    first = next((i for i, a in enumerate(oracle) if a.commitment_check), None)
+    if first is not None:
+        return oracle[:first + 1]
+    return oracle[:1] if on_one_polynomial(points, t, m) else oracle
+
+
 class TestReconstructionMatchesOracle:
-    """The recorded attempts are lagrange_zero and the c_0 check over
-    every t-subset of the pool, cut after the first that passes."""
+    """The recorded attempts are lagrange_zero and the c_0 check over the
+    t-subsets of the pool, cut after the first that passes, or after the
+    first when the pool lies on one polynomial."""
 
     @staticmethod
     def configs(params_ref, n, t, rng):
@@ -651,7 +770,7 @@ class TestReconstructionMatchesOracle:
     @pytest.mark.parametrize("params_ref", ["small11", "p23order11", "v32", "p23q11"])
     def test_every_attempt_matches_the_per_subset_oracle(self, params_ref):
         rng = random.Random(params_ref)
-        mixed_pools = stopped_early = exhausted = 0
+        mixed_pools = stopped_early = exhausted = decided_by_first = 0
         for n in range(2, 8):
             for t in range(2, n + 1):
                 for cfg in self.configs(params_ref, n, t, rng):
@@ -660,21 +779,59 @@ class TestReconstructionMatchesOracle:
                     m = params.field_modulus
                     values = {(s.dealer, s.recipient): s.value % m for s in report.shares}
                     for rec, commits in zip(report.reconstructions, report.commitments):
-                        oracle = []
-                        for subset in itertools.combinations(rec.pool, t):
-                            value = lagrange_zero(
-                                [(k, values[rec.dealer, k]) for k in subset], m)
-                            ok = pow(params.g, value, params.p) == commits.c[0]
-                            oracle.append(ReconstructionAttempt(subset, value, ok))
+                        points = [(k, values[rec.dealer, k]) for k in rec.pool]
+                        oracle = enumerate_pool(points, t, commits, params)
                         first = next((i for i, a in enumerate(oracle) if a.commitment_check),
                                      None)
-                        expected = oracle if first is None else oracle[:first + 1]
-                        assert list(rec.attempts) == expected, (cfg, rec.dealer)
+                        assert list(rec.attempts) == expected_attempts(oracle, points, t, m), (
+                            cfg, rec.dealer)
                         assert rec.recovered == (None if first is None else oracle[first].value)
                         mixed_pools += len({a.value for a in oracle}) > 1
                         stopped_early += len(rec.attempts) < len(oracle)
-                        exhausted += bool(oracle) and first is None
+                        failed = bool(oracle) and first is None
+                        exhausted += failed and len(rec.attempts) == len(oracle) > 1
+                        decided_by_first += failed and len(rec.attempts) == 1 < len(oracle)
         assert stopped_early > 0
         # a hardened forger deals honestly, so only vulnerable sets mix
         if get_params(params_ref).mode is Mode.VULNERABLE:
-            assert mixed_pools > 0 and exhausted > 0
+            assert mixed_pools > 0 and exhausted > 0 and decided_by_first > 0
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_reconstruct_pool_matches_exhaustive_enumeration(data):
+    """One pool against every t-subset by lagrange_zero and builtin pow:
+    honest, every share shifted by one constant, or a proper subset
+    shifted; wider than t, exactly t, or shorter."""
+    params = get_params(data.draw(st.sampled_from(["small11", "p23order11", "v32", "p23q11"])))
+    m = params.field_modulus
+    t = data.draw(st.integers(min_value=2, max_value=5))
+    # wider pools twice as often: only they can be inconsistent
+    wide = st.integers(min_value=t + 1, max_value=min(8, m - 1))
+    n = data.draw(st.sampled_from([wide, wide, st.just(t), st.integers(0, t - 1)]).flatmap(
+        lambda size: size))
+    recipients = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 12)),
+                                    min_size=n, max_size=n, unique=True))
+    poly = sample_polynomial(t, m, 1, substream(data.draw(st.integers(0, 2**64 - 1)), 1))
+    shape = data.draw(st.sampled_from(["honest", "shift-all", "shift-some", "shift-some"]))
+    shifted = set()
+    if shape == "shift-all":
+        shifted = set(recipients)
+    elif shape == "shift-some" and n > 1:
+        shifted = data.draw(st.sets(st.sampled_from(recipients), min_size=1, max_size=n - 1))
+    shift = data.draw(st.integers(min_value=1, max_value=3 * params.p))
+    pool = [Share(dealer=1, recipient=k,
+                  value=eval_integer(poly, k) + (shift if k in shifted else 0))
+            for k in recipients]
+    commits = commit(poly, params)
+
+    attempts = reconstruct_pool(pool, commits, params)
+    points = [(s.recipient, s.value % m) for s in pool]
+    oracle = enumerate_pool(points, t, commits, params)
+    first = next((i for i, a in enumerate(oracle) if a.commitment_check), None)
+    recovered = DealerReconstruction(1, tuple(recipients), attempts).recovered
+    assert recovered == (None if first is None else oracle[first].value)
+    assert attempts[:1] == tuple(oracle[:1])
+    if oracle and first is None:
+        assert (len(attempts) == 1) == on_one_polynomial(points, t, m)
+    assert list(attempts) == expected_attempts(oracle, points, t, m)

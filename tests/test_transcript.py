@@ -34,6 +34,21 @@ def false_share_text():
     return render_report(run_scenario(build_scenario("false-share", seed=7)))
 
 
+def partial_forgery_config(n, t, targets, params_ref, seed):
+    """Party 1 forges to targets only, then withholds, as the benchmark's
+    partial-forgery ceremony does: its pool mixes forged and honest shares."""
+    behaviors = {pid: Behavior() for pid in range(1, n + 1)}
+    behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
+                            strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
+                            targets=targets)
+    return ScenarioConfig("partial-forgery", n, t, params_ref, behaviors, seed)
+
+
+@pytest.fixture(scope="module")
+def partial_forgery_text():
+    return render_report(run_scenario(partial_forgery_config(5, 3, (2, 4), "small11", 7)))
+
+
 def set_config_field(path, value):
     """An edit that returns a copy of the doc with config[path...] = value."""
     def edit(doc):
@@ -55,7 +70,7 @@ def retamper(text, mutate):
 
 
 def test_version_field_is_current(false_share_text):
-    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "2"
+    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "3"
 
 
 def test_top_level_keys_are_the_schema_2_set(false_share_text):
@@ -75,8 +90,8 @@ def test_rendering_is_deterministic():
 # Wider configs than scripts/transcript_digest.py covers, where each
 # dealer's row is verified by the row check and the false-share and
 # order-shift rows fall back to per-share checks: (scenario, params, n, t),
-# each at seeds 0-2, hashed in that order. Recorded before the row check
-# existed; a change meant to keep transcripts byte-identical leaves it alone.
+# each at seeds 0-2, hashed in that order. Recorded when schema "3" came
+# in; a change meant to keep transcripts byte-identical leaves it alone.
 WIDE_CONFIGS = (
     ("honest", "v64", 12, 6),
     ("false-share", "v64", 12, 6),
@@ -85,7 +100,7 @@ WIDE_CONFIGS = (
     ("hardened-attack", "h64", 16, 15),
     ("order-shift", "v32", 16, 8),
 )
-WIDE_DIGEST = "4fbfb40995e716baec3b7910a9796320d1628325c65701ea4949906850facb1b"
+WIDE_DIGEST = "a0bc9420089482bd601687cdccd557cacbfd547fac1436118035e72fc3ed5dbc"
 
 
 def test_wide_config_transcripts_are_pinned():
@@ -174,8 +189,9 @@ class TestAudit:
         assert any(p.startswith("params.g") for p in problems)
 
     def test_wrong_version_reported(self, false_share_text):
-        # "1" listed every t-subset; such a file is regenerated, not read
-        for version in ("999", "1"):
+        # "1" listed every t-subset, and "2" every subset of a failing pool
+        # on one polynomial; such a file is regenerated, not read
+        for version in ("999", "1", "2"):
             def wrong_version(doc):
                 doc["version"] = version
 
@@ -201,11 +217,15 @@ class TestAudit:
         ("2", lambda attempts: attempts.append(copy.deepcopy(attempts[0])),
          "reconstructions.2.attempts: transcript has 2 entries, regeneration has 1"),
     ], ids=["drop-last", "swap-first-two", "append"])
-    def test_an_edited_attempt_list_is_reported(self, false_share_text, dealer, edit, problem):
-        # dealer 1's forged pool lists all four subsets; dealer 2's honest
-        # pool passes at its first
+    def test_an_edited_attempt_list_is_reported(self, partial_forgery_text, dealer, edit,
+                                                problem):
+        # dealer 1 forges to 2 and 4 of its pool 2..5, which lists all four
+        # subsets and passes none; dealer 2's honest pool passes at its first
+        doc = json.loads(partial_forgery_text)
+        assert [a["commitment_check"] for a in doc["reconstructions"]["1"]["attempts"]] == [
+            False] * 4
         problems = audit_transcript(retamper(
-            false_share_text, lambda doc: edit(doc["reconstructions"][dealer]["attempts"])))
+            partial_forgery_text, lambda doc: edit(doc["reconstructions"][dealer]["attempts"])))
         assert problems[0] == problem
 
     def test_single_byte_flip_never_passes(self, false_share_text):
@@ -267,21 +287,17 @@ class TestAudit:
     def test_a_custom_config_under_a_custom_label_is_clean(self):
         # party 1 forges to four of twelve, as the benchmark's
         # partial-forgery ceremony does
-        behaviors = {pid: Behavior() for pid in range(1, 13)}
-        behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
-                                strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1),
-                                targets=(2, 5, 8, 11))
-        config = ScenarioConfig("partial-forgery", 12, 6, "v64", behaviors, 5)
+        config = partial_forgery_config(12, 6, (2, 5, 8, 11), "v64", 5)
         assert audit_transcript(render_report(run_scenario(config))) == []
 
     def test_config_over_the_attempt_budget_is_a_problem(self, false_share_text):
-        # a well-formed config for v64 with n=40 t=20 would take about
-        # 5.5e12 reconstruction attempts; the audit refuses it up front
+        # party 1 forging to some of the others at v64 with n=40 t=20 could
+        # take about 5.5e12 reconstruction attempts; the audit refuses it
+        # up front
         doc = json.loads(false_share_text)
-        doc["config"].update(
-            params_ref={"name": "v64"}, n=40, t=20,
-            behaviors={str(pid): {"kind": "honest"} for pid in range(1, 41)},
-        )
+        behaviors = {str(pid): {"kind": "honest"} for pid in range(1, 41)}
+        behaviors["1"] = doc["config"]["behaviors"]["1"]
+        doc["config"].update(params_ref={"name": "v64"}, n=40, t=20, behaviors=behaviors)
         problems = audit_transcript(canonical_json(doc))
         assert len(problems) == 1
         assert problems[0].startswith("config does not re-run")
@@ -307,8 +323,9 @@ class TestAudit:
 #
 # One structured mutation per example: replace a leaf, drop a key, or
 # append to a list. The strategy is not narrowed around hostile sizes.
-# A config asking for too many reconstruction attempts (say, v64 with
-# n=40 t=20) is refused by the attempt budget in ScenarioConfig.validate.
+# A config asking for too many reconstruction attempts (say, a partial
+# forger on v64 with n=40 t=20) is refused by the attempt budget in
+# ScenarioConfig.validate.
 # A single mutation could still ask for slow parameter generation (fresh
 # 96-bit parameters with a slow factorization); nothing bounds that yet,
 # and the values drawn here make it improbable.
