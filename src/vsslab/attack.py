@@ -77,7 +77,6 @@ def forge_share(
         dealer=poly.dealer,
         recipient=k,
         value=eval_integer(poly, k) + strategy.multiplier * offset,
-        provenance=strategy,
     )
 
 

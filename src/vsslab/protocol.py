@@ -82,7 +82,12 @@ class Behavior:
     targets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(sorted(self.targets)))
+        targets = tuple(sorted(self.targets))
+        object.__setattr__(self, "targets", targets)
+        # a repeated target would give one ceremony a second transcript
+        for a, b in zip(targets, targets[1:]):
+            if a == b:
+                raise ConfigInvalid(f"party {a} targeted twice")
         if self.kind is BehaviorKind.FALSE_SHARE_DEALER:
             if self.strategy is None or not self.targets:
                 raise ConfigInvalid("a false-share dealer needs a strategy and targets")

@@ -1,17 +1,22 @@
 """Canonical JSON transcripts of scenario runs, and their audit.
 
-Schema version "3". Keys are sorted, separators are compact (no
+Schema version "4". Keys are sorted, separators are compact (no
 whitespace, one newline at the end), there are no timestamps, every
 field-sized integer is a decimal string (seeds and share values can
 exceed what JSON numbers hold), and small structural integers (party
 ids, n, t) stay as JSON numbers. Equal reports serialize to identical
-bytes, which is what makes the tamper check meaningful. Each dealer's
-reconstruction lists the subsets tried, up to the first that passed its
-commitment check; a failing pool whose shares lie on one polynomial
-lists only its first subset, since every other would fail the same way
-(see protocol.reconstruct_pool). Schema "2", the same fields indented,
-listed every subset of such a pool; the audit refuses it, as it refuses
-any other version.
+bytes, which is what makes the tamper check meaningful. Shares are
+written once each, one row per dealer as commitments are:
+"shares": {"<dealer>": [value to party 1, ..., value to party n]}. A
+share is forged exactly when forgery_attempts has an entry for its
+(dealer, recipient) whose outcome is "forged", and that entry names the
+strategy. Each dealer's reconstruction lists the subsets tried, up to
+the first that passed its commitment check; a failing pool whose shares
+lie on one polynomial lists only its first subset, since every other
+would fail the same way (see protocol.reconstruct_pool). Schema "3"
+wrote each share as an object repeating its dealer, recipient and
+provenance; schema "2", the same fields indented, listed every subset
+of such a pool. The audit refuses both, as it refuses any other version.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ from .protocol import (
     ScenarioReport,
     run_scenario,
 )
-from .vss import Share
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def canonical_json(doc: dict) -> str:
@@ -67,22 +71,13 @@ def _params_ref_to_dict(ref) -> dict:
     return {"bits": ref.bits, "mode": ref.mode.value}
 
 
-def _share_to_dict(share: Share) -> dict:
-    if share.provenance is None:
-        provenance = {"kind": "honest"}
-    else:
-        provenance = {"kind": "forged", "strategy": _strategy_to_dict(share.provenance)}
-    return {
-        "dealer": share.dealer,
-        "recipient": share.recipient,
-        "value": str(share.value),
-        "provenance": provenance,
-    }
-
-
 def report_to_dict(report: ScenarioReport) -> dict:
     config = report.config
     params = report.params
+    # shares come in (dealer, recipient) order, so a dealer's row holds
+    # its values to parties 1..n in turn
+    values = [str(s.value) for s in report.shares]
+    n = config.n
     return {
         "version": SCHEMA_VERSION,
         "config": {
@@ -106,7 +101,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "commitments": {
             str(cv.dealer): [str(c) for c in cv.c] for cv in report.commitments
         },
-        "shares": [_share_to_dict(s) for s in report.shares],
+        "shares": {str(d): values[(d - 1) * n : d * n] for d in range(1, n + 1)},
         "forgery_attempts": [
             {
                 "dealer": fa.dealer,
@@ -260,9 +255,9 @@ def audit_transcript(raw_text: str) -> list[str]:
     The config is the only input that matters: it is decoded, run once,
     and the canonical rendering of that run must equal the input byte for
     byte. On a mismatch the first MAX_REPORTED_PATHS differing JSON paths
-    are reported (say, `shares[0].value` or `verdict`); when the trees
-    agree and only the bytes differ, the transcript is not in canonical
-    form.
+    are reported (say, `shares.1[3]`, dealer 1's share to party 4, or
+    `verdict`); when the trees agree and only the bytes differ, the
+    transcript is not in canonical form.
     """
     try:
         doc = json.loads(raw_text)

@@ -68,26 +68,19 @@ class Share:
     """One dealt share.
 
     value is unbounded in vulnerable mode (the dealer sends the exact
-    integer P(k)) and lies below q in hardened mode. provenance (an
-    attack.ForgeryStrategy, not imported here since attack imports this
-    module) records how the simulation built the share; it is
-    bookkeeping for reports and tests, and no verification path reads it.
+    integer P(k)) and lies below q in hardened mode. Which shares a
+    ceremony forged, and how, is in its ScenarioReport.forgery_attempts.
     """
 
     dealer: int
     recipient: int
     value: int
-    provenance: "ForgeryStrategy | None" = None
 
     def __post_init__(self):
         if self.recipient < 1:
             raise VsslabError("recipient ids start at 1")
         if self.value < 0:
             raise VsslabError("share values are non-negative")
-
-    @property
-    def forged(self) -> bool:
-        return self.provenance is not None
 
 
 def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:

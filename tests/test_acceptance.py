@@ -198,8 +198,10 @@ def test_criterion_7_transcript_determinism(tmp_path):
     # and rejects a single-byte edit of any recorded value
     doc = json.loads(a.read_text())
     edits = []
-    for idx in range(len(doc["shares"])):
-        edits.append(("shares", idx))
+    for dealer, row in doc["shares"].items():
+        for idx in range(len(row)):
+            edits.append(("shares", (dealer, idx)))
+    assert len(edits) == 25  # every one of the n**2 shares
     for dealer in doc["commitments"]:
         edits.append(("commitments", dealer))
     for dealer, rec in doc["reconstructions"].items():
@@ -210,7 +212,9 @@ def test_criterion_7_transcript_determinism(tmp_path):
     for section, where in edits:
         broken = json.loads(a.read_text())
         if section == "shares":
-            broken["shares"][where]["value"] = str(int(broken["shares"][where]["value"]) + 1)
+            dealer, idx = where
+            row = broken["shares"][dealer]
+            row[idx] = str(int(row[idx]) + 1)
         elif section == "commitments":
             vec = broken["commitments"][where]
             vec[0] = str((int(vec[0]) + 1) % 11)

@@ -25,7 +25,14 @@ from vsslab.poly import (
     lagrange_zero,
     sample_polynomial,
 )
-from vsslab.rng import SplitMix64
+from vsslab.protocol import (
+    Behavior,
+    BehaviorKind,
+    ForgeryAttempt,
+    ScenarioConfig,
+    run_scenario,
+)
+from vsslab.rng import SplitMix64, substream
 from vsslab.vss import Share, commit, verify_share
 
 ADD1 = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
@@ -40,7 +47,7 @@ class TestForgeShare:
         poly = mkpoly([3, 4], 11)
         share = forge_share(poly, 2, small11, ADD1)
         assert share.value == 21  # 11 + (p-1)
-        assert share.forged
+        assert eval_integer(poly, 2) == 11
         assert verify_share(share, commit(poly, small11), small11)
 
     def test_order_shift_example(self, p23order11):
@@ -94,11 +101,17 @@ class TestForgeShare:
             for k in (1, 2, 5):
                 assert verify_share(forge_share(poly, k, params, strat), commits, params)
 
-    def test_provenance_records_the_strategy(self, small11):
-        poly = mkpoly([3, 4], 11)
+    def test_forgery_attempts_record_the_strategy(self, small11):
+        # a ceremony's forgery_attempts say which shares were forged, and
+        # how; the share itself is just its dealer, recipient and value
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 3)
-        assert forge_share(poly, 2, small11, strat).provenance == strat
-        assert Share(dealer=1, recipient=2, value=7).provenance is None
+        behaviors = {pid: Behavior() for pid in range(1, 6)}
+        behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(3,))
+        report = run_scenario(ScenarioConfig("one-forgery", 5, 3, "small11", behaviors, 7))
+        assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
+        poly = sample_polynomial(3, 11, 1, substream(7, 1))
+        assert report.shares[2] == forge_share(poly, 3, small11, strat)
+        assert report.shares[2] == Share(dealer=1, recipient=3, value=eval_integer(poly, 3) + 30)
 
 
 class TestReconstructionCorruption:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,15 +81,23 @@ def test_verify_refuses_a_schema_2_transcript(tmp_path, capsys):
     assert capsys.readouterr().err == "FAIL: unsupported schema version '2'\n"
 
 
+def test_verify_refuses_a_schema_3_transcript(capsys):
+    # the file schema "3" wrote for false-share at seed 7, an object per share
+    path = Path(__file__).parent / "data" / "schema3_false_share_seed7.json"
+    assert run_cli("verify", str(path)) == 1
+    assert capsys.readouterr().err == "FAIL: unsupported schema version '3'\n"
+
+
 def test_verify_rejects_value_tamper(tmp_path, capsys):
     out = tmp_path / "t.json"
     run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out))
     doc = json.loads(out.read_text())
-    doc["shares"][3]["value"] = str(int(doc["shares"][3]["value"]) + 1)
+    # dealer 1's share to party 4
+    doc["shares"]["1"][3] = str(int(doc["shares"]["1"][3]) + 1)
     out.write_text(canonical_json(doc))
     capsys.readouterr()
     assert run_cli("verify", str(out)) == 1
-    assert capsys.readouterr().err.startswith("FAIL: shares[3].value: transcript has")
+    assert capsys.readouterr().err.startswith("FAIL: shares.1[3]: transcript has")
 
 
 @pytest.mark.parametrize("edit", [

@@ -138,6 +138,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             bad.validate(get_params("small11"))
 
+    def test_a_repeated_forgery_target_is_refused(self):
+        strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
+        with pytest.raises(ConfigInvalid, match="^party 2 targeted twice$"):
+            Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(2, 2, 4))
+        with pytest.raises(ConfigInvalid, match="^party 4 targeted twice$"):
+            Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(4, 2, 4))
+        assert Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat,
+                        targets=(4, 2)).targets == (2, 4)
+
     def test_honest_behavior_rejects_attack_fields(self):
         with pytest.raises(ConfigInvalid):
             Behavior(BehaviorKind.HONEST, targets=(2,))
@@ -288,10 +297,11 @@ class TestDealingShape:
     def test_dealer_polynomials_come_from_per_dealer_substreams(self):
         report = run_scenario(honest_config())
         params = report.params
+        assert report.forgery_attempts == ()  # so every share is the honest evaluation
         for dealer in range(1, 6):
             poly = sample_polynomial(3, params.field_modulus, dealer, substream(7, dealer))
             for share in report.shares:
-                if share.dealer == dealer and not share.forged:
+                if share.dealer == dealer:
                     assert share.value == eval_integer(poly, share.recipient)
 
     def test_runs_are_deterministic(self):
@@ -434,7 +444,8 @@ class TestScenarioVerdicts:
         assert len(report.forgery_attempts) == 4
         assert all(a.outcome == "forgery_impossible" for a in report.forgery_attempts)
         # the would-be attacker fell back to honest shares, all verified
-        assert all(not s.forged for s in report.shares)
+        honest = run_scenario(build_scenario("honest", seed=7, params_ref="p23q11"))
+        assert report.shares == honest.shares
         assert all(all(row) for row in report.verification_matrix)
         assert report.group_key_confirmed
 
@@ -502,15 +513,15 @@ class TestVerificationRound:
         assert matrix[0] == (False,) * 4
         assert matrix[1:] == honest[1:]
 
-    def test_forged_shares_carry_their_strategy_as_provenance(self):
+    def test_forgery_attempts_name_the_forged_shares_and_strategy(self):
         report = run_scenario(build_scenario("false-share", seed=7))
-        tagged = [s for s in report.shares if s.forged]
-        assert len(tagged) == 4
-        assert all(s.dealer == 1 for s in tagged)
-        assert all(
-            s.provenance.kind is StrategyKind.ADD_P_MINUS_ONE and s.provenance.multiplier == 1
-            for s in tagged
-        )
+        honest = run_scenario(build_scenario("honest", seed=7))
+        changed = {(s.dealer, s.recipient) for s, h in zip(report.shares, honest.shares)
+                   if s != h}
+        assert {(a.dealer, a.recipient) for a in report.forgery_attempts} == changed == {
+            (1, k) for k in range(2, 6)}
+        assert all(a.outcome == "forged" and a.strategy.kind is StrategyKind.ADD_P_MINUS_ONE
+                   and a.strategy.multiplier == 1 for a in report.forgery_attempts)
 
 
 def per_share_matrix(shares, commitments, params):

@@ -107,7 +107,7 @@ def test_never_equal_to_a_tuple_or_another_record_type(rec):
 
 
 def test_repr_names_every_field_in_order():
-    assert repr(Share(1, 2, 3)) == "Share(dealer=1, recipient=2, value=3, provenance=None)"
+    assert repr(Share(1, 2, 3)) == "Share(dealer=1, recipient=2, value=3)"
     assert repr(REPORT.params) == "GroupParams(p=11, g=2, d=10, mode=<Mode.VULNERABLE: 'vulnerable'>)"
     for rec in SAMPLES:
         text = repr(rec)
@@ -117,7 +117,12 @@ def test_repr_names_every_field_in_order():
 
 
 def test_defaults_apply():
-    assert Share(1, 2, 3).provenance is None
+    # a share is its dealer, recipient and value, with no defaults; the
+    # ceremony's forgery_attempts say whether it was forged
+    with pytest.raises(TypeError, match="takes the fields dealer, recipient, value"):
+        Share(1, 2)
+    with pytest.raises(TypeError, match="takes the fields dealer, recipient, value"):
+        Share(1, 2, 3, None)
     assert ForgeryStrategy(StrategyKind.ORDER_SHIFT).multiplier == 1
     assert Behavior() == Behavior(BehaviorKind.HONEST, None, ())
 

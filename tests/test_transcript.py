@@ -5,12 +5,14 @@ import copy
 import hashlib
 import json
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.attack import ForgeryStrategy, StrategyKind
+from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
+from vsslab.poly import eval_integer, sample_polynomial
 from vsslab.protocol import (
     SCENARIO_NAMES,
     Behavior,
@@ -19,6 +21,7 @@ from vsslab.protocol import (
     build_scenario,
     run_scenario,
 )
+from vsslab.rng import substream
 from vsslab.transcript import (
     SCHEMA_VERSION,
     audit_transcript,
@@ -27,6 +30,11 @@ from vsslab.transcript import (
     render_report,
     report_to_dict,
 )
+from vsslab.vss import Share
+
+# `vsslab run --scenario false-share --seed 7` as schema "3" wrote it, where
+# each share was an object repeating its dealer, recipient and provenance
+SCHEMA_3_TRANSCRIPT = Path(__file__).parent / "data" / "schema3_false_share_seed7.json"
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +78,10 @@ def retamper(text, mutate):
 
 
 def test_version_field_is_current(false_share_text):
-    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "3"
+    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "4"
 
 
-def test_top_level_keys_are_the_schema_2_set(false_share_text):
+def test_top_level_keys_are_the_schema_4_set(false_share_text):
     assert set(json.loads(false_share_text)) == {
         "version", "config", "params", "commitments", "shares", "forgery_attempts",
         "verification_matrix", "aggregate_public_key", "reconstructions", "group_key",
@@ -90,7 +98,7 @@ def test_rendering_is_deterministic():
 # Wider configs than scripts/transcript_digest.py covers, where each
 # dealer's row is verified by the row check and the false-share and
 # order-shift rows fall back to per-share checks: (scenario, params, n, t),
-# each at seeds 0-2, hashed in that order. Recorded when schema "3" came
+# each at seeds 0-2, hashed in that order. Recorded when schema "4" came
 # in; a change meant to keep transcripts byte-identical leaves it alone.
 WIDE_CONFIGS = (
     ("honest", "v64", 12, 6),
@@ -100,7 +108,7 @@ WIDE_CONFIGS = (
     ("hardened-attack", "h64", 16, 15),
     ("order-shift", "v32", 16, 8),
 )
-WIDE_DIGEST = "a0bc9420089482bd601687cdccd557cacbfd547fac1436118035e72fc3ed5dbc"
+WIDE_DIGEST = "44fcc114647f006aac25bbf871dbfb1daab68c6adf64d5c4b73a51f6550de22d"
 
 
 def test_wide_config_transcripts_are_pinned():
@@ -112,13 +120,85 @@ def test_wide_config_transcripts_are_pinned():
     assert digest.hexdigest() == WIDE_DIGEST
 
 
+def _ceremonies():
+    """The five scenarios at seeds 0-19, then WIDE_CONFIGS at seeds 0-2."""
+    configs = [build_scenario(name, seed=seed) for name in SCENARIO_NAMES for seed in range(20)]
+    configs += [build_scenario(name, seed=seed, n=n, t=t, params_ref=params_ref)
+                for name, params_ref, n, t in WIDE_CONFIGS for seed in range(3)]
+    return configs
+
+
+def test_every_share_is_rebuilt_from_the_transcript():
+    # a value's position gives its dealer and recipient, and
+    # forgery_attempts says whether it was forged and how; the honest
+    # value to compare against comes from the dealer's own polynomial
+    forged_seen = 0
+    for config in _ceremonies():
+        report = run_scenario(config)
+        doc = json.loads(render_report(report))
+        rows = sorted(doc["shares"].items(), key=lambda item: int(item[0]))
+        rebuilt = tuple(Share(dealer=int(dealer), recipient=k, value=int(value))
+                        for dealer, row in rows for k, value in enumerate(row, 1))
+        assert rebuilt == report.shares, config
+        forged = {(a["dealer"], a["recipient"]): a["strategy"]
+                  for a in doc["forgery_attempts"] if a["outcome"] == "forged"}
+        params = report.params
+        for share in rebuilt:
+            poly = sample_polynomial(config.t, params.field_modulus, share.dealer,
+                                     substream(config.seed, share.dealer))
+            strategy = forged.get((share.dealer, share.recipient))
+            if strategy is None:
+                honest = eval_integer(poly, share.recipient)
+                assert share.value == (honest if params.q is None else honest % params.q)
+            else:
+                strategy = ForgeryStrategy(StrategyKind(strategy["kind"]),
+                                           int(strategy["multiplier"]))
+                assert share == forge_share(poly, share.recipient, params, strategy)
+                forged_seen += 1
+    # false-share and order-shift forge to n - 1 parties, hardened-attack to none
+    assert forged_seen == 2 * 20 * 4 + 3 * 11 + 3 * 15
+
+
+# SHA-256 over the transcripts of _ceremonies() as schema "3" rendered
+# them, each parsed, without its "shares" and "version", and re-rendered
+# by canonical_json, hashed in order: schema "4" changed no other section.
+SCHEMA_3_SECTIONS_DIGEST = "fa08fb25ee2fcc8603390304314ffe6053506b0a0717fa236dc74371cf00bdc7"
+
+
+def test_sections_other_than_shares_are_as_schema_3_wrote_them():
+    digest = hashlib.sha256()
+    for config in _ceremonies():
+        doc = json.loads(render_report(run_scenario(config)))
+        del doc["shares"], doc["version"]
+        digest.update(canonical_json(doc).encode())
+    assert digest.hexdigest() == SCHEMA_3_SECTIONS_DIGEST
+
+    old = json.loads(SCHEMA_3_TRANSCRIPT.read_text())
+    new = json.loads(render_report(run_scenario(build_scenario("false-share", seed=7))))
+    assert old.keys() == new.keys()
+    for key in old.keys() - {"shares", "version"}:
+        assert new[key] == old[key], key
+    # and the old share objects hold what the new rows and attempts do
+    forged = {(a["dealer"], a["recipient"]): a["strategy"]
+              for a in new["forgery_attempts"] if a["outcome"] == "forged"}
+    assert len(old["shares"]) == sum(map(len, new["shares"].values())) == 25
+    for share in old["shares"]:
+        where = (share["dealer"], share["recipient"])
+        assert share["value"] == new["shares"][str(where[0])][where[1] - 1]
+        if where in forged:
+            assert share["provenance"] == {"kind": "forged", "strategy": forged[where]}
+        else:
+            assert share["provenance"] == {"kind": "honest"}
+
+
 def test_big_integers_serialize_as_decimal_strings():
     report = run_scenario(
         build_scenario("honest", seed=3, params_ref="v64")
     )
     doc = json.loads(render_report(report))
     assert isinstance(doc["params"]["p"], str)
-    assert isinstance(doc["shares"][0]["value"], str)
+    assert isinstance(doc["shares"]["1"][0], str)
+    assert int(doc["shares"]["1"][0]) == report.shares[0].value
     assert int(doc["params"]["p"]) == report.params.p
 
 
@@ -158,11 +238,11 @@ class TestAudit:
 
     def test_share_value_tamper_detected(self, false_share_text):
         def bump_share(doc):
-            doc["shares"][0]["value"] = str(int(doc["shares"][0]["value"]) + 1)
+            doc["shares"]["1"][0] = str(int(doc["shares"]["1"][0]) + 1)
 
         problems = audit_transcript(retamper(false_share_text, bump_share))
         assert problems
-        assert any(p.startswith("shares[0].value") for p in problems)
+        assert any(p.startswith("shares.1[0]: transcript has") for p in problems)
 
     def test_verdict_tamper_detected(self, false_share_text):
         def flip_verdict(doc):
@@ -189,14 +269,19 @@ class TestAudit:
         assert any(p.startswith("params.g") for p in problems)
 
     def test_wrong_version_reported(self, false_share_text):
-        # "1" listed every t-subset, and "2" every subset of a failing pool
-        # on one polynomial; such a file is regenerated, not read
-        for version in ("999", "1", "2"):
+        # "1" listed every t-subset, "2" every subset of a failing pool on
+        # one polynomial, and "3" an object per share; such a file is
+        # regenerated, not read
+        for version in ("999", "1", "2", "3"):
             def wrong_version(doc):
                 doc["version"] = version
 
             problems = audit_transcript(retamper(false_share_text, wrong_version))
             assert problems == [f"unsupported schema version '{version}'"]
+
+    def test_a_schema_3_transcript_is_refused(self):
+        assert audit_transcript(SCHEMA_3_TRANSCRIPT.read_text()) == [
+            "unsupported schema version '3'"]
 
     def test_reflowed_transcript_is_not_canonical(self, false_share_text):
         reflowed = json.dumps(json.loads(false_share_text), sort_keys=True) + "\n"
@@ -239,12 +324,20 @@ class TestAudit:
                 continue
             assert audit_transcript(flipped), f"byte {i} slipped through"
 
-    def test_out_of_range_recipient_is_a_problem_not_a_crash(self, false_share_text):
-        def corrupt_recipient(doc):
-            doc["shares"][0]["recipient"] = 99
+    def test_a_share_row_one_value_short_is_reported(self, false_share_text):
+        def drop_last_share(doc):
+            doc["shares"]["2"].pop()
 
-        problems = audit_transcript(retamper(false_share_text, corrupt_recipient))
-        assert problems
+        problems = audit_transcript(retamper(false_share_text, drop_last_share))
+        assert problems == ["shares.2: transcript has 4 entries, regeneration has 5"]
+
+    def test_a_repeated_forgery_target_does_not_re_run(self, partial_forgery_text):
+        # [2, 2, 4] and [2, 4] would describe one ceremony twice
+        def repeat_target(doc):
+            doc["config"]["behaviors"]["1"]["targets"] = [2, 2, 4]
+
+        problems = audit_transcript(retamper(partial_forgery_text, repeat_target))
+        assert problems == ["config does not re-run: party 2 targeted twice"]
 
     @pytest.mark.parametrize("edit", [
         lambda doc: [],
