@@ -4,6 +4,10 @@
     vsslab demo-integer-commitments --bits 12
     vsslab verify transcript.json
 
+A flag takes its value as `--flag value` or `--flag=value`, may be
+shortened to any prefix that names one flag (`--scen`), and may be given
+once. `-h` or `--help` prints usage to stdout and exits 0.
+
 Exit codes: 0 when the run assembled the key (or the subcommand simply
 succeeded), 2 when the key was blocked, 1 for usage, config, or
 verification errors.
@@ -11,11 +15,20 @@ verification errors.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import VsslabError
-from .protocol import SCENARIO_NAMES, GenSpec, Verdict, build_scenario, default_mode, run_scenario
+from .protocol import (
+    MAX_PARTIES,
+    MAX_RECONSTRUCTION_ATTEMPTS,
+    SCENARIO_NAMES,
+    GenSpec,
+    Verdict,
+    build_scenario,
+    default_mode,
+    run_scenario,
+)
 from .transcript import audit_transcript, canonical_json, render_report
 from .vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
@@ -26,43 +39,124 @@ from .vss import (
 
 _DEMO_MAX_BITS = 20
 
+# The longest transcript an admitted config renders, in characters. A
+# reconstruction attempt takes under 300 (up to MAX_PARTIES party ids, a
+# value below 2**96 and its keys), and a run records at most
+# MAX_RECONSTRUCTION_ATTEMPTS of them. Each (dealer, recipient) pair adds
+# under 1,000 more: its share, at most 145 digits below 2**96 * 64**64,
+# its forgery attempt, matrix entry and commitment, and its part of the
+# config. That is about 79 million; verify reads one character more, so
+# a longer file is refused before it is parsed.
+MAX_TRANSCRIPT_CHARS = 300 * MAX_RECONSTRUCTION_ATTEMPTS + 1_000 * MAX_PARTIES**2
+
 
 class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; this laboratory reserves
-    # 2 for blocked keys, so usage problems are rerouted to exit 1
-    def error(self, message):
-        raise _UsageError(message)
+# Each command's flags: name -> (kind, default, help), where a kind is
+# int, str, or the tuple of values the flag accepts. run's --scenario and
+# --seed are required, and its --params and --bits exclude each other.
+_FLAGS = {
+    "run": {
+        "--scenario": (SCENARIO_NAMES, None, "one of " + ", ".join(SCENARIO_NAMES)),
+        "--seed": (int, None, "64-bit run seed"),
+        "--n": (int, 5, "number of parties (default 5)"),
+        "--t": (int, 3, "reconstruction threshold (default 3)"),
+        "--params": (str, None, "registry parameter set name (default per scenario)"),
+        "--bits": (int, None, "generate fresh parameters of this size instead of --params"),
+        "--out": (str, None, "write the transcript here instead of stdout"),
+    },
+    "demo-integer-commitments": {
+        "--bits": (int, 8, f"largest executed exponent bit size, 1..{_DEMO_MAX_BITS}"),
+        "--out": (str, None, "also write the size report as JSON"),
+    },
+    "verify": {},
+}
+_USAGE = {
+    "run": "vsslab run --scenario NAME --seed SEED [--n N] [--t T] "
+           "[--params NAME | --bits BITS] [--out PATH]",
+    "demo-integer-commitments": "vsslab demo-integer-commitments [--bits BITS] [--out PATH]",
+    "verify": "vsslab verify TRANSCRIPT",
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="vsslab", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command) -> str:
+    """Usage of one command and its flags, or of every command when None."""
+    if command is None:
+        return "usage: " + "\n       ".join(_USAGE.values()) + "\n\n" + __doc__
+    lines = [f"usage: {_USAGE[command]}"]
+    lines += [f"  {flag:<12}{text}" for flag, (_, _, text) in _FLAGS[command].items()]
+    return "\n".join(lines) + "\n"
 
-    run = sub.add_parser("run", help="run a scenario and write its transcript")
-    run.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    run.add_argument("--n", type=int, default=5, help="number of parties (default 5)")
-    run.add_argument("--t", type=int, default=3, help="reconstruction threshold (default 3)")
-    group = run.add_mutually_exclusive_group()
-    group.add_argument("--params", help="registry parameter set name (default per scenario)")
-    group.add_argument("--bits", type=int,
-                       help="generate fresh parameters of this size instead of --params")
-    run.add_argument("--seed", required=True, type=int, help="64-bit run seed")
-    run.add_argument("--out", help="write the transcript here instead of stdout")
 
-    demo = sub.add_parser("demo-integer-commitments",
-                          help="size table for unreduced integer commitments")
-    demo.add_argument("--bits", type=int, default=8,
-                      help=f"largest executed exponent bit size, 1..{_DEMO_MAX_BITS}")
-    demo.add_argument("--out", help="also write the size report as JSON")
+def _is_flag(arg: str) -> bool:
+    # a negative number is a value, as in `--seed -1`
+    return arg.startswith("-") and len(arg) > 1 and not arg[1:].isdigit()
 
-    verify = sub.add_parser("verify", help="audit a transcript against the library")
-    verify.add_argument("transcript", help="path to a transcript JSON file")
-    return parser
+
+def _parse(argv):
+    """(command, args) for a command line. args holds each of the
+    command's flags, without dashes, set to its value or default; verify's
+    holds its transcript path. args is None when help was asked for, and
+    command is None too when it was asked before any command. Raises
+    _UsageError for anything malformed."""
+    if not argv:
+        raise _UsageError(f"a command is required: {', '.join(_FLAGS)}")
+    command, rest = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _FLAGS:
+        raise _UsageError(f"unknown command {command!r}; choose from {', '.join(_FLAGS)}")
+    flags = _FLAGS[command]
+    names = (*flags, "--help")
+    given, positionals = {}, []
+    for arg in rest:
+        if not _is_flag(arg):
+            positionals.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name == "-h":
+            name = "--help"
+        matches = [name] if name in names else [
+            f for f in names if len(name) > 2 and f.startswith(name)]
+        if not matches:
+            raise _UsageError(f"unrecognized argument {arg!r}")
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option {name}: could match {', '.join(matches)}")
+        flag = matches[0]
+        if flag == "--help":
+            return command, None
+        if flag in given:
+            raise _UsageError(f"argument {flag}: given twice")
+        if not eq:
+            value = next(rest, None)
+            if value is None or _is_flag(value):
+                raise _UsageError(f"argument {flag}: expected one value")
+        kind = flags[flag][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {flag}: invalid int value {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise _UsageError(
+                f"argument {flag}: invalid choice {value!r} (choose from {', '.join(kind)})")
+        given[flag] = value
+    if command == "verify":
+        if len(positionals) != 1:
+            raise _UsageError(f"verify takes one transcript path, got {len(positionals)}")
+        return command, SimpleNamespace(transcript=positionals[0])
+    if positionals:
+        raise _UsageError(f"unrecognized argument {positionals[0]!r}")
+    if command == "run":
+        missing = [f for f in ("--scenario", "--seed") if f not in given]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if "--params" in given and "--bits" in given:
+            raise _UsageError("argument --bits: not allowed with argument --params")
+    return command, SimpleNamespace(
+        **{flag[2:]: given.get(flag, default) for flag, (_, default, _) in flags.items()})
 
 
 def _cmd_run(args) -> int:
@@ -138,9 +232,13 @@ def _cmd_demo(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.transcript) as f:
-            raw = f.read()
+            raw = f.read(MAX_TRANSCRIPT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
+        return 1
+    if len(raw) > MAX_TRANSCRIPT_CHARS:
+        print(f"cannot read transcript: longer than {MAX_TRANSCRIPT_CHARS:,} characters, "
+              f"the most an admitted config renders", file=sys.stderr)
         return 1
     problems = audit_transcript(raw)
     if problems:
@@ -153,12 +251,14 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(_help(command))
+            return 0
+        if command == "run":
             return _cmd_run(args)
-        if args.command == "demo-integer-commitments":
+        if command == "demo-integer-commitments":
             return _cmd_demo(args)
         return _cmd_verify(args)
     except _UsageError as exc:

@@ -3,9 +3,10 @@
 Everything here works on non-negative arbitrary-precision ints and is a
 pure function of its arguments. Primality testing is exact below 2**64
 (fixed Miller-Rabin witness set) and probabilistic with error below
-2**-128 above. Both share one table, the 25 primes below 100: is_prime
-divides by them first, and factorize strips them before Brent's rho
-splits the rest. Factorization is guarded to inputs under 96 bits,
+2**-128 above. One table, the 25 primes below 100, serves three
+callers: is_prime divides by them first, factorize strips them before
+Brent's rho splits the rest, and the safe-prime search sieves by their
+product before testing. Factorization is guarded to inputs under 96 bits,
 which is all this desk-scale laboratory ever needs.
 """
 
@@ -53,6 +54,7 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 # The first 12 primes are a proven witness set for n < 3.18e23 > 2**64
 # (Sorenson/Webster psi_12); 3.3e24 is psi_13 and also needs base 41.
@@ -227,11 +229,15 @@ class GroupParams:
             e >>= _WINDOW_BITS
         return out
 
-    def validate(self) -> None:
+    def validate(self, primes=None) -> None:
         """Recheck every structural invariant from scratch.
 
         Used on generated parameters, registry entries, and transcript
-        echoes alike; generation output is never trusted blindly.
+        echoes alike; generation output is never trusted blindly. primes,
+        the distinct primes of d, certify a vulnerable group's order in
+        place of factoring d: each must be prime and divide d, and
+        dividing them out must leave 1. With None, d is factored.
+        A hardened d is proved prime and needs no certificate.
         """
         if not is_prime(self.p):
             raise InvalidGroupParams(f"p = {self.p} is not prime")
@@ -246,7 +252,22 @@ class GroupParams:
             if not is_prime(self.d):
                 raise InvalidGroupParams(f"hardened order d = {self.d} is not prime")
             return
-        r = _order_drop(self.g, self.d, self.p, factorize(self.d))
+        if primes is None:
+            primes = factorize(self.d)
+        else:
+            rest = self.d
+            for r in primes:
+                if not is_prime(r):
+                    raise InvalidGroupParams(f"certificate factor {r} is not prime")
+                if rest % r != 0:
+                    raise InvalidGroupParams(
+                        f"certificate prime {r} does not divide what is left of d = {self.d}")
+                while rest % r == 0:
+                    rest //= r
+            if rest != 1:
+                raise InvalidGroupParams(
+                    f"certificate leaves {rest} of d = {self.d} unfactored")
+        r = _order_drop(self.g, self.d, self.p, primes)
         if r is not None:
             raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
 
@@ -320,8 +341,14 @@ def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
         g = next(g for g in range(2, p) if _order_drop(g, p - 1, p, primes) is None)
         params = GroupParams(p=p, g=g, d=p - 1, mode=mode)
     else:
+        primes = None  # validate proves the prime d exact without one
         for _ in range(_SAFE_PRIME_ATTEMPTS):
             q = _odd_candidate(bit_length - 1, rng)
+            # above 97, a factor below 100 of q or of 2q + 1 makes it
+            # composite, so one gcd skips, in the same order, what
+            # Miller-Rabin would refuse
+            if q > _SMALL_PRIMES[-1] and math.gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) != 1:
+                continue
             if is_prime(q) and is_prime(2 * q + 1):
                 break
         else:
@@ -331,5 +358,6 @@ def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
         p = 2 * q + 1
         h = rng.randrange(2, p - 1)  # h != 1 and h != p - 1, so h*h != 1
         params = GroupParams(p=p, g=h * h % p, d=q, mode=mode)
-    params.validate()
+    # vulnerable p - 1 is factored once: its primes certify d
+    params.validate(primes)
     return params

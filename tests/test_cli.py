@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from vsslab import cli
 from vsslab.cli import main
 from vsslab.protocol import SCENARIO_NAMES, build_scenario
 from vsslab.registry import get_params
@@ -283,3 +284,103 @@ class TestSizeDemo:
 
 def test_no_arguments_is_a_usage_error():
     assert run_cli() == 1
+
+
+class TestParser:
+    """The forms README and CI use, and every malformed command line."""
+
+    def test_flag_equals_value(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run_cli("run", "--scenario=honest", "--seed=7", f"--out={out}") == 0
+        assert out.read_text() == canonical_json(json.loads(out.read_text()))
+
+    def test_a_unique_prefix_names_its_flag(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli("run", "--scen", "false-share", "--se", "3", "--par", "v32",
+                       "--o", str(a)) == 2
+        assert run_cli("run", "--scenario", "false-share", "--seed", "3", "--params", "v32",
+                       "--out", str(b)) == 2
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_an_empty_value_and_a_negative_number_are_values(self, capsys):
+        assert run_cli("run", "--scenario", "honest", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+        assert run_cli("run", "--scenario", "honest", "--seed", "1", "--params=") == 1
+        assert capsys.readouterr().err.startswith("error: no parameter set named ''")
+
+    def test_defaults_apply_to_omitted_flags(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out)) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["n"], config["t"], config["params_ref"]) == (5, 3, {"name": "small11"})
+
+    @pytest.mark.parametrize("argv,usage", [
+        (["-h"], "usage: vsslab run "),
+        (["--help"], "usage: vsslab run "),
+        (["run", "-h"], "usage: vsslab run "),
+        (["run", "--scenario", "honest", "--help"], "usage: vsslab run "),
+        (["verify", "--help"], "usage: vsslab verify TRANSCRIPT\n"),
+        (["demo-integer-commitments", "--he"], "usage: vsslab demo-integer-commitments "),
+    ], ids=["-h", "--help", "run-h", "run-after-a-flag", "verify", "demo-prefix"])
+    def test_help_prints_usage_to_stdout_and_exits_zero(self, capsys, argv, usage):
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage)
+        assert captured.err == ""
+
+    def test_help_lists_every_flag_of_its_command(self, capsys):
+        assert run_cli("run", "-h") == 0
+        out = capsys.readouterr().out
+        for flag in ("--scenario", "--seed", "--n", "--t", "--params", "--bits", "--out"):
+            assert f"\n  {flag} " in out
+        assert all(name in out for name in SCENARIO_NAMES)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--scenario", "honest", "--seed", "1", "--bogus", "x"],
+         "unrecognized argument '--bogus'"),
+        (["run", "--scenario", "honest", "--seed"], "argument --seed: expected one value"),
+        (["run", "--scenario", "--seed", "1"], "argument --scenario: expected one value"),
+        (["run", "--scenario", "honest", "--seed", "1", "--n", "five"],
+         "argument --n: invalid int value 'five'"),
+        (["run", "--scenario", "honest", "--seed", "1", "stray"],
+         "unrecognized argument 'stray'"),
+        (["verify"], "verify takes one transcript path, got 0"),
+        (["verify", "a.json", "b.json"], "verify takes one transcript path, got 2"),
+        (["run", "--s", "honest"], "ambiguous option --s: could match --scenario, --seed"),
+        (["run", "--scenario", "honest", "--seed", "1", "--seed", "2"],
+         "argument --seed: given twice"),
+        (["run", "--scenario", "honest", "--seed", "1", "--seed=1"],
+         "argument --seed: given twice"),
+        (["run", "--scenario", "bogus", "--seed", "1"], "argument --scenario: invalid choice"),
+        (["run", "--seed", "1"], "the following arguments are required: --scenario"),
+        (["run"], "the following arguments are required: --scenario, --seed"),
+        (["demo-integer-commitments", "--params", "v32"], "unrecognized argument '--params'"),
+        (["bogus"], "unknown command 'bogus'"),
+        ([], "a command is required"),
+    ], ids=["unknown-flag", "missing-value-at-end", "missing-value-before-flag", "non-int",
+            "stray-positional", "verify-no-path", "verify-two-paths", "ambiguous-prefix",
+            "repeated-flag", "repeated-equals-form", "bad-choice", "missing-scenario",
+            "missing-both", "flag-of-another-command", "unknown-command",
+            "no-command"])
+    def test_a_malformed_command_line_is_a_usage_error(self, capsys, argv, message):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {message}")
+        assert captured.out == ""
+
+
+def test_verify_refuses_a_file_longer_than_any_admitted_transcript(tmp_path, capsys,
+                                                                   monkeypatch):
+    out = tmp_path / "t.json"
+    run_cli("run", "--scenario", "honest", "--seed", "7", "--out", str(out))
+    size = len(out.read_text())
+    monkeypatch.setattr(cli, "MAX_TRANSCRIPT_CHARS", size)
+    capsys.readouterr()
+    assert run_cli("verify", str(out)) == 0
+    assert "verified" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_TRANSCRIPT_CHARS", size - 1)
+    assert run_cli("verify", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"cannot read transcript: longer than {size - 1:,} characters, "
+        "the most an admitted config renders\n")
+

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vsslab"
 EXEMPT = {
     ("record.py", "__init__", "TypeError"),
     ("record.py", "_frozen", "AttributeError"),
-    ("cli.py", "error", "_UsageError"),
+    ("cli.py", "_parse", "_UsageError"),
     ("cli.py", "_cmd_demo", "_UsageError"),
     ("protocol.py", "assemble_group_key", "RuntimeError"),
     ("numtheory.py", "_nontrivial_factor", "RuntimeError"),

@@ -57,3 +57,28 @@ def test_loading_the_registry_pulls_in_no_single_use_module():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+# argparse, and the gettext and locale catalogue lookups and the shutil
+# terminal-width call its parser makes, cost about 12 ms of every run and
+# verify process; the CLI's own table-driven parser needs none of them
+PARSER_ONLY = ("argparse", "gettext", "locale", "shutil")
+
+
+def test_a_run_and_its_verify_load_no_argparse(tmp_path):
+    transcript = tmp_path / "t.json"
+    code = (
+        "import sys\n"
+        "from vsslab.cli import main\n"
+        f"assert main(['run', '--scenario', 'honest', '--seed', '7', '--out', {str(transcript)!r}]) == 0\n"
+        f"assert main(['verify', {str(transcript)!r}]) == 0\n"
+        f"print(sorted(set({PARSER_ONLY!r}) & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+        check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -1,6 +1,8 @@
 """Number theory layer, each routine checked against an independent oracle."""
 
+import hashlib
 import math
+import re
 from functools import lru_cache
 
 import pytest
@@ -27,6 +29,10 @@ from conftest import brute_order, multiplicative_order
 # primes in [101, 10**4): above the 25 primes factorize trial-divides by,
 # so rho alone must split any product of them
 PRIMES_101_TO_10K = tuple(sympy.primerange(101, 10**4))
+
+# SHA-256 of the groups test_output_is_pinned_at_every_size generates,
+# recorded before the safe-prime sieve and the order certificates landed
+GENERATION_DIGEST = "01deb44a655836283b309f18f1af1ff85fd12add647850114ec41a16826a4520"
 
 
 class TestModInv:
@@ -216,6 +222,53 @@ class TestGroupParams:
         with pytest.raises(AssertionError, match="factorize"):
             GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate()
 
+    def test_a_certificate_replaces_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr("vsslab.numtheory.factorize", refuse)
+        GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate((2, 11))
+        GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate([11])
+        # a certificate is read only as the primes of d, in any order
+        GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate({11: 1, 2: 1})
+        with pytest.raises(InvalidGroupParams,
+                           match=r"claimed order 22 is not exact \(g\*\*\(d/2\) == 1\)"):
+            GroupParams(p=23, g=2, d=22, mode=Mode.VULNERABLE).validate((2, 11))
+
+    @pytest.mark.parametrize("primes,message", [
+        ((2, 4, 11), "certificate factor 4 is not prime"),
+        ((2, 1, 11), "certificate factor 1 is not prime"),
+        ((2, 3, 11), "certificate prime 3 does not divide what is left of d = 22"),
+        ((2,), "certificate leaves 11 of d = 22 unfactored"),
+        ((11,), "certificate leaves 2 of d = 22 unfactored"),
+        ((), "certificate leaves 22 of d = 22 unfactored"),
+        ((2, 11, 2), "certificate prime 2 does not divide what is left of d = 22"),
+    ], ids=["composite", "one", "not-a-divisor", "missing-11", "missing-2", "empty",
+            "repeated"])
+    def test_a_bad_certificate_is_refused(self, primes, message):
+        # g = 2 has order 11, not 22: only the prime 2 of d exposes the
+        # claim, so a certificate that left it out and were trusted
+        # would let the wrong order through
+        with pytest.raises(InvalidGroupParams, match=f"^{message}$"):
+            GroupParams(p=23, g=2, d=22, mode=Mode.VULNERABLE).validate(primes)
+
+    @given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=0, max_value=2**40))
+    @settings(max_examples=100, deadline=None)
+    def test_validating_from_factorize_agrees_with_validating_alone(self, offset, g_offset):
+        p = int(sympy.nextprime(3 + offset))
+        g = 2 + g_offset % (p - 2)
+        # the true order, and a multiple of it that divides p - 1 when one exists
+        true_d = multiplicative_order(g, p)
+        for d in {true_d, p - 1}:
+            params = GroupParams(p=p, g=g, d=d, mode=Mode.VULNERABLE)
+            try:
+                params.validate()
+            except InvalidGroupParams as exc:
+                with pytest.raises(InvalidGroupParams, match=f"^{re.escape(str(exc))}$"):
+                    params.validate(factorize(d))
+            else:
+                params.validate(factorize(d))
+
     def test_field_modulus_property(self):
         vuln = GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE)
         hard = GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED)
@@ -257,6 +310,18 @@ class TestGenParams:
         a = gen_params(24, Mode.VULNERABLE, SplitMix64(5))
         b = gen_params(24, Mode.VULNERABLE, SplitMix64(5))
         assert a == b
+
+    def test_output_is_pinned_at_every_size(self):
+        # every size from 4 to 64 bits, four seeds each, both modes, plus
+        # 80- and 96-bit spot checks: a faster search or a validation that
+        # reads a certificate must accept exactly the groups it did before
+        h = hashlib.sha256()
+        cases = [(bits, seed) for bits in range(4, 65) for seed in range(4)]
+        for bits, seed in cases + [(80, 0), (80, 1), (96, 0), (96, 1)]:
+            for mode in Mode:
+                params = gen_params(bits, mode, SplitMix64(seed))
+                h.update(f"{bits} {mode.value} {seed} {params.p} {params.g} {params.d}\n".encode())
+        assert h.hexdigest() == GENERATION_DIGEST
 
     def test_bit_length_bounds_enforced(self):
         with pytest.raises(ValueError):

@@ -84,10 +84,11 @@ def test_hardened_entries_use_safe_primes():
 @pytest.mark.parametrize("name", ["v64", "h64"])
 def test_a_wrong_pinned_order_is_rejected_on_load(name, monkeypatch):
     params = get_params(name)
+    primes = registry._ENTRIES[name][1]
     # half the true order for v64, twice it (p - 1) for h64; both divide p - 1
     wrong = params.d // 2 if params.mode is Mode.VULNERABLE else params.p - 1
     monkeypatch.setitem(registry._ENTRIES, name,
-                        GroupParams(p=params.p, g=params.g, d=wrong, mode=params.mode))
+                        (GroupParams(p=params.p, g=params.g, d=wrong, mode=params.mode), primes))
     get_params.cache_clear()
     try:
         with pytest.raises(InvalidGroupParams):
@@ -104,17 +105,30 @@ def test_a_lookup_validates_only_its_entry_and_only_once(monkeypatch):
     validated = []
     original = GroupParams.validate
 
-    def counting(self):
+    def counting(self, primes=None):
         validated.append(self)
-        original(self)
+        original(self, primes)
 
     monkeypatch.setattr(GroupParams, "validate", counting)
     get_params.cache_clear()
     try:
         assert get_params("v64") is get_params("v64")
-        assert validated == [registry._ENTRIES["v64"]]
+        assert validated == [registry._ENTRIES["v64"][0]]
         load_registry()
         # the full load validates each other entry once, and v64 not again
         assert len(validated) == len(set(validated)) == len(registry._ENTRIES)
     finally:
         get_params.cache_clear()
+
+
+def test_every_entry_loads_from_its_certificate_without_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("vsslab.numtheory.factorize", refuse)
+    get_params.cache_clear()
+    try:
+        assert load_registry() == {name: entry[0] for name, entry in registry._ENTRIES.items()}
+    finally:
+        get_params.cache_clear()
+
