@@ -36,6 +36,10 @@ class ForgeryStrategy:
     multiplier: int = 1
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", StrategyKind(self.kind))
+        except ValueError:
+            raise ConfigInvalid(f"unknown forgery strategy kind {self.kind!r}") from None
         if self.multiplier < 1:
             raise ConfigInvalid("forgery multiplier must be at least 1")
 

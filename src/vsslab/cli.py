@@ -167,7 +167,7 @@ def _cmd_run(args) -> int:
                             params_ref=params_ref)
     report = run_scenario(config)
     text = render_report(report)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as f:
                 f.write(text)
@@ -205,7 +205,7 @@ def _cmd_demo(args) -> int:
           f"({len(str(projected))} decimal digits just to write the bit count);")
     print("no storage holds it, so the unreduced-commitment fix stays theoretical.")
 
-    if args.out:
+    if args.out is not None:
         doc = {
             "version": "1",
             "g": str(g),

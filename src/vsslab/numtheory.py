@@ -202,6 +202,12 @@ class GroupParams:
     d: int
     mode: Mode
 
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise InvalidGroupParams(f"unknown mode {self.mode!r}") from None
+
     @property
     def q(self) -> int | None:
         """The prime subgroup order when hardened (it is d), else None."""
@@ -232,8 +238,9 @@ class GroupParams:
     def validate(self, primes=None) -> None:
         """Recheck every structural invariant from scratch.
 
-        Used on generated parameters, registry entries, and transcript
-        echoes alike; generation output is never trusted blindly. primes,
+        Used on generated parameters and registry entries alike;
+        generation output is never trusted blindly (a transcript's
+        params are not read: the audit regenerates them). primes,
         the distinct primes of d, certify a vulnerable group's order in
         place of factoring d: each must be prime and divide d, and
         dividing them out must leave 1. With None, d is factored.

@@ -2,11 +2,12 @@
 
 Party ids double as evaluation points (party i holds P(i) from every
 dealer). A scenario run is a pure function of its config: every random
-draw comes from per-dealer substreams of the config seed, messages are
-generated in (dealer, recipient) order, and equal configs produce
-byte-identical reports. There is no complaint round; a failed
-verification marks the dealer in the report and the recipient simply
-never reuses that share.
+draw comes from per-dealer substreams of the config seed, shares travel
+in rows (row i - 1 holds dealer i's shares to parties 1..n, as row
+i - 1 of the verification matrix holds their verdicts), and equal
+configs produce byte-identical reports. There is no complaint round; a
+failed verification marks the dealer in the report and the recipient
+simply never reuses that share.
 
 The group key storyline: the group secret is the sum of dealer secrets
 and the matching public key is the product of constant-term commitments,
@@ -82,6 +83,10 @@ class Behavior:
     targets: tuple[int, ...] = ()
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", BehaviorKind(self.kind))
+        except ValueError:
+            raise ConfigInvalid(f"unknown behavior kind {self.kind!r}") from None
         targets = tuple(sorted(self.targets))
         object.__setattr__(self, "targets", targets)
         # a repeated target would give one ceremony a second transcript
@@ -128,6 +133,12 @@ class GenSpec:
 
     bits: int
     mode: Mode
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "mode", Mode(self.mode))
+        except ValueError:
+            raise ConfigInvalid(f"unknown mode {self.mode!r}") from None
 
 
 def _check_party_count(n: int) -> None:
@@ -214,7 +225,7 @@ class ForgeryAttempt:
 @record
 class DealingRound:
     commitments: tuple[CommitmentVector, ...]
-    shares: tuple[Share, ...]  # canonical (dealer, recipient) order
+    shares: tuple[tuple[Share, ...], ...]  # row d - 1: dealer d's shares to parties 1..n
     forgery_attempts: tuple[ForgeryAttempt, ...]
 
 
@@ -255,7 +266,7 @@ class ScenarioReport:
     config: ScenarioConfig
     params: GroupParams
     commitments: tuple[CommitmentVector, ...]
-    shares: tuple[Share, ...]
+    shares: tuple[tuple[Share, ...], ...]  # as in DealingRound
     forgery_attempts: tuple[ForgeryAttempt, ...]
     verification_matrix: tuple[tuple[bool, ...], ...]
     aggregate_public_key: int
@@ -288,16 +299,18 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     """Sample every dealer's polynomial, broadcast commitments, deliver shares.
 
     Dealer i draws from substream(seed, i), so adding or reordering
-    other dealers never changes what dealer i deals.
+    other dealers never changes what dealer i deals. Row i - 1 of the
+    shares holds dealer i's shares to parties 1..n.
     """
     commitments = []
-    shares = []
+    rows = []
     attempts = []
     for dealer in range(1, config.n + 1):
         rng = substream(config.seed, dealer)
         poly = sample_polynomial(config.t, params.field_modulus, dealer, rng)
         commitments.append(commit(poly, params))
         behavior = config.behaviors[dealer]
+        row = []
         for recipient in range(1, config.n + 1):
             share = None
             if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER and recipient in behavior.targets:
@@ -313,20 +326,23 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
             if share is None:
                 share = Share(dealer=dealer, recipient=recipient,
                               value=_honest_value(poly, recipient, params))
-            shares.append(share)
+            row.append(share)
+        rows.append(tuple(row))
     return DealingRound(
         commitments=tuple(commitments),
-        shares=tuple(shares),
+        shares=tuple(rows),
         forgery_attempts=tuple(attempts),
     )
 
 
-def run_verification_round(shares, commitments, params: GroupParams):
+def run_verification_round(rows, commitments, params: GroupParams):
     """n x n matrix: entry [dealer-1][recipient-1] says the share verified.
 
-    Hardened recipients additionally require the commitment vector to
-    live in the prime-order subgroup and the share value to pass the
-    range check; vulnerable recipients have neither defense.
+    rows[i] is dealer i + 1's row of shares to parties 1..n, and
+    commitments[i] its commitment vector. Hardened recipients
+    additionally require the commitment vector to live in the
+    prime-order subgroup and the share value to pass the range check;
+    vulnerable recipients have neither defense.
 
     Each dealer's row is decided by one verify_row call. Its row check
     interpolates coefficients b_j from the first t shares; if
@@ -336,17 +352,7 @@ def run_verification_round(shares, commitments, params: GroupParams):
     every entry equals the per-share verdict. The basis comes from
     poly's bounded cache (see the note above poly.lagrange_weights).
     """
-    commitments = tuple(commitments)
-    n = len(commitments)
-    by_dealer = {cv.dealer: cv for cv in commitments}
-    rows: dict[int, list[Share]] = {dealer: [] for dealer in by_dealer}
-    for share in shares:
-        rows[share.dealer].append(share)
-    matrix = [[False] * n for _ in range(n)]
-    for dealer, row in rows.items():
-        for share, ok in zip(row, verify_row(row, by_dealer[dealer], params)):
-            matrix[dealer - 1][share.recipient - 1] = ok
-    return tuple(tuple(row) for row in matrix)
+    return tuple(verify_row(row, cv, params) for row, cv in zip(rows, commitments))
 
 
 def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
@@ -398,8 +404,8 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
                              params: GroupParams):
     """Per-dealer reconstruction attempts over the share pool.
 
-    The pool for dealer i holds i's shares kept by parties that are not
-    withholding at assembly and that accepted the share at verification
+    The pool for dealer i is its row of shares less those of parties
+    that withhold at assembly or rejected the share at verification
     time, and reconstruct_pool decides it: the attempts up to and
     including the first passing subset, one attempt for a failing pool
     on one polynomial, or every subset of an inconsistent pool when none
@@ -410,15 +416,12 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly
     }
-    by_dealer = {cv.dealer: cv for cv in dealing.commitments}
-    pools: dict[int, list[Share]] = {dealer: [] for dealer in range(1, config.n + 1)}
-    for s in dealing.shares:
-        if s.recipient not in withholders and matrix[s.dealer - 1][s.recipient - 1]:
-            pools[s.dealer].append(s)
+    pools = (tuple(s for s, ok in zip(row, accepted) if ok and s.recipient not in withholders)
+             for row, accepted in zip(dealing.shares, matrix))
     return tuple(
-        DealerReconstruction(dealer=dealer, pool=tuple(s.recipient for s in pool),
-                             attempts=reconstruct_pool(pool, by_dealer[dealer], params))
-        for dealer, pool in pools.items()
+        DealerReconstruction(dealer=cv.dealer, pool=tuple(s.recipient for s in pool),
+                             attempts=reconstruct_pool(pool, cv, params))
+        for pool, cv in zip(pools, dealing.commitments)
     )
 
 

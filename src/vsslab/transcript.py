@@ -6,11 +6,11 @@ field-sized integer is a decimal string (seeds and share values can
 exceed what JSON numbers hold), and small structural integers (party
 ids, n, t) stay as JSON numbers. Equal reports serialize to identical
 bytes, which is what makes the tamper check meaningful. Shares are
-written once each, one row per dealer as commitments are:
-"shares": {"<dealer>": [value to party 1, ..., value to party n]}. A
-share is forged exactly when forgery_attempts has an entry for its
-(dealer, recipient) whose outcome is "forged", and that entry names the
-strategy. Each dealer's reconstruction lists the subsets tried, up to
+written once each, in the rows the report holds them, one per dealer as
+commitments are: "shares": {"<dealer>": [value to party 1, ..., value
+to party n]}. A share is forged exactly when forgery_attempts has an
+entry for its (dealer, recipient) whose outcome is "forged", and that
+entry names the strategy. Each dealer's reconstruction lists the subsets tried, up to
 the first that passed its commitment check; a failing pool whose shares
 lie on one polynomial lists only its first subset, since every other
 would fail the same way (see protocol.reconstruct_pool). Schema "3"
@@ -74,10 +74,6 @@ def _params_ref_to_dict(ref) -> dict:
 def report_to_dict(report: ScenarioReport) -> dict:
     config = report.config
     params = report.params
-    # shares come in (dealer, recipient) order, so a dealer's row holds
-    # its values to parties 1..n in turn
-    values = [str(s.value) for s in report.shares]
-    n = config.n
     return {
         "version": SCHEMA_VERSION,
         "config": {
@@ -101,7 +97,10 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "commitments": {
             str(cv.dealer): [str(c) for c in cv.c] for cv in report.commitments
         },
-        "shares": {str(d): values[(d - 1) * n : d * n] for d in range(1, n + 1)},
+        "shares": {
+            str(dealer): [str(s.value) for s in row]
+            for dealer, row in enumerate(report.shares, 1)
+        },
         "forgery_attempts": [
             {
                 "dealer": fa.dealer,

@@ -76,12 +76,11 @@ def test_criterion_2_honest_pipeline_two_hundred_runs():
         assert all(all(row) for row in report.verification_matrix)
 
         # every t-subset of every dealer's shares lands exactly on the secret
-        by_dealer = {}
-        for share in report.shares:
-            by_dealer.setdefault(share.dealer, []).append(share)
-        for dealer in range(1, n + 1):
+        assert len(report.shares) == n
+        for dealer, row in enumerate(report.shares, 1):
+            assert [(s.dealer, s.recipient) for s in row] == [(dealer, k) for k in range(1, n + 1)]
             secret = sample_polynomial(t, params.p, dealer, substream(seed, dealer)).secret
-            pts = [(s.recipient, s.value % params.p) for s in by_dealer[dealer]]
+            pts = [(s.recipient, s.value % params.p) for s in row]
             for subset in itertools.combinations(pts, t):
                 assert lagrange_zero(list(subset), params.p) == secret
 

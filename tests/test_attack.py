@@ -110,8 +110,8 @@ class TestForgeShare:
         report = run_scenario(ScenarioConfig("one-forgery", 5, 3, "small11", behaviors, 7))
         assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
         poly = sample_polynomial(3, 11, 1, substream(7, 1))
-        assert report.shares[2] == forge_share(poly, 3, small11, strat)
-        assert report.shares[2] == Share(dealer=1, recipient=3, value=eval_integer(poly, 3) + 30)
+        assert report.shares[0][2] == forge_share(poly, 3, small11, strat)
+        assert report.shares[0][2] == Share(dealer=1, recipient=3, value=eval_integer(poly, 3) + 30)
 
 
 class TestReconstructionCorruption:

@@ -171,6 +171,20 @@ def test_demo_unwritable_out_is_clean_error(tmp_path, capsys):
     assert "cannot write size report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--scenario", "honest", "--seed", "1", "--out", ""), "cannot write transcript"),
+    (("run", "--scenario", "honest", "--seed", "1", "--out="), "cannot write transcript"),
+    (("demo-integer-commitments", "--bits", "4", "--out", ""), "cannot write size report"),
+], ids=["run", "run-equals", "demo"])
+def test_an_empty_out_path_is_a_path_that_cannot_be_written(capsys, argv, message):
+    # an empty string is a value too: it names no file, so the write
+    # fails instead of falling back to stdout or skipping the report
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert '"version"' not in captured.out
+
+
 def test_run_rejects_unknown_scenario(capsys):
     assert run_cli("run", "--scenario", "bogus", "--seed", "1") == 1
 

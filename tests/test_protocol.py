@@ -285,24 +285,25 @@ class TestDealingShape:
         cfg = build_scenario("honest", seed=5, n=2, t=2)
         report = run_scenario(cfg)
         assert len(report.commitments) == 2
-        assert len(report.shares) == 4  # every dealer sends to every party
+        # every dealer sends to every party
+        assert [len(row) for row in report.shares] == [2, 2]
         assert all(len(vec.c) == 2 for vec in report.commitments)
 
     def test_share_order_is_dealer_then_recipient(self):
         report = run_scenario(honest_config(n=3, t=2))
-        assert [(s.dealer, s.recipient) for s in report.shares] == [
-            (d, r) for d in (1, 2, 3) for r in (1, 2, 3)
+        assert [[(s.dealer, s.recipient) for s in row] for row in report.shares] == [
+            [(d, r) for r in (1, 2, 3)] for d in (1, 2, 3)
         ]
 
     def test_dealer_polynomials_come_from_per_dealer_substreams(self):
         report = run_scenario(honest_config())
         params = report.params
         assert report.forgery_attempts == ()  # so every share is the honest evaluation
-        for dealer in range(1, 6):
+        assert len(report.shares) == 5
+        for dealer, row in enumerate(report.shares, 1):
             poly = sample_polynomial(3, params.field_modulus, dealer, substream(7, dealer))
-            for share in report.shares:
-                if share.dealer == dealer:
-                    assert share.value == eval_integer(poly, share.recipient)
+            assert [s.dealer for s in row] == [dealer] * 5
+            assert [s.value for s in row] == [eval_integer(poly, k) for k in range(1, 6)]
 
     def test_runs_are_deterministic(self):
         assert run_scenario(honest_config()) == run_scenario(honest_config())
@@ -488,14 +489,14 @@ class TestVerificationRound:
         p1 = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
         p2 = SecretPolynomial(dealer=2, coeffs=(5, 1), field_modulus=11)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
-        shares = [
-            Share(dealer=1, recipient=1, value=eval_integer(p1, 1) % 11),
-            # same exponent class but numerically above q: range check trips
-            Share(dealer=1, recipient=2, value=eval_integer(p1, 2) % 11 + 11),
-            Share(dealer=2, recipient=1, value=eval_integer(p2, 1) % 11),
-            Share(dealer=2, recipient=2, value=eval_integer(p2, 2) % 11),
+        rows = [
+            [Share(dealer=1, recipient=1, value=eval_integer(p1, 1) % 11),
+             # same exponent class but numerically above q: range check trips
+             Share(dealer=1, recipient=2, value=eval_integer(p1, 2) % 11 + 11)],
+            [Share(dealer=2, recipient=1, value=eval_integer(p2, 1) % 11),
+             Share(dealer=2, recipient=2, value=eval_integer(p2, 2) % 11)],
         ]
-        assert run_verification_round(shares, commits, p23q11) == ((True, False), (True, True))
+        assert run_verification_round(rows, commits, p23q11) == ((True, False), (True, True))
 
     def test_hardened_vector_outside_the_subgroup_rejects_the_whole_row(self, p23q11):
         from vsslab.protocol import run_dealing_round, run_verification_round
@@ -516,8 +517,9 @@ class TestVerificationRound:
     def test_forgery_attempts_name_the_forged_shares_and_strategy(self):
         report = run_scenario(build_scenario("false-share", seed=7))
         honest = run_scenario(build_scenario("honest", seed=7))
-        changed = {(s.dealer, s.recipient) for s, h in zip(report.shares, honest.shares)
-                   if s != h}
+        changed = {(s.dealer, s.recipient)
+                   for row, honest_row in zip(report.shares, honest.shares)
+                   for s, h in zip(row, honest_row) if s != h}
         assert {(a.dealer, a.recipient) for a in report.forgery_attempts} == changed == {
             (1, k) for k in range(2, 6)}
         assert all(a.outcome == "forged" and a.strategy.kind is StrategyKind.ADD_P_MINUS_ONE
@@ -551,16 +553,18 @@ def test_verification_round_matches_the_per_share_oracle(data):
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
     polys = [sample_polynomial(t, params.field_modulus, dealer, substream(seed, dealer))
              for dealer in range(1, n + 1)]
-    # honest, the two forgeries, +1 tampering, a value at or above the
-    # field modulus, or (None) no share at all, which shortens the row
-    shifts = [0, 0, 0, params.p - 1, params.d, 1, params.field_modulus, None]
-    shares = []
+    # honest, the two forgeries, +1 tampering, or a value at or above the
+    # field modulus; rows are positional, so each is complete and in order
+    # (test_vss checks verify_row on arbitrary recipient lists)
+    shifts = [0, 0, 0, params.p - 1, params.d, 1, params.field_modulus]
+    rows = []
     for poly in polys:
+        row = []
         for k in range(1, n + 1):
             honest = eval_integer(poly, k) % params.q if hardened else eval_integer(poly, k)
             shift = data.draw(st.sampled_from(shifts))
-            if shift is not None:
-                shares.append(Share(dealer=poly.dealer, recipient=k, value=honest + shift))
+            row.append(Share(dealer=poly.dealer, recipient=k, value=honest + shift))
+        rows.append(row)
     dealt = [commit(poly, params) for poly in polys]
     commitments = []
     for i, cv in enumerate(dealt):
@@ -573,9 +577,8 @@ def test_verification_round_matches_the_per_share_oracle(data):
         elif tamper == "other":
             c[j] = dealt[(i + 1) % n].c[j]
         commitments.append(CommitmentVector(dealer=cv.dealer, c=tuple(c)))
-    shares = data.draw(st.permutations(shares))
-    assert run_verification_round(shares, commitments, params) == per_share_matrix(
-        shares, commitments, params)
+    assert run_verification_round(rows, commitments, params) == per_share_matrix(
+        [s for row in rows for s in row], commitments, params)
 
 
 class TestRowCheck:
@@ -788,7 +791,8 @@ class TestReconstructionMatchesOracle:
                     report = run_scenario(cfg)
                     params = report.params
                     m = params.field_modulus
-                    values = {(s.dealer, s.recipient): s.value % m for s in report.shares}
+                    values = {(s.dealer, s.recipient): s.value % m
+                              for row in report.shares for s in row}
                     for rec, commits in zip(report.reconstructions, report.commitments):
                         points = [(k, values[rec.dealer, k]) for k in rec.pool]
                         oracle = enumerate_pool(points, t, commits, params)

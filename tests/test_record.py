@@ -3,12 +3,13 @@ its own class with equal fields, hashed to match, and built through
 its defaults and __post_init__ checks."""
 
 import copy
+import re
 
 import pytest
 
 from vsslab import attack, numtheory, poly, protocol, vss
 from vsslab.attack import ForgeryStrategy, StrategyKind
-from vsslab.errors import ConfigInvalid
+from vsslab.errors import ConfigInvalid, InvalidGroupParams
 from vsslab.numtheory import GroupParams, Mode
 from vsslab.poly import SecretPolynomial
 from vsslab.protocol import (
@@ -23,6 +24,7 @@ from vsslab.protocol import (
     run_scenario,
 )
 from vsslab.record import _eq, record
+from vsslab.transcript import render_report
 from vsslab.vss import CommitmentVector, Share
 
 REPORT = run_scenario(build_scenario("false-share", seed=7))
@@ -31,7 +33,7 @@ SAMPLES = [
     REPORT.config,
     REPORT.params,
     REPORT.commitments[0],
-    REPORT.shares[1],  # dealer 1's forged share to party 2
+    REPORT.shares[0][1],  # dealer 1's forged share to party 2
     REPORT.config.behaviors[1],
     REPORT.config.behaviors[1].strategy,
     REPORT.forgery_attempts[0],
@@ -145,6 +147,55 @@ def test_post_init_checks_and_normalises():
     forger = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
                       strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE), targets=[4, 2])
     assert forger.targets == (2, 4)
+
+
+class TestEnumFields:
+    """A kind or mode given as its plain string value becomes the member
+    when the record is built, so the library's `is` branches see it; any
+    other value is refused."""
+
+    def test_a_string_mode_gives_the_report_of_the_member(self):
+        def report(mode):
+            return run_scenario(build_scenario("hardened-attack", seed=1,
+                                               params_ref=GenSpec(bits=16, mode=mode)))
+
+        as_string, as_member = report("hardened"), report(Mode.HARDENED)
+        assert as_string.config.params_ref.mode is Mode.HARDENED
+        assert as_string.params.mode is Mode.HARDENED
+        assert as_string == as_member
+        assert render_report(as_string) == render_report(as_member)
+
+    @pytest.mark.parametrize("scenario, first", [
+        ("honest", lambda: Behavior(kind="honest")),
+        ("false-share", lambda: Behavior(kind="false_share_dealer", targets=range(2, 6),
+                                         strategy=ForgeryStrategy("add_p_minus_one"))),
+    ], ids=["honest", "false-share"])
+    def test_a_string_kind_gives_the_report_of_the_member(self, scenario, first):
+        config = build_scenario(scenario, seed=7)
+        assert first() == config.behaviors[1]
+        assert type(first().kind) is BehaviorKind
+        stringly = ScenarioConfig(scenario, 5, 3, "small11",
+                                  {**config.behaviors, 1: first()}, 7)
+        assert run_scenario(stringly) == run_scenario(config)
+        assert render_report(run_scenario(stringly)) == render_report(run_scenario(config))
+
+    def test_a_string_mode_builds_the_same_group(self):
+        params = GroupParams(11, 2, 10, "vulnerable")
+        assert params.mode is Mode.VULNERABLE
+        assert params == REPORT.params and hash(params) == hash(REPORT.params)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Behavior(kind="bogus"), ConfigInvalid, "unknown behavior kind 'bogus'"),
+        (lambda: Behavior(kind=None), ConfigInvalid, "unknown behavior kind None"),
+        (lambda: ForgeryStrategy("Order_Shift"), ConfigInvalid,
+         "unknown forgery strategy kind 'Order_Shift'"),
+        (lambda: GenSpec(bits=16, mode="HARDENED"), ConfigInvalid, "unknown mode 'HARDENED'"),
+        (lambda: GroupParams(11, 2, 10, "bogus"), InvalidGroupParams, "unknown mode 'bogus'"),
+        (lambda: GroupParams(11, 2, 10, ["vulnerable"]), InvalidGroupParams, "unknown mode"),
+    ], ids=["behavior", "behavior-none", "strategy", "genspec", "params", "params-list"])
+    def test_an_unknown_value_is_refused(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
 
 
 def test_arguments_bind_by_position_and_keyword():

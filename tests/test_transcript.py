@@ -120,6 +120,55 @@ def test_wide_config_transcripts_are_pinned():
     assert digest.hexdigest() == WIDE_DIGEST
 
 
+# the five scenarios, and the wide false-share config, whose forger's row
+# falls back to per-share checks
+HAND_BUILT = [build_scenario(name, seed=7) for name in SCENARIO_NAMES] + [
+    build_scenario(name, seed=7, n=n, t=t, params_ref=params_ref)
+    for name, params_ref, n, t in WIDE_CONFIGS[1:2]]
+
+
+@pytest.mark.parametrize("config", HAND_BUILT,
+                         ids=[f"{c.scenario}-{c.n}" for c in HAND_BUILT])
+def test_the_rounds_called_one_at_a_time_render_as_run_scenario(config):
+    # the public calls perfbench/ops.py's trace op makes to time each
+    # round, in its order, ending in a ScenarioReport built by hand
+    from vsslab import (
+        ScenarioReport,
+        aggregate_public_key,
+        assemble_group_key,
+        load_registry,
+        run_dealing_round,
+        run_verification_round,
+    )
+    from vsslab.protocol import resolve_params, run_reconstruction_round
+
+    load_registry()
+    params = resolve_params(config)
+    config.validate(params)
+    dealing = run_dealing_round(config, params)
+    matrix = run_verification_round(dealing.shares, dealing.commitments, params)
+    reconstructions = run_reconstruction_round(dealing, matrix, config, params)
+    assembly = assemble_group_key(reconstructions, dealing.commitments, params, matrix)
+    report = ScenarioReport(
+        config=config,
+        params=params,
+        commitments=dealing.commitments,
+        shares=dealing.shares,
+        forgery_attempts=dealing.forgery_attempts,
+        verification_matrix=matrix,
+        aggregate_public_key=aggregate_public_key(dealing.commitments, params),
+        reconstructions=reconstructions,
+        group_key=assembly.group_key,
+        group_key_confirmed=assembly.confirmed,
+        verdict=assembly.verdict,
+    )
+    text = render_report(report)
+    assert text == render_report(run_scenario(config))
+    assert audit_transcript(text) == []
+    # the trace op counts share checks as the matrix's entries
+    assert sum(len(row) for row in matrix) == config.n ** 2
+
+
 def _ceremonies():
     """The five scenarios at seeds 0-19, then WIDE_CONFIGS at seeds 0-2."""
     configs = [build_scenario(name, seed=seed) for name in SCENARIO_NAMES for seed in range(20)]
@@ -137,13 +186,14 @@ def test_every_share_is_rebuilt_from_the_transcript():
         report = run_scenario(config)
         doc = json.loads(render_report(report))
         rows = sorted(doc["shares"].items(), key=lambda item: int(item[0]))
-        rebuilt = tuple(Share(dealer=int(dealer), recipient=k, value=int(value))
-                        for dealer, row in rows for k, value in enumerate(row, 1))
+        rebuilt = tuple(tuple(Share(dealer=int(dealer), recipient=k, value=int(value))
+                              for k, value in enumerate(row, 1))
+                        for dealer, row in rows)
         assert rebuilt == report.shares, config
         forged = {(a["dealer"], a["recipient"]): a["strategy"]
                   for a in doc["forgery_attempts"] if a["outcome"] == "forged"}
         params = report.params
-        for share in rebuilt:
+        for share in (share for row in rebuilt for share in row):
             poly = sample_polynomial(config.t, params.field_modulus, share.dealer,
                                      substream(config.seed, share.dealer))
             strategy = forged.get((share.dealer, share.recipient))
@@ -198,7 +248,7 @@ def test_big_integers_serialize_as_decimal_strings():
     doc = json.loads(render_report(report))
     assert isinstance(doc["params"]["p"], str)
     assert isinstance(doc["shares"]["1"][0], str)
-    assert int(doc["shares"]["1"][0]) == report.shares[0].value
+    assert int(doc["shares"]["1"][0]) == report.shares[0][0].value
     assert int(doc["params"]["p"]) == report.params.p
 
 
