@@ -12,7 +12,6 @@ from .errors import VsslabError
 from .numtheory import (
     GroupParams,
     Mode,
-    factorize,
     gen_params,
     is_prime,
     mod_inv,
@@ -20,6 +19,7 @@ from .numtheory import (
 from .poly import (
     SecretPolynomial,
     eval_integer,
+    interpolate,
     lagrange_basis,
     lagrange_weights,
     lagrange_zero,

@@ -3,11 +3,12 @@
 Everything here works on non-negative arbitrary-precision ints and is a
 pure function of its arguments. Primality testing is exact below 2**64
 (fixed Miller-Rabin witness set) and probabilistic with error below
-2**-128 above. One table, the 25 primes below 100, serves three
-callers: is_prime divides by them first, factorize strips them before
-Brent's rho splits the rest, and the safe-prime search sieves by their
-product before testing. Factorization is guarded to inputs under 96 bits,
-which is all this desk-scale laboratory ever needs.
+2**-128 above. One table, the 25 primes below 100, serves is_prime,
+which divides by them first, and the safe-prime search, which sieves by
+their product. Nothing here factors: a hardened order is proved prime,
+and a vulnerable one is checked from its primes, (2, q) for a generated
+p = 2q + 1. No factoring guard bounds the sizes; MAX_PARAM_BITS stays
+96, the size the g-power table cache below is budgeted for.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from enum import Enum
 from functools import lru_cache
 
-from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, TooLarge, VsslabError
+from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, VsslabError
 from .record import record
 from .rng import MASK64, SplitMix64
 
@@ -107,84 +108,6 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# factorization (trial division + Brent's cycle-finding rho)
-# ---------------------------------------------------------------------------
-
-FACTOR_GUARD_BITS = 96
-
-
-def _brent_attempt(n: int, c: int) -> int:
-    """One deterministic Brent-rho pass; may return n on failure."""
-    m = 128
-    y, r, q = 2, 1, 1
-    g = 1
-    x = ys = y
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-        r <<= 1
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g
-
-
-def _nontrivial_factor(n: int) -> int:
-    """A proper factor of odd composite n (deterministic parameter sweep)."""
-    for c in range(1, 64):
-        g = _brent_attempt(n, c)
-        if 1 < g < n:
-            return g
-    raise RuntimeError(f"rho factorization stalled on {n}")
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n as {prime: exponent}; factorize(1) == {}.
-
-    Trial division by _SMALL_PRIMES, the 25 primes below 100 that
-    is_prime also divides by, strips every factor below 100; Brent's rho
-    (Brent 1980) splits the cofactor, whose prime factors all exceed
-    100, and is_prime decides each piece.
-
-    Guarded to n below 2**96 so a stalled rho loop can never eat the
-    session; everything the laboratory generates stays far below that.
-    """
-    if n < 1:
-        raise VsslabError(f"can only factor positive integers, got {n}")
-    if n.bit_length() > FACTOR_GUARD_BITS:
-        raise TooLarge(f"refusing to factor {n.bit_length()}-bit input (limit {FACTOR_GUARD_BITS} bits)")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            f = _nontrivial_factor(m)
-            stack.append(f)
-            stack.append(m // f)
-    return dict(sorted(out.items()))
-
-
-# ---------------------------------------------------------------------------
 # group parameters
 # ---------------------------------------------------------------------------
 
@@ -241,10 +164,10 @@ class GroupParams:
         Used on generated parameters and registry entries alike;
         generation output is never trusted blindly (a transcript's
         params are not read: the audit regenerates them). primes,
-        the distinct primes of d, certify a vulnerable group's order in
-        place of factoring d: each must be prime and divide d, and
-        dividing them out must leave 1. With None, d is factored.
-        A hardened d is proved prime and needs no certificate.
+        the distinct primes of d, certify a vulnerable group's order:
+        each must be prime and divide d, and dividing them out must
+        leave 1; a vulnerable group without them is refused. A hardened
+        d is proved prime and needs no certificate.
         """
         if not is_prime(self.p):
             raise InvalidGroupParams(f"p = {self.p} is not prime")
@@ -260,20 +183,20 @@ class GroupParams:
                 raise InvalidGroupParams(f"hardened order d = {self.d} is not prime")
             return
         if primes is None:
-            primes = factorize(self.d)
-        else:
-            rest = self.d
-            for r in primes:
-                if not is_prime(r):
-                    raise InvalidGroupParams(f"certificate factor {r} is not prime")
-                if rest % r != 0:
-                    raise InvalidGroupParams(
-                        f"certificate prime {r} does not divide what is left of d = {self.d}")
-                while rest % r == 0:
-                    rest //= r
-            if rest != 1:
+            raise InvalidGroupParams(
+                f"vulnerable order d = {self.d} needs the primes of d as its certificate")
+        rest = self.d
+        for r in primes:
+            if not is_prime(r):
+                raise InvalidGroupParams(f"certificate factor {r} is not prime")
+            if rest % r != 0:
                 raise InvalidGroupParams(
-                    f"certificate leaves {rest} of d = {self.d} unfactored")
+                    f"certificate prime {r} does not divide what is left of d = {self.d}")
+            while rest % r == 0:
+                rest //= r
+        if rest != 1:
+            raise InvalidGroupParams(
+                f"certificate leaves {rest} of d = {self.d} unfactored")
         r = _order_drop(self.g, self.d, self.p, primes)
         if r is not None:
             raise InvalidGroupParams(f"claimed order {self.d} is not exact (g**(d/{r}) == 1)")
@@ -309,62 +232,49 @@ def _g_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-_PRIME_ATTEMPTS = 4096
 _SAFE_PRIME_ATTEMPTS = 1 << 17
 MIN_PARAM_BITS = 4
 MAX_PARAM_BITS = 96
 
 
-def _odd_candidate(bits: int, rng: SplitMix64) -> int:
-    """Random odd integer with exact bit length (top and bottom bits set)."""
-    return (1 << (bits - 1)) | (rng.randbits(bits - 2) << 1) | 1
-
-
-def _random_prime(bits: int, rng: SplitMix64) -> int:
-    for _ in range(_PRIME_ATTEMPTS):
-        candidate = _odd_candidate(bits, rng)
-        if is_prime(candidate):
-            return candidate
-    raise GenerationFailed(f"no {bits}-bit prime found in {_PRIME_ATTEMPTS} attempts")
-
-
 def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
     """Generate fresh group parameters of the requested size.
 
-    Vulnerable mode picks a random prime p and the smallest primitive
-    root, so d = p - 1. Hardened mode searches for a safe prime
-    p = 2q + 1 and squares a random h into the order-q subgroup.
-    Raises ConfigInvalid for a size outside [MIN_PARAM_BITS, MAX_PARAM_BITS]
-    and GenerationFailed if the documented retry bounds run out.
+    Both modes search the stream for the same safe prime p = 2q + 1.
+    Vulnerable mode takes the smallest primitive root g, so d = p - 1 =
+    2q, certified by the primes (2, q). Hardened mode squares a random h
+    into the order-q subgroup, so d = q. Raises ConfigInvalid for a size
+    outside [MIN_PARAM_BITS, MAX_PARAM_BITS] and GenerationFailed if the
+    documented retry bound runs out.
     """
     if not MIN_PARAM_BITS <= bit_length <= MAX_PARAM_BITS:
         raise ConfigInvalid(
             f"bit_length must be in [{MIN_PARAM_BITS}, {MAX_PARAM_BITS}], got {bit_length}"
         )
+    for _ in range(_SAFE_PRIME_ATTEMPTS):
+        # a random odd q of exactly bit_length - 1 bits, so p has bit_length
+        q = (1 << (bit_length - 2)) | (rng.randbits(bit_length - 3) << 1) | 1
+        # above 97, a factor below 100 of q or 2q + 1, or a failed base-2
+        # Fermat test of 2q + 1, means a composite: the sieve skips only
+        # what Miller-Rabin would refuse, so the same q is found
+        if q > _SMALL_PRIMES[-1] and (math.gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) != 1
+                                      or pow(2, 2 * q, 2 * q + 1) != 1):
+            continue
+        if is_prime(q) and is_prime(2 * q + 1):
+            break
+    else:
+        raise GenerationFailed(
+            f"no {bit_length}-bit safe prime found in {_SAFE_PRIME_ATTEMPTS} attempts"
+        )
+    p = 2 * q + 1
     if mode is Mode.VULNERABLE:
-        p = _random_prime(bit_length, rng)
-        primes = factorize(p - 1)
+        primes = (2, q)
         # a prime p has a primitive root, so the search ends below p
         g = next(g for g in range(2, p) if _order_drop(g, p - 1, p, primes) is None)
         params = GroupParams(p=p, g=g, d=p - 1, mode=mode)
     else:
         primes = None  # validate proves the prime d exact without one
-        for _ in range(_SAFE_PRIME_ATTEMPTS):
-            q = _odd_candidate(bit_length - 1, rng)
-            # above 97, a factor below 100 of q or of 2q + 1 makes it
-            # composite, so one gcd skips, in the same order, what
-            # Miller-Rabin would refuse
-            if q > _SMALL_PRIMES[-1] and math.gcd(q * (2 * q + 1), _SMALL_PRIMORIAL) != 1:
-                continue
-            if is_prime(q) and is_prime(2 * q + 1):
-                break
-        else:
-            raise GenerationFailed(
-                f"no {bit_length}-bit safe prime found in {_SAFE_PRIME_ATTEMPTS} attempts"
-            )
-        p = 2 * q + 1
         h = rng.randrange(2, p - 1)  # h != 1 and h != p - 1, so h*h != 1
         params = GroupParams(p=p, g=h * h % p, d=q, mode=mode)
-    # vulnerable p - 1 is factored once: its primes certify d
     params.validate(primes)
     return params

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from .errors import VsslabError
 from .numtheory import mod_inv
@@ -63,9 +64,14 @@ def eval_integer(poly: SecretPolynomial, k: int) -> int:
     """
     if k < 1:
         raise VsslabError(f"evaluation point must be positive, got {k}")
+    return horner(poly.coeffs, k)
+
+
+def horner(coeffs, x: int) -> int:
+    """sum_j coeffs[j] * x**j exactly, by Horner's rule, with no reduction."""
     acc = 0
-    for c in reversed(poly.coeffs):
-        acc = acc * k + c
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc
 
 
@@ -161,6 +167,14 @@ def lagrange_basis(xs, m: int) -> tuple[tuple[int, ...], ...]:
     and one inverse per abscissa.
     """
     return _lagrange_basis(tuple(xs), m)
+
+
+def interpolate(xs, ys, m: int) -> tuple[int, ...]:
+    """Coefficients, constant term first, of the polynomial of degree
+    below len(xs) through the points (xs[i], ys[i]), mod m: one dot
+    product of ys with each row of lagrange_basis(xs, m)."""
+    ys = tuple(ys)
+    return tuple(sum(map(mul, ys, row)) % m for row in lagrange_basis(xs, m))
 
 
 @lru_cache(maxsize=4)

@@ -38,7 +38,8 @@ from .numtheory import GroupParams, Mode, gen_params
 from .poly import (
     SecretPolynomial,
     eval_integer,
-    lagrange_basis,
+    horner,
+    interpolate,
     lagrange_weights,
     sample_polynomial,
 )
@@ -369,7 +370,7 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
 
     When the first subset fails (and the recipients are distinct
     elements of the field), the coefficients through its t shares
-    (lagrange_basis) are evaluated at the pool's other recipients. If
+    (poly.interpolate) are evaluated at the pool's other recipients. If
     every other share agrees mod the field, the pool lies on one
     polynomial, every t-subset rebuilds the same value and none can
     pass, so the pool lists that one attempt. Otherwise (a forger's
@@ -393,9 +394,8 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
         if ok:
             break
         if len(attempts) == 1 and testable:
-            coeffs = tuple(sum(map(mul, values, row)) % m for row in lagrange_basis(subset, m))
-            first = SecretPolynomial(commits.dealer, coeffs, m)
-            if all(eval_integer(first, x) % m == y for x, y in zip(xs[t:], ys[t:])):
+            coeffs = interpolate(subset, values, m)
+            if all(horner(coeffs, x) % m == y for x, y in zip(xs[t:], ys[t:])):
                 break
     return tuple(attempts)
 

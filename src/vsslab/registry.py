@@ -3,15 +3,17 @@
 Each entry is a literal GroupParams: p, g, the exact order d of g, and
 the mode; a hardened entry's d is its prime subgroup order q. A
 vulnerable entry also pins the distinct primes of d, the certificate
-validate() checks in place of factoring d; a hardened d is proved prime
-and needs none. Each entry is revalidated the first time it is looked
-up, so a run pays only for the entry it uses; validate() proves d is
-the exact order of g, so a mistyped value raises InvalidGroupParams
-instead of smuggling in a wrong order.
+validate() needs (the library never factors); a hardened d is proved
+prime and needs none. Each entry is revalidated the first time it is
+looked up, so a run pays only for the entry it uses; validate() proves
+d is the exact order of g, so a mistyped value raises
+InvalidGroupParams instead of smuggling in a wrong order.
 
-The v32/v64/h32/h64 entries were produced once by gen_params with a
-SplitMix64 stream at the seed noted beside each entry, then pinned here
-so every run of the laboratory sees identical groups.
+The v32/v64/h32/h64 entries were produced once from a SplitMix64 stream
+at the seed noted beside each, then pinned so every run sees identical
+groups. gen_params still gives h32 and h64 at their seeds; v32 and v64
+came from an earlier generator that factored p - 1 of a random prime,
+and their pinned values and certificates now define them.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ _ENTRIES = {
     # hardened twin: safe prime 23 = 2 * 11 + 1, g = 2 generates the
     # order-11 subgroup of squares, secrets live in Z_11
     "p23q11": (GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED), None),
-    # gen_params(32, vulnerable), seed 0x763332
+    # the factoring generator at 32 bits, seed 0x763332; p - 1 is not 2q
     "v32": (
         GroupParams(p=3160101617, g=3, d=3160101616, mode=Mode.VULNERABLE),
         (2, 7, 139, 202987),
     ),
-    # gen_params(64, vulnerable), seed 0x763634
+    # the factoring generator at 64 bits, seed 0x763634; p - 1 is not 2q
     "v64": (
         GroupParams(
             p=15670206069997242653, g=2, d=15670206069997242652, mode=Mode.VULNERABLE

@@ -30,11 +30,10 @@ per-share verdict.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from .errors import TooLarge, VsslabError
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial, lagrange_basis
+from .poly import SecretPolynomial, horner, interpolate
 from .record import record
 
 
@@ -153,8 +152,8 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     commitment checks decide. A row with fewer than t shares, a repeated
     abscissa or one outside (0, field_modulus), or a b_j that misses its
     commitment (a forger's row) is checked share by share instead. The
-    basis comes from lagrange_basis, whose bounded cache in poly lets
-    rows at one abscissa set share it.
+    b_j come from poly.interpolate, whose basis cache lets rows at one
+    abscissa set share it.
     """
     shares = commits.check_dealer(shares)
     hardened = params.mode is Mode.HARDENED
@@ -162,18 +161,12 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     m = params.field_modulus
     xs = tuple(s.recipient for s in shares)
     if len(xs) >= t and len(set(xs)) == len(xs) and all(0 < k < m for k in xs):
-        ys = [s.value % m for s in shares[:t]]
-        b = [sum(map(mul, ys, row)) % m for row in lagrange_basis(xs[:t], m)]
+        b = interpolate(xs[:t], (s.value % m for s in shares[:t]), m)
         if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
-            verdicts = []
-            for s in shares:
-                # Q(k) exactly, by Horner's rule, reduced once
-                q_k = 0
-                for b_j in reversed(b):
-                    q_k = q_k * s.recipient + b_j
-                verdicts.append((not hardened or range_check(s, params))
-                                and (s.value - q_k) % params.d == 0)
-            return tuple(verdicts)
+            # Q(k) exactly, reduced once
+            return tuple((not hardened or range_check(s, params))
+                         and (s.value - horner(b, s.recipient)) % params.d == 0
+                         for s in shares)
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(
         in_group and (not hardened or range_check(s, params)) and verify_share(s, commits, params)

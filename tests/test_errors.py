@@ -11,15 +11,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vsslab"
 
 # the only raises that are not deliberate library failures: the record
 # plumbing's TypeError and AttributeError (what Python itself raises for a
-# bad call or a frozen attribute), the CLI's usage errors, and two
-# invariants no input reaches
+# bad call or a frozen attribute), the CLI's usage errors, and one
+# invariant no input reaches
 EXEMPT = {
     ("record.py", "__init__", "TypeError"),
     ("record.py", "_frozen", "AttributeError"),
     ("cli.py", "_parse", "_UsageError"),
     ("cli.py", "_cmd_demo", "_UsageError"),
     ("protocol.py", "assemble_group_key", "RuntimeError"),
-    ("numtheory.py", "_nontrivial_factor", "RuntimeError"),
 }
 
 

@@ -1,8 +1,6 @@
 """Number theory layer, each routine checked against an independent oracle."""
 
 import hashlib
-import math
-import re
 from functools import lru_cache
 
 import pytest
@@ -10,13 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.errors import GenerationFailed, InvalidGroupParams, TooLarge, VsslabError
+from vsslab.errors import GenerationFailed, InvalidGroupParams, VsslabError
 from vsslab.numtheory import (
-    FACTOR_GUARD_BITS,
     GroupParams,
     Mode,
     _g_table,
-    factorize,
     gen_params,
     is_prime,
     mod_inv,
@@ -26,13 +22,13 @@ from vsslab.rng import SplitMix64
 
 from conftest import brute_order, multiplicative_order
 
-# primes in [101, 10**4): above the 25 primes factorize trial-divides by,
-# so rho alone must split any product of them
-PRIMES_101_TO_10K = tuple(sympy.primerange(101, 10**4))
-
-# SHA-256 of the groups test_output_is_pinned_at_every_size generates,
-# recorded before the safe-prime sieve and the order certificates landed
-GENERATION_DIGEST = "01deb44a655836283b309f18f1af1ff85fd12add647850114ec41a16826a4520"
+# SHA-256 of the groups test_output_is_pinned_at_every_size generates in
+# each mode. The hardened digest predates the safe-prime search both modes
+# share and its Fermat sieve, so it pins that hardened output never moved
+GENERATION_DIGESTS = {
+    Mode.VULNERABLE: "a1d2c4af8465cbfd5ab0dd7dc91c26c6e78a0d72446736aa5e65540ea14f184a",
+    Mode.HARDENED: "51da63709dcd7ad42b341eb2a1df11880132311fa435ab8de73b62b96e75d065",
+}
 
 
 class TestModInv:
@@ -100,63 +96,6 @@ class TestIsPrime:
         assert is_prime(n) == sympy.isprime(n)
 
 
-class TestFactorize:
-    def test_pinned_examples(self):
-        assert factorize(10) == {2: 1, 5: 1}
-        assert factorize(1) == {}
-        assert factorize(22) == {2: 1, 11: 1}
-        assert factorize(2**10) == {2: 10}
-
-    def test_semiprime_beyond_trial_division(self):
-        # both factors exceed 100, past the 25 trial primes, exercising the rho path
-        p, q = 1000003, 1000033
-        assert factorize(p * q) == {p: 1, q: 1}
-
-    def test_brent_backtracks_when_the_batched_gcd_overshoots(self):
-        # both factors exceed the 25 trial primes, and for 10007 * 10099 the
-        # batched product's gcd jumps straight to n, so Brent's pass steps
-        # back one iterate at a time to split it
-        assert factorize(10007 * 10099) == {10007: 1, 10099: 1}
-        assert factorize(10007**2) == {10007: 2}
-
-    def test_squares_and_cubes_of_primes_above_the_trial_primes(self):
-        # rho, not trial division, splits every prime power of these primes
-        for p in PRIMES_101_TO_10K:
-            for e in (2, 3):
-                assert factorize(p**e) == sympy.factorint(p**e) == {p: e}
-
-    @given(st.lists(st.sampled_from(PRIMES_101_TO_10K), min_size=1, max_size=7))
-    @settings(max_examples=150, deadline=None)
-    def test_products_of_primes_above_the_trial_primes_match_sympy(self, primes):
-        # seven primes below 10**4 stay below 10**28 < 2**96, the guard
-        n = math.prod(primes)
-        assert factorize(n) == sympy.factorint(n)
-
-    def test_large_semiprime(self):
-        p = int(sympy.nextprime(2**40))
-        q = int(sympy.nextprime(2**41))
-        assert factorize(p * q) == {p: 1, q: 1}
-
-    @given(st.integers(min_value=1, max_value=10**12))
-    @settings(max_examples=150, deadline=None)
-    def test_product_reconstructs_and_factors_are_prime(self, n):
-        fac = factorize(n)
-        prod = 1
-        for prime, exp in fac.items():
-            assert is_prime(prime)
-            assert exp >= 1
-            prod *= prime**exp
-        assert prod == n
-
-    def test_guard_rejects_oversized_input(self):
-        with pytest.raises(TooLarge):
-            factorize(1 << FACTOR_GUARD_BITS)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(VsslabError, match="can only factor positive integers, got 0"):
-            factorize(0)
-
-
 class TestMultiplicativeOrder:
     """The oracle that the registry and GroupParams tests trust."""
 
@@ -179,14 +118,14 @@ class TestMultiplicativeOrder:
         assert (p - 1) % d == 0
         assert pow(g, d, p) == 1
         # minimality against every proper divisor of d
-        for prime in factorize(d):
+        for prime in sympy.primefactors(d):
             assert pow(g, d // prime, p) != 1
 
 
 class TestGroupParams:
     def test_vulnerable_validation_accepts_registry_style_params(self):
-        GroupParams(p=11, g=2, d=10, mode=Mode.VULNERABLE).validate()
-        GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate()
+        GroupParams(p=11, g=2, d=10, mode=Mode.VULNERABLE).validate((2, 5))
+        GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate((11,))
 
     def test_wrong_order_rejected(self):
         with pytest.raises(InvalidGroupParams):
@@ -194,7 +133,7 @@ class TestGroupParams:
         # a multiple of the true order 11 passes g**d == 1 but is not exact
         with pytest.raises(InvalidGroupParams,
                            match=r"claimed order 22 is not exact \(g\*\*\(d/2\) == 1\)"):
-            GroupParams(p=23, g=2, d=22, mode=Mode.VULNERABLE).validate()
+            GroupParams(p=23, g=2, d=22, mode=Mode.VULNERABLE).validate((2, 11))
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_order_must_divide_p_minus_one(self, mode):
@@ -206,27 +145,21 @@ class TestGroupParams:
     def test_hardened_requires_prime_q_matching_d(self):
         GroupParams(p=23, g=2, d=11, mode=Mode.HARDENED).validate()
         # 5 generates all of Z_23*: its exact order 22 is not prime
-        GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate()
+        GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate((2, 11))
         with pytest.raises(InvalidGroupParams, match="not prime"):
             GroupParams(p=23, g=5, d=22, mode=Mode.HARDENED).validate()
 
-    def test_hardened_validation_proves_d_prime_without_factoring_it(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        monkeypatch.setattr("vsslab.numtheory.factorize", refuse)
+    def test_hardened_validation_proves_d_prime_without_factoring_it(self):
+        # a hardened d needs no certificate; a vulnerable d cannot go without one
         for p, g, d in ((23, 2, 11), (2488578623, 2247443640, 1244289311)):
             GroupParams(p=p, g=g, d=d, mode=Mode.HARDENED).validate()
         with pytest.raises(InvalidGroupParams, match="hardened order d = 22 is not prime"):
             GroupParams(p=23, g=5, d=22, mode=Mode.HARDENED).validate()
-        with pytest.raises(AssertionError, match="factorize"):
+        with pytest.raises(InvalidGroupParams,
+                           match="^vulnerable order d = 11 needs the primes of d as its certificate$"):
             GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate()
 
-    def test_a_certificate_replaces_factoring(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        monkeypatch.setattr("vsslab.numtheory.factorize", refuse)
+    def test_a_certificate_replaces_factoring(self):
         GroupParams(p=23, g=5, d=22, mode=Mode.VULNERABLE).validate((2, 11))
         GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE).validate([11])
         # a certificate is read only as the primes of d, in any order
@@ -255,19 +188,21 @@ class TestGroupParams:
     @given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=100, deadline=None)
     def test_validating_from_factorize_agrees_with_validating_alone(self, offset, g_offset):
+        # validating from the primes of d (sympy's factorization) accepts
+        # exactly the true order; without them, validation refuses
         p = int(sympy.nextprime(3 + offset))
         g = 2 + g_offset % (p - 2)
         # the true order, and a multiple of it that divides p - 1 when one exists
         true_d = multiplicative_order(g, p)
         for d in {true_d, p - 1}:
             params = GroupParams(p=p, g=g, d=d, mode=Mode.VULNERABLE)
-            try:
+            with pytest.raises(InvalidGroupParams, match="needs the primes of d"):
                 params.validate()
-            except InvalidGroupParams as exc:
-                with pytest.raises(InvalidGroupParams, match=f"^{re.escape(str(exc))}$"):
-                    params.validate(factorize(d))
+            if d == true_d:
+                params.validate(sympy.primefactors(d))
             else:
-                params.validate(factorize(d))
+                with pytest.raises(InvalidGroupParams, match=f"^claimed order {d} is not exact "):
+                    params.validate(sympy.primefactors(d))
 
     def test_field_modulus_property(self):
         vuln = GroupParams(p=23, g=2, d=11, mode=Mode.VULNERABLE)
@@ -294,7 +229,7 @@ class TestGenParams:
         assert is_prime(params.p)
         assert params.d == params.p - 1  # generator is a primitive root
         assert params.q is None
-        params.validate()
+        params.validate(sympy.primefactors(params.d))
 
     @pytest.mark.parametrize("bits", [4, 8, 16, 32])
     def test_hardened_params_use_safe_primes(self, bits):
@@ -315,13 +250,32 @@ class TestGenParams:
         # every size from 4 to 64 bits, four seeds each, both modes, plus
         # 80- and 96-bit spot checks: a faster search or a validation that
         # reads a certificate must accept exactly the groups it did before
-        h = hashlib.sha256()
         cases = [(bits, seed) for bits in range(4, 65) for seed in range(4)]
-        for bits, seed in cases + [(80, 0), (80, 1), (96, 0), (96, 1)]:
-            for mode in Mode:
+        digests = {}
+        for mode in Mode:
+            h = hashlib.sha256()
+            for bits, seed in cases + [(80, 0), (80, 1), (96, 0), (96, 1)]:
                 params = gen_params(bits, mode, SplitMix64(seed))
                 h.update(f"{bits} {mode.value} {seed} {params.p} {params.g} {params.d}\n".encode())
-        assert h.hexdigest() == GENERATION_DIGEST
+            digests[mode] = h.hexdigest()
+        assert digests == GENERATION_DIGESTS
+
+    @pytest.mark.parametrize("bits", range(4, 97))
+    def test_both_modes_find_one_safe_prime(self, bits):
+        # one search serves both modes: at equal seeds they share p =
+        # 2q + 1, the vulnerable g is the least primitive root with
+        # d = p - 1, and the hardened g generates the order-q squares
+        for seed in range(3):
+            vulnerable = gen_params(bits, Mode.VULNERABLE, SplitMix64(seed))
+            hardened = gen_params(bits, Mode.HARDENED, SplitMix64(seed))
+            p = vulnerable.p
+            assert hardened.p == p and p.bit_length() == bits
+            assert sympy.isprime(p) and sympy.isprime((p - 1) // 2)
+            assert vulnerable.g == sympy.primitive_root(p)
+            assert vulnerable.d == p - 1
+            assert hardened.d == (p - 1) // 2
+            with pytest.raises(InvalidGroupParams, match="needs the primes of d"):
+                vulnerable.validate()
 
     def test_bit_length_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -331,8 +285,8 @@ class TestGenParams:
 
     def test_exhausted_search_raises_generation_failed(self):
         class AllOnes:
-            # candidate construction turns this into 15 (composite) at 4 bits,
-            # and into q=7 -> p=15 (composite) in the hardened search
+            # candidate construction turns this into q=7 -> p=15
+            # (composite) at 4 bits, in the search both modes share
             def randbits(self, k):
                 return (1 << k) - 1
 
@@ -384,6 +338,8 @@ class TestGPow:
         # negative one or one past the table's width
         import vsslab.numtheory as numtheory
 
+        # generating the groups tests primes with pow, so build them first
+        groups = table_groups()
         builtin_calls = []
 
         def counting_pow(*args):
@@ -391,7 +347,7 @@ class TestGPow:
             return pow(*args)
 
         monkeypatch.setattr(numtheory, "pow", counting_pow, raising=False)
-        for params in table_groups():
+        for params in groups:
             for e in table_edges(params):
                 assert params.g_pow(e) == pow(params.g, e, params.p)
         assert builtin_calls == []

@@ -12,6 +12,8 @@ from vsslab.poly import (
     _lagrange_basis,
     _lagrange_weights,
     eval_integer,
+    horner,
+    interpolate,
     lagrange_basis,
     lagrange_weights,
     lagrange_zero,
@@ -178,6 +180,8 @@ def test_basis_recovers_every_coefficient(data):
     basis = lagrange_basis(xs, m)
     ys = [eval_integer(p, x) % m for x in xs]
     assert tuple(sum(y * w for y, w in zip(ys, row)) % m for row in basis) == p.coeffs
+    assert interpolate(xs, ys, m) == p.coeffs
+    assert [horner(p.coeffs, x) for x in xs] == [eval_integer(p, x) for x in xs]
     assert basis[0] == lagrange_weights(xs, m)
 
 

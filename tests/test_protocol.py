@@ -356,6 +356,16 @@ class TestReconstructPool:
         attempts = reconstruct_pool(self.pool(17, 21, 25), self.worked_commits(small11), small11)
         assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
 
+    @pytest.mark.parametrize("dealer", [1, 0, -1])
+    def test_the_consistency_test_does_not_read_the_dealer_id(self, small11, dealer):
+        # the same shifted pool under any dealer id the commitments carry:
+        # the test that it lies on one polynomial decides it, and a
+        # negative id no longer raises when the first subset fails
+        commits = CommitmentVector(dealer, self.worked_commits(small11).c)
+        pool = [Share(dealer=dealer, recipient=k, value=3 + 4 * k + 10) for k in (1, 2, 3)]
+        attempts = reconstruct_pool(pool, commits, small11)
+        assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
+
     @pytest.mark.parametrize("recipient, message", [
         (2, "abscissa 2 appears twice"), (14, r"abscissa 14 outside \(0, 11\)")])
     def test_a_malformed_pool_on_one_polynomial_still_raises(self, small11, recipient, message):

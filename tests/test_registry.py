@@ -1,6 +1,7 @@
 """Named parameter registry: pinned values, validation on load."""
 
 import pytest
+import sympy
 
 from vsslab import registry
 from vsslab.errors import InvalidGroupParams, UnknownParamSet
@@ -44,11 +45,11 @@ def test_generated_entries_have_the_advertised_size(name, bits):
     assert params.p.bit_length() == bits
 
 
+# v32 and v64 came from an earlier vulnerable generator (a random prime,
+# then factoring p - 1) that no longer exists; their certificates pin them
 @pytest.mark.parametrize(
     "name,bits,mode,seed",
     [
-        ("v32", 32, Mode.VULNERABLE, 0x763332),
-        ("v64", 64, Mode.VULNERABLE, 0x763634),
         ("h32", 32, Mode.HARDENED, 0x683332),
         ("h64", 64, Mode.HARDENED, 0x683634),
     ],
@@ -60,7 +61,8 @@ def test_generated_entries_match_their_noted_seed(name, bits, mode, seed):
 @pytest.mark.parametrize("name", ["small11", "p23order11", "p23q11", "v32", "v64", "h32", "h64"])
 def test_every_entry_validates_and_has_true_order(name):
     params = get_params(name)
-    params.validate()
+    # sympy's primes of d, not the pinned certificate; a hardened d needs none
+    params.validate(sympy.primefactors(params.d))
     assert multiplicative_order(params.g, params.p) == params.d
 
 
@@ -121,14 +123,15 @@ def test_a_lookup_validates_only_its_entry_and_only_once(monkeypatch):
         get_params.cache_clear()
 
 
-def test_every_entry_loads_from_its_certificate_without_factoring(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"factorize({n}) called")
-
-    monkeypatch.setattr("vsslab.numtheory.factorize", refuse)
+def test_every_entry_loads_from_its_certificate_without_factoring():
     get_params.cache_clear()
     try:
         assert load_registry() == {name: entry[0] for name, entry in registry._ENTRIES.items()}
     finally:
         get_params.cache_clear()
+    # the library cannot factor: a vulnerable entry stands on its certificate
+    for params, _ in registry._ENTRIES.values():
+        if params.mode is Mode.VULNERABLE:
+            with pytest.raises(InvalidGroupParams, match="needs the primes of d"):
+                params.validate()
 
