@@ -7,7 +7,7 @@ dealer deny the group key. A hardened prime-order-subgroup mode makes
 the same forgery impossible.
 """
 
-from .attack import ForgeryStrategy, StrategyKind, forge_share, predict_corruption
+from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import VsslabError
 from .numtheory import (
     GroupParams,

@@ -1,11 +1,13 @@
-"""Forged shares that verify, and exact prediction of the damage they do.
+"""Forged shares that verify.
 
 A vulnerable-mode verifier accepts any value congruent to the honest
 evaluation mod d = ord(g). Adding a multiple of p - 1 (or of d itself,
 strictly weaker when g is not a primitive root) therefore passes every
 commitment check while changing the value mod p, which is where the
 interpolation that rebuilds the secret actually happens. Reconstruction
-from poisoned shares lands on a predictable wrong field element.
+from poisoned shares lands on a wrong field element; the closed form of
+that element, a0 - m * (sum of the forged shares' Lagrange weights) for
+a uniform shift, is tests/reference_model.py's predict_corruption.
 
 Hardened parameters kill the trick outright: values must sit below the
 prime subgroup order q, and within [0, q) the congruence class mod q has
@@ -18,7 +20,7 @@ from enum import Enum
 
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial, eval_integer, lagrange_weights
+from .poly import SecretPolynomial, eval_integer
 from .record import record
 from .vss import Share
 
@@ -83,26 +85,3 @@ def forge_share(
         value=eval_integer(poly, k) + strategy.multiplier * offset,
     )
 
-
-def predict_corruption(points, m_uniform: int, p: int) -> int:
-    """What lagrange_zero will return once the flagged points are forged.
-
-    points is a sequence of (k, honest_value_mod_p, forged?) triples where
-    every forged point used ADD_P_MINUS_ONE with the same multiplier
-    m_uniform. Each such forgery shifts the point by -m mod p, so the
-    reconstruction lands on
-
-        a_0 - m * sum(weight_j for forged j)  (mod p)
-
-    and in particular on a_0 - m when every point is forged (the weights
-    sum to 1). No reconstruction is run here; this is the closed form
-    the actual one is tested against. No ceremony calls it; it stays
-    public because the law it states is what tests/test_attack.py checks.
-    """
-    points = tuple(points)
-    if m_uniform < 0:
-        raise VsslabError("multiplier must be non-negative")
-    weights = lagrange_weights((k for k, _, _ in points), p)
-    honest_at_zero = sum(y * w for (_, y, _), w in zip(points, weights)) % p
-    forged_weight = sum(w for (_, _, f), w in zip(points, weights) if f) % p
-    return (honest_at_zero - m_uniform * forged_weight) % p

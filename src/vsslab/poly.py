@@ -75,7 +75,7 @@ def horner(coeffs, x: int) -> int:
     return acc
 
 
-def _check_abscissas(xs: tuple[int, ...], m: int) -> None:
+def check_abscissas(xs: tuple[int, ...], m: int) -> None:
     """Raise unless xs are distinct nonzero elements of Z_m."""
     if not xs:
         raise VsslabError("need at least one abscissa")
@@ -113,7 +113,7 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _lagrange_weights(xs: tuple[int, ...], m: int) -> tuple[int, ...]:
-    _check_abscissas(xs, m)
+    check_abscissas(xs, m)
     # weight_j = (total / x_j) / dens[j], with total the product of all x_l
     # and dens[j] = prod_{l != j} (x_l - x_j), both exact integers first.
     # Montgomery's batch inversion inverts all of dens with one mod_inv:
@@ -179,7 +179,7 @@ def interpolate(xs, ys, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=4)
 def _lagrange_basis(xs: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
-    _check_abscissas(xs, m)
+    check_abscissas(xs, m)
     # prod_l (x - x_l), constant term first
     master = [1]
     for x in xs:

@@ -33,10 +33,11 @@ from enum import Enum
 from operator import mul
 
 from .attack import ForgeryStrategy, StrategyKind, forge_share
-from .errors import ConfigInvalid, ForgeryImpossible
+from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import (
     SecretPolynomial,
+    check_abscissas,
     eval_integer,
     horner,
     interpolate,
@@ -282,6 +283,16 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
+def _aligned(*sequences):
+    """The sequences as tuples; VsslabError unless they have one length,
+    since zip would silently drop what the longer ones hold."""
+    sequences = tuple(map(tuple, sequences))
+    if len({len(s) for s in sequences}) > 1:
+        raise VsslabError("per-dealer inputs differ in length: "
+                          + ", ".join(str(len(s)) for s in sequences))
+    return sequences
+
+
 def resolve_params(config: ScenarioConfig) -> GroupParams:
     """Registry lookup, or deterministic generation from the run seed."""
     if isinstance(config.params_ref, str):
@@ -353,23 +364,24 @@ def run_verification_round(rows, commitments, params: GroupParams):
     every entry equals the per-share verdict. The basis comes from
     poly's bounded cache (see the note above poly.lagrange_weights).
     """
-    return tuple(verify_row(row, cv, params) for row, cv in zip(rows, commitments))
+    return tuple(verify_row(row, cv, params) for row, cv in zip(*_aligned(rows, commitments)))
 
 
 def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     """Attempts to rebuild dealer commits.dealer's secret from a pool of its shares.
 
-    With t = len(commits.c), the pool's t-subsets are tried in
-    lexicographic order. A subset's value is sum_i y_i * w_i mod the
-    interpolation field, over the share values reduced into the field and
-    the Lagrange weights of its recipients, and it passes when g**value
-    matches the dealer's constant-term commitment. Honest shares always
-    pass; forged ones corrupt value and (outside a measure-1/p wraparound
-    corner) fail. The attempts stop at the first pass, and a pool of
-    fewer than t shares lists none.
+    A pool whose recipients repeat, or reach the interpolation field's
+    modulus, raises VsslabError: it is no polynomial's shares, whatever
+    one of its subsets rebuilds. With t = len(commits.c), the pool's
+    t-subsets are tried in lexicographic order. A subset's value is
+    sum_i y_i * w_i mod the interpolation field, over the share values
+    reduced into the field and the Lagrange weights of its recipients,
+    and it passes when g**value matches the dealer's constant-term
+    commitment. Honest shares always pass; forged ones corrupt value and
+    (outside a measure-1/p wraparound corner) fail. The attempts stop at
+    the first pass, and a pool of fewer than t shares lists none.
 
-    When the first subset fails (and the recipients are distinct
-    elements of the field), the coefficients through its t shares
+    When the first subset fails, the coefficients through its t shares
     (poly.interpolate) are evaluated at the pool's other recipients. If
     every other share agrees mod the field, the pool lies on one
     polynomial, every t-subset rebuilds the same value and none can
@@ -381,11 +393,11 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     pool = commits.check_dealer(pool)
     t = len(commits.c)
     m = params.field_modulus
-    xs = [s.recipient for s in pool]
+    xs = tuple(s.recipient for s in pool)
+    if xs:
+        check_abscissas(xs, m)
     ys = [s.value % m for s in pool]
-    # the test needs distinct abscissas in the field; any other pool is
-    # enumerated, and lagrange_weights rejects it at the first bad subset
-    testable = len(xs) > t and len(set(xs)) == len(xs) and max(xs) < m
+    testable = len(xs) > t
     attempts = []
     for subset, values in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
         value = sum(map(mul, values, lagrange_weights(subset, m))) % m
@@ -416,12 +428,14 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     withholders = {
         pid for pid, b in config.behaviors.items() if b.withholds_at_assembly
     }
-    pools = (tuple(s for s, ok in zip(row, accepted) if ok and s.recipient not in withholders)
-             for row, accepted in zip(dealing.shares, matrix))
+    rows, matrix, commitments = _aligned(dealing.shares, matrix, dealing.commitments)
+    pools = (tuple(s for s, ok in zip(*_aligned(row, accepted))
+                   if ok and s.recipient not in withholders)
+             for row, accepted in zip(rows, matrix))
     return tuple(
         DealerReconstruction(dealer=cv.dealer, pool=tuple(s.recipient for s in pool),
                              attempts=reconstruct_pool(pool, cv, params))
-        for pool, cv in zip(pools, dealing.commitments)
+        for pool, cv in zip(pools, commitments)
     )
 
 
@@ -437,9 +451,10 @@ def assemble_group_key(reconstructions, commitments, params: GroupParams, matrix
     hardened). Every recovered value passed g**value == c_0 and ord(g)
     divides the period, so g**key equals the aggregate public key. A
     mismatch would be a bug in this library, not in its input, and
-    raises RuntimeError.
+    raises RuntimeError. Reconstructions and commitments of unequal
+    lengths raise VsslabError.
     """
-    reconstructions = tuple(reconstructions)
+    reconstructions, commitments = _aligned(reconstructions, commitments)
     if any(r.recovered is None for r in reconstructions):
         return Assembly(verdict=Verdict.KEY_BLOCKED, group_key=None, confirmed=None)
     period = params.q if params.mode is Mode.HARDENED else params.p - 1

@@ -10,13 +10,12 @@ written once each, in the rows the report holds them, one per dealer as
 commitments are: "shares": {"<dealer>": [value to party 1, ..., value
 to party n]}. A share is forged exactly when forgery_attempts has an
 entry for its (dealer, recipient) whose outcome is "forged", and that
-entry names the strategy. Each dealer's reconstruction lists the subsets tried, up to
-the first that passed its commitment check; a failing pool whose shares
-lie on one polynomial lists only its first subset, since every other
-would fail the same way (see protocol.reconstruct_pool). Schema "3"
-wrote each share as an object repeating its dealer, recipient and
-provenance; schema "2", the same fields indented, listed every subset
-of such a pool. The audit refuses both, as it refuses any other version.
+entry names the strategy. Each dealer's reconstruction lists the
+subsets tried, up to the first that passed its commitment check; a
+failing pool whose shares lie on one polynomial lists only its first
+subset, since every other would fail the same way (see
+protocol.reconstruct_pool). The audit refuses every other schema
+version.
 """
 
 from __future__ import annotations

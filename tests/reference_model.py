@@ -1,10 +1,11 @@
 """A naive ceremony written from the README's rules: the end-to-end oracle
 that tests/test_reference_model.py holds run_scenario to.
 
-It reuses vsslab only for the seeded stream (vsslab.rng) and the record
-and enum types that describe a config and a group. Dealing, forging,
-verification, pooling, interpolation and assembly are written out here
-the slow, obvious way, with the builtin pow and no tables or caches:
+It reuses vsslab only for the seeded stream (vsslab.rng), the record
+and enum types that describe a config and a group, and VsslabError.
+Dealing, forging, verification, pooling, interpolation and assembly
+are written out here the slow, obvious way, with the builtin pow and no
+tables or caches:
 
 - dealer i draws its t coefficients from substream(seed, i), each below
   the field modulus (p, or q when hardened), and commits c_j = g**a_j;
@@ -20,12 +21,17 @@ the slow, obvious way, with the builtin pow and no tables or caches:
   and the first value v with g**v == c_0 is the recovered secret;
 - the key is the sum of the recovered secrets mod p - 1 (q when
   hardened), or blocked when a dealer's secret was not recovered.
+
+predict_corruption states the same interpolation for one subset as a
+closed form: the value a subset rebuilds when some of its shares carry
+a uniform false-share shift.
 """
 
 from collections import namedtuple
 from itertools import combinations
 
 from vsslab.attack import StrategyKind
+from vsslab.errors import VsslabError
 from vsslab.numtheory import Mode
 from vsslab.protocol import BehaviorKind
 from vsslab.rng import substream
@@ -35,17 +41,46 @@ from vsslab.rng import substream
 ModelRun = namedtuple("ModelRun", "verdict group_key matrix pools recovered")
 
 
-def interpolate_at_zero(points, m):
-    """P(0) mod the prime m for the polynomial through the (x, y) points."""
-    total = 0
-    for xj, yj in points:
+def weights_at_zero(xs, m):
+    """The Lagrange weights at zero of the distinct abscissas xs, mod the prime m."""
+    weights = []
+    for xj in xs:
         num = den = 1
-        for xl, _ in points:
+        for xl in xs:
             if xl != xj:
                 num *= xl
                 den *= xl - xj
-        total += yj * num * pow(den, -1, m)
-    return total % m
+        weights.append(num * pow(den, -1, m) % m)
+    return weights
+
+
+def interpolate_at_zero(points, m):
+    """P(0) mod the prime m for the polynomial through the (x, y) points."""
+    weights = weights_at_zero([x for x, _ in points], m)
+    return sum(y * w for (_, y), w in zip(points, weights)) % m
+
+
+def predict_corruption(points, m_uniform, p):
+    """What interpolating the flagged points at zero gives once they are forged.
+
+    points is a sequence of (k, honest_value_mod_p, forged?) triples where
+    every forged point used ADD_P_MINUS_ONE with the same multiplier
+    m_uniform. Each such forgery shifts the point by -m mod p, so the
+    reconstruction lands on
+
+        a_0 - m * sum(weight_j for forged j)  (mod p)
+
+    and in particular on a_0 - m when every point is forged (the weights
+    sum to 1). No reconstruction is run here; this is the closed form
+    the actual one is tested against.
+    """
+    points = tuple(points)
+    if m_uniform < 0:
+        raise VsslabError("multiplier must be non-negative")
+    weights = weights_at_zero([k for k, _, _ in points], p)
+    honest_at_zero = sum(y * w for (_, y, _), w in zip(points, weights)) % p
+    forged_weight = sum(w for (_, _, f), w in zip(points, weights) if f) % p
+    return (honest_at_zero - m_uniform * forged_weight) % p
 
 
 def run_model(config, params):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share, predict_corruption
+from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
 from vsslab.errors import ForgeryImpossible, VsslabError
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
@@ -34,6 +34,8 @@ from vsslab.protocol import (
 )
 from vsslab.rng import SplitMix64, substream
 from vsslab.vss import Share, commit, verify_share
+
+from reference_model import predict_corruption
 
 ADD1 = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
 

@@ -29,6 +29,7 @@ from vsslab.protocol import (
     Behavior,
     BehaviorKind,
     DealerReconstruction,
+    DealingRound,
     GenSpec,
     ReconstructionAttempt,
     ScenarioConfig,
@@ -37,6 +38,8 @@ from vsslab.protocol import (
     build_scenario,
     reconstruct_pool,
     resolve_params,
+    run_dealing_round,
+    run_reconstruction_round,
     run_scenario,
     run_verification_round,
 )
@@ -376,6 +379,17 @@ class TestReconstructPool:
         with pytest.raises(VsslabError, match=message):
             reconstruct_pool(shares, self.worked_commits(small11), small11)
 
+    @pytest.mark.parametrize("third, message", [
+        (Share(dealer=1, recipient=2, value=5), "abscissa 2 appears twice"),
+        (Share(dealer=1, recipient=11, value=47), r"abscissa 11 outside \(0, 11\)"),
+    ], ids=["repeated", "at-p"])
+    def test_a_malformed_pool_is_refused_even_when_its_first_subset_passes(
+            self, small11, third, message):
+        # P = 3 + 4x: (1, 2) holds P(1) = 7 and P(2) = 11 and rebuilds 3,
+        # but the third share repeats party 2 or sits at x = p
+        with pytest.raises(VsslabError, match=message):
+            reconstruct_pool(self.pool(7, 11) + [third], self.worked_commits(small11), small11)
+
 
 class TestScenarioVerdicts:
     def test_honest_assembles(self):
@@ -489,6 +503,43 @@ class TestScenarioVerdicts:
         ]
         assert report.group_key == sum(secrets) % params.q
         assert pow(params.g, report.group_key, params.p) == report.aggregate_public_key
+
+
+class TestPerDealerInputs:
+    """The rounds pair per-dealer sequences by position, so sequences of
+    unequal lengths are refused, not cut to the shortest."""
+
+    @pytest.fixture
+    def honest(self):
+        config = honest_config(seed=7)
+        params = resolve_params(config)
+        dealing = run_dealing_round(config, params)
+        matrix = run_verification_round(dealing.shares, dealing.commitments, params)
+        return config, params, dealing, matrix
+
+    def test_verification_refuses_a_missing_row_of_shares(self, honest):
+        _, params, dealing, _ = honest
+        with pytest.raises(VsslabError, match="per-dealer inputs differ in length: 4, 5"):
+            run_verification_round(dealing.shares[:-1], dealing.commitments, params)
+
+    @pytest.mark.parametrize("cut", ["shares", "matrix", "matrix row"])
+    def test_reconstruction_refuses_inputs_of_unequal_lengths(self, honest, cut):
+        config, params, dealing, matrix = honest
+        if cut == "shares":
+            dealing = DealingRound(dealing.commitments, dealing.shares[:-1],
+                                   dealing.forgery_attempts)
+        elif cut == "matrix":
+            matrix = matrix[:-1]
+        else:
+            matrix = (matrix[0][:-1], *matrix[1:])
+        with pytest.raises(VsslabError, match="per-dealer inputs differ in length"):
+            run_reconstruction_round(dealing, matrix, config, params)
+
+    def test_assembly_refuses_a_missing_reconstruction(self, honest):
+        config, params, dealing, matrix = honest
+        reconstructions = run_reconstruction_round(dealing, matrix, config, params)
+        with pytest.raises(VsslabError, match="per-dealer inputs differ in length: 4, 5"):
+            assemble_group_key(reconstructions[:-1], dealing.commitments, params, matrix)
 
 
 class TestVerificationRound:
