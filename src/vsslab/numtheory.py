@@ -142,21 +142,18 @@ class GroupParams:
         return self.d if self.mode is Mode.HARDENED else self.p
 
     def g_pow(self, e: int) -> int:
-        """pow(g, e, p) for every integer e, one table entry per 6-bit digit.
+        """pow(g, e, p) for every integer e, one table entry per byte of e.
 
         The exponent is first reduced mod d: validate proves g**d == 1,
         so g**(e mod d) == g**e for negative and wide e alike, and
-        e mod d < p fits the group's table. Digit i of e picks
-        g**(digit * 64**i) from it, so a power costs one multiplication
-        per digit and no squarings.
+        e mod d < p fits the group's table. Byte i of e picks
+        g**(byte * 256**i) from row i, and one product of the picked
+        entries, reduced once, is the power: no squarings, and no
+        Python-level loop.
         """
-        e %= self.d
-        p = self.p
-        out = 1
-        for row in _g_table(self.g, p):
-            out = out * row[e & _DIGIT_MASK] % p
-            e >>= _WINDOW_BITS
-        return out
+        table = _g_table(self.g, self.p)
+        digits = (e % self.d).to_bytes(len(table), "little")
+        return math.prod(map(tuple.__getitem__, table, digits)) % self.p
 
     def validate(self, primes=None) -> None:
         """Recheck every structural invariant from scratch.
@@ -211,21 +208,22 @@ def _order_drop(g: int, d: int, p: int, primes) -> int | None:
 # Fixed-base powers of g (Brickell-Gordon-McCurley-Wilson 1992; Lim-Lee
 # 1994). A table is a pure function of (g, p), so caching one never
 # changes a result; a run and its audit use one group, and the cache
-# keeps four. At MAX_PARAM_BITS = 96 a table is 16 rows of 64 entries,
-# about 50 KB, so four full tables take about 0.2 MB.
-_WINDOW_BITS = 6
-_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
+# keeps four. The window is a byte, the digit int.to_bytes gives. At
+# MAX_PARAM_BITS = 96 a table is 12 rows of 256 entries, about 148 kB
+# under tracemalloc, so four full tables take about 0.59 MB.
+_WINDOW_BITS = 8
 
 
 @lru_cache(maxsize=4)
 def _g_table(g: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds g**(v * 64**i) mod p for v in 0..63, over ceil(bits(p) / 6)
-    rows: every exponent below p, so every e mod d that g_pow looks up."""
+    """Row i holds g**(v * 256**i) mod p for v in 0..255, over
+    ceil(bits(p) / 8) rows: every exponent below p, so every e mod d
+    that g_pow looks up."""
     rows = []
     base = g % p
     for _ in range(-(-p.bit_length() // _WINDOW_BITS)):
         row = [1]
-        for _ in range(_DIGIT_MASK):
+        for _ in range((1 << _WINDOW_BITS) - 1):
             row.append(row[-1] * base % p)
         rows.append(tuple(row))
         base = row[-1] * base % p

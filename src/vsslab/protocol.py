@@ -59,8 +59,8 @@ MAX_RECONSTRUCTION_ATTEMPTS = 250_000
 
 # Dealing and verification cost about n**3 big-int operations whatever t
 # is, and with t = n the attempt budget alone would admit any n. Honest
-# v64 n=t=64 `vsslab run` takes about 0.42 s on a shared 2-vCPU Xeon
-# (median of twelve runs, range 0.34-0.48 s).
+# v64 n=t=64 `vsslab run` takes about 0.28 s on a shared 2-vCPU Xeon
+# (median of twelve runs, range 0.19-0.34 s).
 MAX_PARTIES = 64
 
 

@@ -22,9 +22,12 @@ interpolates coefficients b_j from the first t shares and tests
 g**b_j == c_j for each j, t powers of g from the group's table
 (GroupParams.g_pow). When all hold, a share passes exactly when
 value == Q(k) (mod d) for Q = sum_j b_j x**j, and every c_j is in the
-subgroup. Rows that fail the row check, a forger's among them, fall
-back to verify_share one share at a time, so every verdict is the
-per-share verdict.
+subgroup. In hardened mode the field modulus is d itself, so the t
+shares Q was interpolated through satisfy that congruence by
+construction: only the other shares are evaluated, and every share
+still takes its range check. Rows that fail the row check, a forger's
+among them, fall back to verify_share one share at a time, so every
+verdict is the per-share verdict.
 """
 
 from __future__ import annotations
@@ -149,11 +152,15 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     Q = sum_j b_j x**j, so a share passes verify_share exactly when
     value == Q(k) (mod d), and commitment_in_group holds because every
     c_j is a power of g. The interpolation only proposes the b_j; the t
-    commitment checks decide. A row with fewer than t shares, a repeated
-    abscissa or one outside (0, field_modulus), or a b_j that misses its
-    commitment (a forger's row) is checked share by share instead. The
-    b_j come from poly.interpolate, whose basis cache lets rows at one
-    abscissa set share it.
+    commitment checks decide. Q(x_i) == value_i (mod field_modulus) for
+    the first t shares, so when field_modulus == d (hardened mode) their
+    congruence holds by construction and Q is evaluated only at the
+    others; range_check still runs on every share. A row with fewer
+    than t shares, a repeated abscissa or one outside (0,
+    field_modulus), or a b_j that misses its commitment (a forger's
+    row) is checked share by share instead. The b_j come from
+    poly.interpolate, whose basis cache lets rows at one abscissa set
+    share it.
     """
     shares = commits.check_dealer(shares)
     hardened = params.mode is Mode.HARDENED
@@ -163,10 +170,13 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     if len(xs) >= t and len(set(xs)) == len(xs) and all(0 < k < m for k in xs):
         b = interpolate(xs[:t], (s.value % m for s in shares[:t]), m)
         if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
-            # Q(k) exactly, reduced once
+            # Q passes through the first t values mod m, so when m == d
+            # their congruence holds already; Q(k) exactly, reduced
+            # once, for the rest
+            on_q = t if m == params.d else 0
             return tuple((not hardened or range_check(s, params))
-                         and (s.value - horner(b, s.recipient)) % params.d == 0
-                         for s in shares)
+                         and (i < on_q or (s.value - horner(b, s.recipient)) % params.d == 0)
+                         for i, s in enumerate(shares))
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(
         in_group and (not hardened or range_check(s, params)) and verify_share(s, commits, params)

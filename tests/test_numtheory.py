@@ -12,6 +12,7 @@ from vsslab.errors import GenerationFailed, InvalidGroupParams, VsslabError
 from vsslab.numtheory import (
     GroupParams,
     Mode,
+    _WINDOW_BITS,
     _g_table,
     gen_params,
     is_prime,
@@ -310,7 +311,7 @@ def table_groups() -> tuple[GroupParams, ...]:
 def table_edges(params: GroupParams) -> tuple[int, ...]:
     """The exponents where g_pow could slip: zero, the order, p, the
     widest exponent the table covers and the first one past it, and -1."""
-    top = 1 << 6 * len(_g_table(params.g, params.p))
+    top = 1 << _WINDOW_BITS * len(_g_table(params.g, params.p))
     return (0, 1, params.d - 1, params.d, params.p - 1, params.p, top - 1, top, -1)
 
 
@@ -329,9 +330,9 @@ class TestGPow:
     def test_table_rows_cover_every_exponent_below_p(self):
         for params in table_groups():
             table = _g_table(params.g, params.p)
-            assert len(table) == -(-params.p.bit_length() // 6)
-            assert all(len(row) == 64 for row in table)
-            assert 1 << 6 * len(table) > params.p
+            assert len(table) == -(-params.p.bit_length() // _WINDOW_BITS)
+            assert all(len(row) == 1 << _WINDOW_BITS for row in table)
+            assert 1 << _WINDOW_BITS * len(table) > params.p
 
     def test_edges_take_the_documented_path(self, monkeypatch):
         # every exponent is reduced mod d and read from the table, even a

@@ -230,6 +230,12 @@ class TestHardened:
         assert not commitment_in_group(bad, p23q11)
 
 
+def dealt(poly, k, params):
+    """An honest dealer's share for party k: P(k) mod q when hardened, the
+    exact integer P(k) otherwise."""
+    return eval_integer(poly, k) % params.q if params.q else eval_integer(poly, k)
+
+
 def per_share(shares, commits, params):
     """The row verdicts as the per-share checks give them."""
     hardened = params.mode is Mode.HARDENED
@@ -285,18 +291,79 @@ class TestVerifyRow:
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_verify_row_matches_the_per_share_checks(data):
-    params = get_params(data.draw(st.sampled_from(["small11", "p23order11", "p23q11", "h32"])))
+    params = get_params(data.draw(st.sampled_from(
+        ["small11", "p23order11", "p23q11", "h32", "v64", "h64"])))
     t = data.draw(st.integers(min_value=1, max_value=4))
     poly = sample_polynomial(t, params.field_modulus, 1,
                              SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
-    recipients = data.draw(st.lists(st.integers(1, 10), max_size=7))
+    # a row of exactly t shares is all interpolation points, none evaluated
+    recipients = data.draw(st.lists(st.integers(1, 10), max_size=7)
+                           | st.lists(st.integers(1, 10), min_size=t, max_size=t, unique=True))
     shares = []
     for k in recipients:
-        honest = eval_integer(poly, k) % params.q if params.q else eval_integer(poly, k)
+        honest = dealt(poly, k, params)
         shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
         shares.append(Share(1, k, honest + shift))
     assert verify_row(shares, commit(poly, params), params) == per_share(
         shares, commit(poly, params), params)
+
+
+class TestRowEvaluations:
+    """Which shares of a row that passes its row check are evaluated at Q."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The abscissa of every horner call verify_row makes."""
+        import vsslab.vss as vss
+
+        calls = []
+        original = vss.horner
+
+        def counting(coeffs, x):
+            calls.append(x)
+            return original(coeffs, x)
+
+        monkeypatch.setattr(vss, "horner", counting)
+        return calls
+
+    @pytest.mark.parametrize("name, t, evaluated_at", [
+        # hardened: the field modulus is d, so the t interpolation points
+        # lie on Q mod d by construction and only the other n - t are evaluated
+        ("h64", 3, [4, 5, 6, 7]),
+        ("h64", 7, []),
+        # vulnerable: interpolation is mod p but acceptance mod d = p - 1
+        ("v64", 3, [1, 2, 3, 4, 5, 6, 7]),
+        ("v64", 7, [1, 2, 3, 4, 5, 6, 7]),
+    ])
+    def test_an_honest_row_evaluates_only_what_interpolation_leaves_open(
+            self, evaluated, share_checks, name, t, evaluated_at):
+        params = get_params(name)
+        poly = sample_polynomial(t, params.field_modulus, 1, SplitMix64(t))
+        shares = [Share(1, k, dealt(poly, k, params)) for k in range(1, 8)]
+        assert verify_row(shares, commit(poly, params), params) == (True,) * 7
+        assert evaluated == evaluated_at
+        assert share_checks == []
+
+    def test_the_range_check_still_runs_on_the_interpolation_points(self, evaluated):
+        params = get_params("h64")
+        poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
+        shares = [Share(1, k, dealt(poly, k, params)) for k in range(1, 6)]
+        # shifted by q: the same residue, so the row check passes, but
+        # out of range
+        shares[1] = Share(1, 2, shares[1].value + params.q)
+        assert verify_row(shares, commit(poly, params), params) == (
+            True, False, True, True, True)
+        assert evaluated == [4, 5]
+
+    def test_a_false_share_row_falls_back_to_verify_share(self, evaluated, share_checks):
+        params = get_params("v64")
+        poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
+        # the false-share dealer's shift: congruent mod d = p - 1, so every
+        # share passes, but Q through the first t misses the commitments
+        shares = [Share(1, k, eval_integer(poly, k) + params.p - 1) for k in range(1, 8)]
+        assert verify_row(shares, commit(poly, params), params) == (True,) * 7
+        assert evaluated == []
+        assert share_checks == [(1, k) for k in range(1, 8)]
 
 
 class TestAggregatePublicKey:
