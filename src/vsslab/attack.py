@@ -21,7 +21,7 @@ from enum import Enum
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
 from .poly import SecretPolynomial, eval_integer
-from .record import record
+from .record import coerce_enum, record
 from .vss import Share
 
 
@@ -38,10 +38,7 @@ class ForgeryStrategy:
     multiplier: int = 1
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "kind", StrategyKind(self.kind))
-        except ValueError:
-            raise ConfigInvalid(f"unknown forgery strategy kind {self.kind!r}") from None
+        coerce_enum(self, "kind", StrategyKind, ConfigInvalid, "forgery strategy kind")
         if self.multiplier < 1:
             raise ConfigInvalid("forgery multiplier must be at least 1")
 

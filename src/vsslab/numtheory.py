@@ -18,7 +18,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, VsslabError
-from .record import record
+from .record import coerce_enum, record
 from .rng import MASK64, SplitMix64
 
 
@@ -126,10 +126,7 @@ class GroupParams:
     mode: Mode
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "mode", Mode(self.mode))
-        except ValueError:
-            raise InvalidGroupParams(f"unknown mode {self.mode!r}") from None
+        coerce_enum(self, "mode", Mode, InvalidGroupParams, "mode")
 
     @property
     def q(self) -> int | None:

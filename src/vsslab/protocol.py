@@ -44,7 +44,7 @@ from .poly import (
     lagrange_weights,
     sample_polynomial,
 )
-from .record import record
+from .record import coerce_enum, record
 from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, Share, aggregate_public_key, commit, verify_row
@@ -85,10 +85,7 @@ class Behavior:
     targets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "kind", BehaviorKind(self.kind))
-        except ValueError:
-            raise ConfigInvalid(f"unknown behavior kind {self.kind!r}") from None
+        coerce_enum(self, "kind", BehaviorKind, ConfigInvalid, "behavior kind")
         targets = tuple(sorted(self.targets))
         object.__setattr__(self, "targets", targets)
         # a repeated target would give one ceremony a second transcript
@@ -137,10 +134,7 @@ class GenSpec:
     mode: Mode
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "mode", Mode(self.mode))
-        except ValueError:
-            raise ConfigInvalid(f"unknown mode {self.mode!r}") from None
+        coerce_enum(self, "mode", Mode, ConfigInvalid, "mode")
 
 
 def _check_party_count(n: int) -> None:
@@ -351,18 +345,9 @@ def run_verification_round(rows, commitments, params: GroupParams):
     """n x n matrix: entry [dealer-1][recipient-1] says the share verified.
 
     rows[i] is dealer i + 1's row of shares to parties 1..n, and
-    commitments[i] its commitment vector. Hardened recipients
-    additionally require the commitment vector to live in the
-    prime-order subgroup and the share value to pass the range check;
-    vulnerable recipients have neither defense.
-
-    Each dealer's row is decided by one verify_row call. Its row check
-    interpolates coefficients b_j from the first t shares; if
-    g**b_j == c_j for every j, a share passes exactly when
-    value == Q(k) (mod d), and subgroup membership is implied. Any other
-    row, a forger's among them, falls back to the per-share checks, so
-    every entry equals the per-share verdict. The basis comes from
-    poly's bounded cache (see the note above poly.lagrange_weights).
+    commitments[i] its commitment vector; each pair is decided by
+    verify_row. A count of rows that differs from the count of
+    commitment vectors raises VsslabError.
     """
     return tuple(verify_row(row, cv, params) for row, cv in zip(*_aligned(rows, commitments)))
 

@@ -22,6 +22,17 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
+def coerce_enum(obj, name, enum, error, noun):
+    """For a __post_init__: replace field name of obj by the member of
+    enum its value names, a member or its plain value alike; raise
+    error("unknown NOUN VALUE") when no member has that value."""
+    value = obj.__dict__[name]
+    try:
+        obj.__dict__[name] = enum(value)
+    except ValueError:
+        raise error(f"unknown {noun} {value!r}") from None
+
+
 def record(cls):
     fields = tuple(cls.__annotations__)
     names = frozenset(fields)

@@ -25,9 +25,12 @@ value == Q(k) (mod d) for Q = sum_j b_j x**j, and every c_j is in the
 subgroup. In hardened mode the field modulus is d itself, so the t
 shares Q was interpolated through satisfy that congruence by
 construction: only the other shares are evaluated, and every share
-still takes its range check. Rows that fail the row check, a forger's
-among them, fall back to verify_share one share at a time, so every
-verdict is the per-share verdict.
+still takes its range check. Only a row that fails the row check, a
+forger's, falls back to verify_share one share at a time, so every
+verdict is the per-share verdict. A row shorter than t cannot fix a
+polynomial, and one whose recipients repeat or leave (0, field
+modulus) is no polynomial's shares; verify_row refuses both with
+VsslabError, as reconstruct_pool refuses such a pool.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 
 from .errors import TooLarge, VsslabError
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial, horner, interpolate
+from .poly import SecretPolynomial, check_abscissas, horner, interpolate
 from .record import record
 
 
@@ -142,41 +145,45 @@ def commitment_in_group(commits: CommitmentVector, params: GroupParams) -> bool:
 def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[bool, ...]:
     """Acceptance of each of one dealer's shares, in order.
 
+    With t = len(commits.c), a row of fewer than t shares raises
+    VsslabError, and so does one whose recipients repeat or fall outside
+    (0, field_modulus), with the message reconstruct_pool gives for such
+    a pool (poly.check_abscissas).
+
     Every entry equals the per-share verdict: commitment_in_group, then
     range_check, then verify_share in hardened mode; verify_share alone
-    in vulnerable mode. With t = len(commits.c), the row check
-    interpolates b_0..b_{t-1} over the field from the first t shares and
-    tests g**b_j == c_j for every j: t powers of g from the group's
-    table (GroupParams.g_pow) per row instead of about one full power
-    per share. When all t hold, prod_j c_j**(k**j) is g**Q(k) for
-    Q = sum_j b_j x**j, so a share passes verify_share exactly when
-    value == Q(k) (mod d), and commitment_in_group holds because every
-    c_j is a power of g. The interpolation only proposes the b_j; the t
-    commitment checks decide. Q(x_i) == value_i (mod field_modulus) for
-    the first t shares, so when field_modulus == d (hardened mode) their
-    congruence holds by construction and Q is evaluated only at the
-    others; range_check still runs on every share. A row with fewer
-    than t shares, a repeated abscissa or one outside (0,
-    field_modulus), or a b_j that misses its commitment (a forger's
-    row) is checked share by share instead. The b_j come from
+    in vulnerable mode. The row check interpolates b_0..b_{t-1} over the
+    field from the first t shares and tests g**b_j == c_j for every j:
+    t powers of g from the group's table (GroupParams.g_pow) per row
+    instead of about one full power per share. When all t hold,
+    prod_j c_j**(k**j) is g**Q(k) for Q = sum_j b_j x**j, so a share
+    passes verify_share exactly when value == Q(k) (mod d), and
+    commitment_in_group holds because every c_j is a power of g. The
+    interpolation only proposes the b_j; the t commitment checks decide.
+    Q(x_i) == value_i (mod field_modulus) for the first t shares, so
+    when field_modulus == d (hardened mode) their congruence holds by
+    construction and Q is evaluated only at the others; range_check
+    still runs on every share. A row whose b_j misses its commitment (a
+    forger's row) is checked share by share instead. The b_j come from
     poly.interpolate, whose basis cache lets rows at one abscissa set
     share it.
     """
     shares = commits.check_dealer(shares)
-    hardened = params.mode is Mode.HARDENED
     t = len(commits.c)
+    if len(shares) < t:
+        raise VsslabError(f"a row of {len(shares)} shares is shorter than the threshold {t}")
     m = params.field_modulus
     xs = tuple(s.recipient for s in shares)
-    if len(xs) >= t and len(set(xs)) == len(xs) and all(0 < k < m for k in xs):
-        b = interpolate(xs[:t], (s.value % m for s in shares[:t]), m)
-        if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
-            # Q passes through the first t values mod m, so when m == d
-            # their congruence holds already; Q(k) exactly, reduced
-            # once, for the rest
-            on_q = t if m == params.d else 0
-            return tuple((not hardened or range_check(s, params))
-                         and (i < on_q or (s.value - horner(b, s.recipient)) % params.d == 0)
-                         for i, s in enumerate(shares))
+    check_abscissas(xs, m)
+    hardened = params.mode is Mode.HARDENED
+    b = interpolate(xs[:t], (s.value % m for s in shares[:t]), m)
+    if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
+        # Q passes through the first t values mod m, so when m == d their
+        # congruence holds already; Q(k) exactly, reduced once, for the rest
+        on_q = t if m == params.d else 0
+        return tuple((not hardened or range_check(s, params))
+                     and (i < on_q or (s.value - horner(b, s.recipient)) % params.d == 0)
+                     for i, s in enumerate(shares))
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(
         in_group and (not hardened or range_check(s, params)) and verify_share(s, commits, params)

@@ -24,7 +24,9 @@ tables or caches:
 
 predict_corruption states the same interpolation for one subset as a
 closed form: the value a subset rebuilds when some of its shares carry
-a uniform false-share shift.
+a uniform false-share shift. first_passing_subset extends it to a whole
+pool as the denial law: the subset, if any, through which a uniform
+forger's pool still rebuilds a value that passes.
 """
 
 from collections import namedtuple
@@ -81,6 +83,36 @@ def predict_corruption(points, m_uniform, p):
     honest_at_zero = sum(y * w for (_, y, _), w in zip(points, weights)) % p
     forged_weight = sum(w for (_, _, f), w in zip(points, weights) if f) % p
     return (honest_at_zero - m_uniform * forged_weight) % p
+
+
+def uniform_shift(strategy, params):
+    """delta, the shift mod p that each share a uniform forger sends carries:
+    -m for ADD_P_MINUS_ONE (m * (p - 1) is -m mod p), +m * ord(g) for
+    ORDER_SHIFT."""
+    m = strategy.multiplier
+    if strategy.kind is StrategyKind.ADD_P_MINUS_ONE:
+        return -m % params.p
+    return m * params.d % params.p
+
+
+def first_passing_subset(pool, forged, t, a0, delta, params):
+    """The denial law: (S, value) for the first t-subset S of pool, in
+    lexicographic order, that passes, or None when none does.
+
+    pool lists the recipients of a dealer's pool over Z_p, forged is the
+    set of them whose shares carry the shift delta, and a0 is the
+    dealer's secret. S rebuilds v = (a0 + delta * sum of w_k(S) over the
+    forged k in S) mod p, with w(S) the Lagrange weights at zero, and it
+    passes when g**v == g**a0, that is v == a0 (mod d): a forged weight
+    sum of 0 mod p, or the wrap corner where v is a0 + d * j.
+    """
+    p, d = params.p, params.d
+    for subset in combinations(pool, t):
+        weights = weights_at_zero(subset, p)
+        value = (a0 + delta * sum(w for k, w in zip(subset, weights) if k in forged)) % p
+        if (value - a0) % d == 0:
+            return subset, value
+    return None
 
 
 def run_model(config, params):

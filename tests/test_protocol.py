@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+from collections import namedtuple
 from math import comb
 
 import pytest
@@ -19,6 +20,7 @@ from vsslab.poly import (
     _lagrange_basis,
     _lagrange_weights,
     eval_integer,
+    horner,
     lagrange_zero,
     sample_polynomial,
 )
@@ -52,6 +54,7 @@ from vsslab.vss import (
     commit,
     commitment_in_group,
     range_check,
+    verify_row,
     verify_share,
 )
 
@@ -575,6 +578,14 @@ class TestVerificationRound:
         assert matrix[0] == (False,) * 4
         assert matrix[1:] == honest[1:]
 
+    def test_a_short_row_is_refused(self):
+        config = honest_config(seed=7)
+        params = resolve_params(config)
+        dealing = run_dealing_round(config, params)
+        rows = (dealing.shares[0][:2],) + dealing.shares[1:]
+        with pytest.raises(VsslabError, match="a row of 2 shares is shorter than the threshold 3"):
+            run_verification_round(rows, dealing.commitments, params)
+
     def test_forgery_attempts_name_the_forged_shares_and_strategy(self):
         report = run_scenario(build_scenario("false-share", seed=7))
         honest = run_scenario(build_scenario("honest", seed=7))
@@ -585,6 +596,32 @@ class TestVerificationRound:
             (1, k) for k in range(2, 6)}
         assert all(a.outcome == "forged" and a.strategy.kind is StrategyKind.ADD_P_MINUS_ONE
                    and a.strategy.multiplier == 1 for a in report.forgery_attempts)
+
+
+# Share itself refuses recipient 0, so a point set that holds one comes
+# from a caller's own type with the same three fields
+Point = namedtuple("Point", "dealer recipient value")
+
+
+@pytest.mark.parametrize("params_ref, recipients, message", [
+    ("small11", (1, 2, 1, 3), "abscissa 1 appears twice"),
+    ("small11", (1, 2, 3, 2), "abscissa 2 appears twice"),
+    ("small11", (0, 1, 2), "abscissa 0 would address the secret itself"),
+    ("small11", (1, 2, 3, 11), r"abscissa 11 outside \(0, 11\)"),
+    ("small11", (1, 2, 14), r"abscissa 14 outside \(0, 11\)"),
+    # hardened: the field is Z_q, so a recipient below p but not below q
+    ("p23q11", (1, 2, 3, 12), r"abscissa 12 outside \(0, 11\)"),
+], ids=["repeated", "repeated-late", "zero", "at-p", "above-p", "at-q"])
+def test_rows_and_pools_refuse_malformed_recipients_alike(params_ref, recipients, message):
+    params = get_params(params_ref)
+    poly = sample_polynomial(3, params.field_modulus, 1, substream(7, 1))
+    shares = [Point(1, k, horner(poly.coeffs, k) % params.field_modulus) for k in recipients]
+    commits = commit(poly, params)
+    with pytest.raises(VsslabError, match=message) as row:
+        verify_row(shares, commits, params)
+    with pytest.raises(VsslabError) as pool:
+        reconstruct_pool(shares, commits, params)
+    assert str(row.value) == str(pool.value)
 
 
 def per_share_matrix(shares, commitments, params):

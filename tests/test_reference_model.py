@@ -1,7 +1,10 @@
 """run_scenario against the naive ceremony of reference_model.py, on random
 configs: every registry group, n <= 7 with every t, any mix of honest,
 withholding and false-share parties (any targets, both strategies, any
-multiplier below p) and any seed."""
+multiplier below p) and any seed; and against its denial law, for every
+target set of a uniform forger at n <= 7."""
+
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +20,10 @@ from vsslab.protocol import (
     run_scenario,
 )
 from vsslab.registry import get_params, load_registry
+from vsslab.rng import substream
 from vsslab.transcript import audit_transcript, render_report
 
-from reference_model import run_model
+from reference_model import first_passing_subset, run_model, uniform_shift, weights_at_zero
 
 GROUPS = tuple(load_registry())
 
@@ -89,3 +93,66 @@ def test_a_splitting_forger_at_v64_12_6_matches_the_reference_model(
     assert {r.dealer: r.recovered for r in report.reconstructions} == model.recovered
     assert [len(r.attempts) for r in report.reconstructions] == [attempts] + [1] * 11
     assert audit_transcript(render_report(report)) == []
+
+
+def uniform_forger(n, t, params_ref, strategy, targets, seed):
+    """Party 1 forges to targets with one strategy and withholds; the
+    others are honest. Forging to every other party with multiplier 1 is
+    the built-in scenario of that strategy, and takes its label."""
+    behaviors = {pid: Behavior() for pid in range(1, n + 1)}
+    behaviors[1] = Behavior(kind=BehaviorKind.FALSE_SHARE_DEALER, strategy=strategy,
+                            targets=targets)
+    label = "uniform-forger"
+    if strategy.multiplier == 1 and len(targets) == n - 1:
+        label = {StrategyKind.ADD_P_MINUS_ONE: "false-share",
+                 StrategyKind.ORDER_SHIFT: "order-shift"}[strategy.kind]
+    return ScenarioConfig(scenario=label, n=n, t=t, params_ref=params_ref,
+                          behaviors=behaviors, seed=seed)
+
+
+@pytest.mark.parametrize("params_ref, kind", [
+    ("v32", StrategyKind.ADD_P_MINUS_ONE),
+    ("small11", StrategyKind.ADD_P_MINUS_ONE),
+    ("p23order11", StrategyKind.ORDER_SHIFT),
+])
+def test_a_uniform_forger_follows_the_denial_law(params_ref, kind):
+    # the forger withholds, so its pool is parties 2..n, forged exactly at
+    # the targets; the key assembles exactly when some t-subset of that
+    # pool passes, and the first one the law names is the one tried last
+    params = get_params(params_ref)
+    for n, m, seed in product(range(2, 8), (1, 2, 5), (0, 1)):
+        strategy = ForgeryStrategy(kind, m)
+        delta = uniform_shift(strategy, params)
+        a0 = substream(seed, 1).randbelow(params.p)
+        pool = tuple(range(2, n + 1))
+        target_sets = [ts for size in range(1, n) for ts in combinations(pool, size)]
+        for targets, t in product(target_sets, range(2, n + 1)):
+            report = run_scenario(uniform_forger(n, t, params_ref, strategy, targets, seed))
+            law = first_passing_subset(pool, set(targets), t, a0, delta, params)
+            forger = report.reconstructions[0]
+            assert forger.pool == pool
+            got = None
+            if forger.recovered is not None:
+                got = (forger.attempts[-1].subset, forger.recovered)
+            assert got == law, (n, t, targets, m, seed)
+            assert (report.verdict.value == "key_assembled") == (law is not None)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_at_5_3_only_targets_2_and_3_assemble(m, seed):
+    # every 3-subset of the pool (2, 3, 4, 5) holds a forged share, yet
+    # (2, 3, 5) has weights 5, -5 and 1, so the two forged shifts cancel
+    params = get_params("v32")
+    assert weights_at_zero((2, 3, 5), params.p) == [5, params.p - 5, 1]
+    strategy = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
+    for targets in combinations(range(2, 6), 2):
+        report = run_scenario(uniform_forger(5, 3, "v32", strategy, targets, seed))
+        forger = report.reconstructions[0]
+        if targets == (2, 3):
+            assert report.verdict.value == "key_assembled"
+            assert forger.attempts[-1].subset == (2, 3, 5)
+            assert forger.recovered == substream(seed, 1).randbelow(params.p)
+        else:
+            assert report.verdict.value == "key_blocked"
+            assert forger.recovered is None

@@ -5,6 +5,8 @@ recipient k exactly when v is congruent to the honest evaluation modulo the
 generator's multiplicative order. Everything else here hangs off that law.
 """
 
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
     eval_integer,
+    horner,
     sample_polynomial,
 )
 from vsslab.registry import get_params
@@ -230,6 +233,11 @@ class TestHardened:
         assert not commitment_in_group(bad, p23q11)
 
 
+# Share itself refuses recipient 0, so a row that carries one comes from a
+# caller's own type with the same three fields
+Point = namedtuple("Point", "dealer recipient value")
+
+
 def dealt(poly, k, params):
     """An honest dealer's share for party k: P(k) mod q when hardened, the
     exact integer P(k) otherwise."""
@@ -262,13 +270,22 @@ class TestVerifyRow:
         assert verify_row(shares, commits, small11) == (True, True, True, False)
         assert share_checks == [(1, 1), (1, 2), (1, 3), (1, 4)]
 
-    @pytest.mark.parametrize("recipients", [(1, 2), (1, 2, 1, 3)])
-    def test_short_rows_and_repeated_abscissas_use_verify_share(
-            self, share_checks, small11, recipients):
+    @pytest.mark.parametrize("recipients, message", [
+        ((1, 2), "a row of 2 shares is shorter than the threshold 3"),
+        ((1, 2, 1, 3), "abscissa 1 appears twice"),
+        ((0, 1, 2), "abscissa 0 would address the secret itself"),
+        ((1, 2, 11), r"abscissa 11 outside \(0, 11\)"),
+        # past the t interpolation points, where only the row's own check sees them
+        ((1, 2, 3, 2), "abscissa 2 appears twice"),
+        ((1, 2, 3, 11), r"abscissa 11 outside \(0, 11\)"),
+    ], ids=["short", "repeated", "zero", "at-p", "repeated-late", "at-p-late"])
+    def test_short_rows_and_malformed_recipients_are_refused(
+            self, share_checks, small11, recipients, message):
         poly = mkpoly([3, 4, 5], 11)
-        shares = [Share(1, k, eval_integer(poly, k)) for k in recipients]
-        assert verify_row(shares, commit(poly, small11), small11) == (True,) * len(recipients)
-        assert len(share_checks) == len(recipients)
+        shares = [Point(1, k, horner(poly.coeffs, k)) for k in recipients]
+        with pytest.raises(VsslabError, match=message):
+            verify_row(shares, commit(poly, small11), small11)
+        assert share_checks == []
 
     def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
         poly = mkpoly([3, 4], 11)
@@ -304,8 +321,12 @@ def test_verify_row_matches_the_per_share_checks(data):
         honest = dealt(poly, k, params)
         shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
         shares.append(Share(1, k, honest + shift))
-    assert verify_row(shares, commit(poly, params), params) == per_share(
-        shares, commit(poly, params), params)
+    if len(recipients) < t or len(set(recipients)) < len(recipients):
+        with pytest.raises(VsslabError, match="shorter than the threshold|appears twice"):
+            verify_row(shares, commit(poly, params), params)
+    else:
+        assert verify_row(shares, commit(poly, params), params) == per_share(
+            shares, commit(poly, params), params)
 
 
 class TestRowEvaluations:
