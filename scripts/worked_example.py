@@ -8,7 +8,7 @@ Usage: python scripts/worked_example.py
 """
 
 from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
-from vsslab.poly import SecretPolynomial, eval_integer, lagrange_zero
+from vsslab.poly import SecretPolynomial, eval_integer, lagrange_basis, lagrange_zero
 from vsslab.registry import get_params
 from vsslab.vss import Share, commit, verify_share
 
@@ -44,6 +44,13 @@ def main() -> None:
         print("  check passed; corruption would go unnoticed")
     else:
         print("  check failed; the group notices, but only after the dealer withheld")
+
+    # verify_row's row check in coefficient form: b_0 is the value above
+    basis = lagrange_basis([x for x, _ in points], 11)
+    b = tuple(sum(y * w for (_, y), w in zip(points, row)) % 11 for row in basis)
+    print(f"\nrow check: basis rows {basis} give coefficients b = {b}")
+    print(f"  g^b_j = {tuple(pow(params.g, b_j, params.p) for b_j in b)} vs commitments {commits.c}")
+    print("  no match, so each share is checked alone, and each passes")
 
 
 if __name__ == "__main__":

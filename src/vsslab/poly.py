@@ -1,5 +1,7 @@
 """Secret polynomials, exact evaluation, interpolation at zero
-and in coefficient form. Interpolation tables are cached here, bounded
+and in coefficient form. A row's evaluation at many points and its
+interpolation in coefficient form are each one packed big-integer
+product (Kronecker substitution). Their tables are cached here, bounded
 (see the note above lagrange_weights), as tuples no caller can change."""
 
 from __future__ import annotations
@@ -90,15 +92,20 @@ def check_abscissas(xs: tuple[int, ...], m: int) -> None:
         seen.add(x)
 
 
-# A table is a pure function of (abscissas, modulus), so caching one never
-# changes a result. The caches are sized from a run's traffic: every row
-# is verified at the same first t parties (one basis), reconstruction asks
-# for at most n first-subset weight tables, a pool whose first subset
-# fails asks for one more basis at that subset to test whether the pool
-# lies on one polynomial, and the subsets an inconsistent pool enumerates
-# never recur and pass through. Worst case at t = n = MAX_PARTIES = 64
-# over a 96-bit field: 64 weight tables of 3.5 KB plus 4 bases of 0.2 MB,
-# about 1 MB in all.
+# A table is a pure function of its key, so caching one never changes a
+# result. The caches are sized from a run's traffic: every row is dealt,
+# and a vulnerable row verified, at parties 1..n (one power table), every
+# row is interpolated at the same first t parties (one basis), hardened
+# rows are evaluated at the other n - t (a second power table), and
+# reconstruction asks for at most n first-subset weight tables. A
+# vulnerable pool whose first subset fails asks for one more basis at
+# that subset and, in place of the hardened one, one more power table at
+# the pool's other recipients, to test whether the pool lies on one
+# polynomial; the subsets an inconsistent pool enumerates never recur
+# and pass through. Worst case at t = n = MAX_PARTIES = 64 over a 96-bit
+# field, measured with tracemalloc: 64 weight tables of 3.2 KB, 4 packed
+# bases of 0.11 MB (198-bit slots) and 2 power tables of 0.26 MB
+# (475-bit slots), about 1.2 MB in all.
 
 
 def lagrange_weights(xs, m: int) -> tuple[int, ...]:
@@ -162,23 +169,65 @@ def lagrange_basis(xs, m: int) -> tuple[tuple[int, ...], ...]:
     below len(xs) through the points (x_i, y_i) has coefficient j equal
     to sum_i y_i * basis[j][i] mod m. Column i is the Lagrange basis
     polynomial L_i, with L_i(x_i) = 1 and L_i(x_l) = 0 for l != i, and
-    row 0 is lagrange_weights(xs, m). Each L_i is prod_l (x - x_l)
-    divided by (x - x_i) and scaled to 1 at x_i: O(len(xs)**2) work
-    and one inverse per abscissa.
+    row 0 is lagrange_weights(xs, m). The rows are read out of the
+    packed columns interpolate uses, the only form the basis is cached in.
     """
-    return _lagrange_basis(tuple(xs), m)
+    w, columns = _packed_basis(tuple(xs), m)
+    return tuple(zip(*(tuple(_unpack(column, w, len(columns))) for column in columns)))
 
 
 def interpolate(xs, ys, m: int) -> tuple[int, ...]:
     """Coefficients, constant term first, of the polynomial of degree
-    below len(xs) through the points (xs[i], ys[i]), mod m: one dot
-    product of ys with each row of lagrange_basis(xs, m)."""
-    ys = tuple(ys)
-    return tuple(sum(map(mul, ys, row)) % m for row in lagrange_basis(xs, m))
+    below len(xs) through the points (xs[i], ys[i] mod m), mod m.
+
+    One big-integer product does the dot products of the ys with every
+    row of lagrange_basis(xs, m) (Kronecker substitution): column i is
+    packed as sum_j L_i[j] << (w * j), so slot j of
+    sum_i (y_i mod m) * column_i is sum_i (y_i mod m) * L_i[j] exactly,
+    and w is the bit length of the largest value that sum can take.
+    """
+    w, columns = _packed_basis(tuple(xs), m)
+    packed = sum(map(mul, (y % m for y in ys), columns))
+    return tuple(c % m for c in _unpack(packed, w, len(columns)))
+
+
+def evaluate(coeffs, xs, m: int) -> tuple[int, ...]:
+    """sum_j coeffs[j] * x**j exactly, with no reduction, at every x in xs,
+    for coefficients in [0, m) and positive xs.
+
+    One big-integer product evaluates the polynomial at all of xs
+    (Kronecker substitution): with K_j = sum_i x_i**j << (w * i), slot i
+    of sum_j coeffs[j] * K_j is the value at x_i, and w is the bit
+    length of the largest value a slot can take (every coefficient
+    m - 1, at the largest x). horner gives the same value at one point.
+    """
+    coeffs = tuple(coeffs)
+    xs = tuple(xs)
+    w, powers = _packed_powers(xs, len(coeffs), m)
+    return tuple(_unpack(sum(map(mul, coeffs, powers)), w, len(xs)))
+
+
+def _pack(values, w: int) -> int:
+    """sum_i values[i] << (w * i), for values in [0, 2**w)."""
+    packed = 0
+    for v in reversed(values):
+        packed = packed << w | v
+    return packed
+
+
+def _unpack(packed: int, w: int, count: int):
+    """The lowest count slots of width w of packed, lowest first."""
+    mask = (1 << w) - 1
+    return (packed >> (w * i) & mask for i in range(count))
 
 
 @lru_cache(maxsize=4)
-def _lagrange_basis(xs: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+def _packed_basis(xs: tuple[int, ...], m: int) -> tuple[int, tuple[int, ...]]:
+    """(w, the columns L_i of lagrange_basis each packed at slot width w).
+
+    Each L_i is prod_l (x - x_l) divided by (x - x_i) and scaled to 1 at
+    x_i: O(len(xs)**2) work and one inverse per abscissa.
+    """
     check_abscissas(xs, m)
     # prod_l (x - x_l), constant term first
     master = [1]
@@ -198,4 +247,21 @@ def _lagrange_basis(xs: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
                 scale = scale * (xi - xl) % m
         scale = mod_inv(scale, m)
         columns.append([c * scale % m for c in quotient])
-    return tuple(zip(*columns))
+    # slot j of interpolate's product is largest when every y_i is m - 1
+    w = ((m - 1) * max(map(sum, zip(*columns)))).bit_length()
+    return w, tuple(_pack(column, w) for column in columns)
+
+
+@lru_cache(maxsize=2)
+def _packed_powers(xs: tuple[int, ...], t: int, m: int) -> tuple[int, tuple[int, ...]]:
+    """(w, K_0..K_{t-1}) with K_j = sum_i xs[i]**j << (w * i), for evaluate."""
+    # slot i of evaluate's product is largest when every coefficient is
+    # m - 1, and largest of all at the largest x
+    top = max(xs, default=0)
+    w = ((m - 1) * sum(top**j for j in range(t))).bit_length()
+    powers = []
+    x_to_j = [1] * len(xs)
+    for _ in range(t):
+        powers.append(_pack(x_to_j, w))
+        x_to_j = list(map(mul, x_to_j, xs))
+    return w, tuple(powers)

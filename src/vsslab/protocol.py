@@ -35,15 +35,7 @@ from operator import mul
 from .attack import ForgeryStrategy, StrategyKind, forge_share
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode, gen_params
-from .poly import (
-    SecretPolynomial,
-    check_abscissas,
-    eval_integer,
-    horner,
-    interpolate,
-    lagrange_weights,
-    sample_polynomial,
-)
+from .poly import check_abscissas, evaluate, interpolate, lagrange_weights, sample_polynomial
 from .record import coerce_enum, record
 from .registry import get_params
 from .rng import substream
@@ -199,10 +191,15 @@ class ScenarioConfig:
                 raise ConfigInvalid(
                     f"scenario {self.scenario!r} needs the behaviors build_scenario gives it")
         else:
-            for name in _SCENARIOS:
-                if self.behaviors == _built_in_behaviors(name, self.n):
-                    raise ConfigInvalid(
-                        f"scenario {self.scenario!r} has the behaviors of built-in {name!r}")
+            # only a built-in whose party 1 acts alike can have these
+            # behaviors, and the first such is the one to name
+            first = self.behaviors[1]
+            acts = (first.kind, first.strategy and first.strategy.kind)
+            name = next((name for name, (_, kind, strategy) in _SCENARIOS.items()
+                         if (kind, strategy) == acts), None)
+            if name is not None and self.behaviors == _built_in_behaviors(name, self.n):
+                raise ConfigInvalid(
+                    f"scenario {self.scenario!r} has the behaviors of built-in {name!r}")
 
 
 class Verdict(str, Enum):
@@ -294,30 +291,30 @@ def resolve_params(config: ScenarioConfig) -> GroupParams:
     return gen_params(config.params_ref.bits, config.params_ref.mode, substream(config.seed, 0))
 
 
-def _honest_value(poly: SecretPolynomial, recipient: int, params: GroupParams) -> int:
-    # vulnerable dealers transmit the exact integer evaluation; hardened
-    # dealers reduce into Z_q, where the share must live
-    value = eval_integer(poly, recipient)
-    return value % params.q if params.mode is Mode.HARDENED else value
-
-
 def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRound:
     """Sample every dealer's polynomial, broadcast commitments, deliver shares.
 
     Dealer i draws from substream(seed, i), so adding or reordering
     other dealers never changes what dealer i deals. Row i - 1 of the
-    shares holds dealer i's shares to parties 1..n.
+    shares holds dealer i's shares to parties 1..n, its honest values
+    from one poly.evaluate call over all of them.
     """
+    parties = range(1, config.n + 1)
     commitments = []
     rows = []
     attempts = []
-    for dealer in range(1, config.n + 1):
+    for dealer in parties:
         rng = substream(config.seed, dealer)
         poly = sample_polynomial(config.t, params.field_modulus, dealer, rng)
         commitments.append(commit(poly, params))
         behavior = config.behaviors[dealer]
+        # vulnerable dealers transmit the exact integer evaluation; hardened
+        # dealers reduce into Z_q, where the share must live
+        values = evaluate(poly.coeffs, parties, params.field_modulus)
+        if params.mode is Mode.HARDENED:
+            values = tuple(v % params.q for v in values)
         row = []
-        for recipient in range(1, config.n + 1):
+        for recipient, value in zip(parties, values):
             share = None
             if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER and recipient in behavior.targets:
                 try:
@@ -330,8 +327,7 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
                                    strategy=behavior.strategy, outcome=outcome)
                 )
             if share is None:
-                share = Share(dealer=dealer, recipient=recipient,
-                              value=_honest_value(poly, recipient, params))
+                share = Share(dealer=dealer, recipient=recipient, value=value)
             row.append(share)
         rows.append(tuple(row))
     return DealingRound(
@@ -367,12 +363,12 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     the first pass, and a pool of fewer than t shares lists none.
 
     When the first subset fails, the coefficients through its t shares
-    (poly.interpolate) are evaluated at the pool's other recipients. If
-    every other share agrees mod the field, the pool lies on one
-    polynomial, every t-subset rebuilds the same value and none can
-    pass, so the pool lists that one attempt. Otherwise (a forger's
-    pool that mixes forged and honest shares) the subsets are
-    enumerated, and a pool with no passing subset lists all
+    (poly.interpolate) are evaluated at the pool's other recipients, in
+    one poly.evaluate call. If every other share agrees mod the field,
+    the pool lies on one polynomial, every t-subset rebuilds the same
+    value and none can pass, so the pool lists that one attempt.
+    Otherwise (a forger's pool that mixes forged and honest shares) the
+    subsets are enumerated, and a pool with no passing subset lists all
     C(len(pool), t) of them.
     """
     pool = commits.check_dealer(pool)
@@ -392,7 +388,7 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
             break
         if len(attempts) == 1 and testable:
             coeffs = interpolate(subset, values, m)
-            if all(horner(coeffs, x) % m == y for x, y in zip(xs[t:], ys[t:])):
+            if all(v % m == y for v, y in zip(evaluate(coeffs, xs[t:], m), ys[t:])):
                 break
     return tuple(attempts)
 

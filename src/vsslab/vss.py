@@ -22,15 +22,18 @@ interpolates coefficients b_j from the first t shares and tests
 g**b_j == c_j for each j, t powers of g from the group's table
 (GroupParams.g_pow). When all hold, a share passes exactly when
 value == Q(k) (mod d) for Q = sum_j b_j x**j, and every c_j is in the
-subgroup. In hardened mode the field modulus is d itself, so the t
-shares Q was interpolated through satisfy that congruence by
-construction: only the other shares are evaluated, and every share
-still takes its range check. Only a row that fails the row check, a
-forger's, falls back to verify_share one share at a time, so every
-verdict is the per-share verdict. A row shorter than t cannot fix a
-polynomial, and one whose recipients repeat or leave (0, field
-modulus) is no polynomial's shares; verify_row refuses both with
-VsslabError, as reconstruct_pool refuses such a pool.
+subgroup. The interpolation, and the exact Q(k) at every share still
+to be decided, are one packed big-integer product each
+(poly.interpolate, poly.evaluate), not a loop per share. In hardened
+mode the field modulus is d itself, so the t shares Q was
+interpolated through satisfy that congruence by construction: only
+the other shares are evaluated, and every share still takes its
+range check. Only a row that fails the row check, a forger's, falls
+back to verify_share one share at a time, so every verdict is the
+per-share verdict. A row shorter than t cannot fix a polynomial, and
+one whose recipients repeat or leave (0, field modulus) is no
+polynomial's shares; verify_row refuses both with VsslabError, as
+reconstruct_pool refuses such a pool.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 
 from .errors import TooLarge, VsslabError
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial, check_abscissas, horner, interpolate
+from .poly import SecretPolynomial, check_abscissas, evaluate, interpolate
 from .record import record
 
 
@@ -162,11 +165,14 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     interpolation only proposes the b_j; the t commitment checks decide.
     Q(x_i) == value_i (mod field_modulus) for the first t shares, so
     when field_modulus == d (hardened mode) their congruence holds by
-    construction and Q is evaluated only at the others; range_check
-    still runs on every share. A row whose b_j misses its commitment (a
-    forger's row) is checked share by share instead. The b_j come from
-    poly.interpolate, whose basis cache lets rows at one abscissa set
-    share it.
+    construction and Q is evaluated only at the others; in vulnerable
+    mode it is evaluated at every share. Those exact values come from
+    one poly.evaluate call. range_check still runs on every share. A
+    row whose b_j misses its commitment (a forger's row) is checked
+    share by share instead. The b_j come from poly.interpolate, whose
+    basis cache lets rows at one abscissa set share it; evaluate's
+    power table is shared the same way by rows with one set of
+    recipients.
     """
     shares = commits.check_dealer(shares)
     t = len(commits.c)
@@ -176,14 +182,15 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     xs = tuple(s.recipient for s in shares)
     check_abscissas(xs, m)
     hardened = params.mode is Mode.HARDENED
-    b = interpolate(xs[:t], (s.value % m for s in shares[:t]), m)
+    b = interpolate(xs[:t], (s.value for s in shares[:t]), m)
     if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
         # Q passes through the first t values mod m, so when m == d their
         # congruence holds already; Q(k) exactly, reduced once, for the rest
         on_q = t if m == params.d else 0
-        return tuple((not hardened or range_check(s, params))
-                     and (i < on_q or (s.value - horner(b, s.recipient)) % params.d == 0)
-                     for i, s in enumerate(shares))
+        agree = (True,) * on_q + tuple((s.value - q_k) % params.d == 0 for s, q_k in
+                                       zip(shares[on_q:], evaluate(b, xs[on_q:], m)))
+        return tuple((not hardened or range_check(s, params)) and ok
+                     for s, ok in zip(shares, agree))
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(
         in_group and (not hardened or range_check(s, params)) and verify_share(s, commits, params)

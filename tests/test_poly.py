@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from vsslab.errors import VsslabError
 from vsslab.poly import (
     SecretPolynomial,
-    _lagrange_basis,
     _lagrange_weights,
+    _packed_basis,
     eval_integer,
+    evaluate,
     horner,
     interpolate,
     lagrange_basis,
@@ -19,6 +20,7 @@ from vsslab.poly import (
     lagrange_zero,
     sample_polynomial,
 )
+from vsslab.protocol import MAX_PARTIES
 from vsslab.rng import SplitMix64
 
 
@@ -185,6 +187,43 @@ def test_basis_recovers_every_coefficient(data):
     assert basis[0] == lagrange_weights(xs, m)
 
 
+# a 96-bit prime, the widest field a generated group has
+P96 = 2**96 - 17
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_kernels_hold_at_their_widest_slots(data):
+    # a slot's width is the bit length of the largest value it can hold:
+    # every coefficient m - 1 at the largest x for evaluate, every
+    # ordinate congruent to m - 1 for interpolate. Drawing those extremes
+    # makes a slot one bit short carry into its neighbour and fail here.
+    m = data.draw(st.sampled_from([11, 97, 65537, 2**61 - 1, P96]))
+    t = data.draw(st.integers(min_value=1, max_value=min(m - 1, MAX_PARTIES)))
+    top = min(m - 1, MAX_PARTIES)
+    extreme = data.draw(st.booleans())
+    element = st.just(m - 1) if extreme else st.integers(0, m - 1) | st.just(m - 1)
+    coeffs = data.draw(st.lists(element, min_size=t, max_size=t))
+    xs = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=MAX_PARTIES, unique=True))
+    assert evaluate(coeffs, xs, m) == tuple(horner(coeffs, x) for x in xs)
+    # ordinates as large as exact vulnerable shares: residue plus a
+    # multiple of m up to the largest value of a degree t - 1 polynomial
+    xs = xs[:t] if len(xs) >= t else data.draw(
+        st.lists(st.integers(1, top), min_size=t, max_size=t, unique=True))
+    size = sum(top**j for j in range(t))
+    ys = [data.draw(element) + m * data.draw(st.integers(0, size)) for _ in xs]
+    assert interpolate(xs, ys, m) == tuple(
+        sum(y % m * w for y, w in zip(ys, row)) % m for row in lagrange_basis(xs, m))
+
+
+def test_evaluate_is_exact_at_the_widest_admitted_row():
+    # t = n = MAX_PARTIES over a 96-bit field, every coefficient m - 1:
+    # the widest slot a ceremony evaluates
+    xs = range(1, MAX_PARTIES + 1)
+    coeffs = [P96 - 1] * MAX_PARTIES
+    assert evaluate(coeffs, xs, P96) == tuple(horner(coeffs, x) for x in xs)
+
+
 # lagrange_weights and lagrange_basis cache their tables; a cached table
 # must be the one a fresh computation gives, whatever iterable the
 # abscissas came in, and a refused abscissa set is refused every time
@@ -198,11 +237,12 @@ def test_cached_tables_equal_a_fresh_computation(data):
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 40)),
                             min_size=1, max_size=6, unique=True))
     weights_fresh = _lagrange_weights.__wrapped__(tuple(xs), m)
-    basis_fresh = _lagrange_basis.__wrapped__(tuple(xs), m)
+    packed_fresh = _packed_basis.__wrapped__(tuple(xs), m)
     for _ in range(2):
         weights = lagrange_weights(data.draw(_AS_ITERABLE)(xs), m)
         basis = lagrange_basis(data.draw(_AS_ITERABLE)(xs), m)
-        assert weights == weights_fresh and basis == basis_fresh
+        assert weights == weights_fresh and basis[0] == weights_fresh
+        assert _packed_basis(tuple(xs), m) == packed_fresh
         assert type(weights) is tuple and all(type(w) is int for w in weights)
         assert type(basis) is tuple and all(type(row) is tuple for row in basis)
         assert all(type(w) is int for row in basis for w in row)

@@ -17,8 +17,8 @@ from vsslab.errors import ConfigInvalid, VsslabError
 from vsslab.numtheory import Mode, _g_table
 from vsslab.poly import (
     SecretPolynomial,
-    _lagrange_basis,
     _lagrange_weights,
+    _packed_basis,
     eval_integer,
     horner,
     lagrange_zero,
@@ -195,6 +195,39 @@ class TestConfigValidation:
         relabelled = ScenarioConfig(label, cfg.n, cfg.t, cfg.params_ref, cfg.behaviors, cfg.seed)
         with pytest.raises(ConfigInvalid, match="behaviors"):
             relabelled.validate(get_params(cfg.params_ref))
+
+    def test_a_custom_label_builds_at_most_one_built_in_map(self, monkeypatch):
+        import vsslab.protocol as protocol
+
+        built = []
+        original = protocol._built_in_behaviors
+
+        def counting(name, n):
+            built.append(name)
+            return original(name, n)
+
+        monkeypatch.setattr(protocol, "_built_in_behaviors", counting)
+        params = get_params("v64")
+        # a built-in's behaviors under another label: the first built-in
+        # that builds them is named, and false-share comes before
+        # hardened-attack
+        for name in SCENARIO_NAMES:
+            cfg = build_scenario(name, seed=1)
+            named = "false-share" if name == "hardened-attack" else name
+            built.clear()
+            with pytest.raises(ConfigInvalid) as refused:
+                ScenarioConfig("custom", cfg.n, cfg.t, "v64", cfg.behaviors, 1).validate(params)
+            assert str(refused.value) == f"scenario 'custom' has the behaviors of built-in {named!r}"
+            assert built == [named]
+        withholding = {pid: Behavior(BehaviorKind.WITHHOLDING_DEALER) for pid in range(1, 6)}
+        shifted = dict(build_scenario("order-shift", seed=1).behaviors)
+        shifted[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, targets=(2, 3),
+                              strategy=ForgeryStrategy(StrategyKind.ORDER_SHIFT, 2))
+        for behaviors, named in ((splitting_config(5, 3, (2, 4)).behaviors, "false-share"),
+                                 (withholding, "withhold"), (shifted, "order-shift")):
+            built.clear()
+            ScenarioConfig("custom", 5, 3, "v64", behaviors, 1).validate(params)
+            assert built == [named]
 
     def test_attempt_budget_admits_the_largest_baseline_size(self):
         assert 16 * comb(16, 8) <= MAX_RECONSTRUCTION_ATTEMPTS
@@ -779,8 +812,8 @@ class TestPoolMechanics:
 def tables_computed():
     """(weight tables, bases) computed since the fixture emptied poly's caches."""
     _lagrange_weights.cache_clear()
-    _lagrange_basis.cache_clear()
-    return lambda: (_lagrange_weights.cache_info().misses, _lagrange_basis.cache_info().misses)
+    _packed_basis.cache_clear()
+    return lambda: (_lagrange_weights.cache_info().misses, _packed_basis.cache_info().misses)
 
 
 class TestWeightMemo:

@@ -334,17 +334,18 @@ class TestRowEvaluations:
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
-        """The abscissa of every horner call verify_row makes."""
+        """The abscissas of every evaluate call verify_row makes, in order."""
         import vsslab.vss as vss
 
         calls = []
-        original = vss.horner
+        original = vss.evaluate
 
-        def counting(coeffs, x):
-            calls.append(x)
-            return original(coeffs, x)
+        def counting(coeffs, xs, m):
+            xs = tuple(xs)
+            calls.extend(xs)
+            return original(coeffs, xs, m)
 
-        monkeypatch.setattr(vss, "horner", counting)
+        monkeypatch.setattr(vss, "evaluate", counting)
         return calls
 
     @pytest.mark.parametrize("name, t, evaluated_at", [
