@@ -16,13 +16,19 @@ failing pool whose shares lie on one polynomial lists only its first
 subset, since every other would fail the same way (see
 protocol.reconstruct_pool). The audit refuses every other schema
 version.
+
+Both directions run on json's C core `_json` directly, not through the
+json package, which imports `re` and costs a fresh `vsslab run` or
+`vsslab verify` process about 5 ms of its start-up. Only text the C
+scanner refuses loads json, to word the audit's `not valid JSON` message.
 """
 
 from __future__ import annotations
 
+import _json
 import itertools
-import json
 import reprlib
+from types import SimpleNamespace
 
 from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, VsslabError
@@ -42,9 +48,15 @@ SCHEMA_VERSION = "4"
 def canonical_json(doc: dict) -> str:
     """The one serialization everything uses: sorted keys, compact separators.
 
-    Without indent, json.dumps runs the C encoder.
+    The text of json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    plus a newline, from the C encoder json.dumps builds for those
+    arguments. Only its `default` is not json's, which words the
+    TypeError for a value JSON cannot hold; calling None raises one too.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    encode = _json.make_encoder(
+        {}, None, _json.encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    return "".join(encode(doc, 0)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +238,39 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 MAX_REPORTED_PATHS = 8
 
+# json.loads's context for its C scanner: the default JSONDecoder's
+# settings, and the whitespace its decode skips around the document
+_scan_once = _json.make_scanner(SimpleNamespace(
+    strict=True,
+    object_hook=None,
+    object_pairs_hook=None,
+    parse_float=float,
+    parse_int=int,
+    parse_constant={"-Infinity": float("-inf"), "Infinity": float("inf"),
+                    "NaN": float("nan")}.__getitem__,
+))
+_JSON_SPACE = " \t\n\r"
+
+
+def _parse(text: str):
+    """json.loads(text), read by the C scanner json.loads runs.
+
+    Text the scanner refuses, or that has more than whitespace after the
+    document, goes to json.loads itself, so its error is json's own. (On
+    Python 3.10 and 3.11 the scanner's error path raises SystemError
+    unless json.decoder is loaded.)
+    """
+    try:
+        doc, end = _scan_once(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+    except (StopIteration, ValueError, RecursionError, SystemError):
+        pass
+    else:
+        if not text[end:].lstrip(_JSON_SPACE):
+            return doc
+    import json
+
+    return json.loads(text)
+
 
 def _differences(path: str, got, want):
     """One message per JSON path where the transcript and regeneration differ."""
@@ -258,7 +303,7 @@ def audit_transcript(raw_text: str) -> list[str]:
     transcript is not in canonical form.
     """
     try:
-        doc = json.loads(raw_text)
+        doc = _parse(raw_text)
     except (ValueError, RecursionError) as exc:
         return [f"not valid JSON: {exc}"]
     if type(doc) is not dict:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +152,29 @@ def test_verify_undecodable_file_fails_cleanly(tmp_path, capsys):
     out.write_bytes(b"\xff\xfe{}")
     assert run_cli("verify", str(out)) == 1
     assert "cannot read transcript" in capsys.readouterr().err
+
+
+# a fresh process, since this one has json loaded: on Python 3.10 and 3.11
+# json's C scanner raises SystemError on malformed text unless json.decoder
+# is loaded, so only a process that has not loaded it can show a slip
+@pytest.mark.parametrize("text", [
+    '{"version": "4', '{"version": "\\q"}', '{"version" "4"}',
+    '{"version": "4"} {}', '\ufeff{"version": "4"}', "",
+    "[" * 100_000, '{"version": ' + "7" * 4301 + "}", '{"version": "4\t"}',
+], ids=["unterminated-string", "bad-escape", "missing-colon", "extra-data", "leading-bom",
+        "empty", "deep-nesting", "4301-digit-integer", "control-character"])
+def test_verify_in_a_fresh_process_words_malformed_json_as_json_does(tmp_path, text):
+    path = tmp_path / "t.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises((ValueError, RecursionError)) as refused:
+        json.loads(text)
+    result = subprocess.run(
+        [sys.executable, "-S", "-m", "vsslab.cli", "verify", str(path)],
+        capture_output=True, text=True, encoding="utf-8",
+        env={"PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"FAIL: not valid JSON: {refused.value}\n"
 
 
 def test_verify_missing_file_is_usage_error(capsys):

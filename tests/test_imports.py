@@ -59,20 +59,16 @@ def test_loading_the_registry_pulls_in_no_single_use_module():
     assert result.stdout == "[]\n"
 
 
-# argparse, and the gettext and locale catalogue lookups and the shutil
-# terminal-width call its parser makes, cost about 12 ms of every run and
-# verify process; the CLI's own table-driven parser needs none of them
-PARSER_ONLY = ("argparse", "gettext", "locale", "shutil")
-
-
-def test_a_run_and_its_verify_load_no_argparse(tmp_path):
+def loaded_by_a_run_and_its_verify(tmp_path, names):
+    """Which of names a fresh `python -S` process has loaded after
+    vsslab.cli.main ran `run` and then `verify` on its transcript."""
     transcript = tmp_path / "t.json"
     code = (
         "import sys\n"
         "from vsslab.cli import main\n"
         f"assert main(['run', '--scenario', 'honest', '--seed', '7', '--out', {str(transcript)!r}]) == 0\n"
         f"assert main(['verify', {str(transcript)!r}]) == 0\n"
-        f"print(sorted(set({PARSER_ONLY!r}) & set(sys.modules)))\n"
+        f"print(sorted(set({names!r}) & set(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -81,4 +77,24 @@ def test_a_run_and_its_verify_load_no_argparse(tmp_path):
         env={"PYTHONPATH": str(SRC.parent)},
         check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+# argparse, and the gettext and locale catalogue lookups and the shutil
+# terminal-width call its parser makes, cost about 12 ms of every run and
+# verify process; the CLI's own table-driven parser needs none of them
+PARSER_ONLY = ("argparse", "gettext", "locale", "shutil")
+
+
+def test_a_run_and_its_verify_load_no_argparse(tmp_path):
+    assert loaded_by_a_run_and_its_verify(tmp_path, PARSER_ONLY) == "[]\n"
+
+
+# the json package imports re and its compiler, about 5 ms of every run and
+# verify process; canonical JSON and the audit's parse use json's C core
+# _json, and only a transcript that is not valid JSON loads json
+REGEX_ONLY = ("json", "re")
+
+
+def test_a_run_and_its_verify_load_no_json_and_no_re(tmp_path):
+    assert loaded_by_a_run_and_its_verify(tmp_path, REGEX_ONLY) == "[]\n"

@@ -64,6 +64,12 @@ def test_dealer_and_modulus_are_checked():
         SecretPolynomial(dealer=1, coeffs=(0,), field_modulus=1)
 
 
+def test_the_smallest_field_modulus_is_two():
+    # the boundary of the "at least 2" check: Z_2 holds a polynomial
+    p = SecretPolynomial(dealer=0, coeffs=(1, 1), field_modulus=2)
+    assert (p.secret, p.field_modulus, eval_integer(p, 1)) == (1, 2, 2)
+
+
 def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
     with pytest.raises(VsslabError, match="polynomial needs at least one coefficient"):
         sample_polynomial(0, 11, 1, SplitMix64(0))

@@ -4,8 +4,10 @@ report the first differing JSON paths, then compare bytes."""
 import copy
 import hashlib
 import json
+import sys
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from vsslab.protocol import (
 from vsslab.rng import substream
 from vsslab.transcript import (
     SCHEMA_VERSION,
+    _parse,
     audit_transcript,
     canonical_json,
     config_from_dict,
@@ -275,6 +278,71 @@ def test_semantically_equal_reports_serialize_identically():
     r2 = run_scenario(build_scenario("withhold", seed=11))
     assert report_to_dict(r1) == report_to_dict(r2)
     assert render_report(r1) == render_report(r2)
+
+
+# ---------------------------------------------------------------------------
+# the codec: json's C core, driven as json.dumps and json.loads drive it
+# ---------------------------------------------------------------------------
+
+# characters that need escapes, non-ASCII ones, astral ones, and lone surrogates
+_JSON_CHARS = (st.characters() | st.characters(categories=["Cs"])
+               | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600'))
+_JSON_STRINGS = st.text(_JSON_CHARS, max_size=12)
+# the widest an int may be and still convert to decimal: 4300 digits
+_WIDEST = 10**4300 - 1
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-_WIDEST, _WIDEST)
+    | st.floats(allow_nan=False) | _JSON_STRINGS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=12,
+)
+_JSON_SPACE = st.text(st.sampled_from(" \t\n\r"), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_TREES)
+def test_canonical_json_is_json_dumps_with_sorted_keys_and_compact_separators(doc):
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_JSON_TREES, indent=st.sampled_from((None, 0, 2, "\t")),
+       ensure_ascii=st.booleans(), before=_JSON_SPACE, after=_JSON_SPACE)
+def test_the_audits_parse_of_valid_text_is_json_loads(doc, indent, ensure_ascii, before, after):
+    text = before + json.dumps(doc, indent=indent, ensure_ascii=ensure_ascii) + after
+    with mock.patch.dict(sys.modules, {"json": None}):  # valid text never imports json
+        parsed = _parse(text)
+    # repr tells 1 from 1.0 and True, and -0.0 from 0.0
+    assert repr(parsed) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1, "a": 2}',
+    "[NaN, Infinity, -Infinity, 1e400, -0.0, 1E-400]",
+    '"\\ud800\\udc00\\udfff\\u00e9"',
+    " \t\r\n[ {} , [ ] ]\n",
+])
+def test_the_audits_parse_reads_duplicates_constants_and_escapes_as_json_loads(text):
+    assert repr(_parse(text)) == repr(json.loads(text))
+
+
+def test_canonical_json_refuses_a_value_json_cannot_hold():
+    with pytest.raises(TypeError):
+        canonical_json({"a": {1, 2}})
+
+
+def test_a_key_on_one_side_only_is_reported_and_the_walk_goes_on(false_share_text):
+    # "commitments" is missing and "extra" is added; each is followed by a
+    # key the walk still compares, and those agree
+    def edit(doc):
+        del doc["commitments"]
+        doc["extra"] = True
+
+    problems = audit_transcript(retamper(false_share_text, edit))
+    assert len(problems) == 2
+    assert problems[0].startswith("commitments: missing from transcript, regeneration has {")
+    assert problems[1] == "extra: transcript has True, regeneration has no such key"
 
 
 class TestAudit:
