@@ -19,12 +19,14 @@ group: it is the true product for every vector, in the subgroup or not.
 
 verify_row decides a whole dealer's row with one row check: it
 interpolates coefficients b_j from the first t shares and tests
-g**b_j == c_j for each j, t powers of g from the group's table
-(GroupParams.g_pow). When all hold, a share passes exactly when
-value == Q(k) (mod d) for Q = sum_j b_j x**j, and every c_j is in the
-subgroup. The interpolation, and the exact Q(k) at every share still
-to be decided, are one packed big-integer product each
-(poly.interpolate, poly.evaluate), not a loop per share. In hardened
+g**b_j == c_j for each j, one row of powers of g
+(GroupParams.g_pows). commit asks for its coefficients' row the same
+way, and the row is cached, so an honest row, whose b_j are its
+coefficients, reads the powers commit made. When all hold, a share
+passes exactly when value == Q(k) (mod d) for Q = sum_j b_j x**j, and
+every c_j is in the subgroup. The interpolation, and the exact Q(k) at
+every share still to be decided, are one packed big-integer product
+each (poly.interpolate, poly.evaluate), not a loop per share. In hardened
 mode the field modulus is d itself, so the t shares Q was
 interpolated through satisfy that congruence by construction: only
 the other shares are evaluated, and every share still takes its
@@ -104,7 +106,7 @@ def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
         )
     return CommitmentVector(
         dealer=poly.dealer,
-        c=tuple(params.g_pow(a) for a in poly.coeffs),
+        c=params.g_pows(poly.coeffs),
     )
 
 
@@ -157,8 +159,10 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     range_check, then verify_share in hardened mode; verify_share alone
     in vulnerable mode. The row check interpolates b_0..b_{t-1} over the
     field from the first t shares and tests g**b_j == c_j for every j:
-    t powers of g from the group's table (GroupParams.g_pow) per row
-    instead of about one full power per share. When all t hold,
+    one row of t powers of g (GroupParams.g_pows) instead of about one
+    full power per share. An honest row's b_j are its dealer's
+    coefficients, whose row commit cached, so its check computes no
+    power of g; a forger's row misses the cache. When all t hold,
     prod_j c_j**(k**j) is g**Q(k) for Q = sum_j b_j x**j, so a share
     passes verify_share exactly when value == Q(k) (mod d), and
     commitment_in_group holds because every c_j is a power of g. The
@@ -183,7 +187,7 @@ def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[
     check_abscissas(xs, m)
     hardened = params.mode is Mode.HARDENED
     b = interpolate(xs[:t], (s.value for s in shares[:t]), m)
-    if all(params.g_pow(b_j) == c_j for b_j, c_j in zip(b, commits.c)):
+    if params.g_pows(b) == commits.c:
         # Q passes through the first t values mod m, so when m == d their
         # congruence holds already; Q(k) exactly, reduced once, for the rest
         on_q = t if m == params.d else 0

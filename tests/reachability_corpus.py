@@ -27,20 +27,28 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 
 # (file name, function name) of the functions whose branches are also
 # checked as arcs: a loop that goes round again runs no new line
-ARC_FUNCTIONS = {("protocol.py", "reconstruct_pool"), ("vss.py", "verify_row")}
+ARC_FUNCTIONS = {("protocol.py", "reconstruct_pool"), ("transcript.py", "_differences"),
+                 ("vss.py", "verify_row")}
 
 
-def tracer(lines, arcs):
-    """A sys.settrace function that adds each line of a package frame to
-    lines[file name], and each line pair of an ARC_FUNCTIONS frame to
-    arcs[function name]."""
+def tracer(lines, arcs, package=PACKAGE, functions=ARC_FUNCTIONS):
+    """A sys.settrace function that adds each line of a frame under
+    package to lines[file name], and each line pair of a frame of
+    functions to arcs[function name].
+
+    A generator's frame gets a call event each time it resumes, and
+    keeps the local trace function it had, with its last line: so the
+    arc out of a yield is the yield's line and the next one. A yield
+    also reports a return event, recorded like a return."""
     def trace(frame, event, arg):
         path = frame.f_code.co_filename
-        if not path.startswith(PACKAGE):
+        if not path.startswith(package):
             return None
-        file_name, name = path[len(PACKAGE):], frame.f_code.co_name
+        if frame.f_trace is not None:
+            return frame.f_trace  # a generator resumes
+        file_name, name = path[len(package):], frame.f_code.co_name
         hit = lines.setdefault(file_name, set())
-        if (file_name, name) not in ARC_FUNCTIONS:
+        if (file_name, name) not in functions:
             def local(frame, event, arg):
                 if event == "line":
                     hit.add(frame.f_lineno)

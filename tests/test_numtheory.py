@@ -13,6 +13,7 @@ from vsslab.numtheory import (
     GroupParams,
     Mode,
     _WINDOW_BITS,
+    _g_row,
     _g_table,
     gen_params,
     is_prime,
@@ -326,6 +327,28 @@ class TestGPow:
         e = data.draw(st.integers(-(1 << bits + 16), (1 << bits + 16) - 1)
                       | st.sampled_from(table_edges(params)))
         assert params.g_pow(e) == pow(params.g, e, params.p)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_row_matches_builtin_pow(self, data):
+        params = data.draw(st.sampled_from(table_groups()))
+        bits = params.p.bit_length()
+        exponents = st.integers(-(1 << bits + 16), (1 << bits + 16) - 1)
+        row = tuple(data.draw(st.lists(exponents | st.sampled_from(table_edges(params)),
+                                       max_size=8)))
+        want = tuple(pow(params.g, e, params.p) for e in row)
+        assert params.g_pows(row) == want
+        # asked again, in another sequence type: read from the cache
+        hits = _g_row.cache_info().hits
+        assert params.g_pows(list(row)) == want
+        assert _g_row.cache_info().hits == hits + 1
+
+    def test_single_powers_stay_out_of_the_row_cache(self):
+        _g_row.cache_clear()
+        for params in table_groups():
+            for e in table_edges(params):
+                params.g_pow(e)
+        assert _g_row.cache_info().currsize == 0
 
     def test_table_rows_cover_every_exponent_below_p(self):
         for params in table_groups():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
-from vsslab.numtheory import Mode, _g_table
+from vsslab.numtheory import Mode, _g_row, _g_table
 from vsslab.poly import (
     SecretPolynomial,
     _lagrange_weights,
@@ -726,6 +726,40 @@ class TestRowCheck:
         report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
         assert all(all(row) for row in report.verification_matrix)
         assert share_checks == [(1, k) for k in range(1, 13)]
+
+
+@pytest.fixture
+def rows_cached():
+    """(hits, misses) of the row cache since the fixture emptied it."""
+    _g_row.cache_clear()
+    return lambda: _g_row.cache_info()[:2]
+
+
+class TestRowCache:
+    """A run computes each dealer's row of powers of g once: commit's
+    row misses, and the row check of an honest row reads it."""
+
+    @pytest.mark.parametrize("params_ref", ["v64", "h64"])
+    def test_an_honest_run_has_n_misses_and_n_hits(self, rows_cached, params_ref):
+        run_scenario(honest_config(n=12, t=6, params_ref=params_ref))
+        assert rows_cached() == (12, 12)
+
+    def test_only_the_forged_row_misses(self, rows_cached, share_checks):
+        run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
+        # 12 committed rows, then the forger's interpolated row
+        assert rows_cached() == (11, 13)
+        assert share_checks == [(1, k) for k in range(1, 13)]
+
+    def test_every_honest_row_hits_at_the_widest_run(self, rows_cached, share_checks):
+        # n = MAX_PARTIES fills the cache at commit; the forger's miss at
+        # row 1 evicts row 1's commit, the least recently used entry
+        run_scenario(build_scenario("false-share", seed=1, n=MAX_PARTIES, t=32,
+                                    params_ref="v64"))
+        assert rows_cached() == (MAX_PARTIES - 1, MAX_PARTIES + 1)
+        assert share_checks == [(1, k) for k in range(1, MAX_PARTIES + 1)]
+
+    def test_the_cache_holds_a_row_per_party(self):
+        assert _g_row.cache_info().maxsize == MAX_PARTIES
 
 
 class TestPowersOfG:

@@ -23,6 +23,7 @@ gone; the failure prints the exact lines to add or remove.
 import ast
 import io
 import json
+import os
 import subprocess
 import sys
 import tokenize
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from reachability_corpus import ARC_FUNCTIONS
+from reachability_corpus import ARC_FUNCTIONS, tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vsslab"
@@ -200,3 +201,26 @@ def test_every_statement_and_arc_is_reached_or_listed(missed):
     if stale:
         message.append(f"reached now, or gone; remove from {LISTED.name}:\n" + "\n".join(stale))
     assert not message, "\n\n".join(message)
+
+
+def countdown(n):
+    while n:
+        yield n
+        n -= 1
+
+
+def test_the_arc_out_of_a_yield_is_recorded():
+    # each resumption of a generator is a call event; the tracer must
+    # still know the yield it resumes from
+    here = Path(__file__)
+    lines, arcs = {}, {}
+    previous = sys.gettrace()
+    sys.settrace(tracer(lines, arcs, str(here.parent) + os.sep, {(here.name, "countdown")}))
+    try:
+        assert list(countdown(2)) == [2, 1]
+    finally:
+        sys.settrace(previous)
+    top = countdown.__code__.co_firstlineno
+    loop, yielding, counting = top + 1, top + 2, top + 3
+    assert {(loop, yielding), (yielding, counting), (counting, loop)} <= arcs["countdown"]
+    assert (0, counting) not in arcs["countdown"]
