@@ -7,8 +7,8 @@ Dealer polynomial: P(x) = 3 + 4x over Z_11, threshold 2.
 Usage: python scripts/worked_example.py
 """
 
-from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
-from vsslab.poly import SecretPolynomial, eval_integer, lagrange_basis, lagrange_zero
+from vsslab.attack import ForgeryStrategy, StrategyKind
+from vsslab.poly import SecretPolynomial, horner, lagrange_basis, lagrange_zero
 from vsslab.registry import get_params
 from vsslab.vss import Share, commit, verify_share
 
@@ -23,17 +23,17 @@ def main() -> None:
     commits = commit(poly, params)
     print(f"public commitments g^a_j: {commits.c}")
 
-    honest = Share(dealer=1, recipient=2, value=eval_integer(poly, 2))
+    honest = Share(dealer=1, recipient=2, value=horner(poly.coeffs, 2))
     print(f"\nhonest share for party 2: P(2) = {honest.value}")
     print(f"  verification: {verify_share(honest, commits, params)}")
 
     strategy = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
-    forged = forge_share(poly, 2, params, strategy)
+    forged = Share(dealer=1, recipient=2, value=honest.value + strategy.shift(params))
     print(f"\nforged share for party 2: P(2) + (p-1) = {forged.value}")
     print(f"  verification: {verify_share(forged, commits, params)}  <- passes, same exponent class")
     print(f"  but {forged.value} mod p = {forged.value % 11}, while the honest value is {honest.value % 11}")
 
-    points = [(1, eval_integer(poly, 1) % 11), (2, forged.value % 11)]
+    points = [(1, horner(poly.coeffs, 1) % 11), (2, forged.value % 11)]
     recovered = lagrange_zero(points, 11)
     print(f"\nreconstruction from {{(1, {points[0][1]}), (2, {points[1][1]})}}: {recovered}")
     print(f"  true secret: {poly.secret}, recovered: {recovered}  <- corrupted")

@@ -7,7 +7,7 @@ dealer deny the group key. A hardened prime-order-subgroup mode makes
 the same forgery impossible.
 """
 
-from .attack import ForgeryStrategy, StrategyKind, forge_share
+from .attack import ForgeryStrategy, StrategyKind
 from .errors import VsslabError
 from .numtheory import (
     GroupParams,
@@ -18,7 +18,7 @@ from .numtheory import (
 )
 from .poly import (
     SecretPolynomial,
-    eval_integer,
+    horner,
     interpolate,
     lagrange_basis,
     lagrange_weights,

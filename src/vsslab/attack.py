@@ -1,9 +1,9 @@
-"""Forged shares that verify.
+"""Forged shares that verify: the honest share plus one shift.
 
 A vulnerable-mode verifier accepts any value congruent to the honest
-evaluation mod d = ord(g). Adding a multiple of p - 1 (or of d itself,
-strictly weaker when g is not a primitive root) therefore passes every
-commitment check while changing the value mod p, which is where the
+evaluation mod d = ord(g). Shifting it by a multiple of p - 1 (or of d
+itself, strictly weaker when g is not a primitive root) therefore passes
+every commitment check while changing the value mod p, which is where the
 interpolation that rebuilds the secret actually happens. Reconstruction
 from poisoned shares lands on a wrong field element; the closed form of
 that element, a0 - m * (sum of the forged shares' Lagrange weights) for
@@ -20,9 +20,7 @@ from enum import Enum
 
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial, eval_integer
 from .record import coerce_enum, record
-from .vss import Share
 
 
 class StrategyKind(str, Enum):
@@ -42,43 +40,24 @@ class ForgeryStrategy:
         if self.multiplier < 1:
             raise ConfigInvalid("forgery multiplier must be at least 1")
 
+    def shift(self, params: GroupParams) -> int:
+        """multiplier * (p - 1) or multiplier * d: what a forged share adds
+        to the honest value.
 
-def forge_share(
-    poly: SecretPolynomial, k: int, params: GroupParams, strategy: ForgeryStrategy
-) -> Share:
-    """Build a share for point k that verifies but is not P(k).
-
-    The forged value is eval_integer(poly, k) plus multiplier * (p - 1)
-    or multiplier * d. Both offsets vanish mod d, so verification keeps
-    accepting; neither vanishes mod p (given multiplier % p != 0), so
-    any reconstruction using the share is corrupted.
-
-    Raises ForgeryImpossible on hardened parameters: with values forced
-    below q and acceptance meaning congruence mod q, the only accepted
-    value is the honest one. Raises VsslabError when the chosen
-    multiplier is a multiple of p, which would leave the share honest
-    mod p and corrupt nothing.
-    """
-    if params.mode is Mode.HARDENED:
-        raise ForgeryImpossible(
-            "in [0, q) each residue class mod q has a single member, the honest "
-            "share; larger values fail the range check, so no forgery verifies"
-        )
-    if poly.field_modulus != params.p:
-        raise VsslabError(
-            f"polynomial over Z_{poly.field_modulus} does not belong to p = {params.p}"
-        )
-    if strategy.multiplier % params.p == 0:
-        raise VsslabError(
-            f"multiplier {strategy.multiplier} is 0 mod p; the forged share would "
-            f"equal the honest one in the reconstruction field"
-        )
-    if not 0 < k < params.p:
-        raise VsslabError(f"evaluation point {k} outside (0, p)")
-    offset = (params.p - 1) if strategy.kind is StrategyKind.ADD_P_MINUS_ONE else params.d
-    return Share(
-        dealer=poly.dealer,
-        recipient=k,
-        value=eval_integer(poly, k) + strategy.multiplier * offset,
-    )
-
+        Raises ForgeryImpossible on hardened parameters, where no shift
+        verifies, and VsslabError when the multiplier is a multiple of p,
+        since the shift would then vanish in the reconstruction field and
+        corrupt nothing.
+        """
+        if params.mode is Mode.HARDENED:
+            raise ForgeryImpossible(
+                "in [0, q) each residue class mod q has a single member, the honest "
+                "share; larger values fail the range check, so no forgery verifies"
+            )
+        if self.multiplier % params.p == 0:
+            raise VsslabError(
+                f"multiplier {self.multiplier} is 0 mod p; the forged share would "
+                f"equal the honest one in the reconstruction field"
+            )
+        offset = params.p - 1 if self.kind is StrategyKind.ADD_P_MINUS_ONE else params.d
+        return self.multiplier * offset

@@ -58,17 +58,6 @@ def sample_polynomial(t: int, field_modulus: int, dealer: int, rng: SplitMix64) 
     )
 
 
-def eval_integer(poly: SecretPolynomial, k: int) -> int:
-    """Exact integer value of the polynomial at k; no reduction anywhere.
-
-    Horner evaluation over unbounded ints. This is what a vulnerable-mode
-    dealer actually transmits: the true value, not a residue.
-    """
-    if k < 1:
-        raise VsslabError(f"evaluation point must be positive, got {k}")
-    return horner(poly.coeffs, k)
-
-
 def horner(coeffs, x: int) -> int:
     """sum_j coeffs[j] * x**j exactly, by Horner's rule, with no reduction."""
     acc = 0

@@ -32,7 +32,7 @@ from collections.abc import Mapping
 from enum import Enum
 from operator import mul
 
-from .attack import ForgeryStrategy, StrategyKind, forge_share
+from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import check_abscissas, evaluate, interpolate, lagrange_weights, sample_polynomial
@@ -297,7 +297,9 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     Dealer i draws from substream(seed, i), so adding or reordering
     other dealers never changes what dealer i deals. Row i - 1 of the
     shares holds dealer i's shares to parties 1..n, its honest values
-    from one poly.evaluate call over all of them.
+    from one poly.evaluate call over all of them; a forger's row adds
+    its strategy's one shift to the values at its targets, or deals them
+    honestly where the parameters make forgery impossible.
     """
     parties = range(1, config.n + 1)
     commitments = []
@@ -313,23 +315,18 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
         values = evaluate(poly.coeffs, parties, params.field_modulus)
         if params.mode is Mode.HARDENED:
             values = tuple(v % params.q for v in values)
-        row = []
-        for recipient, value in zip(parties, values):
-            share = None
-            if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER and recipient in behavior.targets:
-                try:
-                    share = forge_share(poly, recipient, params, behavior.strategy)
-                    outcome = "forged"
-                except ForgeryImpossible:
-                    outcome = "forgery_impossible"
-                attempts.append(
-                    ForgeryAttempt(dealer=dealer, recipient=recipient,
-                                   strategy=behavior.strategy, outcome=outcome)
-                )
-            if share is None:
-                share = Share(dealer=dealer, recipient=recipient, value=value)
-            row.append(share)
-        rows.append(tuple(row))
+        if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER:
+            try:
+                shift, outcome = behavior.strategy.shift(params), "forged"
+            except ForgeryImpossible:
+                shift, outcome = 0, "forgery_impossible"
+            values = list(values)
+            for recipient in (k for k in behavior.targets if k in parties):
+                values[recipient - 1] += shift
+                attempts.append(ForgeryAttempt(dealer=dealer, recipient=recipient,
+                                               strategy=behavior.strategy, outcome=outcome))
+        rows.append(tuple(Share(dealer=dealer, recipient=recipient, value=value)
+                          for recipient, value in zip(parties, values)))
     return DealingRound(
         commitments=tuple(commitments),
         shares=tuple(rows),

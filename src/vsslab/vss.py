@@ -10,32 +10,8 @@ exponent only matters mod d. Verification reduces it (sound, and keeps
 huge honest integer shares cheap), which is why a value congruent to
 P(k) mod d passes even though it is a different field element. That gap
 is the whole vulnerability; the hardened mode closes it by forcing every
-value below a prime order q.
-
-The right side is evaluated by Horner's rule in the exponent,
-((c_{t-1}**k * c_{t-2})**k ... )**k * c_0, so every exponent is a party
-id and k**j is never formed. That is an identity in any commutative
-group: it is the true product for every vector, in the subgroup or not.
-
-verify_row decides a whole dealer's row with one row check: it
-interpolates coefficients b_j from the first t shares and tests
-g**b_j == c_j for each j, one row of powers of g
-(GroupParams.g_pows). commit asks for its coefficients' row the same
-way, and the row is cached, so an honest row, whose b_j are its
-coefficients, reads the powers commit made. When all hold, a share
-passes exactly when value == Q(k) (mod d) for Q = sum_j b_j x**j, and
-every c_j is in the subgroup. The interpolation, and the exact Q(k) at
-every share still to be decided, are one packed big-integer product
-each (poly.interpolate, poly.evaluate), not a loop per share. In hardened
-mode the field modulus is d itself, so the t shares Q was
-interpolated through satisfy that congruence by construction: only
-the other shares are evaluated, and every share still takes its
-range check. Only a row that fails the row check, a forger's, falls
-back to verify_share one share at a time, so every verdict is the
-per-share verdict. A row shorter than t cannot fix a polynomial, and
-one whose recipients repeat or leave (0, field modulus) is no
-polynomial's shares; verify_row refuses both with VsslabError, as
-reconstruct_pool refuses such a pool.
+value below a prime order q. verify_share decides one share, and
+verify_row a dealer's whole row with the same verdicts.
 """
 
 from __future__ import annotations

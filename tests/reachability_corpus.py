@@ -27,8 +27,8 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 
 # (file name, function name) of the functions whose branches are also
 # checked as arcs: a loop that goes round again runs no new line
-ARC_FUNCTIONS = {("protocol.py", "reconstruct_pool"), ("transcript.py", "_differences"),
-                 ("vss.py", "verify_row")}
+ARC_FUNCTIONS = {("protocol.py", "reconstruct_pool"), ("protocol.py", "run_dealing_round"),
+                 ("transcript.py", "_differences"), ("vss.py", "verify_row")}
 
 
 def tracer(lines, arcs, package=PACKAGE, functions=ARC_FUNCTIONS):

@@ -11,13 +11,13 @@ import time
 
 import pytest
 
-from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
+from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ForgeryImpossible, TooLarge
 from vsslab.numtheory import Mode
 from vsslab.poly import (
     SecretPolynomial,
-    eval_integer,
+    horner,
     lagrange_zero,
     sample_polynomial,
 )
@@ -45,7 +45,7 @@ def test_criterion_1_pinned_worked_example():
     assert commits.c == (8, 5)
 
     honest = Share(dealer=1, recipient=2, value=11)
-    assert eval_integer(poly, 2) == 11
+    assert horner(poly.coeffs, 2) == 11
     assert verify_share(honest, commits, params)
 
     forged = Share(dealer=1, recipient=2, value=21)
@@ -97,7 +97,7 @@ def test_criterion_3_verification_congruence_law():
     poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
     commits = commit(poly, params)
     for k in range(1, 11):
-        honest = eval_integer(poly, k)
+        honest = horner(poly.coeffs, k)
         for candidate in range(0, 50):
             share = Share(dealer=1, recipient=k, value=candidate)
             accepted = verify_share(share, commits, params)
@@ -111,7 +111,7 @@ def test_criterion_3_verification_congruence_law():
     for _ in range(1000):
         k = rng.randrange(1, params64.p)
         candidate = rng.randbits(64)
-        honest = eval_integer(poly64, k)
+        honest = horner(poly64.coeffs, k)
         share = Share(dealer=1, recipient=k, value=candidate)
         accepted = verify_share(share, commits64, params64)
         assert accepted == (candidate % params64.d == honest % params64.d)
@@ -123,10 +123,8 @@ def test_criterion_4_uniform_forgery_law():
         for t in range(1, n + 1):
             poly = sample_polynomial(t, 11, 1, SplitMix64(n * 31 + t))
             for m in (1, 2, 3):
-                strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-                forged = {
-                    k: forge_share(poly, k, params, strat).value % 11 for k in range(1, n + 1)
-                }
+                shift = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m).shift(params)
+                forged = {k: (horner(poly.coeffs, k) + shift) % 11 for k in range(1, n + 1)}
                 expected = (poly.secret - m) % 11
                 for subset in itertools.combinations(range(1, n + 1), t):
                     pts = [(k, forged[k]) for k in subset]
@@ -141,7 +139,7 @@ def test_criterion_5_hardened_impossibility():
 
     # exhaustive scan: the only accepted value below q is the honest one
     for k in range(1, 6):
-        honest = eval_integer(poly, k) % 11
+        honest = horner(poly.coeffs, k) % 11
         accepted = [
             v
             for v in range(0, 11)
@@ -149,11 +147,10 @@ def test_criterion_5_hardened_impossibility():
         ]
         assert accepted == [honest], k
 
-    # and the forgery constructor refuses outright
+    # and no strategy has a shift to offer
     for kind in StrategyKind:
-        for k in range(1, 6):
-            with pytest.raises(ForgeryImpossible):
-                forge_share(poly, k, params, ForgeryStrategy(kind, 1))
+        with pytest.raises(ForgeryImpossible):
+            ForgeryStrategy(kind, 1).shift(params)
 
 
 def test_criterion_6_integer_commitment_growth():

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsslab.attack import ForgeryStrategy, StrategyKind, forge_share
+from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.errors import ForgeryImpossible, VsslabError
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
-    eval_integer,
+    horner,
     lagrange_weights,
     lagrange_zero,
     sample_polynomial,
@@ -29,9 +29,13 @@ from vsslab.protocol import (
     Behavior,
     BehaviorKind,
     ForgeryAttempt,
+    GenSpec,
     ScenarioConfig,
+    build_scenario,
+    run_dealing_round,
     run_scenario,
 )
+from vsslab.registry import get_params
 from vsslab.rng import SplitMix64, substream
 from vsslab.vss import Share, commit, verify_share
 
@@ -44,52 +48,75 @@ def mkpoly(coeffs, m, dealer=1):
     return SecretPolynomial(dealer=dealer, coeffs=tuple(coeffs), field_modulus=m)
 
 
-class TestForgeShare:
+def forged(poly, k, params, strategy):
+    """The value a forger deals to party k: the honest one plus the shift."""
+    return horner(poly.coeffs, k) + strategy.shift(params)
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """The strategy of every ForgeryStrategy.shift call, in order."""
+    calls = []
+    original = ForgeryStrategy.shift
+
+    def counting(self, params):
+        calls.append(self)
+        return original(self, params)
+
+    monkeypatch.setattr(ForgeryStrategy, "shift", counting)
+    return calls
+
+
+class TestShift:
     def test_worked_example(self, small11):
         poly = mkpoly([3, 4], 11)
-        share = forge_share(poly, 2, small11, ADD1)
-        assert share.value == 21  # 11 + (p-1)
-        assert eval_integer(poly, 2) == 11
+        assert ADD1.shift(small11) == 10  # p - 1
+        share = Share(dealer=1, recipient=2, value=forged(poly, 2, small11, ADD1))
+        assert share.value == 21
+        assert horner(poly.coeffs, 2) == 11
         assert verify_share(share, commit(poly, small11), small11)
 
     def test_order_shift_example(self, p23order11):
         # honest P(2) = 5 with coeffs (3, 1); shifting by d=11 gives 16,
         # which passes verification yet differs from 5 mod 22
         poly = mkpoly([3, 1], 23)
-        share = forge_share(poly, 2, p23order11, ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1))
+        strategy = ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1)
+        share = Share(dealer=1, recipient=2, value=forged(poly, 2, p23order11, strategy))
         assert share.value == 16
         assert verify_share(share, commit(poly, p23order11), p23order11)
         assert share.value % 22 != 5 % 22
         assert share.value % 11 == 5 % 11
 
-    def test_forged_value_exceeds_honest_by_exact_offset(self, small11):
-        poly = mkpoly([3, 4], 11)
+    def test_shift_is_the_multiplier_times_the_offset(self, small11, p23order11):
         for m in (1, 2, 7):
-            s = forge_share(poly, 3, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m))
-            assert s.value == eval_integer(poly, 3) + m * 10
+            # g = 2 is a primitive root mod 11, so both offsets are p - 1 = 10
+            for kind in StrategyKind:
+                assert ForgeryStrategy(kind, m).shift(small11) == m * 10
+            assert ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m).shift(p23order11) == m * 22
+            assert ForgeryStrategy(StrategyKind.ORDER_SHIFT, m).shift(p23order11) == m * 11
 
     def test_hardened_params_refuse_to_forge(self, p23q11):
-        poly = mkpoly([3, 4], 11)
-        with pytest.raises(ForgeryImpossible):
-            forge_share(poly, 2, p23q11, ADD1)
-
-    def test_field_mismatch_rejected(self, p23order11):
-        with pytest.raises(VsslabError, match="polynomial over Z_11 does not belong to p = 23"):
-            forge_share(mkpoly([3, 4], 11), 2, p23order11, ADD1)
+        for kind in StrategyKind:
+            with pytest.raises(ForgeryImpossible):
+                ForgeryStrategy(kind, 1).shift(p23q11)
 
     def test_multiplier_that_vanishes_in_the_field_rejected(self, small11):
-        poly = mkpoly([3, 4], 11)
         with pytest.raises(VsslabError, match="multiplier 11 is 0 mod p"):
-            forge_share(poly, 2, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 11))
+            ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 11).shift(small11)
         # m = 22 also vanishes mod 11; m = 12 does not
         with pytest.raises(VsslabError, match="multiplier 22 is 0 mod p"):
-            forge_share(poly, 2, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 22))
-        forge_share(poly, 2, small11, ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 12))
+            ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 22).shift(small11)
+        assert ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 12).shift(small11) == 120
 
-    def test_point_outside_the_field_rejected(self, small11):
-        for k in (0, 11):
-            with pytest.raises(VsslabError, match=f"evaluation point {k} outside"):
-                forge_share(mkpoly([3, 4], 11), k, small11, ADD1)
+    def test_dealing_refuses_a_multiplier_that_vanishes_in_the_field(self, small11):
+        # ScenarioConfig.validate refuses it first; the dealing round on its
+        # own still forges nothing that would be honest mod p
+        strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 11)
+        behaviors = {pid: Behavior() for pid in range(1, 4)}
+        behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(2,))
+        config = ScenarioConfig("vanishing", 3, 2, "small11", behaviors, 7)
+        with pytest.raises(VsslabError, match="multiplier 11 is 0 mod p"):
+            run_dealing_round(config, small11)
 
     def test_forged_shares_always_pass_verification_randomized(self):
         for seed in range(100):
@@ -101,7 +128,8 @@ class TestForgeShare:
                 continue
             strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
             for k in (1, 2, 5):
-                assert verify_share(forge_share(poly, k, params, strat), commits, params)
+                share = Share(dealer=1, recipient=k, value=forged(poly, k, params, strat))
+                assert verify_share(share, commits, params)
 
     def test_forgery_attempts_record_the_strategy(self, small11):
         # a ceremony's forgery_attempts say which shares were forged, and
@@ -112,8 +140,71 @@ class TestForgeShare:
         report = run_scenario(ScenarioConfig("one-forgery", 5, 3, "small11", behaviors, 7))
         assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
         poly = sample_polynomial(3, 11, 1, substream(7, 1))
-        assert report.shares[0][2] == forge_share(poly, 3, small11, strat)
-        assert report.shares[0][2] == Share(dealer=1, recipient=3, value=eval_integer(poly, 3) + 30)
+        assert report.shares[0][2] == Share(dealer=1, recipient=3,
+                                            value=forged(poly, 3, small11, strat))
+        assert report.shares[0][2] == Share(dealer=1, recipient=3,
+                                            value=horner(poly.coeffs, 3) + 30)
+
+    @pytest.mark.parametrize("name, params_ref", [("false-share", "small11"),
+                                                  ("order-shift", "p23order11"),
+                                                  ("hardened-attack", "p23q11")])
+    def test_a_forger_asks_for_its_shift_once_per_row(self, shift_calls, name, params_ref):
+        config = build_scenario(name, seed=3, n=7, t=4)
+        run_dealing_round(config, get_params(params_ref))
+        assert shift_calls == [config.behaviors[1].strategy]
+
+    def test_a_hardened_forger_deals_honestly(self, p23q11):
+        config = build_scenario("hardened-attack", seed=3, n=7, t=4)
+        dealing = run_dealing_round(config, p23q11)
+        assert dealing.forgery_attempts == tuple(
+            ForgeryAttempt(1, k, ADD1, "forgery_impossible") for k in range(2, 8))
+        for dealer, row in enumerate(dealing.shares, 1):
+            poly = sample_polynomial(4, p23q11.q, dealer, substream(3, dealer))
+            assert [s.value for s in row] == [horner(poly.coeffs, k) % p23q11.q
+                                              for k in range(1, 8)]
+
+
+# registry groups, and vulnerable groups generated at 16-64 bits
+_NAMED_GROUPS = ("small11", "p23order11", "v32", "v64")
+
+
+@st.composite
+def vulnerable_groups(draw):
+    """(params_ref, params) of a named or a freshly generated group."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(_NAMED_GROUPS))
+        return name, get_params(name)
+    spec = GenSpec(draw(st.integers(min_value=16, max_value=64)), Mode.VULNERABLE)
+    seed = draw(st.integers(0, 2**64 - 1))
+    return spec, gen_params(spec.bits, spec.mode, SplitMix64(seed))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
+    params_ref, params = data.draw(vulnerable_groups())
+    kind = data.draw(st.sampled_from(StrategyKind))
+    strategy = ForgeryStrategy(kind, data.draw(st.integers(1, params.p - 1)))
+    shift = strategy.shift(params)
+    assert shift % params.d == 0
+    assert shift % params.p != 0
+
+    n = data.draw(st.integers(2, 6))
+    t = data.draw(st.integers(2, n))
+    targets = data.draw(st.sets(st.integers(2, n), min_size=1))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    behaviors = {pid: Behavior() for pid in range(1, n + 1)}
+    behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strategy,
+                            targets=tuple(targets))
+    config = ScenarioConfig("shift-property", n, t, params_ref, behaviors, seed)
+    dealing = run_dealing_round(config, params)
+    assert dealing.forgery_attempts == tuple(
+        ForgeryAttempt(1, k, strategy, "forged") for k in sorted(targets))
+    for dealer, row in enumerate(dealing.shares, 1):
+        poly = sample_polynomial(t, params.p, dealer, substream(seed, dealer))
+        assert [s.value for s in row] == [
+            horner(poly.coeffs, k) + (shift if dealer == 1 and k in targets else 0)
+            for k in range(1, n + 1)]
 
 
 class TestReconstructionCorruption:
@@ -122,15 +213,14 @@ class TestReconstructionCorruption:
         poly = mkpoly([3, 4], 11)
         for m in (1, 2, 3):
             strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-            pts = [(k, forge_share(poly, k, small11, strat).value % 11) for k in (1, 2)]
+            pts = [(k, forged(poly, k, small11, strat) % 11) for k in (1, 2)]
             assert lagrange_zero(pts, 11) == (3 - m) % 11
 
     def test_worked_example_mixed_pool(self, small11):
         # honest at 1, forged at 2: interpolation gives 4 and the
         # commitment check sees 2^4 = 5 != 8
         poly = mkpoly([3, 4], 11)
-        forged = forge_share(poly, 2, small11, ADD1)
-        got = lagrange_zero([(1, 7), (2, forged.value % 11)], 11)
+        got = lagrange_zero([(1, 7), (2, forged(poly, 2, small11, ADD1) % 11)], 11)
         assert got == 4
         assert pow(2, got, 11) != pow(2, poly.secret, 11)
 
@@ -140,7 +230,7 @@ class TestReconstructionCorruption:
             poly = sample_polynomial(t, 11, 1, SplitMix64(t))
             for m in (1, 2):
                 strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-                shares = {k: forge_share(poly, k, small11, strat).value % 11 for k in range(1, 8)}
+                shares = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
                 for subset in itertools.combinations(range(1, 8), t):
                     pts = [(k, shares[k]) for k in subset]
                     assert lagrange_zero(pts, 11) == (poly.secret - m) % 11
@@ -149,8 +239,8 @@ class TestReconstructionCorruption:
         poly = sample_polynomial(3, 11, 1, SplitMix64(77))
         m = 2
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-        honest = {k: eval_integer(poly, k) % 11 for k in range(1, 8)}
-        forged = {k: forge_share(poly, k, small11, strat).value % 11 for k in range(1, 8)}
+        honest = {k: horner(poly.coeffs, k) % 11 for k in range(1, 8)}
+        forged_values = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
         for subset in itertools.combinations(range(1, 8), 3):
             for flags in itertools.product([False, True], repeat=3):
                 # prediction sees honest values plus which positions get forged
@@ -158,7 +248,7 @@ class TestReconstructionCorruption:
                     [(k, honest[k], f) for k, f in zip(subset, flags)], m, 11
                 )
                 actual = lagrange_zero(
-                    [(k, forged[k] if f else honest[k]) for k, f in zip(subset, flags)], 11
+                    [(k, forged_values[k] if f else honest[k]) for k, f in zip(subset, flags)], 11
                 )
                 assert predicted == actual
 
@@ -168,8 +258,8 @@ class TestReconstructionCorruption:
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
         xs = (1, 4)
         weights = lagrange_weights(xs, 11)
-        honest = [eval_integer(poly, k) % 11 for k in xs]
-        pts = [(xs[0], honest[0]), (xs[1], forge_share(poly, xs[1], small11, strat).value % 11)]
+        honest = [horner(poly.coeffs, k) % 11 for k in xs]
+        pts = [(xs[0], honest[0]), (xs[1], forged(poly, xs[1], small11, strat) % 11)]
         got = lagrange_zero(pts, 11)
         assert got == (poly.secret - weights[1]) % 11
 
@@ -187,7 +277,7 @@ class TestDetectionLaw:
             poly = mkpoly([a0, 4], 11)
             commits = commit(poly, small11)
             strat = ADD1
-            pts = [(k, forge_share(poly, k, small11, strat).value % 11) for k in (1, 2)]
+            pts = [(k, forged(poly, k, small11, strat) % 11) for k in (1, 2)]
             v = lagrange_zero(pts, 11)
             assert v == (a0 - 1) % 11
             check = pow(2, v, 11) == commits.c[0]
@@ -201,7 +291,7 @@ class TestDetectionLaw:
         for a0 in range(23):
             poly = mkpoly([a0, 5], 23)
             commits = commit(poly, p23order11)
-            pts = [(k, forge_share(poly, k, p23order11, strat).value % 23) for k in (1, 2)]
+            pts = [(k, forged(poly, k, p23order11, strat) % 23) for k in (1, 2)]
             v = lagrange_zero(pts, 23)
             assert v == (a0 + 11) % 23
             check = pow(2, v, 23) == commits.c[0]
@@ -217,7 +307,7 @@ def test_forged_acceptance_and_prediction_randomized(seed, m):
     commits = commit(poly, params)
     strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
     xs = (1, 2)
-    shares = [forge_share(poly, k, params, strat) for k in xs]
+    shares = [Share(dealer=1, recipient=k, value=forged(poly, k, params, strat)) for k in xs]
     assert all(verify_share(s, commits, params) for s in shares)
     pts = [(k, s.value % params.p) for k, s in zip(xs, shares)]
     assert lagrange_zero(pts, params.p) == (poly.secret - m) % params.p

@@ -11,7 +11,6 @@ from vsslab.poly import (
     SecretPolynomial,
     _lagrange_weights,
     _packed_basis,
-    eval_integer,
     evaluate,
     horner,
     interpolate,
@@ -28,17 +27,10 @@ def poly(coeffs, m=11, dealer=1):
     return SecretPolynomial(dealer=dealer, coeffs=tuple(coeffs), field_modulus=m)
 
 
-def test_eval_integer_worked_example():
+def test_horner_worked_example():
     # P(x) = 3 + 4x over Z_11, evaluated without reduction
-    assert eval_integer(poly([3, 4]), 2) == 11
-    assert eval_integer(poly([3, 4]), 1) == 7
-
-
-def test_eval_rejects_nonpositive_point():
-    with pytest.raises(ValueError):
-        eval_integer(poly([3, 4]), 0)
-    with pytest.raises(ValueError):
-        eval_integer(poly([3, 4]), -2)
+    assert horner(poly([3, 4]).coeffs, 2) == 11
+    assert horner(poly([3, 4]).coeffs, 1) == 7
 
 
 def test_secret_and_threshold_accessors():
@@ -67,7 +59,7 @@ def test_dealer_and_modulus_are_checked():
 def test_the_smallest_field_modulus_is_two():
     # the boundary of the "at least 2" check: Z_2 holds a polynomial
     p = SecretPolynomial(dealer=0, coeffs=(1, 1), field_modulus=2)
-    assert (p.secret, p.field_modulus, eval_integer(p, 1)) == (1, 2, 2)
+    assert (p.secret, p.field_modulus, horner(p.coeffs, 1)) == (1, 2, 2)
 
 
 def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
@@ -137,7 +129,7 @@ def test_every_t_subset_recovers_the_secret(data):
     n = data.draw(st.integers(min_value=t, max_value=7))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
     p = sample_polynomial(t, m, 1, SplitMix64(seed))
-    points = [(k, eval_integer(p, k) % m) for k in range(1, n + 1)]
+    points = [(k, horner(p.coeffs, k) % m) for k in range(1, n + 1)]
     for subset in itertools.combinations(points, t):
         assert lagrange_zero(list(subset), m) == p.secret
 
@@ -186,10 +178,10 @@ def test_basis_recovers_every_coefficient(data):
                             min_size=t, max_size=t, unique=True))
     p = sample_polynomial(t, m, 1, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
     basis = lagrange_basis(xs, m)
-    ys = [eval_integer(p, x) % m for x in xs]
+    ys = [horner(p.coeffs, x) % m for x in xs]
     assert tuple(sum(y * w for y, w in zip(ys, row)) % m for row in basis) == p.coeffs
     assert interpolate(xs, ys, m) == p.coeffs
-    assert [horner(p.coeffs, x) for x in xs] == [eval_integer(p, x) for x in xs]
+    assert evaluate(p.coeffs, xs, m) == tuple(horner(p.coeffs, x) for x in xs)
     assert basis[0] == lagrange_weights(xs, m)
 
 

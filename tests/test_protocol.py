@@ -19,7 +19,6 @@ from vsslab.poly import (
     SecretPolynomial,
     _lagrange_weights,
     _packed_basis,
-    eval_integer,
     horner,
     lagrange_zero,
     sample_polynomial,
@@ -342,7 +341,7 @@ class TestDealingShape:
         for dealer, row in enumerate(report.shares, 1):
             poly = sample_polynomial(3, params.field_modulus, dealer, substream(7, dealer))
             assert [s.dealer for s in row] == [dealer] * 5
-            assert [s.value for s in row] == [eval_integer(poly, k) for k in range(1, 6)]
+            assert [s.value for s in row] == [horner(poly.coeffs, k) for k in range(1, 6)]
 
     def test_runs_are_deterministic(self):
         assert run_scenario(honest_config()) == run_scenario(honest_config())
@@ -587,11 +586,11 @@ class TestVerificationRound:
         p2 = SecretPolynomial(dealer=2, coeffs=(5, 1), field_modulus=11)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
         rows = [
-            [Share(dealer=1, recipient=1, value=eval_integer(p1, 1) % 11),
+            [Share(dealer=1, recipient=1, value=horner(p1.coeffs, 1) % 11),
              # same exponent class but numerically above q: range check trips
-             Share(dealer=1, recipient=2, value=eval_integer(p1, 2) % 11 + 11)],
-            [Share(dealer=2, recipient=1, value=eval_integer(p2, 1) % 11),
-             Share(dealer=2, recipient=2, value=eval_integer(p2, 2) % 11)],
+             Share(dealer=1, recipient=2, value=horner(p1.coeffs, 2) % 11 + 11)],
+            [Share(dealer=2, recipient=1, value=horner(p2.coeffs, 1) % 11),
+             Share(dealer=2, recipient=2, value=horner(p2.coeffs, 2) % 11)],
         ]
         assert run_verification_round(rows, commits, p23q11) == ((True, False), (True, True))
 
@@ -692,7 +691,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
     for poly in polys:
         row = []
         for k in range(1, n + 1):
-            honest = eval_integer(poly, k) % params.q if hardened else eval_integer(poly, k)
+            honest = horner(poly.coeffs, k) % params.q if hardened else horner(poly.coeffs, k)
             shift = data.draw(st.sampled_from(shifts))
             row.append(Share(dealer=poly.dealer, recipient=k, value=honest + shift))
         rows.append(row)
@@ -1001,7 +1000,7 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
         shifted = data.draw(st.sets(st.sampled_from(recipients), min_size=1, max_size=n - 1))
     shift = data.draw(st.integers(min_value=1, max_value=3 * params.p))
     pool = [Share(dealer=1, recipient=k,
-                  value=eval_integer(poly, k) + (shift if k in shifted else 0))
+                  value=horner(poly.coeffs, k) + (shift if k in shifted else 0))
             for k in recipients]
     commits = commit(poly, params)
 

@@ -124,7 +124,9 @@ class Module:
 
 def flow(function):
     """The statement-to-statement arcs the body of function can take, in
-    source order; EXIT stands for leaving it. Exceptions are left out."""
+    source order; EXIT stands for leaving it. An exception's arc out of
+    the statement that raised it is left out, but a handler's arcs are
+    kept: into it from its try statement, and out of it."""
     arcs = []
 
     def block(body, after, loop):
@@ -147,6 +149,12 @@ def flow(function):
             arcs.append((node, loop[0]))
         elif isinstance(node, (ast.Return, ast.Raise)):
             arcs.append((node, EXIT))
+        elif isinstance(node, ast.Try) and not node.finalbody:
+            # the trace enters a handler from its `except` line, which
+            # only the try statement holds
+            arcs.append((node, block(node.body, block(node.orelse, after, loop), loop)))
+            for handler in node.handlers:
+                arcs.append((node, block(handler.body, after, loop)))
         elif isinstance(node, (ast.With, ast.Try, ast.Match)):
             raise NotImplementedError(f"no arc model for {type(node).__name__}")
         else:

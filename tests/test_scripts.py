@@ -27,6 +27,11 @@ def test_worked_example_runs():
     assert result.returncode == 0, result.stderr
     assert "verification: True  <- passes" in result.stdout
     assert "<- corrupted" in result.stdout
+    # the numbers the README walks through
+    lines = result.stdout.splitlines()
+    assert "forged share for party 2: P(2) + (p-1) = 21" in lines
+    assert "  but 21 mod p = 10, while the honest value is 0" in lines
+    assert "reconstruction from {(1, 7), (2, 10)}: 4" in lines
 
 
 def test_run_all_scenarios_tabulates_every_scenario_with_a_clean_matrix():

@@ -15,7 +15,6 @@ from vsslab.errors import TooLarge, VsslabError
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     SecretPolynomial,
-    eval_integer,
     horner,
     sample_polynomial,
 )
@@ -47,7 +46,7 @@ def naive_verify(value, poly, k, params):
     Computes g**value and g**P(k) as exact integers reduced only at the
     very end, so it cannot share a bug with the production code path.
     """
-    honest = eval_integer(poly, k)
+    honest = horner(poly.coeffs, k)
     if value < 0:
         return False
     return pow(params.g, value, params.p) == pow(params.g, honest, params.p)
@@ -104,7 +103,7 @@ class TestVerifyShare:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, small11)
         for k in range(1, 11):
-            honest = eval_integer(poly, k)
+            honest = horner(poly.coeffs, k)
             for v in range(0, 50):
                 got = verify_share(Share(dealer=1, recipient=k, value=v), commits, small11)
                 assert got == (v % 10 == honest % 10), (k, v)
@@ -115,7 +114,7 @@ class TestVerifyShare:
         poly = mkpoly([5, 7], 23)
         commits = commit(poly, p23order11)
         for k in range(1, 23):
-            honest = eval_integer(poly, k)
+            honest = horner(poly.coeffs, k)
             for v in range(0, 100):
                 got = verify_share(Share(dealer=1, recipient=k, value=v), commits, p23order11)
                 assert got == (v % 11 == honest % 11), (k, v)
@@ -127,7 +126,7 @@ class TestVerifyShare:
         poly = sample_polynomial(3, params.p, 1, SplitMix64(seed ^ 1))
         commits = commit(poly, params)
         k = 1 + seed % (params.p - 1)
-        honest = eval_integer(poly, k)
+        honest = horner(poly.coeffs, k)
         got = verify_share(Share(dealer=1, recipient=k, value=candidate), commits, params)
         assert got == (candidate % params.d == honest % params.d)
 
@@ -147,7 +146,7 @@ class TestVerifyShare:
             poly = sample_polynomial(3, params.p, 1, SplitMix64(seed + 7))
             commits = commit(poly, params)
             for k in range(1, 6):
-                share = Share(dealer=1, recipient=k, value=eval_integer(poly, k))
+                share = Share(dealer=1, recipient=k, value=horner(poly.coeffs, k))
                 assert verify_share(share, commits, params)
 
 
@@ -198,7 +197,7 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            share = Share(dealer=1, recipient=k, value=eval_integer(poly, k) % 11)
+            share = Share(dealer=1, recipient=k, value=horner(poly.coeffs, k) % 11)
             assert range_check(share, p23q11)
             assert verify_share(share, commits, p23q11)
 
@@ -208,7 +207,7 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            honest = eval_integer(poly, k) % 11
+            honest = horner(poly.coeffs, k) % 11
             accepted = [
                 v
                 for v in range(0, 11)
@@ -241,7 +240,7 @@ Point = namedtuple("Point", "dealer recipient value")
 def dealt(poly, k, params):
     """An honest dealer's share for party k: P(k) mod q when hardened, the
     exact integer P(k) otherwise."""
-    return eval_integer(poly, k) % params.q if params.q else eval_integer(poly, k)
+    return horner(poly.coeffs, k) % params.q if params.q else horner(poly.coeffs, k)
 
 
 def per_share(shares, commits, params):
@@ -289,8 +288,8 @@ class TestVerifyRow:
 
     def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
         poly = mkpoly([3, 4], 11)
-        shares = [Share(1, k, eval_integer(poly, k) % 11) for k in (1, 2, 3)]
-        shares.append(Share(1, 4, eval_integer(poly, 4) % 11 + 11))
+        shares = [Share(1, k, horner(poly.coeffs, k) % 11) for k in (1, 2, 3)]
+        shares.append(Share(1, 4, horner(poly.coeffs, 4) % 11 + 11))
         commits = commit(poly, p23q11)
         assert verify_row(shares, commits, p23q11) == (True, True, True, False)
         assert share_checks == []
@@ -382,7 +381,7 @@ class TestRowEvaluations:
         poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
         # the false-share dealer's shift: congruent mod d = p - 1, so every
         # share passes, but Q through the first t misses the commitments
-        shares = [Share(1, k, eval_integer(poly, k) + params.p - 1) for k in range(1, 8)]
+        shares = [Share(1, k, horner(poly.coeffs, k) + params.p - 1) for k in range(1, 8)]
         assert verify_row(shares, commit(poly, params), params) == (True,) * 7
         assert evaluated == []
         assert share_checks == [(1, k) for k in range(1, 8)]
