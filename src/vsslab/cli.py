@@ -10,11 +10,14 @@ once. `-h` or `--help` prints usage to stdout and exits 0.
 
 Exit codes: 0 when the run assembled the key (or the subcommand simply
 succeeded), 2 when the key was blocked, 1 for usage, config, or
-verification errors.
+verification errors. A command whose output cannot be written because
+stdout was closed exits 1 with one `error:` line.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 from types import SimpleNamespace
 
@@ -177,6 +180,8 @@ def _cmd_run(args) -> int:
         print(f"transcript written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
+        # a closed stdout fails here, before the verdict, as an unwritable --out does
+        sys.stdout.flush()
     print(f"verdict: {report.verdict.value}", file=sys.stderr)
     return 0 if report.verdict is Verdict.KEY_ASSEMBLED else 2
 
@@ -269,5 +274,29 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The `vsslab` process: main() on sys.argv, then exit with its code.
+
+    main() is the in-process API and leaves the caller's collector alone.
+    Here the process is about to end, so gc.freeze() moves every tracked
+    object to the permanent generation, which the collections run at
+    finalization skip, and the OS takes the memory back. atexit
+    handlers, stream flushes and file closes still run. A stdout whose
+    reader has gone gives one error line and exit 1, as the Python docs'
+    note on SIGPIPE advises."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; that write goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

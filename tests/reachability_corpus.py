@@ -4,8 +4,9 @@
 
 A sys.settrace tracer is installed before vsslab is imported, so module
 bodies are traced too. Then every path below runs the way a user runs
-it: the CLI through its main(), `python -m vsslab.cli`, the README's
-scripts, and the library calls the benchmark and the scenarios make.
+it: the CLI through its main(), `python -m vsslab.cli`, its process
+entry with a closed stdout, the README's scripts, and the library calls
+the benchmark and the scenarios make.
 Each step checks its exit code or result, so a step that goes wrong
 fails here instead of quietly reaching less. The output is one JSON
 object on stdout: "lines" maps each file of src/vsslab to the lines
@@ -14,6 +15,7 @@ pairs its frames stepped through, with 0 for the return.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -84,12 +86,14 @@ def cli(*argv, code=0):
         expect(main(list(argv)), code, "vsslab " + " ".join(argv))
 
 
-def as_main(run, argv):
-    """The exit code of run() with sys.argv set to argv, as a script would see it."""
+def as_main(run, argv, stdout=None):
+    """The exit code of run() with sys.argv set to argv, as a script would
+    see it; its output goes to stdout, discarded when None."""
     saved = sys.argv
     sys.argv = list(argv)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with (contextlib.redirect_stdout(stdout or io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO())):
             run()
     except SystemExit as exc:
         return exc.code
@@ -103,6 +107,29 @@ def module_entry_point():
     code = as_main(lambda: runpy.run_module("vsslab.cli", run_name="__main__"),
                    ["vsslab", "run", "-h"])
     expect(code, 0, "python -m vsslab.cli run -h")
+    # the process entry when the reader of stdout has gone
+    from vsslab.cli import entry
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        code = as_main(entry, ["vsslab", "--help"], stdout=ClosedPipe(devnull))
+    finally:
+        os.close(devnull)
+    expect(code, 1, "vsslab --help with a closed stdout")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is fd, which the process entry points at os.devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self.fd
 
 
 def scenarios():

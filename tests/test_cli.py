@@ -1,7 +1,9 @@
 """Command line behaviour: exit codes, transcript files, the size demo."""
 
+import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,9 @@ from vsslab.cli import main
 from vsslab.protocol import SCENARIO_NAMES, build_scenario
 from vsslab.registry import get_params
 from vsslab.transcript import canonical_json
+
+# the directory a fresh `python -S` child imports vsslab from
+SRC = str(Path(cli.__file__).parent.parent)
 
 
 def run_cli(*argv):
@@ -171,10 +176,59 @@ def test_verify_in_a_fresh_process_words_malformed_json_as_json_does(tmp_path, t
     result = subprocess.run(
         [sys.executable, "-S", "-m", "vsslab.cli", "verify", str(path)],
         capture_output=True, text=True, encoding="utf-8",
-        env={"PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        env={"PYTHONPATH": SRC},
     )
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == f"FAIL: not valid JSON: {refused.value}\n"
+
+
+def test_the_process_entry_freezes_the_collector(tmp_path):
+    # a fresh process, so that nothing before the entry has frozen it
+    child = """if True:
+        import gc, runpy, sys
+        before = gc.get_freeze_count()
+        sys.argv = ["vsslab", "run", "--scenario", "false-share", "--seed", "7",
+                    "--out", sys.argv[1]]
+        try:
+            runpy.run_module("vsslab.cli", run_name="__main__")
+        except SystemExit as exc:
+            print(exc.code, before, gc.get_freeze_count())
+    """
+    out = tmp_path / "t.json"
+    result = subprocess.run([sys.executable, "-S", "-c", child, str(out)], capture_output=True,
+                            text=True, env={"PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    code, before, after = map(int, result.stdout.split())
+    assert (code, before) == (2, 0)
+    assert after > 0
+    assert out.exists()
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli("--help") == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["run", "--scenario", "honest", "--seed", "1"], ["demo-integer-commitments"],
+], ids=["help", "run", "demo"])
+def test_a_closed_stdout_is_one_error_line(argv):
+    # stdout is a pipe whose reader has gone, so every write to it fails
+    # with EPIPE; stdout is block-buffered, as a pipe is unless
+    # PYTHONUNBUFFERED is set, so the failure may come at the last flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-S", "-m", "vsslab.cli", *argv],
+                                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                env={"PYTHONPATH": SRC})
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert result.stderr.startswith("error: cannot write to stdout: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
 def test_verify_missing_file_is_usage_error(capsys):
