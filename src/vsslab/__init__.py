@@ -45,7 +45,6 @@ from .rng import SplitMix64, substream
 from .transcript import audit_transcript, canonical_json, render_report, report_to_dict
 from .vss import (
     CommitmentVector,
-    Share,
     aggregate_public_key,
     commit,
     commit_integer,

@@ -20,7 +20,7 @@ from enum import Enum
 
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
-from .record import coerce_enum, record
+from .record import check_int, coerce_enum, record
 
 
 class StrategyKind(str, Enum):
@@ -37,7 +37,7 @@ class ForgeryStrategy:
 
     def __post_init__(self):
         coerce_enum(self, "kind", StrategyKind, ConfigInvalid, "forgery strategy kind")
-        if self.multiplier < 1:
+        if check_int(self.multiplier, "forgery multiplier") < 1:
             raise ConfigInvalid("forgery multiplier must be at least 1")
 
     def shift(self, params: GroupParams) -> int:

@@ -3,11 +3,11 @@
 Party ids double as evaluation points (party i holds P(i) from every
 dealer). A scenario run is a pure function of its config: every random
 draw comes from per-dealer substreams of the config seed, shares travel
-in rows (row i - 1 holds dealer i's shares to parties 1..n, as row
-i - 1 of the verification matrix holds their verdicts), and equal
-configs produce byte-identical reports. There is no complaint round; a
-failed verification marks the dealer in the report and the recipient
-simply never reuses that share.
+as plain values in rows (row i - 1 holds dealer i's values, the one at
+index k - 1 sent to party k, as row i - 1 of the verification matrix
+holds their verdicts), and equal configs produce byte-identical
+reports. There is no complaint round; a failed verification marks the
+dealer in the report and the recipient simply never reuses that share.
 
 The group key storyline: the group secret is the sum of dealer secrets
 and the matching public key is the product of constant-term commitments,
@@ -36,10 +36,10 @@ from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import check_abscissas, evaluate, interpolate, lagrange_weights, sample_polynomial
-from .record import coerce_enum, record
+from .record import check_int, coerce_enum, record
 from .registry import get_params
 from .rng import substream
-from .vss import CommitmentVector, Share, aggregate_public_key, commit, verify_row
+from .vss import CommitmentVector, aggregate_public_key, check_values, commit, verify_row
 
 # Every dealer's pool can hold all n shares, and an inconsistent pool (its
 # shares do not lie on one polynomial) with no passing subset records
@@ -78,7 +78,7 @@ class Behavior:
 
     def __post_init__(self):
         coerce_enum(self, "kind", BehaviorKind, ConfigInvalid, "behavior kind")
-        targets = tuple(sorted(self.targets))
+        targets = tuple(sorted(check_int(k, "a target") for k in self.targets))
         object.__setattr__(self, "targets", targets)
         # a repeated target would give one ceremony a second transcript
         for a, b in zip(targets, targets[1:]):
@@ -126,11 +126,12 @@ class GenSpec:
     mode: Mode
 
     def __post_init__(self):
+        check_int(self.bits, "bits")
         coerce_enum(self, "mode", Mode, ConfigInvalid, "mode")
 
 
 def _check_party_count(n: int) -> None:
-    if n < 2:
+    if check_int(n, "n") < 2:
         raise ConfigInvalid(f"need at least 2 parties, got n={n}")
     if n > MAX_PARTIES:
         raise ConfigInvalid(f"at most {MAX_PARTIES} parties are supported, got n={n}")
@@ -144,6 +145,10 @@ class ScenarioConfig:
     params_ref: "str | GenSpec"
     behaviors: Mapping[int, Behavior]
     seed: int
+
+    def __post_init__(self):
+        for name in ("n", "t", "seed"):  # before parameter generation reads them
+            check_int(self.__dict__[name], name)
 
     def validate(self, params: GroupParams) -> None:
         _check_party_count(self.n)
@@ -218,7 +223,7 @@ class ForgeryAttempt:
 @record
 class DealingRound:
     commitments: tuple[CommitmentVector, ...]
-    shares: tuple[tuple[Share, ...], ...]  # row d - 1: dealer d's shares to parties 1..n
+    shares: tuple[tuple[int, ...], ...]  # row d - 1: dealer d's share values to parties 1..n
     forgery_attempts: tuple[ForgeryAttempt, ...]
 
 
@@ -259,7 +264,7 @@ class ScenarioReport:
     config: ScenarioConfig
     params: GroupParams
     commitments: tuple[CommitmentVector, ...]
-    shares: tuple[tuple[Share, ...], ...]  # as in DealingRound
+    shares: tuple[tuple[int, ...], ...]  # as in DealingRound
     forgery_attempts: tuple[ForgeryAttempt, ...]
     verification_matrix: tuple[tuple[bool, ...], ...]
     aggregate_public_key: int
@@ -281,6 +286,16 @@ def _aligned(*sequences):
     if len({len(s) for s in sequences}) > 1:
         raise VsslabError("per-dealer inputs differ in length: "
                           + ", ".join(str(len(s)) for s in sequences))
+    return sequences
+
+
+def _by_dealer(*sequences):
+    """_aligned(*sequences), whose last holds the commitment vectors. The
+    dealer rule: VsslabError unless vector i is dealer i + 1's, row i's."""
+    sequences = _aligned(*sequences)
+    for dealer, cv in enumerate(sequences[-1], 1):
+        if cv.dealer != dealer:
+            raise VsslabError(f"row {dealer} checked against commitments of dealer {cv.dealer}")
     return sequences
 
 
@@ -325,8 +340,7 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
                 values[recipient - 1] += shift
                 attempts.append(ForgeryAttempt(dealer=dealer, recipient=recipient,
                                                strategy=behavior.strategy, outcome=outcome))
-        rows.append(tuple(Share(dealer=dealer, recipient=recipient, value=value)
-                          for recipient, value in zip(parties, values)))
+        rows.append(tuple(values))
     return DealingRound(
         commitments=tuple(commitments),
         shares=tuple(rows),
@@ -337,22 +351,21 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
 def run_verification_round(rows, commitments, params: GroupParams):
     """n x n matrix: entry [dealer-1][recipient-1] says the share verified.
 
-    rows[i] is dealer i + 1's row of shares to parties 1..n, and
-    commitments[i] its commitment vector; each pair is decided by
-    verify_row. A count of rows that differs from the count of
-    commitment vectors raises VsslabError.
+    rows[i] is dealer i + 1's row of share values to parties 1..n, and
+    commitments[i] its commitment vector (_by_dealer); each pair is
+    decided by verify_row. Counts that differ raise VsslabError.
     """
-    return tuple(verify_row(row, cv, params) for row, cv in zip(*_aligned(rows, commitments)))
+    return tuple(verify_row(row, cv, params) for row, cv in zip(*_by_dealer(rows, commitments)))
 
 
-def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
-    """Attempts to rebuild dealer commits.dealer's secret from a pool of its shares.
+def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
+    """Attempts to rebuild dealer commits.dealer's secret from the values ys
+    its shares gave parties xs.
 
-    A pool whose recipients repeat, or reach the interpolation field's
-    modulus, raises VsslabError: it is no polynomial's shares, whatever
-    one of its subsets rebuilds. With t = len(commits.c), the pool's
-    t-subsets are tried in lexicographic order. A subset's value is
-    sum_i y_i * w_i mod the interpolation field, over the share values
+    Unequal lengths, a negative value or recipients that repeat or
+    reach the field's modulus raise VsslabError. The t-subsets, t =
+    len(commits.c), are tried in lexicographic order. A subset's value
+    is sum_i y_i * w_i mod the interpolation field, over the values
     reduced into the field and the Lagrange weights of its recipients,
     and it passes when g**value matches the dealer's constant-term
     commitment. Honest shares always pass; forged ones corrupt value and
@@ -368,13 +381,12 @@ def reconstruct_pool(pool, commits: CommitmentVector, params: GroupParams):
     subsets are enumerated, and a pool with no passing subset lists all
     C(len(pool), t) of them.
     """
-    pool = commits.check_dealer(pool)
+    xs, ys = _aligned(xs, ys)
     t = len(commits.c)
     m = params.field_modulus
-    xs = tuple(s.recipient for s in pool)
     if xs:
         check_abscissas(xs, m)
-    ys = [s.value % m for s in pool]
+    ys = [y % m for y in check_values(ys)]
     testable = len(xs) > t
     attempts = []
     for subset, values in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
@@ -394,27 +406,25 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
                              params: GroupParams):
     """Per-dealer reconstruction attempts over the share pool.
 
-    The pool for dealer i is its row of shares less those of parties
-    that withhold at assembly or rejected the share at verification
-    time, and reconstruct_pool decides it: the attempts up to and
-    including the first passing subset, one attempt for a failing pool
-    on one polynomial, or every subset of an inconsistent pool when none
-    passes, so the recovered secret is read off the last attempt. The
-    weight tables and bases come from poly's bounded cache (see the note
-    above poly.lagrange_weights).
+    The pool for dealer i is the parties of its row less those that
+    withhold at assembly or rejected the share at verification time, and
+    reconstruct_pool decides it with their values: the attempts up to
+    and including the first passing subset, one attempt for a failing
+    pool on one polynomial, or every subset of an inconsistent pool when
+    none passes, so the recovered secret is read off the last attempt.
+    The inputs align as in run_verification_round. The weight tables and
+    bases come from poly's bounded cache (see poly.lagrange_weights).
     """
-    withholders = {
-        pid for pid, b in config.behaviors.items() if b.withholds_at_assembly
-    }
-    rows, matrix, commitments = _aligned(dealing.shares, matrix, dealing.commitments)
-    pools = (tuple(s for s, ok in zip(*_aligned(row, accepted))
-                   if ok and s.recipient not in withholders)
-             for row, accepted in zip(rows, matrix))
-    return tuple(
-        DealerReconstruction(dealer=cv.dealer, pool=tuple(s.recipient for s in pool),
-                             attempts=reconstruct_pool(pool, cv, params))
-        for pool, cv in zip(pools, commitments)
-    )
+    withholders = {pid for pid, b in config.behaviors.items() if b.withholds_at_assembly}
+    rows, matrix, commitments = _by_dealer(dealing.shares, matrix, dealing.commitments)
+    reconstructions = []
+    for row, accepted, cv in zip(rows, matrix, commitments):
+        row, accepted = _aligned(row, accepted)
+        pool = tuple(k for k, ok in enumerate(accepted, 1) if ok and k not in withholders)
+        reconstructions.append(DealerReconstruction(
+            dealer=cv.dealer, pool=pool,
+            attempts=reconstruct_pool(pool, [row[k - 1] for k in pool], cv, params)))
+    return tuple(reconstructions)
 
 
 def assemble_group_key(reconstructions, commitments, params: GroupParams, matrix) -> Assembly:

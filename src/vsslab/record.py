@@ -6,8 +6,10 @@ takes the fields by position or keyword and then runs __post_init__
 when the class defines one, equality between records of the same class
 only, a hash that agrees with it, a repr, and assignment that raises.
 Nothing is compiled from source, so defining a record costs
-microseconds and imports nothing.
+microseconds and imports no standard-library module.
 """
+
+from .errors import ConfigInvalid
 
 _set_dict = object.__setattr__
 
@@ -31,6 +33,14 @@ def coerce_enum(obj, name, enum, error, noun):
         obj.__dict__[name] = enum(value)
     except ValueError:
         raise error(f"unknown {noun} {value!r}") from None
+
+
+def check_int(value, noun):
+    """value if it is an int itself, not a bool or float, as a transcript's
+    decoder reads it; else ConfigInvalid("NOUN must be an integer ...")."""
+    if type(value) is not int:
+        raise ConfigInvalid(f"{noun} must be an integer, got {value!r}")
+    return value
 
 
 def record(cls):

@@ -5,12 +5,12 @@ whitespace, one newline at the end), there are no timestamps, every
 field-sized integer is a decimal string (seeds and share values can
 exceed what JSON numbers hold), and small structural integers (party
 ids, n, t) stay as JSON numbers. Equal reports serialize to identical
-bytes, which is what makes the tamper check meaningful. Shares are
-written once each, in the rows the report holds them, one per dealer as
-commitments are: "shares": {"<dealer>": [value to party 1, ..., value
-to party n]}. A share is forged exactly when forgery_attempts has an
-entry for its (dealer, recipient) whose outcome is "forged", and that
-entry names the strategy. Each dealer's reconstruction lists the
+bytes, which is what makes the tamper check meaningful. Share values
+are written once each, in the rows the report holds them, one per
+dealer as commitments are: "shares": {"<dealer>": [value to party 1,
+..., value to party n]}. A share is forged exactly when
+forgery_attempts has an entry for its (dealer, recipient) whose outcome
+is "forged", and that entry names the strategy. Each dealer's reconstruction lists the
 subsets tried, up to the first that passed its commitment check; a
 failing pool whose shares lie on one polynomial lists only its first
 subset, since every other would fail the same way (see
@@ -34,6 +34,7 @@ from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, VsslabError
 from .numtheory import Mode
 from .protocol import (
+    MAX_PARTIES,
     Behavior,
     BehaviorKind,
     GenSpec,
@@ -109,7 +110,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
             str(cv.dealer): [str(c) for c in cv.c] for cv in report.commitments
         },
         "shares": {
-            str(dealer): [str(s.value) for s in row]
+            str(dealer): [str(v) for v in row]
             for dealer, row in enumerate(report.shares, 1)
         },
         "forgery_attempts": [
@@ -183,6 +184,14 @@ def _enum(cls, value, where: str):
         raise ConfigInvalid(f"{where} has unknown value {_brief(text)}") from None
 
 
+def _parties(value, kind: type, where: str):
+    """_typed(value, kind, where), with no more entries than a config has parties."""
+    if len(_typed(value, kind, where)) > MAX_PARTIES:
+        raise ConfigInvalid(f"{where} has {len(value):,} entries, more than the "
+                            f"{MAX_PARTIES} parties a config can hold")
+    return value
+
+
 def _strategy_from_dict(doc: dict, where: str) -> ForgeryStrategy:
     return ForgeryStrategy(
         kind=_enum(StrategyKind, doc.get("kind"), f"{where}.kind"),
@@ -195,7 +204,7 @@ def _behavior_from_dict(doc: dict, where: str) -> Behavior:
     if kind is not BehaviorKind.FALSE_SHARE_DEALER:
         return Behavior(kind=kind)
     targets = tuple(_typed(pid, int, f"{where}.targets[]")
-                    for pid in _typed(doc.get("targets"), list, f"{where}.targets"))
+                    for pid in _parties(doc.get("targets"), list, f"{where}.targets"))
     strategy = _typed(doc.get("strategy"), dict, f"{where}.strategy")
     return Behavior(kind=kind, strategy=_strategy_from_dict(strategy, f"{where}.strategy"),
                     targets=targets)
@@ -204,8 +213,9 @@ def _behavior_from_dict(doc: dict, where: str) -> Behavior:
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Decode a transcript's config section, checking every field's type first.
 
-    Raises ConfigInvalid on any malformed field; ranges and cross-field
-    constraints are left to ScenarioConfig.validate.
+    Raises ConfigInvalid on any malformed field, and on more behaviors or
+    targets than MAX_PARTIES before any record is built; ranges and
+    cross-field constraints are left to ScenarioConfig.validate.
     """
     _typed(doc, dict, "config")
     ref_doc = _typed(doc.get("params_ref"), dict, "config.params_ref")
@@ -217,7 +227,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             mode=_enum(Mode, ref_doc.get("mode"), "config.params_ref.mode"),
         )
     behaviors = {}
-    for pid, behavior in _typed(doc.get("behaviors"), dict, "config.behaviors").items():
+    for pid, behavior in _parties(doc.get("behaviors"), dict, "config.behaviors").items():
         where = f"config.behaviors.{pid}"
         behaviors[_decimal(pid, f"party id of {where}")] = _behavior_from_dict(
             _typed(behavior, dict, where), where

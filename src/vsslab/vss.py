@@ -26,9 +26,8 @@ from .record import record
 
 @record
 class CommitmentVector:
-    """Public commitments c_j = g**a_j mod p, one per coefficient. The dealer
-    rule: a share is checked only against its own dealer's commitments, and
-    check_dealer enforces it for every check that reads a share."""
+    """Public commitments c_j = g**a_j mod p, one per coefficient, that
+    dealer broadcasts for its row of shares (protocol._by_dealer)."""
 
     dealer: int
     c: tuple[int, ...]
@@ -38,35 +37,14 @@ class CommitmentVector:
         if len(self.c) < 1:
             raise VsslabError("commitment vector cannot be empty")
 
-    def check_dealer(self, shares) -> tuple[Share, ...]:
-        """shares as a tuple; VsslabError if another dealer dealt one of them."""
-        shares = tuple(shares)
-        for s in shares:
-            if s.dealer != self.dealer:
-                raise VsslabError(
-                    f"share from dealer {s.dealer} checked against commitments of {self.dealer}"
-                )
-        return shares
 
-
-@record
-class Share:
-    """One dealt share.
-
-    value is unbounded in vulnerable mode (the dealer sends the exact
-    integer P(k)) and lies below q in hardened mode. Which shares a
-    ceremony forged, and how, is in its ScenarioReport.forgery_attempts.
-    """
-
-    dealer: int
-    recipient: int
-    value: int
-
-    def __post_init__(self):
-        if self.recipient < 1:
-            raise VsslabError("recipient ids start at 1")
-        if self.value < 0:
-            raise VsslabError("share values are non-negative")
+def check_values(values) -> tuple[int, ...]:
+    """values as a tuple; VsslabError if one is negative. A share value is
+    an exact P(k), maybe shifted, or its residue below q: never below 0."""
+    values = tuple(values)
+    if values and min(values) < 0:
+        raise VsslabError("share values are non-negative")
+    return values
 
 
 def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
@@ -86,8 +64,8 @@ def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
     )
 
 
-def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -> bool:
-    """Check g**value against the commitment product at the share's point.
+def verify_share(k: int, value: int, commits: CommitmentVector, params: GroupParams) -> bool:
+    """Check g**value against the commitment product at party k's point.
 
     The left side is GroupParams.g_pow, which reduces the exponent mod
     d = ord(g) and so never changes g**value. The right side
@@ -96,26 +74,25 @@ def verify_share(share: Share, commits: CommitmentVector, params: GroupParams) -
     inside the subgroup of g or not. For commitments to a polynomial P,
     acceptance is therefore exactly the congruence value == P(k) (mod d).
     """
-    commits.check_dealer((share,))
-    k = share.recipient
+    check_values((value,))
     if not 0 < k < params.p:
         raise VsslabError(f"evaluation point {k} outside (0, p)")
-    left = params.g_pow(share.value)
     right = 1
     for c_j in reversed(commits.c):
         right = pow(right, k, params.p) * c_j % params.p
-    return left == right
+    return params.g_pow(value) == right
 
 
-def range_check(share: Share, params: GroupParams) -> bool:
-    """Hardened-mode acceptance of the share's numeric range (value < q).
+def range_check(value: int, params: GroupParams) -> bool:
+    """Hardened-mode acceptance of a share value's numeric range (value < q).
 
     Raises VsslabError on vulnerable parameters: exact integer shares are
     unbounded there, so no range test exists.
     """
     if params.mode is not Mode.HARDENED:
         raise VsslabError("range check only exists in hardened mode")
-    return share.value < params.q
+    check_values((value,))
+    return value < params.q
 
 
 def commitment_in_group(commits: CommitmentVector, params: GroupParams) -> bool:
@@ -123,58 +100,51 @@ def commitment_in_group(commits: CommitmentVector, params: GroupParams) -> bool:
     return all(pow(c_j, params.d, params.p) == 1 for c_j in commits.c)
 
 
-def verify_row(shares, commits: CommitmentVector, params: GroupParams) -> tuple[bool, ...]:
-    """Acceptance of each of one dealer's shares, in order.
+def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[bool, ...]:
+    """Acceptance of each value of one dealer's row, in order: values[k - 1]
+    went to party k.
 
-    With t = len(commits.c), a row of fewer than t shares raises
-    VsslabError, and so does one whose recipients repeat or fall outside
-    (0, field_modulus), with the message reconstruct_pool gives for such
-    a pool (poly.check_abscissas).
+    With t = len(commits.c), a row shorter than t, a negative value
+    (check_values) or a row that reaches the interpolation field's
+    modulus (poly.check_abscissas: party ids are its nonzero elements)
+    raises VsslabError.
 
     Every entry equals the per-share verdict: commitment_in_group, then
     range_check, then verify_share in hardened mode; verify_share alone
-    in vulnerable mode. The row check interpolates b_0..b_{t-1} over the
-    field from the first t shares and tests g**b_j == c_j for every j:
-    one row of t powers of g (GroupParams.g_pows) instead of about one
-    full power per share. An honest row's b_j are its dealer's
-    coefficients, whose row commit cached, so its check computes no
-    power of g; a forger's row misses the cache. When all t hold,
-    prod_j c_j**(k**j) is g**Q(k) for Q = sum_j b_j x**j, so a share
-    passes verify_share exactly when value == Q(k) (mod d), and
-    commitment_in_group holds because every c_j is a power of g. The
-    interpolation only proposes the b_j; the t commitment checks decide.
-    Q(x_i) == value_i (mod field_modulus) for the first t shares, so
-    when field_modulus == d (hardened mode) their congruence holds by
-    construction and Q is evaluated only at the others; in vulnerable
-    mode it is evaluated at every share. Those exact values come from
-    one poly.evaluate call. range_check still runs on every share. A
-    row whose b_j misses its commitment (a forger's row) is checked
-    share by share instead. The b_j come from poly.interpolate, whose
-    basis cache lets rows at one abscissa set share it; evaluate's
-    power table is shared the same way by rows with one set of
-    recipients.
+    in vulnerable mode. The row check interpolates Q = sum_j b_j x**j
+    over the field through the first t values and tests g**b_j == c_j
+    for every j: one row of t powers of g (GroupParams.g_pows), which an
+    honest row finds in the cache commit filled. When all t hold,
+    prod_j c_j**(k**j) is g**Q(k), so a value passes verify_share exactly
+    when it is Q(k) mod d, and commitment_in_group holds: the
+    interpolation only proposes the b_j, the t commitment checks decide.
+    Q meets the first t values mod the field modulus, which is d in
+    hardened mode, so there Q is evaluated (one poly.evaluate call) only
+    at the other parties, and in vulnerable mode at every party.
+    range_check still runs on every value. A row whose b_j miss its
+    commitments (a forger's row) is checked share by share instead.
     """
-    shares = commits.check_dealer(shares)
+    values = check_values(values)
     t = len(commits.c)
-    if len(shares) < t:
-        raise VsslabError(f"a row of {len(shares)} shares is shorter than the threshold {t}")
+    if len(values) < t:
+        raise VsslabError(f"a row of {len(values)} shares is shorter than the threshold {t}")
     m = params.field_modulus
-    xs = tuple(s.recipient for s in shares)
+    xs = range(1, len(values) + 1)
     check_abscissas(xs, m)
     hardened = params.mode is Mode.HARDENED
-    b = interpolate(xs[:t], (s.value for s in shares[:t]), m)
+    b = interpolate(xs[:t], values[:t], m)
     if params.g_pows(b) == commits.c:
         # Q passes through the first t values mod m, so when m == d their
         # congruence holds already; Q(k) exactly, reduced once, for the rest
         on_q = t if m == params.d else 0
-        agree = (True,) * on_q + tuple((s.value - q_k) % params.d == 0 for s, q_k in
-                                       zip(shares[on_q:], evaluate(b, xs[on_q:], m)))
-        return tuple((not hardened or range_check(s, params)) and ok
-                     for s, ok in zip(shares, agree))
+        agree = (True,) * on_q + tuple((v - q_k) % params.d == 0 for v, q_k in
+                                       zip(values[on_q:], evaluate(b, xs[on_q:], m)))
+        return tuple((not hardened or range_check(v, params)) and ok
+                     for v, ok in zip(values, agree))
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(
-        in_group and (not hardened or range_check(s, params)) and verify_share(s, commits, params)
-        for s in shares
+        in_group and (not hardened or range_check(v, params))
+        and verify_share(k, v, commits, params) for k, v in zip(xs, values)
     )
 
 

@@ -47,9 +47,9 @@ def share_checks(monkeypatch):
     calls = []
     original = vss.verify_share
 
-    def counting(share, commits, params):
-        calls.append((share.dealer, share.recipient))
-        return original(share, commits, params)
+    def counting(k, value, commits, params):
+        calls.append((commits.dealer, k))
+        return original(k, value, commits, params)
 
     monkeypatch.setattr(vss, "verify_share", counting)
     return calls

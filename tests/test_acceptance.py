@@ -28,7 +28,6 @@ from vsslab.transcript import canonical_json
 from vsslab.vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
     PROJECTION_EXPONENT_LOG2,
-    Share,
     commit,
     commit_integer,
     projected_bit_length,
@@ -44,12 +43,11 @@ def test_criterion_1_pinned_worked_example():
     commits = commit(poly, params)
     assert commits.c == (8, 5)
 
-    honest = Share(dealer=1, recipient=2, value=11)
     assert horner(poly.coeffs, 2) == 11
-    assert verify_share(honest, commits, params)
+    assert verify_share(2, 11, commits, params)
 
-    forged = Share(dealer=1, recipient=2, value=21)
-    assert verify_share(forged, commits, params)
+    # the forged share 21 = 11 + (p - 1)
+    assert verify_share(2, 21, commits, params)
 
     recovered = lagrange_zero([(1, 7), (2, 10)], 11)
     assert recovered == 4
@@ -78,9 +76,10 @@ def test_criterion_2_honest_pipeline_two_hundred_runs():
         # every t-subset of every dealer's shares lands exactly on the secret
         assert len(report.shares) == n
         for dealer, row in enumerate(report.shares, 1):
-            assert [(s.dealer, s.recipient) for s in row] == [(dealer, k) for k in range(1, n + 1)]
+            # row dealer - 1 holds the values to parties 1..n, in order
+            assert len(row) == n
             secret = sample_polynomial(t, params.p, dealer, substream(seed, dealer)).secret
-            pts = [(s.recipient, s.value % params.p) for s in row]
+            pts = [(k, v % params.p) for k, v in enumerate(row, 1)]
             for subset in itertools.combinations(pts, t):
                 assert lagrange_zero(list(subset), params.p) == secret
 
@@ -99,8 +98,7 @@ def test_criterion_3_verification_congruence_law():
     for k in range(1, 11):
         honest = horner(poly.coeffs, k)
         for candidate in range(0, 50):
-            share = Share(dealer=1, recipient=k, value=candidate)
-            accepted = verify_share(share, commits, params)
+            accepted = verify_share(k, candidate, commits, params)
             assert accepted == (candidate % params.d == honest % params.d), (k, candidate)
 
     # randomized side: 1000 cases with 64-bit candidates
@@ -112,8 +110,7 @@ def test_criterion_3_verification_congruence_law():
         k = rng.randrange(1, params64.p)
         candidate = rng.randbits(64)
         honest = horner(poly64.coeffs, k)
-        share = Share(dealer=1, recipient=k, value=candidate)
-        accepted = verify_share(share, commits64, params64)
+        accepted = verify_share(k, candidate, commits64, params64)
         assert accepted == (candidate % params64.d == honest % params64.d)
 
 
@@ -143,7 +140,7 @@ def test_criterion_5_hardened_impossibility():
         accepted = [
             v
             for v in range(0, 11)
-            if verify_share(Share(dealer=1, recipient=k, value=v), commits, params)
+            if verify_share(k, v, commits, params)
         ]
         assert accepted == [honest], k
 

@@ -37,7 +37,7 @@ from vsslab.protocol import (
 )
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64, substream
-from vsslab.vss import Share, commit, verify_share
+from vsslab.vss import commit, verify_share
 
 from reference_model import predict_corruption
 
@@ -71,21 +71,21 @@ class TestShift:
     def test_worked_example(self, small11):
         poly = mkpoly([3, 4], 11)
         assert ADD1.shift(small11) == 10  # p - 1
-        share = Share(dealer=1, recipient=2, value=forged(poly, 2, small11, ADD1))
-        assert share.value == 21
+        value = forged(poly, 2, small11, ADD1)
+        assert value == 21
         assert horner(poly.coeffs, 2) == 11
-        assert verify_share(share, commit(poly, small11), small11)
+        assert verify_share(2, value, commit(poly, small11), small11)
 
     def test_order_shift_example(self, p23order11):
         # honest P(2) = 5 with coeffs (3, 1); shifting by d=11 gives 16,
         # which passes verification yet differs from 5 mod 22
         poly = mkpoly([3, 1], 23)
         strategy = ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1)
-        share = Share(dealer=1, recipient=2, value=forged(poly, 2, p23order11, strategy))
-        assert share.value == 16
-        assert verify_share(share, commit(poly, p23order11), p23order11)
-        assert share.value % 22 != 5 % 22
-        assert share.value % 11 == 5 % 11
+        value = forged(poly, 2, p23order11, strategy)
+        assert value == 16
+        assert verify_share(2, value, commit(poly, p23order11), p23order11)
+        assert value % 22 != 5 % 22
+        assert value % 11 == 5 % 11
 
     def test_shift_is_the_multiplier_times_the_offset(self, small11, p23order11):
         for m in (1, 2, 7):
@@ -128,22 +128,19 @@ class TestShift:
                 continue
             strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
             for k in (1, 2, 5):
-                share = Share(dealer=1, recipient=k, value=forged(poly, k, params, strat))
-                assert verify_share(share, commits, params)
+                assert verify_share(k, forged(poly, k, params, strat), commits, params)
 
     def test_forgery_attempts_record_the_strategy(self, small11):
         # a ceremony's forgery_attempts say which shares were forged, and
-        # how; the share itself is just its dealer, recipient and value
+        # how; the share itself is just a value in its dealer's row
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 3)
         behaviors = {pid: Behavior() for pid in range(1, 6)}
         behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(3,))
         report = run_scenario(ScenarioConfig("one-forgery", 5, 3, "small11", behaviors, 7))
         assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
         poly = sample_polynomial(3, 11, 1, substream(7, 1))
-        assert report.shares[0][2] == Share(dealer=1, recipient=3,
-                                            value=forged(poly, 3, small11, strat))
-        assert report.shares[0][2] == Share(dealer=1, recipient=3,
-                                            value=horner(poly.coeffs, 3) + 30)
+        assert report.shares[0][2] == forged(poly, 3, small11, strat)
+        assert report.shares[0][2] == horner(poly.coeffs, 3) + 30
 
     @pytest.mark.parametrize("name, params_ref", [("false-share", "small11"),
                                                   ("order-shift", "p23order11"),
@@ -160,8 +157,7 @@ class TestShift:
             ForgeryAttempt(1, k, ADD1, "forgery_impossible") for k in range(2, 8))
         for dealer, row in enumerate(dealing.shares, 1):
             poly = sample_polynomial(4, p23q11.q, dealer, substream(3, dealer))
-            assert [s.value for s in row] == [horner(poly.coeffs, k) % p23q11.q
-                                              for k in range(1, 8)]
+            assert list(row) == [horner(poly.coeffs, k) % p23q11.q for k in range(1, 8)]
 
 
 # registry groups, and vulnerable groups generated at 16-64 bits
@@ -202,7 +198,7 @@ def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
         ForgeryAttempt(1, k, strategy, "forged") for k in sorted(targets))
     for dealer, row in enumerate(dealing.shares, 1):
         poly = sample_polynomial(t, params.p, dealer, substream(seed, dealer))
-        assert [s.value for s in row] == [
+        assert list(row) == [
             horner(poly.coeffs, k) + (shift if dealer == 1 and k in targets else 0)
             for k in range(1, n + 1)]
 
@@ -307,7 +303,7 @@ def test_forged_acceptance_and_prediction_randomized(seed, m):
     commits = commit(poly, params)
     strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
     xs = (1, 2)
-    shares = [Share(dealer=1, recipient=k, value=forged(poly, k, params, strat)) for k in xs]
-    assert all(verify_share(s, commits, params) for s in shares)
-    pts = [(k, s.value % params.p) for k, s in zip(xs, shares)]
+    values = [forged(poly, k, params, strat) for k in xs]
+    assert all(verify_share(k, v, commits, params) for k, v in zip(xs, values))
+    pts = [(k, v % params.p) for k, v in zip(xs, values)]
     assert lagrange_zero(pts, params.p) == (poly.secret - m) % params.p

@@ -4,8 +4,8 @@ import itertools
 import json
 import random
 import time
-from collections import namedtuple
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +49,6 @@ from vsslab.rng import substream
 from vsslab.transcript import audit_transcript, canonical_json, render_report
 from vsslab.vss import (
     CommitmentVector,
-    Share,
     commit,
     commitment_in_group,
     range_check,
@@ -318,6 +317,53 @@ class TestConfigValidation:
         assert report.verdict is Verdict.KEY_ASSEMBLED
 
 
+def forger(strategy=None, targets=(2, 3)):
+    """small11 3/2 with party 1 forging to targets, seed 7."""
+    behaviors = {pid: Behavior() for pid in range(1, 4)}
+    behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, targets=targets,
+                            strategy=strategy or ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE))
+    return ScenarioConfig("custom", 3, 2, "small11", behaviors, 7)
+
+
+# Every integer field of a config, given as a bool or a float: a transcript
+# can hold neither, so the config must not run
+NOT_AN_INT = {
+    "seed-bool": (lambda: build_scenario("honest", seed=True), "seed .* got True"),
+    "seed-float": (lambda: build_scenario("honest", seed=7.0), "seed .* got 7.0"),
+    "seed-float-generated": (
+        lambda: build_scenario("honest", seed=7.5, params_ref=GenSpec(16, Mode.VULNERABLE)),
+        "seed .* got 7.5"),
+    "n-bool": (lambda: build_scenario("honest", seed=7, n=True), "n .* got True"),
+    "n-float": (lambda: build_scenario("honest", seed=7, n=5.0), "n .* got 5.0"),
+    "t-bool": (lambda: build_scenario("honest", seed=7, n=2, t=True), "t .* got True"),
+    "t-float": (lambda: build_scenario("honest", seed=7, t=3.0), "t .* got 3.0"),
+    "multiplier-bool": (
+        lambda: forger(ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, True)),
+        "forgery multiplier .* got True"),
+    "multiplier-float": (
+        lambda: forger(ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1.0)),
+        "forgery multiplier .* got 1.0"),
+    "target-bool": (lambda: forger(targets=(True, 3)), "a target .* got True"),
+    "target-float": (lambda: forger(targets=(2.0, 3)), "a target .* got 2.0"),
+    "bits-bool": (lambda: build_scenario("honest", seed=7, params_ref=GenSpec(True, "vulnerable")),
+                  "bits .* got True"),
+    "bits-float": (lambda: build_scenario("honest", seed=7, params_ref=GenSpec(16.0, "hardened")),
+                   "bits .* got 16.0"),
+}
+
+
+@pytest.mark.parametrize("build, message", NOT_AN_INT.values(), ids=NOT_AN_INT.keys())
+def test_a_config_field_that_is_no_int_is_refused_and_nothing_runs(monkeypatch, build, message):
+    import vsslab.protocol as protocol
+
+    ran = []
+    for name in ("resolve_params", "run_dealing_round"):
+        monkeypatch.setattr(protocol, name, lambda *args, name=name: ran.append(name))
+    with pytest.raises(ConfigInvalid, match=f"^{message}$"):
+        run_scenario(build())
+    assert ran == []
+
+
 class TestDealingShape:
     def test_counts_for_minimal_group(self):
         cfg = build_scenario("honest", seed=5, n=2, t=2)
@@ -328,10 +374,11 @@ class TestDealingShape:
         assert all(len(vec.c) == 2 for vec in report.commitments)
 
     def test_share_order_is_dealer_then_recipient(self):
+        # row d - 1 is dealer d's, and its entry k - 1 the plain value
+        # party k holds
         report = run_scenario(honest_config(n=3, t=2))
-        assert [[(s.dealer, s.recipient) for s in row] for row in report.shares] == [
-            [(d, r) for r in (1, 2, 3)] for d in (1, 2, 3)
-        ]
+        assert [tuple(map(type, row)) for row in report.shares] == [(int, int, int)] * 3
+        assert type(report.shares) is tuple and all(type(row) is tuple for row in report.shares)
 
     def test_dealer_polynomials_come_from_per_dealer_substreams(self):
         report = run_scenario(honest_config())
@@ -340,8 +387,7 @@ class TestDealingShape:
         assert len(report.shares) == 5
         for dealer, row in enumerate(report.shares, 1):
             poly = sample_polynomial(3, params.field_modulus, dealer, substream(7, dealer))
-            assert [s.dealer for s in row] == [dealer] * 5
-            assert [s.value for s in row] == [horner(poly.coeffs, k) for k in range(1, 6)]
+            assert list(row) == [horner(poly.coeffs, k) for k in range(1, 6)]
 
     def test_runs_are_deterministic(self):
         assert run_scenario(honest_config()) == run_scenario(honest_config())
@@ -359,31 +405,27 @@ class TestReconstructPool:
 
     @staticmethod
     def pool(*values):
-        return [Share(dealer=1, recipient=k, value=v) for k, v in enumerate(values, 1)]
+        """Recipients 1..len(values) and their values."""
+        return range(1, len(values) + 1), values
 
     def test_worked_example_honest(self, small11):
-        attempts = reconstruct_pool(self.pool(7, 11), self.worked_commits(small11), small11)
+        attempts = reconstruct_pool(*self.pool(7, 11), self.worked_commits(small11), small11)
         assert attempts == (ReconstructionAttempt((1, 2), 3, True),)
 
     def test_worked_example_corrupted(self, small11):
-        attempts = reconstruct_pool(self.pool(7, 21), self.worked_commits(small11), small11)
+        attempts = reconstruct_pool(*self.pool(7, 21), self.worked_commits(small11), small11)
         assert attempts == (ReconstructionAttempt((1, 2), 4, False),)
 
     def test_a_pool_shorter_than_t_gives_no_attempts(self, small11):
-        assert reconstruct_pool(self.pool(7), self.worked_commits(small11), small11) == ()
-
-    def test_a_share_from_another_dealer_raises(self, small11):
-        shares = [Share(dealer=1, recipient=1, value=7), Share(dealer=2, recipient=2, value=11)]
-        with pytest.raises(VsslabError, match="share from dealer 2 checked against commitments of 1"):
-            reconstruct_pool(shares, self.worked_commits(small11), small11)
+        assert reconstruct_pool(*self.pool(7), self.worked_commits(small11), small11) == ()
 
     def test_one_forged_share_stops_at_the_first_passing_subset(self, small11):
         # P = 3 + 4x; P(3) = 15 forged to 25 (shifted by p - 1 = 10):
         # (1, 2) lands on 3 at once, so the forged share is never tried
-        attempts = reconstruct_pool(self.pool(7, 11, 25), self.worked_commits(small11), small11)
+        attempts = reconstruct_pool(*self.pool(7, 11, 25), self.worked_commits(small11), small11)
         assert attempts == (ReconstructionAttempt((1, 2), 3, True),)
         # with P(1) = 7 forged to 17 instead, its two subsets fail first
-        attempts = reconstruct_pool(self.pool(17, 11, 15), self.worked_commits(small11), small11)
+        attempts = reconstruct_pool(*self.pool(17, 11, 15), self.worked_commits(small11), small11)
         assert [(a.subset, a.commitment_check) for a in attempts] == [
             ((1, 2), False), ((1, 3), False), ((2, 3), True)]
         assert attempts[-1].value == 3
@@ -391,7 +433,7 @@ class TestReconstructPool:
     def test_a_pool_on_one_polynomial_is_decided_by_its_first_subset(self, small11):
         # every share shifted by p - 1 = 10 lies on 2 + 4x mod 11, so each
         # subset rebuilds 2 and fails; only the first is listed
-        attempts = reconstruct_pool(self.pool(17, 21, 25), self.worked_commits(small11), small11)
+        attempts = reconstruct_pool(*self.pool(17, 21, 25), self.worked_commits(small11), small11)
         assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
 
     @pytest.mark.parametrize("dealer", [1, 0, -1])
@@ -400,8 +442,8 @@ class TestReconstructPool:
         # the test that it lies on one polynomial decides it, and a
         # negative id no longer raises when the first subset fails
         commits = CommitmentVector(dealer, self.worked_commits(small11).c)
-        pool = [Share(dealer=dealer, recipient=k, value=3 + 4 * k + 10) for k in (1, 2, 3)]
-        attempts = reconstruct_pool(pool, commits, small11)
+        attempts = reconstruct_pool((1, 2, 3), [3 + 4 * k + 10 for k in (1, 2, 3)], commits,
+                                    small11)
         assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
 
     @pytest.mark.parametrize("recipient, message", [
@@ -409,21 +451,21 @@ class TestReconstructPool:
     def test_a_malformed_pool_on_one_polynomial_still_raises(self, small11, recipient, message):
         # the third share agrees with the line through the first two, so
         # only the abscissa checks of its subsets can refuse the pool
-        third = Share(dealer=1, recipient=recipient, value=21 + 4 * (recipient - 2))
-        shares = self.pool(17, 21) + [third]
+        xs, ys = (1, 2, recipient), (17, 21, 21 + 4 * (recipient - 2))
         with pytest.raises(VsslabError, match=message):
-            reconstruct_pool(shares, self.worked_commits(small11), small11)
+            reconstruct_pool(xs, ys, self.worked_commits(small11), small11)
 
     @pytest.mark.parametrize("third, message", [
-        (Share(dealer=1, recipient=2, value=5), "abscissa 2 appears twice"),
-        (Share(dealer=1, recipient=11, value=47), r"abscissa 11 outside \(0, 11\)"),
+        ((2, 5), "abscissa 2 appears twice"),
+        ((11, 47), r"abscissa 11 outside \(0, 11\)"),
     ], ids=["repeated", "at-p"])
     def test_a_malformed_pool_is_refused_even_when_its_first_subset_passes(
             self, small11, third, message):
         # P = 3 + 4x: (1, 2) holds P(1) = 7 and P(2) = 11 and rebuilds 3,
         # but the third share repeats party 2 or sits at x = p
         with pytest.raises(VsslabError, match=message):
-            reconstruct_pool(self.pool(7, 11) + [third], self.worked_commits(small11), small11)
+            reconstruct_pool((1, 2, third[0]), (7, 11, third[1]), self.worked_commits(small11),
+                             small11)
 
 
 class TestScenarioVerdicts:
@@ -540,6 +582,81 @@ class TestScenarioVerdicts:
         assert pow(params.g, report.group_key, params.p) == report.aggregate_public_key
 
 
+def swapped(commitments):
+    """The commitment vectors of dealers 1 and 2 in each other's places."""
+    return (commitments[1], commitments[0], *commitments[2:])
+
+
+# Every refusal of a share input, by the check that makes it. A row is
+# positional (its value k - 1 went to party k), so only a pool can name
+# repeated recipients or recipients outside the field; a row reaches the
+# field modulus by its length alone.
+REFUSALS = {
+    "point-at-zero": (lambda h: verify_share(0, 3, h.commits, h.small11),
+                      r"evaluation point 0 outside \(0, p\)"),
+    "point-at-p": (lambda h: verify_share(11, 3, h.commits, h.small11),
+                   r"evaluation point 11 outside \(0, p\)"),
+    "short-row": (lambda h: verify_row([7], h.commits, h.small11),
+                  "a row of 1 shares is shorter than the threshold 2"),
+    "row-reaching-the-field-modulus": (lambda h: verify_row([7] * 11, h.commits, h.small11),
+                                       r"abscissa 11 outside \(0, 11\)"),
+    "pool-repeated": (lambda h: reconstruct_pool((1, 1), (7, 7), h.commits, h.small11),
+                      "abscissa 1 appears twice"),
+    "pool-outside-the-field": (lambda h: reconstruct_pool((1, 11), (7, 47), h.commits, h.small11),
+                               r"abscissa 11 outside \(0, 11\)"),
+    "pool-counts-differ": (lambda h: reconstruct_pool((1, 2), (7,), h.commits, h.small11),
+                           "per-dealer inputs differ in length: 2, 1"),
+    "verification-counts-differ": (
+        lambda h: run_verification_round(h.dealing.shares[:-1], h.dealing.commitments, h.params),
+        "per-dealer inputs differ in length: 4, 5"),
+    "reconstruction-counts-differ": (
+        lambda h: run_reconstruction_round(h.dealing, h.matrix[:-1], h.config, h.params),
+        "per-dealer inputs differ in length: 5, 4, 5"),
+    "verification-another-dealer": (
+        lambda h: run_verification_round(h.dealing.shares, swapped(h.dealing.commitments),
+                                         h.params),
+        "row 1 checked against commitments of dealer 2"),
+    "reconstruction-another-dealer": (
+        lambda h: run_reconstruction_round(
+            DealingRound(swapped(h.dealing.commitments), h.dealing.shares,
+                         h.dealing.forgery_attempts), h.matrix, h.config, h.params),
+        "row 1 checked against commitments of dealer 2"),
+    "negative-value-verify-share": (lambda h: verify_share(2, -1, h.commits, h.small11),
+                                    "share values are non-negative"),
+    "negative-value-range-check": (lambda h: range_check(-1, get_params("p23q11")),
+                                   "share values are non-negative"),
+    "negative-value-row": (lambda h: verify_row([7, 11, -1], h.commits, h.small11),
+                           "share values are non-negative"),
+    "negative-value-pool": (lambda h: reconstruct_pool((1, 2), (7, -1), h.commits, h.small11),
+                            "share values are non-negative"),
+    "negative-value-verification": (
+        lambda h: run_verification_round(((-1,) + h.dealing.shares[0][1:],)
+                                         + h.dealing.shares[1:], h.dealing.commitments,
+                                         h.params),
+        "share values are non-negative"),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    """The worked commitments of P = 3 + 4x on small11 (t = 2), and an
+    honest small11 5/3 dealing with its matrix."""
+    config = honest_config(seed=7)
+    params = resolve_params(config)
+    dealing = run_dealing_round(config, params)
+    small11 = get_params("small11")
+    return SimpleNamespace(
+        small11=small11, config=config, params=params, dealing=dealing,
+        commits=commit(SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11), small11),
+        matrix=run_verification_round(dealing.shares, dealing.commitments, params))
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_of_a_share_input_is_kept(inputs, call, message):
+    with pytest.raises(VsslabError, match=message):
+        call(inputs)
+
+
 class TestPerDealerInputs:
     """The rounds pair per-dealer sequences by position, so sequences of
     unequal lengths are refused, not cut to the shortest."""
@@ -586,11 +703,10 @@ class TestVerificationRound:
         p2 = SecretPolynomial(dealer=2, coeffs=(5, 1), field_modulus=11)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
         rows = [
-            [Share(dealer=1, recipient=1, value=horner(p1.coeffs, 1) % 11),
+            [horner(p1.coeffs, 1) % 11,
              # same exponent class but numerically above q: range check trips
-             Share(dealer=1, recipient=2, value=horner(p1.coeffs, 2) % 11 + 11)],
-            [Share(dealer=2, recipient=1, value=horner(p2.coeffs, 1) % 11),
-             Share(dealer=2, recipient=2, value=horner(p2.coeffs, 2) % 11)],
+             horner(p1.coeffs, 2) % 11 + 11],
+            [horner(p2.coeffs, 1) % 11, horner(p2.coeffs, 2) % 11],
         ]
         assert run_verification_round(rows, commits, p23q11) == ((True, False), (True, True))
 
@@ -621,18 +737,13 @@ class TestVerificationRound:
     def test_forgery_attempts_name_the_forged_shares_and_strategy(self):
         report = run_scenario(build_scenario("false-share", seed=7))
         honest = run_scenario(build_scenario("honest", seed=7))
-        changed = {(s.dealer, s.recipient)
-                   for row, honest_row in zip(report.shares, honest.shares)
-                   for s, h in zip(row, honest_row) if s != h}
+        changed = {(dealer, k)
+                   for dealer, (row, honest_row) in enumerate(zip(report.shares, honest.shares), 1)
+                   for k, (v, h) in enumerate(zip(row, honest_row), 1) if v != h}
         assert {(a.dealer, a.recipient) for a in report.forgery_attempts} == changed == {
             (1, k) for k in range(2, 6)}
         assert all(a.outcome == "forged" and a.strategy.kind is StrategyKind.ADD_P_MINUS_ONE
                    and a.strategy.multiplier == 1 for a in report.forgery_attempts)
-
-
-# Share itself refuses recipient 0, so a point set that holds one comes
-# from a caller's own type with the same three fields
-Point = namedtuple("Point", "dealer recipient value")
 
 
 @pytest.mark.parametrize("params_ref, recipients, message", [
@@ -644,32 +755,39 @@ Point = namedtuple("Point", "dealer recipient value")
     # hardened: the field is Z_q, so a recipient below p but not below q
     ("p23q11", (1, 2, 3, 12), r"abscissa 12 outside \(0, 11\)"),
 ], ids=["repeated", "repeated-late", "zero", "at-p", "above-p", "at-q"])
-def test_rows_and_pools_refuse_malformed_recipients_alike(params_ref, recipients, message):
+def test_pools_refuse_malformed_recipients(params_ref, recipients, message):
     params = get_params(params_ref)
     poly = sample_polynomial(3, params.field_modulus, 1, substream(7, 1))
-    shares = [Point(1, k, horner(poly.coeffs, k) % params.field_modulus) for k in recipients]
+    values = [horner(poly.coeffs, k) % params.field_modulus for k in recipients]
+    with pytest.raises(VsslabError, match=message):
+        reconstruct_pool(recipients, values, commit(poly, params), params)
+
+
+@pytest.mark.parametrize("params_ref", ["small11", "p23q11"])
+def test_a_row_and_a_pool_that_reach_the_field_modulus_are_refused_alike(params_ref):
+    # party ids are the field's nonzero elements, so a row of m values
+    # holds one for party m, as the pool of parties 1..m does
+    params = get_params(params_ref)
+    m = params.field_modulus
+    poly = sample_polynomial(3, m, 1, substream(7, 1))
+    values = [horner(poly.coeffs, k) % m for k in range(1, m + 1)]
     commits = commit(poly, params)
-    with pytest.raises(VsslabError, match=message) as row:
-        verify_row(shares, commits, params)
+    with pytest.raises(VsslabError, match=rf"abscissa {m} outside \(0, {m}\)") as row:
+        verify_row(values, commits, params)
     with pytest.raises(VsslabError) as pool:
-        reconstruct_pool(shares, commits, params)
+        reconstruct_pool(range(1, m + 1), values, commits, params)
     assert str(row.value) == str(pool.value)
 
 
-def per_share_matrix(shares, commitments, params):
+def per_share_matrix(rows, commitments, params):
     """The verification matrix as the per-share checks give it: in
     hardened mode commitment_in_group, then range_check, then
     verify_share; in vulnerable mode verify_share alone."""
-    n = len(commitments)
-    by_dealer = {cv.dealer: cv for cv in commitments}
-    matrix = [[False] * n for _ in range(n)]
-    for share in shares:
-        commits = by_dealer[share.dealer]
-        ok = True
-        if params.mode is Mode.HARDENED:
-            ok = commitment_in_group(commits, params) and range_check(share, params)
-        matrix[share.dealer - 1][share.recipient - 1] = ok and verify_share(share, commits, params)
-    return tuple(tuple(row) for row in matrix)
+    hardened = params.mode is Mode.HARDENED
+    return tuple(
+        tuple((not hardened or (commitment_in_group(commits, params) and range_check(v, params)))
+              and verify_share(k, v, commits, params) for k, v in enumerate(row, 1))
+        for row, commits in zip(rows, commitments))
 
 
 @given(st.data())
@@ -684,8 +802,8 @@ def test_verification_round_matches_the_per_share_oracle(data):
     polys = [sample_polynomial(t, params.field_modulus, dealer, substream(seed, dealer))
              for dealer in range(1, n + 1)]
     # honest, the two forgeries, +1 tampering, or a value at or above the
-    # field modulus; rows are positional, so each is complete and in order
-    # (test_vss checks verify_row on arbitrary recipient lists)
+    # field modulus; each row is complete (test_vss checks verify_row on
+    # rows of every length)
     shifts = [0, 0, 0, params.p - 1, params.d, 1, params.field_modulus]
     rows = []
     for poly in polys:
@@ -693,7 +811,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
         for k in range(1, n + 1):
             honest = horner(poly.coeffs, k) % params.q if hardened else horner(poly.coeffs, k)
             shift = data.draw(st.sampled_from(shifts))
-            row.append(Share(dealer=poly.dealer, recipient=k, value=honest + shift))
+            row.append(honest + shift)
         rows.append(row)
     dealt = [commit(poly, params) for poly in polys]
     commitments = []
@@ -708,7 +826,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
             c[j] = dealt[(i + 1) % n].c[j]
         commitments.append(CommitmentVector(dealer=cv.dealer, c=tuple(c)))
     assert run_verification_round(rows, commitments, params) == per_share_matrix(
-        [s for row in rows for s in row], commitments, params)
+        rows, commitments, params)
 
 
 class TestRowCheck:
@@ -955,10 +1073,9 @@ class TestReconstructionMatchesOracle:
                     report = run_scenario(cfg)
                     params = report.params
                     m = params.field_modulus
-                    values = {(s.dealer, s.recipient): s.value % m
-                              for row in report.shares for s in row}
                     for rec, commits in zip(report.reconstructions, report.commitments):
-                        points = [(k, values[rec.dealer, k]) for k in rec.pool]
+                        row = report.shares[rec.dealer - 1]
+                        points = [(k, row[k - 1] % m) for k in rec.pool]
                         oracle = enumerate_pool(points, t, commits, params)
                         first = next((i for i, a in enumerate(oracle) if a.commitment_check),
                                      None)
@@ -999,13 +1116,11 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
     elif shape == "shift-some" and n > 1:
         shifted = data.draw(st.sets(st.sampled_from(recipients), min_size=1, max_size=n - 1))
     shift = data.draw(st.integers(min_value=1, max_value=3 * params.p))
-    pool = [Share(dealer=1, recipient=k,
-                  value=horner(poly.coeffs, k) + (shift if k in shifted else 0))
-            for k in recipients]
+    values = [horner(poly.coeffs, k) + (shift if k in shifted else 0) for k in recipients]
     commits = commit(poly, params)
 
-    attempts = reconstruct_pool(pool, commits, params)
-    points = [(s.recipient, s.value % m) for s in pool]
+    attempts = reconstruct_pool(recipients, values, commits, params)
+    points = [(k, v % m) for k, v in zip(recipients, values)]
     oracle = enumerate_pool(points, t, commits, params)
     first = next((i for i, a in enumerate(oracle) if a.commitment_check), None)
     recovered = DealerReconstruction(1, tuple(recipients), attempts).recovered

@@ -25,7 +25,7 @@ from vsslab.protocol import (
 )
 from vsslab.record import _eq, record
 from vsslab.transcript import render_report
-from vsslab.vss import CommitmentVector, Share
+from vsslab.vss import CommitmentVector
 
 REPORT = run_scenario(build_scenario("false-share", seed=7))
 SAMPLES = [
@@ -33,7 +33,6 @@ SAMPLES = [
     REPORT.config,
     REPORT.params,
     REPORT.commitments[0],
-    REPORT.shares[0][1],  # dealer 1's forged share to party 2
     REPORT.config.behaviors[1],
     REPORT.config.behaviors[1].strategy,
     REPORT.forgery_attempts[0],
@@ -59,7 +58,7 @@ def test_every_record_has_a_sample():
         for obj in vars(module).values()
         if isinstance(obj, type) and obj.__eq__ is _eq
     }
-    assert len(records) == 14
+    assert len(records) == 13
     assert {type(rec) for rec in SAMPLES} == records
 
 
@@ -109,7 +108,7 @@ def test_never_equal_to_a_tuple_or_another_record_type(rec):
 
 
 def test_repr_names_every_field_in_order():
-    assert repr(Share(1, 2, 3)) == "Share(dealer=1, recipient=2, value=3)"
+    assert repr(CommitmentVector(1, (8, 5))) == "CommitmentVector(dealer=1, c=(8, 5))"
     assert repr(REPORT.params) == "GroupParams(p=11, g=2, d=10, mode=<Mode.VULNERABLE: 'vulnerable'>)"
     for rec in SAMPLES:
         text = repr(rec)
@@ -119,21 +118,16 @@ def test_repr_names_every_field_in_order():
 
 
 def test_defaults_apply():
-    # a share is its dealer, recipient and value, with no defaults; the
-    # ceremony's forgery_attempts say whether it was forged
-    with pytest.raises(TypeError, match="takes the fields dealer, recipient, value"):
-        Share(1, 2)
-    with pytest.raises(TypeError, match="takes the fields dealer, recipient, value"):
-        Share(1, 2, 3, None)
+    # a commitment vector is its dealer and entries, with no defaults
+    with pytest.raises(TypeError, match="takes the fields dealer, c"):
+        CommitmentVector(1)
+    with pytest.raises(TypeError, match="takes the fields dealer, c"):
+        CommitmentVector(1, (8, 5), None)
     assert ForgeryStrategy(StrategyKind.ORDER_SHIFT).multiplier == 1
     assert Behavior() == Behavior(BehaviorKind.HONEST, None, ())
 
 
 def test_post_init_checks_and_normalises():
-    with pytest.raises(ValueError):
-        Share(1, 0, 3)
-    with pytest.raises(ValueError):
-        Share(1, 2, -1)
     with pytest.raises(ConfigInvalid):
         ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 0)
     with pytest.raises(ConfigInvalid):

@@ -33,7 +33,6 @@ from vsslab.transcript import (
     render_report,
     report_to_dict,
 )
-from vsslab.vss import Share
 
 # `vsslab run --scenario false-share --seed 7` as schema "3" wrote it, where
 # each share was an object repeating its dealer, recipient and provenance
@@ -189,25 +188,25 @@ def test_every_share_is_rebuilt_from_the_transcript():
         report = run_scenario(config)
         doc = json.loads(render_report(report))
         rows = sorted(doc["shares"].items(), key=lambda item: int(item[0]))
-        rebuilt = tuple(tuple(Share(dealer=int(dealer), recipient=k, value=int(value))
-                              for k, value in enumerate(row, 1))
-                        for dealer, row in rows)
+        assert [int(dealer) for dealer, _ in rows] == list(range(1, config.n + 1))
+        rebuilt = tuple(tuple(map(int, row)) for _, row in rows)
         assert rebuilt == report.shares, config
         forged = {(a["dealer"], a["recipient"]): a["strategy"]
                   for a in doc["forgery_attempts"] if a["outcome"] == "forged"}
         params = report.params
-        for share in (share for row in rebuilt for share in row):
-            poly = sample_polynomial(config.t, params.field_modulus, share.dealer,
-                                     substream(config.seed, share.dealer))
-            strategy = forged.get((share.dealer, share.recipient))
-            honest = horner(poly.coeffs, share.recipient)
-            if strategy is None:
-                assert share.value == (honest if params.q is None else honest % params.q)
-            else:
-                strategy = ForgeryStrategy(StrategyKind(strategy["kind"]),
-                                           int(strategy["multiplier"]))
-                assert share.value == honest + strategy.shift(params)
-                forged_seen += 1
+        for dealer, row in enumerate(rebuilt, 1):
+            poly = sample_polynomial(config.t, params.field_modulus, dealer,
+                                     substream(config.seed, dealer))
+            for k, value in enumerate(row, 1):
+                strategy = forged.get((dealer, k))
+                honest = horner(poly.coeffs, k)
+                if strategy is None:
+                    assert value == (honest if params.q is None else honest % params.q)
+                else:
+                    strategy = ForgeryStrategy(StrategyKind(strategy["kind"]),
+                                               int(strategy["multiplier"]))
+                    assert value == honest + strategy.shift(params)
+                    forged_seen += 1
     # false-share and order-shift forge to n - 1 parties, hardened-attack to none
     assert forged_seen == 2 * 20 * 4 + 3 * 11 + 3 * 15
 
@@ -251,7 +250,7 @@ def test_big_integers_serialize_as_decimal_strings():
     doc = json.loads(render_report(report))
     assert isinstance(doc["params"]["p"], str)
     assert isinstance(doc["shares"]["1"][0], str)
-    assert int(doc["shares"]["1"][0]) == report.shares[0][0].value
+    assert int(doc["shares"]["1"][0]) == report.shares[0][0]
     assert int(doc["params"]["p"]) == report.params.p
 
 
@@ -526,6 +525,28 @@ class TestAudit:
         assert len(problems) == 1
         assert problems[0].startswith("config does not re-run")
         assert "parties" in problems[0]
+
+    @pytest.mark.parametrize("field, size", [("behaviors", 65), ("behaviors", 200_000),
+                                             ("targets", 65)])
+    def test_more_entries_than_parties_are_refused_before_any_behavior_is_built(
+            self, false_share_text, monkeypatch, field, size):
+        import vsslab.transcript as transcript
+
+        built = []
+        monkeypatch.setattr(transcript, "Behavior",
+                            lambda *args, **kwargs: built.append(1) or Behavior(*args, **kwargs))
+        doc = json.loads(false_share_text)
+        if field == "behaviors":
+            doc["config"]["behaviors"] = {str(pid): {"kind": "honest"}
+                                          for pid in range(1, size + 1)}
+            where = "config.behaviors"
+        else:
+            doc["config"]["behaviors"]["1"]["targets"] = list(range(2, size + 2))
+            where = "config.behaviors.1.targets"
+        assert audit_transcript(canonical_json(doc)) == [
+            f"config does not re-run: {where} has {size:,} entries, more than the 64 "
+            "parties a config can hold"]
+        assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ recipient k exactly when v is congruent to the honest evaluation modulo the
 generator's multiplicative order. Everything else here hangs off that law.
 """
 
-from collections import namedtuple
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,6 @@ from vsslab.vss import (
     INTEGER_COMMITMENT_GUARD_BITS,
     PROJECTION_EXPONENT_LOG2,
     CommitmentVector,
-    Share,
     aggregate_public_key,
     commit,
     commit_integer,
@@ -74,28 +71,23 @@ class TestCommit:
 class TestVerifyShare:
     def test_honest_share_accepted(self, small11):
         commits = commit(mkpoly([3, 4], 11), small11)
-        assert verify_share(Share(dealer=1, recipient=2, value=11), commits, small11)
+        assert verify_share(2, 11, commits, small11)
 
     def test_forged_share_accepted(self, small11):
         # 21 = 11 + (p-1): same exponent class, different field element
         commits = commit(mkpoly([3, 4], 11), small11)
-        assert verify_share(Share(dealer=1, recipient=2, value=21), commits, small11)
+        assert verify_share(2, 21, commits, small11)
 
     def test_off_by_one_rejected(self, small11):
         commits = commit(mkpoly([3, 4], 11), small11)
-        assert not verify_share(Share(dealer=1, recipient=2, value=12), commits, small11)
-
-    def test_dealer_mismatch_raises(self, small11):
-        commits = commit(mkpoly([3, 4], 11), small11)
-        with pytest.raises(VsslabError, match="share from dealer 2 checked against commitments of 1"):
-            verify_share(Share(dealer=2, recipient=2, value=11), commits, small11)
+        assert not verify_share(2, 12, commits, small11)
 
     def test_recipient_outside_field_rejected(self, small11):
         commits = commit(mkpoly([3, 4], 11), small11)
         with pytest.raises(ValueError):
-            verify_share(Share(dealer=1, recipient=0, value=3), commits, small11)
+            verify_share(0, 3, commits, small11)
         with pytest.raises(ValueError):
-            verify_share(Share(dealer=1, recipient=11, value=3), commits, small11)
+            verify_share(11, 3, commits, small11)
 
     def test_congruence_law_exhaustive_p11(self, small11):
         # every candidate in [0, 50) against every recipient: acceptance
@@ -105,7 +97,7 @@ class TestVerifyShare:
         for k in range(1, 11):
             honest = horner(poly.coeffs, k)
             for v in range(0, 50):
-                got = verify_share(Share(dealer=1, recipient=k, value=v), commits, small11)
+                got = verify_share(k, v, commits, small11)
                 assert got == (v % 10 == honest % 10), (k, v)
                 assert got == naive_verify(v, poly, k, small11)
 
@@ -116,7 +108,7 @@ class TestVerifyShare:
         for k in range(1, 23):
             honest = horner(poly.coeffs, k)
             for v in range(0, 100):
-                got = verify_share(Share(dealer=1, recipient=k, value=v), commits, p23order11)
+                got = verify_share(k, v, commits, p23order11)
                 assert got == (v % 11 == honest % 11), (k, v)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**64 - 1))
@@ -127,7 +119,7 @@ class TestVerifyShare:
         commits = commit(poly, params)
         k = 1 + seed % (params.p - 1)
         honest = horner(poly.coeffs, k)
-        got = verify_share(Share(dealer=1, recipient=k, value=candidate), commits, params)
+        got = verify_share(k, candidate, commits, params)
         assert got == (candidate % params.d == honest % params.d)
 
     def test_entry_outside_the_subgroup_is_not_reduced(self, p23order11):
@@ -138,7 +130,7 @@ class TestVerifyShare:
         assert direct_product(commits, 11, 23) == 22
         assert mod_d_product(commits, 11, p23order11) == 1
         for v in range(22):
-            assert not verify_share(Share(dealer=1, recipient=11, value=v), commits, p23order11)
+            assert not verify_share(11, v, commits, p23order11)
 
     def test_honest_shares_always_verify_randomized(self):
         for seed in range(120):
@@ -146,8 +138,7 @@ class TestVerifyShare:
             poly = sample_polynomial(3, params.p, 1, SplitMix64(seed + 7))
             commits = commit(poly, params)
             for k in range(1, 6):
-                share = Share(dealer=1, recipient=k, value=horner(poly.coeffs, k))
-                assert verify_share(share, commits, params)
+                assert verify_share(k, horner(poly.coeffs, k), commits, params)
 
 
 def direct_product(commits, k, p):
@@ -188,7 +179,7 @@ def test_verification_matches_the_direct_product(data):
     if in_group:
         assert expected == mod_d_product(commits, k, params)
     for v in range(2 * d):
-        got = verify_share(Share(dealer=1, recipient=k, value=v), commits, params)
+        got = verify_share(k, v, commits, params)
         assert got == (pow(g, v, p) == expected), (entries, k, v)
 
 
@@ -197,9 +188,9 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            share = Share(dealer=1, recipient=k, value=horner(poly.coeffs, k) % 11)
-            assert range_check(share, p23q11)
-            assert verify_share(share, commits, p23q11)
+            value = horner(poly.coeffs, k) % 11
+            assert range_check(value, p23q11)
+            assert verify_share(k, value, commits, p23q11)
 
     def test_exactly_one_value_below_q_is_accepted(self, p23q11):
         # soundness scan: for every recipient the accepted set in [0, q)
@@ -211,18 +202,18 @@ class TestHardened:
             accepted = [
                 v
                 for v in range(0, 11)
-                if verify_share(Share(dealer=1, recipient=k, value=v), commits, p23q11)
+                if verify_share(k, v, commits, p23q11)
             ]
             assert accepted == [honest]
 
     def test_range_check_rejects_values_at_or_above_q(self, p23q11):
-        assert not range_check(Share(dealer=1, recipient=2, value=11), p23q11)
-        assert not range_check(Share(dealer=1, recipient=2, value=12), p23q11)
-        assert range_check(Share(dealer=1, recipient=2, value=10), p23q11)
+        assert not range_check(11, p23q11)
+        assert not range_check(12, p23q11)
+        assert range_check(10, p23q11)
 
     def test_range_check_is_hardened_only(self, small11):
         with pytest.raises(VsslabError, match="range check only exists in hardened mode"):
-            range_check(Share(dealer=1, recipient=2, value=3), small11)
+            range_check(3, small11)
 
     def test_commitment_in_group_flags_outside_elements(self, p23q11):
         good = CommitmentVector(dealer=1, c=(pow(2, 3, 23), pow(2, 4, 23)))
@@ -232,24 +223,19 @@ class TestHardened:
         assert not commitment_in_group(bad, p23q11)
 
 
-# Share itself refuses recipient 0, so a row that carries one comes from a
-# caller's own type with the same three fields
-Point = namedtuple("Point", "dealer recipient value")
-
-
 def dealt(poly, k, params):
     """An honest dealer's share for party k: P(k) mod q when hardened, the
     exact integer P(k) otherwise."""
     return horner(poly.coeffs, k) % params.q if params.q else horner(poly.coeffs, k)
 
 
-def per_share(shares, commits, params):
+def per_share(values, commits, params):
     """The row verdicts as the per-share checks give them."""
     hardened = params.mode is Mode.HARDENED
     return tuple(
-        (not hardened or (commitment_in_group(commits, params) and range_check(s, params)))
-        and verify_share(s, commits, params)
-        for s in shares
+        (not hardened or (commitment_in_group(commits, params) and range_check(v, params)))
+        and verify_share(k, v, commits, params)
+        for k, v in enumerate(values, 1)
     )
 
 
@@ -257,51 +243,41 @@ class TestVerifyRow:
     def test_honest_row_needs_no_per_share_check(self, share_checks, small11):
         commits = commit(mkpoly([3, 4, 5], 11), small11)
         # P(k) for k = 1..3; P(4) + 1 fails, P(5) + 2 * (p - 1) passes
-        shares = [Share(1, 1, 12), Share(1, 2, 31), Share(1, 3, 60),
-                  Share(1, 4, 99 + 1), Share(1, 5, 148 + 20)]
-        assert verify_row(shares, commits, small11) == (True, True, True, False, True)
+        values = [12, 31, 60, 99 + 1, 148 + 20]
+        assert verify_row(values, commits, small11) == (True, True, True, False, True)
         assert share_checks == []
 
     def test_a_forged_share_among_the_first_t_sends_the_row_to_verify_share(
             self, share_checks, small11):
         commits = commit(mkpoly([3, 4, 5], 11), small11)
-        shares = [Share(1, 1, 12), Share(1, 2, 31 + 10), Share(1, 3, 60), Share(1, 4, 99 + 1)]
-        assert verify_row(shares, commits, small11) == (True, True, True, False)
+        values = [12, 31 + 10, 60, 99 + 1]
+        assert verify_row(values, commits, small11) == (True, True, True, False)
         assert share_checks == [(1, 1), (1, 2), (1, 3), (1, 4)]
 
-    @pytest.mark.parametrize("recipients, message", [
-        ((1, 2), "a row of 2 shares is shorter than the threshold 3"),
-        ((1, 2, 1, 3), "abscissa 1 appears twice"),
-        ((0, 1, 2), "abscissa 0 would address the secret itself"),
-        ((1, 2, 11), r"abscissa 11 outside \(0, 11\)"),
-        # past the t interpolation points, where only the row's own check sees them
-        ((1, 2, 3, 2), "abscissa 2 appears twice"),
-        ((1, 2, 3, 11), r"abscissa 11 outside \(0, 11\)"),
-    ], ids=["short", "repeated", "zero", "at-p", "repeated-late", "at-p-late"])
-    def test_short_rows_and_malformed_recipients_are_refused(
-            self, share_checks, small11, recipients, message):
+    @pytest.mark.parametrize("length, message", [
+        (2, "a row of 2 shares is shorter than the threshold 3"),
+        # party 11 is past the t interpolation points, where only the
+        # row's own check sees it
+        (11, r"abscissa 11 outside \(0, 11\)"),
+    ], ids=["short", "at-p"])
+    def test_short_and_too_long_rows_are_refused(self, share_checks, small11, length, message):
         poly = mkpoly([3, 4, 5], 11)
-        shares = [Point(1, k, horner(poly.coeffs, k)) for k in recipients]
+        values = [horner(poly.coeffs, k) for k in range(1, length + 1)]
         with pytest.raises(VsslabError, match=message):
-            verify_row(shares, commit(poly, small11), small11)
+            verify_row(values, commit(poly, small11), small11)
         assert share_checks == []
 
     def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
         poly = mkpoly([3, 4], 11)
-        shares = [Share(1, k, horner(poly.coeffs, k) % 11) for k in (1, 2, 3)]
-        shares.append(Share(1, 4, horner(poly.coeffs, 4) % 11 + 11))
+        values = [horner(poly.coeffs, k) % 11 for k in (1, 2, 3)]
+        values.append(horner(poly.coeffs, 4) % 11 + 11)
         commits = commit(poly, p23q11)
-        assert verify_row(shares, commits, p23q11) == (True, True, True, False)
+        assert verify_row(values, commits, p23q11) == (True, True, True, False)
         assert share_checks == []
         # an entry outside the subgroup misses g**b_j, and the fallback
         # rejects the whole row
         bad = CommitmentVector(dealer=1, c=(commits.c[0], commits.c[1] * 22 % 23))
-        assert verify_row(shares, bad, p23q11) == (False,) * 4
-
-    def test_dealer_mismatch_raises(self, small11):
-        commits = commit(mkpoly([3, 4], 11), small11)
-        with pytest.raises(VsslabError, match="share from dealer 2 checked against commitments of 1"):
-            verify_row([Share(1, 1, 7), Share(2, 2, 11)], commits, small11)
+        assert verify_row(values, bad, p23q11) == (False,) * 4
 
 
 @given(st.data())
@@ -313,19 +289,18 @@ def test_verify_row_matches_the_per_share_checks(data):
     poly = sample_polynomial(t, params.field_modulus, 1,
                              SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
     # a row of exactly t shares is all interpolation points, none evaluated
-    recipients = data.draw(st.lists(st.integers(1, 10), max_size=7)
-                           | st.lists(st.integers(1, 10), min_size=t, max_size=t, unique=True))
-    shares = []
-    for k in recipients:
+    length = data.draw(st.integers(0, 7) | st.just(t))
+    values = []
+    for k in range(1, length + 1):
         honest = dealt(poly, k, params)
         shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
-        shares.append(Share(1, k, honest + shift))
-    if len(recipients) < t or len(set(recipients)) < len(recipients):
-        with pytest.raises(VsslabError, match="shorter than the threshold|appears twice"):
-            verify_row(shares, commit(poly, params), params)
+        values.append(honest + shift)
+    if length < t:
+        with pytest.raises(VsslabError, match="shorter than the threshold"):
+            verify_row(values, commit(poly, params), params)
     else:
-        assert verify_row(shares, commit(poly, params), params) == per_share(
-            shares, commit(poly, params), params)
+        assert verify_row(values, commit(poly, params), params) == per_share(
+            values, commit(poly, params), params)
 
 
 class TestRowEvaluations:
@@ -360,19 +335,19 @@ class TestRowEvaluations:
             self, evaluated, share_checks, name, t, evaluated_at):
         params = get_params(name)
         poly = sample_polynomial(t, params.field_modulus, 1, SplitMix64(t))
-        shares = [Share(1, k, dealt(poly, k, params)) for k in range(1, 8)]
-        assert verify_row(shares, commit(poly, params), params) == (True,) * 7
+        values = [dealt(poly, k, params) for k in range(1, 8)]
+        assert verify_row(values, commit(poly, params), params) == (True,) * 7
         assert evaluated == evaluated_at
         assert share_checks == []
 
     def test_the_range_check_still_runs_on_the_interpolation_points(self, evaluated):
         params = get_params("h64")
         poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
-        shares = [Share(1, k, dealt(poly, k, params)) for k in range(1, 6)]
+        values = [dealt(poly, k, params) for k in range(1, 6)]
         # shifted by q: the same residue, so the row check passes, but
         # out of range
-        shares[1] = Share(1, 2, shares[1].value + params.q)
-        assert verify_row(shares, commit(poly, params), params) == (
+        values[1] += params.q
+        assert verify_row(values, commit(poly, params), params) == (
             True, False, True, True, True)
         assert evaluated == [4, 5]
 
@@ -381,8 +356,8 @@ class TestRowEvaluations:
         poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
         # the false-share dealer's shift: congruent mod d = p - 1, so every
         # share passes, but Q through the first t misses the commitments
-        shares = [Share(1, k, horner(poly.coeffs, k) + params.p - 1) for k in range(1, 8)]
-        assert verify_row(shares, commit(poly, params), params) == (True,) * 7
+        values = [horner(poly.coeffs, k) + params.p - 1 for k in range(1, 8)]
+        assert verify_row(values, commit(poly, params), params) == (True,) * 7
         assert evaluated == []
         assert share_checks == [(1, k) for k in range(1, 8)]
 
