@@ -8,7 +8,7 @@ Usage: python scripts/worked_example.py
 """
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
-from vsslab.poly import SecretPolynomial, horner, lagrange_basis, lagrange_zero
+from vsslab.poly import SecretPolynomial, evaluate, interpolate
 from vsslab.registry import get_params
 from vsslab.vss import commit, verify_share
 
@@ -23,7 +23,7 @@ def main() -> None:
     commits = commit(poly, params)
     print(f"public commitments g^a_j: {commits.c}")
 
-    honest = horner(poly.coeffs, 2)
+    at_1, honest = evaluate(poly.coeffs, (1, 2), 11)
     print(f"\nhonest share for party 2: P(2) = {honest}")
     print(f"  verification: {verify_share(2, honest, commits, params)}")
 
@@ -33,8 +33,9 @@ def main() -> None:
     print(f"  verification: {verify_share(2, forged, commits, params)}  <- passes, same exponent class")
     print(f"  but {forged} mod p = {forged % 11}, while the honest value is {honest % 11}")
 
-    points = [(1, horner(poly.coeffs, 1) % 11), (2, forged % 11)]
-    recovered = lagrange_zero(points, 11)
+    points = [(1, at_1 % 11), (2, forged % 11)]
+    xs, ys = zip(*points)
+    recovered = interpolate(xs, ys, 11)[0]
     print(f"\nreconstruction from {{(1, {points[0][1]}), (2, {points[1][1]})}}: {recovered}")
     print(f"  true secret: {poly.secret}, recovered: {recovered}  <- corrupted")
 
@@ -45,9 +46,10 @@ def main() -> None:
     else:
         print("  check failed; the group notices, but only after the dealer withheld")
 
-    # verify_row's row check in coefficient form: b_0 is the value above
-    basis = lagrange_basis([x for x, _ in points], 11)
-    b = tuple(sum(y * w for (_, y), w in zip(points, row)) % 11 for row in basis)
+    # verify_row's row check in coefficient form: b_0 is the value above,
+    # and the unit vectors interpolate to the basis polynomials, one per column
+    basis = tuple(zip(*(interpolate(xs, unit, 11) for unit in ((1, 0), (0, 1)))))
+    b = interpolate(xs, ys, 11)
     print(f"\nrow check: basis rows {basis} give coefficients b = {b}")
     print(f"  g^b_j = {tuple(pow(params.g, b_j, params.p) for b_j in b)} vs commitments {commits.c}")
     print("  no match, so each share is checked alone, and each passes")

@@ -1,8 +1,8 @@
-"""Secret polynomials, exact evaluation, interpolation at zero
-and in coefficient form. A row's evaluation at many points and its
-interpolation in coefficient form are each one packed big-integer
-product (Kronecker substitution). Their tables are cached here, bounded
-(see the note above lagrange_weights), as tuples no caller can change."""
+"""Secret polynomials, exact evaluation, Lagrange weights at zero and
+interpolation in coefficient form. A row's evaluation at many points
+and its interpolation are each one packed big-integer product
+(Kronecker substitution). Their tables are cached here, bounded (see
+the note above lagrange_weights), as tuples no caller can change."""
 
 from __future__ import annotations
 
@@ -56,14 +56,6 @@ def sample_polynomial(t: int, field_modulus: int, dealer: int, rng: SplitMix64) 
         coeffs=tuple(rng.randbelow(field_modulus) for _ in range(t)),
         field_modulus=field_modulus,
     )
-
-
-def horner(coeffs, x: int) -> int:
-    """sum_j coeffs[j] * x**j exactly, by Horner's rule, with no reduction."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def check_abscissas(xs: tuple[int, ...], m: int) -> None:
@@ -134,44 +126,17 @@ def _lagrange_weights(xs: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def lagrange_zero(points, m: int) -> int:
-    """Interpolate (x, y) points and return the value at x = 0, mod m.
-
-    With at least threshold-many honest points of a secret polynomial
-    this is the secret; with any forged point it is whatever the forgery
-    arithmetic says it is. No ceremony calls it (reconstruct_pool sums
-    the weights itself); it stays public as the interpolation of
-    acceptance criterion 1 and of scripts/worked_example.py.
-    """
-    points = tuple(points)
-    for _, y in points:
-        if not 0 <= y < m:
-            raise VsslabError(f"ordinate {y} outside [0, {m})")
-    weights = lagrange_weights((x for x, _ in points), m)
-    return sum(y * w for (_, y), w in zip(points, weights)) % m
-
-
-def lagrange_basis(xs, m: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient form of interpolation through the abscissas xs, mod m.
-
-    Row j holds the weights of coefficient j: the polynomial of degree
-    below len(xs) through the points (x_i, y_i) has coefficient j equal
-    to sum_i y_i * basis[j][i] mod m. Column i is the Lagrange basis
-    polynomial L_i, with L_i(x_i) = 1 and L_i(x_l) = 0 for l != i, and
-    row 0 is lagrange_weights(xs, m). The rows are read out of the
-    packed columns interpolate uses, the only form the basis is cached in.
-    """
-    w, columns = _packed_basis(tuple(xs), m)
-    return tuple(zip(*(tuple(_unpack(column, w, len(columns))) for column in columns)))
-
-
 def interpolate(xs, ys, m: int) -> tuple[int, ...]:
     """Coefficients, constant term first, of the polynomial of degree
     below len(xs) through the points (xs[i], ys[i] mod m), mod m.
+    Coefficient 0 is the value at zero, which lagrange_weights gives
+    too. The ys of unit vector i give the coefficients of L_i, the
+    Lagrange basis polynomial with L_i(x_i) = 1 and L_i(x_l) = 0 for
+    l != i, and the result is sum_i (y_i mod m) * L_i.
 
-    One big-integer product does the dot products of the ys with every
-    row of lagrange_basis(xs, m) (Kronecker substitution): column i is
-    packed as sum_j L_i[j] << (w * j), so slot j of
+    One big-integer product does that sum for every coefficient
+    (Kronecker substitution): L_i is packed as
+    column_i = sum_j L_i[j] << (w * j), so slot j of
     sum_i (y_i mod m) * column_i is sum_i (y_i mod m) * L_i[j] exactly,
     and w is the bit length of the largest value that sum can take.
     """
@@ -188,7 +153,7 @@ def evaluate(coeffs, xs, m: int) -> tuple[int, ...]:
     (Kronecker substitution): with K_j = sum_i x_i**j << (w * i), slot i
     of sum_j coeffs[j] * K_j is the value at x_i, and w is the bit
     length of the largest value a slot can take (every coefficient
-    m - 1, at the largest x). horner gives the same value at one point.
+    m - 1, at the largest x).
     """
     coeffs = tuple(coeffs)
     xs = tuple(xs)
@@ -212,7 +177,7 @@ def _unpack(packed: int, w: int, count: int):
 
 @lru_cache(maxsize=4)
 def _packed_basis(xs: tuple[int, ...], m: int) -> tuple[int, tuple[int, ...]]:
-    """(w, the columns L_i of lagrange_basis each packed at slot width w).
+    """(w, each basis polynomial L_i of interpolate packed at slot width w).
 
     Each L_i is prod_l (x - x_l) divided by (x - x_i) and scaled to 1 at
     x_i: O(len(xs)**2) work and one inverse per abscissa.

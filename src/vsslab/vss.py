@@ -83,18 +83,6 @@ def verify_share(k: int, value: int, commits: CommitmentVector, params: GroupPar
     return params.g_pow(value) == right
 
 
-def range_check(value: int, params: GroupParams) -> bool:
-    """Hardened-mode acceptance of a share value's numeric range (value < q).
-
-    Raises VsslabError on vulnerable parameters: exact integer shares are
-    unbounded there, so no range test exists.
-    """
-    if params.mode is not Mode.HARDENED:
-        raise VsslabError("range check only exists in hardened mode")
-    check_values((value,))
-    return value < params.q
-
-
 def commitment_in_group(commits: CommitmentVector, params: GroupParams) -> bool:
     """True when every entry lies in the order-d subgroup (c**d == 1 mod p)."""
     return all(pow(c_j, params.d, params.p) == 1 for c_j in commits.c)
@@ -110,28 +98,31 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
     raises VsslabError.
 
     Every entry equals the per-share verdict: commitment_in_group, then
-    range_check, then verify_share in hardened mode; verify_share alone
-    in vulnerable mode. The row check interpolates Q = sum_j b_j x**j
-    over the field through the first t values and tests g**b_j == c_j
-    for every j: one row of t powers of g (GroupParams.g_pows), which an
-    honest row finds in the cache commit filled. When all t hold,
-    prod_j c_j**(k**j) is g**Q(k), so a value passes verify_share exactly
-    when it is Q(k) mod d, and commitment_in_group holds: the
-    interpolation only proposes the b_j, the t commitment checks decide.
+    value < q, then verify_share in hardened mode; verify_share alone
+    in vulnerable mode. value < q is tested once per value, and both
+    paths below read that one result. The row check interpolates
+    Q = sum_j b_j x**j over the field through the first t values and
+    tests g**b_j == c_j for every j: one row of t powers of g
+    (GroupParams.g_pows), which an honest row finds in the cache commit
+    filled. When all t hold, prod_j c_j**(k**j) is g**Q(k), so a value
+    passes verify_share exactly when it is Q(k) mod d, and
+    commitment_in_group holds: the interpolation only proposes the b_j,
+    the t commitment checks decide.
     Q meets the first t values mod the field modulus, which is d in
     hardened mode, so there Q is evaluated (one poly.evaluate call) only
-    at the other parties, and in vulnerable mode at every party.
-    range_check still runs on every value. A row whose b_j miss its
-    commitments (a forger's row) is checked share by share instead.
+    at the other parties, and in vulnerable mode at every party. A row
+    whose b_j miss its commitments (a forger's row) is checked share by
+    share instead.
     """
     values = check_values(values)
+    hardened = params.mode is Mode.HARDENED
+    in_range = tuple(v < params.q for v in values) if hardened else (True,) * len(values)
     t = len(commits.c)
     if len(values) < t:
         raise VsslabError(f"a row of {len(values)} shares is shorter than the threshold {t}")
     m = params.field_modulus
     xs = range(1, len(values) + 1)
     check_abscissas(xs, m)
-    hardened = params.mode is Mode.HARDENED
     b = interpolate(xs[:t], values[:t], m)
     if params.g_pows(b) == commits.c:
         # Q passes through the first t values mod m, so when m == d their
@@ -139,12 +130,11 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
         on_q = t if m == params.d else 0
         agree = (True,) * on_q + tuple((v - q_k) % params.d == 0 for v, q_k in
                                        zip(values[on_q:], evaluate(b, xs[on_q:], m)))
-        return tuple((not hardened or range_check(v, params)) and ok
-                     for v, ok in zip(values, agree))
+        return tuple(ok and agrees for ok, agrees in zip(in_range, agree))
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(
-        in_group and (not hardened or range_check(v, params))
-        and verify_share(k, v, commits, params) for k, v in zip(xs, values)
+        in_group and ok and verify_share(k, v, commits, params)
+        for k, v, ok in zip(xs, values, in_range)
     )
 
 

@@ -1,11 +1,13 @@
-"""Shared fixtures plus the acceptance-criteria summary block."""
+"""Shared fixtures and oracles plus the acceptance-criteria summary block."""
 
 import re
 
 import pytest
 import sympy
 
+from vsslab.numtheory import Mode
 from vsslab.registry import get_params
+from vsslab.vss import commitment_in_group, verify_share
 
 CRITERIA_LABELS = {
     1: "pinned worked example, exact values, under 1 s",
@@ -37,6 +39,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for num in sorted(results):
             label = CRITERIA_LABELS.get(num, "")
             terminalreporter.write_line(f"criterion {num}: {results[num]}  ({label})")
+
+
+def per_share(values, commits, params):
+    """A dealer's row of verdicts as the per-share checks give them: in
+    hardened mode commitment_in_group, then value < q, then verify_share;
+    in vulnerable mode verify_share alone."""
+    hardened = params.mode is Mode.HARDENED
+    return tuple(
+        (not hardened or (commitment_in_group(commits, params) and v < params.q))
+        and verify_share(k, v, commits, params)
+        for k, v in enumerate(values, 1)
+    )
 
 
 @pytest.fixture

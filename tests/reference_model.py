@@ -26,7 +26,9 @@ predict_corruption states the same interpolation for one subset as a
 closed form: the value a subset rebuilds when some of its shares carry
 a uniform false-share shift. first_passing_subset extends it to a whole
 pool as the denial law: the subset, if any, through which a uniform
-forger's pool still rebuilds a value that passes.
+forger's pool still rebuilds a value that passes. exact_value,
+honest_share and interpolate_at_zero are the naive evaluation and
+interpolation the other tests hold vsslab.poly's packed ones to.
 """
 
 from collections import namedtuple
@@ -41,6 +43,18 @@ from vsslab.rng import substream
 # verdict is "key_assembled" or "key_blocked"; matrix[i-1][k-1] says dealer
 # i's share to party k passed; pools and recovered are keyed by dealer
 ModelRun = namedtuple("ModelRun", "verdict group_key matrix pools recovered")
+
+
+def exact_value(coeffs, x):
+    """sum_j coeffs[j] * x**j, the exact integer, with no reduction."""
+    return sum(c * x**j for j, c in enumerate(coeffs))
+
+
+def honest_share(coeffs, k, params):
+    """An honest dealer's share for party k: P(k) mod q when hardened, the
+    exact integer P(k) otherwise."""
+    value = exact_value(coeffs, k)
+    return value % params.q if params.mode is Mode.HARDENED else value
 
 
 def weights_at_zero(xs, m):
@@ -129,9 +143,9 @@ def run_model(config, params):
     commits = {i: [pow(g, a, p) for a in coeffs[i]] for i in parties}
 
     def dealt(i, k):
-        value = sum(a * k**j for j, a in enumerate(coeffs[i]))
+        value = honest_share(coeffs[i], k, params)
         if hardened:
-            return value % d
+            return value
         behavior = config.behaviors[i]
         if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER and k in behavior.targets:
             shift = p - 1 if behavior.strategy.kind is StrategyKind.ADD_P_MINUS_ONE else d

@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.errors import ForgeryImpossible, VsslabError
 from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import (
-    SecretPolynomial,
-    horner,
-    lagrange_weights,
-    lagrange_zero,
-    sample_polynomial,
-)
+from vsslab.poly import SecretPolynomial, lagrange_weights, sample_polynomial
 from vsslab.protocol import (
     Behavior,
     BehaviorKind,
@@ -39,7 +33,7 @@ from vsslab.registry import get_params
 from vsslab.rng import SplitMix64, substream
 from vsslab.vss import commit, verify_share
 
-from reference_model import predict_corruption
+from reference_model import exact_value, interpolate_at_zero, predict_corruption
 
 ADD1 = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
 
@@ -50,7 +44,7 @@ def mkpoly(coeffs, m, dealer=1):
 
 def forged(poly, k, params, strategy):
     """The value a forger deals to party k: the honest one plus the shift."""
-    return horner(poly.coeffs, k) + strategy.shift(params)
+    return exact_value(poly.coeffs, k) + strategy.shift(params)
 
 
 @pytest.fixture
@@ -73,7 +67,7 @@ class TestShift:
         assert ADD1.shift(small11) == 10  # p - 1
         value = forged(poly, 2, small11, ADD1)
         assert value == 21
-        assert horner(poly.coeffs, 2) == 11
+        assert exact_value(poly.coeffs, 2) == 11
         assert verify_share(2, value, commit(poly, small11), small11)
 
     def test_order_shift_example(self, p23order11):
@@ -140,7 +134,7 @@ class TestShift:
         assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
         poly = sample_polynomial(3, 11, 1, substream(7, 1))
         assert report.shares[0][2] == forged(poly, 3, small11, strat)
-        assert report.shares[0][2] == horner(poly.coeffs, 3) + 30
+        assert report.shares[0][2] == exact_value(poly.coeffs, 3) + 30
 
     @pytest.mark.parametrize("name, params_ref", [("false-share", "small11"),
                                                   ("order-shift", "p23order11"),
@@ -157,7 +151,7 @@ class TestShift:
             ForgeryAttempt(1, k, ADD1, "forgery_impossible") for k in range(2, 8))
         for dealer, row in enumerate(dealing.shares, 1):
             poly = sample_polynomial(4, p23q11.q, dealer, substream(3, dealer))
-            assert list(row) == [horner(poly.coeffs, k) % p23q11.q for k in range(1, 8)]
+            assert list(row) == [exact_value(poly.coeffs, k) % p23q11.q for k in range(1, 8)]
 
 
 # registry groups, and vulnerable groups generated at 16-64 bits
@@ -199,7 +193,7 @@ def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
     for dealer, row in enumerate(dealing.shares, 1):
         poly = sample_polynomial(t, params.p, dealer, substream(seed, dealer))
         assert list(row) == [
-            horner(poly.coeffs, k) + (shift if dealer == 1 and k in targets else 0)
+            exact_value(poly.coeffs, k) + (shift if dealer == 1 and k in targets else 0)
             for k in range(1, n + 1)]
 
 
@@ -210,13 +204,13 @@ class TestReconstructionCorruption:
         for m in (1, 2, 3):
             strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
             pts = [(k, forged(poly, k, small11, strat) % 11) for k in (1, 2)]
-            assert lagrange_zero(pts, 11) == (3 - m) % 11
+            assert interpolate_at_zero(pts, 11) == (3 - m) % 11
 
     def test_worked_example_mixed_pool(self, small11):
         # honest at 1, forged at 2: interpolation gives 4 and the
         # commitment check sees 2^4 = 5 != 8
         poly = mkpoly([3, 4], 11)
-        got = lagrange_zero([(1, 7), (2, forged(poly, 2, small11, ADD1) % 11)], 11)
+        got = interpolate_at_zero([(1, 7), (2, forged(poly, 2, small11, ADD1) % 11)], 11)
         assert got == 4
         assert pow(2, got, 11) != pow(2, poly.secret, 11)
 
@@ -229,13 +223,13 @@ class TestReconstructionCorruption:
                 shares = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
                 for subset in itertools.combinations(range(1, 8), t):
                     pts = [(k, shares[k]) for k in subset]
-                    assert lagrange_zero(pts, 11) == (poly.secret - m) % 11
+                    assert interpolate_at_zero(pts, 11) == (poly.secret - m) % 11
 
     def test_predict_corruption_matches_actual_exhaustively(self, small11):
         poly = sample_polynomial(3, 11, 1, SplitMix64(77))
         m = 2
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-        honest = {k: horner(poly.coeffs, k) % 11 for k in range(1, 8)}
+        honest = {k: exact_value(poly.coeffs, k) % 11 for k in range(1, 8)}
         forged_values = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
         for subset in itertools.combinations(range(1, 8), 3):
             for flags in itertools.product([False, True], repeat=3):
@@ -243,7 +237,7 @@ class TestReconstructionCorruption:
                 predicted = predict_corruption(
                     [(k, honest[k], f) for k, f in zip(subset, flags)], m, 11
                 )
-                actual = lagrange_zero(
+                actual = interpolate_at_zero(
                     [(k, forged_values[k] if f else honest[k]) for k, f in zip(subset, flags)], 11
                 )
                 assert predicted == actual
@@ -254,9 +248,9 @@ class TestReconstructionCorruption:
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
         xs = (1, 4)
         weights = lagrange_weights(xs, 11)
-        honest = [horner(poly.coeffs, k) % 11 for k in xs]
+        honest = [exact_value(poly.coeffs, k) % 11 for k in xs]
         pts = [(xs[0], honest[0]), (xs[1], forged(poly, xs[1], small11, strat) % 11)]
-        got = lagrange_zero(pts, 11)
+        got = interpolate_at_zero(pts, 11)
         assert got == (poly.secret - weights[1]) % 11
 
     def test_prediction_refuses_a_negative_multiplier(self):
@@ -274,7 +268,7 @@ class TestDetectionLaw:
             commits = commit(poly, small11)
             strat = ADD1
             pts = [(k, forged(poly, k, small11, strat) % 11) for k in (1, 2)]
-            v = lagrange_zero(pts, 11)
+            v = interpolate_at_zero(pts, 11)
             assert v == (a0 - 1) % 11
             check = pow(2, v, 11) == commits.c[0]
             assert check == ((v - a0) % 10 == 0)
@@ -288,7 +282,7 @@ class TestDetectionLaw:
             poly = mkpoly([a0, 5], 23)
             commits = commit(poly, p23order11)
             pts = [(k, forged(poly, k, p23order11, strat) % 23) for k in (1, 2)]
-            v = lagrange_zero(pts, 23)
+            v = interpolate_at_zero(pts, 23)
             assert v == (a0 + 11) % 23
             check = pow(2, v, 23) == commits.c[0]
             assert check == ((v - a0) % 11 == 0)
@@ -306,4 +300,4 @@ def test_forged_acceptance_and_prediction_randomized(seed, m):
     values = [forged(poly, k, params, strat) for k in xs]
     assert all(verify_share(k, v, commits, params) for k, v in zip(xs, values))
     pts = [(k, v % params.p) for k, v in zip(xs, values)]
-    assert lagrange_zero(pts, params.p) == (poly.secret - m) % params.p
+    assert interpolate_at_zero(pts, params.p) == (poly.secret - m) % params.p

@@ -1,9 +1,12 @@
-"""The library imports nothing outside the standard library, and loads
-no stdlib module it would use for a single call."""
+"""The library imports nothing outside the standard library, loads no
+stdlib module it would use for a single call, and exports the API the
+README lists."""
 
 import ast
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vsslab"
@@ -98,3 +101,26 @@ REGEX_ONLY = ("json", "re")
 
 def test_a_run_and_its_verify_load_no_json_and_no_re(tmp_path):
     assert loaded_by_a_run_and_its_verify(tmp_path, REGEX_ONLY) == "[]\n"
+
+
+def readme_api():
+    """The names the README's "Library API" section lists in its bullets."""
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- .*(?:\n  .*)*", section, re.MULTILINE)
+    return {name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)}
+
+
+def test_the_package_exports_the_readme_api():
+    import vsslab
+
+    exported = {name for name, value in vars(vsslab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == readme_api()
+    assert len(exported) == 21
+    # the benchmark imports these from the package itself
+    ops = SRC.parent.parent / "perfbench" / "ops.py"
+    benchmarked = {alias.name for node in ast.walk(ast.parse(ops.read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "vsslab"
+                   for alias in node.names}
+    assert benchmarked and benchmarked <= exported

@@ -12,25 +12,29 @@ from vsslab.poly import (
     _lagrange_weights,
     _packed_basis,
     evaluate,
-    horner,
     interpolate,
-    lagrange_basis,
     lagrange_weights,
-    lagrange_zero,
     sample_polynomial,
 )
 from vsslab.protocol import MAX_PARTIES
 from vsslab.rng import SplitMix64
+
+from reference_model import exact_value
 
 
 def poly(coeffs, m=11, dealer=1):
     return SecretPolynomial(dealer=dealer, coeffs=tuple(coeffs), field_modulus=m)
 
 
-def test_horner_worked_example():
+def units(n):
+    """The n unit vectors of length n: interpolated, unit i gives the
+    coefficients of the Lagrange basis polynomial L_i."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def test_evaluate_worked_example():
     # P(x) = 3 + 4x over Z_11, evaluated without reduction
-    assert horner(poly([3, 4]).coeffs, 2) == 11
-    assert horner(poly([3, 4]).coeffs, 1) == 7
+    assert evaluate(poly([3, 4]).coeffs, (1, 2), 11) == (7, 11)
 
 
 def test_secret_and_threshold_accessors():
@@ -59,7 +63,7 @@ def test_dealer_and_modulus_are_checked():
 def test_the_smallest_field_modulus_is_two():
     # the boundary of the "at least 2" check: Z_2 holds a polynomial
     p = SecretPolynomial(dealer=0, coeffs=(1, 1), field_modulus=2)
-    assert (p.secret, p.field_modulus, horner(p.coeffs, 1)) == (1, 2, 2)
+    assert (p.secret, p.field_modulus, evaluate(p.coeffs, (1,), 2)) == (1, 2, (2,))
 
 
 def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
@@ -84,16 +88,16 @@ def test_sample_polynomial_pinned_coefficients():
     assert got == (5, 2, 9)
 
 
-class TestLagrangeZero:
+class TestValueAtZero:
     def test_worked_example_honest(self):
-        assert lagrange_zero([(1, 7), (2, 0)], 11) == 3
+        assert interpolate((1, 2), (7, 0), 11)[0] == 3
 
     def test_worked_example_corrupted(self):
         # second point replaced by a forgery-reduced value: lands on 4, not 3
-        assert lagrange_zero([(1, 7), (2, 10)], 11) == 4
+        assert interpolate((1, 2), (7, 10), 11)[0] == 4
 
     def test_constant_polynomial(self):
-        assert lagrange_zero([(4, 5)], 11) == 5
+        assert interpolate((4,), (5,), 11) == (5,)
 
     def test_weights_pinned(self):
         # x=1: 2*(2-1)^-1 = 2; x=2: 1*(1-2)^-1 = -1 = 10 mod 11
@@ -107,18 +111,13 @@ class TestLagrangeZero:
         with pytest.raises(VsslabError, match="abscissa 3 appears twice"):
             lagrange_weights((3, 3), 11)
         with pytest.raises(VsslabError, match="abscissa 1 appears twice"):
-            lagrange_zero([(1, 5), (1, 6)], 11)
-
-    def test_ordinates_must_be_reduced(self):
-        with pytest.raises(ValueError):
-            lagrange_zero([(1, 11)], 11)
+            interpolate((1, 1), (5, 6), 11)
 
     def test_empty_input_rejected(self):
         with pytest.raises(VsslabError, match="need at least one abscissa"):
-            lagrange_zero([], 11)
-        for public in (lagrange_weights, lagrange_basis):
-            with pytest.raises(VsslabError, match="need at least one abscissa"):
-                public((), 11)
+            lagrange_weights((), 11)
+        with pytest.raises(VsslabError, match="need at least one abscissa"):
+            interpolate((), (), 11)
 
 
 @given(st.data())
@@ -129,9 +128,11 @@ def test_every_t_subset_recovers_the_secret(data):
     n = data.draw(st.integers(min_value=t, max_value=7))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
     p = sample_polynomial(t, m, 1, SplitMix64(seed))
-    points = [(k, horner(p.coeffs, k) % m) for k in range(1, n + 1)]
+    points = [(k, exact_value(p.coeffs, k) % m) for k in range(1, n + 1)]
     for subset in itertools.combinations(points, t):
-        assert lagrange_zero(list(subset), m) == p.secret
+        xs, ys = zip(*subset)
+        assert interpolate(xs, ys, m)[0] == p.secret
+        assert sum(y * w for y, w in zip(ys, lagrange_weights(xs, m))) % m == p.secret
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=6, unique=True))
@@ -144,29 +145,29 @@ def test_weights_sum_to_one(xs):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_interpolation_is_linear_in_the_ordinates(data):
-    # recovery of a sum of point sets equals the sum of recoveries
+    # interpolation of a sum of point sets equals the sum of interpolations
     m = 97
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=96), min_size=2, max_size=5, unique=True))
     ys1 = data.draw(st.lists(st.integers(min_value=0, max_value=96), min_size=len(xs), max_size=len(xs)))
     ys2 = data.draw(st.lists(st.integers(min_value=0, max_value=96), min_size=len(xs), max_size=len(xs)))
-    merged = [(x, (a + b) % m) for x, a, b in zip(xs, ys1, ys2)]
-    lhs = lagrange_zero(merged, m)
-    rhs = (lagrange_zero(list(zip(xs, ys1)), m) + lagrange_zero(list(zip(xs, ys2)), m)) % m
+    lhs = interpolate(xs, [(a + b) % m for a, b in zip(ys1, ys2)], m)
+    rhs = tuple((a + b) % m for a, b in zip(interpolate(xs, ys1, m), interpolate(xs, ys2, m)))
     assert lhs == rhs
 
 
 class TestLagrangeBasis:
     def test_pinned_for_two_points(self):
-        # through (1, y1) and (2, y2) mod 11: b0 = 2*y1 - y2, b1 = y2 - y1
-        assert lagrange_basis((1, 2), 11) == ((2, 10), (10, 1))
+        # through (1, y1) and (2, y2) mod 11: b0 = 2*y1 - y2, b1 = y2 - y1,
+        # so L_1 = 2 - x and L_2 = x - 1
+        assert [interpolate((1, 2), unit, 11) for unit in units(2)] == [(2, 10), (10, 1)]
 
     def test_rejects_the_abscissas_lagrange_weights_rejects(self):
         with pytest.raises(VsslabError, match="abscissa 0 would address the secret itself"):
-            lagrange_basis((0, 1), 11)
+            interpolate((0, 1), (1, 0), 11)
         with pytest.raises(VsslabError, match="abscissa 1 appears twice"):
-            lagrange_basis((1, 1), 11)
+            interpolate((1, 1), (1, 0), 11)
         with pytest.raises(ValueError):
-            lagrange_basis((1, 11), 11)
+            interpolate((1, 11), (1, 0), 11)
 
 
 @given(st.data())
@@ -177,12 +178,14 @@ def test_basis_recovers_every_coefficient(data):
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 200)),
                             min_size=t, max_size=t, unique=True))
     p = sample_polynomial(t, m, 1, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
-    basis = lagrange_basis(xs, m)
-    ys = [horner(p.coeffs, x) % m for x in xs]
-    assert tuple(sum(y * w for y, w in zip(ys, row)) % m for row in basis) == p.coeffs
+    ys = [exact_value(p.coeffs, x) % m for x in xs]
     assert interpolate(xs, ys, m) == p.coeffs
-    assert evaluate(p.coeffs, xs, m) == tuple(horner(p.coeffs, x) for x in xs)
-    assert basis[0] == lagrange_weights(xs, m)
+    assert evaluate(p.coeffs, xs, m) == tuple(exact_value(p.coeffs, x) for x in xs)
+    # L_i is 1 at x_i and 0 at the other abscissas, and L_i(0) is weight i
+    columns = [interpolate(xs, unit, m) for unit in units(t)]
+    for column, unit in zip(columns, units(t)):
+        assert tuple(exact_value(column, x) % m for x in xs) == unit
+    assert tuple(column[0] for column in columns) == lagrange_weights(xs, m)
 
 
 # a 96-bit prime, the widest field a generated group has
@@ -203,15 +206,17 @@ def test_packed_kernels_hold_at_their_widest_slots(data):
     element = st.just(m - 1) if extreme else st.integers(0, m - 1) | st.just(m - 1)
     coeffs = data.draw(st.lists(element, min_size=t, max_size=t))
     xs = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=MAX_PARTIES, unique=True))
-    assert evaluate(coeffs, xs, m) == tuple(horner(coeffs, x) for x in xs)
+    assert evaluate(coeffs, xs, m) == tuple(exact_value(coeffs, x) for x in xs)
     # ordinates as large as exact vulnerable shares: residue plus a
     # multiple of m up to the largest value of a degree t - 1 polynomial
     xs = xs[:t] if len(xs) >= t else data.draw(
         st.lists(st.integers(1, top), min_size=t, max_size=t, unique=True))
     size = sum(top**j for j in range(t))
     ys = [data.draw(element) + m * data.draw(st.integers(0, size)) for _ in xs]
-    assert interpolate(xs, ys, m) == tuple(
-        sum(y % m * w for y, w in zip(ys, row)) % m for row in lagrange_basis(xs, m))
+    # the one polynomial of degree below t through the t points
+    b = interpolate(xs, ys, m)
+    assert len(b) == t and all(0 <= c < m for c in b)
+    assert [exact_value(b, x) % m for x in xs] == [y % m for y in ys]
 
 
 def test_evaluate_is_exact_at_the_widest_admitted_row():
@@ -219,10 +224,10 @@ def test_evaluate_is_exact_at_the_widest_admitted_row():
     # the widest slot a ceremony evaluates
     xs = range(1, MAX_PARTIES + 1)
     coeffs = [P96 - 1] * MAX_PARTIES
-    assert evaluate(coeffs, xs, P96) == tuple(horner(coeffs, x) for x in xs)
+    assert evaluate(coeffs, xs, P96) == tuple(exact_value(coeffs, x) for x in xs)
 
 
-# lagrange_weights and lagrange_basis cache their tables; a cached table
+# lagrange_weights and interpolate cache their tables; a cached table
 # must be the one a fresh computation gives, whatever iterable the
 # abscissas came in, and a refused abscissa set is refused every time
 _AS_ITERABLE = st.sampled_from([list, tuple, iter])
@@ -238,12 +243,14 @@ def test_cached_tables_equal_a_fresh_computation(data):
     packed_fresh = _packed_basis.__wrapped__(tuple(xs), m)
     for _ in range(2):
         weights = lagrange_weights(data.draw(_AS_ITERABLE)(xs), m)
-        basis = lagrange_basis(data.draw(_AS_ITERABLE)(xs), m)
-        assert weights == weights_fresh and basis[0] == weights_fresh
+        # the coefficient form's constant terms are the weights at zero
+        columns = [interpolate(data.draw(_AS_ITERABLE)(xs), unit, m) for unit in units(len(xs))]
+        assert weights == weights_fresh
+        assert tuple(column[0] for column in columns) == weights_fresh
         assert _packed_basis(tuple(xs), m) == packed_fresh
         assert type(weights) is tuple and all(type(w) is int for w in weights)
-        assert type(basis) is tuple and all(type(row) is tuple for row in basis)
-        assert all(type(w) is int for row in basis for w in row)
+        assert all(type(column) is tuple for column in columns)
+        assert all(type(c) is int for column in columns for c in column)
 
 
 @given(st.data())
@@ -256,7 +263,8 @@ def test_refused_abscissas_raise_on_every_call(data):
         (0, "abscissa 0 would address"), (xs[0], "appears twice"), (m, "outside"), (m + 5, "outside"),
     ]))
     xs.insert(data.draw(st.integers(0, len(xs))), bad)
-    for public in (lagrange_weights, lagrange_basis):
-        for _ in range(3):
-            with pytest.raises(VsslabError, match=message):
-                public(data.draw(_AS_ITERABLE)(xs), m)
+    for _ in range(3):
+        with pytest.raises(VsslabError, match=message):
+            lagrange_weights(data.draw(_AS_ITERABLE)(xs), m)
+        with pytest.raises(VsslabError, match=message):
+            interpolate(data.draw(_AS_ITERABLE)(xs), [1] * len(xs), m)

@@ -15,14 +15,7 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
 from vsslab.numtheory import Mode, _g_row, _g_table
-from vsslab.poly import (
-    SecretPolynomial,
-    _lagrange_weights,
-    _packed_basis,
-    horner,
-    lagrange_zero,
-    sample_polynomial,
-)
+from vsslab.poly import SecretPolynomial, _lagrange_weights, _packed_basis, sample_polynomial
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -47,14 +40,10 @@ from vsslab.protocol import (
 from vsslab.registry import get_params
 from vsslab.rng import substream
 from vsslab.transcript import audit_transcript, canonical_json, render_report
-from vsslab.vss import (
-    CommitmentVector,
-    commit,
-    commitment_in_group,
-    range_check,
-    verify_row,
-    verify_share,
-)
+from vsslab.vss import CommitmentVector, commit, verify_row, verify_share
+
+from conftest import per_share
+from reference_model import exact_value, honest_share, interpolate_at_zero
 
 
 def honest_config(seed=7, n=5, t=3, params_ref="small11"):
@@ -387,7 +376,7 @@ class TestDealingShape:
         assert len(report.shares) == 5
         for dealer, row in enumerate(report.shares, 1):
             poly = sample_polynomial(3, params.field_modulus, dealer, substream(7, dealer))
-            assert list(row) == [horner(poly.coeffs, k) for k in range(1, 6)]
+            assert list(row) == [exact_value(poly.coeffs, k) for k in range(1, 6)]
 
     def test_runs_are_deterministic(self):
         assert run_scenario(honest_config()) == run_scenario(honest_config())
@@ -623,8 +612,6 @@ REFUSALS = {
         "row 1 checked against commitments of dealer 2"),
     "negative-value-verify-share": (lambda h: verify_share(2, -1, h.commits, h.small11),
                                     "share values are non-negative"),
-    "negative-value-range-check": (lambda h: range_check(-1, get_params("p23q11")),
-                                   "share values are non-negative"),
     "negative-value-row": (lambda h: verify_row([7, 11, -1], h.commits, h.small11),
                            "share values are non-negative"),
     "negative-value-pool": (lambda h: reconstruct_pool((1, 2), (7, -1), h.commits, h.small11),
@@ -703,10 +690,10 @@ class TestVerificationRound:
         p2 = SecretPolynomial(dealer=2, coeffs=(5, 1), field_modulus=11)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
         rows = [
-            [horner(p1.coeffs, 1) % 11,
+            [exact_value(p1.coeffs, 1) % 11,
              # same exponent class but numerically above q: range check trips
-             horner(p1.coeffs, 2) % 11 + 11],
-            [horner(p2.coeffs, 1) % 11, horner(p2.coeffs, 2) % 11],
+             exact_value(p1.coeffs, 2) % 11 + 11],
+            [exact_value(p2.coeffs, 1) % 11, exact_value(p2.coeffs, 2) % 11],
         ]
         assert run_verification_round(rows, commits, p23q11) == ((True, False), (True, True))
 
@@ -758,7 +745,7 @@ class TestVerificationRound:
 def test_pools_refuse_malformed_recipients(params_ref, recipients, message):
     params = get_params(params_ref)
     poly = sample_polynomial(3, params.field_modulus, 1, substream(7, 1))
-    values = [horner(poly.coeffs, k) % params.field_modulus for k in recipients]
+    values = [exact_value(poly.coeffs, k) % params.field_modulus for k in recipients]
     with pytest.raises(VsslabError, match=message):
         reconstruct_pool(recipients, values, commit(poly, params), params)
 
@@ -770,7 +757,7 @@ def test_a_row_and_a_pool_that_reach_the_field_modulus_are_refused_alike(params_
     params = get_params(params_ref)
     m = params.field_modulus
     poly = sample_polynomial(3, m, 1, substream(7, 1))
-    values = [horner(poly.coeffs, k) % m for k in range(1, m + 1)]
+    values = [exact_value(poly.coeffs, k) % m for k in range(1, m + 1)]
     commits = commit(poly, params)
     with pytest.raises(VsslabError, match=rf"abscissa {m} outside \(0, {m}\)") as row:
         verify_row(values, commits, params)
@@ -779,23 +766,11 @@ def test_a_row_and_a_pool_that_reach_the_field_modulus_are_refused_alike(params_
     assert str(row.value) == str(pool.value)
 
 
-def per_share_matrix(rows, commitments, params):
-    """The verification matrix as the per-share checks give it: in
-    hardened mode commitment_in_group, then range_check, then
-    verify_share; in vulnerable mode verify_share alone."""
-    hardened = params.mode is Mode.HARDENED
-    return tuple(
-        tuple((not hardened or (commitment_in_group(commits, params) and range_check(v, params)))
-              and verify_share(k, v, commits, params) for k, v in enumerate(row, 1))
-        for row, commits in zip(rows, commitments))
-
-
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_verification_round_matches_the_per_share_oracle(data):
     params = get_params(data.draw(st.sampled_from(
         ["small11", "p23order11", "p23q11", "v32", "h32"])))
-    hardened = params.mode is Mode.HARDENED
     n = data.draw(st.integers(min_value=2, max_value=6))
     t = data.draw(st.integers(min_value=2, max_value=n))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
@@ -809,9 +784,8 @@ def test_verification_round_matches_the_per_share_oracle(data):
     for poly in polys:
         row = []
         for k in range(1, n + 1):
-            honest = horner(poly.coeffs, k) % params.q if hardened else horner(poly.coeffs, k)
             shift = data.draw(st.sampled_from(shifts))
-            row.append(honest + shift)
+            row.append(honest_share(poly.coeffs, k, params) + shift)
         rows.append(row)
     dealt = [commit(poly, params) for poly in polys]
     commitments = []
@@ -825,8 +799,8 @@ def test_verification_round_matches_the_per_share_oracle(data):
         elif tamper == "other":
             c[j] = dealt[(i + 1) % n].c[j]
         commitments.append(CommitmentVector(dealer=cv.dealer, c=tuple(c)))
-    assert run_verification_round(rows, commitments, params) == per_share_matrix(
-        rows, commitments, params)
+    assert run_verification_round(rows, commitments, params) == tuple(
+        per_share(row, commits, params) for row, commits in zip(rows, commitments))
 
 
 class TestRowCheck:
@@ -1011,12 +985,12 @@ class TestWeightMemo:
 
 
 def enumerate_pool(points, t, commits, params):
-    """Every t-subset's attempt in lexicographic order, by lagrange_zero
+    """Every t-subset's attempt in lexicographic order, by interpolate_at_zero
     and the builtin pow; points are (recipient, value mod the field)."""
     m = params.field_modulus
     oracle = []
     for subset in itertools.combinations(points, t):
-        value = lagrange_zero(subset, m)
+        value = interpolate_at_zero(subset, m)
         oracle.append(ReconstructionAttempt(tuple(k for k, _ in subset), value,
                                             pow(params.g, value, params.p) == commits.c[0]))
     return oracle
@@ -1024,9 +998,9 @@ def enumerate_pool(points, t, commits, params):
 
 def on_one_polynomial(points, t, m):
     """Whether every point lies on the polynomial through the first t:
-    its value at k is lagrange_zero of the first t moved left by k."""
+    its value at k is interpolate_at_zero of the first t moved left by k."""
     first = points[:t]
-    return all(lagrange_zero([((x - k) % m, y) for x, y in first], m) == v
+    return all(interpolate_at_zero([((x - k) % m, y) for x, y in first], m) == v
                for k, v in points[t:])
 
 
@@ -1041,7 +1015,7 @@ def expected_attempts(oracle, points, t, m):
 
 
 class TestReconstructionMatchesOracle:
-    """The recorded attempts are lagrange_zero and the c_0 check over the
+    """The recorded attempts are interpolate_at_zero and the c_0 check over the
     t-subsets of the pool, cut after the first that passes, or after the
     first when the pool lies on one polynomial."""
 
@@ -1096,7 +1070,7 @@ class TestReconstructionMatchesOracle:
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_reconstruct_pool_matches_exhaustive_enumeration(data):
-    """One pool against every t-subset by lagrange_zero and builtin pow:
+    """One pool against every t-subset by interpolate_at_zero and builtin pow:
     honest, every share shifted by one constant, or a proper subset
     shifted; wider than t, exactly t, or shorter."""
     params = get_params(data.draw(st.sampled_from(["small11", "p23order11", "v32", "p23q11"])))
@@ -1116,7 +1090,7 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
     elif shape == "shift-some" and n > 1:
         shifted = data.draw(st.sets(st.sampled_from(recipients), min_size=1, max_size=n - 1))
     shift = data.draw(st.integers(min_value=1, max_value=3 * params.p))
-    values = [horner(poly.coeffs, k) + (shift if k in shifted else 0) for k in recipients]
+    values = [exact_value(poly.coeffs, k) + (shift if k in shifted else 0) for k in recipients]
     commits = commit(poly, params)
 
     attempts = reconstruct_pool(recipients, values, commits, params)

@@ -22,16 +22,36 @@ def run_script(name):
                           capture_output=True, text=True, timeout=60)
 
 
+# every line scripts/worked_example.py prints, the numbers the README
+# walks through among them
+WORKED_EXAMPLE = """\
+group: p=11 g=2 ord(g)=10
+dealer polynomial: P(x) = 3 + 4x, secret a0 = 3
+public commitments g^a_j: (8, 5)
+
+honest share for party 2: P(2) = 11
+  verification: True
+
+forged share for party 2: P(2) + (p-1) = 21
+  verification: True  <- passes, same exponent class
+  but 21 mod p = 10, while the honest value is 0
+
+reconstruction from {(1, 7), (2, 10)}: 4
+  true secret: 3, recovered: 4  <- corrupted
+
+commitment check: g^4 = 5 vs c_0 = 8
+  check failed; the group notices, but only after the dealer withheld
+
+row check: basis rows ((2, 10), (10, 1)) give coefficients b = (4, 3)
+  g^b_j = (5, 8) vs commitments (8, 5)
+  no match, so each share is checked alone, and each passes
+"""
+
+
 def test_worked_example_runs():
     result = run_script("worked_example.py")
     assert result.returncode == 0, result.stderr
-    assert "verification: True  <- passes" in result.stdout
-    assert "<- corrupted" in result.stdout
-    # the numbers the README walks through
-    lines = result.stdout.splitlines()
-    assert "forged share for party 2: P(2) + (p-1) = 21" in lines
-    assert "  but 21 mod p = 10, while the honest value is 0" in lines
-    assert "reconstruction from {(1, 7), (2, 10)}: 4" in lines
+    assert result.stdout == WORKED_EXAMPLE
 
 
 def test_run_all_scenarios_tabulates_every_scenario_with_a_clean_matrix():

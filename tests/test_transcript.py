@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
-from vsslab.poly import horner, sample_polynomial
+from vsslab.poly import sample_polynomial
 from vsslab.protocol import (
     SCENARIO_NAMES,
     Behavior,
@@ -33,6 +33,8 @@ from vsslab.transcript import (
     render_report,
     report_to_dict,
 )
+
+from reference_model import exact_value
 
 # `vsslab run --scenario false-share --seed 7` as schema "3" wrote it, where
 # each share was an object repeating its dealer, recipient and provenance
@@ -199,7 +201,7 @@ def test_every_share_is_rebuilt_from_the_transcript():
                                      substream(config.seed, dealer))
             for k, value in enumerate(row, 1):
                 strategy = forged.get((dealer, k))
-                honest = horner(poly.coeffs, k)
+                honest = exact_value(poly.coeffs, k)
                 if strategy is None:
                     assert value == (honest if params.q is None else honest % params.q)
                 else:

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from vsslab.errors import TooLarge, VsslabError
 from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import (
-    SecretPolynomial,
-    horner,
-    sample_polynomial,
-)
+from vsslab.poly import SecretPolynomial, sample_polynomial
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import (
@@ -27,10 +23,12 @@ from vsslab.vss import (
     commit_integer,
     commitment_in_group,
     projected_bit_length,
-    range_check,
     verify_row,
     verify_share,
 )
+
+from conftest import per_share
+from reference_model import exact_value, honest_share
 
 
 def mkpoly(coeffs, m, dealer=1):
@@ -43,7 +41,7 @@ def naive_verify(value, poly, k, params):
     Computes g**value and g**P(k) as exact integers reduced only at the
     very end, so it cannot share a bug with the production code path.
     """
-    honest = horner(poly.coeffs, k)
+    honest = exact_value(poly.coeffs, k)
     if value < 0:
         return False
     return pow(params.g, value, params.p) == pow(params.g, honest, params.p)
@@ -95,7 +93,7 @@ class TestVerifyShare:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, small11)
         for k in range(1, 11):
-            honest = horner(poly.coeffs, k)
+            honest = exact_value(poly.coeffs, k)
             for v in range(0, 50):
                 got = verify_share(k, v, commits, small11)
                 assert got == (v % 10 == honest % 10), (k, v)
@@ -106,7 +104,7 @@ class TestVerifyShare:
         poly = mkpoly([5, 7], 23)
         commits = commit(poly, p23order11)
         for k in range(1, 23):
-            honest = horner(poly.coeffs, k)
+            honest = exact_value(poly.coeffs, k)
             for v in range(0, 100):
                 got = verify_share(k, v, commits, p23order11)
                 assert got == (v % 11 == honest % 11), (k, v)
@@ -118,7 +116,7 @@ class TestVerifyShare:
         poly = sample_polynomial(3, params.p, 1, SplitMix64(seed ^ 1))
         commits = commit(poly, params)
         k = 1 + seed % (params.p - 1)
-        honest = horner(poly.coeffs, k)
+        honest = exact_value(poly.coeffs, k)
         got = verify_share(k, candidate, commits, params)
         assert got == (candidate % params.d == honest % params.d)
 
@@ -138,7 +136,7 @@ class TestVerifyShare:
             poly = sample_polynomial(3, params.p, 1, SplitMix64(seed + 7))
             commits = commit(poly, params)
             for k in range(1, 6):
-                assert verify_share(k, horner(poly.coeffs, k), commits, params)
+                assert verify_share(k, exact_value(poly.coeffs, k), commits, params)
 
 
 def direct_product(commits, k, p):
@@ -188,9 +186,7 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            value = horner(poly.coeffs, k) % 11
-            assert range_check(value, p23q11)
-            assert verify_share(k, value, commits, p23q11)
+            assert verify_share(k, exact_value(poly.coeffs, k) % 11, commits, p23q11)
 
     def test_exactly_one_value_below_q_is_accepted(self, p23q11):
         # soundness scan: for every recipient the accepted set in [0, q)
@@ -198,7 +194,7 @@ class TestHardened:
         poly = mkpoly([3, 4], 11)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            honest = horner(poly.coeffs, k) % 11
+            honest = exact_value(poly.coeffs, k) % 11
             accepted = [
                 v
                 for v in range(0, 11)
@@ -206,37 +202,12 @@ class TestHardened:
             ]
             assert accepted == [honest]
 
-    def test_range_check_rejects_values_at_or_above_q(self, p23q11):
-        assert not range_check(11, p23q11)
-        assert not range_check(12, p23q11)
-        assert range_check(10, p23q11)
-
-    def test_range_check_is_hardened_only(self, small11):
-        with pytest.raises(VsslabError, match="range check only exists in hardened mode"):
-            range_check(3, small11)
-
     def test_commitment_in_group_flags_outside_elements(self, p23q11):
         good = CommitmentVector(dealer=1, c=(pow(2, 3, 23), pow(2, 4, 23)))
         assert commitment_in_group(good, p23q11)
         # 5 generates the full group mod 23, so it is not in the order-11 subgroup
         bad = CommitmentVector(dealer=1, c=(pow(2, 3, 23), 5))
         assert not commitment_in_group(bad, p23q11)
-
-
-def dealt(poly, k, params):
-    """An honest dealer's share for party k: P(k) mod q when hardened, the
-    exact integer P(k) otherwise."""
-    return horner(poly.coeffs, k) % params.q if params.q else horner(poly.coeffs, k)
-
-
-def per_share(values, commits, params):
-    """The row verdicts as the per-share checks give them."""
-    hardened = params.mode is Mode.HARDENED
-    return tuple(
-        (not hardened or (commitment_in_group(commits, params) and range_check(v, params)))
-        and verify_share(k, v, commits, params)
-        for k, v in enumerate(values, 1)
-    )
 
 
 class TestVerifyRow:
@@ -262,15 +233,15 @@ class TestVerifyRow:
     ], ids=["short", "at-p"])
     def test_short_and_too_long_rows_are_refused(self, share_checks, small11, length, message):
         poly = mkpoly([3, 4, 5], 11)
-        values = [horner(poly.coeffs, k) for k in range(1, length + 1)]
+        values = [exact_value(poly.coeffs, k) for k in range(1, length + 1)]
         with pytest.raises(VsslabError, match=message):
             verify_row(values, commit(poly, small11), small11)
         assert share_checks == []
 
     def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
         poly = mkpoly([3, 4], 11)
-        values = [horner(poly.coeffs, k) % 11 for k in (1, 2, 3)]
-        values.append(horner(poly.coeffs, 4) % 11 + 11)
+        values = [exact_value(poly.coeffs, k) % 11 for k in (1, 2, 3)]
+        values.append(exact_value(poly.coeffs, 4) % 11 + 11)
         commits = commit(poly, p23q11)
         assert verify_row(values, commits, p23q11) == (True, True, True, False)
         assert share_checks == []
@@ -278,6 +249,47 @@ class TestVerifyRow:
         # rejects the whole row
         bad = CommitmentVector(dealer=1, c=(commits.c[0], commits.c[1] * 22 % 23))
         assert verify_row(values, bad, p23q11) == (False,) * 4
+
+    @pytest.mark.parametrize("first", [7, 8], ids=["row-check", "per-share"])
+    def test_the_range_bound_is_q(self, share_checks, p23q11, first):
+        # P = 3 + 4x is 7 at party 1, 0 at party 2, 1 at party 5 and
+        # 10 = q - 1 at party 10, mod 11
+        poly = mkpoly([3, 4], 11)
+        values = [exact_value(poly.coeffs, k) % 11 for k in range(1, 11)]
+        assert (values[0], values[1], values[4], values[9]) == (7, 0, 1, 10)
+        # 8 misses P(1), so the row check fails and every share is checked alone
+        values[0] = first
+        values[1] += 11  # q, the honest value's exponent class
+        values[4] += 11  # q + 1, likewise
+        expected = [first == 7] + [True] * 9
+        expected[1] = expected[4] = False
+        assert verify_row(values, commit(poly, p23q11), p23q11) == tuple(expected)
+        # the range rule decides q and q + 1 before any verify_share
+        assert share_checks == ([] if first == 7 else
+                                [(1, k) for k in range(1, 11) if k not in (2, 5)])
+
+    @pytest.mark.parametrize("name", ["v64", "h64"])
+    def test_a_row_that_passes_its_row_check_checks_its_values_once(
+            self, monkeypatch, share_checks, name):
+        import vsslab.vss as vss
+
+        calls = []
+        original = vss.check_values
+
+        def counting(values):
+            calls.append(tuple(values))
+            return original(values)
+
+        monkeypatch.setattr(vss, "check_values", counting)
+        params = get_params(name)
+        poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
+        values = [honest_share(poly.coeffs, k, params) for k in range(1, 8)]
+        if params.q is not None:
+            values[5] += params.q
+        assert verify_row(values, commit(poly, params), params) == (
+            (True,) * 5 + (params.q is None, True))
+        assert calls == [tuple(values)]
+        assert share_checks == []
 
 
 @given(st.data())
@@ -292,7 +304,7 @@ def test_verify_row_matches_the_per_share_checks(data):
     length = data.draw(st.integers(0, 7) | st.just(t))
     values = []
     for k in range(1, length + 1):
-        honest = dealt(poly, k, params)
+        honest = honest_share(poly.coeffs, k, params)
         shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
         values.append(honest + shift)
     if length < t:
@@ -335,7 +347,7 @@ class TestRowEvaluations:
             self, evaluated, share_checks, name, t, evaluated_at):
         params = get_params(name)
         poly = sample_polynomial(t, params.field_modulus, 1, SplitMix64(t))
-        values = [dealt(poly, k, params) for k in range(1, 8)]
+        values = [honest_share(poly.coeffs, k, params) for k in range(1, 8)]
         assert verify_row(values, commit(poly, params), params) == (True,) * 7
         assert evaluated == evaluated_at
         assert share_checks == []
@@ -343,7 +355,7 @@ class TestRowEvaluations:
     def test_the_range_check_still_runs_on_the_interpolation_points(self, evaluated):
         params = get_params("h64")
         poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
-        values = [dealt(poly, k, params) for k in range(1, 6)]
+        values = [honest_share(poly.coeffs, k, params) for k in range(1, 6)]
         # shifted by q: the same residue, so the row check passes, but
         # out of range
         values[1] += params.q
@@ -356,7 +368,7 @@ class TestRowEvaluations:
         poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
         # the false-share dealer's shift: congruent mod d = p - 1, so every
         # share passes, but Q through the first t misses the commitments
-        values = [horner(poly.coeffs, k) + params.p - 1 for k in range(1, 8)]
+        values = [exact_value(poly.coeffs, k) + params.p - 1 for k in range(1, 8)]
         assert verify_row(values, commit(poly, params), params) == (True,) * 7
         assert evaluated == []
         assert share_checks == [(1, k) for k in range(1, 8)]
