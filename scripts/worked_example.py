@@ -15,7 +15,7 @@ from vsslab.vss import commit, verify_share
 
 def main() -> None:
     params = get_params("small11")
-    poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
+    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
 
     print(f"group: p={params.p} g={params.g} ord(g)={params.d}")
     print(f"dealer polynomial: P(x) = {poly.coeffs[0]} + {poly.coeffs[1]}x, secret a0 = {poly.secret}")

@@ -24,14 +24,11 @@ class SecretPolynomial:
     (p for a vulnerable group, q for a hardened one).
     """
 
-    dealer: int
     coeffs: tuple[int, ...]
     field_modulus: int
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.dealer < 0:
-            raise VsslabError("dealer id must be non-negative")
         if self.field_modulus < 2:
             raise VsslabError(f"field modulus must be at least 2, got {self.field_modulus}")
         if len(self.coeffs) < 1:
@@ -45,14 +42,13 @@ class SecretPolynomial:
         return self.coeffs[0]
 
 
-def sample_polynomial(t: int, field_modulus: int, dealer: int, rng: SplitMix64) -> SecretPolynomial:
+def sample_polynomial(t: int, field_modulus: int, rng: SplitMix64) -> SecretPolynomial:
     """Uniform degree-(t-1) polynomial over Z_field_modulus.
 
     Each coefficient is drawn by rejection sampling, so the distribution
     is exactly uniform on [0, field_modulus).
     """
     return SecretPolynomial(
-        dealer=dealer,
         coeffs=tuple(rng.randbelow(field_modulus) for _ in range(t)),
         field_modulus=field_modulus,
     )

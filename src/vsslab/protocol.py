@@ -147,8 +147,20 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n", "t", "seed"):  # before parameter generation reads them
+        # by the transcript decoder's rules, before parameter generation
+        # reads any field: a config that runs renders a decodable transcript
+        for name in ("n", "t", "seed"):
             check_int(self.__dict__[name], name)
+        if not isinstance(self.scenario, str):
+            raise ConfigInvalid(f"scenario must be a string, got {self.scenario!r}")
+        if not isinstance(self.params_ref, (str, GenSpec)):
+            raise ConfigInvalid(f"params_ref must be a name or a GenSpec, got {self.params_ref!r}")
+        if not isinstance(self.behaviors, Mapping):
+            raise ConfigInvalid(f"behaviors must be a mapping, got {type(self.behaviors).__name__}")
+        for pid, behavior in self.behaviors.items():
+            check_int(pid, "a party id")
+            if not isinstance(behavior, Behavior):
+                raise ConfigInvalid(f"party {pid} needs a Behavior, got {behavior!r}")
 
     def validate(self, params: GroupParams) -> None:
         _check_party_count(self.n)
@@ -236,7 +248,8 @@ class ReconstructionAttempt:
 
 @record
 class DealerReconstruction:
-    dealer: int
+    """reconstructions[d - 1] is dealer d's."""
+
     pool: tuple[int, ...]  # recipients whose shares are on the table
     attempts: tuple[ReconstructionAttempt, ...]
 
@@ -289,16 +302,6 @@ def _aligned(*sequences):
     return sequences
 
 
-def _by_dealer(*sequences):
-    """_aligned(*sequences), whose last holds the commitment vectors. The
-    dealer rule: VsslabError unless vector i is dealer i + 1's, row i's."""
-    sequences = _aligned(*sequences)
-    for dealer, cv in enumerate(sequences[-1], 1):
-        if cv.dealer != dealer:
-            raise VsslabError(f"row {dealer} checked against commitments of dealer {cv.dealer}")
-    return sequences
-
-
 def resolve_params(config: ScenarioConfig) -> GroupParams:
     """Registry lookup, or deterministic generation from the run seed."""
     if isinstance(config.params_ref, str):
@@ -322,7 +325,7 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     attempts = []
     for dealer in parties:
         rng = substream(config.seed, dealer)
-        poly = sample_polynomial(config.t, params.field_modulus, dealer, rng)
+        poly = sample_polynomial(config.t, params.field_modulus, rng)
         commitments.append(commit(poly, params))
         behavior = config.behaviors[dealer]
         # vulnerable dealers transmit the exact integer evaluation; hardened
@@ -352,15 +355,15 @@ def run_verification_round(rows, commitments, params: GroupParams):
     """n x n matrix: entry [dealer-1][recipient-1] says the share verified.
 
     rows[i] is dealer i + 1's row of share values to parties 1..n, and
-    commitments[i] its commitment vector (_by_dealer); each pair is
-    decided by verify_row. Counts that differ raise VsslabError.
+    commitments[i] its commitment vector; each pair is decided by
+    verify_row. Counts that differ raise VsslabError.
     """
-    return tuple(verify_row(row, cv, params) for row, cv in zip(*_by_dealer(rows, commitments)))
+    return tuple(verify_row(row, cv, params) for row, cv in zip(*_aligned(rows, commitments)))
 
 
 def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
-    """Attempts to rebuild dealer commits.dealer's secret from the values ys
-    its shares gave parties xs.
+    """Attempts to rebuild the secret committed to by commits from the
+    values ys its dealer's shares gave parties xs.
 
     Unequal lengths, a negative value or recipients that repeat or
     reach the field's modulus raise VsslabError. The t-subsets, t =
@@ -416,14 +419,13 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     bases come from poly's bounded cache (see poly.lagrange_weights).
     """
     withholders = {pid for pid, b in config.behaviors.items() if b.withholds_at_assembly}
-    rows, matrix, commitments = _by_dealer(dealing.shares, matrix, dealing.commitments)
+    rows, matrix, commitments = _aligned(dealing.shares, matrix, dealing.commitments)
     reconstructions = []
     for row, accepted, cv in zip(rows, matrix, commitments):
         row, accepted = _aligned(row, accepted)
         pool = tuple(k for k, ok in enumerate(accepted, 1) if ok and k not in withholders)
         reconstructions.append(DealerReconstruction(
-            dealer=cv.dealer, pool=pool,
-            attempts=reconstruct_pool(pool, [row[k - 1] for k in pool], cv, params)))
+            pool=pool, attempts=reconstruct_pool(pool, [row[k - 1] for k in pool], cv, params)))
     return tuple(reconstructions)
 
 

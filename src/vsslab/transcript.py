@@ -107,7 +107,8 @@ def report_to_dict(report: ScenarioReport) -> dict:
             "q": str(params.q) if params.q is not None else None,
         },
         "commitments": {
-            str(cv.dealer): [str(c) for c in cv.c] for cv in report.commitments
+            str(dealer): [str(c) for c in cv.c]
+            for dealer, cv in enumerate(report.commitments, 1)
         },
         "shares": {
             str(dealer): [str(v) for v in row]
@@ -125,7 +126,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "verification_matrix": [list(row) for row in report.verification_matrix],
         "aggregate_public_key": str(report.aggregate_public_key),
         "reconstructions": {
-            str(r.dealer): {
+            str(dealer): {
                 "pool": list(r.pool),
                 "attempts": [
                     {
@@ -137,7 +138,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
                 ],
                 "recovered": str(r.recovered) if r.recovered is not None else None,
             }
-            for r in report.reconstructions
+            for dealer, r in enumerate(report.reconstructions, 1)
         },
         "group_key": str(report.group_key) if report.group_key is not None else None,
         "verdict": report.verdict.value,

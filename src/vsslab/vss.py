@@ -26,10 +26,10 @@ from .record import record
 
 @record
 class CommitmentVector:
-    """Public commitments c_j = g**a_j mod p, one per coefficient, that
-    dealer broadcasts for its row of shares (protocol._by_dealer)."""
+    """Public commitments c_j = g**a_j mod p, one per coefficient, that a
+    dealer broadcasts for its row of shares; commitments[d - 1] is
+    dealer d's."""
 
-    dealer: int
     c: tuple[int, ...]
 
     def __post_init__(self):
@@ -58,10 +58,7 @@ def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
             f"polynomial over Z_{poly.field_modulus} does not fit "
             f"{params.mode.value} parameters (expected Z_{params.field_modulus})"
         )
-    return CommitmentVector(
-        dealer=poly.dealer,
-        c=params.g_pows(poly.coeffs),
-    )
+    return CommitmentVector(params.g_pows(poly.coeffs))
 
 
 def verify_share(k: int, value: int, commits: CommitmentVector, params: GroupParams) -> bool:

@@ -55,14 +55,16 @@ def per_share(values, commits, params):
 
 @pytest.fixture
 def share_checks(monkeypatch):
-    """(dealer, recipient) of every per-share verify_share call verify_row makes."""
+    """(commitment vector, recipient) of every per-share verify_share call
+    verify_row makes; in a run, report.commitments[d - 1] names dealer d's
+    row."""
     import vsslab.vss as vss
 
     calls = []
     original = vss.verify_share
 
     def counting(k, value, commits, params):
-        calls.append((commits.dealer, k))
+        calls.append((commits, k))
         return original(k, value, commits, params)
 
     monkeypatch.setattr(vss, "verify_share", counting)

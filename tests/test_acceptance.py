@@ -35,7 +35,7 @@ from reference_model import exact_value
 def test_criterion_1_pinned_worked_example():
     started = time.monotonic()
     params = get_params("small11")
-    poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
+    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
 
     commits = commit(poly, params)
     assert commits.c == (8, 5)
@@ -75,7 +75,7 @@ def test_criterion_2_honest_pipeline_two_hundred_runs():
         for dealer, row in enumerate(report.shares, 1):
             # row dealer - 1 holds the values to parties 1..n, in order
             assert len(row) == n
-            secret = sample_polynomial(t, params.p, dealer, substream(seed, dealer)).secret
+            secret = sample_polynomial(t, params.p, substream(seed, dealer)).secret
             pts = [(k, v % params.p) for k, v in enumerate(row, 1)]
             for subset in itertools.combinations(pts, t):
                 xs, ys = zip(*subset)
@@ -91,7 +91,7 @@ def test_criterion_2_honest_pipeline_two_hundred_runs():
 def test_criterion_3_verification_congruence_law():
     # exhaustive side: p = 11, every recipient, every candidate in [0, 50)
     params = get_params("small11")
-    poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
+    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
     commits = commit(poly, params)
     for k in range(1, 11):
         honest = exact_value(poly.coeffs, k)
@@ -102,7 +102,7 @@ def test_criterion_3_verification_congruence_law():
     # randomized side: 1000 cases with 64-bit candidates
     params64 = get_params("v64")
     rng = SplitMix64(0xC3)
-    poly64 = sample_polynomial(3, params64.p, 1, SplitMix64(0xC4))
+    poly64 = sample_polynomial(3, params64.p, SplitMix64(0xC4))
     commits64 = commit(poly64, params64)
     for _ in range(1000):
         k = rng.randrange(1, params64.p)
@@ -116,7 +116,7 @@ def test_criterion_4_uniform_forgery_law():
     params = get_params("small11")
     for n in range(2, 8):
         for t in range(1, n + 1):
-            poly = sample_polynomial(t, 11, 1, SplitMix64(n * 31 + t))
+            poly = sample_polynomial(t, 11, SplitMix64(n * 31 + t))
             for m in (1, 2, 3):
                 shift = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m).shift(params)
                 forged = {k: (exact_value(poly.coeffs, k) + shift) % 11 for k in range(1, n + 1)}
@@ -129,7 +129,7 @@ def test_criterion_4_uniform_forgery_law():
 def test_criterion_5_hardened_impossibility():
     params = get_params("p23q11")
     assert (params.p, params.q, params.g) == (23, 11, 2)
-    poly = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
+    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
     commits = commit(poly, params)
 
     # exhaustive scan: the only accepted value below q is the honest one

@@ -38,8 +38,8 @@ from reference_model import exact_value, interpolate_at_zero, predict_corruption
 ADD1 = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
 
 
-def mkpoly(coeffs, m, dealer=1):
-    return SecretPolynomial(dealer=dealer, coeffs=tuple(coeffs), field_modulus=m)
+def mkpoly(coeffs, m):
+    return SecretPolynomial(coeffs=tuple(coeffs), field_modulus=m)
 
 
 def forged(poly, k, params, strategy):
@@ -115,7 +115,7 @@ class TestShift:
     def test_forged_shares_always_pass_verification_randomized(self):
         for seed in range(100):
             params = gen_params(20, Mode.VULNERABLE, SplitMix64(seed))
-            poly = sample_polynomial(3, params.p, 1, SplitMix64(seed + 999))
+            poly = sample_polynomial(3, params.p, SplitMix64(seed + 999))
             commits = commit(poly, params)
             m = 1 + seed % 5
             if m % params.p == 0:  # cannot happen at 20 bits, kept for clarity
@@ -132,7 +132,7 @@ class TestShift:
         behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(3,))
         report = run_scenario(ScenarioConfig("one-forgery", 5, 3, "small11", behaviors, 7))
         assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
-        poly = sample_polynomial(3, 11, 1, substream(7, 1))
+        poly = sample_polynomial(3, 11, substream(7, 1))
         assert report.shares[0][2] == forged(poly, 3, small11, strat)
         assert report.shares[0][2] == exact_value(poly.coeffs, 3) + 30
 
@@ -150,7 +150,7 @@ class TestShift:
         assert dealing.forgery_attempts == tuple(
             ForgeryAttempt(1, k, ADD1, "forgery_impossible") for k in range(2, 8))
         for dealer, row in enumerate(dealing.shares, 1):
-            poly = sample_polynomial(4, p23q11.q, dealer, substream(3, dealer))
+            poly = sample_polynomial(4, p23q11.q, substream(3, dealer))
             assert list(row) == [exact_value(poly.coeffs, k) % p23q11.q for k in range(1, 8)]
 
 
@@ -191,7 +191,7 @@ def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
     assert dealing.forgery_attempts == tuple(
         ForgeryAttempt(1, k, strategy, "forged") for k in sorted(targets))
     for dealer, row in enumerate(dealing.shares, 1):
-        poly = sample_polynomial(t, params.p, dealer, substream(seed, dealer))
+        poly = sample_polynomial(t, params.p, substream(seed, dealer))
         assert list(row) == [
             exact_value(poly.coeffs, k) + (shift if dealer == 1 and k in targets else 0)
             for k in range(1, n + 1)]
@@ -217,7 +217,7 @@ class TestReconstructionCorruption:
     def test_uniform_forgery_exhaustive_subsets(self, small11):
         # every t-subset of n <= 7 recipients, all forged, multiplier swept
         for t in (2, 3):
-            poly = sample_polynomial(t, 11, 1, SplitMix64(t))
+            poly = sample_polynomial(t, 11, SplitMix64(t))
             for m in (1, 2):
                 strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
                 shares = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
@@ -226,7 +226,7 @@ class TestReconstructionCorruption:
                     assert interpolate_at_zero(pts, 11) == (poly.secret - m) % 11
 
     def test_predict_corruption_matches_actual_exhaustively(self, small11):
-        poly = sample_polynomial(3, 11, 1, SplitMix64(77))
+        poly = sample_polynomial(3, 11, SplitMix64(77))
         m = 2
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
         honest = {k: exact_value(poly.coeffs, k) % 11 for k in range(1, 8)}
@@ -244,7 +244,7 @@ class TestReconstructionCorruption:
 
     def test_mixed_pool_error_term_is_weighted_multiplier_sum(self, small11):
         # direct check of the error formula against computed Lagrange weights
-        poly = sample_polynomial(2, 11, 1, SplitMix64(31))
+        poly = sample_polynomial(2, 11, SplitMix64(31))
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
         xs = (1, 4)
         weights = lagrange_weights(xs, 11)
@@ -293,7 +293,7 @@ class TestDetectionLaw:
 @settings(max_examples=150, deadline=None)
 def test_forged_acceptance_and_prediction_randomized(seed, m):
     params = gen_params(16, Mode.VULNERABLE, SplitMix64(seed))
-    poly = sample_polynomial(2, params.p, 1, SplitMix64(seed ^ 0xABCDEF))
+    poly = sample_polynomial(2, params.p, SplitMix64(seed ^ 0xABCDEF))
     commits = commit(poly, params)
     strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
     xs = (1, 2)

@@ -22,8 +22,8 @@ from vsslab.rng import SplitMix64
 from reference_model import exact_value
 
 
-def poly(coeffs, m=11, dealer=1):
-    return SecretPolynomial(dealer=dealer, coeffs=tuple(coeffs), field_modulus=m)
+def poly(coeffs, m=11):
+    return SecretPolynomial(coeffs=tuple(coeffs), field_modulus=m)
 
 
 def units(n):
@@ -53,30 +53,28 @@ def test_coefficients_must_be_reduced():
         poly([])
 
 
-def test_dealer_and_modulus_are_checked():
-    with pytest.raises(VsslabError, match="dealer id must be non-negative"):
-        SecretPolynomial(dealer=-1, coeffs=(1,), field_modulus=11)
+def test_the_field_modulus_is_checked():
     with pytest.raises(VsslabError, match="field modulus must be at least 2, got 1"):
-        SecretPolynomial(dealer=1, coeffs=(0,), field_modulus=1)
+        SecretPolynomial(coeffs=(0,), field_modulus=1)
 
 
 def test_the_smallest_field_modulus_is_two():
     # the boundary of the "at least 2" check: Z_2 holds a polynomial
-    p = SecretPolynomial(dealer=0, coeffs=(1, 1), field_modulus=2)
+    p = SecretPolynomial(coeffs=(1, 1), field_modulus=2)
     assert (p.secret, p.field_modulus, evaluate(p.coeffs, (1,), 2)) == (1, 2, (2,))
 
 
 def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
     with pytest.raises(VsslabError, match="polynomial needs at least one coefficient"):
-        sample_polynomial(0, 11, 1, SplitMix64(0))
+        sample_polynomial(0, 11, SplitMix64(0))
     # like SecretPolynomial, sampling takes any modulus >= 2; the group's
     # field is proven prime once, by GroupParams.validate
-    assert all(c < 12 for c in sample_polynomial(4, 12, 1, SplitMix64(0)).coeffs)
+    assert all(c < 12 for c in sample_polynomial(4, 12, SplitMix64(0)).coeffs)
 
 
 def test_sample_polynomial_is_deterministic_per_stream():
-    a = sample_polynomial(3, 101, 1, SplitMix64(9))
-    b = sample_polynomial(3, 101, 1, SplitMix64(9))
+    a = sample_polynomial(3, 101, SplitMix64(9))
+    b = sample_polynomial(3, 101, SplitMix64(9))
     assert a == b
     assert len(a.coeffs) == 3
     assert all(0 <= c < 101 for c in a.coeffs)
@@ -84,7 +82,7 @@ def test_sample_polynomial_is_deterministic_per_stream():
 
 def test_sample_polynomial_pinned_coefficients():
     # frozen output; a change here means the share-and-commit streams moved
-    got = sample_polynomial(3, 11, 1, SplitMix64(2024)).coeffs
+    got = sample_polynomial(3, 11, SplitMix64(2024)).coeffs
     assert got == (5, 2, 9)
 
 
@@ -127,7 +125,7 @@ def test_every_t_subset_recovers_the_secret(data):
     t = data.draw(st.integers(min_value=1, max_value=4))
     n = data.draw(st.integers(min_value=t, max_value=7))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
-    p = sample_polynomial(t, m, 1, SplitMix64(seed))
+    p = sample_polynomial(t, m, SplitMix64(seed))
     points = [(k, exact_value(p.coeffs, k) % m) for k in range(1, n + 1)]
     for subset in itertools.combinations(points, t):
         xs, ys = zip(*subset)
@@ -177,7 +175,7 @@ def test_basis_recovers_every_coefficient(data):
     t = data.draw(st.integers(min_value=1, max_value=6))
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 200)),
                             min_size=t, max_size=t, unique=True))
-    p = sample_polynomial(t, m, 1, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+    p = sample_polynomial(t, m, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
     ys = [exact_value(p.coeffs, x) % m for x in xs]
     assert interpolate(xs, ys, m) == p.coeffs
     assert evaluate(p.coeffs, xs, m) == tuple(exact_value(p.coeffs, x) for x in xs)

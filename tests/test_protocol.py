@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import time
 from math import comb
 from types import SimpleNamespace
@@ -353,6 +354,44 @@ def test_a_config_field_that_is_no_int_is_refused_and_nothing_runs(monkeypatch, 
     assert ran == []
 
 
+def honest_fields(**changes):
+    """The fields of the honest small11 5/3 config at seed 7, with changes."""
+    return {**vars(honest_config()), **changes}
+
+
+def behaviors_keyed(first, behavior=Behavior()):
+    """Honest behaviors of parties 2..5, and behavior under the key first."""
+    return {first: behavior, **{k: Behavior() for k in range(2, 6)}}
+
+
+# A label, parameter reference, behaviors mapping, party id or behavior
+# the transcript decoder would refuse, or that the transcript would write
+# as something the decoder refuses: the config must not be built
+NOT_DECODABLE = {
+    "scenario-int": (honest_fields(scenario=7), "scenario must be a string, got 7"),
+    "params-ref-none": (honest_fields(params_ref=None),
+                        "params_ref must be a name or a GenSpec, got None"),
+    "params-ref-int": (honest_fields(params_ref=64),
+                       "params_ref must be a name or a GenSpec, got 64"),
+    "party-id-bool": (honest_fields(behaviors=behaviors_keyed(True)),
+                      "a party id must be an integer, got True"),
+    "party-id-float": (honest_fields(behaviors=behaviors_keyed(1.0)),
+                       "a party id must be an integer, got 1.0"),
+    "party-id-str": (honest_fields(behaviors=behaviors_keyed("1")),
+                     "a party id must be an integer, got '1'"),
+    "behavior-str": (honest_fields(behaviors=behaviors_keyed(1, "honest")),
+                     "party 1 needs a Behavior, got 'honest'"),
+    "behaviors-list": (honest_fields(behaviors=[Behavior()] * 5),
+                       "behaviors must be a mapping, got list"),
+}
+
+
+@pytest.mark.parametrize("fields, message", NOT_DECODABLE.values(), ids=NOT_DECODABLE.keys())
+def test_a_config_field_the_decoder_would_refuse_is_refused_when_built(fields, message):
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**fields)
+
+
 class TestDealingShape:
     def test_counts_for_minimal_group(self):
         cfg = build_scenario("honest", seed=5, n=2, t=2)
@@ -375,7 +414,7 @@ class TestDealingShape:
         assert report.forgery_attempts == ()  # so every share is the honest evaluation
         assert len(report.shares) == 5
         for dealer, row in enumerate(report.shares, 1):
-            poly = sample_polynomial(3, params.field_modulus, dealer, substream(7, dealer))
+            poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
             assert list(row) == [exact_value(poly.coeffs, k) for k in range(1, 6)]
 
     def test_runs_are_deterministic(self):
@@ -387,10 +426,30 @@ class TestDealingShape:
         assert a.shares != b.shares
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_dealer_d_is_index_d_minus_1_of_every_per_dealer_tuple(name):
+    # commitments[d - 1] commits to dealer d's substream polynomial, and
+    # reconstructions[d - 1] rebuilds from the accepted shares of row d - 1
+    for seed in range(3):
+        report = run_scenario(build_scenario(name, seed=seed))
+        config, params = report.config, report.params
+        m = params.field_modulus
+        withholders = {pid for pid, b in config.behaviors.items() if b.withholds_at_assembly}
+        assert len(report.commitments) == len(report.reconstructions) == config.n
+        for d, (cv, rec) in enumerate(zip(report.commitments, report.reconstructions), 1):
+            assert cv == commit(sample_polynomial(config.t, m, substream(seed, d)), params)
+            row, accepted = report.shares[d - 1], report.verification_matrix[d - 1]
+            assert rec.pool == tuple(k for k, ok in enumerate(accepted, 1)
+                                     if ok and k not in withholders)
+            for attempt in rec.attempts:
+                points = [(k, row[k - 1] % m) for k in attempt.subset]
+                assert attempt.value == interpolate_at_zero(points, m)
+
+
 class TestReconstructPool:
     @staticmethod
     def worked_commits(small11):
-        return commit(SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11), small11)
+        return commit(SecretPolynomial(coeffs=(3, 4), field_modulus=11), small11)
 
     @staticmethod
     def pool(*values):
@@ -423,16 +482,6 @@ class TestReconstructPool:
         # every share shifted by p - 1 = 10 lies on 2 + 4x mod 11, so each
         # subset rebuilds 2 and fails; only the first is listed
         attempts = reconstruct_pool(*self.pool(17, 21, 25), self.worked_commits(small11), small11)
-        assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
-
-    @pytest.mark.parametrize("dealer", [1, 0, -1])
-    def test_the_consistency_test_does_not_read_the_dealer_id(self, small11, dealer):
-        # the same shifted pool under any dealer id the commitments carry:
-        # the test that it lies on one polynomial decides it, and a
-        # negative id no longer raises when the first subset fails
-        commits = CommitmentVector(dealer, self.worked_commits(small11).c)
-        attempts = reconstruct_pool((1, 2, 3), [3 + 4 * k + 10 for k in (1, 2, 3)], commits,
-                                    small11)
         assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
 
     @pytest.mark.parametrize("recipient, message", [
@@ -469,7 +518,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("honest", seed=7))
         params = report.params
         secrets = [
-            sample_polynomial(3, params.field_modulus, d, substream(7, d)).secret
+            sample_polynomial(3, params.field_modulus, substream(7, d)).secret
             for d in range(1, 6)
         ]
         assert report.group_key == sum(secrets) % (params.p - 1)
@@ -493,7 +542,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("false-share", seed=20))
         assert report.verdict is Verdict.KEY_ASSEMBLED
         assert report.reconstructions[0].recovered == 10
-        secrets = sample_polynomial(3, 11, 1, substream(20, 1)).secret
+        secrets = sample_polynomial(3, 11, substream(20, 1)).secret
         assert secrets == 0
         assert report.group_key_confirmed  # error is 10 = 0 mod ord(g)
 
@@ -504,7 +553,7 @@ class TestScenarioVerdicts:
         assert report.verdict is Verdict.KEY_ASSEMBLED
         assert all(all(row) for row in report.verification_matrix)
         rec = report.reconstructions[0]
-        true_secret = sample_polynomial(3, 23, 1, substream(1, 1)).secret
+        true_secret = sample_polynomial(3, 23, substream(1, 1)).secret
         assert true_secret == 8
         assert rec.recovered == 19  # wrong field element, same exponent
         assert report.group_key_confirmed
@@ -515,7 +564,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("order-shift", seed=2))
         assert report.verdict is Verdict.KEY_BLOCKED
         assert all(all(row) for row in report.verification_matrix)
-        assert sample_polynomial(3, 23, 1, substream(2, 1)).secret == 12
+        assert sample_polynomial(3, 23, substream(2, 1)).secret == 12
         assert report.reconstructions[0].recovered is None
 
     def test_withhold_assembles_when_enough_holders_remain(self):
@@ -554,7 +603,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("honest", seed=7))
         first, *rest = report.reconstructions
         *tried, passed = first.attempts
-        shifted = DealerReconstruction(first.dealer, first.pool, (
+        shifted = DealerReconstruction(first.pool, (
             *tried, ReconstructionAttempt(passed.subset, passed.value + 1, passed.commitment_check)))
         assert shifted.recovered == first.recovered + 1
         with pytest.raises(RuntimeError, match="aggregate public key"):
@@ -565,15 +614,10 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("hardened-attack", seed=7))
         params = report.params
         secrets = [
-            sample_polynomial(3, params.q, d, substream(7, d)).secret for d in range(1, 6)
+            sample_polynomial(3, params.q, substream(7, d)).secret for d in range(1, 6)
         ]
         assert report.group_key == sum(secrets) % params.q
         assert pow(params.g, report.group_key, params.p) == report.aggregate_public_key
-
-
-def swapped(commitments):
-    """The commitment vectors of dealers 1 and 2 in each other's places."""
-    return (commitments[1], commitments[0], *commitments[2:])
 
 
 # Every refusal of a share input, by the check that makes it. A row is
@@ -601,15 +645,6 @@ REFUSALS = {
     "reconstruction-counts-differ": (
         lambda h: run_reconstruction_round(h.dealing, h.matrix[:-1], h.config, h.params),
         "per-dealer inputs differ in length: 5, 4, 5"),
-    "verification-another-dealer": (
-        lambda h: run_verification_round(h.dealing.shares, swapped(h.dealing.commitments),
-                                         h.params),
-        "row 1 checked against commitments of dealer 2"),
-    "reconstruction-another-dealer": (
-        lambda h: run_reconstruction_round(
-            DealingRound(swapped(h.dealing.commitments), h.dealing.shares,
-                         h.dealing.forgery_attempts), h.matrix, h.config, h.params),
-        "row 1 checked against commitments of dealer 2"),
     "negative-value-verify-share": (lambda h: verify_share(2, -1, h.commits, h.small11),
                                     "share values are non-negative"),
     "negative-value-row": (lambda h: verify_row([7, 11, -1], h.commits, h.small11),
@@ -634,7 +669,7 @@ def inputs():
     small11 = get_params("small11")
     return SimpleNamespace(
         small11=small11, config=config, params=params, dealing=dealing,
-        commits=commit(SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11), small11),
+        commits=commit(SecretPolynomial(coeffs=(3, 4), field_modulus=11), small11),
         matrix=run_verification_round(dealing.shares, dealing.commitments, params))
 
 
@@ -686,8 +721,8 @@ class TestVerificationRound:
         from vsslab.poly import SecretPolynomial
         from vsslab.protocol import run_verification_round
 
-        p1 = SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11)
-        p2 = SecretPolynomial(dealer=2, coeffs=(5, 1), field_modulus=11)
+        p1 = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
+        p2 = SecretPolynomial(coeffs=(5, 1), field_modulus=11)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
         rows = [
             [exact_value(p1.coeffs, 1) % 11,
@@ -708,7 +743,7 @@ class TestVerificationRound:
         # multiplying by 22 = -1 mod 23 moves one entry out of the order-11
         # subgroup while every share stays as dealt
         c = dealing.commitments[0].c
-        bad = CommitmentVector(dealer=1, c=(c[0], c[1] * 22 % 23))
+        bad = CommitmentVector((c[0], c[1] * 22 % 23))
         matrix = run_verification_round(dealing.shares, (bad,) + dealing.commitments[1:], p23q11)
         assert matrix[0] == (False,) * 4
         assert matrix[1:] == honest[1:]
@@ -744,7 +779,7 @@ class TestVerificationRound:
 ], ids=["repeated", "repeated-late", "zero", "at-p", "above-p", "at-q"])
 def test_pools_refuse_malformed_recipients(params_ref, recipients, message):
     params = get_params(params_ref)
-    poly = sample_polynomial(3, params.field_modulus, 1, substream(7, 1))
+    poly = sample_polynomial(3, params.field_modulus, substream(7, 1))
     values = [exact_value(poly.coeffs, k) % params.field_modulus for k in recipients]
     with pytest.raises(VsslabError, match=message):
         reconstruct_pool(recipients, values, commit(poly, params), params)
@@ -756,7 +791,7 @@ def test_a_row_and_a_pool_that_reach_the_field_modulus_are_refused_alike(params_
     # holds one for party m, as the pool of parties 1..m does
     params = get_params(params_ref)
     m = params.field_modulus
-    poly = sample_polynomial(3, m, 1, substream(7, 1))
+    poly = sample_polynomial(3, m, substream(7, 1))
     values = [exact_value(poly.coeffs, k) % m for k in range(1, m + 1)]
     commits = commit(poly, params)
     with pytest.raises(VsslabError, match=rf"abscissa {m} outside \(0, {m}\)") as row:
@@ -774,7 +809,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
     n = data.draw(st.integers(min_value=2, max_value=6))
     t = data.draw(st.integers(min_value=2, max_value=n))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
-    polys = [sample_polynomial(t, params.field_modulus, dealer, substream(seed, dealer))
+    polys = [sample_polynomial(t, params.field_modulus, substream(seed, dealer))
              for dealer in range(1, n + 1)]
     # honest, the two forgeries, +1 tampering, or a value at or above the
     # field modulus; each row is complete (test_vss checks verify_row on
@@ -798,7 +833,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
             c[j] = c[j] * (params.p - 1) % params.p
         elif tamper == "other":
             c[j] = dealt[(i + 1) % n].c[j]
-        commitments.append(CommitmentVector(dealer=cv.dealer, c=tuple(c)))
+        commitments.append(CommitmentVector(tuple(c)))
     assert run_verification_round(rows, commitments, params) == tuple(
         per_share(row, commits, params) for row, commits in zip(rows, commitments))
 
@@ -816,7 +851,7 @@ class TestRowCheck:
     def test_only_the_forged_row_falls_back(self, share_checks):
         report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
         assert all(all(row) for row in report.verification_matrix)
-        assert share_checks == [(1, k) for k in range(1, 13)]
+        assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
 
 
 @pytest.fixture
@@ -836,18 +871,18 @@ class TestRowCache:
         assert rows_cached() == (12, 12)
 
     def test_only_the_forged_row_misses(self, rows_cached, share_checks):
-        run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
+        report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
         # 12 committed rows, then the forger's interpolated row
         assert rows_cached() == (11, 13)
-        assert share_checks == [(1, k) for k in range(1, 13)]
+        assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
 
     def test_every_honest_row_hits_at_the_widest_run(self, rows_cached, share_checks):
         # n = MAX_PARTIES fills the cache at commit; the forger's miss at
         # row 1 evicts row 1's commit, the least recently used entry
-        run_scenario(build_scenario("false-share", seed=1, n=MAX_PARTIES, t=32,
-                                    params_ref="v64"))
+        report = run_scenario(build_scenario("false-share", seed=1, n=MAX_PARTIES, t=32,
+                                             params_ref="v64"))
         assert rows_cached() == (MAX_PARTIES - 1, MAX_PARTIES + 1)
-        assert share_checks == [(1, k) for k in range(1, MAX_PARTIES + 1)]
+        assert share_checks == [(report.commitments[0], k) for k in range(1, MAX_PARTIES + 1)]
 
     def test_the_cache_holds_a_row_per_party(self):
         assert _g_row.cache_info().maxsize == MAX_PARTIES
@@ -910,8 +945,8 @@ class TestPoolMechanics:
     def test_recovered_values_match_true_secrets_in_honest_runs(self):
         report = run_scenario(honest_config())
         params = report.params
-        for rec in report.reconstructions:
-            poly = sample_polynomial(3, params.field_modulus, rec.dealer, substream(7, rec.dealer))
+        for dealer, rec in enumerate(report.reconstructions, 1):
+            poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
             assert rec.recovered == poly.secret
 
     def test_attempts_stop_at_the_first_passing_subset(self):
@@ -976,9 +1011,8 @@ class TestWeightMemo:
         # each dealer's share to the party with its own id is rejected, so
         # the first subsets are (2,3,4), (1,3,4), (1,2,4), (1,2,3), (1,2,3)
         matrix = tuple(tuple(k != d for k in range(1, 6)) for d in range(1, 6))
-        for rec in run_reconstruction_round(dealing, matrix, cfg, params):
-            poly = sample_polynomial(3, params.field_modulus, rec.dealer,
-                                     substream(7, rec.dealer))
+        for dealer, rec in enumerate(run_reconstruction_round(dealing, matrix, cfg, params), 1):
+            poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
             assert [a.commitment_check for a in rec.attempts] == [True]
             assert rec.recovered == poly.secret
         assert tables_computed() == (4, 0)
@@ -1047,14 +1081,14 @@ class TestReconstructionMatchesOracle:
                     report = run_scenario(cfg)
                     params = report.params
                     m = params.field_modulus
-                    for rec, commits in zip(report.reconstructions, report.commitments):
-                        row = report.shares[rec.dealer - 1]
+                    for dealer, (rec, row, commits) in enumerate(zip(
+                            report.reconstructions, report.shares, report.commitments), 1):
                         points = [(k, row[k - 1] % m) for k in rec.pool]
                         oracle = enumerate_pool(points, t, commits, params)
                         first = next((i for i, a in enumerate(oracle) if a.commitment_check),
                                      None)
                         assert list(rec.attempts) == expected_attempts(oracle, points, t, m), (
-                            cfg, rec.dealer)
+                            cfg, dealer)
                         assert rec.recovered == (None if first is None else oracle[first].value)
                         mixed_pools += len({a.value for a in oracle}) > 1
                         stopped_early += len(rec.attempts) < len(oracle)
@@ -1082,7 +1116,7 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
         lambda size: size))
     recipients = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 12)),
                                     min_size=n, max_size=n, unique=True))
-    poly = sample_polynomial(t, m, 1, substream(data.draw(st.integers(0, 2**64 - 1)), 1))
+    poly = sample_polynomial(t, m, substream(data.draw(st.integers(0, 2**64 - 1)), 1))
     shape = data.draw(st.sampled_from(["honest", "shift-all", "shift-some", "shift-some"]))
     shifted = set()
     if shape == "shift-all":
@@ -1097,7 +1131,7 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
     points = [(k, v % m) for k, v in zip(recipients, values)]
     oracle = enumerate_pool(points, t, commits, params)
     first = next((i for i, a in enumerate(oracle) if a.commitment_check), None)
-    recovered = DealerReconstruction(1, tuple(recipients), attempts).recovered
+    recovered = DealerReconstruction(tuple(recipients), attempts).recovered
     assert recovered == (None if first is None else oracle[first].value)
     assert attempts[:1] == tuple(oracle[:1])
     if oracle and first is None:

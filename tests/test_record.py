@@ -15,6 +15,7 @@ from vsslab.poly import SecretPolynomial
 from vsslab.protocol import (
     Behavior,
     BehaviorKind,
+    ForgeryAttempt,
     GenSpec,
     ScenarioConfig,
     ScenarioReport,
@@ -41,7 +42,7 @@ SAMPLES = [
     run_dealing_round(REPORT.config, REPORT.params),
     assemble_group_key(REPORT.reconstructions, REPORT.commitments, REPORT.params,
                        REPORT.verification_matrix),
-    SecretPolynomial(dealer=1, coeffs=(3, 4), field_modulus=11),
+    SecretPolynomial(coeffs=(3, 4), field_modulus=11),
     GenSpec(bits=16, mode=Mode.VULNERABLE),
 ]
 # the behaviors mapping is a dict, so these two are unhashable, as the
@@ -108,7 +109,9 @@ def test_never_equal_to_a_tuple_or_another_record_type(rec):
 
 
 def test_repr_names_every_field_in_order():
-    assert repr(CommitmentVector(1, (8, 5))) == "CommitmentVector(dealer=1, c=(8, 5))"
+    assert repr(ForgeryAttempt(1, 2, ForgeryStrategy(StrategyKind.ORDER_SHIFT), "forged")) == (
+        "ForgeryAttempt(dealer=1, recipient=2, strategy=ForgeryStrategy("
+        "kind=<StrategyKind.ORDER_SHIFT: 'order_shift'>, multiplier=1), outcome='forged')")
     assert repr(REPORT.params) == "GroupParams(p=11, g=2, d=10, mode=<Mode.VULNERABLE: 'vulnerable'>)"
     for rec in SAMPLES:
         text = repr(rec)
@@ -118,11 +121,13 @@ def test_repr_names_every_field_in_order():
 
 
 def test_defaults_apply():
-    # a commitment vector is its dealer and entries, with no defaults
-    with pytest.raises(TypeError, match="takes the fields dealer, c"):
-        CommitmentVector(1)
-    with pytest.raises(TypeError, match="takes the fields dealer, c"):
-        CommitmentVector(1, (8, 5), None)
+    # a forgery attempt is its dealer, recipient, strategy and outcome,
+    # with no defaults
+    usage = "takes the fields dealer, recipient, strategy, outcome"
+    with pytest.raises(TypeError, match=usage):
+        ForgeryAttempt(1, 2, ForgeryStrategy(StrategyKind.ORDER_SHIFT))
+    with pytest.raises(TypeError, match=usage):
+        ForgeryAttempt(1, 2, ForgeryStrategy(StrategyKind.ORDER_SHIFT), "forged", None)
     assert ForgeryStrategy(StrategyKind.ORDER_SHIFT).multiplier == 1
     assert Behavior() == Behavior(BehaviorKind.HONEST, None, ())
 
@@ -133,11 +138,11 @@ def test_post_init_checks_and_normalises():
     with pytest.raises(ConfigInvalid):
         Behavior(BehaviorKind.FALSE_SHARE_DEALER)
     with pytest.raises(ValueError):
-        SecretPolynomial(1, (11,), 11)
+        SecretPolynomial((11,), 11)
     with pytest.raises(ValueError):
-        CommitmentVector(1, ())
-    assert SecretPolynomial(1, [3, 4], 11).coeffs == (3, 4)
-    assert CommitmentVector(1, [5]).c == (5,)
+        CommitmentVector(())
+    assert SecretPolynomial([3, 4], 11).coeffs == (3, 4)
+    assert CommitmentVector([5]).c == (5,)
     forger = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
                       strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE), targets=[4, 2])
     assert forger.targets == (2, 4)

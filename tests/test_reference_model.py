@@ -63,8 +63,8 @@ def test_run_scenario_matches_the_reference_model(data):
     assert report.verdict.value == model.verdict
     assert report.group_key == model.group_key
     assert report.verification_matrix == model.matrix
-    assert {r.dealer: r.pool for r in report.reconstructions} == model.pools
-    assert {r.dealer: r.recovered for r in report.reconstructions} == model.recovered
+    assert {d: r.pool for d, r in enumerate(report.reconstructions, 1)} == model.pools
+    assert {d: r.recovered for d, r in enumerate(report.reconstructions, 1)} == model.recovered
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -89,8 +89,8 @@ def test_a_splitting_forger_at_v64_12_6_matches_the_reference_model(
 
     assert report.verdict.value == model.verdict == verdict
     assert report.group_key == model.group_key
-    assert {r.dealer: r.pool for r in report.reconstructions} == model.pools
-    assert {r.dealer: r.recovered for r in report.reconstructions} == model.recovered
+    assert {d: r.pool for d, r in enumerate(report.reconstructions, 1)} == model.pools
+    assert {d: r.recovered for d, r in enumerate(report.reconstructions, 1)} == model.recovered
     assert [len(r.attempts) for r in report.reconstructions] == [attempts] + [1] * 11
     assert audit_transcript(render_report(report)) == []
 

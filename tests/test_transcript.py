@@ -197,8 +197,7 @@ def test_every_share_is_rebuilt_from_the_transcript():
                   for a in doc["forgery_attempts"] if a["outcome"] == "forged"}
         params = report.params
         for dealer, row in enumerate(rebuilt, 1):
-            poly = sample_polynomial(config.t, params.field_modulus, dealer,
-                                     substream(config.seed, dealer))
+            poly = sample_polynomial(config.t, params.field_modulus, substream(config.seed, dealer))
             for k, value in enumerate(row, 1):
                 strategy = forged.get((dealer, k))
                 honest = exact_value(poly.coeffs, k)

@@ -31,8 +31,8 @@ from conftest import per_share
 from reference_model import exact_value, honest_share
 
 
-def mkpoly(coeffs, m, dealer=1):
-    return SecretPolynomial(dealer=dealer, coeffs=tuple(coeffs), field_modulus=m)
+def mkpoly(coeffs, m):
+    return SecretPolynomial(coeffs=tuple(coeffs), field_modulus=m)
 
 
 def naive_verify(value, poly, k, params):
@@ -51,7 +51,6 @@ class TestCommit:
     def test_worked_example(self, small11):
         vec = commit(mkpoly([3, 4], 11), small11)
         assert vec.c == (8, 5)  # 2^3=8, 2^4=16=5 mod 11
-        assert vec.dealer == 1
 
     def test_second_example(self, p23order11):
         assert commit(mkpoly([5, 7], 23), p23order11).c == (9, 13)
@@ -113,7 +112,7 @@ class TestVerifyShare:
     @settings(max_examples=200, deadline=None)
     def test_congruence_law_randomized(self, seed, candidate):
         params = gen_params(16, Mode.VULNERABLE, SplitMix64(seed))
-        poly = sample_polynomial(3, params.p, 1, SplitMix64(seed ^ 1))
+        poly = sample_polynomial(3, params.p, SplitMix64(seed ^ 1))
         commits = commit(poly, params)
         k = 1 + seed % (params.p - 1)
         honest = exact_value(poly.coeffs, k)
@@ -124,7 +123,7 @@ class TestVerifyShare:
         # 22 = -1 mod 23 lies outside the order-11 subgroup of g = 2. At
         # k = 11 the true product is 22**11 = 22, which no g**v reaches;
         # reducing the exponent 11 mod d would give 22**0 = 1 = g**0
-        commits = CommitmentVector(dealer=1, c=(1, 22))
+        commits = CommitmentVector((1, 22))
         assert direct_product(commits, 11, 23) == 22
         assert mod_d_product(commits, 11, p23order11) == 1
         for v in range(22):
@@ -133,7 +132,7 @@ class TestVerifyShare:
     def test_honest_shares_always_verify_randomized(self):
         for seed in range(120):
             params = gen_params(20, Mode.VULNERABLE, SplitMix64(seed))
-            poly = sample_polynomial(3, params.p, 1, SplitMix64(seed + 7))
+            poly = sample_polynomial(3, params.p, SplitMix64(seed + 7))
             commits = commit(poly, params)
             for k in range(1, 6):
                 assert verify_share(k, exact_value(poly.coeffs, k), commits, params)
@@ -171,7 +170,7 @@ def test_verification_matches_the_direct_product(data):
         entries = [pow(g, a, p) for a in exponents]
     else:
         entries = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
-    commits = CommitmentVector(dealer=1, c=tuple(entries))
+    commits = CommitmentVector(tuple(entries))
     k = data.draw(st.integers(min_value=1, max_value=p - 1), label="k")
     expected = direct_product(commits, k, p)
     if in_group:
@@ -203,10 +202,10 @@ class TestHardened:
             assert accepted == [honest]
 
     def test_commitment_in_group_flags_outside_elements(self, p23q11):
-        good = CommitmentVector(dealer=1, c=(pow(2, 3, 23), pow(2, 4, 23)))
+        good = CommitmentVector((pow(2, 3, 23), pow(2, 4, 23)))
         assert commitment_in_group(good, p23q11)
         # 5 generates the full group mod 23, so it is not in the order-11 subgroup
-        bad = CommitmentVector(dealer=1, c=(pow(2, 3, 23), 5))
+        bad = CommitmentVector((pow(2, 3, 23), 5))
         assert not commitment_in_group(bad, p23q11)
 
 
@@ -223,7 +222,7 @@ class TestVerifyRow:
         commits = commit(mkpoly([3, 4, 5], 11), small11)
         values = [12, 31 + 10, 60, 99 + 1]
         assert verify_row(values, commits, small11) == (True, True, True, False)
-        assert share_checks == [(1, 1), (1, 2), (1, 3), (1, 4)]
+        assert share_checks == [(commits, k) for k in (1, 2, 3, 4)]
 
     @pytest.mark.parametrize("length, message", [
         (2, "a row of 2 shares is shorter than the threshold 3"),
@@ -247,7 +246,7 @@ class TestVerifyRow:
         assert share_checks == []
         # an entry outside the subgroup misses g**b_j, and the fallback
         # rejects the whole row
-        bad = CommitmentVector(dealer=1, c=(commits.c[0], commits.c[1] * 22 % 23))
+        bad = CommitmentVector((commits.c[0], commits.c[1] * 22 % 23))
         assert verify_row(values, bad, p23q11) == (False,) * 4
 
     @pytest.mark.parametrize("first", [7, 8], ids=["row-check", "per-share"])
@@ -263,10 +262,11 @@ class TestVerifyRow:
         values[4] += 11  # q + 1, likewise
         expected = [first == 7] + [True] * 9
         expected[1] = expected[4] = False
-        assert verify_row(values, commit(poly, p23q11), p23q11) == tuple(expected)
+        commits = commit(poly, p23q11)
+        assert verify_row(values, commits, p23q11) == tuple(expected)
         # the range rule decides q and q + 1 before any verify_share
         assert share_checks == ([] if first == 7 else
-                                [(1, k) for k in range(1, 11) if k not in (2, 5)])
+                                [(commits, k) for k in range(1, 11) if k not in (2, 5)])
 
     @pytest.mark.parametrize("name", ["v64", "h64"])
     def test_a_row_that_passes_its_row_check_checks_its_values_once(
@@ -282,7 +282,7 @@ class TestVerifyRow:
 
         monkeypatch.setattr(vss, "check_values", counting)
         params = get_params(name)
-        poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
+        poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
         values = [honest_share(poly.coeffs, k, params) for k in range(1, 8)]
         if params.q is not None:
             values[5] += params.q
@@ -298,7 +298,7 @@ def test_verify_row_matches_the_per_share_checks(data):
     params = get_params(data.draw(st.sampled_from(
         ["small11", "p23order11", "p23q11", "h32", "v64", "h64"])))
     t = data.draw(st.integers(min_value=1, max_value=4))
-    poly = sample_polynomial(t, params.field_modulus, 1,
+    poly = sample_polynomial(t, params.field_modulus,
                              SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
     # a row of exactly t shares is all interpolation points, none evaluated
     length = data.draw(st.integers(0, 7) | st.just(t))
@@ -346,7 +346,7 @@ class TestRowEvaluations:
     def test_an_honest_row_evaluates_only_what_interpolation_leaves_open(
             self, evaluated, share_checks, name, t, evaluated_at):
         params = get_params(name)
-        poly = sample_polynomial(t, params.field_modulus, 1, SplitMix64(t))
+        poly = sample_polynomial(t, params.field_modulus, SplitMix64(t))
         values = [honest_share(poly.coeffs, k, params) for k in range(1, 8)]
         assert verify_row(values, commit(poly, params), params) == (True,) * 7
         assert evaluated == evaluated_at
@@ -354,7 +354,7 @@ class TestRowEvaluations:
 
     def test_the_range_check_still_runs_on_the_interpolation_points(self, evaluated):
         params = get_params("h64")
-        poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
+        poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
         values = [honest_share(poly.coeffs, k, params) for k in range(1, 6)]
         # shifted by q: the same residue, so the row check passes, but
         # out of range
@@ -365,24 +365,25 @@ class TestRowEvaluations:
 
     def test_a_false_share_row_falls_back_to_verify_share(self, evaluated, share_checks):
         params = get_params("v64")
-        poly = sample_polynomial(3, params.field_modulus, 1, SplitMix64(3))
+        poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
         # the false-share dealer's shift: congruent mod d = p - 1, so every
         # share passes, but Q through the first t misses the commitments
         values = [exact_value(poly.coeffs, k) + params.p - 1 for k in range(1, 8)]
-        assert verify_row(values, commit(poly, params), params) == (True,) * 7
+        commits = commit(poly, params)
+        assert verify_row(values, commits, params) == (True,) * 7
         assert evaluated == []
-        assert share_checks == [(1, k) for k in range(1, 8)]
+        assert share_checks == [(commits, k) for k in range(1, 8)]
 
 
 class TestAggregatePublicKey:
     def test_worked_example(self, small11):
-        vec_a = commit(mkpoly([3, 4], 11, dealer=1), small11)
-        vec_b = commit(mkpoly([0, 2], 11, dealer=2), small11)
+        vec_a = commit(mkpoly([3, 4], 11), small11)
+        vec_b = commit(mkpoly([0, 2], 11), small11)
         # 2^3 * 2^0 = 8; joint secret 3 + 0 = 3, and 2^3 = 8 mod 11
         assert aggregate_public_key([vec_a, vec_b], small11) == 8
 
     def test_matches_generator_to_the_sum_of_secrets(self, small11):
-        polys = [sample_polynomial(3, 11, d, SplitMix64(d)) for d in range(1, 6)]
+        polys = [sample_polynomial(3, 11, SplitMix64(d)) for d in range(1, 6)]
         vecs = [commit(p, small11) for p in polys]
         x = sum(p.secret for p in polys) % 10
         assert aggregate_public_key(vecs, small11) == pow(2, x, 11)
