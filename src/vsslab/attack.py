@@ -16,14 +16,12 @@ exactly one member, the honest share.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
-from .record import check_int, coerce_enum, record
+from .record import Choice, check_int, coerce_enum, record
 
 
-class StrategyKind(str, Enum):
+class StrategyKind(Choice):
     # add m * (p - 1): passes because ord(g) divides p - 1
     ADD_P_MINUS_ONE = "add_p_minus_one"
     # add m * ord(g): the exact acceptance boundary

@@ -15,15 +15,13 @@ for.
 from __future__ import annotations
 
 import math
-from enum import Enum
-from functools import lru_cache
 
 from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, VsslabError
-from .record import coerce_enum, record
+from .record import Choice, coerce_enum, lru_cache, record
 from .rng import MASK64, SplitMix64
 
 
-class Mode(str, Enum):
+class Mode(Choice):
     """Whether the generator may span all of Z_p* or a prime-order subgroup.
 
     VULNERABLE: any g, order d = ord(g) dividing p - 1; shares travel as

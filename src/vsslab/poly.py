@@ -7,12 +7,11 @@ the note above lagrange_weights), as tuples no caller can change."""
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import mul
 
 from .errors import VsslabError
 from .numtheory import mod_inv
-from .record import record
+from .record import lru_cache, record
 from .rng import SplitMix64
 
 

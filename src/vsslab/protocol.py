@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
-from enum import Enum
+from _collections_abc import Mapping
 from operator import mul
 
 from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode, gen_params
 from .poly import check_abscissas, evaluate, interpolate, lagrange_weights, sample_polynomial
-from .record import check_int, coerce_enum, record
+from .record import Choice, check_int, coerce_enum, record
 from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, aggregate_public_key, check_values, commit, verify_row
@@ -56,7 +55,7 @@ MAX_RECONSTRUCTION_ATTEMPTS = 250_000
 MAX_PARTIES = 64
 
 
-class BehaviorKind(str, Enum):
+class BehaviorKind(Choice):
     HONEST = "honest"
     FALSE_SHARE_DEALER = "false_share_dealer"
     WITHHOLDING_DEALER = "withholding_dealer"
@@ -219,7 +218,7 @@ class ScenarioConfig:
                     f"scenario {self.scenario!r} has the behaviors of built-in {name!r}")
 
 
-class Verdict(str, Enum):
+class Verdict(Choice):
     KEY_ASSEMBLED = "key_assembled"
     KEY_BLOCKED = "key_blocked"
 
@@ -292,12 +291,13 @@ class ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def _aligned(*sequences):
-    """The sequences as tuples; VsslabError unless they have one length,
-    since zip would silently drop what the longer ones hold."""
+def _aligned(noun, *sequences):
+    """The sequences as tuples; VsslabError("NOUN differ in length: ...")
+    unless they have one length, since zip would silently drop what the
+    longer ones hold."""
     sequences = tuple(map(tuple, sequences))
     if len({len(s) for s in sequences}) > 1:
-        raise VsslabError("per-dealer inputs differ in length: "
+        raise VsslabError(f"{noun} differ in length: "
                           + ", ".join(str(len(s)) for s in sequences))
     return sequences
 
@@ -358,7 +358,8 @@ def run_verification_round(rows, commitments, params: GroupParams):
     commitments[i] its commitment vector; each pair is decided by
     verify_row. Counts that differ raise VsslabError.
     """
-    return tuple(verify_row(row, cv, params) for row, cv in zip(*_aligned(rows, commitments)))
+    rows, commitments = _aligned("per-dealer inputs", rows, commitments)
+    return tuple(verify_row(row, cv, params) for row, cv in zip(rows, commitments))
 
 
 def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
@@ -384,7 +385,7 @@ def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
     subsets are enumerated, and a pool with no passing subset lists all
     C(len(pool), t) of them.
     """
-    xs, ys = _aligned(xs, ys)
+    xs, ys = _aligned("pool recipients and values", xs, ys)
     t = len(commits.c)
     m = params.field_modulus
     if xs:
@@ -419,10 +420,11 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     bases come from poly's bounded cache (see poly.lagrange_weights).
     """
     withholders = {pid for pid, b in config.behaviors.items() if b.withholds_at_assembly}
-    rows, matrix, commitments = _aligned(dealing.shares, matrix, dealing.commitments)
+    rows, matrix, commitments = _aligned("per-dealer inputs", dealing.shares, matrix,
+                                         dealing.commitments)
     reconstructions = []
-    for row, accepted, cv in zip(rows, matrix, commitments):
-        row, accepted = _aligned(row, accepted)
+    for dealer, (row, accepted, cv) in enumerate(zip(rows, matrix, commitments), 1):
+        row, accepted = _aligned(f"dealer {dealer}'s shares and verdicts", row, accepted)
         pool = tuple(k for k, ok in enumerate(accepted, 1) if ok and k not in withholders)
         reconstructions.append(DealerReconstruction(
             pool=pool, attempts=reconstruct_pool(pool, [row[k - 1] for k in pool], cv, params)))
@@ -444,7 +446,7 @@ def assemble_group_key(reconstructions, commitments, params: GroupParams, matrix
     raises RuntimeError. Reconstructions and commitments of unequal
     lengths raise VsslabError.
     """
-    reconstructions, commitments = _aligned(reconstructions, commitments)
+    reconstructions, commitments = _aligned("per-dealer inputs", reconstructions, commitments)
     if any(r.recovered is None for r in reconstructions):
         return Assembly(verdict=Verdict.KEY_BLOCKED, group_key=None, confirmed=None)
     period = params.q if params.mode is Mode.HARDENED else params.p - 1

@@ -1,4 +1,5 @@
-"""Immutable records: the part of dataclasses this library uses.
+"""Immutable records, choices and caches: the parts of dataclasses,
+enum and functools this library uses.
 
 @record reads a class's annotated fields in order; a class attribute
 of the same name is that field's default. It adds an __init__ that
@@ -7,9 +8,18 @@ when the class defines one, equality between records of the same class
 only, a hash that agrees with it, a repr, and assignment that raises.
 Nothing is compiled from source, so defining a record costs
 microseconds and imports no standard-library module.
+
+A Choice subclass is a str enum: each UPPERCASE class attribute
+becomes a member, a str equal to its value, made once when the class
+is defined. lru_cache is functools.lru_cache's C object itself. A
+process that imports the library loads neither enum nor functools, nor
+the collections package that functools imports.
 """
 
-from .errors import ConfigInvalid
+from _functools import _lru_cache_wrapper
+from operator import itemgetter
+
+from .errors import ConfigInvalid, VsslabError
 
 _set_dict = object.__setattr__
 
@@ -24,6 +34,41 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
 
 
+class _ChoiceType(type):
+    def __iter__(cls):
+        """The members, in definition order."""
+        return iter(cls._members)
+
+
+class Choice(str, metaclass=_ChoiceType):
+    """Members are str constants: Kind(value) is the member equal to
+    value, a member or its plain value alike, and anything else raises
+    VsslabError. A member has .name and .value and Enum's repr."""
+
+    _members = ()
+
+    def __init_subclass__(cls):
+        members = []
+        for name, value in tuple(vars(cls).items()):
+            if name.isupper():
+                member = str.__new__(cls, value)
+                member.name, member.value = name, value
+                setattr(cls, name, member)
+                members.append(member)
+        cls._members = tuple(members)
+
+    def __new__(cls, value):
+        # == and not a hash, so an unhashable value is simply no member;
+        # copy and pickle rebuild a member through here, so they keep it
+        for member in cls:
+            if member == value:
+                return member
+        raise VsslabError(f"{value!r} is not a valid {cls.__name__}")
+
+    def __repr__(self):
+        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
+
+
 def coerce_enum(obj, name, enum, error, noun):
     """For a __post_init__: replace field name of obj by the member of
     enum its value names, a member or its plain value alike; raise
@@ -33,6 +78,28 @@ def coerce_enum(obj, name, enum, error, noun):
         obj.__dict__[name] = enum(value)
     except ValueError:
         raise error(f"unknown {noun} {value!r}") from None
+
+
+class CacheInfo(tuple):
+    """A cache's (hits, misses, maxsize, currsize), also by name, as
+    functools' CacheInfo."""
+
+    __slots__ = ()
+    hits, misses, maxsize, currsize = map(property, map(itemgetter, range(4)))
+
+    def __new__(cls, hits, misses, maxsize, currsize):
+        return tuple.__new__(cls, (hits, misses, maxsize, currsize))
+
+
+def lru_cache(maxsize):
+    """functools.lru_cache(maxsize): the same C wrapper, with
+    cache_info(), cache_clear() and __wrapped__."""
+    def decorate(function):
+        wrapper = _lru_cache_wrapper(function, maxsize, False, CacheInfo)
+        wrapper.__wrapped__ = function
+        wrapper.__doc__ = function.__doc__
+        return wrapper
+    return decorate
 
 
 def check_int(value, noun):

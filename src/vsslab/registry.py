@@ -18,10 +18,9 @@ and their pinned values and certificates now define them.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import UnknownParamSet
 from .numtheory import GroupParams, Mode
+from .record import lru_cache
 
 _ENTRIES = {
     # tiny worked-example group: g = 2 is a primitive root mod 11, d = 10

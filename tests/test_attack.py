@@ -173,7 +173,7 @@ def vulnerable_groups(draw):
 @settings(max_examples=120, deadline=None)
 def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
     params_ref, params = data.draw(vulnerable_groups())
-    kind = data.draw(st.sampled_from(StrategyKind))
+    kind = data.draw(st.sampled_from(tuple(StrategyKind)))
     strategy = ForgeryStrategy(kind, data.draw(st.integers(1, params.p - 1)))
     shift = strategy.shift(params)
     assert shift % params.d == 0

@@ -32,6 +32,18 @@ def test_every_absolute_import_is_standard_library():
     assert outside == set()
 
 
+def printed_by_a_fresh_process(code):
+    """The output of code in a fresh `python -S` that imports vsslab from src."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+        check=True,
+    )
+    return result.stdout
+
+
 # dataclasses brings inspect, ast, dis and tokenize; without them every run
 # and verify starts in about half the time, and vsslab.record builds records
 SINGLE_USE = ("configparser", "importlib.resources", "fractions", "typing", "pathlib",
@@ -52,14 +64,7 @@ def test_loading_the_registry_pulls_in_no_single_use_module():
         "import vsslab, vsslab.cli; vsslab.load_registry()\n"
         f"print(sorted(set({SINGLE_USE!r}) & (set(sys.modules) - before)))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(SRC.parent)},
-        check=True,
-    )
-    assert result.stdout == "[]\n"
+    assert printed_by_a_fresh_process(code) == "[]\n"
 
 
 def loaded_by_a_run_and_its_verify(tmp_path, names):
@@ -73,14 +78,7 @@ def loaded_by_a_run_and_its_verify(tmp_path, names):
         f"assert main(['verify', {str(transcript)!r}]) == 0\n"
         f"print(sorted(set({names!r}) & set(sys.modules)))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(SRC.parent)},
-        check=True,
-    )
-    return result.stdout
+    return printed_by_a_fresh_process(code)
 
 
 # argparse, and the gettext and locale catalogue lookups and the shutil
@@ -101,6 +99,24 @@ REGEX_ONLY = ("json", "re")
 
 def test_a_run_and_its_verify_load_no_json_and_no_re(tmp_path):
     assert loaded_by_a_run_and_its_verify(tmp_path, REGEX_ONLY) == "[]\n"
+
+
+# enum, which the four kinds were, imports functools, and functools imports
+# collections: about 7 ms of every process. The kinds are record.Choice
+# constants, the caches call functools' C core _functools, and Mapping
+# comes from _collections_abc, which os loads anyway
+ENUM_AND_ITS_IMPORTS = ("enum", "functools", "collections")
+
+
+def test_a_run_and_its_verify_load_no_enum_functools_or_collections(tmp_path):
+    assert loaded_by_a_run_and_its_verify(tmp_path, ENUM_AND_ITS_IMPORTS) == "[]\n"
+    # and the benchmark's set-up op
+    code = (
+        "import sys\n"
+        "import vsslab; vsslab.load_registry()\n"
+        f"print(sorted(set({ENUM_AND_ITS_IMPORTS!r}) & set(sys.modules)))\n"
+    )
+    assert printed_by_a_fresh_process(code) == "[]\n"
 
 
 def readme_api():

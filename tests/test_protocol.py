@@ -638,13 +638,17 @@ REFUSALS = {
     "pool-outside-the-field": (lambda h: reconstruct_pool((1, 11), (7, 47), h.commits, h.small11),
                                r"abscissa 11 outside \(0, 11\)"),
     "pool-counts-differ": (lambda h: reconstruct_pool((1, 2), (7,), h.commits, h.small11),
-                           "per-dealer inputs differ in length: 2, 1"),
+                           "pool recipients and values differ in length: 2, 1"),
     "verification-counts-differ": (
         lambda h: run_verification_round(h.dealing.shares[:-1], h.dealing.commitments, h.params),
         "per-dealer inputs differ in length: 4, 5"),
     "reconstruction-counts-differ": (
         lambda h: run_reconstruction_round(h.dealing, h.matrix[:-1], h.config, h.params),
         "per-dealer inputs differ in length: 5, 4, 5"),
+    "reconstruction-row-counts-differ": (
+        lambda h: run_reconstruction_round(h.dealing, (h.matrix[0][:-1], *h.matrix[1:]),
+                                           h.config, h.params),
+        "dealer 1's shares and verdicts differ in length: 5, 4"),
     "negative-value-verify-share": (lambda h: verify_share(2, -1, h.commits, h.small11),
                                     "share values are non-negative"),
     "negative-value-row": (lambda h: verify_row([7, 11, -1], h.commits, h.small11),
@@ -696,8 +700,12 @@ class TestPerDealerInputs:
         with pytest.raises(VsslabError, match="per-dealer inputs differ in length: 4, 5"):
             run_verification_round(dealing.shares[:-1], dealing.commitments, params)
 
-    @pytest.mark.parametrize("cut", ["shares", "matrix", "matrix row"])
-    def test_reconstruction_refuses_inputs_of_unequal_lengths(self, honest, cut):
+    @pytest.mark.parametrize("cut, message", [
+        ("shares", "per-dealer inputs differ in length: 4, 5, 5"),
+        ("matrix", "per-dealer inputs differ in length: 5, 4, 5"),
+        ("matrix row", "dealer 1's shares and verdicts differ in length: 5, 4"),
+    ], ids=["shares", "matrix", "matrix row"])
+    def test_reconstruction_refuses_inputs_of_unequal_lengths(self, honest, cut, message):
         config, params, dealing, matrix = honest
         if cut == "shares":
             dealing = DealingRound(dealing.commitments, dealing.shares[:-1],
@@ -706,7 +714,7 @@ class TestPerDealerInputs:
             matrix = matrix[:-1]
         else:
             matrix = (matrix[0][:-1], *matrix[1:])
-        with pytest.raises(VsslabError, match="per-dealer inputs differ in length"):
+        with pytest.raises(VsslabError, match=message):
             run_reconstruction_round(dealing, matrix, config, params)
 
     def test_assembly_refuses_a_missing_reconstruction(self, honest):

@@ -3,13 +3,15 @@ its own class with equal fields, hashed to match, and built through
 its defaults and __post_init__ checks."""
 
 import copy
+import functools
+import pickle
 import re
 
 import pytest
 
 from vsslab import attack, numtheory, poly, protocol, vss
 from vsslab.attack import ForgeryStrategy, StrategyKind
-from vsslab.errors import ConfigInvalid, InvalidGroupParams
+from vsslab.errors import ConfigInvalid, InvalidGroupParams, VsslabError
 from vsslab.numtheory import GroupParams, Mode
 from vsslab.poly import SecretPolynomial
 from vsslab.protocol import (
@@ -19,12 +21,13 @@ from vsslab.protocol import (
     GenSpec,
     ScenarioConfig,
     ScenarioReport,
+    Verdict,
     assemble_group_key,
     build_scenario,
     run_dealing_round,
     run_scenario,
 )
-from vsslab.record import _eq, record
+from vsslab.record import Choice, _eq, lru_cache, record
 from vsslab.transcript import render_report
 from vsslab.vss import CommitmentVector
 
@@ -214,3 +217,98 @@ def test_arguments_bind_by_position_and_keyword():
 def test_arguments_that_fit_no_signature_raise(args, kwargs):
     with pytest.raises(TypeError, match="takes the fields bits, mode"):
         GenSpec(*args, **kwargs)
+
+
+KINDS = (Mode, StrategyKind, BehaviorKind, Verdict)
+
+
+class TestChoice:
+    """record.Choice keeps what the library used of a str Enum."""
+
+    class Order(Choice):
+        """Members come from UPPERCASE attributes only."""
+
+        ZULU = "z"
+        ALPHA = "a"
+        MIKE = "m"
+        lower = "not a member"
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+    def test_a_value_or_a_member_gives_the_identical_member(self, kind):
+        for member in kind:
+            assert type(member) is kind and isinstance(member, str)
+            assert kind(member.value) is member
+            assert kind(member) is member
+            assert getattr(kind, member.name) is member
+            assert member == member.value and type(member.value) is str
+
+    def test_the_library_kinds_keep_their_names_and_values(self):
+        assert {kind.__name__: {m.name: m.value for m in kind} for kind in KINDS} == {
+            "Mode": {"VULNERABLE": "vulnerable", "HARDENED": "hardened"},
+            "StrategyKind": {"ADD_P_MINUS_ONE": "add_p_minus_one",
+                             "ORDER_SHIFT": "order_shift"},
+            "BehaviorKind": {"HONEST": "honest", "FALSE_SHARE_DEALER": "false_share_dealer",
+                             "WITHHOLDING_DEALER": "withholding_dealer"},
+            "Verdict": {"KEY_ASSEMBLED": "key_assembled", "KEY_BLOCKED": "key_blocked"},
+        }
+
+    @pytest.mark.parametrize("value", ["ORDER_SHIFT", "", None, 1, ["order_shift"],
+                                       {"kind": "order_shift"}, Mode.HARDENED],
+                             ids=repr)
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(VsslabError, match=re.escape(f"{value!r} is not a valid StrategyKind")):
+            StrategyKind(value)
+
+    def test_iteration_follows_definition_order(self):
+        assert [m.name for m in self.Order] == ["ZULU", "ALPHA", "MIKE"]
+        assert self.Order.lower == "not a member" and type(self.Order.lower) is str
+        assert tuple(StrategyKind) == (StrategyKind.ADD_P_MINUS_ONE, StrategyKind.ORDER_SHIFT)
+
+    def test_repr_is_enums(self):
+        assert repr(StrategyKind.ORDER_SHIFT) == "<StrategyKind.ORDER_SHIFT: 'order_shift'>"
+        assert repr(self.Order.ZULU) == "<Order.ZULU: 'z'>"
+
+    @pytest.mark.parametrize("member", [Mode.HARDENED, BehaviorKind.HONEST, Verdict.KEY_BLOCKED],
+                             ids=repr)
+    def test_copies_and_pickles_are_the_member(self, member):
+        assert copy.copy(member) is member
+        assert copy.deepcopy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+
+
+class TestLruCache:
+    """record.lru_cache(maxsize) is functools.lru_cache(maxsize)'s C object."""
+
+    @staticmethod
+    def cached(decorator):
+        calls = []
+
+        @decorator(maxsize=2)
+        def square(x):
+            """x squared."""
+            calls.append(x)
+            return x * x
+
+        return square, calls
+
+    def test_it_keeps_functools_statistics_and_order(self):
+        ours, our_calls = self.cached(lru_cache)
+        theirs, their_calls = self.cached(functools.lru_cache)
+        # 3 evicts 2, the least recently used, so 2 misses again and 1 hits
+        for x in (1, 2, 1, 3, 2, 3, 1, 1):
+            assert ours(x) == theirs(x) == x * x
+            assert ours.cache_info() == theirs.cache_info()
+        assert our_calls == their_calls == [1, 2, 3, 2, 1]
+        info = ours.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (3, 5, 2, 2)
+        assert info[:2] == (3, 5)
+
+    def test_cache_clear_wrapped_and_doc(self):
+        square, calls = self.cached(lru_cache)
+        square(4)
+        square.cache_clear()
+        assert square.cache_info() == (0, 0, 2, 0)
+        assert square(4) == 16 and calls == [4, 4]
+        assert square.__wrapped__(5) == 25 and calls == [4, 4, 5]
+        assert square.cache_info().misses == 1
+        assert square.__doc__ == "x squared."

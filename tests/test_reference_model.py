@@ -29,13 +29,13 @@ GROUPS = tuple(load_registry())
 
 
 def behavior(data, pid, n, p):
-    kind = data.draw(st.sampled_from(BehaviorKind))
+    kind = data.draw(st.sampled_from(tuple(BehaviorKind)))
     if kind is not BehaviorKind.FALSE_SHARE_DEALER:
         return Behavior(kind=kind)
     others = [k for k in range(1, n + 1) if k != pid]
     return Behavior(
         kind=kind,
-        strategy=ForgeryStrategy(data.draw(st.sampled_from(StrategyKind)),
+        strategy=ForgeryStrategy(data.draw(st.sampled_from(tuple(StrategyKind))),
                                  data.draw(st.integers(min_value=1, max_value=p - 1))),
         targets=data.draw(st.sets(st.sampled_from(others), min_size=1)),
     )
