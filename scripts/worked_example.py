@@ -8,22 +8,22 @@ Usage: python scripts/worked_example.py
 """
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
-from vsslab.poly import SecretPolynomial, evaluate, interpolate
+from vsslab.poly import evaluate, interpolate
 from vsslab.registry import get_params
 from vsslab.vss import commit, verify_share
 
 
 def main() -> None:
     params = get_params("small11")
-    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
+    poly = (3, 4)  # coefficients a_0, a_1 of P over Z_11
 
     print(f"group: p={params.p} g={params.g} ord(g)={params.d}")
-    print(f"dealer polynomial: P(x) = {poly.coeffs[0]} + {poly.coeffs[1]}x, secret a0 = {poly.secret}")
+    print(f"dealer polynomial: P(x) = {poly[0]} + {poly[1]}x, secret a0 = {poly[0]}")
 
     commits = commit(poly, params)
     print(f"public commitments g^a_j: {commits.c}")
 
-    at_1, honest = evaluate(poly.coeffs, (1, 2), 11)
+    at_1, honest = evaluate(poly, (1, 2), 11)
     print(f"\nhonest share for party 2: P(2) = {honest}")
     print(f"  verification: {verify_share(2, honest, commits, params)}")
 
@@ -37,7 +37,7 @@ def main() -> None:
     xs, ys = zip(*points)
     recovered = interpolate(xs, ys, 11)[0]
     print(f"\nreconstruction from {{(1, {points[0][1]}), (2, {points[1][1]})}}: {recovered}")
-    print(f"  true secret: {poly.secret}, recovered: {recovered}  <- corrupted")
+    print(f"  true secret: {poly[0]}, recovered: {recovered}  <- corrupted")
 
     check = pow(params.g, recovered, params.p)
     print(f"\ncommitment check: g^{recovered} = {check} vs c_0 = {commits.c[0]}")

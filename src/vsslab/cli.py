@@ -162,6 +162,19 @@ def _parse(argv):
         **{flag[2:]: given.get(flag, default) for flag, (_, default, _) in flags.items()})
 
 
+def _write_out(path, text, noun) -> bool:
+    """Write text to the --out path and say so on stderr; False, with
+    the reason on stderr, when the file cannot be written."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"cannot write {noun}: {exc}", file=sys.stderr)
+        return False
+    print(f"{noun} written to {path}", file=sys.stderr)
+    return True
+
+
 def _cmd_run(args) -> int:
     params_ref = args.params
     if args.bits is not None:
@@ -171,13 +184,8 @@ def _cmd_run(args) -> int:
     report = run_scenario(config)
     text = render_report(report)
     if args.out is not None:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"cannot write transcript: {exc}", file=sys.stderr)
+        if not _write_out(args.out, text, "transcript"):
             return 1
-        print(f"transcript written to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
         # a closed stdout fails here, before the verdict, as an unwritable --out does
@@ -224,13 +232,7 @@ def _cmd_demo(args) -> int:
                 "infeasible": infeasible,
             },
         }
-        try:
-            with open(args.out, "w") as f:
-                f.write(canonical_json(doc))
-        except OSError as exc:
-            print(f"cannot write size report: {exc}", file=sys.stderr)
-            return 1
-        print(f"size report written to {args.out}", file=sys.stderr)
+        return 0 if _write_out(args.out, canonical_json(doc), "size report") else 1
     return 0
 
 

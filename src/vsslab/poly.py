@@ -1,8 +1,10 @@
-"""Secret polynomials, exact evaluation, Lagrange weights at zero and
-interpolation in coefficient form. A row's evaluation at many points
-and its interpolation are each one packed big-integer product
-(Kronecker substitution). Their tables are cached here, bounded (see
-the note above lagrange_weights), as tuples no caller can change."""
+"""Polynomial sampling, exact evaluation, Lagrange weights at zero and
+interpolation in coefficient form. A polynomial is the tuple of its
+coefficients, constant term (a dealer's secret) first. A row's
+evaluation at many points and its interpolation are each one packed
+big-integer product (Kronecker substitution). Their tables are cached
+here, bounded (see the note above lagrange_weights), as tuples no caller
+can change."""
 
 from __future__ import annotations
 
@@ -11,46 +13,19 @@ from operator import mul
 
 from .errors import VsslabError
 from .numtheory import mod_inv
-from .record import lru_cache, record
+from .record import lru_cache
 from .rng import SplitMix64
 
 
-@record
-class SecretPolynomial:
-    """Dealer's polynomial; coeffs[0] is the secret being shared.
-
-    Coefficients are canonical field elements below field_modulus
-    (p for a vulnerable group, q for a hardened one).
-    """
-
-    coeffs: tuple[int, ...]
-    field_modulus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.field_modulus < 2:
-            raise VsslabError(f"field modulus must be at least 2, got {self.field_modulus}")
-        if len(self.coeffs) < 1:
-            raise VsslabError("polynomial needs at least one coefficient")
-        for c in self.coeffs:
-            if not 0 <= c < self.field_modulus:
-                raise VsslabError(f"coefficient {c} outside [0, {self.field_modulus})")
-
-    @property
-    def secret(self) -> int:
-        return self.coeffs[0]
-
-
-def sample_polynomial(t: int, field_modulus: int, rng: SplitMix64) -> SecretPolynomial:
-    """Uniform degree-(t-1) polynomial over Z_field_modulus.
+def sample_polynomial(t: int, field_modulus: int, rng: SplitMix64) -> tuple[int, ...]:
+    """Coefficients, constant term first, of a uniform degree-(t-1)
+    polynomial over Z_field_modulus; its constant term is the secret.
 
     Each coefficient is drawn by rejection sampling, so the distribution
-    is exactly uniform on [0, field_modulus).
+    is exactly uniform on [0, field_modulus). vss.commit is the check
+    that coefficients lie in the field.
     """
-    return SecretPolynomial(
-        coeffs=tuple(rng.randbelow(field_modulus) for _ in range(t)),
-        field_modulus=field_modulus,
-    )
+    return tuple(rng.randbelow(field_modulus) for _ in range(t))
 
 
 def check_abscissas(xs: tuple[int, ...], m: int) -> None:

@@ -77,7 +77,13 @@ class Behavior:
 
     def __post_init__(self):
         coerce_enum(self, "kind", BehaviorKind, ConfigInvalid, "behavior kind")
-        targets = tuple(sorted(check_int(k, "a target") for k in self.targets))
+        if self.strategy is not None and not isinstance(self.strategy, ForgeryStrategy):
+            raise ConfigInvalid(f"strategy must be a ForgeryStrategy or None, got {self.strategy!r}")
+        try:
+            targets = tuple(sorted(check_int(k, "a target") for k in self.targets))
+        except TypeError:
+            raise ConfigInvalid(f"targets must be a collection of party ids, "
+                                f"got {self.targets!r}") from None
         object.__setattr__(self, "targets", targets)
         # a repeated target would give one ceremony a second transcript
         for a, b in zip(targets, targets[1:]):
@@ -310,7 +316,8 @@ def resolve_params(config: ScenarioConfig) -> GroupParams:
 
 
 def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRound:
-    """Sample every dealer's polynomial, broadcast commitments, deliver shares.
+    """Sample every dealer's polynomial as its coefficient tuple, broadcast
+    commitments, deliver shares.
 
     Dealer i draws from substream(seed, i), so adding or reordering
     other dealers never changes what dealer i deals. Row i - 1 of the
@@ -325,12 +332,12 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     attempts = []
     for dealer in parties:
         rng = substream(config.seed, dealer)
-        poly = sample_polynomial(config.t, params.field_modulus, rng)
-        commitments.append(commit(poly, params))
+        coeffs = sample_polynomial(config.t, params.field_modulus, rng)
+        commitments.append(commit(coeffs, params))
         behavior = config.behaviors[dealer]
         # vulnerable dealers transmit the exact integer evaluation; hardened
         # dealers reduce into Z_q, where the share must live
-        values = evaluate(poly.coeffs, parties, params.field_modulus)
+        values = evaluate(coeffs, parties, params.field_modulus)
         if params.mode is Mode.HARDENED:
             values = tuple(v % params.q for v in values)
         if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER:

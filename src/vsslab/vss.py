@@ -20,7 +20,7 @@ import math
 
 from .errors import TooLarge, VsslabError
 from .numtheory import GroupParams, Mode
-from .poly import SecretPolynomial, check_abscissas, evaluate, interpolate
+from .poly import check_abscissas, evaluate, interpolate
 from .record import record
 
 
@@ -47,18 +47,21 @@ def check_values(values) -> tuple[int, ...]:
     return values
 
 
-def commit(poly: SecretPolynomial, params: GroupParams) -> CommitmentVector:
-    """Commit to every coefficient of poly under params.
+def commit(coeffs, params: GroupParams) -> CommitmentVector:
+    """Commit to every coefficient, constant term first, of a polynomial
+    (poly.sample_polynomial) under params.
 
-    Raises VsslabError when the polynomial's field does not match the
-    mode (coefficients must be in Z_p for vulnerable, Z_q for hardened).
+    This is the one check that the coefficients lie in the mode's field
+    (Z_p for vulnerable, Z_q for hardened): one outside
+    [0, params.field_modulus) raises VsslabError, and no coefficient
+    at all leaves CommitmentVector's empty-vector refusal.
     """
-    if poly.field_modulus != params.field_modulus:
-        raise VsslabError(
-            f"polynomial over Z_{poly.field_modulus} does not fit "
-            f"{params.mode.value} parameters (expected Z_{params.field_modulus})"
-        )
-    return CommitmentVector(params.g_pows(poly.coeffs))
+    coeffs = tuple(coeffs)
+    m = params.field_modulus
+    if coeffs and (min(coeffs) < 0 or max(coeffs) >= m):
+        raise VsslabError(f"coefficients {coeffs} do not all lie in Z_{m} "
+                          f"of {params.mode.value} parameters")
+    return CommitmentVector(params.g_pows(coeffs))
 
 
 def verify_share(k: int, value: int, commits: CommitmentVector, params: GroupParams) -> bool:
@@ -180,8 +183,8 @@ def projected_bit_length(g: int, a: int) -> int:
 def commit_integer(exponents, g: int) -> tuple[int, ...]:
     """Commitments g**a as exact unbounded integers, one per exponent.
 
-    Refuses negative exponents, and (TooLarge) any exponent where
-    a * bitlen(g) exceeds the 2**20-bit guard. An exponent of the
+    Refuses negative exponents, and (TooLarge) any exponent whose
+    projected_bit_length exceeds the 2**20-bit guard. An exponent of the
     2**PROJECTION_EXPONENT_LOG2 scale of a 1024-bit prime field always
     breaks the guard, so its size is only ever given by
     projected_bit_length.
@@ -189,13 +192,13 @@ def commit_integer(exponents, g: int) -> tuple[int, ...]:
     if g < 2:
         raise VsslabError(f"generator must be at least 2, got {g}")
     exponents = tuple(exponents)
-    g_bits = g.bit_length()
     for a in exponents:
         if a < 0:
             raise VsslabError(f"exponent {a} is negative")
-        if a * g_bits > INTEGER_COMMITMENT_GUARD_BITS:
+        bits = projected_bit_length(g, a)
+        if bits > INTEGER_COMMITMENT_GUARD_BITS:
             raise TooLarge(
                 f"unreduced commitment for exponent {a} would need about "
-                f"{a * (g_bits - 1)} bits, over the {INTEGER_COMMITMENT_GUARD_BITS}-bit guard"
+                f"{bits} bits, over the {INTEGER_COMMITMENT_GUARD_BITS}-bit guard"
             )
     return tuple(g ** a for a in exponents)

@@ -15,7 +15,7 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ForgeryImpossible, TooLarge
 from vsslab.numtheory import Mode
-from vsslab.poly import SecretPolynomial, evaluate, interpolate, sample_polynomial
+from vsslab.poly import evaluate, interpolate, sample_polynomial
 from vsslab.protocol import GenSpec, Verdict, build_scenario, run_scenario
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64, substream
@@ -35,12 +35,12 @@ from reference_model import exact_value
 def test_criterion_1_pinned_worked_example():
     started = time.monotonic()
     params = get_params("small11")
-    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
+    poly = (3, 4)
 
     commits = commit(poly, params)
     assert commits.c == (8, 5)
 
-    assert evaluate(poly.coeffs, (2,), 11) == (11,)
+    assert evaluate(poly, (2,), 11) == (11,)
     assert verify_share(2, 11, commits, params)
 
     # the forged share 21 = 11 + (p - 1)
@@ -48,7 +48,7 @@ def test_criterion_1_pinned_worked_example():
 
     recovered = interpolate((1, 2), (7, 10), 11)[0]
     assert recovered == 4
-    assert recovered != poly.secret == 3
+    assert recovered != poly[0] == 3
 
     assert pow(2, recovered, 11) == 5
     assert commits.c[0] == 8
@@ -75,7 +75,7 @@ def test_criterion_2_honest_pipeline_two_hundred_runs():
         for dealer, row in enumerate(report.shares, 1):
             # row dealer - 1 holds the values to parties 1..n, in order
             assert len(row) == n
-            secret = sample_polynomial(t, params.p, substream(seed, dealer)).secret
+            secret = sample_polynomial(t, params.p, substream(seed, dealer))[0]
             pts = [(k, v % params.p) for k, v in enumerate(row, 1)]
             for subset in itertools.combinations(pts, t):
                 xs, ys = zip(*subset)
@@ -91,10 +91,10 @@ def test_criterion_2_honest_pipeline_two_hundred_runs():
 def test_criterion_3_verification_congruence_law():
     # exhaustive side: p = 11, every recipient, every candidate in [0, 50)
     params = get_params("small11")
-    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
+    poly = (3, 4)
     commits = commit(poly, params)
     for k in range(1, 11):
-        honest = exact_value(poly.coeffs, k)
+        honest = exact_value(poly, k)
         for candidate in range(0, 50):
             accepted = verify_share(k, candidate, commits, params)
             assert accepted == (candidate % params.d == honest % params.d), (k, candidate)
@@ -107,7 +107,7 @@ def test_criterion_3_verification_congruence_law():
     for _ in range(1000):
         k = rng.randrange(1, params64.p)
         candidate = rng.randbits(64)
-        honest = exact_value(poly64.coeffs, k)
+        honest = exact_value(poly64, k)
         accepted = verify_share(k, candidate, commits64, params64)
         assert accepted == (candidate % params64.d == honest % params64.d)
 
@@ -119,8 +119,8 @@ def test_criterion_4_uniform_forgery_law():
             poly = sample_polynomial(t, 11, SplitMix64(n * 31 + t))
             for m in (1, 2, 3):
                 shift = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m).shift(params)
-                forged = {k: (exact_value(poly.coeffs, k) + shift) % 11 for k in range(1, n + 1)}
-                expected = (poly.secret - m) % 11
+                forged = {k: (exact_value(poly, k) + shift) % 11 for k in range(1, n + 1)}
+                expected = (poly[0] - m) % 11
                 for subset in itertools.combinations(range(1, n + 1), t):
                     ys = [forged[k] for k in subset]
                     assert interpolate(subset, ys, 11)[0] == expected, (n, t, m, subset)
@@ -129,12 +129,12 @@ def test_criterion_4_uniform_forgery_law():
 def test_criterion_5_hardened_impossibility():
     params = get_params("p23q11")
     assert (params.p, params.q, params.g) == (23, 11, 2)
-    poly = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
+    poly = (3, 4)
     commits = commit(poly, params)
 
     # exhaustive scan: the only accepted value below q is the honest one
     for k in range(1, 6):
-        honest = exact_value(poly.coeffs, k) % 11
+        honest = exact_value(poly, k) % 11
         accepted = [
             v
             for v in range(0, 11)

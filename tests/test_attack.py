@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.errors import ForgeryImpossible, VsslabError
 from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import SecretPolynomial, lagrange_weights, sample_polynomial
+from vsslab.poly import lagrange_weights, sample_polynomial
 from vsslab.protocol import (
     Behavior,
     BehaviorKind,
@@ -38,13 +38,9 @@ from reference_model import exact_value, interpolate_at_zero, predict_corruption
 ADD1 = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
 
 
-def mkpoly(coeffs, m):
-    return SecretPolynomial(coeffs=tuple(coeffs), field_modulus=m)
-
-
 def forged(poly, k, params, strategy):
     """The value a forger deals to party k: the honest one plus the shift."""
-    return exact_value(poly.coeffs, k) + strategy.shift(params)
+    return exact_value(poly, k) + strategy.shift(params)
 
 
 @pytest.fixture
@@ -63,17 +59,17 @@ def shift_calls(monkeypatch):
 
 class TestShift:
     def test_worked_example(self, small11):
-        poly = mkpoly([3, 4], 11)
+        poly = (3, 4)
         assert ADD1.shift(small11) == 10  # p - 1
         value = forged(poly, 2, small11, ADD1)
         assert value == 21
-        assert exact_value(poly.coeffs, 2) == 11
+        assert exact_value(poly, 2) == 11
         assert verify_share(2, value, commit(poly, small11), small11)
 
     def test_order_shift_example(self, p23order11):
         # honest P(2) = 5 with coeffs (3, 1); shifting by d=11 gives 16,
         # which passes verification yet differs from 5 mod 22
-        poly = mkpoly([3, 1], 23)
+        poly = (3, 1)
         strategy = ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1)
         value = forged(poly, 2, p23order11, strategy)
         assert value == 16
@@ -134,7 +130,7 @@ class TestShift:
         assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
         poly = sample_polynomial(3, 11, substream(7, 1))
         assert report.shares[0][2] == forged(poly, 3, small11, strat)
-        assert report.shares[0][2] == exact_value(poly.coeffs, 3) + 30
+        assert report.shares[0][2] == exact_value(poly, 3) + 30
 
     @pytest.mark.parametrize("name, params_ref", [("false-share", "small11"),
                                                   ("order-shift", "p23order11"),
@@ -151,7 +147,7 @@ class TestShift:
             ForgeryAttempt(1, k, ADD1, "forgery_impossible") for k in range(2, 8))
         for dealer, row in enumerate(dealing.shares, 1):
             poly = sample_polynomial(4, p23q11.q, substream(3, dealer))
-            assert list(row) == [exact_value(poly.coeffs, k) % p23q11.q for k in range(1, 8)]
+            assert list(row) == [exact_value(poly, k) % p23q11.q for k in range(1, 8)]
 
 
 # registry groups, and vulnerable groups generated at 16-64 bits
@@ -193,14 +189,14 @@ def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
     for dealer, row in enumerate(dealing.shares, 1):
         poly = sample_polynomial(t, params.p, substream(seed, dealer))
         assert list(row) == [
-            exact_value(poly.coeffs, k) + (shift if dealer == 1 and k in targets else 0)
+            exact_value(poly, k) + (shift if dealer == 1 and k in targets else 0)
             for k in range(1, n + 1)]
 
 
 class TestReconstructionCorruption:
     def test_uniform_forgery_recovers_secret_minus_multiplier(self, small11):
         # all shares forged with the same multiplier: recovery = a_0 - m mod p
-        poly = mkpoly([3, 4], 11)
+        poly = (3, 4)
         for m in (1, 2, 3):
             strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
             pts = [(k, forged(poly, k, small11, strat) % 11) for k in (1, 2)]
@@ -209,10 +205,10 @@ class TestReconstructionCorruption:
     def test_worked_example_mixed_pool(self, small11):
         # honest at 1, forged at 2: interpolation gives 4 and the
         # commitment check sees 2^4 = 5 != 8
-        poly = mkpoly([3, 4], 11)
+        poly = (3, 4)
         got = interpolate_at_zero([(1, 7), (2, forged(poly, 2, small11, ADD1) % 11)], 11)
         assert got == 4
-        assert pow(2, got, 11) != pow(2, poly.secret, 11)
+        assert pow(2, got, 11) != pow(2, poly[0], 11)
 
     def test_uniform_forgery_exhaustive_subsets(self, small11):
         # every t-subset of n <= 7 recipients, all forged, multiplier swept
@@ -223,13 +219,13 @@ class TestReconstructionCorruption:
                 shares = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
                 for subset in itertools.combinations(range(1, 8), t):
                     pts = [(k, shares[k]) for k in subset]
-                    assert interpolate_at_zero(pts, 11) == (poly.secret - m) % 11
+                    assert interpolate_at_zero(pts, 11) == (poly[0] - m) % 11
 
     def test_predict_corruption_matches_actual_exhaustively(self, small11):
         poly = sample_polynomial(3, 11, SplitMix64(77))
         m = 2
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, m)
-        honest = {k: exact_value(poly.coeffs, k) % 11 for k in range(1, 8)}
+        honest = {k: exact_value(poly, k) % 11 for k in range(1, 8)}
         forged_values = {k: forged(poly, k, small11, strat) % 11 for k in range(1, 8)}
         for subset in itertools.combinations(range(1, 8), 3):
             for flags in itertools.product([False, True], repeat=3):
@@ -248,10 +244,10 @@ class TestReconstructionCorruption:
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
         xs = (1, 4)
         weights = lagrange_weights(xs, 11)
-        honest = [exact_value(poly.coeffs, k) % 11 for k in xs]
+        honest = [exact_value(poly, k) % 11 for k in xs]
         pts = [(xs[0], honest[0]), (xs[1], forged(poly, xs[1], small11, strat) % 11)]
         got = interpolate_at_zero(pts, 11)
-        assert got == (poly.secret - weights[1]) % 11
+        assert got == (poly[0] - weights[1]) % 11
 
     def test_prediction_refuses_a_negative_multiplier(self):
         with pytest.raises(VsslabError, match="multiplier must be non-negative"):
@@ -264,7 +260,7 @@ class TestDetectionLaw:
         # recovery is a_0 - 1 mod 11 and the public check passes only in
         # the wraparound corner a_0 = 0 where the error is 10 = 0 mod 10
         for a0 in range(11):
-            poly = mkpoly([a0, 4], 11)
+            poly = (a0, 4)
             commits = commit(poly, small11)
             strat = ADD1
             pts = [(k, forged(poly, k, small11, strat) % 11) for k in (1, 2)]
@@ -279,7 +275,7 @@ class TestDetectionLaw:
         # the sum wraps past p; the check passes exactly when a_0 < 12
         strat = ForgeryStrategy(StrategyKind.ORDER_SHIFT, 1)
         for a0 in range(23):
-            poly = mkpoly([a0, 5], 23)
+            poly = (a0, 5)
             commits = commit(poly, p23order11)
             pts = [(k, forged(poly, k, p23order11, strat) % 23) for k in (1, 2)]
             v = interpolate_at_zero(pts, 23)
@@ -300,4 +296,4 @@ def test_forged_acceptance_and_prediction_randomized(seed, m):
     values = [forged(poly, k, params, strat) for k in xs]
     assert all(verify_share(k, v, commits, params) for k, v in zip(xs, values))
     pts = [(k, v % params.p) for k, v in zip(xs, values)]
-    assert interpolate_at_zero(pts, params.p) == (poly.secret - m) % params.p
+    assert interpolate_at_zero(pts, params.p) == (poly[0] - m) % params.p

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from vsslab.errors import VsslabError
 from vsslab.poly import (
-    SecretPolynomial,
     _lagrange_weights,
     _packed_basis,
     evaluate,
@@ -18,12 +17,9 @@ from vsslab.poly import (
 )
 from vsslab.protocol import MAX_PARTIES
 from vsslab.rng import SplitMix64
+from vsslab.vss import commit
 
 from reference_model import exact_value
-
-
-def poly(coeffs, m=11):
-    return SecretPolynomial(coeffs=tuple(coeffs), field_modulus=m)
 
 
 def units(n):
@@ -34,55 +30,52 @@ def units(n):
 
 def test_evaluate_worked_example():
     # P(x) = 3 + 4x over Z_11, evaluated without reduction
-    assert evaluate(poly([3, 4]).coeffs, (1, 2), 11) == (7, 11)
+    assert evaluate((3, 4), (1, 2), 11) == (7, 11)
 
 
 def test_secret_and_threshold_accessors():
-    # the threshold is the number of coefficients
-    p = poly([5, 0, 9])
-    assert p.secret == 5
-    assert len(p.coeffs) == 3
+    # the threshold is the number of coefficients, the secret the value at 0
+    p = sample_polynomial(3, 11, SplitMix64(2024))
+    assert len(p) == 3
+    assert p[0] == exact_value(p, 0) == 5
 
 
-def test_coefficients_must_be_reduced():
-    with pytest.raises(ValueError):
-        poly([3, 11])
-    with pytest.raises(ValueError):
-        poly([-1, 4])
-    with pytest.raises(ValueError):
-        poly([])
-
-
-def test_the_field_modulus_is_checked():
-    with pytest.raises(VsslabError, match="field modulus must be at least 2, got 1"):
-        SecretPolynomial(coeffs=(0,), field_modulus=1)
+def test_coefficients_must_be_reduced(small11):
+    with pytest.raises(VsslabError, match="do not all lie in Z_11"):
+        commit((3, 11), small11)
+    with pytest.raises(VsslabError, match="do not all lie in Z_11"):
+        commit((-1, 4), small11)
+    with pytest.raises(VsslabError, match="commitment vector cannot be empty"):
+        commit((), small11)
 
 
 def test_the_smallest_field_modulus_is_two():
-    # the boundary of the "at least 2" check: Z_2 holds a polynomial
-    p = SecretPolynomial(coeffs=(1, 1), field_modulus=2)
-    assert (p.secret, p.field_modulus, evaluate(p.coeffs, (1,), 2)) == (1, 2, (2,))
+    # Z_2 holds a polynomial: sampled below 2, evaluated without reduction
+    assert set(sample_polynomial(8, 2, SplitMix64(0))) <= {0, 1}
+    assert evaluate((1, 1), (1,), 2) == (2,)
 
 
-def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field():
-    with pytest.raises(VsslabError, match="polynomial needs at least one coefficient"):
-        sample_polynomial(0, 11, SplitMix64(0))
-    # like SecretPolynomial, sampling takes any modulus >= 2; the group's
-    # field is proven prime once, by GroupParams.validate
-    assert all(c < 12 for c in sample_polynomial(4, 12, SplitMix64(0)).coeffs)
+def test_sample_polynomial_needs_a_coefficient_but_not_a_prime_field(small11):
+    # t = 0 samples no coefficient, and commit refuses the empty polynomial
+    assert sample_polynomial(0, 11, SplitMix64(0)) == ()
+    with pytest.raises(VsslabError, match="commitment vector cannot be empty"):
+        commit(sample_polynomial(0, 11, SplitMix64(0)), small11)
+    # sampling takes any modulus; the group's field is proven prime once,
+    # by GroupParams.validate
+    assert all(c < 12 for c in sample_polynomial(4, 12, SplitMix64(0)))
 
 
 def test_sample_polynomial_is_deterministic_per_stream():
     a = sample_polynomial(3, 101, SplitMix64(9))
     b = sample_polynomial(3, 101, SplitMix64(9))
     assert a == b
-    assert len(a.coeffs) == 3
-    assert all(0 <= c < 101 for c in a.coeffs)
+    assert len(a) == 3
+    assert all(0 <= c < 101 for c in a)
 
 
 def test_sample_polynomial_pinned_coefficients():
     # frozen output; a change here means the share-and-commit streams moved
-    got = sample_polynomial(3, 11, SplitMix64(2024)).coeffs
+    got = sample_polynomial(3, 11, SplitMix64(2024))
     assert got == (5, 2, 9)
 
 
@@ -126,11 +119,11 @@ def test_every_t_subset_recovers_the_secret(data):
     n = data.draw(st.integers(min_value=t, max_value=7))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
     p = sample_polynomial(t, m, SplitMix64(seed))
-    points = [(k, exact_value(p.coeffs, k) % m) for k in range(1, n + 1)]
+    points = [(k, exact_value(p, k) % m) for k in range(1, n + 1)]
     for subset in itertools.combinations(points, t):
         xs, ys = zip(*subset)
-        assert interpolate(xs, ys, m)[0] == p.secret
-        assert sum(y * w for y, w in zip(ys, lagrange_weights(xs, m))) % m == p.secret
+        assert interpolate(xs, ys, m)[0] == p[0]
+        assert sum(y * w for y, w in zip(ys, lagrange_weights(xs, m))) % m == p[0]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=6, unique=True))
@@ -176,9 +169,9 @@ def test_basis_recovers_every_coefficient(data):
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 200)),
                             min_size=t, max_size=t, unique=True))
     p = sample_polynomial(t, m, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
-    ys = [exact_value(p.coeffs, x) % m for x in xs]
-    assert interpolate(xs, ys, m) == p.coeffs
-    assert evaluate(p.coeffs, xs, m) == tuple(exact_value(p.coeffs, x) for x in xs)
+    ys = [exact_value(p, x) % m for x in xs]
+    assert interpolate(xs, ys, m) == p
+    assert evaluate(p, xs, m) == tuple(exact_value(p, x) for x in xs)
     # L_i is 1 at x_i and 0 at the other abscissas, and L_i(0) is weight i
     columns = [interpolate(xs, unit, m) for unit in units(t)]
     for column, unit in zip(columns, units(t)):

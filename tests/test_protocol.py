@@ -16,7 +16,7 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
 from vsslab.numtheory import Mode, _g_row, _g_table
-from vsslab.poly import SecretPolynomial, _lagrange_weights, _packed_basis, sample_polynomial
+from vsslab.poly import _lagrange_weights, _packed_basis, sample_polynomial
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -364,32 +364,44 @@ def behaviors_keyed(first, behavior=Behavior()):
     return {first: behavior, **{k: Behavior() for k in range(2, 6)}}
 
 
-# A label, parameter reference, behaviors mapping, party id or behavior
-# the transcript decoder would refuse, or that the transcript would write
-# as something the decoder refuses: the config must not be built
+# A label, parameter reference, behaviors mapping, party id, behavior,
+# forgery strategy or target list the transcript decoder would refuse, or
+# that the transcript would write as something the decoder refuses: the
+# record must not be built
+FORGER = dict(kind=BehaviorKind.FALSE_SHARE_DEALER, strategy=ForgeryStrategy(
+    StrategyKind.ADD_P_MINUS_ONE), targets=(2, 3))
 NOT_DECODABLE = {
-    "scenario-int": (honest_fields(scenario=7), "scenario must be a string, got 7"),
-    "params-ref-none": (honest_fields(params_ref=None),
+    "scenario-int": (ScenarioConfig, honest_fields(scenario=7), "scenario must be a string, got 7"),
+    "params-ref-none": (ScenarioConfig, honest_fields(params_ref=None),
                         "params_ref must be a name or a GenSpec, got None"),
-    "params-ref-int": (honest_fields(params_ref=64),
+    "params-ref-int": (ScenarioConfig, honest_fields(params_ref=64),
                        "params_ref must be a name or a GenSpec, got 64"),
-    "party-id-bool": (honest_fields(behaviors=behaviors_keyed(True)),
+    "party-id-bool": (ScenarioConfig, honest_fields(behaviors=behaviors_keyed(True)),
                       "a party id must be an integer, got True"),
-    "party-id-float": (honest_fields(behaviors=behaviors_keyed(1.0)),
+    "party-id-float": (ScenarioConfig, honest_fields(behaviors=behaviors_keyed(1.0)),
                        "a party id must be an integer, got 1.0"),
-    "party-id-str": (honest_fields(behaviors=behaviors_keyed("1")),
+    "party-id-str": (ScenarioConfig, honest_fields(behaviors=behaviors_keyed("1")),
                      "a party id must be an integer, got '1'"),
-    "behavior-str": (honest_fields(behaviors=behaviors_keyed(1, "honest")),
+    "behavior-str": (ScenarioConfig, honest_fields(behaviors=behaviors_keyed(1, "honest")),
                      "party 1 needs a Behavior, got 'honest'"),
-    "behaviors-list": (honest_fields(behaviors=[Behavior()] * 5),
+    "behaviors-list": (ScenarioConfig, honest_fields(behaviors=[Behavior()] * 5),
                        "behaviors must be a mapping, got list"),
+    "strategy-str": (Behavior, {**FORGER, "strategy": "add_p_minus_one"},
+                     "strategy must be a ForgeryStrategy or None, got 'add_p_minus_one'"),
+    "strategy-kind": (Behavior, {**FORGER, "strategy": StrategyKind.ORDER_SHIFT},
+                      "strategy must be a ForgeryStrategy or None, "
+                      "got <StrategyKind.ORDER_SHIFT: 'order_shift'>"),
+    "targets-int": (Behavior, {**FORGER, "targets": 5},
+                    "targets must be a collection of party ids, got 5"),
+    "targets-none": (Behavior, {**FORGER, "targets": None},
+                     "targets must be a collection of party ids, got None"),
 }
 
 
-@pytest.mark.parametrize("fields, message", NOT_DECODABLE.values(), ids=NOT_DECODABLE.keys())
-def test_a_config_field_the_decoder_would_refuse_is_refused_when_built(fields, message):
+@pytest.mark.parametrize("kind, fields, message", NOT_DECODABLE.values(), ids=NOT_DECODABLE.keys())
+def test_a_config_field_the_decoder_would_refuse_is_refused_when_built(kind, fields, message):
     with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
-        ScenarioConfig(**fields)
+        kind(**fields)
 
 
 class TestDealingShape:
@@ -415,7 +427,7 @@ class TestDealingShape:
         assert len(report.shares) == 5
         for dealer, row in enumerate(report.shares, 1):
             poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
-            assert list(row) == [exact_value(poly.coeffs, k) for k in range(1, 6)]
+            assert list(row) == [exact_value(poly, k) for k in range(1, 6)]
 
     def test_runs_are_deterministic(self):
         assert run_scenario(honest_config()) == run_scenario(honest_config())
@@ -449,7 +461,7 @@ def test_dealer_d_is_index_d_minus_1_of_every_per_dealer_tuple(name):
 class TestReconstructPool:
     @staticmethod
     def worked_commits(small11):
-        return commit(SecretPolynomial(coeffs=(3, 4), field_modulus=11), small11)
+        return commit((3, 4), small11)
 
     @staticmethod
     def pool(*values):
@@ -518,7 +530,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("honest", seed=7))
         params = report.params
         secrets = [
-            sample_polynomial(3, params.field_modulus, substream(7, d)).secret
+            sample_polynomial(3, params.field_modulus, substream(7, d))[0]
             for d in range(1, 6)
         ]
         assert report.group_key == sum(secrets) % (params.p - 1)
@@ -542,7 +554,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("false-share", seed=20))
         assert report.verdict is Verdict.KEY_ASSEMBLED
         assert report.reconstructions[0].recovered == 10
-        secrets = sample_polynomial(3, 11, substream(20, 1)).secret
+        secrets = sample_polynomial(3, 11, substream(20, 1))[0]
         assert secrets == 0
         assert report.group_key_confirmed  # error is 10 = 0 mod ord(g)
 
@@ -553,7 +565,7 @@ class TestScenarioVerdicts:
         assert report.verdict is Verdict.KEY_ASSEMBLED
         assert all(all(row) for row in report.verification_matrix)
         rec = report.reconstructions[0]
-        true_secret = sample_polynomial(3, 23, substream(1, 1)).secret
+        true_secret = sample_polynomial(3, 23, substream(1, 1))[0]
         assert true_secret == 8
         assert rec.recovered == 19  # wrong field element, same exponent
         assert report.group_key_confirmed
@@ -564,7 +576,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("order-shift", seed=2))
         assert report.verdict is Verdict.KEY_BLOCKED
         assert all(all(row) for row in report.verification_matrix)
-        assert sample_polynomial(3, 23, substream(2, 1)).secret == 12
+        assert sample_polynomial(3, 23, substream(2, 1))[0] == 12
         assert report.reconstructions[0].recovered is None
 
     def test_withhold_assembles_when_enough_holders_remain(self):
@@ -614,7 +626,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("hardened-attack", seed=7))
         params = report.params
         secrets = [
-            sample_polynomial(3, params.q, substream(7, d)).secret for d in range(1, 6)
+            sample_polynomial(3, params.q, substream(7, d))[0] for d in range(1, 6)
         ]
         assert report.group_key == sum(secrets) % params.q
         assert pow(params.g, report.group_key, params.p) == report.aggregate_public_key
@@ -673,7 +685,7 @@ def inputs():
     small11 = get_params("small11")
     return SimpleNamespace(
         small11=small11, config=config, params=params, dealing=dealing,
-        commits=commit(SecretPolynomial(coeffs=(3, 4), field_modulus=11), small11),
+        commits=commit((3, 4), small11),
         matrix=run_verification_round(dealing.shares, dealing.commitments, params))
 
 
@@ -726,17 +738,16 @@ class TestPerDealerInputs:
 
 class TestVerificationRound:
     def test_hardened_out_of_range_share_gets_a_false_entry(self, p23q11):
-        from vsslab.poly import SecretPolynomial
         from vsslab.protocol import run_verification_round
 
-        p1 = SecretPolynomial(coeffs=(3, 4), field_modulus=11)
-        p2 = SecretPolynomial(coeffs=(5, 1), field_modulus=11)
+        p1 = (3, 4)
+        p2 = (5, 1)
         commits = [commit(p1, p23q11), commit(p2, p23q11)]
         rows = [
-            [exact_value(p1.coeffs, 1) % 11,
+            [exact_value(p1, 1) % 11,
              # same exponent class but numerically above q: range check trips
-             exact_value(p1.coeffs, 2) % 11 + 11],
-            [exact_value(p2.coeffs, 1) % 11, exact_value(p2.coeffs, 2) % 11],
+             exact_value(p1, 2) % 11 + 11],
+            [exact_value(p2, 1) % 11, exact_value(p2, 2) % 11],
         ]
         assert run_verification_round(rows, commits, p23q11) == ((True, False), (True, True))
 
@@ -788,7 +799,7 @@ class TestVerificationRound:
 def test_pools_refuse_malformed_recipients(params_ref, recipients, message):
     params = get_params(params_ref)
     poly = sample_polynomial(3, params.field_modulus, substream(7, 1))
-    values = [exact_value(poly.coeffs, k) % params.field_modulus for k in recipients]
+    values = [exact_value(poly, k) % params.field_modulus for k in recipients]
     with pytest.raises(VsslabError, match=message):
         reconstruct_pool(recipients, values, commit(poly, params), params)
 
@@ -800,7 +811,7 @@ def test_a_row_and_a_pool_that_reach_the_field_modulus_are_refused_alike(params_
     params = get_params(params_ref)
     m = params.field_modulus
     poly = sample_polynomial(3, m, substream(7, 1))
-    values = [exact_value(poly.coeffs, k) % m for k in range(1, m + 1)]
+    values = [exact_value(poly, k) % m for k in range(1, m + 1)]
     commits = commit(poly, params)
     with pytest.raises(VsslabError, match=rf"abscissa {m} outside \(0, {m}\)") as row:
         verify_row(values, commits, params)
@@ -828,7 +839,7 @@ def test_verification_round_matches_the_per_share_oracle(data):
         row = []
         for k in range(1, n + 1):
             shift = data.draw(st.sampled_from(shifts))
-            row.append(honest_share(poly.coeffs, k, params) + shift)
+            row.append(honest_share(poly, k, params) + shift)
         rows.append(row)
     dealt = [commit(poly, params) for poly in polys]
     commitments = []
@@ -955,7 +966,7 @@ class TestPoolMechanics:
         params = report.params
         for dealer, rec in enumerate(report.reconstructions, 1):
             poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
-            assert rec.recovered == poly.secret
+            assert rec.recovered == poly[0]
 
     def test_attempts_stop_at_the_first_passing_subset(self):
         honest = run_scenario(honest_config(n=4, t=2)).reconstructions[0]
@@ -1022,7 +1033,7 @@ class TestWeightMemo:
         for dealer, rec in enumerate(run_reconstruction_round(dealing, matrix, cfg, params), 1):
             poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
             assert [a.commitment_check for a in rec.attempts] == [True]
-            assert rec.recovered == poly.secret
+            assert rec.recovered == poly[0]
         assert tables_computed() == (4, 0)
 
 
@@ -1132,7 +1143,7 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
     elif shape == "shift-some" and n > 1:
         shifted = data.draw(st.sets(st.sampled_from(recipients), min_size=1, max_size=n - 1))
     shift = data.draw(st.integers(min_value=1, max_value=3 * params.p))
-    values = [exact_value(poly.coeffs, k) + (shift if k in shifted else 0) for k in recipients]
+    values = [exact_value(poly, k) + (shift if k in shifted else 0) for k in recipients]
     commits = commit(poly, params)
 
     attempts = reconstruct_pool(recipients, values, commits, params)

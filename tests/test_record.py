@@ -13,7 +13,6 @@ from vsslab import attack, numtheory, poly, protocol, vss
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.errors import ConfigInvalid, InvalidGroupParams, VsslabError
 from vsslab.numtheory import GroupParams, Mode
-from vsslab.poly import SecretPolynomial
 from vsslab.protocol import (
     Behavior,
     BehaviorKind,
@@ -45,7 +44,6 @@ SAMPLES = [
     run_dealing_round(REPORT.config, REPORT.params),
     assemble_group_key(REPORT.reconstructions, REPORT.commitments, REPORT.params,
                        REPORT.verification_matrix),
-    SecretPolynomial(coeffs=(3, 4), field_modulus=11),
     GenSpec(bits=16, mode=Mode.VULNERABLE),
 ]
 # the behaviors mapping is a dict, so these two are unhashable, as the
@@ -62,7 +60,7 @@ def test_every_record_has_a_sample():
         for obj in vars(module).values()
         if isinstance(obj, type) and obj.__eq__ is _eq
     }
-    assert len(records) == 13
+    assert len(records) == 12
     assert {type(rec) for rec in SAMPLES} == records
 
 
@@ -141,10 +139,7 @@ def test_post_init_checks_and_normalises():
     with pytest.raises(ConfigInvalid):
         Behavior(BehaviorKind.FALSE_SHARE_DEALER)
     with pytest.raises(ValueError):
-        SecretPolynomial((11,), 11)
-    with pytest.raises(ValueError):
         CommitmentVector(())
-    assert SecretPolynomial([3, 4], 11).coeffs == (3, 4)
     assert CommitmentVector([5]).c == (5,)
     forger = Behavior(BehaviorKind.FALSE_SHARE_DEALER,
                       strategy=ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE), targets=[4, 2])

@@ -200,7 +200,7 @@ def test_every_share_is_rebuilt_from_the_transcript():
             poly = sample_polynomial(config.t, params.field_modulus, substream(config.seed, dealer))
             for k, value in enumerate(row, 1):
                 strategy = forged.get((dealer, k))
-                honest = exact_value(poly.coeffs, k)
+                honest = exact_value(poly, k)
                 if strategy is None:
                     assert value == (honest if params.q is None else honest % params.q)
                 else:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vsslab.errors import TooLarge, VsslabError
 from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import SecretPolynomial, sample_polynomial
+from vsslab.poly import sample_polynomial
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import (
@@ -31,17 +31,13 @@ from conftest import per_share
 from reference_model import exact_value, honest_share
 
 
-def mkpoly(coeffs, m):
-    return SecretPolynomial(coeffs=tuple(coeffs), field_modulus=m)
-
-
 def naive_verify(value, poly, k, params):
     """Exponent-side oracle with no modular reduction shortcuts.
 
     Computes g**value and g**P(k) as exact integers reduced only at the
     very end, so it cannot share a bug with the production code path.
     """
-    honest = exact_value(poly.coeffs, k)
+    honest = exact_value(poly, k)
     if value < 0:
         return False
     return pow(params.g, value, params.p) == pow(params.g, honest, params.p)
@@ -49,38 +45,47 @@ def naive_verify(value, poly, k, params):
 
 class TestCommit:
     def test_worked_example(self, small11):
-        vec = commit(mkpoly([3, 4], 11), small11)
+        vec = commit((3, 4), small11)
         assert vec.c == (8, 5)  # 2^3=8, 2^4=16=5 mod 11
 
     def test_second_example(self, p23order11):
-        assert commit(mkpoly([5, 7], 23), p23order11).c == (9, 13)
+        assert commit((5, 7), p23order11).c == (9, 13)
 
-    def test_field_mismatch_rejected(self, small11):
-        with pytest.raises(VsslabError, match="polynomial over Z_23 does not fit vulnerable"):
-            commit(mkpoly([3, 4], 23), small11)
+    def test_a_coefficient_at_p_is_rejected(self, small11):
+        with pytest.raises(VsslabError, match=r"\(3, 11\) do not all lie in Z_11 of vulnerable"):
+            commit((3, 11), small11)
+
+    def test_a_coefficient_at_q_is_rejected_when_hardened(self, p23q11):
+        # below p = 23, but the hardened field is Z_q = Z_11
+        with pytest.raises(VsslabError, match=r"\(11, 4\) do not all lie in Z_11 of hardened"):
+            commit((11, 4), p23q11)
+
+    def test_a_negative_coefficient_is_rejected(self, small11):
+        with pytest.raises(VsslabError, match=r"\(3, -1\) do not all lie in Z_11"):
+            commit((3, -1), small11)
 
     def test_hardened_commitments_come_from_exponents_below_q(self, p23q11):
-        vec = commit(mkpoly([3, 4], 11), p23q11)
+        vec = commit((3, 4), p23q11)
         assert vec.c == (pow(2, 3, 23), pow(2, 4, 23))
         assert commitment_in_group(vec, p23q11)
 
 
 class TestVerifyShare:
     def test_honest_share_accepted(self, small11):
-        commits = commit(mkpoly([3, 4], 11), small11)
+        commits = commit((3, 4), small11)
         assert verify_share(2, 11, commits, small11)
 
     def test_forged_share_accepted(self, small11):
         # 21 = 11 + (p-1): same exponent class, different field element
-        commits = commit(mkpoly([3, 4], 11), small11)
+        commits = commit((3, 4), small11)
         assert verify_share(2, 21, commits, small11)
 
     def test_off_by_one_rejected(self, small11):
-        commits = commit(mkpoly([3, 4], 11), small11)
+        commits = commit((3, 4), small11)
         assert not verify_share(2, 12, commits, small11)
 
     def test_recipient_outside_field_rejected(self, small11):
-        commits = commit(mkpoly([3, 4], 11), small11)
+        commits = commit((3, 4), small11)
         with pytest.raises(ValueError):
             verify_share(0, 3, commits, small11)
         with pytest.raises(ValueError):
@@ -89,10 +94,10 @@ class TestVerifyShare:
     def test_congruence_law_exhaustive_p11(self, small11):
         # every candidate in [0, 50) against every recipient: acceptance
         # must equal congruence with P(k) modulo d = 10, no exceptions
-        poly = mkpoly([3, 4], 11)
+        poly = (3, 4)
         commits = commit(poly, small11)
         for k in range(1, 11):
-            honest = exact_value(poly.coeffs, k)
+            honest = exact_value(poly, k)
             for v in range(0, 50):
                 got = verify_share(k, v, commits, small11)
                 assert got == (v % 10 == honest % 10), (k, v)
@@ -100,10 +105,10 @@ class TestVerifyShare:
 
     def test_congruence_law_when_order_is_a_proper_divisor(self, p23order11):
         # d = 11 while p - 1 = 22: acceptance tracks mod 11, not mod 22
-        poly = mkpoly([5, 7], 23)
+        poly = (5, 7)
         commits = commit(poly, p23order11)
         for k in range(1, 23):
-            honest = exact_value(poly.coeffs, k)
+            honest = exact_value(poly, k)
             for v in range(0, 100):
                 got = verify_share(k, v, commits, p23order11)
                 assert got == (v % 11 == honest % 11), (k, v)
@@ -115,7 +120,7 @@ class TestVerifyShare:
         poly = sample_polynomial(3, params.p, SplitMix64(seed ^ 1))
         commits = commit(poly, params)
         k = 1 + seed % (params.p - 1)
-        honest = exact_value(poly.coeffs, k)
+        honest = exact_value(poly, k)
         got = verify_share(k, candidate, commits, params)
         assert got == (candidate % params.d == honest % params.d)
 
@@ -135,7 +140,7 @@ class TestVerifyShare:
             poly = sample_polynomial(3, params.p, SplitMix64(seed + 7))
             commits = commit(poly, params)
             for k in range(1, 6):
-                assert verify_share(k, exact_value(poly.coeffs, k), commits, params)
+                assert verify_share(k, exact_value(poly, k), commits, params)
 
 
 def direct_product(commits, k, p):
@@ -182,18 +187,18 @@ def test_verification_matches_the_direct_product(data):
 
 class TestHardened:
     def test_honest_hardened_shares_verify(self, p23q11):
-        poly = mkpoly([3, 4], 11)
+        poly = (3, 4)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            assert verify_share(k, exact_value(poly.coeffs, k) % 11, commits, p23q11)
+            assert verify_share(k, exact_value(poly, k) % 11, commits, p23q11)
 
     def test_exactly_one_value_below_q_is_accepted(self, p23q11):
         # soundness scan: for every recipient the accepted set in [0, q)
         # is the single honest evaluation
-        poly = mkpoly([3, 4], 11)
+        poly = (3, 4)
         commits = commit(poly, p23q11)
         for k in range(1, 6):
-            honest = exact_value(poly.coeffs, k) % 11
+            honest = exact_value(poly, k) % 11
             accepted = [
                 v
                 for v in range(0, 11)
@@ -211,7 +216,7 @@ class TestHardened:
 
 class TestVerifyRow:
     def test_honest_row_needs_no_per_share_check(self, share_checks, small11):
-        commits = commit(mkpoly([3, 4, 5], 11), small11)
+        commits = commit((3, 4, 5), small11)
         # P(k) for k = 1..3; P(4) + 1 fails, P(5) + 2 * (p - 1) passes
         values = [12, 31, 60, 99 + 1, 148 + 20]
         assert verify_row(values, commits, small11) == (True, True, True, False, True)
@@ -219,7 +224,7 @@ class TestVerifyRow:
 
     def test_a_forged_share_among_the_first_t_sends_the_row_to_verify_share(
             self, share_checks, small11):
-        commits = commit(mkpoly([3, 4, 5], 11), small11)
+        commits = commit((3, 4, 5), small11)
         values = [12, 31 + 10, 60, 99 + 1]
         assert verify_row(values, commits, small11) == (True, True, True, False)
         assert share_checks == [(commits, k) for k in (1, 2, 3, 4)]
@@ -231,16 +236,16 @@ class TestVerifyRow:
         (11, r"abscissa 11 outside \(0, 11\)"),
     ], ids=["short", "at-p"])
     def test_short_and_too_long_rows_are_refused(self, share_checks, small11, length, message):
-        poly = mkpoly([3, 4, 5], 11)
-        values = [exact_value(poly.coeffs, k) for k in range(1, length + 1)]
+        poly = (3, 4, 5)
+        values = [exact_value(poly, k) for k in range(1, length + 1)]
         with pytest.raises(VsslabError, match=message):
             verify_row(values, commit(poly, small11), small11)
         assert share_checks == []
 
     def test_hardened_row_keeps_the_range_check(self, share_checks, p23q11):
-        poly = mkpoly([3, 4], 11)
-        values = [exact_value(poly.coeffs, k) % 11 for k in (1, 2, 3)]
-        values.append(exact_value(poly.coeffs, 4) % 11 + 11)
+        poly = (3, 4)
+        values = [exact_value(poly, k) % 11 for k in (1, 2, 3)]
+        values.append(exact_value(poly, 4) % 11 + 11)
         commits = commit(poly, p23q11)
         assert verify_row(values, commits, p23q11) == (True, True, True, False)
         assert share_checks == []
@@ -253,8 +258,8 @@ class TestVerifyRow:
     def test_the_range_bound_is_q(self, share_checks, p23q11, first):
         # P = 3 + 4x is 7 at party 1, 0 at party 2, 1 at party 5 and
         # 10 = q - 1 at party 10, mod 11
-        poly = mkpoly([3, 4], 11)
-        values = [exact_value(poly.coeffs, k) % 11 for k in range(1, 11)]
+        poly = (3, 4)
+        values = [exact_value(poly, k) % 11 for k in range(1, 11)]
         assert (values[0], values[1], values[4], values[9]) == (7, 0, 1, 10)
         # 8 misses P(1), so the row check fails and every share is checked alone
         values[0] = first
@@ -283,7 +288,7 @@ class TestVerifyRow:
         monkeypatch.setattr(vss, "check_values", counting)
         params = get_params(name)
         poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
-        values = [honest_share(poly.coeffs, k, params) for k in range(1, 8)]
+        values = [honest_share(poly, k, params) for k in range(1, 8)]
         if params.q is not None:
             values[5] += params.q
         assert verify_row(values, commit(poly, params), params) == (
@@ -304,7 +309,7 @@ def test_verify_row_matches_the_per_share_checks(data):
     length = data.draw(st.integers(0, 7) | st.just(t))
     values = []
     for k in range(1, length + 1):
-        honest = honest_share(poly.coeffs, k, params)
+        honest = honest_share(poly, k, params)
         shift = data.draw(st.sampled_from([0, 0, 1, params.d, params.p - 1, params.field_modulus]))
         values.append(honest + shift)
     if length < t:
@@ -347,7 +352,7 @@ class TestRowEvaluations:
             self, evaluated, share_checks, name, t, evaluated_at):
         params = get_params(name)
         poly = sample_polynomial(t, params.field_modulus, SplitMix64(t))
-        values = [honest_share(poly.coeffs, k, params) for k in range(1, 8)]
+        values = [honest_share(poly, k, params) for k in range(1, 8)]
         assert verify_row(values, commit(poly, params), params) == (True,) * 7
         assert evaluated == evaluated_at
         assert share_checks == []
@@ -355,7 +360,7 @@ class TestRowEvaluations:
     def test_the_range_check_still_runs_on_the_interpolation_points(self, evaluated):
         params = get_params("h64")
         poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
-        values = [honest_share(poly.coeffs, k, params) for k in range(1, 6)]
+        values = [honest_share(poly, k, params) for k in range(1, 6)]
         # shifted by q: the same residue, so the row check passes, but
         # out of range
         values[1] += params.q
@@ -368,7 +373,7 @@ class TestRowEvaluations:
         poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
         # the false-share dealer's shift: congruent mod d = p - 1, so every
         # share passes, but Q through the first t misses the commitments
-        values = [exact_value(poly.coeffs, k) + params.p - 1 for k in range(1, 8)]
+        values = [exact_value(poly, k) + params.p - 1 for k in range(1, 8)]
         commits = commit(poly, params)
         assert verify_row(values, commits, params) == (True,) * 7
         assert evaluated == []
@@ -377,15 +382,15 @@ class TestRowEvaluations:
 
 class TestAggregatePublicKey:
     def test_worked_example(self, small11):
-        vec_a = commit(mkpoly([3, 4], 11), small11)
-        vec_b = commit(mkpoly([0, 2], 11), small11)
+        vec_a = commit((3, 4), small11)
+        vec_b = commit((0, 2), small11)
         # 2^3 * 2^0 = 8; joint secret 3 + 0 = 3, and 2^3 = 8 mod 11
         assert aggregate_public_key([vec_a, vec_b], small11) == 8
 
     def test_matches_generator_to_the_sum_of_secrets(self, small11):
         polys = [sample_polynomial(3, 11, SplitMix64(d)) for d in range(1, 6)]
         vecs = [commit(p, small11) for p in polys]
-        x = sum(p.secret for p in polys) % 10
+        x = sum(p[0] for p in polys) % 10
         assert aggregate_public_key(vecs, small11) == pow(2, x, 11)
 
     def test_empty_input_rejected(self, small11):
@@ -413,6 +418,19 @@ class TestIntegerCommitments:
         # g = 2 and a just beyond the guard: 2**a would exceed the bit budget
         with pytest.raises(TooLarge):
             commit_integer((INTEGER_COMMITMENT_GUARD_BITS + 1,), g=2)
+
+    def test_the_guard_admits_every_value_of_at_most_its_bits(self):
+        # 2**(2**20 - 1) has exactly 2**20 bits, the guard itself
+        (value,) = commit_integer((INTEGER_COMMITMENT_GUARD_BITS - 1,), g=2)
+        assert value.bit_length() == INTEGER_COMMITMENT_GUARD_BITS
+
+    def test_the_refusal_names_the_bits_the_value_would_have(self):
+        with pytest.raises(TooLarge, match="exponent 1048576 would need about 1048577 bits, "
+                                           "over the 1048576-bit guard"):
+            commit_integer((INTEGER_COMMITMENT_GUARD_BITS,), g=2)
+        # 3**700000 has 1,109,474 bits
+        with pytest.raises(TooLarge, match="about 1109474 bits,"):
+            commit_integer((700_000,), g=3)
 
     def test_negative_exponents_and_small_generators_are_refused(self):
         with pytest.raises(ValueError, match="negative"):
