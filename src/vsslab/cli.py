@@ -43,14 +43,20 @@ from .vss import (
 _DEMO_MAX_BITS = 20
 
 # The longest transcript an admitted config renders, in characters. A
-# reconstruction attempt takes under 300 (up to MAX_PARTIES party ids, a
-# value below 2**96 and its keys), and a run records at most
-# MAX_RECONSTRUCTION_ATTEMPTS of them. Each (dealer, recipient) pair adds
-# under 1,000 more: its share, at most 145 digits below 2**96 * 64**64,
-# its forgery attempt, matrix entry and commitment, and its part of the
-# config. That is about 79 million; verify reads one character more, so
-# a longer file is refused before it is parsed.
-MAX_TRANSCRIPT_CHARS = 300 * MAX_RECONSTRUCTION_ATTEMPTS + 1_000 * MAX_PARTIES**2
+# reconstruction attempt writes one value below 2**96: at most 29
+# digits, two quotes and a comma, ATTEMPT_CHARS = 32. A run records at
+# most MAX_RECONSTRUCTION_ATTEMPTS of them, 8,000,000 characters. Each
+# (dealer, recipient) pair adds under PAIR_CHARS = 250 more: its share,
+# at most 145 digits below 2**96 * 64**64, with quotes and comma (148),
+# at most one commitment entry (32), its id in rejected and in the
+# config's targets (3 each), and its share of the keys and fixed fields;
+# a forged 96-bit 64/64 run renders 152 per pair. MAX_PARTIES**2 pairs
+# add 1,024,000, so the cap is 9,024,000; verify reads one character
+# more, so a longer file is refused before it is parsed.
+ATTEMPT_CHARS = 32
+PAIR_CHARS = 250
+MAX_TRANSCRIPT_CHARS = (ATTEMPT_CHARS * MAX_RECONSTRUCTION_ATTEMPTS
+                        + PAIR_CHARS * MAX_PARTIES**2)
 
 
 class _UsageError(Exception):

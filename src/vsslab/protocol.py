@@ -327,19 +327,20 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     honestly where the parameters make forgery impossible.
     """
     parties = range(1, config.n + 1)
+    m, q = params.field_modulus, params.q
     commitments = []
     rows = []
     attempts = []
     for dealer in parties:
         rng = substream(config.seed, dealer)
-        coeffs = sample_polynomial(config.t, params.field_modulus, rng)
+        coeffs = sample_polynomial(config.t, m, rng)
         commitments.append(commit(coeffs, params))
         behavior = config.behaviors[dealer]
         # vulnerable dealers transmit the exact integer evaluation; hardened
         # dealers reduce into Z_q, where the share must live
-        values = evaluate(coeffs, parties, params.field_modulus)
-        if params.mode is Mode.HARDENED:
-            values = tuple(v % params.q for v in values)
+        values = evaluate(coeffs, parties, m)
+        if q is not None:
+            values = tuple(v % q for v in values)
         if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER:
             try:
                 shift, outcome = behavior.strategy.shift(params), "forged"

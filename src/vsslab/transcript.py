@@ -1,21 +1,38 @@
 """Canonical JSON transcripts of scenario runs, and their audit.
 
-Schema version "4". Keys are sorted, separators are compact (no
+Schema version "5". Keys are sorted, separators are compact (no
 whitespace, one newline at the end), there are no timestamps, every
 field-sized integer is a decimal string (seeds and share values can
 exceed what JSON numbers hold), and small structural integers (party
 ids, n, t) stay as JSON numbers. Equal reports serialize to identical
-bytes, which is what makes the tamper check meaningful. Share values
-are written once each, in the rows the report holds them, one per
-dealer as commitments are: "shares": {"<dealer>": [value to party 1,
-..., value to party n]}. A share is forged exactly when
-forgery_attempts has an entry for its (dealer, recipient) whose outcome
-is "forged", and that entry names the strategy. Each dealer's reconstruction lists the
-subsets tried, up to the first that passed its commitment check; a
-failing pool whose shares lie on one polynomial lists only its first
-subset, since every other would fail the same way (see
-protocol.reconstruct_pool). The audit refuses every other schema
-version.
+bytes, which is what makes the tamper check meaningful.
+
+Each fact is written once; what a section leaves out follows from the
+rest of the file by enumeration order alone:
+
+- config.behaviors lists only the parties that are not honest; every
+  other party of 1..n is honest.
+- params holds mode, p, g and d; the prime subgroup order q is d when
+  hardened, and there is none otherwise.
+- shares and commitments hold one row per dealer: "shares": {"<dealer>":
+  [value to party 1, ..., value to party n]}.
+- forgeries maps each dealer that tried to forge to "forged" or
+  "forgery_impossible"; it tried at each of its config targets, in
+  order, with its config strategy. A share is forged exactly when its
+  dealer's outcome is "forged" and its recipient is a target.
+- rejected maps each dealer with a share that failed verification to
+  those recipients; every other share passed.
+- reconstructions maps each dealer to the values its attempts rebuilt
+  and the secret recovered, or null. The pool is the parties, in order,
+  that neither rejected the dealer's share nor withhold (every party
+  that is not honest); attempt i interpolated the i-th t-subset of the
+  pool in itertools.combinations order. Attempts stop at the first
+  pass, so only the last can have passed, and it did exactly when
+  recovered is not null. A failing pool whose shares lie on one
+  polynomial lists only its first value, since every other subset would
+  fail the same way (see protocol.reconstruct_pool).
+
+The audit refuses every other schema version.
 
 Both directions run on json's C core `_json` directly, not through the
 json package, which imports `re` and costs a fresh `vsslab run` or
@@ -43,7 +60,7 @@ from .protocol import (
     run_scenario,
 )
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 
 def canonical_json(doc: dict) -> str:
@@ -65,14 +82,11 @@ def canonical_json(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _strategy_to_dict(strategy: ForgeryStrategy) -> dict:
-    return {"kind": strategy.kind.value, "multiplier": str(strategy.multiplier)}
-
-
 def _behavior_to_dict(behavior: Behavior) -> dict:
     doc: dict = {"kind": behavior.kind.value}
     if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER:
-        doc["strategy"] = _strategy_to_dict(behavior.strategy)
+        strategy = behavior.strategy
+        doc["strategy"] = {"kind": strategy.kind.value, "multiplier": str(strategy.multiplier)}
         doc["targets"] = list(behavior.targets)
     return doc
 
@@ -95,8 +109,9 @@ def report_to_dict(report: ScenarioReport) -> dict:
             "params_ref": _params_ref_to_dict(config.params_ref),
             "seed": str(config.seed),
             "behaviors": {
-                str(pid): _behavior_to_dict(config.behaviors[pid])
-                for pid in sorted(config.behaviors)
+                str(pid): _behavior_to_dict(behavior)
+                for pid, behavior in sorted(config.behaviors.items())
+                if behavior.kind is not BehaviorKind.HONEST
             },
         },
         "params": {
@@ -104,7 +119,6 @@ def report_to_dict(report: ScenarioReport) -> dict:
             "p": str(params.p),
             "g": str(params.g),
             "d": str(params.d),
-            "q": str(params.q) if params.q is not None else None,
         },
         "commitments": {
             str(dealer): [str(c) for c in cv.c]
@@ -114,28 +128,17 @@ def report_to_dict(report: ScenarioReport) -> dict:
             str(dealer): [str(v) for v in row]
             for dealer, row in enumerate(report.shares, 1)
         },
-        "forgery_attempts": [
-            {
-                "dealer": fa.dealer,
-                "recipient": fa.recipient,
-                "strategy": _strategy_to_dict(fa.strategy),
-                "outcome": fa.outcome,
-            }
-            for fa in report.forgery_attempts
-        ],
-        "verification_matrix": [list(row) for row in report.verification_matrix],
+        # a dealer's attempts share one strategy and one outcome
+        "forgeries": {str(fa.dealer): fa.outcome for fa in report.forgery_attempts},
+        "rejected": {
+            str(dealer): [k for k, ok in enumerate(row, 1) if not ok]
+            for dealer, row in enumerate(report.verification_matrix, 1)
+            if not all(row)
+        },
         "aggregate_public_key": str(report.aggregate_public_key),
         "reconstructions": {
             str(dealer): {
-                "pool": list(r.pool),
-                "attempts": [
-                    {
-                        "subset": list(a.subset),
-                        "value": str(a.value),
-                        "commitment_check": a.commitment_check,
-                    }
-                    for a in r.attempts
-                ],
+                "values": [str(a.value) for a in r.attempts],
                 "recovered": str(r.recovered) if r.recovered is not None else None,
             }
             for dealer, r in enumerate(report.reconstructions, 1)
@@ -214,9 +217,11 @@ def _behavior_from_dict(doc: dict, where: str) -> Behavior:
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Decode a transcript's config section, checking every field's type first.
 
-    Raises ConfigInvalid on any malformed field, and on more behaviors or
-    targets than MAX_PARTIES before any record is built; ranges and
-    cross-field constraints are left to ScenarioConfig.validate.
+    Every party of 1..n that config.behaviors does not list is honest.
+    Raises ConfigInvalid on any malformed field, and on an n above
+    MAX_PARTIES or more behaviors or targets than that, before any record
+    is built; other ranges and cross-field constraints are left to
+    ScenarioConfig.validate.
     """
     _typed(doc, dict, "config")
     ref_doc = _typed(doc.get("params_ref"), dict, "config.params_ref")
@@ -227,15 +232,23 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             bits=_typed(ref_doc.get("bits"), int, "config.params_ref.bits"),
             mode=_enum(Mode, ref_doc.get("mode"), "config.params_ref.mode"),
         )
-    behaviors = {}
+    n = _typed(doc.get("n"), int, "config.n")
+    if n > MAX_PARTIES:
+        raise ConfigInvalid(f"config.n is {n:,}, more than the {MAX_PARTIES} parties "
+                            f"a config can hold")
+    listed = {}
     for pid, behavior in _parties(doc.get("behaviors"), dict, "config.behaviors").items():
         where = f"config.behaviors.{pid}"
-        behaviors[_decimal(pid, f"party id of {where}")] = _behavior_from_dict(
+        listed[_decimal(pid, f"party id of {where}")] = _behavior_from_dict(
             _typed(behavior, dict, where), where
         )
+    honest = Behavior()
+    behaviors = {pid: honest for pid in range(1, n + 1)}
+    # a listed party outside 1..n stays, for ScenarioConfig.validate to refuse
+    behaviors.update(listed)
     return ScenarioConfig(
         scenario=_typed(doc.get("scenario"), str, "config.scenario"),
-        n=_typed(doc.get("n"), int, "config.n"),
+        n=n,
         t=_typed(doc.get("t"), int, "config.t"),
         params_ref=ref,
         behaviors=behaviors,

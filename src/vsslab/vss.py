@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 
 from .errors import TooLarge, VsslabError
-from .numtheory import GroupParams, Mode
-from .poly import check_abscissas, evaluate, interpolate
+from .numtheory import GroupParams
+from .poly import evaluate, interpolate
 from .record import record
 
 
@@ -94,8 +94,8 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
 
     With t = len(commits.c), a row shorter than t, a negative value
     (check_values) or a row that reaches the interpolation field's
-    modulus (poly.check_abscissas: party ids are its nonzero elements)
-    raises VsslabError.
+    modulus (party ids are its nonzero elements) raises VsslabError, the
+    last in poly.check_abscissas' words.
 
     Every entry equals the per-share verdict: commitment_in_group, then
     value < q, then verify_share in hardened mode; verify_share alone
@@ -115,14 +115,18 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
     share instead.
     """
     values = check_values(values)
-    hardened = params.mode is Mode.HARDENED
-    in_range = tuple(v < params.q for v in values) if hardened else (True,) * len(values)
+    q = params.q
+    hardened = q is not None
+    in_range = tuple(v < q for v in values) if hardened else (True,) * len(values)
     t = len(commits.c)
     if len(values) < t:
         raise VsslabError(f"a row of {len(values)} shares is shorter than the threshold {t}")
     m = params.field_modulus
+    # the parties 1..len(values) are distinct and nonzero, so only the
+    # last can reach the field's modulus
+    if len(values) >= m:
+        raise VsslabError(f"abscissa {len(values)} outside (0, {m})")
     xs = range(1, len(values) + 1)
-    check_abscissas(xs, m)
     b = interpolate(xs[:t], values[:t], m)
     if params.g_pows(b) == commits.c:
         # Q passes through the first t values mod m, so when m == d their

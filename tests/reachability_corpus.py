@@ -252,7 +252,7 @@ def tampered_transcripts(tmp):
         "share": edited(shares={**doc["shares"], "1": [first + "1", *rest]}),
         "missing-key": without("verdict"),
         "extra-key": edited(extra=True),
-        "short-rows": edited(verification_matrix=[row[:-1] for row in doc["verification_matrix"]]),
+        "short-rows": edited(shares={dealer: row[:-1] for dealer, row in doc["shares"].items()}),
         "number-for-string": edited(aggregate_public_key=int(doc["aggregate_public_key"])),
         "not-canonical": json.dumps(doc, sort_keys=True, indent=1) + "\n",
     }

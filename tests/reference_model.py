@@ -29,6 +29,10 @@ pool as the denial law: the subset, if any, through which a uniform
 forger's pool still rebuilds a value that passes. exact_value,
 honest_share and interpolate_at_zero are the naive evaluation and
 interpolation the other tests hold vsslab.poly's packed ones to.
+
+expand_schema_5 rebuilds, from a schema "5" transcript alone, the
+schema "4" document that wrote every fact out in full, by the README's
+rebuild rules.
 """
 
 from collections import namedtuple
@@ -179,3 +183,54 @@ def run_model(config, params):
         return ModelRun("key_blocked", None, matrix, pools, recovered)
     key = sum(recovered.values()) % (d if hardened else p - 1)
     return ModelRun("key_assembled", key, matrix, pools, recovered)
+
+
+def expand_schema_5(doc):
+    """The schema "4" document of the schema "5" transcript doc, rebuilt
+    from doc's own fields by enumeration order alone.
+
+    An unlisted party is honest, q is d when hardened, a forger tried
+    every one of its targets with its strategy, an unrejected share
+    passed, a pool is the parties that neither rejected the share nor
+    withhold, attempt i took the i-th t-subset of the pool, and only the
+    last attempt passed, exactly when a secret was recovered.
+    """
+    config = doc["config"]
+    n, t = config["n"], config["t"]
+    parties = range(1, n + 1)
+    behaviors = {str(k): config["behaviors"].get(str(k), {"kind": "honest"}) for k in parties}
+    withholders = {k for k in parties if behaviors[str(k)]["kind"] != "honest"}
+    rejected = {int(dealer): set(ks) for dealer, ks in doc["rejected"].items()}
+    params = doc["params"]
+    reconstructions = {}
+    for dealer, r in doc["reconstructions"].items():
+        pool = [k for k in parties
+                if k not in rejected.get(int(dealer), ()) and k not in withholders]
+        # the number of the attempt that passed, or 0 when none did
+        passed = len(r["values"]) if r["recovered"] is not None else 0
+        reconstructions[dealer] = {
+            "pool": pool,
+            "attempts": [{"subset": list(subset), "value": value, "commitment_check": i == passed}
+                         for i, (subset, value)
+                         in enumerate(zip(combinations(pool, t), r["values"]), 1)],
+            "recovered": r["recovered"],
+        }
+    return {
+        "version": "4",
+        "config": {**config, "behaviors": behaviors},
+        "params": {**params, "q": params["d"] if params["mode"] == "hardened" else None},
+        "commitments": doc["commitments"],
+        "shares": doc["shares"],
+        "forgery_attempts": [
+            {"dealer": int(dealer), "recipient": k,
+             "strategy": behaviors[dealer]["strategy"], "outcome": outcome}
+            for dealer, outcome in sorted(doc["forgeries"].items(), key=lambda kv: int(kv[0]))
+            for k in behaviors[dealer]["targets"]
+        ],
+        "verification_matrix": [[k not in rejected.get(dealer, ()) for k in parties]
+                                for dealer in parties],
+        "aggregate_public_key": doc["aggregate_public_key"],
+        "reconstructions": reconstructions,
+        "group_key": doc["group_key"],
+        "verdict": doc["verdict"],
+    }

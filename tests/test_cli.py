@@ -12,9 +12,10 @@ import pytest
 
 from vsslab import cli
 from vsslab.cli import main
-from vsslab.protocol import SCENARIO_NAMES, build_scenario
+from vsslab.numtheory import MAX_PARAM_BITS, Mode
+from vsslab.protocol import MAX_PARTIES, SCENARIO_NAMES, GenSpec, build_scenario, run_scenario
 from vsslab.registry import get_params
-from vsslab.transcript import canonical_json
+from vsslab.transcript import canonical_json, render_report
 
 # the directory a fresh `python -S` child imports vsslab from
 SRC = str(Path(cli.__file__).parent.parent)
@@ -40,7 +41,7 @@ def test_false_share_run_exits_two(tmp_path):
     assert code == 2
     # the denial happens with a fully clean verification matrix
     doc = json.loads(out.read_text())
-    assert all(all(row) for row in doc["verification_matrix"])
+    assert doc["rejected"] == {}
 
 
 def test_run_without_out_still_prints_verdict(capsys):
@@ -336,7 +337,8 @@ def test_hardened_scenario_uses_hardened_generation(tmp_path, scenario):
     assert doc["params"]["mode"] == default.mode.value
     assert (doc["params"]["mode"] == "hardened") == (scenario == "hardened-attack")
     if scenario == "hardened-attack":
-        assert int(doc["params"]["p"]) == 2 * int(doc["params"]["q"]) + 1
+        # q is d when hardened
+        assert int(doc["params"]["p"]) == 2 * int(doc["params"]["d"]) + 1
 
 
 class TestSizeDemo:
@@ -477,3 +479,35 @@ def test_verify_refuses_a_file_longer_than_any_admitted_transcript(tmp_path, cap
         f"cannot read transcript: longer than {size - 1:,} characters, "
         "the most an admitted config renders\n")
 
+
+
+def entry_chars(value):
+    """The characters one more entry `value` adds to a JSON list."""
+    return len(canonical_json([value, value])) - len(canonical_json([value]))
+
+
+def test_the_widest_pieces_an_admitted_config_renders_fit_their_budgets():
+    # every field element, an attempt's value or a commitment, lies below
+    # 2**MAX_PARAM_BITS; the widest share of a 64/64 row is P(64) with every
+    # coefficient p - 1, plus a forger's shift m * (p - 1) with m < p
+    field = 2**MAX_PARAM_BITS - 1
+    assert entry_chars(str(field)) == cli.ATTEMPT_CHARS
+    share = field * sum(MAX_PARTIES**j for j in range(MAX_PARTIES)) + field * field
+    assert share < 2**MAX_PARAM_BITS * MAX_PARTIES**MAX_PARTIES < 10**145
+    # the share, a commitment entry, and an id in rejected and in targets
+    assert (entry_chars(str(share)) + entry_chars(str(field))
+            + 2 * entry_chars(MAX_PARTIES)) < cli.PAIR_CHARS
+    assert cli.MAX_TRANSCRIPT_CHARS == 9_024_000
+
+    # a 96-bit 64/63 forger's run, with its keys and fixed fields, stays
+    # inside the per-pair budget, as do its widest share and attempt value
+    # (at t = 64 no pool of the 63 parties that do not withhold is tried)
+    config = build_scenario("false-share", 1, MAX_PARTIES, MAX_PARTIES - 1,
+                            GenSpec(MAX_PARAM_BITS, Mode.VULNERABLE))
+    text = render_report(run_scenario(config))
+    doc = json.loads(text)
+    assert len(text) < cli.PAIR_CHARS * MAX_PARTIES**2
+    assert max(entry_chars(v) for row in doc["shares"].values() for v in row) <= entry_chars(
+        str(share))
+    assert max(entry_chars(v) for r in doc["reconstructions"].values()
+               for v in r["values"]) <= cli.ATTEMPT_CHARS

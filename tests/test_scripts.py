@@ -10,10 +10,11 @@ from vsslab.protocol import SCENARIO_NAMES
 ROOT = Path(__file__).resolve().parent.parent
 
 # scripts/transcript_digest.py over the five scenarios x seeds 0-19 at
-# default params, transcript schema "4". A change that is meant to keep
+# default params, transcript schema "5". A change that is meant to keep
 # transcripts byte-identical must leave it alone; one that changes them
-# on purpose records the new value here.
-TRANSCRIPT_DIGEST = "b7c84613defcab2d2aba18bf9c3954703a4038de9c8b2ba6c6cf1d213ec40387"
+# on purpose records the new value here. Schema "4" printed
+# test_transcript.py's SCHEMA_4_TRANSCRIPT_DIGEST.
+TRANSCRIPT_DIGEST = "15b9296f3f9e38adb54befca15fc4ad6b919d7034d778e28d3a44494cceae50b"
 
 
 def run_script(name):

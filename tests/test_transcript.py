@@ -20,6 +20,7 @@ from vsslab.protocol import (
     Behavior,
     BehaviorKind,
     ScenarioConfig,
+    ScenarioReport,
     build_scenario,
     run_scenario,
 )
@@ -34,11 +35,13 @@ from vsslab.transcript import (
     report_to_dict,
 )
 
-from reference_model import exact_value
+from reference_model import exact_value, expand_schema_5
 
 # `vsslab run --scenario false-share --seed 7` as schema "3" wrote it, where
 # each share was an object repeating its dealer, recipient and provenance
 SCHEMA_3_TRANSCRIPT = Path(__file__).parent / "data" / "schema3_false_share_seed7.json"
+# the same run as schema "4" wrote it, with every fact written out in full
+SCHEMA_4_TRANSCRIPT = Path(__file__).parent / "data" / "schema4_false_share_seed7.json"
 
 
 @pytest.fixture(scope="module")
@@ -82,15 +85,17 @@ def retamper(text, mutate):
 
 
 def test_version_field_is_current(false_share_text):
-    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "4"
+    assert json.loads(false_share_text)["version"] == SCHEMA_VERSION == "5"
 
 
-def test_top_level_keys_are_the_schema_4_set(false_share_text):
-    assert set(json.loads(false_share_text)) == {
-        "version", "config", "params", "commitments", "shares", "forgery_attempts",
-        "verification_matrix", "aggregate_public_key", "reconstructions", "group_key",
-        "verdict",
+def test_top_level_keys_are_the_schema_5_set(false_share_text):
+    doc = json.loads(false_share_text)
+    assert set(doc) == {
+        "version", "config", "params", "commitments", "shares", "forgeries", "rejected",
+        "aggregate_public_key", "reconstructions", "group_key", "verdict",
     }
+    # config stays the third key, so a reader can scan it first
+    assert list(doc)[2] == "config"
 
 
 def test_rendering_is_deterministic():
@@ -102,8 +107,10 @@ def test_rendering_is_deterministic():
 # Wider configs than scripts/transcript_digest.py covers, where each
 # dealer's row is verified by the row check and the false-share and
 # order-shift rows fall back to per-share checks: (scenario, params, n, t),
-# each at seeds 0-2, hashed in that order. Recorded when schema "4" came
+# each at seeds 0-2, hashed in that order. Recorded when schema "5" came
 # in; a change meant to keep transcripts byte-identical leaves it alone.
+# SCHEMA_4_WIDE_DIGEST is what schema "4" wrote for them, and what their
+# schema "5" transcripts expand to.
 WIDE_CONFIGS = (
     ("honest", "v64", 12, 6),
     ("false-share", "v64", 12, 6),
@@ -112,16 +119,78 @@ WIDE_CONFIGS = (
     ("hardened-attack", "h64", 16, 15),
     ("order-shift", "v32", 16, 8),
 )
-WIDE_DIGEST = "44fcc114647f006aac25bbf871dbfb1daab68c6adf64d5c4b73a51f6550de22d"
+WIDE_DIGEST = "3bfdd2e1496a68ce118f2c6e817eddd92d9d61440232b748e0ad5357a728ba22"
+SCHEMA_4_WIDE_DIGEST = "44fcc114647f006aac25bbf871dbfb1daab68c6adf64d5c4b73a51f6550de22d"
+# scripts/transcript_digest.py's value under schema "4" (test_scripts.py
+# pins the schema "5" one)
+SCHEMA_4_TRANSCRIPT_DIGEST = "b7c84613defcab2d2aba18bf9c3954703a4038de9c8b2ba6c6cf1d213ec40387"
 
 
 def test_wide_config_transcripts_are_pinned():
-    digest = hashlib.sha256()
+    digest, expanded = hashlib.sha256(), hashlib.sha256()
     for name, params_ref, n, t in WIDE_CONFIGS:
         for seed in range(3):
             report = run_scenario(build_scenario(name, seed=seed, n=n, t=t, params_ref=params_ref))
-            digest.update(render_report(report).encode())
+            text = render_report(report)
+            digest.update(text.encode())
+            expanded.update(canonical_json(expand_schema_5(json.loads(text))).encode())
     assert digest.hexdigest() == WIDE_DIGEST
+    assert expanded.hexdigest() == SCHEMA_4_WIDE_DIGEST
+
+
+def test_the_scenario_transcripts_expand_to_what_schema_4_wrote():
+    # each field schema "5" drops is rebuilt from the others, so the file
+    # loses nothing: the five scenarios at seeds 0-19 expand byte for byte
+    digest = hashlib.sha256()
+    for name in SCENARIO_NAMES:
+        for seed in range(20):
+            doc = json.loads(render_report(run_scenario(build_scenario(name, seed=seed))))
+            digest.update(canonical_json(expand_schema_5(doc)).encode())
+    assert digest.hexdigest() == SCHEMA_4_TRANSCRIPT_DIGEST
+
+
+def test_a_rejected_share_is_written_as_its_recipient_and_rebuilt():
+    # no config that runs rejects a share yet, since there is no complaint
+    # round; a report whose matrix rejects one lists only that recipient
+    report = run_scenario(build_scenario("honest", seed=7))
+    matrix = tuple(tuple(k != 3 for k in range(1, 6)) if dealer == 2 else row
+                   for dealer, row in enumerate(report.verification_matrix, 1))
+    doc = report_to_dict(ScenarioReport(**{**report.__dict__, "verification_matrix": matrix}))
+    assert doc["rejected"] == {"2": [3]}
+    assert expand_schema_5(doc)["verification_matrix"] == [list(row) for row in matrix]
+
+
+def test_the_schema_4_fixture_is_the_expansion_of_its_run(false_share_text):
+    assert canonical_json(expand_schema_5(json.loads(false_share_text))) == (
+        SCHEMA_4_TRANSCRIPT.read_text())
+
+
+@pytest.mark.parametrize("targets, verdict, attempts", [
+    (range(9, 17), "key_blocked", 6_435),
+    (range(2, 9), "key_assembled", 50),
+], ids=["to-9-16-blocks", "to-2-8-assembles"])
+def test_a_mixed_v64_16_8_pool_expands_to_its_report(targets, verdict, attempts):
+    # party 1 forges to some of the fifteen parties of its pool, so the pool
+    # is enumerated: all C(15, 8) subsets fail for targets 9-16, and the 50th
+    # passes for targets 2-8. Every pool, subset, verdict and forgery attempt
+    # the expansion rebuilds is the report's own.
+    report = run_scenario(partial_forgery_config(16, 8, targets, "v64", 0))
+    assert report.verdict.value == verdict
+    assert len(report.reconstructions[0].attempts) == attempts
+    old = expand_schema_5(json.loads(render_report(report)))
+    assert old["verification_matrix"] == [list(row) for row in report.verification_matrix]
+    assert old["forgery_attempts"] == [
+        {"dealer": a.dealer, "recipient": a.recipient, "outcome": a.outcome,
+         "strategy": {"kind": a.strategy.kind.value, "multiplier": str(a.strategy.multiplier)}}
+        for a in report.forgery_attempts]
+    assert old["reconstructions"] == {
+        str(dealer): {
+            "pool": list(r.pool),
+            "attempts": [{"subset": list(a.subset), "value": str(a.value),
+                          "commitment_check": a.commitment_check} for a in r.attempts],
+            "recovered": None if r.recovered is None else str(r.recovered),
+        }
+        for dealer, r in enumerate(report.reconstructions, 1)}
 
 
 # the five scenarios, and the wide false-share config, whose forger's row
@@ -182,9 +251,10 @@ def _ceremonies():
 
 
 def test_every_share_is_rebuilt_from_the_transcript():
-    # a value's position gives its dealer and recipient, and
-    # forgery_attempts says whether it was forged and how; the honest
-    # value to compare against comes from the dealer's own polynomial
+    # a value's position gives its dealer and recipient, forgeries says
+    # whether its dealer forged, and the dealer's config behavior to whom
+    # and how; the honest value to compare against comes from the
+    # dealer's own polynomial
     forged_seen = 0
     for config in _ceremonies():
         report = run_scenario(config)
@@ -193,8 +263,10 @@ def test_every_share_is_rebuilt_from_the_transcript():
         assert [int(dealer) for dealer, _ in rows] == list(range(1, config.n + 1))
         rebuilt = tuple(tuple(map(int, row)) for _, row in rows)
         assert rebuilt == report.shares, config
-        forged = {(a["dealer"], a["recipient"]): a["strategy"]
-                  for a in doc["forgery_attempts"] if a["outcome"] == "forged"}
+        behaviors = doc["config"]["behaviors"]
+        forged = {(int(dealer), k): behaviors[dealer]["strategy"]
+                  for dealer, outcome in doc["forgeries"].items() if outcome == "forged"
+                  for k in behaviors[dealer]["targets"]}
         params = report.params
         for dealer, row in enumerate(rebuilt, 1):
             poly = sample_polynomial(config.t, params.field_modulus, substream(config.seed, dealer))
@@ -214,20 +286,22 @@ def test_every_share_is_rebuilt_from_the_transcript():
 
 # SHA-256 over the transcripts of _ceremonies() as schema "3" rendered
 # them, each parsed, without its "shares" and "version", and re-rendered
-# by canonical_json, hashed in order: schema "4" changed no other section.
+# by canonical_json, hashed in order: schema "4" changed no other section,
+# and schema "5" transcripts expand (expand_schema_5) to schema "4" ones.
 SCHEMA_3_SECTIONS_DIGEST = "fa08fb25ee2fcc8603390304314ffe6053506b0a0717fa236dc74371cf00bdc7"
 
 
 def test_sections_other_than_shares_are_as_schema_3_wrote_them():
     digest = hashlib.sha256()
     for config in _ceremonies():
-        doc = json.loads(render_report(run_scenario(config)))
+        doc = expand_schema_5(json.loads(render_report(run_scenario(config))))
         del doc["shares"], doc["version"]
         digest.update(canonical_json(doc).encode())
     assert digest.hexdigest() == SCHEMA_3_SECTIONS_DIGEST
 
     old = json.loads(SCHEMA_3_TRANSCRIPT.read_text())
-    new = json.loads(render_report(run_scenario(build_scenario("false-share", seed=7))))
+    new = expand_schema_5(json.loads(
+        render_report(run_scenario(build_scenario("false-share", seed=7)))))
     assert old.keys() == new.keys()
     for key in old.keys() - {"shares", "version"}:
         assert new[key] == old[key], key
@@ -388,9 +462,9 @@ class TestAudit:
 
     def test_wrong_version_reported(self, false_share_text):
         # "1" listed every t-subset, "2" every subset of a failing pool on
-        # one polynomial, and "3" an object per share; such a file is
-        # regenerated, not read
-        for version in ("999", "1", "2", "3"):
+        # one polynomial, "3" an object per share, and "4" every fact in
+        # full; such a file is regenerated, not read
+        for version in ("999", "1", "2", "3", "4"):
             def wrong_version(doc):
                 doc["version"] = version
 
@@ -400,6 +474,10 @@ class TestAudit:
     def test_a_schema_3_transcript_is_refused(self):
         assert audit_transcript(SCHEMA_3_TRANSCRIPT.read_text()) == [
             "unsupported schema version '3'"]
+
+    def test_a_schema_4_transcript_is_refused(self):
+        assert audit_transcript(SCHEMA_4_TRANSCRIPT.read_text()) == [
+            "unsupported schema version '4'"]
 
     def test_reflowed_transcript_is_not_canonical(self, false_share_text):
         reflowed = json.dumps(json.loads(false_share_text), sort_keys=True) + "\n"
@@ -413,23 +491,23 @@ class TestAudit:
         assert any("JSON" in p for p in problems)
 
     @pytest.mark.parametrize("dealer, edit, problem", [
-        ("1", lambda attempts: attempts.pop(),
-         "reconstructions.1.attempts: transcript has 3 entries, regeneration has 4"),
-        ("1", lambda attempts: attempts.insert(0, attempts.pop(1)),
-         "reconstructions.1.attempts[0].subset[2]: transcript has 5, regeneration has 4"),
-        ("2", lambda attempts: attempts.append(copy.deepcopy(attempts[0])),
-         "reconstructions.2.attempts: transcript has 2 entries, regeneration has 1"),
+        ("1", lambda values: values.pop(),
+         "reconstructions.1.values: transcript has 3 entries, regeneration has 4"),
+        ("1", lambda values: values.insert(0, values.pop(1)),
+         "reconstructions.1.values[0]: transcript has '{1}', regeneration has '{0}'"),
+        ("2", lambda values: values.append(values[0]),
+         "reconstructions.2.values: transcript has 2 entries, regeneration has 1"),
     ], ids=["drop-last", "swap-first-two", "append"])
     def test_an_edited_attempt_list_is_reported(self, partial_forgery_text, dealer, edit,
                                                 problem):
         # dealer 1 forges to 2 and 4 of its pool 2..5, which lists all four
         # subsets and passes none; dealer 2's honest pool passes at its first
         doc = json.loads(partial_forgery_text)
-        assert [a["commitment_check"] for a in doc["reconstructions"]["1"]["attempts"]] == [
-            False] * 4
+        first = doc["reconstructions"]["1"]
+        assert len(first["values"]) == 4 and first["recovered"] is None
         problems = audit_transcript(retamper(
-            partial_forgery_text, lambda doc: edit(doc["reconstructions"][dealer]["attempts"])))
-        assert problems[0] == problem
+            partial_forgery_text, lambda doc: edit(doc["reconstructions"][dealer]["values"])))
+        assert problems[0] == problem.format(*first["values"])
 
     def test_single_byte_flip_never_passes(self, false_share_text):
         # canonical text reflows under re-rendering, so attack any byte of
@@ -514,18 +592,32 @@ class TestAudit:
         assert problems[0].startswith("config does not re-run")
         assert "reconstruction attempts" in problems[0]
 
-    def test_config_over_the_party_cap_is_a_problem(self, false_share_text):
+    @pytest.mark.parametrize("n", [1000, 10**12])
+    def test_config_over_the_party_cap_is_a_problem(self, false_share_text, monkeypatch, n):
         # n = t = 1000 is within the attempt budget, but dealing and
-        # verification alone would cost about n**3 big-int operations
+        # verification alone would cost about n**3 big-int operations; and
+        # every unlisted party is honest, so n is bounded before n honest
+        # behaviors are filled in
+        import vsslab.transcript as transcript
+
+        built = []
+        monkeypatch.setattr(transcript, "Behavior",
+                            lambda *args, **kwargs: built.append(1) or Behavior(*args, **kwargs))
         doc = json.loads(false_share_text)
-        doc["config"].update(
-            params_ref={"name": "v64"}, n=1000, t=1000,
-            behaviors={str(pid): {"kind": "honest"} for pid in range(1, 1001)},
-        )
-        problems = audit_transcript(canonical_json(doc))
-        assert len(problems) == 1
-        assert problems[0].startswith("config does not re-run")
-        assert "parties" in problems[0]
+        doc["config"].update(params_ref={"name": "v64"}, n=n, t=n, behaviors={})
+        assert audit_transcript(canonical_json(doc)) == [
+            f"config does not re-run: config.n is {n:,}, more than the 64 parties a config "
+            "can hold"]
+        assert built == []
+
+    def test_a_listed_honest_party_is_reported(self, false_share_text):
+        # the config decodes to the same ceremony, but an honest party is
+        # written by leaving it out
+        def list_honest(doc):
+            doc["config"]["behaviors"]["2"] = {"kind": "honest"}
+
+        assert audit_transcript(retamper(false_share_text, list_honest)) == [
+            "config.behaviors.2: transcript has {'kind': 'honest'}, regeneration has no such key"]
 
     @pytest.mark.parametrize("field, size", [("behaviors", 65), ("behaviors", 200_000),
                                              ("targets", 65)])
