@@ -231,9 +231,9 @@ class Verdict(Choice):
 
 @record
 class ForgeryAttempt:
+    """A forging dealer's one outcome, alike at each of its config targets."""
+
     dealer: int
-    recipient: int
-    strategy: ForgeryStrategy
     outcome: str  # "forged" | "forgery_impossible"
 
 
@@ -245,29 +245,17 @@ class DealingRound:
 
 
 @record
-class ReconstructionAttempt:
-    subset: tuple[int, ...]
-    value: int
-    commitment_check: bool
-
-
-@record
 class DealerReconstruction:
-    """reconstructions[d - 1] is dealer d's."""
+    """reconstructions[d - 1] is dealer d's, as a transcript writes it.
 
-    pool: tuple[int, ...]  # recipients whose shares are on the table
-    attempts: tuple[ReconstructionAttempt, ...]
+    attempts holds the value each attempt rebuilt; attempt i took the
+    i-th t-subset, in itertools.combinations order, of the pool that
+    run_reconstruction_round built. Attempts stop at the first pass, so
+    recovered is the last value when it passed, and None otherwise.
+    """
 
-    @property
-    def recovered(self) -> int | None:
-        """The secret rebuilt by the first passing subset, or None.
-
-        Attempts stop at the first pass, so only the last one can have
-        passed.
-        """
-        if self.attempts and self.attempts[-1].commitment_check:
-            return self.attempts[-1].value
-        return None
+    attempts: tuple[int, ...]
+    recovered: int | None
 
 
 @record
@@ -324,7 +312,8 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     shares holds dealer i's shares to parties 1..n, its honest values
     from one poly.evaluate call over all of them; a forger's row adds
     its strategy's one shift to the values at its targets, or deals them
-    honestly where the parameters make forgery impossible.
+    honestly where the parameters make forgery impossible, and records
+    that one outcome as its ForgeryAttempt.
     """
     parties = range(1, config.n + 1)
     m, q = params.field_modulus, params.q
@@ -349,8 +338,7 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
             values = list(values)
             for recipient in (k for k in behavior.targets if k in parties):
                 values[recipient - 1] += shift
-                attempts.append(ForgeryAttempt(dealer=dealer, recipient=recipient,
-                                               strategy=behavior.strategy, outcome=outcome))
+            attempts.append(ForgeryAttempt(dealer=dealer, outcome=outcome))
         rows.append(tuple(values))
     return DealingRound(
         commitments=tuple(commitments),
@@ -371,8 +359,8 @@ def run_verification_round(rows, commitments, params: GroupParams):
 
 
 def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
-    """Attempts to rebuild the secret committed to by commits from the
-    values ys its dealer's shares gave parties xs.
+    """The DealerReconstruction of the secret committed to by commits,
+    from the values ys its dealer's shares gave parties xs.
 
     Unequal lengths, a negative value or recipients that repeat or
     reach the field's modulus raise VsslabError. The t-subsets, t =
@@ -382,7 +370,8 @@ def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
     and it passes when g**value matches the dealer's constant-term
     commitment. Honest shares always pass; forged ones corrupt value and
     (outside a measure-1/p wraparound corner) fail. The attempts stop at
-    the first pass, and a pool of fewer than t shares lists none.
+    the first pass, whose value is the one recovered, and a pool of
+    fewer than t shares lists none.
 
     When the first subset fails, the coefficients through its t shares
     (poly.interpolate) are evaluated at the pool's other recipients, in
@@ -401,31 +390,31 @@ def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
     ys = [y % m for y in check_values(ys)]
     testable = len(xs) > t
     attempts = []
-    for subset, values in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
-        value = sum(map(mul, values, lagrange_weights(subset, m))) % m
-        ok = params.g_pow(value) == commits.c[0]
-        attempts.append(ReconstructionAttempt(subset=subset, value=value, commitment_check=ok))
-        if ok:
-            break
+    for subset, points in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
+        value = sum(map(mul, points, lagrange_weights(subset, m))) % m
+        attempts.append(value)
+        if params.g_pow(value) == commits.c[0]:
+            return DealerReconstruction(attempts=tuple(attempts), recovered=value)
         if len(attempts) == 1 and testable:
-            coeffs = interpolate(subset, values, m)
+            coeffs = interpolate(subset, points, m)
             if all(v % m == y for v, y in zip(evaluate(coeffs, xs[t:], m), ys[t:])):
                 break
-    return tuple(attempts)
+    return DealerReconstruction(attempts=tuple(attempts), recovered=None)
 
 
 def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConfig,
                              params: GroupParams):
-    """Per-dealer reconstruction attempts over the share pool.
+    """Per-dealer DealerReconstructions over the share pools.
 
     The pool for dealer i is the parties of its row less those that
     withhold at assembly or rejected the share at verification time, and
     reconstruct_pool decides it with their values: the attempts up to
     and including the first passing subset, one attempt for a failing
     pool on one polynomial, or every subset of an inconsistent pool when
-    none passes, so the recovered secret is read off the last attempt.
-    The inputs align as in run_verification_round. The weight tables and
-    bases come from poly's bounded cache (see poly.lagrange_weights).
+    none passes. A pool is not kept: it follows from the matrix and the
+    config, as a transcript's rebuild rules say. The inputs align as in
+    run_verification_round. The weight tables and bases come from
+    poly's bounded cache (see poly.lagrange_weights).
     """
     withholders = {pid for pid, b in config.behaviors.items() if b.withholds_at_assembly}
     rows, matrix, commitments = _aligned("per-dealer inputs", dealing.shares, matrix,
@@ -434,8 +423,7 @@ def run_reconstruction_round(dealing: DealingRound, matrix, config: ScenarioConf
     for dealer, (row, accepted, cv) in enumerate(zip(rows, matrix, commitments), 1):
         row, accepted = _aligned(f"dealer {dealer}'s shares and verdicts", row, accepted)
         pool = tuple(k for k, ok in enumerate(accepted, 1) if ok and k not in withholders)
-        reconstructions.append(DealerReconstruction(
-            pool=pool, attempts=reconstruct_pool(pool, [row[k - 1] for k in pool], cv, params)))
+        reconstructions.append(reconstruct_pool(pool, [row[k - 1] for k in pool], cv, params))
     return tuple(reconstructions)
 
 

@@ -128,7 +128,6 @@ def report_to_dict(report: ScenarioReport) -> dict:
             str(dealer): [str(v) for v in row]
             for dealer, row in enumerate(report.shares, 1)
         },
-        # a dealer's attempts share one strategy and one outcome
         "forgeries": {str(fa.dealer): fa.outcome for fa in report.forgery_attempts},
         "rejected": {
             str(dealer): [k for k, ok in enumerate(row, 1) if not ok]
@@ -138,7 +137,7 @@ def report_to_dict(report: ScenarioReport) -> dict:
         "aggregate_public_key": str(report.aggregate_public_key),
         "reconstructions": {
             str(dealer): {
-                "values": [str(a.value) for a in r.attempts],
+                "values": [str(value) for value in r.attempts],
                 "recovered": str(r.recovered) if r.recovered is not None else None,
             }
             for dealer, r in enumerate(report.reconstructions, 1)

@@ -22,8 +22,9 @@ tables or caches:
 - the key is the sum of the recovered secrets mod p - 1 (q when
   hardened), or blocked when a dealer's secret was not recovered.
 
-predict_corruption states the same interpolation for one subset as a
-closed form: the value a subset rebuilds when some of its shares carry
+gap_law states when a shifted share verifies and when it corrupts, on
+every group shape. predict_corruption states the same interpolation for
+one subset as a closed form: the value a subset rebuilds when some of its shares carry
 a uniform false-share shift. first_passing_subset extends it to a whole
 pool as the denial law: the subset, if any, through which a uniform
 forger's pool still rebuilds a value that passes. exact_value,
@@ -78,6 +79,23 @@ def interpolate_at_zero(points, m):
     """P(0) mod the prime m for the polynomial through the (x, y) points."""
     weights = weights_at_zero([x for x, _ in points], m)
     return sum(y * w for (_, y), w in zip(points, weights)) % m
+
+
+def gap_law(params, delta):
+    """(verifies, harmless) for a share shifted by delta from P(k), over p,
+    d = ord(g) and the interpolation field's modulus m (p, or q = d when
+    hardened).
+
+    g**(P(k) + delta) matches the commitment product mod p exactly when d
+    divides delta, so the share verifies exactly then; interpolation
+    reduces it mod m, so it leaves every secret rebuilt through it
+    unchanged exactly when m divides delta. A share that verifies and
+    corrupts therefore exists exactly when m does not divide d: on every
+    vulnerable group (m = p, d | p - 1), never on a hardened one, where
+    m = d and only the range rule v < q refuses the shifted share.
+    """
+    m = params.d if params.mode is Mode.HARDENED else params.p
+    return delta % params.d == 0, delta % m == 0
 
 
 def predict_corruption(points, m_uniform, p):

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.errors import ForgeryImpossible, VsslabError
-from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import lagrange_weights, sample_polynomial
+from vsslab.numtheory import GroupParams, Mode, gen_params
+from vsslab.poly import interpolate, lagrange_weights, sample_polynomial
 from vsslab.protocol import (
     Behavior,
     BehaviorKind,
@@ -29,11 +29,17 @@ from vsslab.protocol import (
     run_dealing_round,
     run_scenario,
 )
-from vsslab.registry import get_params
+from vsslab.registry import get_params, load_registry
 from vsslab.rng import SplitMix64, substream
-from vsslab.vss import commit, verify_share
+from vsslab.vss import commit, verify_row, verify_share
 
-from reference_model import exact_value, interpolate_at_zero, predict_corruption
+from reference_model import (
+    exact_value,
+    gap_law,
+    honest_share,
+    interpolate_at_zero,
+    predict_corruption,
+)
 
 ADD1 = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, multiplier=1)
 
@@ -121,13 +127,16 @@ class TestShift:
                 assert verify_share(k, forged(poly, k, params, strat), commits, params)
 
     def test_forgery_attempts_record_the_strategy(self, small11):
-        # a ceremony's forgery_attempts say which shares were forged, and
-        # how; the share itself is just a value in its dealer's row
+        # a ceremony's forgery_attempts say which dealers forged, and its
+        # config to whom and how; the share itself is just a value in its
+        # dealer's row
         strat = ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 3)
         behaviors = {pid: Behavior() for pid in range(1, 6)}
         behaviors[1] = Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=strat, targets=(3,))
         report = run_scenario(ScenarioConfig("one-forgery", 5, 3, "small11", behaviors, 7))
-        assert report.forgery_attempts == (ForgeryAttempt(1, 3, strat, "forged"),)
+        assert report.forgery_attempts == (ForgeryAttempt(1, "forged"),)
+        assert report.config.behaviors[1].strategy == strat
+        assert report.config.behaviors[1].targets == (3,)
         poly = sample_polynomial(3, 11, substream(7, 1))
         assert report.shares[0][2] == forged(poly, 3, small11, strat)
         assert report.shares[0][2] == exact_value(poly, 3) + 30
@@ -143,8 +152,10 @@ class TestShift:
     def test_a_hardened_forger_deals_honestly(self, p23q11):
         config = build_scenario("hardened-attack", seed=3, n=7, t=4)
         dealing = run_dealing_round(config, p23q11)
-        assert dealing.forgery_attempts == tuple(
-            ForgeryAttempt(1, k, ADD1, "forgery_impossible") for k in range(2, 8))
+        # one outcome for its row, its targets 2..7 and strategy in the config
+        assert dealing.forgery_attempts == (ForgeryAttempt(1, "forgery_impossible"),)
+        assert config.behaviors[1] == Behavior(BehaviorKind.FALSE_SHARE_DEALER, strategy=ADD1,
+                                               targets=range(2, 8))
         for dealer, row in enumerate(dealing.shares, 1):
             poly = sample_polynomial(4, p23q11.q, substream(3, dealer))
             assert list(row) == [exact_value(poly, k) % p23q11.q for k in range(1, 8)]
@@ -184,8 +195,7 @@ def test_a_forged_row_is_the_honest_row_plus_one_shift(data):
                             targets=tuple(targets))
     config = ScenarioConfig("shift-property", n, t, params_ref, behaviors, seed)
     dealing = run_dealing_round(config, params)
-    assert dealing.forgery_attempts == tuple(
-        ForgeryAttempt(1, k, strategy, "forged") for k in sorted(targets))
+    assert dealing.forgery_attempts == (ForgeryAttempt(1, "forged"),)
     for dealer, row in enumerate(dealing.shares, 1):
         poly = sample_polynomial(t, params.p, substream(seed, dealer))
         assert list(row) == [
@@ -297,3 +307,89 @@ def test_forged_acceptance_and_prediction_randomized(seed, m):
     assert all(verify_share(k, v, commits, params) for k, v in zip(xs, values))
     pts = [(k, v % params.p) for k, v in zip(xs, values)]
     assert interpolate_at_zero(pts, params.p) == (poly[0] - m) % params.p
+
+
+def _o64():
+    """h64's p and g with the field Z_p: a vulnerable group whose ord(g) = q
+    is below p - 1, certified by (q,)."""
+    h64 = get_params("h64")
+    o64 = GroupParams(p=h64.p, g=h64.g, d=h64.d, mode=Mode.VULNERABLE)
+    o64.validate(primes=(h64.d,))
+    return o64
+
+
+# every shape of group: each registry set, a generated group of each mode
+# and o64
+GAP_GROUPS = {
+    **load_registry(),
+    "gen32-vulnerable": gen_params(32, Mode.VULNERABLE, SplitMix64(1)),
+    "gen32-hardened": gen_params(32, Mode.HARDENED, SplitMix64(1)),
+    "o64": _o64(),
+}
+
+
+class TestGapLaw:
+    """A share shifted by delta verifies iff ord(g) | delta, and leaves the
+    rebuilt secret unchanged iff the field modulus | delta
+    (reference_model.gap_law)."""
+
+    @pytest.mark.parametrize("name", GAP_GROUPS)
+    def test_a_shift_by_d_verifies_everywhere_and_corrupts_only_where_m_is_p(self, name):
+        # the table: delta = d, p - 1 and m, on each group
+        params = GAP_GROUPS[name]
+        hardened = params.mode is Mode.HARDENED
+        shifts = (params.d, params.p - 1, params.field_modulus)
+        assert [gap_law(params, delta) for delta in shifts] == [
+            (True, hardened), (True, hardened), (hardened, True)]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_shifted_share_verifies_and_corrupts_as_the_law_says(self, data):
+        params = GAP_GROUPS[data.draw(st.sampled_from(sorted(GAP_GROUPS)))]
+        m = params.field_modulus
+        t = data.draw(st.integers(2, 4))
+        poly = sample_polynomial(t, m, SplitMix64(data.draw(st.integers(0, 2**64 - 1))))
+        commits = commit(poly, params)
+        row = [honest_share(poly, k, params) for k in range(1, t + 2)]
+        multiple = st.integers(0, 5).map
+        delta = data.draw(st.one_of(
+            multiple(lambda z: z * params.d),
+            multiple(lambda z: z * (params.p - 1)),
+            multiple(lambda z: z * m),
+            st.integers(0, 4 * params.p),
+        ))
+        k = data.draw(st.integers(1, t))
+        row[k - 1] += delta
+        verifies, harmless = gap_law(params, delta)
+        assert verify_share(k, row[k - 1], commits, params) == verifies
+        assert (interpolate(range(1, t + 1), row[:t], m)[0] == poly[0]) == harmless
+        # the row check adds only the range rule v < q
+        in_range = params.q is None or row[k - 1] < params.q
+        assert verify_row(row, commits, params)[k - 1] == (verifies and in_range)
+
+    @pytest.mark.parametrize("name", [name for name, params in GAP_GROUPS.items()
+                                      if params.mode is Mode.HARDENED])
+    def test_on_a_hardened_group_only_the_range_rule_refuses_a_q_shift(self, name):
+        params = GAP_GROUPS[name]
+        q = params.q
+        for seed in range(10):
+            poly = sample_polynomial(3, q, SplitMix64(seed))
+            commits = commit(poly, params)
+            row = [honest_share(poly, k, params) for k in range(1, 6)]
+            row[1] += q
+            # the exponent check accepts it, and admitted it would rebuild a0
+            assert verify_share(2, row[1], commits, params)
+            assert interpolate((1, 2, 3), row[:3], q)[0] == poly[0]
+            assert verify_row(row, commits, params) == (True, False, True, True, True)
+
+    @pytest.mark.parametrize("name", ["small11", "p23order11", "p23q11"])
+    def test_every_accepted_value_is_the_share_plus_a_multiple_of_d(self, name):
+        params = get_params(name)
+        candidates = range(3 * params.p)
+        for seed in range(5):
+            poly = sample_polynomial(3, params.field_modulus, SplitMix64(seed))
+            commits = commit(poly, params)
+            for k in range(1, 6):
+                share = exact_value(poly, k)
+                assert [v for v in candidates if verify_share(k, v, commits, params)] == [
+                    v for v in candidates if (v - share) % params.d == 0]

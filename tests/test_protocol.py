@@ -25,8 +25,8 @@ from vsslab.protocol import (
     BehaviorKind,
     DealerReconstruction,
     DealingRound,
+    ForgeryAttempt,
     GenSpec,
-    ReconstructionAttempt,
     ScenarioConfig,
     Verdict,
     assemble_group_key,
@@ -49,6 +49,14 @@ from reference_model import exact_value, honest_share, interpolate_at_zero
 
 def honest_config(seed=7, n=5, t=3, params_ref="small11"):
     return build_scenario("honest", seed=seed, n=n, t=t, params_ref=params_ref)
+
+
+def pools(report):
+    """pools[d - 1] is dealer d's pool, by a transcript's rebuild rule: the
+    parties, in order, that accepted its share and do not withhold."""
+    withholders = {pid for pid, b in report.config.behaviors.items() if b.withholds_at_assembly}
+    return [tuple(k for k, ok in enumerate(row, 1) if ok and k not in withholders)
+            for row in report.verification_matrix]
 
 
 def label_for(behaviors):
@@ -441,21 +449,20 @@ class TestDealingShape:
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_dealer_d_is_index_d_minus_1_of_every_per_dealer_tuple(name):
     # commitments[d - 1] commits to dealer d's substream polynomial, and
-    # reconstructions[d - 1] rebuilds from the accepted shares of row d - 1
+    # reconstructions[d - 1] rebuilds from the accepted shares of row d - 1,
+    # attempt i from the i-th t-subset of the pool
     for seed in range(3):
         report = run_scenario(build_scenario(name, seed=seed))
         config, params = report.config, report.params
         m = params.field_modulus
-        withholders = {pid for pid, b in config.behaviors.items() if b.withholds_at_assembly}
         assert len(report.commitments) == len(report.reconstructions) == config.n
-        for d, (cv, rec) in enumerate(zip(report.commitments, report.reconstructions), 1):
+        for d, (cv, rec, pool) in enumerate(zip(report.commitments, report.reconstructions,
+                                                pools(report)), 1):
             assert cv == commit(sample_polynomial(config.t, m, substream(seed, d)), params)
-            row, accepted = report.shares[d - 1], report.verification_matrix[d - 1]
-            assert rec.pool == tuple(k for k, ok in enumerate(accepted, 1)
-                                     if ok and k not in withholders)
-            for attempt in rec.attempts:
-                points = [(k, row[k - 1] % m) for k in attempt.subset]
-                assert attempt.value == interpolate_at_zero(points, m)
+            row = report.shares[d - 1]
+            assert 0 < len(rec.attempts) <= comb(len(pool), config.t)
+            for subset, value in zip(itertools.combinations(pool, config.t), rec.attempts):
+                assert value == interpolate_at_zero([(k, row[k - 1] % m) for k in subset], m)
 
 
 class TestReconstructPool:
@@ -469,32 +476,33 @@ class TestReconstructPool:
         return range(1, len(values) + 1), values
 
     def test_worked_example_honest(self, small11):
-        attempts = reconstruct_pool(*self.pool(7, 11), self.worked_commits(small11), small11)
-        assert attempts == (ReconstructionAttempt((1, 2), 3, True),)
+        rec = reconstruct_pool(*self.pool(7, 11), self.worked_commits(small11), small11)
+        assert rec == DealerReconstruction(attempts=(3,), recovered=3)
 
     def test_worked_example_corrupted(self, small11):
-        attempts = reconstruct_pool(*self.pool(7, 21), self.worked_commits(small11), small11)
-        assert attempts == (ReconstructionAttempt((1, 2), 4, False),)
+        rec = reconstruct_pool(*self.pool(7, 21), self.worked_commits(small11), small11)
+        assert rec == DealerReconstruction(attempts=(4,), recovered=None)
 
     def test_a_pool_shorter_than_t_gives_no_attempts(self, small11):
-        assert reconstruct_pool(*self.pool(7), self.worked_commits(small11), small11) == ()
+        rec = reconstruct_pool(*self.pool(7), self.worked_commits(small11), small11)
+        assert rec == DealerReconstruction(attempts=(), recovered=None)
 
     def test_one_forged_share_stops_at_the_first_passing_subset(self, small11):
         # P = 3 + 4x; P(3) = 15 forged to 25 (shifted by p - 1 = 10):
         # (1, 2) lands on 3 at once, so the forged share is never tried
-        attempts = reconstruct_pool(*self.pool(7, 11, 25), self.worked_commits(small11), small11)
-        assert attempts == (ReconstructionAttempt((1, 2), 3, True),)
-        # with P(1) = 7 forged to 17 instead, its two subsets fail first
-        attempts = reconstruct_pool(*self.pool(17, 11, 15), self.worked_commits(small11), small11)
-        assert [(a.subset, a.commitment_check) for a in attempts] == [
-            ((1, 2), False), ((1, 3), False), ((2, 3), True)]
-        assert attempts[-1].value == 3
+        rec = reconstruct_pool(*self.pool(7, 11, 25), self.worked_commits(small11), small11)
+        assert rec == DealerReconstruction(attempts=(3,), recovered=3)
+        # with P(1) = 7 forged to 17 instead, (1, 2) and (1, 3) rebuild 1
+        # and 7, and fail (2**1 and 2**7 are not c_0 = 2**3), before (2, 3)
+        # rebuilds 3
+        rec = reconstruct_pool(*self.pool(17, 11, 15), self.worked_commits(small11), small11)
+        assert rec == DealerReconstruction(attempts=(1, 7, 3), recovered=3)
 
     def test_a_pool_on_one_polynomial_is_decided_by_its_first_subset(self, small11):
         # every share shifted by p - 1 = 10 lies on 2 + 4x mod 11, so each
         # subset rebuilds 2 and fails; only the first is listed
-        attempts = reconstruct_pool(*self.pool(17, 21, 25), self.worked_commits(small11), small11)
-        assert attempts == (ReconstructionAttempt((1, 2), 2, False),)
+        rec = reconstruct_pool(*self.pool(17, 21, 25), self.worked_commits(small11), small11)
+        assert rec == DealerReconstruction(attempts=(2,), recovered=None)
 
     @pytest.mark.parametrize("recipient, message", [
         (2, "abscissa 2 appears twice"), (14, r"abscissa 14 outside \(0, 11\)")])
@@ -541,12 +549,15 @@ class TestScenarioVerdicts:
         assert report.verdict is Verdict.KEY_BLOCKED
         # the whole point: every forged share passed verification
         assert all(all(row) for row in report.verification_matrix)
-        assert len(report.forgery_attempts) == 4
-        assert all(a.outcome == "forged" for a in report.forgery_attempts)
+        # dealer 1 forged at each of its four targets
+        assert report.forgery_attempts == (ForgeryAttempt(dealer=1, outcome="forged"),)
+        assert report.config.behaviors[1].targets == (2, 3, 4, 5)
         assert report.group_key is None
         # dealer 1 withheld, and the forged pool fails every commitment check
+        params, c0 = report.params, report.commitments[0].c[0]
         assert report.reconstructions[0].recovered is None
-        assert all(not att.commitment_check for att in report.reconstructions[0].attempts)
+        assert all(pow(params.g, value, params.p) != c0
+                   for value in report.reconstructions[0].attempts)
 
     def test_false_share_corner_where_error_vanishes_in_the_exponent(self):
         # seed 20 gives dealer 1 the secret 0; the corrupted recovery is 10,
@@ -593,8 +604,10 @@ class TestScenarioVerdicts:
     def test_hardened_attack_never_forges_and_assembles(self):
         report = run_scenario(build_scenario("hardened-attack", seed=7))
         assert report.verdict is Verdict.KEY_ASSEMBLED
-        assert len(report.forgery_attempts) == 4
-        assert all(a.outcome == "forgery_impossible" for a in report.forgery_attempts)
+        # impossible at each of its four targets
+        assert report.forgery_attempts == (
+            ForgeryAttempt(dealer=1, outcome="forgery_impossible"),)
+        assert report.config.behaviors[1].targets == (2, 3, 4, 5)
         # the would-be attacker fell back to honest shares, all verified
         honest = run_scenario(build_scenario("honest", seed=7, params_ref="p23q11"))
         assert report.shares == honest.shares
@@ -615,9 +628,7 @@ class TestScenarioVerdicts:
         report = run_scenario(build_scenario("honest", seed=7))
         first, *rest = report.reconstructions
         *tried, passed = first.attempts
-        shifted = DealerReconstruction(first.pool, (
-            *tried, ReconstructionAttempt(passed.subset, passed.value + 1, passed.commitment_check)))
-        assert shifted.recovered == first.recovered + 1
+        shifted = DealerReconstruction(attempts=(*tried, passed + 1), recovered=passed + 1)
         with pytest.raises(RuntimeError, match="aggregate public key"):
             assemble_group_key((shifted, *rest), report.commitments, report.params,
                                report.verification_matrix)
@@ -776,15 +787,17 @@ class TestVerificationRound:
             run_verification_round(rows, dealing.commitments, params)
 
     def test_forgery_attempts_name_the_forged_shares_and_strategy(self):
+        # a forger's one outcome, with its config targets and strategy
         report = run_scenario(build_scenario("false-share", seed=7))
         honest = run_scenario(build_scenario("honest", seed=7))
         changed = {(dealer, k)
                    for dealer, (row, honest_row) in enumerate(zip(report.shares, honest.shares), 1)
                    for k, (v, h) in enumerate(zip(row, honest_row), 1) if v != h}
-        assert {(a.dealer, a.recipient) for a in report.forgery_attempts} == changed == {
-            (1, k) for k in range(2, 6)}
-        assert all(a.outcome == "forged" and a.strategy.kind is StrategyKind.ADD_P_MINUS_ONE
-                   and a.strategy.multiplier == 1 for a in report.forgery_attempts)
+        behaviors = report.config.behaviors
+        assert {(a.dealer, k) for a in report.forgery_attempts
+                for k in behaviors[a.dealer].targets} == changed == {(1, k) for k in range(2, 6)}
+        assert report.forgery_attempts == (ForgeryAttempt(dealer=1, outcome="forged"),)
+        assert behaviors[1].strategy == ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
 
 
 @pytest.mark.parametrize("params_ref, recipients, message", [
@@ -946,20 +959,33 @@ class TestPowersOfG:
 
 
 class TestPoolMechanics:
+    """Pools by the transcript's rebuild rule, held to the values rebuilt
+    from them."""
+
+    @staticmethod
+    def rebuilt(report, dealer, subsets):
+        """The values dealer's shares rebuild through each subset."""
+        row, m = report.shares[dealer - 1], report.params.field_modulus
+        return tuple(interpolate_at_zero([(k, row[k - 1] % m) for k in subset], m)
+                     for subset in subsets)
+
     def test_withholding_dealer_keeps_own_share_out_of_pools(self):
         report = run_scenario(build_scenario("withhold", seed=7))
-        for rec in report.reconstructions:
-            assert 1 not in rec.pool
+        for dealer, pool in enumerate(pools(report), 1):
+            assert pool == (2, 3, 4, 5)
+            assert report.reconstructions[dealer - 1].attempts == self.rebuilt(
+                report, dealer, [pool[:3]])
 
     def test_false_share_dealer_also_withholds_at_assembly(self):
         report = run_scenario(build_scenario("false-share", seed=7))
-        for rec in report.reconstructions:
-            assert 1 not in rec.pool
+        for dealer, pool in enumerate(pools(report), 1):
+            assert pool == (2, 3, 4, 5)
+            assert report.reconstructions[dealer - 1].attempts == self.rebuilt(
+                report, dealer, [pool[:3]])
 
     def test_honest_pools_contain_all_n_shares(self):
         report = run_scenario(honest_config())
-        for rec in report.reconstructions:
-            assert rec.pool == (1, 2, 3, 4, 5)
+        assert pools(report) == [(1, 2, 3, 4, 5)] * 5
 
     def test_recovered_values_match_true_secrets_in_honest_runs(self):
         report = run_scenario(honest_config())
@@ -969,22 +995,30 @@ class TestPoolMechanics:
             assert rec.recovered == poly[0]
 
     def test_attempts_stop_at_the_first_passing_subset(self):
-        honest = run_scenario(honest_config(n=4, t=2)).reconstructions[0]
-        assert [(a.subset, a.commitment_check) for a in honest.attempts] == [((1, 2), True)]
+        report = run_scenario(honest_config(n=4, t=2))
+        honest = report.reconstructions[0]
+        assert honest.attempts == self.rebuilt(report, 1, [(1, 2)]) == (honest.recovered,)
+        assert pow(report.params.g, honest.recovered, report.params.p) == (
+            report.commitments[0].c[0])
         # a pool mixing forged and honest shares with no passing subset
         # lists every one
-        mixed = run_scenario(splitting_config(5, 3, (2, 4), "small11", seed=7)).reconstructions[0]
-        assert mixed.pool == (2, 3, 4, 5)
-        assert [a.subset for a in mixed.attempts] == list(itertools.combinations(mixed.pool, 3))
-        assert not any(a.commitment_check for a in mixed.attempts)
+        report = run_scenario(splitting_config(5, 3, (2, 4), "small11", seed=7))
+        mixed, c0, params = report.reconstructions[0], report.commitments[0].c[0], report.params
+        assert pools(report)[0] == (2, 3, 4, 5)
+        assert mixed.attempts == self.rebuilt(report, 1, itertools.combinations((2, 3, 4, 5), 3))
+        assert not any(pow(params.g, value, params.p) == c0 for value in mixed.attempts)
+        assert mixed.recovered is None
 
     def test_an_all_forged_pool_lists_one_attempt(self):
         # every forged share carries the one shift, so the pool lies on
         # one polynomial: its first subset fails, and so would every other
-        forged = run_scenario(build_scenario("false-share", seed=7)).reconstructions[0]
-        assert forged.pool == (2, 3, 4, 5)
-        assert [(a.subset, a.commitment_check) for a in forged.attempts] == [((2, 3, 4), False)]
-        assert 1 == len(forged.attempts) < comb(len(forged.pool), 3)
+        report = run_scenario(build_scenario("false-share", seed=7))
+        forged, params = report.reconstructions[0], report.params
+        assert pools(report)[0] == (2, 3, 4, 5)
+        assert forged.attempts == self.rebuilt(report, 1, [(2, 3, 4)])
+        assert pow(params.g, forged.attempts[0], params.p) != report.commitments[0].c[0]
+        assert forged.recovered is None
+        assert 1 == len(forged.attempts) < comb(4, 3)
 
 
 @pytest.fixture
@@ -1001,7 +1035,7 @@ class TestWeightMemo:
     @pytest.mark.parametrize("name", ["honest", "withhold", "hardened-attack"])
     def test_pools_with_one_first_subset_share_one_table(self, tables_computed, name):
         report = run_scenario(build_scenario(name, seed=7))
-        assert len({rec.attempts[0].subset for rec in report.reconstructions}) == 1
+        assert len({pool[:3] for pool in pools(report)}) == 1
         # every row is verified at parties (1, 2, 3): one basis
         assert tables_computed() == (1, 1)
 
@@ -1032,20 +1066,20 @@ class TestWeightMemo:
         matrix = tuple(tuple(k != d for k in range(1, 6)) for d in range(1, 6))
         for dealer, rec in enumerate(run_reconstruction_round(dealing, matrix, cfg, params), 1):
             poly = sample_polynomial(3, params.field_modulus, substream(7, dealer))
-            assert [a.commitment_check for a in rec.attempts] == [True]
-            assert rec.recovered == poly[0]
+            assert rec == DealerReconstruction(attempts=(poly[0],), recovered=poly[0])
         assert tables_computed() == (4, 0)
 
 
 def enumerate_pool(points, t, commits, params):
-    """Every t-subset's attempt in lexicographic order, by interpolate_at_zero
-    and the builtin pow; points are (recipient, value mod the field)."""
+    """(subset, value, passed) for every t-subset in lexicographic order, by
+    interpolate_at_zero and the builtin pow; points are (recipient, value
+    mod the field)."""
     m = params.field_modulus
     oracle = []
     for subset in itertools.combinations(points, t):
         value = interpolate_at_zero(subset, m)
-        oracle.append(ReconstructionAttempt(tuple(k for k, _ in subset), value,
-                                            pow(params.g, value, params.p) == commits.c[0]))
+        oracle.append((tuple(k for k, _ in subset), value,
+                       pow(params.g, value, params.p) == commits.c[0]))
     return oracle
 
 
@@ -1057,14 +1091,21 @@ def on_one_polynomial(points, t, m):
                for k, v in points[t:])
 
 
-def expected_attempts(oracle, points, t, m):
-    """What reconstruct_pool must list: up to the first passing subset;
-    when none passes, the first alone for a pool on one polynomial and
-    every subset otherwise."""
-    first = next((i for i, a in enumerate(oracle) if a.commitment_check), None)
+def first_pass(oracle):
+    """The index of the first passing subset in oracle, or None."""
+    return next((i for i, (_, _, passed) in enumerate(oracle) if passed), None)
+
+
+def expected(oracle, points, t, m):
+    """The DealerReconstruction reconstruct_pool must give: the values up
+    to the first passing subset, and that subset's; when none passes, the
+    first value alone for a pool on one polynomial and every value
+    otherwise."""
+    first = first_pass(oracle)
     if first is not None:
-        return oracle[:first + 1]
-    return oracle[:1] if on_one_polynomial(points, t, m) else oracle
+        return DealerReconstruction(tuple(v for _, v, _ in oracle[:first + 1]), oracle[first][1])
+    tried = oracle[:1] if on_one_polynomial(points, t, m) else oracle
+    return DealerReconstruction(tuple(v for _, v, _ in tried), None)
 
 
 class TestReconstructionMatchesOracle:
@@ -1100,16 +1141,14 @@ class TestReconstructionMatchesOracle:
                     report = run_scenario(cfg)
                     params = report.params
                     m = params.field_modulus
-                    for dealer, (rec, row, commits) in enumerate(zip(
-                            report.reconstructions, report.shares, report.commitments), 1):
-                        points = [(k, row[k - 1] % m) for k in rec.pool]
+                    for dealer, (rec, row, commits, pool) in enumerate(zip(
+                            report.reconstructions, report.shares, report.commitments,
+                            pools(report)), 1):
+                        points = [(k, row[k - 1] % m) for k in pool]
                         oracle = enumerate_pool(points, t, commits, params)
-                        first = next((i for i, a in enumerate(oracle) if a.commitment_check),
-                                     None)
-                        assert list(rec.attempts) == expected_attempts(oracle, points, t, m), (
-                            cfg, dealer)
-                        assert rec.recovered == (None if first is None else oracle[first].value)
-                        mixed_pools += len({a.value for a in oracle}) > 1
+                        first = first_pass(oracle)
+                        assert rec == expected(oracle, points, t, m), (cfg, dealer)
+                        mixed_pools += len({v for _, v, _ in oracle}) > 1
                         stopped_early += len(rec.attempts) < len(oracle)
                         failed = bool(oracle) and first is None
                         exhausted += failed and len(rec.attempts) == len(oracle) > 1
@@ -1146,13 +1185,12 @@ def test_reconstruct_pool_matches_exhaustive_enumeration(data):
     values = [exact_value(poly, k) + (shift if k in shifted else 0) for k in recipients]
     commits = commit(poly, params)
 
-    attempts = reconstruct_pool(recipients, values, commits, params)
+    rec = reconstruct_pool(recipients, values, commits, params)
     points = [(k, v % m) for k, v in zip(recipients, values)]
     oracle = enumerate_pool(points, t, commits, params)
-    first = next((i for i, a in enumerate(oracle) if a.commitment_check), None)
-    recovered = DealerReconstruction(tuple(recipients), attempts).recovered
-    assert recovered == (None if first is None else oracle[first].value)
-    assert attempts[:1] == tuple(oracle[:1])
+    first = first_pass(oracle)
+    assert rec.recovered == (None if first is None else oracle[first][1])
+    assert rec.attempts[:1] == tuple(v for _, v, _ in oracle[:1])
     if oracle and first is None:
-        assert (len(attempts) == 1) == on_one_polynomial(points, t, m)
-    assert list(attempts) == expected_attempts(oracle, points, t, m)
+        assert (len(rec.attempts) == 1) == on_one_polynomial(points, t, m)
+    assert rec == expected(oracle, points, t, m)

@@ -40,7 +40,6 @@ SAMPLES = [
     REPORT.config.behaviors[1].strategy,
     REPORT.forgery_attempts[0],
     REPORT.reconstructions[0],
-    REPORT.reconstructions[0].attempts[0],
     run_dealing_round(REPORT.config, REPORT.params),
     assemble_group_key(REPORT.reconstructions, REPORT.commitments, REPORT.params,
                        REPORT.verification_matrix),
@@ -60,7 +59,7 @@ def test_every_record_has_a_sample():
         for obj in vars(module).values()
         if isinstance(obj, type) and obj.__eq__ is _eq
     }
-    assert len(records) == 12
+    assert len(records) == 11
     assert {type(rec) for rec in SAMPLES} == records
 
 
@@ -110,9 +109,12 @@ def test_never_equal_to_a_tuple_or_another_record_type(rec):
 
 
 def test_repr_names_every_field_in_order():
-    assert repr(ForgeryAttempt(1, 2, ForgeryStrategy(StrategyKind.ORDER_SHIFT), "forged")) == (
-        "ForgeryAttempt(dealer=1, recipient=2, strategy=ForgeryStrategy("
-        "kind=<StrategyKind.ORDER_SHIFT: 'order_shift'>, multiplier=1), outcome='forged')")
+    assert repr(ForgeryAttempt(1, "forged")) == "ForgeryAttempt(dealer=1, outcome='forged')"
+    assert repr(Behavior(BehaviorKind.FALSE_SHARE_DEALER, ForgeryStrategy(StrategyKind.ORDER_SHIFT),
+                         (2,))) == (
+        "Behavior(kind=<BehaviorKind.FALSE_SHARE_DEALER: 'false_share_dealer'>, "
+        "strategy=ForgeryStrategy(kind=<StrategyKind.ORDER_SHIFT: 'order_shift'>, "
+        "multiplier=1), targets=(2,))")
     assert repr(REPORT.params) == "GroupParams(p=11, g=2, d=10, mode=<Mode.VULNERABLE: 'vulnerable'>)"
     for rec in SAMPLES:
         text = repr(rec)
@@ -122,13 +124,12 @@ def test_repr_names_every_field_in_order():
 
 
 def test_defaults_apply():
-    # a forgery attempt is its dealer, recipient, strategy and outcome,
-    # with no defaults
-    usage = "takes the fields dealer, recipient, strategy, outcome"
+    # a forgery attempt is its dealer and outcome, with no defaults
+    usage = "takes the fields dealer, outcome"
     with pytest.raises(TypeError, match=usage):
-        ForgeryAttempt(1, 2, ForgeryStrategy(StrategyKind.ORDER_SHIFT))
+        ForgeryAttempt(1)
     with pytest.raises(TypeError, match=usage):
-        ForgeryAttempt(1, 2, ForgeryStrategy(StrategyKind.ORDER_SHIFT), "forged", None)
+        ForgeryAttempt(1, "forged", None)
     assert ForgeryStrategy(StrategyKind.ORDER_SHIFT).multiplier == 1
     assert Behavior() == Behavior(BehaviorKind.HONEST, None, ())
 

@@ -4,6 +4,7 @@ withholding and false-share parties (any targets, both strategies, any
 multiplier below p) and any seed; and against its denial law, for every
 target set of a uniform forger at n <= 7."""
 
+import json
 from itertools import combinations, product
 
 import pytest
@@ -23,9 +24,27 @@ from vsslab.registry import get_params, load_registry
 from vsslab.rng import substream
 from vsslab.transcript import audit_transcript, render_report
 
-from reference_model import first_passing_subset, run_model, uniform_shift, weights_at_zero
+from reference_model import (
+    expand_schema_5,
+    first_passing_subset,
+    run_model,
+    uniform_shift,
+    weights_at_zero,
+)
 
 GROUPS = tuple(load_registry())
+
+
+def expanded(report):
+    """Each dealer's reconstruction, keyed by dealer, as expand_schema_5
+    rebuilds it from report's transcript: its pool, and the subset and
+    commitment check of every attempt."""
+    doc = expand_schema_5(json.loads(render_report(report)))
+    return {int(dealer): r for dealer, r in doc["reconstructions"].items()}
+
+
+def pools(report):
+    return {dealer: tuple(r["pool"]) for dealer, r in expanded(report).items()}
 
 
 def behavior(data, pid, n, p):
@@ -63,7 +82,7 @@ def test_run_scenario_matches_the_reference_model(data):
     assert report.verdict.value == model.verdict
     assert report.group_key == model.group_key
     assert report.verification_matrix == model.matrix
-    assert {d: r.pool for d, r in enumerate(report.reconstructions, 1)} == model.pools
+    assert pools(report) == model.pools
     assert {d: r.recovered for d, r in enumerate(report.reconstructions, 1)} == model.recovered
 
 
@@ -89,7 +108,7 @@ def test_a_splitting_forger_at_v64_12_6_matches_the_reference_model(
 
     assert report.verdict.value == model.verdict == verdict
     assert report.group_key == model.group_key
-    assert {d: r.pool for d, r in enumerate(report.reconstructions, 1)} == model.pools
+    assert pools(report) == model.pools
     assert {d: r.recovered for d, r in enumerate(report.reconstructions, 1)} == model.recovered
     assert [len(r.attempts) for r in report.reconstructions] == [attempts] + [1] * 11
     assert audit_transcript(render_report(report)) == []
@@ -129,11 +148,13 @@ def test_a_uniform_forger_follows_the_denial_law(params_ref, kind):
         for targets, t in product(target_sets, range(2, n + 1)):
             report = run_scenario(uniform_forger(n, t, params_ref, strategy, targets, seed))
             law = first_passing_subset(pool, set(targets), t, a0, delta, params)
-            forger = report.reconstructions[0]
-            assert forger.pool == pool
+            forger = expanded(report)[1]
+            assert tuple(forger["pool"]) == pool
+            recovered = report.reconstructions[0].recovered
             got = None
-            if forger.recovered is not None:
-                got = (forger.attempts[-1].subset, forger.recovered)
+            if recovered is not None:
+                assert forger["attempts"][-1]["commitment_check"]
+                got = (tuple(forger["attempts"][-1]["subset"]), recovered)
             assert got == law, (n, t, targets, m, seed)
             assert (report.verdict.value == "key_assembled") == (law is not None)
 
@@ -151,7 +172,7 @@ def test_at_5_3_only_targets_2_and_3_assemble(m, seed):
         forger = report.reconstructions[0]
         if targets == (2, 3):
             assert report.verdict.value == "key_assembled"
-            assert forger.attempts[-1].subset == (2, 3, 5)
+            assert expanded(report)[1]["attempts"][-1]["subset"] == [2, 3, 5]
             assert forger.recovered == substream(seed, 1).randbelow(params.p)
         else:
             assert report.verdict.value == "key_blocked"

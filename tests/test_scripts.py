@@ -61,6 +61,8 @@ def test_run_all_scenarios_tabulates_every_scenario_with_a_clean_matrix():
     rows = [line.split() for line in result.stdout.splitlines()[1:]]
     assert [row[0] for row in rows] == list(SCENARIO_NAMES)
     assert all(row[3] == "all-true" for row in rows)
+    # the targeted shares: four for each scenario whose party 1 forges
+    assert [row[4] for row in rows] == ["0", "4", "4", "0", "4"]
 
 
 def test_transcript_digest_is_pinned():

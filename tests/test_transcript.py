@@ -35,7 +35,7 @@ from vsslab.transcript import (
     report_to_dict,
 )
 
-from reference_model import exact_value, expand_schema_5
+from reference_model import exact_value, expand_schema_5, interpolate_at_zero
 
 # `vsslab run --scenario false-share --seed 7` as schema "3" wrote it, where
 # each share was an object repeating its dealer, recipient and provenance
@@ -172,25 +172,32 @@ def test_the_schema_4_fixture_is_the_expansion_of_its_run(false_share_text):
 def test_a_mixed_v64_16_8_pool_expands_to_its_report(targets, verdict, attempts):
     # party 1 forges to some of the fifteen parties of its pool, so the pool
     # is enumerated: all C(15, 8) subsets fail for targets 9-16, and the 50th
-    # passes for targets 2-8. Every pool, subset, verdict and forgery attempt
-    # the expansion rebuilds is the report's own.
+    # passes for targets 2-8. Every pool, subset, commitment check and
+    # forgery attempt the expansion rebuilds is the one the ceremony made:
+    # each value is its subset's shares interpolated at zero, and it passed
+    # exactly when g**value is the dealer's c_0.
     report = run_scenario(partial_forgery_config(16, 8, targets, "v64", 0))
     assert report.verdict.value == verdict
     assert len(report.reconstructions[0].attempts) == attempts
     old = expand_schema_5(json.loads(render_report(report)))
     assert old["verification_matrix"] == [list(row) for row in report.verification_matrix]
     assert old["forgery_attempts"] == [
-        {"dealer": a.dealer, "recipient": a.recipient, "outcome": a.outcome,
-         "strategy": {"kind": a.strategy.kind.value, "multiplier": str(a.strategy.multiplier)}}
-        for a in report.forgery_attempts]
-    assert old["reconstructions"] == {
-        str(dealer): {
-            "pool": list(r.pool),
-            "attempts": [{"subset": list(a.subset), "value": str(a.value),
-                          "commitment_check": a.commitment_check} for a in r.attempts],
-            "recovered": None if r.recovered is None else str(r.recovered),
-        }
-        for dealer, r in enumerate(report.reconstructions, 1)}
+        {"dealer": 1, "recipient": k, "outcome": "forged",
+         "strategy": {"kind": "add_p_minus_one", "multiplier": "1"}} for k in targets]
+    params = report.params
+    m = params.field_modulus
+    assert old["reconstructions"].keys() == {str(dealer) for dealer in range(1, 17)}
+    for dealer, (r, row, cv) in enumerate(zip(report.reconstructions, report.shares,
+                                              report.commitments), 1):
+        rebuilt = old["reconstructions"][str(dealer)]
+        # party 1 withholds, and no share was rejected
+        assert rebuilt["pool"] == list(range(2, 17))
+        assert [a["value"] for a in rebuilt["attempts"]] == [str(v) for v in r.attempts]
+        for a in rebuilt["attempts"]:
+            value = interpolate_at_zero([(k, row[k - 1] % m) for k in a["subset"]], m)
+            assert a["value"] == str(value)
+            assert a["commitment_check"] == (pow(params.g, value, params.p) == cv.c[0])
+        assert rebuilt["recovered"] == (None if r.recovered is None else str(r.recovered))
 
 
 # the five scenarios, and the wide false-share config, whose forger's row
