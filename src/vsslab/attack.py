@@ -9,12 +9,13 @@ from poisoned shares lands on a wrong field element; the closed form of
 that element, a0 - m * (sum of the forged shares' Lagrange weights) for
 a uniform shift, is tests/reference_model.py's predict_corruption.
 
-Hardened parameters kill the trick outright: values must sit below the
-prime subgroup order q, and within [0, q) the congruence class mod q has
-exactly one member, the honest share.
+One law covers both modes: with m the interpolation field's modulus, a
+shift δ verifies exactly when d divides it and changes the rebuilt secret
+exactly when m does not. Hardened parameters interpolate in Z_q with
+d = q, so m = d = q: any shift that verifies is a multiple of q and
+rebuilds the same secret. The range rule v < q adds that such a share is
+a visible violation, which its recipient rejects.
 """
-
-from __future__ import annotations
 
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import GroupParams, Mode
@@ -43,14 +44,15 @@ class ForgeryStrategy:
         to the honest value.
 
         Raises ForgeryImpossible on hardened parameters, where no shift
-        verifies, and VsslabError when the multiplier is a multiple of p,
-        since the shift would then vanish in the reconstruction field and
-        corrupt nothing.
+        both verifies and corrupts, and VsslabError when the multiplier
+        is a multiple of p, since the shift would then vanish in the
+        reconstruction field and corrupt nothing.
         """
         if params.mode is Mode.HARDENED:
             raise ForgeryImpossible(
-                "in [0, q) each residue class mod q has a single member, the honest "
-                "share; larger values fail the range check, so no forgery verifies"
+                "hardened parameters have m = d = q, so a shift that verifies is a "
+                "multiple of q and rebuilds the same secret, and the range rule v < q "
+                "makes such a share a visible violation: no forgery corrupts the key"
             )
         if self.multiplier % params.p == 0:
             raise VsslabError(

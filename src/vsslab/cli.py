@@ -14,12 +14,8 @@ verification errors. A command whose output cannot be written because
 stdout was closed exits 1 with one `error:` line.
 """
 
-from __future__ import annotations
-
 import gc
-import os
 import sys
-from types import SimpleNamespace
 
 from .errors import VsslabError
 from .protocol import (
@@ -61,6 +57,13 @@ MAX_TRANSCRIPT_CHARS = (ATTEMPT_CHARS * MAX_RECONSTRUCTION_ATTEMPTS
 
 class _UsageError(Exception):
     pass
+
+
+class _Args:
+    """A command's parsed flags, each an attribute named without dashes."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
 
 
 # Each command's flags: name -> (kind, default, help), where a kind is
@@ -155,7 +158,7 @@ def _parse(argv):
     if command == "verify":
         if len(positionals) != 1:
             raise _UsageError(f"verify takes one transcript path, got {len(positionals)}")
-        return command, SimpleNamespace(transcript=positionals[0])
+        return command, _Args(transcript=positionals[0])
     if positionals:
         raise _UsageError(f"unrecognized argument {positionals[0]!r}")
     if command == "run":
@@ -164,7 +167,7 @@ def _parse(argv):
             raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
         if "--params" in given and "--bits" in given:
             raise _UsageError("argument --bits: not allowed with argument --params")
-    return command, SimpleNamespace(
+    return command, _Args(
         **{flag[2:]: given.get(flag, default) for flag, (_, default, _) in flags.items()})
 
 
@@ -297,7 +300,10 @@ def entry() -> None:
         sys.stdout.flush()
     except BrokenPipeError as exc:
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-        # the interpreter flushes stdout again at exit; that write goes nowhere
+        # the interpreter flushes stdout again at exit; that write goes
+        # nowhere. Only this path needs os, which a run otherwise never loads
+        import os
+
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -12,8 +12,6 @@ p = 2q + 1. No factoring guard bounds the sizes; MAX_PARAM_BITS stays
 for.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, VsslabError

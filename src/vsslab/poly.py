@@ -6,10 +6,8 @@ big-integer product (Kronecker substitution). Their tables are cached
 here, bounded (see the note above lagrange_weights), as tuples no caller
 can change."""
 
-from __future__ import annotations
-
 import math
-from operator import mul
+from _operator import mul
 
 from .errors import VsslabError
 from .numtheory import mod_inv

@@ -24,12 +24,9 @@ carry its one shift) is decided by its first subset, so only a pool
 that mixes forged and honest shares is enumerated.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from _collections_abc import Mapping
-from operator import mul
+from _operator import mul
 
 from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
@@ -148,7 +145,7 @@ class ScenarioConfig:
     n: int
     t: int
     params_ref: "str | GenSpec"
-    behaviors: Mapping[int, Behavior]
+    behaviors: dict[int, Behavior]
     seed: int
 
     def __post_init__(self):
@@ -160,8 +157,8 @@ class ScenarioConfig:
             raise ConfigInvalid(f"scenario must be a string, got {self.scenario!r}")
         if not isinstance(self.params_ref, (str, GenSpec)):
             raise ConfigInvalid(f"params_ref must be a name or a GenSpec, got {self.params_ref!r}")
-        if not isinstance(self.behaviors, Mapping):
-            raise ConfigInvalid(f"behaviors must be a mapping, got {type(self.behaviors).__name__}")
+        if not isinstance(self.behaviors, dict):
+            raise ConfigInvalid(f"behaviors must be a dict, got {type(self.behaviors).__name__}")
         for pid, behavior in self.behaviors.items():
             check_int(pid, "a party id")
             if not isinstance(behavior, Behavior):

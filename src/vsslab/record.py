@@ -13,11 +13,16 @@ A Choice subclass is a str enum: each UPPERCASE class attribute
 becomes a member, a str equal to its value, made once when the class
 is defined. lru_cache is functools.lru_cache's C object itself. A
 process that imports the library loads neither enum nor functools, nor
-the collections package that functools imports.
+the collections package that functools imports, nor operator: like
+poly and protocol, this module takes its C functions from _operator.
+Under `python -S` the library adds only _functools, _json, _operator,
+itertools and math to the interpreter's own modules (gc too for the
+CLI). A site-enabled interpreter has loaded os and more before the
+library runs, so the saving is for -S processes.
 """
 
 from _functools import _lru_cache_wrapper
-from operator import itemgetter
+from _operator import itemgetter
 
 from .errors import ConfigInvalid, VsslabError
 

@@ -16,8 +16,6 @@ came from an earlier generator that factored p - 1 of a random prime,
 and their pinned values and certificates now define them.
 """
 
-from __future__ import annotations
-
 from .errors import UnknownParamSet
 from .numtheory import GroupParams, Mode
 from .record import lru_cache

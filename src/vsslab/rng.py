@@ -11,8 +11,6 @@ are derived by folding an index into the parent seed with the same
 finalizer, so draw order in one stream never perturbs another.
 """
 
-from __future__ import annotations
-
 from .errors import VsslabError
 
 MASK64 = (1 << 64) - 1

@@ -40,12 +40,8 @@ json package, which imports `re` and costs a fresh `vsslab run` or
 scanner refuses loads json, to word the audit's `not valid JSON` message.
 """
 
-from __future__ import annotations
-
 import _json
 import itertools
-import reprlib
-from types import SimpleNamespace
 
 from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, VsslabError
@@ -158,10 +154,17 @@ def render_report(report: ScenarioReport) -> str:
 _JSON_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
 
 
-# repr for untrusted JSON values, bounded in length and nesting depth
-_SHORT = reprlib.Repr()
-_SHORT.maxstring = _SHORT.maxlong = 60
-_brief = _SHORT.repr
+def _brief(value) -> str:
+    """repr for untrusted JSON values, bounded in length and nesting depth.
+
+    Only a message about a bad transcript needs one, so reprlib loads
+    then, not with the library.
+    """
+    import reprlib
+
+    short = reprlib.Repr()
+    short.maxstring = short.maxlong = 60
+    return short.repr(value)
 
 
 def _typed(value, kind: type, where: str):
@@ -261,17 +264,21 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 MAX_REPORTED_PATHS = 8
 
-# json.loads's context for its C scanner: the default JSONDecoder's
-# settings, and the whitespace its decode skips around the document
-_scan_once = _json.make_scanner(SimpleNamespace(
-    strict=True,
-    object_hook=None,
-    object_pairs_hook=None,
-    parse_float=float,
-    parse_int=int,
-    parse_constant={"-Infinity": float("-inf"), "Infinity": float("inf"),
-                    "NaN": float("nan")}.__getitem__,
-))
+
+class _DecoderSettings:
+    """json.loads's context for its C scanner: the default JSONDecoder's settings."""
+
+    strict = True
+    object_hook = None
+    object_pairs_hook = None
+    parse_float = float
+    parse_int = int
+    parse_constant = {"-Infinity": float("-inf"), "Infinity": float("inf"),
+                      "NaN": float("nan")}.__getitem__
+
+
+_scan_once = _json.make_scanner(_DecoderSettings)
+# the whitespace json.loads's decode skips around the document
 _JSON_SPACE = " \t\n\r"
 
 

@@ -14,8 +14,6 @@ value below a prime order q. verify_share decides one share, and
 verify_row a dealer's whole row with the same verdicts.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import TooLarge, VsslabError

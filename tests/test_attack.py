@@ -92,9 +92,14 @@ class TestShift:
             assert ForgeryStrategy(StrategyKind.ORDER_SHIFT, m).shift(p23order11) == m * 11
 
     def test_hardened_params_refuse_to_forge(self, p23q11):
+        # the message states the gap law, as the README's Hardened mode does
+        law = ("hardened parameters have m = d = q, so a shift that verifies is a multiple "
+               "of q and rebuilds the same secret, and the range rule v < q makes such a "
+               "share a visible violation: no forgery corrupts the key")
         for kind in StrategyKind:
-            with pytest.raises(ForgeryImpossible):
+            with pytest.raises(ForgeryImpossible) as raised:
                 ForgeryStrategy(kind, 1).shift(p23q11)
+            assert str(raised.value) == law
 
     def test_multiplier_that_vanishes_in_the_field_rejected(self, small11):
         with pytest.raises(VsslabError, match="multiplier 11 is 0 mod p"):

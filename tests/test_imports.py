@@ -67,16 +67,23 @@ def test_loading_the_registry_pulls_in_no_single_use_module():
     assert printed_by_a_fresh_process(code) == "[]\n"
 
 
+def a_run_and_its_verify(tmp_path):
+    """Code in which vsslab.cli.main runs `run` and then `verify` on its transcript."""
+    transcript = str(tmp_path / "t.json")
+    return (
+        "from vsslab.cli import main\n"
+        f"assert main(['run', '--scenario', 'honest', '--seed', '7', '--out', {transcript!r}]) == 0\n"
+        f"assert main(['verify', {transcript!r}]) == 0\n"
+    )
+
+
 def loaded_by_a_run_and_its_verify(tmp_path, names):
     """Which of names a fresh `python -S` process has loaded after
     vsslab.cli.main ran `run` and then `verify` on its transcript."""
-    transcript = tmp_path / "t.json"
     code = (
         "import sys\n"
-        "from vsslab.cli import main\n"
-        f"assert main(['run', '--scenario', 'honest', '--seed', '7', '--out', {str(transcript)!r}]) == 0\n"
-        f"assert main(['verify', {str(transcript)!r}]) == 0\n"
-        f"print(sorted(set({names!r}) & set(sys.modules)))\n"
+        + a_run_and_its_verify(tmp_path)
+        + f"print(sorted(set({names!r}) & set(sys.modules)))\n"
     )
     return printed_by_a_fresh_process(code)
 
@@ -103,8 +110,7 @@ def test_a_run_and_its_verify_load_no_json_and_no_re(tmp_path):
 
 # enum, which the four kinds were, imports functools, and functools imports
 # collections: about 7 ms of every process. The kinds are record.Choice
-# constants, the caches call functools' C core _functools, and Mapping
-# comes from _collections_abc, which os loads anyway
+# constants, and the caches call functools' C core _functools
 ENUM_AND_ITS_IMPORTS = ("enum", "functools", "collections")
 
 
@@ -117,6 +123,40 @@ def test_a_run_and_its_verify_load_no_enum_functools_or_collections(tmp_path):
         f"print(sorted(set({ENUM_AND_ITS_IMPORTS!r}) & set(sys.modules)))\n"
     )
     assert printed_by_a_fresh_process(code) == "[]\n"
+
+
+def added_by_a_fresh_process(code):
+    """The standard-library modules that a fresh `python -S` child loads
+    by running code, beyond its own start-up modules, and those start-up
+    modules."""
+    printed = printed_by_a_fresh_process(
+        "import sys\n"
+        "startup = set(sys.modules)\n"
+        f"{code}\n"
+        "added = {name for name in sys.modules if name.partition('.')[0] != 'vsslab'}\n"
+        "print(sorted(added - startup))\n"
+        "print(sorted(startup))\n"
+    )
+    return tuple(set(ast.literal_eval(line)) for line in printed.splitlines())
+
+
+# Exactly what a ceremony runs: the C cores of functools, json and
+# operator, itertools and math, and gc for the CLI's exit. Each other
+# module costs every fresh process its import: __future__, operator,
+# types, reprlib, _collections_abc, and os with the five modules it
+# brings took about 12% of the set-up call. A module the interpreter
+# itself loads at start-up is not the library's.
+CEREMONY_MODULES = {"_functools", "_json", "_operator", "itertools", "math"}
+
+
+def test_the_set_up_call_loads_only_what_a_ceremony_runs():
+    added, startup = added_by_a_fresh_process("import vsslab; vsslab.load_registry()")
+    assert added == CEREMONY_MODULES - startup
+
+
+def test_a_run_and_its_verify_load_only_what_a_ceremony_runs(tmp_path):
+    added, startup = added_by_a_fresh_process(a_run_and_its_verify(tmp_path))
+    assert added == (CEREMONY_MODULES | {"gc"}) - startup
 
 
 def readme_api():

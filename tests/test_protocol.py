@@ -393,7 +393,7 @@ NOT_DECODABLE = {
     "behavior-str": (ScenarioConfig, honest_fields(behaviors=behaviors_keyed(1, "honest")),
                      "party 1 needs a Behavior, got 'honest'"),
     "behaviors-list": (ScenarioConfig, honest_fields(behaviors=[Behavior()] * 5),
-                       "behaviors must be a mapping, got list"),
+                       "behaviors must be a dict, got list"),
     "strategy-str": (Behavior, {**FORGER, "strategy": "add_p_minus_one"},
                      "strategy must be a ForgeryStrategy or None, got 'add_p_minus_one'"),
     "strategy-kind": (Behavior, {**FORGER, "strategy": StrategyKind.ORDER_SHIFT},
