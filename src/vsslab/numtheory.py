@@ -150,10 +150,11 @@ class GroupParams:
     def g_pows(self, exponents) -> tuple[int, ...]:
         """(g_pow(e) for e in exponents) as a tuple: the row kernel.
 
-        The group's table is read once per row, and the row is cached
-        by its ints (_g_row below), so a row asked for twice, as a
-        dealer's coefficients are by commit and then by the row check
-        of verify_row, is computed once.
+        The group's table is read once per row, and each power is the
+        product g_pow takes, in one comprehension with no call per
+        power. The row is cached by its ints (_g_row below), so a row
+        asked for twice, as a dealer's coefficients are by commit and
+        then by the row check of verify_row, is computed once.
         """
         return _g_row(self.g, self.p, self.d, tuple(exponents))
 
@@ -249,7 +250,10 @@ def _g_power(table, p: int, d: int, e: int) -> int:
 @lru_cache(maxsize=64)
 def _g_row(g: int, p: int, d: int, exponents: tuple[int, ...]) -> tuple[int, ...]:
     table = _g_table(g, p)
-    return tuple(_g_power(table, p, d, e) for e in exponents)
+    size = len(table)
+    # _g_power's product, inline: no call per power
+    return tuple(math.prod(map(tuple.__getitem__, table, (e % d).to_bytes(size, "little"))) % p
+                 for e in exponents)
 
 
 _SAFE_PRIME_ATTEMPTS = 1 << 17

@@ -1,10 +1,10 @@
-"""Polynomial sampling, exact evaluation, Lagrange weights at zero and
-interpolation in coefficient form. A polynomial is the tuple of its
-coefficients, constant term (a dealer's secret) first. A row's
-evaluation at many points and its interpolation are each one packed
-big-integer product (Kronecker substitution). Their tables are cached
-here, bounded (see the note above lagrange_weights), as tuples no caller
-can change."""
+"""Polynomial sampling, evaluation (exact or in the field), Lagrange
+weights at zero and interpolation in coefficient form. A polynomial is
+the tuple of its coefficients, constant term (a dealer's secret) first.
+A row's evaluation at many points and its interpolation are each one
+packed big-integer product (Kronecker substitution). Their tables, and
+exact rows, are cached here, bounded (see the note above
+lagrange_weights), as tuples no caller can change."""
 
 import math
 from _operator import mul
@@ -20,10 +20,12 @@ def sample_polynomial(t: int, field_modulus: int, rng: SplitMix64) -> tuple[int,
     polynomial over Z_field_modulus; its constant term is the secret.
 
     Each coefficient is drawn by rejection sampling, so the distribution
-    is exactly uniform on [0, field_modulus). vss.commit is the check
-    that coefficients lie in the field.
+    is exactly uniform on [0, field_modulus); the t draws are one
+    SplitMix64.randbelows call, which gives the values t randbelow calls
+    would and leaves rng where they would. vss.commit is the check that
+    coefficients lie in the field.
     """
-    return tuple(rng.randbelow(field_modulus) for _ in range(t))
+    return rng.randbelows(field_modulus, t)
 
 
 def check_abscissas(xs: tuple[int, ...], m: int) -> None:
@@ -41,20 +43,27 @@ def check_abscissas(xs: tuple[int, ...], m: int) -> None:
         seen.add(x)
 
 
-# A table is a pure function of its key, so caching one never changes a
-# result. The caches are sized from a run's traffic: every row is dealt,
-# and a vulnerable row verified, at parties 1..n (one power table), every
-# row is interpolated at the same first t parties (one basis), hardened
-# rows are evaluated at the other n - t (a second power table), and
-# reconstruction asks for at most n first-subset weight tables. A
-# vulnerable pool whose first subset fails asks for one more basis at
-# that subset and, in place of the hardened one, one more power table at
-# the pool's other recipients, to test whether the pool lies on one
-# polynomial; the subsets an inconsistent pool enumerates never recur
-# and pass through. Worst case at t = n = MAX_PARTIES = 64 over a 96-bit
-# field, measured with tracemalloc: 64 weight tables of 3.2 KB, 4 packed
-# bases of 0.11 MB (198-bit slots) and 2 power tables of 0.26 MB
-# (475-bit slots), about 1.2 MB in all.
+# A table is a pure function of its key, and an exact row of its ints,
+# so caching one never changes a result. The caches are sized from a
+# run's traffic: every row is dealt at parties 1..n (one power table,
+# exact in vulnerable mode and in the field when hardened), every row is
+# interpolated at the same first t parties (one basis), hardened rows
+# are checked in the field at the other n - t (a second power table),
+# and reconstruction asks for at most n first-subset weight tables. A
+# vulnerable row's exact values are kept, a row per party as
+# numtheory._g_row keeps powers (a test ties the two sizes to
+# MAX_PARTIES), so the rows a run deals and then checks in the same
+# order all hit. A vulnerable pool whose first subset fails asks for one
+# more basis at that subset and, in place of the hardened one, one more
+# power table, in the field, at the pool's other recipients, to test
+# whether the pool lies on one polynomial; the subsets an inconsistent
+# pool enumerates never recur and pass through. Worst case at t = n =
+# MAX_PARTIES = 64 over a 96-bit field, measured with tracemalloc: 64
+# weight tables of 3.2 KB, 4 packed bases of 0.11 MB (198-bit slots), 2
+# power tables of 0.26 MB (475-bit slots when exact; in the field 198
+# bits and 0.11 MB) and 64 exact rows, 0.40 MB, about 1.6 MB in all. The
+# exact rows are the dealt share rows themselves, which a run's report
+# holds anyway: the peak of that run moved by 6 KB.
 
 
 def lagrange_weights(xs, m: int) -> tuple[int, ...]:
@@ -113,19 +122,34 @@ def interpolate(xs, ys, m: int) -> tuple[int, ...]:
     return tuple(c % m for c in _unpack(packed, w, len(columns)))
 
 
-def evaluate(coeffs, xs, m: int) -> tuple[int, ...]:
-    """sum_j coeffs[j] * x**j exactly, with no reduction, at every x in xs,
-    for coefficients in [0, m) and positive xs.
+def evaluate(coeffs, xs, m: int, in_field: bool = False) -> tuple[int, ...]:
+    """sum_j coeffs[j] * x**j at every x in xs, for coefficients in
+    [0, m) and positive xs: exactly, with no reduction, or, in_field,
+    reduced mod m.
 
     One big-integer product evaluates the polynomial at all of xs
     (Kronecker substitution): with K_j = sum_i x_i**j << (w * i), slot i
     of sum_j coeffs[j] * K_j is the value at x_i, and w is the bit
     length of the largest value a slot can take (every coefficient
-    m - 1, at the largest x).
+    m - 1, at the x whose powers sum largest). In the field, K_j packs
+    x_i**j mod m, so a slot needs about 2 * bits(m) + log2(len(coeffs))
+    bits instead of bits(m) + (len(coeffs) - 1) * log2(max(xs)), and
+    each is reduced once. An exact row is cached by its ints (_exact_row
+    below), so a row asked for twice, as a vulnerable dealer's is by its
+    dealing and then by the row check of vss.verify_row, is computed
+    once.
     """
     coeffs = tuple(coeffs)
     xs = tuple(xs)
-    w, powers = _packed_powers(xs, len(coeffs), m)
+    if not in_field:
+        return _exact_row(coeffs, xs, m)
+    w, powers = _packed_powers(xs, len(coeffs), m, True)
+    return tuple(v % m for v in _unpack(sum(map(mul, coeffs, powers)), w, len(xs)))
+
+
+@lru_cache(maxsize=64)
+def _exact_row(coeffs: tuple[int, ...], xs: tuple[int, ...], m: int) -> tuple[int, ...]:
+    w, powers = _packed_powers(xs, len(coeffs), m, False)
     return tuple(_unpack(sum(map(mul, coeffs, powers)), w, len(xs)))
 
 
@@ -175,15 +199,17 @@ def _packed_basis(xs: tuple[int, ...], m: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=2)
-def _packed_powers(xs: tuple[int, ...], t: int, m: int) -> tuple[int, tuple[int, ...]]:
-    """(w, K_0..K_{t-1}) with K_j = sum_i xs[i]**j << (w * i), for evaluate."""
-    # slot i of evaluate's product is largest when every coefficient is
-    # m - 1, and largest of all at the largest x
-    top = max(xs, default=0)
-    w = ((m - 1) * sum(top**j for j in range(t))).bit_length()
-    powers = []
+def _packed_powers(xs: tuple[int, ...], t: int, m: int,
+                   in_field: bool) -> tuple[int, tuple[int, ...]]:
+    """(w, K_0..K_{t-1}) with K_j = sum_i xs[i]**j << (w * i), or with
+    xs[i]**j mod m in_field, for evaluate."""
+    rows = []
     x_to_j = [1] * len(xs)
     for _ in range(t):
-        powers.append(_pack(x_to_j, w))
-        x_to_j = list(map(mul, x_to_j, xs))
-    return w, tuple(powers)
+        rows.append(x_to_j)
+        x_to_j = [v * x % m for v, x in zip(x_to_j, xs)] if in_field else list(
+            map(mul, x_to_j, xs))
+    # slot i of evaluate's product is largest when every coefficient is
+    # m - 1, and largest of all at the x whose powers sum largest
+    w = ((m - 1) * max(map(sum, zip(*rows)), default=0)).bit_length()
+    return w, tuple(_pack(row, w) for row in rows)

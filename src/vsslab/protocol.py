@@ -307,13 +307,17 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     Dealer i draws from substream(seed, i), so adding or reordering
     other dealers never changes what dealer i deals. Row i - 1 of the
     shares holds dealer i's shares to parties 1..n, its honest values
-    from one poly.evaluate call over all of them; a forger's row adds
+    from one poly.evaluate call over all of them, exact in vulnerable
+    mode and in Z_q when hardened; an honest vulnerable row is the tuple
+    poly's row cache keeps, so verify_row's row check reads it back
+    rather than evaluating it again. A forger's row adds
     its strategy's one shift to the values at its targets, or deals them
     honestly where the parameters make forgery impossible, and records
     that one outcome as its ForgeryAttempt.
     """
-    parties = range(1, config.n + 1)
-    m, q = params.field_modulus, params.q
+    # one tuple of parties, which every cached row's key shares
+    parties = tuple(range(1, config.n + 1))
+    m, hardened = params.field_modulus, params.q is not None
     commitments = []
     rows = []
     attempts = []
@@ -323,10 +327,8 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
         commitments.append(commit(coeffs, params))
         behavior = config.behaviors[dealer]
         # vulnerable dealers transmit the exact integer evaluation; hardened
-        # dealers reduce into Z_q, where the share must live
-        values = evaluate(coeffs, parties, m)
-        if q is not None:
-            values = tuple(v % q for v in values)
+        # dealers its residue in Z_q, where the share must live
+        values = evaluate(coeffs, parties, m, hardened)
         if behavior.kind is BehaviorKind.FALSE_SHARE_DEALER:
             try:
                 shift, outcome = behavior.strategy.shift(params), "forged"
@@ -371,8 +373,8 @@ def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
     fewer than t shares lists none.
 
     When the first subset fails, the coefficients through its t shares
-    (poly.interpolate) are evaluated at the pool's other recipients, in
-    one poly.evaluate call. If every other share agrees mod the field,
+    (poly.interpolate) are evaluated in the field at the pool's other
+    recipients, in one poly.evaluate call. If every other share agrees,
     the pool lies on one polynomial, every t-subset rebuilds the same
     value and none can pass, so the pool lists that one attempt.
     Otherwise (a forger's pool that mixes forged and honest shares) the
@@ -384,7 +386,7 @@ def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
     m = params.field_modulus
     if xs:
         check_abscissas(xs, m)
-    ys = [y % m for y in check_values(ys)]
+    ys = tuple(y % m for y in check_values(ys))
     testable = len(xs) > t
     attempts = []
     for subset, points in zip(itertools.combinations(xs, t), itertools.combinations(ys, t)):
@@ -394,7 +396,7 @@ def reconstruct_pool(xs, ys, commits: CommitmentVector, params: GroupParams):
             return DealerReconstruction(attempts=tuple(attempts), recovered=value)
         if len(attempts) == 1 and testable:
             coeffs = interpolate(subset, points, m)
-            if all(v % m == y for v, y in zip(evaluate(coeffs, xs[t:], m), ys[t:])):
+            if evaluate(coeffs, xs[t:], m, True) == ys[t:]:
                 break
     return DealerReconstruction(attempts=tuple(attempts), recovered=None)
 

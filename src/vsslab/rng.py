@@ -26,7 +26,12 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """64-bit PRNG with uniform integer helpers built on rejection sampling."""
+    """64-bit PRNG with uniform integer helpers built on rejection sampling.
+
+    randbelows draws count values below n in one call: the same values,
+    from the same words, as count successive randbelow(n) calls, and it
+    leaves the stream where they would.
+    """
 
     def __init__(self, seed: int):
         if seed < 0:
@@ -57,6 +62,32 @@ class SplitMix64:
             candidate = self.randbits(k)
             if candidate < n:
                 return candidate
+
+    def randbelows(self, n: int, count: int) -> tuple[int, ...]:
+        """tuple(randbelow(n) for _ in range(count)), in one call.
+
+        A bound of at most 64 bits takes one word per candidate, and the
+        loop below advances and mixes the state inline; a wider bound
+        draws through randbelow.
+        """
+        if n < 1:
+            raise VsslabError("bound must be positive")
+        k = n.bit_length()
+        if k > 64:
+            return tuple(self.randbelow(n) for _ in range(count))
+        mask = (1 << k) - 1
+        state = self._state
+        out = []
+        while len(out) < count:
+            state = (state + _GOLDEN) & MASK64
+            # _mix(state), inline
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            z = (z ^ (z >> 31)) & mask
+            if z < n:
+                out.append(z)
+        self._state = state
+        return tuple(out)
 
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi)."""

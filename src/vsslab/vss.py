@@ -108,9 +108,12 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
     the t commitment checks decide.
     Q meets the first t values mod the field modulus, which is d in
     hardened mode, so there Q is evaluated (one poly.evaluate call) only
-    at the other parties, and in vulnerable mode at every party. A row
-    whose b_j miss its commitments (a forger's row) is checked share by
-    share instead.
+    at the other parties, and in the field. In vulnerable mode it is
+    evaluated exactly at every party, and an honest row's exact values
+    are the ones its dealing evaluated from the same coefficients, which
+    poly's row cache returns without computing them again. A row whose
+    b_j miss its commitments (a forger's row) is checked share by share
+    instead.
     """
     values = check_values(values)
     q = params.q
@@ -128,10 +131,12 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
     b = interpolate(xs[:t], values[:t], m)
     if params.g_pows(b) == commits.c:
         # Q passes through the first t values mod m, so when m == d their
-        # congruence holds already; Q(k) exactly, reduced once, for the rest
-        on_q = t if m == params.d else 0
+        # congruence holds already and the rest need Q(k) only mod d, in
+        # the field; otherwise every value needs Q(k) exactly
+        in_field = m == params.d
+        on_q = t if in_field else 0
         agree = (True,) * on_q + tuple((v - q_k) % params.d == 0 for v, q_k in
-                                       zip(values[on_q:], evaluate(b, xs[on_q:], m)))
+                                       zip(values[on_q:], evaluate(b, xs[on_q:], m, in_field)))
         return tuple(ok and agrees for ok, agrees in zip(in_range, agree))
     in_group = not hardened or commitment_in_group(commits, params)
     return tuple(

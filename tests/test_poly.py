@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsslab.errors import VsslabError
+from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     _lagrange_weights,
     _packed_basis,
@@ -16,10 +17,14 @@ from vsslab.poly import (
     sample_polynomial,
 )
 from vsslab.protocol import MAX_PARTIES
+from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import commit
 
 from reference_model import exact_value
+
+# a 96-bit prime, the widest field a generated group has
+P96 = 2**96 - 17
 
 
 def units(n):
@@ -71,6 +76,16 @@ def test_sample_polynomial_is_deterministic_per_stream():
     assert a == b
     assert len(a) == 3
     assert all(0 <= c < 101 for c in a)
+
+
+@pytest.mark.parametrize("m", [11, 2**63 - 25, 2**64 - 59, P96])
+def test_sample_polynomial_draws_what_single_draws_give(m):
+    # one batched draw per row: the coefficients t randbelow calls give,
+    # in their order, and the stream left where they leave it
+    for t in range(1, MAX_PARTIES + 1):
+        batched, single = SplitMix64(t), SplitMix64(t)
+        assert sample_polynomial(t, m, batched) == tuple(single.randbelow(m) for _ in range(t))
+        assert batched.next_u64() == single.next_u64()
 
 
 def test_sample_polynomial_pinned_coefficients():
@@ -179,10 +194,6 @@ def test_basis_recovers_every_coefficient(data):
     assert tuple(column[0] for column in columns) == lagrange_weights(xs, m)
 
 
-# a 96-bit prime, the widest field a generated group has
-P96 = 2**96 - 17
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_packed_kernels_hold_at_their_widest_slots(data):
@@ -198,6 +209,7 @@ def test_packed_kernels_hold_at_their_widest_slots(data):
     coeffs = data.draw(st.lists(element, min_size=t, max_size=t))
     xs = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=MAX_PARTIES, unique=True))
     assert evaluate(coeffs, xs, m) == tuple(exact_value(coeffs, x) for x in xs)
+    assert evaluate(coeffs, xs, m, True) == tuple(exact_value(coeffs, x) % m for x in xs)
     # ordinates as large as exact vulnerable shares: residue plus a
     # multiple of m up to the largest value of a degree t - 1 polynomial
     xs = xs[:t] if len(xs) >= t else data.draw(
@@ -216,6 +228,25 @@ def test_evaluate_is_exact_at_the_widest_admitted_row():
     xs = range(1, MAX_PARTIES + 1)
     coeffs = [P96 - 1] * MAX_PARTIES
     assert evaluate(coeffs, xs, P96) == tuple(exact_value(coeffs, x) for x in xs)
+
+
+@pytest.fixture(scope="module")
+def hardened_fields():
+    """The field moduli q of h64, p23q11 and a generated 96-bit hardened group."""
+    return {"h64": get_params("h64").q, "p23q11": get_params("p23q11").q,
+            "gen96": gen_params(96, Mode.HARDENED, SplitMix64(5)).q}
+
+
+@pytest.mark.parametrize("name", ["h64", "p23q11", "gen96"])
+@pytest.mark.parametrize("extreme", [True, False], ids=["all-top", "drawn"])
+def test_in_field_evaluation_is_exact_evaluation_reduced(hardened_fields, name, extreme):
+    # t = n = MAX_PARTIES, the widest row a hardened ceremony deals, at
+    # every party, and at the other recipients of a pool past its first t
+    q = hardened_fields[name]
+    coeffs = ((q - 1,) * MAX_PARTIES if extreme
+              else sample_polynomial(MAX_PARTIES, q, SplitMix64(MAX_PARTIES)))
+    for xs in (range(1, MAX_PARTIES + 1), (7, 9, 12, 33, 40, 63, 64)):
+        assert evaluate(coeffs, xs, q, True) == tuple(exact_value(coeffs, x) % q for x in xs)
 
 
 # lagrange_weights and interpolate cache their tables; a cached table

@@ -90,13 +90,39 @@ def test_substream_differs_from_parent_stream():
     assert [parent.next_u64() for _ in range(4)] != [child.next_u64() for _ in range(4)]
 
 
+# one word per candidate up to 64 bits, two above; 2**k + 1 rejects
+# almost half of its candidates
+_BATCH_BOUNDS = [1, 2, 3, 2**10, 2**10 + 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1,
+                 2**95 + 2**40 + 1]
+
+
+@pytest.mark.parametrize("n", _BATCH_BOUNDS)
+@pytest.mark.parametrize("seed", [0, 7, MASK64])
+def test_a_batched_draw_is_successive_single_draws(seed, n):
+    single, batched = SplitMix64(seed), SplitMix64(seed)
+    for count in (0, 1, 40):
+        assert batched.randbelows(n, count) == tuple(single.randbelow(n) for _ in range(count))
+        # and the stream goes on from where the single draws leave it
+        assert batched.next_u64() == single.next_u64()
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=1, max_value=2**130),
+       st.integers(min_value=0, max_value=70))
+@settings(max_examples=200, deadline=None)
+def test_a_batched_draw_matches_single_draws_for_any_bound(seed, n, count):
+    single, batched = SplitMix64(seed), SplitMix64(seed)
+    assert batched.randbelows(n, count) == tuple(single.randbelow(n) for _ in range(count))
+    assert batched.next_u64() == single.next_u64()
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: SplitMix64(-1), "seed must be non-negative"),
     (lambda: SplitMix64(0).randbits(-1), "bit count must be non-negative"),
     (lambda: SplitMix64(0).randbelow(0), "bound must be positive"),
+    (lambda: SplitMix64(0).randbelows(0, 3), "bound must be positive"),
     (lambda: SplitMix64(0).randrange(5, 5), "empty range"),
     (lambda: substream(0, -1), "substream indices must be non-negative"),
-], ids=["seed", "randbits", "randbelow", "randrange", "substream"])
+], ids=["seed", "randbits", "randbelow", "randbelows", "randrange", "substream"])
 def test_out_of_range_arguments_are_refused(call, message):
     with pytest.raises(VsslabError, match=message):
         call()

@@ -331,10 +331,10 @@ class TestRowEvaluations:
         calls = []
         original = vss.evaluate
 
-        def counting(coeffs, xs, m):
+        def counting(coeffs, xs, m, in_field=False):
             xs = tuple(xs)
             calls.extend(xs)
-            return original(coeffs, xs, m)
+            return original(coeffs, xs, m, in_field)
 
         monkeypatch.setattr(vss, "evaluate", counting)
         return calls
