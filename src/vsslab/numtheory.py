@@ -8,8 +8,8 @@ which divides by them first, and the safe-prime search, which sieves by
 their product. Nothing here factors: a hardened order is proved prime,
 and a vulnerable one is checked from its primes, (2, q) for a generated
 p = 2q + 1. No factoring guard bounds the sizes; MAX_PARAM_BITS stays
-96, the size the caches of g-power tables and rows below are budgeted
-for.
+96 and MAX_PARTIES 64, the sizes the caches of g-power tables and rows
+below, and poly's, are budgeted for.
 """
 
 import math
@@ -208,6 +208,17 @@ def _order_drop(g: int, d: int, p: int, primes) -> int | None:
     return next((r for r in primes if pow(g, d // r, p) == 1), None)
 
 
+MIN_PARAM_BITS = 4
+MAX_PARAM_BITS = 96
+
+# Dealing and verification cost about n**3 big-int operations whatever t
+# is, and with t = n the reconstruction attempt budget alone would admit
+# any n. Honest v64 n=t=64 `vsslab run` takes about 0.28 s on a shared
+# 2-vCPU Xeon (median of twelve runs, range 0.19-0.34 s). A cache that
+# keeps a row per party, here or in poly, keeps MAX_PARTIES of them.
+MAX_PARTIES = 64
+
+
 # Fixed-base powers of g (Brickell-Gordon-McCurley-Wilson 1992; Lim-Lee
 # 1994). A table is a pure function of (g, p), so caching one never
 # changes a result; a run and its audit use one group, and the cache
@@ -240,14 +251,13 @@ def _g_power(table, p: int, d: int, e: int) -> int:
 
 # Rows of powers of g (GroupParams.g_pows), cached like the tables: a
 # row is a pure function of its ints. A run commits its n rows, at most
-# MAX_PARTIES = 64 (protocol cannot be imported here; a test ties the
-# two), then checks them in the same order, so under LRU a row that
+# MAX_PARTIES, then checks them in the same order, so under LRU a row that
 # misses at check i evicts only rows already checked. Single powers
 # (g_pow) never enter: the per-share fallback's would evict rows still
 # to be checked. Worst case, 64 rows of 64 exponents below 2**96,
 # measured with tracemalloc: 0.40 MB, of which 0.19 MB is the
 # exponents, which a run's polynomials hold anyway.
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MAX_PARTIES)
 def _g_row(g: int, p: int, d: int, exponents: tuple[int, ...]) -> tuple[int, ...]:
     table = _g_table(g, p)
     size = len(table)
@@ -257,8 +267,6 @@ def _g_row(g: int, p: int, d: int, exponents: tuple[int, ...]) -> tuple[int, ...
 
 
 _SAFE_PRIME_ATTEMPTS = 1 << 17
-MIN_PARAM_BITS = 4
-MAX_PARAM_BITS = 96
 
 
 def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:

@@ -3,14 +3,14 @@ weights at zero and interpolation in coefficient form. A polynomial is
 the tuple of its coefficients, constant term (a dealer's secret) first.
 A row's evaluation at many points and its interpolation are each one
 packed big-integer product (Kronecker substitution). Their tables, and
-exact rows, are cached here, bounded (see the note above
-lagrange_weights), as tuples no caller can change."""
+rows, are cached here, bounded (see the note above lagrange_weights),
+as tuples no caller can change."""
 
 import math
 from _operator import mul
 
 from .errors import VsslabError
-from .numtheory import mod_inv
+from .numtheory import MAX_PARTIES, mod_inv
 from .record import lru_cache
 from .rng import SplitMix64
 
@@ -43,27 +43,26 @@ def check_abscissas(xs: tuple[int, ...], m: int) -> None:
         seen.add(x)
 
 
-# A table is a pure function of its key, and an exact row of its ints,
-# so caching one never changes a result. The caches are sized from a
-# run's traffic: every row is dealt at parties 1..n (one power table,
-# exact in vulnerable mode and in the field when hardened), every row is
-# interpolated at the same first t parties (one basis), hardened rows
-# are checked in the field at the other n - t (a second power table),
-# and reconstruction asks for at most n first-subset weight tables. A
-# vulnerable row's exact values are kept, a row per party as
-# numtheory._g_row keeps powers (a test ties the two sizes to
-# MAX_PARTIES), so the rows a run deals and then checks in the same
-# order all hit. A vulnerable pool whose first subset fails asks for one
-# more basis at that subset and, in place of the hardened one, one more
-# power table, in the field, at the pool's other recipients, to test
-# whether the pool lies on one polynomial; the subsets an inconsistent
-# pool enumerates never recur and pass through. Worst case at t = n =
-# MAX_PARTIES = 64 over a 96-bit field, measured with tracemalloc: 64
-# weight tables of 3.2 KB, 4 packed bases of 0.11 MB (198-bit slots), 2
-# power tables of 0.26 MB (475-bit slots when exact; in the field 198
-# bits and 0.11 MB) and 64 exact rows, 0.40 MB, about 1.6 MB in all. The
-# exact rows are the dealt share rows themselves, which a run's report
-# holds anyway: the peak of that run moved by 6 KB.
+# A table is a pure function of its key, and a row of its ints, so
+# caching one never changes a result. The caches are sized from a run's
+# traffic: every row is dealt at parties 1..n (one power table, exact in
+# vulnerable mode and in the field when hardened), every row is
+# interpolated at the same first t parties (one basis), and
+# reconstruction asks for at most n first-subset weight tables. Each
+# dealt row is kept, a row per party as numtheory._g_row keeps powers,
+# so the row checks, which ask for the rows again in the same order, all
+# hit. A vulnerable pool whose first subset fails asks for one more
+# basis at that subset and one more power table and row, in the field,
+# at the pool's other recipients, to test whether the pool lies on one
+# polynomial; the subsets an inconsistent pool enumerates never recur
+# and pass through. Worst case at t = n = MAX_PARTIES over a 96-bit
+# group, measured with tracemalloc: 64 weight tables, 0.24 MB with their
+# keys; 4 packed bases, 0.44 MB (196-bit slots); 2 power tables, 0.26 MB
+# exact (474-bit slots) and 0.11 MB in the field (196 bits); 64 rows,
+# 0.41 MB exact or 0.21 MB in the field. That is about 1.5 MB in all.
+# The rows are the dealt share rows themselves, which a run's report
+# holds anyway: the peak of an honest 64/64 run moved by 10 KB or less
+# in either mode.
 
 
 def lagrange_weights(xs, m: int) -> tuple[int, ...]:
@@ -76,7 +75,7 @@ def lagrange_weights(xs, m: int) -> tuple[int, ...]:
     return _lagrange_weights(tuple(xs), m)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MAX_PARTIES)
 def _lagrange_weights(xs: tuple[int, ...], m: int) -> tuple[int, ...]:
     check_abscissas(xs, m)
     # weight_j = (total / x_j) / dens[j], with total the product of all x_l
@@ -134,23 +133,20 @@ def evaluate(coeffs, xs, m: int, in_field: bool = False) -> tuple[int, ...]:
     m - 1, at the x whose powers sum largest). In the field, K_j packs
     x_i**j mod m, so a slot needs about 2 * bits(m) + log2(len(coeffs))
     bits instead of bits(m) + (len(coeffs) - 1) * log2(max(xs)), and
-    each is reduced once. An exact row is cached by its ints (_exact_row
-    below), so a row asked for twice, as a vulnerable dealer's is by its
+    each is reduced once. A row is cached by its ints in either form
+    (_row below), so a row asked for twice, as a dealer's is by its
     dealing and then by the row check of vss.verify_row, is computed
     once.
     """
-    coeffs = tuple(coeffs)
-    xs = tuple(xs)
-    if not in_field:
-        return _exact_row(coeffs, xs, m)
-    w, powers = _packed_powers(xs, len(coeffs), m, True)
-    return tuple(v % m for v in _unpack(sum(map(mul, coeffs, powers)), w, len(xs)))
+    return _row(tuple(coeffs), tuple(xs), m, in_field)
 
 
-@lru_cache(maxsize=64)
-def _exact_row(coeffs: tuple[int, ...], xs: tuple[int, ...], m: int) -> tuple[int, ...]:
-    w, powers = _packed_powers(xs, len(coeffs), m, False)
-    return tuple(_unpack(sum(map(mul, coeffs, powers)), w, len(xs)))
+@lru_cache(maxsize=MAX_PARTIES)
+def _row(coeffs: tuple[int, ...], xs: tuple[int, ...], m: int,
+         in_field: bool) -> tuple[int, ...]:
+    w, powers = _packed_powers(xs, len(coeffs), m, in_field)
+    values = _unpack(sum(map(mul, coeffs, powers)), w, len(xs))
+    return tuple(v % m for v in values) if in_field else tuple(values)
 
 
 def _pack(values, w: int) -> int:

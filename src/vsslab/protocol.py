@@ -30,7 +30,7 @@ from _operator import mul
 
 from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
-from .numtheory import GroupParams, Mode, gen_params
+from .numtheory import MAX_PARTIES, GroupParams, Mode, gen_params
 from .poly import check_abscissas, evaluate, interpolate, lagrange_weights, sample_polynomial
 from .record import Choice, check_int, coerce_enum, record
 from .registry import get_params
@@ -44,12 +44,6 @@ from .vss import CommitmentVector, aggregate_public_key, check_values, commit, v
 # that can make one; it admits v64 n=16 t=8 (205,920) and refuses sizes
 # that would never finish, such as n=40 t=20 (about 5.5e12).
 MAX_RECONSTRUCTION_ATTEMPTS = 250_000
-
-# Dealing and verification cost about n**3 big-int operations whatever t
-# is, and with t = n the attempt budget alone would admit any n. Honest
-# v64 n=t=64 `vsslab run` takes about 0.28 s on a shared 2-vCPU Xeon
-# (median of twelve runs, range 0.19-0.34 s).
-MAX_PARTIES = 64
 
 
 class BehaviorKind(Choice):
@@ -308,9 +302,9 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     other dealers never changes what dealer i deals. Row i - 1 of the
     shares holds dealer i's shares to parties 1..n, its honest values
     from one poly.evaluate call over all of them, exact in vulnerable
-    mode and in Z_q when hardened; an honest vulnerable row is the tuple
-    poly's row cache keeps, so verify_row's row check reads it back
-    rather than evaluating it again. A forger's row adds
+    mode and in Z_q when hardened; an honest row is the tuple poly's
+    row cache keeps, so verify_row's row check reads it back rather
+    than evaluating it again. A forger's row adds
     its strategy's one shift to the values at its targets, or deals them
     honestly where the parameters make forgery impossible, and records
     that one outcome as its ForgeryAttempt.

@@ -97,28 +97,22 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
 
     Every entry equals the per-share verdict: commitment_in_group, then
     value < q, then verify_share in hardened mode; verify_share alone
-    in vulnerable mode. value < q is tested once per value, and both
-    paths below read that one result. The row check interpolates
-    Q = sum_j b_j x**j over the field through the first t values and
-    tests g**b_j == c_j for every j: one row of t powers of g
-    (GroupParams.g_pows), which an honest row finds in the cache commit
-    filled. When all t hold, prod_j c_j**(k**j) is g**Q(k), so a value
-    passes verify_share exactly when it is Q(k) mod d, and
-    commitment_in_group holds: the interpolation only proposes the b_j,
-    the t commitment checks decide.
-    Q meets the first t values mod the field modulus, which is d in
-    hardened mode, so there Q is evaluated (one poly.evaluate call) only
-    at the other parties, and in the field. In vulnerable mode it is
-    evaluated exactly at every party, and an honest row's exact values
-    are the ones its dealing evaluated from the same coefficients, which
-    poly's row cache returns without computing them again. A row whose
-    b_j miss its commitments (a forger's row) is checked share by share
-    instead.
+    in vulnerable mode. The row check interpolates Q = sum_j b_j x**j
+    over the field through the first t values and tests g**b_j == c_j
+    for every j: one row of t powers of g (GroupParams.g_pows), which an
+    honest row finds in the cache commit filled. When all t hold,
+    prod_j c_j**(k**j) is g**Q(k), so a value passes verify_share
+    exactly when it is Q(k) mod d, and commitment_in_group holds: the
+    interpolation only proposes the b_j, the t commitment checks decide.
+    Q is then evaluated at every party in the form its mode deals, by
+    one poly.evaluate call whose row an honest dealing has cached. In
+    hardened mode that is Q(k) mod q, and d = q, so a value passes
+    exactly when it equals Q(k) mod q; in vulnerable mode it is Q(k)
+    exactly, which an honest value equals and a passing one meets mod d.
+    A row whose b_j miss its commitments (a forger's row) is checked
+    share by share instead.
     """
     values = check_values(values)
-    q = params.q
-    hardened = q is not None
-    in_range = tuple(v < q for v in values) if hardened else (True,) * len(values)
     t = len(commits.c)
     if len(values) < t:
         raise VsslabError(f"a row of {len(values)} shares is shorter than the threshold {t}")
@@ -127,22 +121,16 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
     # last can reach the field's modulus
     if len(values) >= m:
         raise VsslabError(f"abscissa {len(values)} outside (0, {m})")
+    q, d = params.q, params.d
+    hardened = q is not None
     xs = range(1, len(values) + 1)
     b = interpolate(xs[:t], values[:t], m)
     if params.g_pows(b) == commits.c:
-        # Q passes through the first t values mod m, so when m == d their
-        # congruence holds already and the rest need Q(k) only mod d, in
-        # the field; otherwise every value needs Q(k) exactly
-        in_field = m == params.d
-        on_q = t if in_field else 0
-        agree = (True,) * on_q + tuple((v - q_k) % params.d == 0 for v, q_k in
-                                       zip(values[on_q:], evaluate(b, xs[on_q:], m, in_field)))
-        return tuple(ok and agrees for ok, agrees in zip(in_range, agree))
+        return tuple(v == e or not hardened and (v - e) % d == 0
+                     for v, e in zip(values, evaluate(b, xs, m, hardened)))
     in_group = not hardened or commitment_in_group(commits, params)
-    return tuple(
-        in_group and ok and verify_share(k, v, commits, params)
-        for k, v, ok in zip(xs, values, in_range)
-    )
+    return tuple(in_group and (not hardened or v < q) and verify_share(k, v, commits, params)
+                 for k, v in zip(xs, values))
 
 
 def aggregate_public_key(all_commits, params: GroupParams) -> int:

@@ -11,6 +11,7 @@ from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
     _lagrange_weights,
     _packed_basis,
+    _row,
     evaluate,
     interpolate,
     lagrange_weights,
@@ -249,9 +250,10 @@ def test_in_field_evaluation_is_exact_evaluation_reduced(hardened_fields, name, 
         assert evaluate(coeffs, xs, q, True) == tuple(exact_value(coeffs, x) % q for x in xs)
 
 
-# lagrange_weights and interpolate cache their tables; a cached table
-# must be the one a fresh computation gives, whatever iterable the
-# abscissas came in, and a refused abscissa set is refused every time
+# lagrange_weights and interpolate cache their tables, and evaluate its
+# rows; a cached table or row must be the one a fresh computation gives,
+# whatever iterable the abscissas came in, and a refused abscissa set is
+# refused every time
 _AS_ITERABLE = st.sampled_from([list, tuple, iter])
 
 
@@ -261,9 +263,17 @@ def test_cached_tables_equal_a_fresh_computation(data):
     m = data.draw(st.sampled_from([11, 97, 2**61 - 1]))
     xs = data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 40)),
                             min_size=1, max_size=6, unique=True))
+    coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                                min_size=1, max_size=6))
     weights_fresh = _lagrange_weights.__wrapped__(tuple(xs), m)
     packed_fresh = _packed_basis.__wrapped__(tuple(xs), m)
+    rows_fresh = {in_field: _row.__wrapped__(tuple(coeffs), tuple(xs), m, in_field)
+                  for in_field in (False, True)}
     for _ in range(2):
+        for in_field, row_fresh in rows_fresh.items():
+            row = evaluate(coeffs, data.draw(_AS_ITERABLE)(xs), m, in_field)
+            assert row == row_fresh
+            assert type(row) is tuple and all(type(v) is int for v in row)
         weights = lagrange_weights(data.draw(_AS_ITERABLE)(xs), m)
         # the coefficient form's constant terms are the weights at zero
         columns = [interpolate(data.draw(_AS_ITERABLE)(xs), unit, m) for unit in units(len(xs))]

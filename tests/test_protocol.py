@@ -16,7 +16,7 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
 from vsslab.numtheory import Mode, _g_row, _g_table
-from vsslab.poly import _exact_row, _lagrange_weights, _packed_basis, evaluate, sample_polynomial
+from vsslab.poly import _lagrange_weights, _packed_basis, _row, evaluate, sample_polynomial
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -922,47 +922,53 @@ class TestRowCache:
 
 @pytest.fixture
 def rows_evaluated():
-    """(hits, misses) of poly's exact-row cache since the fixture emptied it."""
-    _exact_row.cache_clear()
-    return lambda: _exact_row.cache_info()[:2]
+    """(hits, misses) of poly's row cache since the fixture emptied it."""
+    _row.cache_clear()
+    return lambda: _row.cache_info()[:2]
 
 
 class TestRowEvaluationCache:
-    """A run evaluates each vulnerable dealer's row once: the dealing's
-    exact evaluation misses, and the row check of an honest row reads the
-    dealt row back."""
+    """A run evaluates each dealer's row once: the dealing's evaluation
+    misses, and the row check of an honest row reads the dealt row back."""
 
-    def test_the_dealing_misses_and_the_row_check_hits(self, rows_evaluated, share_checks):
-        config = honest_config(n=12, t=6, params_ref="v64")
+    @pytest.mark.parametrize("params_ref", ["v64", "h64"])
+    def test_the_dealing_misses_and_the_row_check_hits(self, rows_evaluated, share_checks,
+                                                        params_ref):
+        config = honest_config(n=12, t=6, params_ref=params_ref)
         params = resolve_params(config)
         dealing = run_dealing_round(config, params)
         assert rows_evaluated() == (0, 12)
         run_verification_round(dealing.shares, dealing.commitments, params)
         assert rows_evaluated() == (12, 12)
         assert share_checks == []
-        # the cached row is the dealt row itself, not a copy
+        # the cached row is the dealt row itself, not a copy, exact in
+        # vulnerable mode and in the field when hardened
         parties = range(1, 13)
+        m, hardened = params.field_modulus, params.q is not None
         for dealer, row in enumerate(dealing.shares, 1):
-            coeffs = sample_polynomial(6, params.p, substream(config.seed, dealer))
-            assert evaluate(coeffs, parties, params.p) is row
+            coeffs = sample_polynomial(6, m, substream(config.seed, dealer))
+            assert evaluate(coeffs, parties, m, hardened) is row
 
-    def test_the_forged_row_falls_back_and_evaluates_nothing(self, rows_evaluated,
-                                                             share_checks):
+    def test_the_forged_row_falls_back_and_its_pool_test_misses(self, rows_evaluated,
+                                                                share_checks):
         report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
-        # the forger's honest values are evaluated at its dealing too
-        assert rows_evaluated() == (11, 12)
+        # the forger's honest values are evaluated at its dealing too, and
+        # the test of whether its pool lies on one polynomial is one more row
+        assert rows_evaluated() == (11, 13)
         assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
+
+    def test_a_hardened_forgers_row_hits(self, rows_evaluated, share_checks):
+        # forgery is impossible, so the forger deals its row honestly
+        run_scenario(build_scenario("hardened-attack", seed=7, n=12, t=6, params_ref="h64"))
+        assert rows_evaluated() == (12, 12)
+        assert share_checks == []
 
     def test_every_honest_row_hits_at_the_widest_run(self, rows_evaluated):
         run_scenario(honest_config(seed=1, n=MAX_PARTIES, t=MAX_PARTIES, params_ref="v64"))
         assert rows_evaluated() == (MAX_PARTIES, MAX_PARTIES)
 
-    def test_hardened_rows_are_evaluated_in_the_field_and_not_kept(self, rows_evaluated):
-        run_scenario(honest_config(n=12, t=6, params_ref="h64"))
-        assert rows_evaluated() == (0, 0)
-
     def test_the_cache_holds_a_row_per_party(self):
-        assert _exact_row.cache_info().maxsize == MAX_PARTIES
+        assert _row.cache_info().maxsize == MAX_PARTIES
 
 
 class TestPowersOfG:

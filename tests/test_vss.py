@@ -321,11 +321,11 @@ def test_verify_row_matches_the_per_share_checks(data):
 
 
 class TestRowEvaluations:
-    """Which shares of a row that passes its row check are evaluated at Q."""
+    """How a row that passes its row check is evaluated at Q."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
-        """The abscissas of every evaluate call verify_row makes, in order."""
+        """(abscissas, in_field) of every evaluate call verify_row makes, in order."""
         import vsslab.vss as vss
 
         calls = []
@@ -333,40 +333,39 @@ class TestRowEvaluations:
 
         def counting(coeffs, xs, m, in_field=False):
             xs = tuple(xs)
-            calls.extend(xs)
+            calls.append((xs, in_field))
             return original(coeffs, xs, m, in_field)
 
         monkeypatch.setattr(vss, "evaluate", counting)
         return calls
 
-    @pytest.mark.parametrize("name, t, evaluated_at", [
-        # hardened: the field modulus is d, so the t interpolation points
-        # lie on Q mod d by construction and only the other n - t are evaluated
-        ("h64", 3, [4, 5, 6, 7]),
-        ("h64", 7, []),
-        # vulnerable: interpolation is mod p but acceptance mod d = p - 1
-        ("v64", 3, [1, 2, 3, 4, 5, 6, 7]),
-        ("v64", 7, [1, 2, 3, 4, 5, 6, 7]),
+    @pytest.mark.parametrize("name, t, in_field", [
+        # hardened: Q(k) mod q, the residue a hardened dealer sends
+        ("h64", 3, True),
+        ("h64", 7, True),
+        # vulnerable: Q(k) exactly, the integer a vulnerable dealer sends
+        ("v64", 3, False),
+        ("v64", 7, False),
     ])
-    def test_an_honest_row_evaluates_only_what_interpolation_leaves_open(
-            self, evaluated, share_checks, name, t, evaluated_at):
+    def test_an_honest_row_is_evaluated_at_every_party_in_its_modes_form(
+            self, evaluated, share_checks, name, t, in_field):
         params = get_params(name)
         poly = sample_polynomial(t, params.field_modulus, SplitMix64(t))
         values = [honest_share(poly, k, params) for k in range(1, 8)]
         assert verify_row(values, commit(poly, params), params) == (True,) * 7
-        assert evaluated == evaluated_at
+        assert evaluated == [((1, 2, 3, 4, 5, 6, 7), in_field)]
         assert share_checks == []
 
-    def test_the_range_check_still_runs_on_the_interpolation_points(self, evaluated):
+    def test_the_range_check_runs_on_the_interpolation_points(self, evaluated):
         params = get_params("h64")
         poly = sample_polynomial(3, params.field_modulus, SplitMix64(3))
         values = [honest_share(poly, k, params) for k in range(1, 6)]
         # shifted by q: the same residue, so the row check passes, but
-        # out of range
+        # out of range, so unequal to Q(2) mod q
         values[1] += params.q
         assert verify_row(values, commit(poly, params), params) == (
             True, False, True, True, True)
-        assert evaluated == [4, 5]
+        assert evaluated == [((1, 2, 3, 4, 5), True)]
 
     def test_a_false_share_row_falls_back_to_verify_share(self, evaluated, share_checks):
         params = get_params("v64")
