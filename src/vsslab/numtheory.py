@@ -15,7 +15,7 @@ below, and poly's, are budgeted for.
 import math
 
 from .errors import ConfigInvalid, GenerationFailed, InvalidGroupParams, VsslabError
-from .record import Choice, coerce_enum, lru_cache, record
+from .record import Choice, brief, coerce_enum, lru_cache, record
 from .rng import MASK64, SplitMix64
 
 
@@ -281,7 +281,7 @@ def gen_params(bit_length: int, mode: Mode, rng: SplitMix64) -> GroupParams:
     """
     if not MIN_PARAM_BITS <= bit_length <= MAX_PARAM_BITS:
         raise ConfigInvalid(
-            f"bit_length must be in [{MIN_PARAM_BITS}, {MAX_PARAM_BITS}], got {bit_length}"
+            f"bit_length must be in [{MIN_PARAM_BITS}, {MAX_PARAM_BITS}], got {brief(bit_length)}"
         )
     for _ in range(_SAFE_PRIME_ATTEMPTS):
         # a random odd q of exactly bit_length - 1 bits, so p has bit_length

@@ -32,7 +32,7 @@ from .attack import ForgeryStrategy, StrategyKind
 from .errors import ConfigInvalid, ForgeryImpossible, VsslabError
 from .numtheory import MAX_PARTIES, GroupParams, Mode, gen_params
 from .poly import check_abscissas, evaluate, interpolate, lagrange_weights, sample_polynomial
-from .record import Choice, check_int, coerce_enum, record
+from .record import Choice, brief, check_int, coerce_enum, record
 from .registry import get_params
 from .rng import substream
 from .vss import CommitmentVector, aggregate_public_key, check_values, commit, verify_row
@@ -69,17 +69,18 @@ class Behavior:
     def __post_init__(self):
         coerce_enum(self, "kind", BehaviorKind, ConfigInvalid, "behavior kind")
         if self.strategy is not None and not isinstance(self.strategy, ForgeryStrategy):
-            raise ConfigInvalid(f"strategy must be a ForgeryStrategy or None, got {self.strategy!r}")
+            raise ConfigInvalid(f"strategy must be a ForgeryStrategy or None, "
+                                f"got {brief(self.strategy)}")
         try:
             targets = tuple(sorted(check_int(k, "a target") for k in self.targets))
         except TypeError:
             raise ConfigInvalid(f"targets must be a collection of party ids, "
-                                f"got {self.targets!r}") from None
+                                f"got {brief(self.targets)}") from None
         object.__setattr__(self, "targets", targets)
         # a repeated target would give one ceremony a second transcript
         for a, b in zip(targets, targets[1:]):
             if a == b:
-                raise ConfigInvalid(f"party {a} targeted twice")
+                raise ConfigInvalid(f"party {brief(a)} targeted twice")
         if self.kind is BehaviorKind.FALSE_SHARE_DEALER:
             if self.strategy is None or not self.targets:
                 raise ConfigInvalid("a false-share dealer needs a strategy and targets")
@@ -126,11 +127,13 @@ class GenSpec:
         coerce_enum(self, "mode", Mode, ConfigInvalid, "mode")
 
 
-def _check_party_count(n: int) -> None:
+def check_party_count(n) -> None:
+    """The one party-count rule: an int n with 2 <= n <= MAX_PARTIES.
+    Callers check it before they build n behaviors."""
     if check_int(n, "n") < 2:
-        raise ConfigInvalid(f"need at least 2 parties, got n={n}")
+        raise ConfigInvalid(f"need at least 2 parties, got n={brief(n)}")
     if n > MAX_PARTIES:
-        raise ConfigInvalid(f"at most {MAX_PARTIES} parties are supported, got n={n}")
+        raise ConfigInvalid(f"at most {MAX_PARTIES} parties are supported, got n={brief(n)}")
 
 
 @record
@@ -143,25 +146,28 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        # by the transcript decoder's rules, before parameter generation
-        # reads any field: a config that runs renders a decodable transcript
+        # the one type check, for built and decoded configs alike, before
+        # parameter generation reads any field: a config that runs renders
+        # a transcript that decodes to it
         for name in ("n", "t", "seed"):
             check_int(self.__dict__[name], name)
         if not isinstance(self.scenario, str):
-            raise ConfigInvalid(f"scenario must be a string, got {self.scenario!r}")
+            raise ConfigInvalid(f"scenario must be a string, got {brief(self.scenario)}")
         if not isinstance(self.params_ref, (str, GenSpec)):
-            raise ConfigInvalid(f"params_ref must be a name or a GenSpec, got {self.params_ref!r}")
+            raise ConfigInvalid(f"params_ref must be a name or a GenSpec, "
+                                f"got {brief(self.params_ref)}")
         if not isinstance(self.behaviors, dict):
             raise ConfigInvalid(f"behaviors must be a dict, got {type(self.behaviors).__name__}")
         for pid, behavior in self.behaviors.items():
             check_int(pid, "a party id")
             if not isinstance(behavior, Behavior):
-                raise ConfigInvalid(f"party {pid} needs a Behavior, got {behavior!r}")
+                raise ConfigInvalid(f"party {pid} needs a Behavior, got {brief(behavior)}")
 
     def validate(self, params: GroupParams) -> None:
-        _check_party_count(self.n)
+        check_party_count(self.n)
         if not 2 <= self.t <= self.n:
-            raise ConfigInvalid(f"threshold must satisfy 2 <= t <= n, got t={self.t}, n={self.n}")
+            raise ConfigInvalid(f"threshold must satisfy 2 <= t <= n, "
+                                f"got t={brief(self.t)}, n={self.n}")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigInvalid("seed must fit in 64 bits")
         # counted, not materialized: n comes from untrusted transcripts
@@ -189,7 +195,7 @@ class ScenarioConfig:
         for pid, behavior in self.behaviors.items():
             bad = {k for k in behavior.targets if not 1 <= k <= self.n}
             if bad:
-                raise ConfigInvalid(f"party {pid} targets unknown parties {sorted(bad)}")
+                raise ConfigInvalid(f"party {pid} targets unknown parties {brief(sorted(bad))}")
             if pid in behavior.targets:
                 raise ConfigInvalid(f"party {pid} cannot target itself")
             # m and m mod p corrupt the same field element; a larger m
@@ -202,7 +208,7 @@ class ScenarioConfig:
         if self.scenario in _SCENARIOS:
             if self.behaviors != _built_in_behaviors(self.scenario, self.n):
                 raise ConfigInvalid(
-                    f"scenario {self.scenario!r} needs the behaviors build_scenario gives it")
+                    f"scenario {brief(self.scenario)} needs the behaviors build_scenario gives it")
         else:
             # only a built-in whose party 1 acts alike can have these
             # behaviors, and the first such is the one to name
@@ -212,7 +218,7 @@ class ScenarioConfig:
                          if (kind, strategy) == acts), None)
             if name is not None and self.behaviors == _built_in_behaviors(name, self.n):
                 raise ConfigInvalid(
-                    f"scenario {self.scenario!r} has the behaviors of built-in {name!r}")
+                    f"scenario {brief(self.scenario)} has the behaviors of built-in {name!r}")
 
 
 class Verdict(Choice):
@@ -491,6 +497,6 @@ def build_scenario(name: str, seed: int, n: int = 5, t: int = 3,
     if params_ref is None:
         params_ref = _SCENARIOS[name][0]
     # before n Behaviors are built: n can be anything a user typed
-    _check_party_count(n)
+    check_party_count(n)
     return ScenarioConfig(scenario=name, n=n, t=t, params_ref=params_ref,
                           behaviors=_built_in_behaviors(name, n), seed=seed)

@@ -11,7 +11,8 @@ microseconds and imports no standard-library module.
 
 A Choice subclass is a str enum: each UPPERCASE class attribute
 becomes a member, a str equal to its value, made once when the class
-is defined. lru_cache is functools.lru_cache's C object itself. A
+is defined. lru_cache is functools.lru_cache's C object itself. brief
+is the one bounded repr every refusal quotes a value with. A
 process that imports the library loads neither enum nor functools, nor
 the collections package that functools imports, nor operator: like
 poly and protocol, this module takes its C functions from _operator.
@@ -68,21 +69,41 @@ class Choice(str, metaclass=_ChoiceType):
         for member in cls:
             if member == value:
                 return member
-        raise VsslabError(f"{value!r} is not a valid {cls.__name__}")
+        raise VsslabError(f"{brief(value)} is not a valid {cls.__name__}")
 
     def __repr__(self):
         return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
 
 
+BRIEF_CHARS = 100
+
+
+def brief(value) -> str:
+    """repr(value) for a refusal, in at most BRIEF_CHARS characters however
+    long or deeply nested value is, since it may be untrusted JSON. Only
+    a refusal needs one, so reprlib loads then, not with the library."""
+    import reprlib
+
+    short = reprlib.Repr()
+    # at most 6 items a level and 3 levels, so the cut below has little
+    # to cut; maxother keeps a member's repr whole
+    short.maxlevel = 3
+    short.maxstring = short.maxlong = 60
+    short.maxother = BRIEF_CHARS
+    text = short.repr(value)
+    return text if len(text) <= BRIEF_CHARS else text[:BRIEF_CHARS - 3] + "..."
+
+
 def coerce_enum(obj, name, enum, error, noun):
     """For a __post_init__: replace field name of obj by the member of
     enum its value names, a member or its plain value alike; raise
-    error("unknown NOUN VALUE") when no member has that value."""
+    error("unknown NOUN VALUE") when no member has that value, whatever
+    that value is (a transcript's raw JSON among others)."""
     value = obj.__dict__[name]
     try:
         obj.__dict__[name] = enum(value)
     except ValueError:
-        raise error(f"unknown {noun} {value!r}") from None
+        raise error(f"unknown {noun} {brief(value)}") from None
 
 
 class CacheInfo(tuple):
@@ -108,10 +129,10 @@ def lru_cache(maxsize):
 
 
 def check_int(value, noun):
-    """value if it is an int itself, not a bool or float, as a transcript's
-    decoder reads it; else ConfigInvalid("NOUN must be an integer ...")."""
+    """value if it is an int itself, not a bool, float or anything else
+    JSON holds; else ConfigInvalid("NOUN must be an integer, got VALUE")."""
     if type(value) is not int:
-        raise ConfigInvalid(f"{noun} must be an integer, got {value!r}")
+        raise ConfigInvalid(f"{noun} must be an integer, got {brief(value)}")
     return value
 
 

@@ -18,7 +18,7 @@ and their pinned values and certificates now define them.
 
 from .errors import UnknownParamSet
 from .numtheory import GroupParams, Mode
-from .record import lru_cache
+from .record import brief, lru_cache
 
 _ENTRIES = {
     # tiny worked-example group: g = 2 is a primitive root mod 11, d = 10
@@ -62,7 +62,7 @@ def get_params(name: str) -> GroupParams:
     UnknownParamSet if absent (a lookup that raises is not cached)."""
     if name not in _ENTRIES:
         raise UnknownParamSet(
-            f"no parameter set named {name!r}; available: {', '.join(sorted(_ENTRIES))}"
+            f"no parameter set named {brief(name)}; available: {', '.join(sorted(_ENTRIES))}"
         )
     params, primes = _ENTRIES[name]
     params.validate(primes)

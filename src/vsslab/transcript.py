@@ -43,9 +43,8 @@ scanner refuses loads json, to word the audit's `not valid JSON` message.
 import _json
 import itertools
 
-from .attack import ForgeryStrategy, StrategyKind
+from .attack import ForgeryStrategy
 from .errors import ConfigInvalid, VsslabError
-from .numtheory import Mode
 from .protocol import (
     MAX_PARTIES,
     Behavior,
@@ -53,8 +52,10 @@ from .protocol import (
     GenSpec,
     ScenarioConfig,
     ScenarioReport,
+    check_party_count,
     run_scenario,
 )
+from .record import brief
 
 SCHEMA_VERSION = "5"
 
@@ -151,26 +152,13 @@ def render_report(report: ScenarioReport) -> str:
 # decoding
 # ---------------------------------------------------------------------------
 
-_JSON_TYPE_NAMES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
-
-
-def _brief(value) -> str:
-    """repr for untrusted JSON values, bounded in length and nesting depth.
-
-    Only a message about a bad transcript needs one, so reprlib loads
-    then, not with the library.
-    """
-    import reprlib
-
-    short = reprlib.Repr()
-    short.maxstring = short.maxlong = 60
-    return short.repr(value)
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _typed(value, kind: type, where: str):
-    """value if it is exactly of type `kind`, so a bool never passes as an int."""
+    """value if it is exactly of type `kind`: the JSON shapes a record cannot see."""
     if type(value) is not kind:
-        raise ConfigInvalid(f"{where} must be {_JSON_TYPE_NAMES[kind]}, got {_brief(value)}")
+        raise ConfigInvalid(f"{where} must be {_JSON_TYPE_NAMES[kind]}, got {brief(value)}")
     return value
 
 
@@ -179,15 +167,7 @@ def _decimal(value, where: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigInvalid(f"{where} must be a decimal integer, got {_brief(text)}") from None
-
-
-def _enum(cls, value, where: str):
-    text = _typed(value, str, where)
-    try:
-        return cls(text)
-    except ValueError:
-        raise ConfigInvalid(f"{where} has unknown value {_brief(text)}") from None
+        raise ConfigInvalid(f"{where} must be a decimal integer, got {brief(text)}") from None
 
 
 def _parties(value, kind: type, where: str):
@@ -198,60 +178,52 @@ def _parties(value, kind: type, where: str):
     return value
 
 
-def _strategy_from_dict(doc: dict, where: str) -> ForgeryStrategy:
-    return ForgeryStrategy(
-        kind=_enum(StrategyKind, doc.get("kind"), f"{where}.kind"),
-        multiplier=_decimal(doc.get("multiplier"), f"{where}.multiplier"),
-    )
-
-
 def _behavior_from_dict(doc: dict, where: str) -> Behavior:
-    kind = _enum(BehaviorKind, doc.get("kind"), f"{where}.kind")
-    if kind is not BehaviorKind.FALSE_SHARE_DEALER:
-        return Behavior(kind=kind)
-    targets = tuple(_typed(pid, int, f"{where}.targets[]")
-                    for pid in _parties(doc.get("targets"), list, f"{where}.targets"))
-    strategy = _typed(doc.get("strategy"), dict, f"{where}.strategy")
-    return Behavior(kind=kind, strategy=_strategy_from_dict(strategy, f"{where}.strategy"),
-                    targets=targets)
+    strategy = doc.get("strategy")
+    if strategy is not None:
+        _typed(strategy, dict, f"{where}.strategy")
+        strategy = ForgeryStrategy(
+            kind=strategy.get("kind"),
+            multiplier=_decimal(strategy.get("multiplier"), f"{where}.strategy.multiplier"),
+        )
+    return Behavior(kind=doc.get("kind"), strategy=strategy,
+                    targets=_parties(doc.get("targets", []), list, f"{where}.targets"))
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Decode a transcript's config section, checking every field's type first.
+    """Decode a transcript's config section into its records.
 
     Every party of 1..n that config.behaviors does not list is honest.
-    Raises ConfigInvalid on any malformed field, and on an n above
-    MAX_PARTIES or more behaviors or targets than that, before any record
-    is built; other ranges and cross-field constraints are left to
-    ScenarioConfig.validate.
+    The records are the rule for every field's type and value; this
+    checks only what they cannot see: the JSON objects, lists and
+    strings that hold the fields, the decimal strings of the seed,
+    multipliers and party ids, and the caps, so that n passes
+    check_party_count, and no behaviors object or targets list has more
+    than MAX_PARTIES entries, before any record is built. Raises
+    ConfigInvalid on the first field refused.
     """
     _typed(doc, dict, "config")
     ref_doc = _typed(doc.get("params_ref"), dict, "config.params_ref")
     if "name" in ref_doc:
-        ref = _typed(ref_doc["name"], str, "config.params_ref.name")
+        ref = ref_doc["name"]
     else:
-        ref = GenSpec(
-            bits=_typed(ref_doc.get("bits"), int, "config.params_ref.bits"),
-            mode=_enum(Mode, ref_doc.get("mode"), "config.params_ref.mode"),
-        )
-    n = _typed(doc.get("n"), int, "config.n")
-    if n > MAX_PARTIES:
-        raise ConfigInvalid(f"config.n is {n:,}, more than the {MAX_PARTIES} parties "
-                            f"a config can hold")
+        ref = GenSpec(bits=ref_doc.get("bits"), mode=ref_doc.get("mode"))
+    n = doc.get("n")
+    check_party_count(n)
     listed = {}
-    for pid, behavior in _parties(doc.get("behaviors"), dict, "config.behaviors").items():
-        where = f"config.behaviors.{pid}"
-        listed[_decimal(pid, f"party id of {where}")] = _behavior_from_dict(
-            _typed(behavior, dict, where), where
-        )
+    for key, behavior in _parties(doc.get("behaviors"), dict, "config.behaviors").items():
+        pid = _decimal(key, "a party id of config.behaviors")
+        # int() reads a key of any length that holds few digits
+        where = f"config.behaviors.{key if len(key) <= 20 else key[:17] + '...'}"
+        listed[pid] = _behavior_from_dict(_typed(behavior, dict, where), where)
     honest = Behavior()
     behaviors = {pid: honest for pid in range(1, n + 1)}
     # a listed party outside 1..n stays, for ScenarioConfig.validate to refuse
     behaviors.update(listed)
     return ScenarioConfig(
-        scenario=_typed(doc.get("scenario"), str, "config.scenario"),
+        scenario=doc.get("scenario"),
         n=n,
-        t=_typed(doc.get("t"), int, "config.t"),
+        t=doc.get("t"),
         params_ref=ref,
         behaviors=behaviors,
         seed=_decimal(doc.get("seed"), "config.seed"),
@@ -308,9 +280,9 @@ def _differences(path: str, got, want):
         for key in sorted(got.keys() | want.keys()):
             sub = f"{path}.{key}" if path else key
             if key not in got:
-                yield f"{sub}: missing from transcript, regeneration has {_brief(want[key])}"
+                yield f"{sub}: missing from transcript, regeneration has {brief(want[key])}"
             elif key not in want:
-                yield f"{sub}: transcript has {_brief(got[key])}, regeneration has no such key"
+                yield f"{sub}: transcript has {brief(got[key])}, regeneration has no such key"
             else:
                 yield from _differences(sub, got[key], want[key])
     elif type(got) is list and type(want) is list:
@@ -319,7 +291,7 @@ def _differences(path: str, got, want):
         if len(got) != len(want):
             yield f"{path}: transcript has {len(got)} entries, regeneration has {len(want)}"
     elif type(got) is not type(want) or got != want:
-        yield f"{path}: transcript has {_brief(got)}, regeneration has {_brief(want)}"
+        yield f"{path}: transcript has {brief(got)}, regeneration has {brief(want)}"
 
 
 def audit_transcript(raw_text: str) -> list[str]:
@@ -339,7 +311,7 @@ def audit_transcript(raw_text: str) -> list[str]:
     if type(doc) is not dict:
         return [f"transcript is not a JSON object, got {type(doc).__name__}"]
     if doc.get("version") != SCHEMA_VERSION:
-        return [f"unsupported schema version {_brief(doc.get('version'))}"]
+        return [f"unsupported schema version {brief(doc.get('version'))}"]
 
     try:
         regenerated = report_to_dict(run_scenario(config_from_dict(doc.get("config"))))

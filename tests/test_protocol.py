@@ -373,9 +373,10 @@ def behaviors_keyed(first, behavior=Behavior()):
 
 
 # A label, parameter reference, behaviors mapping, party id, behavior,
-# forgery strategy or target list the transcript decoder would refuse, or
-# that the transcript would write as something the decoder refuses: the
-# record must not be built
+# forgery strategy or target list that is not of its field's type: the
+# record must not be built. The records are the only type rule, for
+# configs built here and decoded from a transcript alike, so a config
+# that runs renders a transcript that decodes to it
 FORGER = dict(kind=BehaviorKind.FALSE_SHARE_DEALER, strategy=ForgeryStrategy(
     StrategyKind.ADD_P_MINUS_ONE), targets=(2, 3))
 NOT_DECODABLE = {

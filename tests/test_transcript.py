@@ -426,6 +426,48 @@ def test_a_key_on_one_side_only_is_reported_and_the_walk_goes_on(false_share_tex
     assert problems[1] == "extra: transcript has True, regeneration has no such key"
 
 
+# A config the decoder or its records refuse, and the one problem the
+# audit gives for it: the records' wording, as `vsslab verify` prints it
+MALFORMED = {
+    "top-level-list": (lambda doc: [], "transcript is not a JSON object, got list"),
+    "behaviors-list": (set_config_field(("behaviors",), []),
+                       "config does not re-run: config.behaviors must be an object, got []"),
+    "numeric-name": (set_config_field(("params_ref",), {"name": 3}),
+                     "config does not re-run: params_ref must be a name or a GenSpec, got 3"),
+    "bits-200": (set_config_field(("params_ref",), {"bits": 200, "mode": "vulnerable"}),
+                 "config does not re-run: bit_length must be in [4, 96], got 200"),
+    "huge-n": (set_config_field(("n",), 10**12),
+               "config does not re-run: at most 64 parties are supported, got n=1000000000000"),
+    "word-seed": (set_config_field(("seed",), "seven"),
+                  "config does not re-run: config.seed must be a decimal integer, got 'seven'"),
+    "unknown-behavior": (set_config_field(("behaviors", "1", "kind"), "saboteur"),
+                         "config does not re-run: unknown behavior kind 'saboteur'"),
+    "unknown-mode": (set_config_field(("params_ref",), {"bits": 16, "mode": "sideways"}),
+                     "config does not re-run: unknown mode 'sideways'"),
+    "fractional-multiplier": (
+        set_config_field(("behaviors", "1", "strategy", "multiplier"), "1.5"),
+        "config does not re-run: config.behaviors.1.strategy.multiplier must be a decimal "
+        "integer, got '1.5'"),
+    # parses (4300 digits is the int/str limit), but a forged share
+    # built from it would have too many digits to print
+    "4300-digit-multiplier": (
+        set_config_field(("behaviors", "1", "strategy", "multiplier"), "8" + "9" * 4299),
+        "config does not re-run: party 1 needs a forgery multiplier below p = 11"),
+    "word-party-id": (set_config_field(("behaviors",), {"one": {"kind": "honest"}}),
+                      "config does not re-run: a party id of config.behaviors must be a "
+                      "decimal integer, got 'one'"),
+    "string-target": (set_config_field(("behaviors", "1", "targets"), ["2"]),
+                      "config does not re-run: a target must be an integer, got '2'"),
+    "forger-without-strategy": (set_config_field(("behaviors", "1", "strategy"), None),
+                                "config does not re-run: a false-share dealer needs a strategy "
+                                "and targets"),
+    # a key the kind takes no value for is refused, not ignored
+    "honest-with-targets": (set_config_field(("behaviors", "2"), {"kind": "honest",
+                                                                  "targets": [3]}),
+                            "config does not re-run: honest takes no strategy or targets"),
+}
+
+
 class TestAudit:
     def test_untampered_transcript_is_clean(self, false_share_text):
         assert audit_transcript(false_share_text) == []
@@ -542,26 +584,10 @@ class TestAudit:
         problems = audit_transcript(retamper(partial_forgery_text, repeat_target))
         assert problems == ["config does not re-run: party 2 targeted twice"]
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: [],
-        lambda doc: {**doc, "config": {**doc["config"], "behaviors": []}},
-        lambda doc: {**doc, "config": {**doc["config"], "params_ref": {"name": 3}}},
-        lambda doc: {**doc, "config": {**doc["config"],
-                                       "params_ref": {"bits": 200, "mode": "vulnerable"}}},
-        lambda doc: {**doc, "config": {**doc["config"], "n": 10**12}},
-        set_config_field(("seed",), "seven"),
-        set_config_field(("behaviors", "1", "kind"), "saboteur"),
-        set_config_field(("params_ref",), {"bits": 16, "mode": "sideways"}),
-        set_config_field(("behaviors", "1", "strategy", "multiplier"), "1.5"),
-        # parses (4300 digits is the int/str limit), but a forged share
-        # built from it would have too many digits to print
-        set_config_field(("behaviors", "1", "strategy", "multiplier"), "8" + "9" * 4299),
-    ], ids=["top-level-list", "behaviors-list", "numeric-name", "bits-200", "huge-n",
-            "word-seed", "unknown-behavior", "unknown-mode", "fractional-multiplier",
-            "4300-digit-multiplier"])
-    def test_malformed_config_is_a_problem_not_a_crash(self, false_share_text, edit):
+    @pytest.mark.parametrize("edit, problem", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_config_is_a_problem_not_a_crash(self, false_share_text, edit, problem):
         problems = audit_transcript(canonical_json(edit(json.loads(false_share_text))))
-        assert problems
+        assert problems == [problem]
 
     @pytest.mark.parametrize("built,label", [("false-share", "honest"), ("honest", "")])
     def test_a_relabelled_transcript_is_a_problem(self, built, label):
@@ -613,8 +639,7 @@ class TestAudit:
         doc = json.loads(false_share_text)
         doc["config"].update(params_ref={"name": "v64"}, n=n, t=n, behaviors={})
         assert audit_transcript(canonical_json(doc)) == [
-            f"config does not re-run: config.n is {n:,}, more than the 64 parties a config "
-            "can hold"]
+            f"config does not re-run: at most 64 parties are supported, got n={n}"]
         assert built == []
 
     def test_a_listed_honest_party_is_reported(self, false_share_text):
@@ -647,6 +672,102 @@ class TestAudit:
             f"config does not re-run: {where} has {size:,} entries, more than the 64 "
             "parties a config can hold"]
         assert built == []
+
+
+# ---------------------------------------------------------------------------
+# hostile values
+# ---------------------------------------------------------------------------
+#
+# A refusal quotes the value it refuses, at a bounded length, however
+# long or deep that value is: each gives one problem line of at most 300
+# characters.
+
+
+def _nested_list(depth):
+    """Lists 6 wide and depth deep around 100-character strings."""
+    value = "y" * 100
+    for _ in range(depth):
+        value = [value] * 6
+    return value
+
+
+HOSTILE_VALUES = {
+    "200k-string": "x" * 200_000,
+    "200k-list": [0] * 200_000,
+    # a 4,824,982-character transcript, under the CLI's cap
+    "6-deep-list": _nested_list(6),
+    # out of every range; JSON reads ints of up to 4,300 digits
+    "4001-digit-int": 10**4000,
+}
+
+
+def _put(*path):
+    """An edit that sets doc[path...] = value in place."""
+    def edit(doc, value):
+        *parents, leaf = path
+        for key in parents:
+            doc = doc[key]
+        doc[leaf] = value
+    return edit
+
+
+def _put_forger(*path):
+    return _put("config", "behaviors", "1", *path)
+
+
+# every field whose refusal quotes its value, in the false-share transcript
+QUOTED_FIELDS = {
+    "version": _put("version"),
+    **{field: _put("config", field) for field in ("scenario", "n", "t", "seed", "params_ref",
+                                                  "behaviors")},
+    "params_ref.name": lambda doc, value: _put("config", "params_ref")(doc, {"name": value}),
+    "params_ref.bits": lambda doc, value: _put("config", "params_ref")(
+        doc, {"bits": value, "mode": "vulnerable"}),
+    "params_ref.mode": lambda doc, value: _put("config", "params_ref")(
+        doc, {"bits": 16, "mode": value}),
+    "behavior": _put_forger(),
+    "kind": _put_forger("kind"),
+    "strategy": _put_forger("strategy"),
+    "strategy.kind": _put_forger("strategy", "kind"),
+    "strategy.multiplier": _put_forger("strategy", "multiplier"),
+    "targets": _put_forger("targets"),
+    # 64 distinct ints, so none is targeted twice
+    "each-target": lambda doc, value: _put_forger("targets")(
+        doc, [value - k for k in range(64)] if type(value) is int else [value]),
+}
+
+
+def _one_short_problem(problems):
+    assert len(problems) == 1 and len(problems[0]) <= 300, [p[:300] for p in problems]
+
+
+@pytest.mark.parametrize("value", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES.keys())
+@pytest.mark.parametrize("put", QUOTED_FIELDS.values(), ids=QUOTED_FIELDS.keys())
+def test_a_hostile_value_gives_one_short_problem(false_share_text, put, value):
+    doc = json.loads(false_share_text)
+    put(doc, value)
+    _one_short_problem(audit_transcript(canonical_json(doc)))
+
+
+@pytest.mark.parametrize("key", ["x" * 200_000, "9" * 4001, " " * 200_000 + "2"],
+                         ids=["200k-string", "4001-digit", "200k-padded"])
+def test_a_hostile_party_id_gives_one_short_problem(false_share_text, key):
+    # the last two decode, so the refusal of their behavior names them
+    doc = json.loads(false_share_text)
+    doc["config"]["behaviors"][key] = "x" * 200_000
+    _one_short_problem(audit_transcript(canonical_json(doc)))
+
+
+def test_verify_prints_one_short_line_for_a_hostile_value(false_share_text, tmp_path, capsys):
+    from vsslab import cli
+
+    doc = json.loads(false_share_text)
+    doc["config"]["t"] = HOSTILE_VALUES["6-deep-list"]
+    path = tmp_path / "t.json"
+    path.write_text(canonical_json(doc))
+    assert cli.main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: ") and err.count("\n") == 1 and len(err) <= 307, err[:400]
 
 
 # ---------------------------------------------------------------------------
