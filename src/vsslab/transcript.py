@@ -162,6 +162,13 @@ def _typed(value, kind: type, where: str):
     return value
 
 
+def _brief_key(key: str) -> str:
+    """A JSON key from the transcript as one segment of a message's path:
+    whole up to 20 characters, else its first 17 and "...", since the key
+    may be untrusted and of any length."""
+    return key if len(key) <= 20 else key[:17] + "..."
+
+
 def _decimal(value, where: str) -> int:
     text = _typed(value, str, where)
     try:
@@ -214,7 +221,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     for key, behavior in _parties(doc.get("behaviors"), dict, "config.behaviors").items():
         pid = _decimal(key, "a party id of config.behaviors")
         # int() reads a key of any length that holds few digits
-        where = f"config.behaviors.{key if len(key) <= 20 else key[:17] + '...'}"
+        where = f"config.behaviors.{_brief_key(key)}"
         listed[pid] = _behavior_from_dict(_typed(behavior, dict, where), where)
     honest = Behavior()
     behaviors = {pid: honest for pid in range(1, n + 1)}
@@ -278,7 +285,7 @@ def _differences(path: str, got, want):
     """One message per JSON path where the transcript and regeneration differ."""
     if type(got) is dict and type(want) is dict:
         for key in sorted(got.keys() | want.keys()):
-            sub = f"{path}.{key}" if path else key
+            sub = f"{path}.{_brief_key(key)}" if path else _brief_key(key)
             if key not in got:
                 yield f"{sub}: missing from transcript, regeneration has {brief(want[key])}"
             elif key not in want:

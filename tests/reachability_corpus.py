@@ -225,6 +225,7 @@ def command_lines(tmp):
 
 def tampered_transcripts(tmp):
     """verify on each kind of damage it names: FAIL lines and exit 1."""
+    from vsslab.cli import MAX_TRANSCRIPT_CHARS
     from vsslab.transcript import canonical_json
 
     docs = {}
@@ -252,9 +253,13 @@ def tampered_transcripts(tmp):
         "share": edited(shares={**doc["shares"], "1": [first + "1", *rest]}),
         "missing-key": without("verdict"),
         "extra-key": edited(extra=True),
+        # a key past 20 characters is cut where a FAIL line quotes it
+        "long-key": edited(**{"x" * 200_000: True}),
         "short-rows": edited(shares={dealer: row[:-1] for dealer, row in doc["shares"].items()}),
         "number-for-string": edited(aggregate_public_key=int(doc["aggregate_public_key"])),
         "not-canonical": json.dumps(doc, sort_keys=True, indent=1) + "\n",
+        # refused after one bounded read, before any parse
+        "over-the-cap": " " * (MAX_TRANSCRIPT_CHARS + 1),
     }
     for name, body in bad.items():
         path = os.path.join(tmp, f"tampered-{name}.json")

@@ -341,6 +341,19 @@ def test_hardened_scenario_uses_hardened_generation(tmp_path, scenario):
         assert int(doc["params"]["p"]) == 2 * int(doc["params"]["d"]) + 1
 
 
+def test_bits_generates_one_safe_prime_for_both_modes(tmp_path):
+    # at one seed, false-share's vulnerable group and hardened-attack's
+    # subgroup come from the same p = 2q + 1, and each run verifies
+    primes = []
+    for scenario, code in (("false-share", 2), ("hardened-attack", 0)):
+        out = tmp_path / f"{scenario}.json"
+        assert run_cli("run", "--scenario", scenario, "--bits", "64", "--seed", "7",
+                       "--out", str(out)) == code
+        assert run_cli("verify", str(out)) == 0
+        primes.append(json.loads(out.read_text())["params"]["p"])
+    assert primes[0] == primes[1]
+
+
 class TestSizeDemo:
     def test_table_lists_executed_rows_and_projection(self, capsys):
         assert run_cli("demo-integer-commitments", "--bits", "6") == 0
@@ -382,7 +395,7 @@ def test_no_arguments_is_a_usage_error():
 
 
 class TestParser:
-    """The forms README and CI use, and every malformed command line."""
+    """The forms the README uses, and every malformed command line."""
 
     def test_flag_equals_value(self, tmp_path):
         out = tmp_path / "t.json"
@@ -479,6 +492,19 @@ def test_verify_refuses_a_file_longer_than_any_admitted_transcript(tmp_path, cap
         f"cannot read transcript: longer than {size - 1:,} characters, "
         "the most an admitted config renders\n")
 
+
+def test_the_process_entry_refuses_a_file_one_character_over_the_cap(tmp_path):
+    # the cap itself, unpatched, in a fresh process through the function
+    # the installed script calls: one read, one line, no traceback
+    path = tmp_path / "t.json"
+    path.write_text(" " * (cli.MAX_TRANSCRIPT_CHARS + 1))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "from vsslab.cli import entry; entry()", "verify", str(path)],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC})
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"cannot read transcript: longer than {cli.MAX_TRANSCRIPT_CHARS:,} characters, "
+        "the most an admitted config renders\n")
 
 
 def entry_chars(value):

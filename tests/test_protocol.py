@@ -801,6 +801,28 @@ class TestVerificationRound:
         assert behaviors[1].strategy == ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
 
 
+@pytest.mark.parametrize("name, params_ref, t, outcome", [
+    ("false-share", "v64", MAX_PARTIES, "forged"),
+    ("hardened-attack", "h64", MAX_PARTIES - 1, "forgery_impossible"),
+], ids=["false-share-v64-64/64", "hardened-attack-h64-64/63"])
+def test_a_forger_at_the_party_cap_deals_each_target_its_one_shift(name, params_ref, t,
+                                                                     outcome):
+    # every other party is a target; where forgery is impossible the
+    # forger deals every share honestly, mod q
+    report = run_scenario(build_scenario(name, seed=1, n=MAX_PARTIES, t=t,
+                                         params_ref=params_ref))
+    params, forger = report.params, report.config.behaviors[1]
+    assert report.forgery_attempts == (ForgeryAttempt(1, outcome),)
+    assert forger.targets == tuple(range(2, MAX_PARTIES + 1))
+    shift = forger.strategy.shift(params) if outcome == "forged" else 0
+    for dealer, row in enumerate(report.shares, 1):
+        coeffs = sample_polynomial(t, params.field_modulus, substream(1, dealer))
+        for k, value in enumerate(row, 1):
+            forged = dealer == 1 and k in forger.targets
+            assert value == honest_share(coeffs, k, params) + (shift if forged else 0), (
+                dealer, k)
+
+
 @pytest.mark.parametrize("params_ref, recipients, message", [
     ("small11", (1, 2, 1, 3), "abscissa 1 appears twice"),
     ("small11", (1, 2, 3, 2), "abscissa 2 appears twice"),
@@ -887,6 +909,16 @@ class TestRowCheck:
         assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
 
 
+# (scenario, group, t, (hits, misses)) at n = MAX_PARTIES, for both row
+# caches: a forger's row misses once more, at its row check or at the
+# test of whether its pool lies on one polynomial
+WIDEST_ROW_RUNS = {
+    "false-share-v64-64/32": ("false-share", "v64", 32, (MAX_PARTIES - 1, MAX_PARTIES + 1)),
+    "honest-v64-64/64": ("honest", "v64", MAX_PARTIES, (MAX_PARTIES, MAX_PARTIES)),
+    "honest-h64-64/64": ("honest", "h64", MAX_PARTIES, (MAX_PARTIES, MAX_PARTIES)),
+}
+
+
 @pytest.fixture
 def rows_cached():
     """(hits, misses) of the row cache since the fixture emptied it."""
@@ -909,13 +941,17 @@ class TestRowCache:
         assert rows_cached() == (11, 13)
         assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
 
-    def test_every_honest_row_hits_at_the_widest_run(self, rows_cached, share_checks):
-        # n = MAX_PARTIES fills the cache at commit; the forger's miss at
+    @pytest.mark.parametrize("name, params_ref, t, counts", WIDEST_ROW_RUNS.values(),
+                             ids=WIDEST_ROW_RUNS.keys())
+    def test_every_honest_row_hits_at_the_widest_run(self, rows_cached, share_checks, name,
+                                                     params_ref, t, counts):
+        # n = MAX_PARTIES fills the cache at commit; a forger's miss at
         # row 1 evicts row 1's commit, the least recently used entry
-        report = run_scenario(build_scenario("false-share", seed=1, n=MAX_PARTIES, t=32,
-                                             params_ref="v64"))
-        assert rows_cached() == (MAX_PARTIES - 1, MAX_PARTIES + 1)
-        assert share_checks == [(report.commitments[0], k) for k in range(1, MAX_PARTIES + 1)]
+        report = run_scenario(build_scenario(name, seed=1, n=MAX_PARTIES, t=t,
+                                             params_ref=params_ref))
+        assert rows_cached() == counts
+        fallbacks = range(1, MAX_PARTIES + 1) if name == "false-share" else ()
+        assert share_checks == [(report.commitments[0], k) for k in fallbacks]
 
     def test_the_cache_holds_a_row_per_party(self):
         assert _g_row.cache_info().maxsize == MAX_PARTIES
@@ -964,9 +1000,12 @@ class TestRowEvaluationCache:
         assert rows_evaluated() == (12, 12)
         assert share_checks == []
 
-    def test_every_honest_row_hits_at_the_widest_run(self, rows_evaluated):
-        run_scenario(honest_config(seed=1, n=MAX_PARTIES, t=MAX_PARTIES, params_ref="v64"))
-        assert rows_evaluated() == (MAX_PARTIES, MAX_PARTIES)
+    @pytest.mark.parametrize("name, params_ref, t, counts", WIDEST_ROW_RUNS.values(),
+                             ids=WIDEST_ROW_RUNS.keys())
+    def test_every_honest_row_hits_at_the_widest_run(self, rows_evaluated, name, params_ref, t,
+                                                     counts):
+        run_scenario(build_scenario(name, seed=1, n=MAX_PARTIES, t=t, params_ref=params_ref))
+        assert rows_evaluated() == counts
 
     def test_the_cache_holds_a_row_per_party(self):
         assert _row.cache_info().maxsize == MAX_PARTIES

@@ -14,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsslab.attack import ForgeryStrategy, StrategyKind
+from vsslab.numtheory import MAX_PARAM_BITS, Mode
 from vsslab.poly import sample_polynomial
 from vsslab.protocol import (
+    MAX_PARTIES,
     SCENARIO_NAMES,
     Behavior,
     BehaviorKind,
+    GenSpec,
     ScenarioConfig,
     ScenarioReport,
     build_scenario,
@@ -136,6 +139,30 @@ def test_wide_config_transcripts_are_pinned():
             expanded.update(canonical_json(expand_schema_5(json.loads(text))).encode())
     assert digest.hexdigest() == WIDE_DIGEST
     assert expanded.hexdigest() == SCHEMA_4_WIDE_DIGEST
+
+
+@pytest.mark.parametrize("name, params_ref, n, t, verdict", [
+    ("honest", "v64", MAX_PARTIES, MAX_PARTIES, "key_assembled"),
+    ("honest", "h64", MAX_PARTIES, MAX_PARTIES, "key_assembled"),
+    ("hardened-attack", "h64", MAX_PARTIES, MAX_PARTIES - 1, "key_assembled"),
+    ("honest", GenSpec(MAX_PARAM_BITS, Mode.VULNERABLE), MAX_PARTIES, MAX_PARTIES,
+     "key_assembled"),
+    ("hardened-attack", GenSpec(MAX_PARAM_BITS, Mode.HARDENED), MAX_PARTIES, MAX_PARTIES - 1,
+     "key_assembled"),
+    ("false-share", "v64", MAX_PARTIES, MAX_PARTIES // 2, "key_blocked"),
+    ("false-share", "v64", MAX_PARTIES, MAX_PARTIES, "key_blocked"),
+    ("false-share", GenSpec(MAX_PARAM_BITS, Mode.VULNERABLE), 5, 3, "key_blocked"),
+], ids=["honest-v64-64/64", "honest-h64-64/64", "hardened-attack-h64-64/63",
+        "honest-96-bit-64/64", "hardened-attack-96-bit-64/63", "false-share-v64-64/32",
+        "false-share-v64-64/64", "false-share-96-bit-5/3"])
+def test_the_widest_admitted_runs_reach_their_verdicts_and_audit_clean(name, params_ref, n, t,
+                                                                        verdict):
+    # the party cap on the 64-bit groups and on generated groups of the
+    # most bits, where packed evaluation and interpolation use their
+    # widest slots
+    report = run_scenario(build_scenario(name, seed=1, n=n, t=t, params_ref=params_ref))
+    assert report.verdict.value == verdict
+    assert audit_transcript(render_report(report)) == []
 
 
 def test_the_scenario_transcripts_expand_to_what_schema_4_wrote():
@@ -755,6 +782,16 @@ def test_a_hostile_party_id_gives_one_short_problem(false_share_text, key):
     # the last two decode, so the refusal of their behavior names them
     doc = json.loads(false_share_text)
     doc["config"]["behaviors"][key] = "x" * 200_000
+    _one_short_problem(audit_transcript(canonical_json(doc)))
+
+
+@pytest.mark.parametrize("where", [(), ("forgeries",), ("shares",), ("reconstructions",)],
+                         ids=["top-level", "forgeries", "shares", "reconstructions"])
+def test_a_hostile_key_gives_one_short_problem(false_share_text, where):
+    # the config still runs, so the problem is the path of a key the
+    # regeneration lacks, and the path quotes the key cut as a party id is
+    doc = json.loads(false_share_text)
+    _put(*where, "x" * 200_000)(doc, True)
     _one_short_problem(audit_transcript(canonical_json(doc)))
 
 
