@@ -164,8 +164,10 @@ def _typed(value, kind: type, where: str):
 
 def _brief_key(key: str) -> str:
     """A JSON key from the transcript as one segment of a message's path:
-    whole up to 20 characters, else its first 17 and "...", since the key
-    may be untrusted and of any length."""
+    quoted if it holds a character that is not printable, then whole up to
+    20 characters, else its first 17 and "...", since the key may be
+    untrusted, of any length and hold a line break."""
+    key = key if key.isprintable() else repr(key)
     return key if len(key) <= 20 else key[:17] + "..."
 
 

@@ -493,14 +493,25 @@ def test_verify_refuses_a_file_longer_than_any_admitted_transcript(tmp_path, cap
         "the most an admitted config renders\n")
 
 
-def test_the_process_entry_refuses_a_file_one_character_over_the_cap(tmp_path):
+@pytest.mark.parametrize("endless", [False, True], ids=["one-over", "dev-zero"])
+def test_the_process_entry_refuses_a_file_over_the_cap(tmp_path, endless):
     # the cap itself, unpatched, in a fresh process through the function
     # the installed script calls: one read, one line, no traceback
-    path = tmp_path / "t.json"
-    path.write_text(" " * (cli.MAX_TRANSCRIPT_CHARS + 1))
+    limit = None
+    if endless:
+        path = Path("/dev/zero")
+        if not path.exists():
+            pytest.skip("no /dev/zero on this platform")
+        resource = pytest.importorskip("resource")
+        # the read must stop at the cap; an unbounded one fails at 1 GiB
+        # of address space, or times out, instead of filling memory
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    else:
+        path = tmp_path / "t.json"
+        path.write_text(" " * (cli.MAX_TRANSCRIPT_CHARS + 1))
     result = subprocess.run(
         [sys.executable, "-S", "-c", "from vsslab.cli import entry; entry()", "verify", str(path)],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC})
+        capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=30, preexec_fn=limit)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
         f"cannot read transcript: longer than {cli.MAX_TRANSCRIPT_CHARS:,} characters, "

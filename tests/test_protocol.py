@@ -801,16 +801,18 @@ class TestVerificationRound:
         assert behaviors[1].strategy == ForgeryStrategy(StrategyKind.ADD_P_MINUS_ONE, 1)
 
 
-@pytest.mark.parametrize("name, params_ref, t, outcome", [
-    ("false-share", "v64", MAX_PARTIES, "forged"),
-    ("hardened-attack", "h64", MAX_PARTIES - 1, "forgery_impossible"),
+@pytest.mark.parametrize("name, params_ref, t, outcome, verdict", [
+    ("false-share", "v64", MAX_PARTIES, "forged", Verdict.KEY_BLOCKED),
+    ("hardened-attack", "h64", MAX_PARTIES - 1, "forgery_impossible", Verdict.KEY_ASSEMBLED),
 ], ids=["false-share-v64-64/64", "hardened-attack-h64-64/63"])
 def test_a_forger_at_the_party_cap_deals_each_target_its_one_shift(name, params_ref, t,
-                                                                     outcome):
+                                                                     outcome, verdict):
     # every other party is a target; where forgery is impossible the
     # forger deals every share honestly, mod q
     report = run_scenario(build_scenario(name, seed=1, n=MAX_PARTIES, t=t,
                                          params_ref=params_ref))
+    assert report.verdict is verdict
+    assert audit_transcript(render_report(report)) == []
     params, forger = report.params, report.config.behaviors[1]
     assert report.forgery_attempts == (ForgeryAttempt(1, outcome),)
     assert forger.targets == tuple(range(2, MAX_PARTIES + 1))
@@ -909,16 +911,6 @@ class TestRowCheck:
         assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
 
 
-# (scenario, group, t, (hits, misses)) at n = MAX_PARTIES, for both row
-# caches: a forger's row misses once more, at its row check or at the
-# test of whether its pool lies on one polynomial
-WIDEST_ROW_RUNS = {
-    "false-share-v64-64/32": ("false-share", "v64", 32, (MAX_PARTIES - 1, MAX_PARTIES + 1)),
-    "honest-v64-64/64": ("honest", "v64", MAX_PARTIES, (MAX_PARTIES, MAX_PARTIES)),
-    "honest-h64-64/64": ("honest", "h64", MAX_PARTIES, (MAX_PARTIES, MAX_PARTIES)),
-}
-
-
 @pytest.fixture
 def rows_cached():
     """(hits, misses) of the row cache since the fixture emptied it."""
@@ -941,17 +933,26 @@ class TestRowCache:
         assert rows_cached() == (11, 13)
         assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
 
-    @pytest.mark.parametrize("name, params_ref, t, counts", WIDEST_ROW_RUNS.values(),
-                             ids=WIDEST_ROW_RUNS.keys())
-    def test_every_honest_row_hits_at_the_widest_run(self, rows_cached, share_checks, name,
-                                                     params_ref, t, counts):
-        # n = MAX_PARTIES fills the cache at commit; a forger's miss at
-        # row 1 evicts row 1's commit, the least recently used entry
+    @pytest.mark.parametrize("name, params_ref, t, counts, verdict", [
+        ("false-share", "v64", 32, (MAX_PARTIES - 1, MAX_PARTIES + 1), Verdict.KEY_BLOCKED),
+        ("honest", "v64", MAX_PARTIES, (MAX_PARTIES, MAX_PARTIES), Verdict.KEY_ASSEMBLED),
+        ("honest", "h64", MAX_PARTIES, (MAX_PARTIES, MAX_PARTIES), Verdict.KEY_ASSEMBLED),
+    ], ids=["false-share-v64-64/32", "honest-v64-64/64", "honest-h64-64/64"])
+    def test_every_honest_row_hits_at_the_widest_run(self, rows_cached, rows_evaluated,
+                                                     share_checks, name, params_ref, t, counts,
+                                                     verdict):
+        # both row caches, read from one run: n = MAX_PARTIES fills each
+        # at commit or dealing, and a forger's row misses once more, at its
+        # row check or at the test of whether its pool lies on one
+        # polynomial; the miss at row 1 evicts row 1's commit, the least
+        # recently used entry
         report = run_scenario(build_scenario(name, seed=1, n=MAX_PARTIES, t=t,
                                              params_ref=params_ref))
-        assert rows_cached() == counts
+        assert rows_cached() == rows_evaluated() == counts
         fallbacks = range(1, MAX_PARTIES + 1) if name == "false-share" else ()
         assert share_checks == [(report.commitments[0], k) for k in fallbacks]
+        assert report.verdict is verdict
+        assert audit_transcript(render_report(report)) == []
 
     def test_the_cache_holds_a_row_per_party(self):
         assert _g_row.cache_info().maxsize == MAX_PARTIES
@@ -999,13 +1000,6 @@ class TestRowEvaluationCache:
         run_scenario(build_scenario("hardened-attack", seed=7, n=12, t=6, params_ref="h64"))
         assert rows_evaluated() == (12, 12)
         assert share_checks == []
-
-    @pytest.mark.parametrize("name, params_ref, t, counts", WIDEST_ROW_RUNS.values(),
-                             ids=WIDEST_ROW_RUNS.keys())
-    def test_every_honest_row_hits_at_the_widest_run(self, rows_evaluated, name, params_ref, t,
-                                                     counts):
-        run_scenario(build_scenario(name, seed=1, n=MAX_PARTIES, t=t, params_ref=params_ref))
-        assert rows_evaluated() == counts
 
     def test_the_cache_holds_a_row_per_party(self):
         assert _row.cache_info().maxsize == MAX_PARTIES

@@ -141,26 +141,18 @@ def test_wide_config_transcripts_are_pinned():
     assert expanded.hexdigest() == SCHEMA_4_WIDE_DIGEST
 
 
-@pytest.mark.parametrize("name, params_ref, n, t, verdict", [
-    ("honest", "v64", MAX_PARTIES, MAX_PARTIES, "key_assembled"),
-    ("honest", "h64", MAX_PARTIES, MAX_PARTIES, "key_assembled"),
-    ("hardened-attack", "h64", MAX_PARTIES, MAX_PARTIES - 1, "key_assembled"),
-    ("honest", GenSpec(MAX_PARAM_BITS, Mode.VULNERABLE), MAX_PARTIES, MAX_PARTIES,
-     "key_assembled"),
-    ("hardened-attack", GenSpec(MAX_PARAM_BITS, Mode.HARDENED), MAX_PARTIES, MAX_PARTIES - 1,
-     "key_assembled"),
-    ("false-share", "v64", MAX_PARTIES, MAX_PARTIES // 2, "key_blocked"),
-    ("false-share", "v64", MAX_PARTIES, MAX_PARTIES, "key_blocked"),
-    ("false-share", GenSpec(MAX_PARAM_BITS, Mode.VULNERABLE), 5, 3, "key_blocked"),
-], ids=["honest-v64-64/64", "honest-h64-64/64", "hardened-attack-h64-64/63",
-        "honest-96-bit-64/64", "hardened-attack-96-bit-64/63", "false-share-v64-64/32",
-        "false-share-v64-64/64", "false-share-96-bit-5/3"])
-def test_the_widest_admitted_runs_reach_their_verdicts_and_audit_clean(name, params_ref, n, t,
-                                                                        verdict):
-    # the party cap on the 64-bit groups and on generated groups of the
-    # most bits, where packed evaluation and interpolation use their
-    # widest slots
-    report = run_scenario(build_scenario(name, seed=1, n=n, t=t, params_ref=params_ref))
+@pytest.mark.parametrize("name, mode, n, t, verdict", [
+    ("honest", Mode.VULNERABLE, MAX_PARTIES, MAX_PARTIES, "key_assembled"),
+    ("hardened-attack", Mode.HARDENED, MAX_PARTIES, MAX_PARTIES - 1, "key_assembled"),
+    ("false-share", Mode.VULNERABLE, 5, 3, "key_blocked"),
+], ids=["honest-96-bit-64/64", "hardened-attack-96-bit-64/63", "false-share-96-bit-5/3"])
+def test_the_widest_generated_groups_reach_their_verdicts_and_audit_clean(name, mode, n, t,
+                                                                          verdict):
+    # generated groups of the most bits, where packed evaluation and
+    # interpolation use their widest slots; the party cap on the 64-bit
+    # groups is audited with its row caches and its forger in test_protocol
+    report = run_scenario(build_scenario(name, seed=1, n=n, t=t,
+                                         params_ref=GenSpec(MAX_PARAM_BITS, mode)))
     assert report.verdict.value == verdict
     assert audit_transcript(render_report(report)) == []
 
@@ -765,7 +757,9 @@ QUOTED_FIELDS = {
 
 
 def _one_short_problem(problems):
+    # one problem, on one line, of at most 300 characters
     assert len(problems) == 1 and len(problems[0]) <= 300, [p[:300] for p in problems]
+    assert "\n" not in problems[0], problems[0]
 
 
 @pytest.mark.parametrize("value", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES.keys())
@@ -776,22 +770,27 @@ def test_a_hostile_value_gives_one_short_problem(false_share_text, put, value):
     _one_short_problem(audit_transcript(canonical_json(doc)))
 
 
-@pytest.mark.parametrize("key", ["x" * 200_000, "9" * 4001, " " * 200_000 + "2"],
-                         ids=["200k-string", "4001-digit", "200k-padded"])
+@pytest.mark.parametrize("key", ["x" * 200_000, "9" * 4001, " " * 200_000 + "2", "2\n"],
+                         ids=["200k-string", "4001-digit", "200k-padded", "newline"])
 def test_a_hostile_party_id_gives_one_short_problem(false_share_text, key):
-    # the last two decode, so the refusal of their behavior names them
+    # the last three decode, so the refusal of their behavior names them
     doc = json.loads(false_share_text)
     doc["config"]["behaviors"][key] = "x" * 200_000
     _one_short_problem(audit_transcript(canonical_json(doc)))
 
 
-@pytest.mark.parametrize("where", [(), ("forgeries",), ("shares",), ("reconstructions",)],
-                         ids=["top-level", "forgeries", "shares", "reconstructions"])
-def test_a_hostile_key_gives_one_short_problem(false_share_text, where):
+@pytest.mark.parametrize("where, key", [
+    ((), "x" * 200_000),
+    (("forgeries",), "x" * 200_000),
+    (("shares",), "x" * 200_000),
+    (("reconstructions",), "x" * 200_000),
+    (("shares",), "x\nFAIL: forged"),
+], ids=["top-level", "forgeries", "shares", "reconstructions", "newline-in-shares"])
+def test_a_hostile_key_gives_one_short_problem(false_share_text, where, key):
     # the config still runs, so the problem is the path of a key the
     # regeneration lacks, and the path quotes the key cut as a party id is
     doc = json.loads(false_share_text)
-    _put(*where, "x" * 200_000)(doc, True)
+    _put(*where, key)(doc, True)
     _one_short_problem(audit_transcript(canonical_json(doc)))
 
 
