@@ -213,9 +213,10 @@ MAX_PARAM_BITS = 96
 
 # Dealing and verification cost about n**3 big-int operations whatever t
 # is, and with t = n the reconstruction attempt budget alone would admit
-# any n. Honest v64 n=t=64 `vsslab run` takes about 0.28 s on a shared
-# 2-vCPU Xeon (median of twelve runs, range 0.19-0.34 s). A cache that
-# keeps a row per party, here or in poly, keeps MAX_PARTIES of them.
+# any n. Honest v64 n=t=64 `vsslab run` takes about 58 ms on a shared
+# 2-vCPU Xeon (fresh `python -S` processes with compiled bytecode,
+# median of twenty runs, range 56-72 ms). A cache that keeps a row per
+# party, here or in poly, keeps MAX_PARTIES of them.
 MAX_PARTIES = 64
 
 

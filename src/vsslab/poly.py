@@ -4,7 +4,9 @@ the tuple of its coefficients, constant term (a dealer's secret) first.
 A row's evaluation at many points and its interpolation are each one
 packed big-integer product (Kronecker substitution). Their tables, and
 rows, are cached here, bounded (see the note above lagrange_weights),
-as tuples no caller can change."""
+as tuples no caller can change, and so are the coefficients each row
+was evaluated from: vss.verify_row takes those as the proposal for a
+row dealt in this process, and interpolates only the others."""
 
 import math
 from _operator import mul
@@ -46,12 +48,14 @@ def check_abscissas(xs: tuple[int, ...], m: int) -> None:
 # A table is a pure function of its key, and a row of its ints, so
 # caching one never changes a result. The caches are sized from a run's
 # traffic: every row is dealt at parties 1..n (one power table, exact in
-# vulnerable mode and in the field when hardened), every row is
-# interpolated at the same first t parties (one basis), and
-# reconstruction asks for at most n first-subset weight tables. Each
-# dealt row is kept, a row per party as numtheory._g_row keeps powers,
-# so the row checks, which ask for the rows again in the same order, all
-# hit. A vulnerable pool whose first subset fails asks for one more
+# vulnerable mode and in the field when hardened), and reconstruction
+# asks for at most n first-subset weight tables. Each dealt row is kept,
+# a row per party as numtheory._g_row keeps powers, and so are the
+# coefficients it was evaluated from (_dealt), so the row checks, which
+# ask for the rows again in the same order, take each row's own
+# coefficients and read its values back. Only a row this process did
+# not evaluate, a forger's, is interpolated, at the first t parties (one
+# basis). A vulnerable pool whose first subset fails asks for one more
 # basis at that subset and one more power table and row, in the field,
 # at the pool's other recipients, to test whether the pool lies on one
 # polynomial; the subsets an inconsistent pool enumerates never recur
@@ -59,10 +63,14 @@ def check_abscissas(xs: tuple[int, ...], m: int) -> None:
 # group, measured with tracemalloc: 64 weight tables, 0.24 MB with their
 # keys; 4 packed bases, 0.44 MB (196-bit slots); 2 power tables, 0.26 MB
 # exact (474-bit slots) and 0.11 MB in the field (196 bits); 64 rows,
-# 0.41 MB exact or 0.21 MB in the field. That is about 1.5 MB in all.
-# The rows are the dealt share rows themselves, which a run's report
-# holds anyway: the peak of an honest 64/64 run moved by 10 KB or less
-# in either mode.
+# 0.41 MB exact or 0.21 MB in the field; the coefficients' map, 7 KB
+# for its table and keys. That is about 1.5 MB in all. The rows are the
+# dealt share rows themselves, which a run's report holds anyway, and
+# the map's keys and values are the row cache's own rows, abscissas and
+# coefficients; it holds them alone only for rows the row cache has
+# evicted, at most 0.55 MB exact or 0.39 MB in the field. As the row
+# checks build no basis, the peak of an honest 64/64 run fell from 1.55
+# to 1.32 MB (hardened-attack 64/63: 1.18 to 0.95 MB).
 
 
 def lagrange_weights(xs, m: int) -> tuple[int, ...]:
@@ -141,12 +149,36 @@ def evaluate(coeffs, xs, m: int, in_field: bool = False) -> tuple[int, ...]:
     return _row(tuple(coeffs), tuple(xs), m, in_field)
 
 
+# The coefficients of each row _row computed, by the row, its abscissas,
+# modulus, form and degree bound: at most MAX_PARTIES entries, the oldest
+# evicted first.
+_dealt = {}
+
+
 @lru_cache(maxsize=MAX_PARTIES)
 def _row(coeffs: tuple[int, ...], xs: tuple[int, ...], m: int,
          in_field: bool) -> tuple[int, ...]:
     w, powers = _packed_powers(xs, len(coeffs), m, in_field)
     values = _unpack(sum(map(mul, coeffs, powers)), w, len(xs))
-    return tuple(v % m for v in values) if in_field else tuple(values)
+    row = tuple(v % m for v in values) if in_field else tuple(values)
+    _dealt[row, xs, m, in_field, len(coeffs)] = coeffs
+    if len(_dealt) > MAX_PARTIES:
+        del _dealt[next(iter(_dealt))]
+    return row
+
+
+def dealt_coefficients(row, xs, m: int, in_field: bool, t: int):
+    """The t coefficients that evaluate turned into row at xs, mod m and
+    in the form in_field, if it has done so lately, else None.
+
+    row and xs are tuples. For m prime, xs distinct in (0, m),
+    t <= len(xs) and coefficients in [0, m) (evaluate's contract), the
+    t first points fix the polynomial of degree below t, so an answer
+    is exactly interpolate(xs[:t], row[:t], m): vss.verify_row's
+    proposal for a row dealt in this process, without a basis or a
+    product.
+    """
+    return _dealt.get((row, xs, m, in_field, t))
 
 
 def _pack(values, w: int) -> int:

@@ -309,8 +309,9 @@ def run_dealing_round(config: ScenarioConfig, params: GroupParams) -> DealingRou
     shares holds dealer i's shares to parties 1..n, its honest values
     from one poly.evaluate call over all of them, exact in vulnerable
     mode and in Z_q when hardened; an honest row is the tuple poly's
-    row cache keeps, so verify_row's row check reads it back rather
-    than evaluating it again. A forger's row adds
+    row cache keeps, so verify_row's row check takes the coefficients
+    it was evaluated from rather than interpolating them, and reads the
+    row back rather than evaluating it again. A forger's row adds
     its strategy's one shift to the values at its targets, or deals them
     honestly where the parameters make forgery impossible, and records
     that one outcome as its ForgeryAttempt.

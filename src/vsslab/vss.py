@@ -18,7 +18,7 @@ import math
 
 from .errors import TooLarge, VsslabError
 from .numtheory import GroupParams
-from .poly import evaluate, interpolate
+from .poly import dealt_coefficients, evaluate, interpolate
 from .record import record
 
 
@@ -97,13 +97,17 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
 
     Every entry equals the per-share verdict: commitment_in_group, then
     value < q, then verify_share in hardened mode; verify_share alone
-    in vulnerable mode. The row check interpolates Q = sum_j b_j x**j
-    over the field through the first t values and tests g**b_j == c_j
-    for every j: one row of t powers of g (GroupParams.g_pows), which an
-    honest row finds in the cache commit filled. When all t hold,
+    in vulnerable mode. The row check proposes Q = sum_j b_j x**j, the
+    polynomial over the field through the first t values, and tests
+    g**b_j == c_j for every j: one row of t powers of g
+    (GroupParams.g_pows), which an honest row finds in the cache commit
+    filled. A row this process dealt proposes the coefficients its
+    dealing evaluated (poly.dealt_coefficients), which are that
+    polynomial; any other row, a forger's or one dealt elsewhere, is
+    interpolated (poly.interpolate). When all t hold,
     prod_j c_j**(k**j) is g**Q(k), so a value passes verify_share
-    exactly when it is Q(k) mod d, and commitment_in_group holds: the
-    interpolation only proposes the b_j, the t commitment checks decide.
+    exactly when it is Q(k) mod d, and commitment_in_group holds:
+    wherever the b_j come from, the t commitment checks decide.
     Q is then evaluated at every party in the form its mode deals, by
     one poly.evaluate call whose row an honest dealing has cached. In
     hardened mode that is Q(k) mod q, and d = q, so a value passes
@@ -123,8 +127,10 @@ def verify_row(values, commits: CommitmentVector, params: GroupParams) -> tuple[
         raise VsslabError(f"abscissa {len(values)} outside (0, {m})")
     q, d = params.q, params.d
     hardened = q is not None
-    xs = range(1, len(values) + 1)
-    b = interpolate(xs[:t], values[:t], m)
+    xs = tuple(range(1, len(values) + 1))
+    b = dealt_coefficients(values, xs, m, hardened, t)
+    if b is None:
+        b = interpolate(xs[:t], values[:t], m)
     if params.g_pows(b) == commits.c:
         return tuple(v == e or not hardened and (v - e) % d == 0
                      for v, e in zip(values, evaluate(b, xs, m, hardened)))

@@ -183,6 +183,30 @@ def test_verify_in_a_fresh_process_words_malformed_json_as_json_does(tmp_path, t
     assert result.stderr == f"FAIL: not valid JSON: {refused.value}\n"
 
 
+# the audit of a transcript regenerates its run, so a row it checks is
+# one it has just dealt; a fresh process, as `vsslab verify` is, starts
+# with empty caches, so it shows what such a process computes
+@pytest.mark.parametrize("name, params_ref, t", [
+    ("honest", "v64", 40), ("hardened-attack", "h64", 39),
+], ids=["honest-v64-40/40", "hardened-attack-h64-40/39"])
+def test_a_fresh_verify_takes_every_dealt_row_without_a_basis(tmp_path, name, params_ref, t):
+    path = tmp_path / "t.json"
+    path.write_text(render_report(run_scenario(build_scenario(name, seed=7, n=40, t=t,
+                                                              params_ref=params_ref))))
+    child = """if True:
+        import sys
+        from vsslab.cli import main
+        from vsslab.poly import _packed_basis
+        print(main(["verify", sys.argv[1]]), _packed_basis.cache_info().misses)
+    """
+    result = subprocess.run([sys.executable, "-S", "-c", child, str(path)], capture_output=True,
+                            text=True, env={"PYTHONPATH": SRC})
+    assert result.stderr == (
+        "transcript verified: regenerating its config reproduces it byte for byte\n")
+    # exit code 0, and no interpolation basis built
+    assert result.stdout == "0 0\n"
+
+
 def test_the_process_entry_freezes_the_collector(tmp_path):
     # a fresh process, so that nothing before the entry has frozen it
     child = """if True:

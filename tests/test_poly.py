@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from vsslab.errors import VsslabError
 from vsslab.numtheory import Mode, gen_params
 from vsslab.poly import (
+    _dealt,
     _lagrange_weights,
     _packed_basis,
     _row,
+    dealt_coefficients,
     evaluate,
     interpolate,
     lagrange_weights,
@@ -283,6 +285,43 @@ def test_cached_tables_equal_a_fresh_computation(data):
         assert type(weights) is tuple and all(type(w) is int for w in weights)
         assert all(type(column) is tuple for column in columns)
         assert all(type(c) is int for column in columns for c in column)
+
+
+# evaluate records the coefficients of each row it computes, and
+# dealt_coefficients gives them back for the row, its abscissas and its
+# degree bound t: the polynomial interpolate would rebuild from the
+# row's first t values
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_dealt_coefficients_are_the_interpolated_ones(data):
+    _row.cache_clear()
+    _dealt.clear()
+    m = data.draw(st.sampled_from([11, 97, 2**61 - 1, P96]))
+    xs = tuple(data.draw(st.lists(st.integers(min_value=1, max_value=min(m - 1, 40)),
+                                  min_size=1, max_size=8, unique=True)))
+    coeffs = tuple(data.draw(st.lists(st.integers(min_value=0, max_value=m - 1),
+                                      min_size=1, max_size=len(xs))))
+    in_field = data.draw(st.booleans())
+    row = evaluate(coeffs, xs, m, in_field)
+    for t in range(1, len(xs) + 1):
+        for form in (False, True):
+            answer = dealt_coefficients(row, xs, m, form, t)
+            # a row dealt at another t, or in the other form, misses
+            assert (answer is not None) == ((t, form) == (len(coeffs), in_field))
+            if answer is not None:
+                assert answer == interpolate(xs[:t], row[:t], m) == coeffs
+
+
+def test_the_dealt_coefficients_keep_a_row_per_party():
+    _row.cache_clear()
+    _dealt.clear()
+    xs, m = (1, 2, 3), 97
+    rows = [evaluate((c, 1, 2), xs, m) for c in range(MAX_PARTIES + 5)]
+    assert len(_dealt) == MAX_PARTIES
+    # the oldest rows are evicted first
+    assert [dealt_coefficients(row, xs, m, False, 3) for row in rows[:5]] == [None] * 5
+    assert [dealt_coefficients(row, xs, m, False, 3) for row in rows[5:]] == [
+        (c, 1, 2) for c in range(5, MAX_PARTIES + 5)]
 
 
 @given(st.data())

@@ -16,7 +16,8 @@ from vsslab.attack import ForgeryStrategy, StrategyKind
 from vsslab.cli import main as cli_main
 from vsslab.errors import ConfigInvalid, VsslabError
 from vsslab.numtheory import Mode, _g_row, _g_table
-from vsslab.poly import _lagrange_weights, _packed_basis, _row, evaluate, sample_polynomial
+from vsslab.poly import (_dealt, _lagrange_weights, _packed_basis, _row, evaluate,
+                         sample_polynomial)
 from vsslab.protocol import (
     MAX_PARTIES,
     MAX_RECONSTRUCTION_ATTEMPTS,
@@ -895,20 +896,45 @@ def test_verification_round_matches_the_per_share_oracle(data):
         per_share(row, commits, params) for row, commits in zip(rows, commitments))
 
 
+@pytest.fixture
+def interpolations(monkeypatch):
+    """The values of every row verify_row interpolates. poly's rows and
+    their coefficients are emptied first, so a run's dealing records
+    every row it deals."""
+    import vsslab.vss as vss
+
+    _row.cache_clear()
+    _dealt.clear()
+    calls = []
+    original = vss.interpolate
+
+    def counting(xs, ys, m):
+        calls.append(tuple(ys))
+        return original(xs, ys, m)
+
+    monkeypatch.setattr(vss, "interpolate", counting)
+    return calls
+
+
 class TestRowCheck:
     """Both paths of verify_row stay live: the row check decides every
     honest row, and only a forger's row falls back to verify_share."""
 
     @pytest.mark.parametrize("params_ref", ["v64", "h64"])
-    def test_honest_rows_need_no_per_share_check(self, share_checks, params_ref):
+    def test_honest_rows_need_no_per_share_check(self, share_checks, interpolations,
+                                                 params_ref):
         report = run_scenario(honest_config(n=12, t=6, params_ref=params_ref))
         assert all(all(row) for row in report.verification_matrix)
         assert share_checks == []
+        # every row's proposal is the coefficients its dealing evaluated
+        assert interpolations == []
 
-    def test_only_the_forged_row_falls_back(self, share_checks):
+    def test_only_the_forged_row_falls_back(self, share_checks, interpolations):
         report = run_scenario(build_scenario("false-share", seed=7, n=12, t=6, params_ref="v64"))
         assert all(all(row) for row in report.verification_matrix)
         assert share_checks == [(report.commitments[0], k) for k in range(1, 13)]
+        # the forged row was never evaluated, so it is the one interpolated
+        assert interpolations == [report.shares[0][:6]]
 
 
 @pytest.fixture
@@ -1108,9 +1134,13 @@ class TestPoolMechanics:
 
 @pytest.fixture
 def tables_computed():
-    """(weight tables, bases) computed since the fixture emptied poly's caches."""
+    """(weight tables, bases) computed since the fixture emptied poly's caches.
+    The rows and their coefficients are emptied too, so a run's dealing
+    evaluates and records every row it deals."""
     _lagrange_weights.cache_clear()
     _packed_basis.cache_clear()
+    _row.cache_clear()
+    _dealt.clear()
     return lambda: (_lagrange_weights.cache_info().misses, _packed_basis.cache_info().misses)
 
 
@@ -1121,13 +1151,14 @@ class TestWeightMemo:
     def test_pools_with_one_first_subset_share_one_table(self, tables_computed, name):
         report = run_scenario(build_scenario(name, seed=7))
         assert len({pool[:3] for pool in pools(report)}) == 1
-        # every row is verified at parties (1, 2, 3): one basis
-        assert tables_computed() == (1, 1)
+        # every row was dealt in this process, so its row check takes the
+        # dealt coefficients and builds no basis
+        assert tables_computed() == (1, 0)
 
     def test_a_forged_pool_enumerates_through_the_memo(self, tables_computed):
         # the mixed pool tries all C(4, 3) subsets; the honest pools start
-        # with its first subset and find it memoised. Bases: the rows'
-        # (1, 2, 3), and (2, 3, 4) for the mixed pool's consistency test
+        # with its first subset and find it memoised. Bases: the forged
+        # row's (1, 2, 3), and (2, 3, 4) for the mixed pool's consistency test
         report = run_scenario(splitting_config(5, 3, (2, 4), "small11", seed=7))
         assert len(report.reconstructions[0].attempts) == comb(4, 3)
         assert tables_computed() == (comb(4, 3), 2)
@@ -1135,7 +1166,7 @@ class TestWeightMemo:
     def test_a_consistent_forged_pool_asks_for_one_basis(self, tables_computed):
         # false-share's forged pool fails at (2, 3, 4) and lies on one
         # polynomial: one weight table shared with the honest pools, and
-        # one basis beside the rows'
+        # one basis beside the forged row's
         report = run_scenario(build_scenario("false-share", seed=7))
         assert len(report.reconstructions[0].attempts) == 1
         assert tables_computed() == (1, 2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vsslab.errors import TooLarge, VsslabError
 from vsslab.numtheory import Mode, gen_params
-from vsslab.poly import sample_polynomial
+from vsslab.poly import _dealt, _row, evaluate, sample_polynomial
 from vsslab.registry import get_params
 from vsslab.rng import SplitMix64
 from vsslab.vss import (
@@ -316,8 +316,16 @@ def test_verify_row_matches_the_per_share_checks(data):
         with pytest.raises(VsslabError, match="shorter than the threshold"):
             verify_row(values, commit(poly, params), params)
     else:
-        assert verify_row(values, commit(poly, params), params) == per_share(
-            values, commit(poly, params), params)
+        # dealt in this process, as a run deals it, so an unshifted row's
+        # check takes the dealt coefficients; once they are forgotten,
+        # every row is interpolated, to the same verdicts
+        _row.cache_clear()
+        _dealt.clear()
+        evaluate(poly, range(1, length + 1), params.field_modulus, params.q is not None)
+        verdicts = per_share(values, commit(poly, params), params)
+        assert verify_row(values, commit(poly, params), params) == verdicts
+        _dealt.clear()
+        assert verify_row(values, commit(poly, params), params) == verdicts
 
 
 class TestRowEvaluations:
